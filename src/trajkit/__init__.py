@@ -10,7 +10,6 @@ double as test oracles.
 from .flowgen import (
     FinetuneConfig,
     FlowBundle,
-    FlowProblem,
     FlowTrainConfig,
     LatentStats,
     SegmentDataset,

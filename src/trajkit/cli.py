@@ -2,7 +2,8 @@
 
 Every subcommand writes its artifacts plus a manifest (seed, config hash,
 outputs) under the output directory.  Exit codes: 0 success, 2 malformed
-track file, 3 config validation failure, 4 numerical abort, 1 other errors.
+track file or checkpoint, 3 config validation failure, 4 numerical abort,
+1 other errors.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -185,12 +186,27 @@ def _vae_dataset(kind: str, n: int, seed: int, geom: scenes.SceneGeometry):
     return flowgen.SegmentDataset(segs, masks)
 
 
+def _meta_config(cls, meta: dict, key: str, path):
+    """A model config rebuilt from checkpoint metadata.  Every field must be
+    present (a default would silently describe another model) and no other."""
+    value = meta[key]
+    names = {f.name for f in fields(cls)}
+    if not isinstance(value, dict) or set(value) != names:
+        got = set(value) if isinstance(value, dict) else set()
+        raise TlfError(f"{path}: {key} metadata does not match {cls.__name__}: "
+                       f"missing {sorted(names - got)}, unknown {sorted(got - names)}")
+    try:
+        return cls(**value)
+    except (TypeError, ValueError) as exc:
+        raise TlfError(f"{path}: bad {key} metadata: {exc}") from exc
+
+
 def _load_vae(path):
     blocks, meta = tlf.load_checkpoint(path)
     params = {k[len("vae/"):]: v for k, v in blocks.items() if k.startswith("vae/")}
     if not params or "vae_cfg" not in meta:
         raise TlfError(f"{path}: missing VAE parameters")
-    return params, VaeConfig(**meta["vae_cfg"])
+    return params, _meta_config(VaeConfig, meta, "vae_cfg", path)
 
 
 def save_bundle(path, bundle: flowgen.FlowBundle, seed) -> None:
@@ -210,17 +226,18 @@ def load_bundle(path) -> flowgen.FlowBundle:
     needed = ("vae_cfg", "flow_cfg", "sigma0", "anchor_mode")
     if any(k not in meta for k in needed):
         raise TlfError(f"{path}: not a flow bundle checkpoint")
-    split = {"vae": {}, "flow": {}, "vis": {}}
-    stats = {}
+    split = {"vae": {}, "flow": {}, "vis": {}, "stats": {}}
     for name, arr in blocks.items():
         prefix, _, rest = name.partition("/")
-        if prefix == "stats":
-            stats[rest] = arr
-        else:
-            split[prefix][rest] = arr
+        if prefix not in split:
+            raise TlfError(f"{path}: unknown block {name!r}")
+        split[prefix][rest] = arr
+    stats = split["stats"]
+    if "mean" not in stats or "std" not in stats:
+        raise TlfError(f"{path}: missing stats/mean or stats/std block")
     return flowgen.FlowBundle(
-        vae_cfg=VaeConfig(**meta["vae_cfg"]),
-        flow_cfg=FlowConfig(**meta["flow_cfg"]),
+        vae_cfg=_meta_config(VaeConfig, meta, "vae_cfg", path),
+        flow_cfg=_meta_config(FlowConfig, meta, "flow_cfg", path),
         vae_params=split["vae"], flow_params=split["flow"],
         stats=flowgen.LatentStats(stats["mean"], stats["std"]),
         vis_params=split["vis"] or None,
@@ -239,8 +256,7 @@ def cmd_train_flow(args) -> int:
                                        seed=cfg.seed)
     f = cfg["flow"]
     z_f = flowgen.encode_mean(vae_params, vae_cfg, pairs.future)
-    targets = pool_visibility(pairs.future_masks,
-                              vae_cfg.token_grid(pairs.future.shape[1])).astype(np.float64)
+    targets = pool_visibility(pairs.future_masks, vae_cfg.token_grid(pairs.future.shape[1]))
     vis_params, _ = flowgen.train_visibility_head(z_f, targets, train_cfg.flow,
                                                   steps=f["vis_steps"], lr=f["vis_lr"],
                                                   seed=cfg.seed)

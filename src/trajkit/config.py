@@ -33,6 +33,21 @@ def _parse_ints(text: str) -> tuple:
     return tuple(int(x) for x in text.replace(",", " ").split())
 
 
+def _parse_steps(text: str) -> int:
+    steps = int(text)
+    if steps < 1:
+        raise ValueError("a training run needs at least 1 step")
+    return steps
+
+
+def _one_of(*allowed: str):
+    def parse(text: str) -> str:
+        if text not in allowed:
+            raise ValueError(f"expected one of {', '.join(allowed)}")
+        return text
+    return parse
+
+
 # (default, parser) per section/key; parser None means str
 SCHEMA: dict = {
     "run": {
@@ -42,7 +57,6 @@ SCHEMA: dict = {
     "data": {
         "kind": ("smooth", str),
         "scenes": (24, int),
-        "eval_scenes": (8, int),
         "frames": (16, int),
         "past": (8, int),
         "height": (32, int),
@@ -62,7 +76,7 @@ SCHEMA: dict = {
         "hops": ((1, 2, 4), _parse_ints),
         "hop_weights": ((1.0, 0.5, 0.25), _parse_floats),
         "lr": (2e-5, float),
-        "steps": (500, int),
+        "steps": (500, _parse_steps),
         "batch": (4, int),
         "grad_clip": (0.1, float),
     },
@@ -73,10 +87,10 @@ SCHEMA: dict = {
         "time_features": (8, int),
         "sigma": (0.05, float),
         "sigma0": (0.1, float),
-        "anchor_mode": ("first-slice", str),
+        "anchor_mode": ("first-slice", _one_of("first-slice", "all-slices")),
         "invisible_token_weight": (0.01, float),
         "lr": (6e-5, float),
-        "steps": (1000, int),
+        "steps": (1000, _parse_steps),
         "batch": (8, int),
         "grad_clip": (1.0, float),
         "vis_steps": (300, int),
@@ -92,16 +106,13 @@ SCHEMA: dict = {
         "t_eps": (1e-5, float),
         "lr": (1e-5, float),
         "sub_batch": (8, int),
-        "steps": (200, int),
+        "steps": (200, _parse_steps),
     },
     "sampler": {
-        "method": ("euler", str),
+        "method": ("euler", _one_of("euler", "dopri5")),
         "steps": (10, int),
         "rtol": (1e-5, float),
         "atol": (1e-8, float),
-    },
-    "metrics": {
-        "divcurl_single_spacing": (False, lambda s: s.lower() in ("1", "true", "yes")),
     },
 }
 
@@ -175,7 +186,8 @@ class RunConfig:
                 try:
                     values[section][key] = parse(raw) if parse else raw
                 except ValueError as exc:
-                    raise ConfigError(f"{origin}: bad value for {section}.{key}: {raw!r}") from exc
+                    raise ConfigError(
+                        f"{origin}: bad value for {section}.{key}: {raw!r} ({exc})") from exc
         return cls(values)
 
     # -- serialization -------------------------------------------------------
@@ -242,7 +254,5 @@ class RunConfig:
 
     def sampler_spec(self) -> dict:
         s = self.values["sampler"]
-        if s["method"] not in ("euler", "dopri5"):
-            raise ConfigError(f"unknown sampler method {s['method']!r}")
         return {"method": s["method"], "steps": s["steps"], "rtol": s["rtol"],
                 "atol": s["atol"]}

@@ -3,8 +3,9 @@
 Covers flow-time sampling, noisy linear interpolation, boundary-anchored
 source states, latent normalization, Euler and Dormand-Prince samplers, the
 detached K-step rollout, and training for the VAE, the flow generator, the
-on-policy fine-tuning stage, and the visibility head.  Everything is
-bit-reproducible given (seed, config, dataset).
+on-policy fine-tuning stage, and the visibility head, all four through one
+shared AdamW loop.  Everything is bit-reproducible given (seed, config,
+dataset).
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from .models import (
     init_vae_params,
     init_velocity_params,
     init_visibility_params,
+    pool_visibility,
+    reparameterize,
     wrap_params,
 )
 from .trajfield import OffsetField
@@ -39,7 +42,6 @@ class TimeGrid:
     """K+1 strictly increasing flow times inside [t_eps, 1 - t_eps]."""
 
     times: np.ndarray
-    mode: str = "logit"
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=np.float64)
@@ -61,11 +63,7 @@ def logit_grid(k: int, t_eps: float = T_EPS) -> TimeGrid:
     lo = np.log(t_eps / (1 - t_eps))
     levels = np.linspace(lo, -lo, k + 1)
     times = np.clip(1.0 / (1.0 + np.exp(-levels)), T_EPS, 1 - T_EPS)
-    return TimeGrid(times, mode="logit")
-
-
-def uniform_grid(k: int, t_eps: float = T_EPS) -> TimeGrid:
-    return TimeGrid(np.linspace(t_eps, 1 - t_eps, k + 1), mode="uniform")
+    return TimeGrid(times)
 
 
 @dataclass
@@ -104,24 +102,6 @@ def denormalize_latents(z: np.ndarray, stats: LatentStats) -> np.ndarray:
     return z * stats.std + stats.mean
 
 
-@dataclass
-class FlowProblem:
-    """One training/sampling instance bundle."""
-
-    z0: np.ndarray
-    z1: np.ndarray
-    condition: dict
-    weights: "lb.TokenWeights | np.ndarray"
-    sigma: float = 0.05
-    sigma0: float = 0.1
-
-    def __post_init__(self):
-        if np.asarray(self.z0).shape != np.asarray(self.z1).shape:
-            raise ValueError("z0/z1 shape mismatch")
-        if self.sigma < 0 or self.sigma0 < 0:
-            raise ValueError("noise scales must be nonnegative")
-
-
 def sample_time(rng: Rng) -> float:
     """Mixture flow time: with probability 0.2 uniform on (0, 0.1), else the
     sigmoid of a standard normal; clamped to [1e-5, 1 - 1e-5]."""
@@ -132,15 +112,20 @@ def sample_time(rng: Rng) -> float:
     return float(np.clip(t, T_EPS, 1 - T_EPS))
 
 
-def interpolate(problem: FlowProblem, t, rng: Rng):
-    """Noisy linear interpolant and its constant target velocity."""
-    z0, z1 = problem.z0, problem.z1
+def interpolate(z0: np.ndarray, z1: np.ndarray, t, sigma: float, rng: Rng):
+    """Noisy linear interpolant from z0 to z1 at time t (a scalar or one per
+    batch item), with tube noise of scale sigma, and its constant target
+    velocity."""
+    if z0.shape != z1.shape:
+        raise ValueError(f"z0/z1 shape mismatch: {z0.shape} vs {z1.shape}")
+    if sigma < 0:
+        raise ValueError("noise scale sigma must be nonnegative")
     t_arr = np.asarray(t, dtype=np.float64)
     if t_arr.ndim == 1:  # per-item time over a batch
         t_arr = t_arr.reshape(-1, *([1] * (z0.ndim - 1)))
     z_t = (1.0 - t_arr) * z0 + t_arr * z1
-    if problem.sigma > 0:
-        z_t = z_t + problem.sigma * rng.draw_normal(z0.shape)
+    if sigma > 0:
+        z_t = z_t + sigma * rng.draw_normal(z0.shape)
     return z_t, z1 - z0
 
 
@@ -298,23 +283,6 @@ def pairs_from_fields(fields: list[OffsetField], past_frames: int) -> PairDatase
     return PairDataset(np.stack(past), np.stack(pm), np.stack(fut), np.stack(fm))
 
 
-def visibility_tokens(mask: np.ndarray, token_grid: tuple) -> np.ndarray:
-    """Mean-pooled visibility occupancy per latent token (condition feature)."""
-    mask = np.asarray(mask, dtype=np.float64)
-    single = mask.ndim == 3
-    if single:
-        mask = mask[None]
-    t_lat, h_tok, w_tok = token_grid
-    b, t, h, w = mask.shape
-    r = -(-t // t_lat)
-    if t_lat * r != t:
-        mask = np.concatenate([mask, np.repeat(mask[:, -1:], t_lat * r - t, axis=1)], axis=1)
-    ph, pw = h // h_tok, w // w_tok
-    pooled = mask.reshape(b, t_lat, r, h_tok, ph, w_tok, pw).mean(axis=(2, 4, 6))
-    out = pooled.reshape(b, t_lat, h_tok * w_tok)
-    return out[0] if single else out
-
-
 # -- training configs ---------------------------------------------------------
 
 
@@ -380,12 +348,41 @@ class FlowBundle:
     anchor_mode: str = "first-slice"
 
 
+# -- the shared training loop ---------------------------------------------------
+
+
+def _fit(name: str, params: dict, step_loss, rng: Rng, steps: int, n_items: int, batch: int,
+         lr: float, clip_norm: float | None, lr_at=None):
+    """AdamW over `steps` minibatches; returns (params, curve).
+
+    Each step sets the rate from `lr_at(step)` when given, draws `batch` item
+    indices from `rng`, and calls `step_loss(wrapped_params, idx)`, which
+    returns (loss, curve row).  A non-finite loss aborts the run naming
+    `name` and the step.
+    """
+    state = gc.optim_init(params, lr=lr, clip_norm=clip_norm)
+    curve = []
+    for step in range(steps):
+        if lr_at is not None:
+            state.lr = lr_at(step)
+        idx = rng.draw_integers(0, n_items, batch)
+        wrapped = wrap_params(params)
+        loss, row = step_loss(wrapped, idx)
+        if not np.isfinite(float(loss)):
+            raise FloatingPointError(f"{name}: non-finite loss at step {step}")
+        grads = dict(zip(wrapped.keys(), gc.backward(loss, list(wrapped.values()))))
+        del loss  # free this step's tape and its stored gradients before the next forward
+        params = gc.optim_step(params, grads, state)
+        curve.append({"step": step, **row})
+    return params, curve
+
+
 # -- VAE training --------------------------------------------------------------
 
 
 def vae_loss_terms(params, x, m, cfg: VaeTrainConfig, rng: Rng):
     mu, logvar = vae_encode(x, params, cfg.vae)
-    z = gc.add(mu, gc.mul(gc.exp(gc.mul(logvar, 0.5)), rng.draw_normal(mu.shape)))
+    z = reparameterize(mu, logvar, rng)
     recon = vae_decode(z, params, cfg.vae, frames=x.shape[1])
     pair = lb.SegmentPair(x, recon, m)
     l_rec = lb.recon_loss(pair, cfg.huber_delta)
@@ -408,23 +405,16 @@ def train_vae(dataset: SegmentDataset, cfg: VaeTrainConfig, seed: int = 0,
     rng = gc.rng(seed)
     if params is None:
         params = init_vae_params(cfg.vae, rng)
-    state = gc.optim_init(params, lr=cfg.lr, clip_norm=cfg.clip_norm)
-    curve = []
-    m_total = len(dataset)
-    for step in range(cfg.steps):
-        state.lr = cfg.lr * min(1.0, (cfg.steps - step) / (VAE_LR_DECAY_SHARE * cfg.steps))
-        idx = rng.draw_integers(0, m_total, cfg.batch)
-        x = dataset.segments[idx]
-        m = dataset.masks[idx]
-        wrapped = wrap_params(params)
-        total, parts = vae_loss_terms(wrapped, x, m, cfg, rng)
-        if not np.isfinite(float(total)):
-            raise FloatingPointError(f"train_vae: non-finite loss at step {step}")
-        grads_list = gc.backward(total, list(wrapped.values()))
-        grads = dict(zip(wrapped.keys(), grads_list))
-        params = gc.optim_step(params, grads, state)
-        curve.append({"step": step, "total": float(total), **parts})
-    return params, curve
+
+    def step_loss(wrapped, idx):
+        total, parts = vae_loss_terms(wrapped, dataset.segments[idx], dataset.masks[idx],
+                                      cfg, rng)
+        return total, {"total": float(total), **parts}
+
+    return _fit("train_vae", params, step_loss, rng, cfg.steps, len(dataset), cfg.batch,
+                cfg.lr, cfg.clip_norm,
+                lr_at=lambda step: cfg.lr * min(
+                    1.0, (cfg.steps - step) / (VAE_LR_DECAY_SHARE * cfg.steps)))
 
 
 def vae_reconstruct(params: dict, cfg: VaeConfig, segments: np.ndarray) -> np.ndarray:
@@ -444,8 +434,11 @@ def encode_mean(params: dict, cfg: VaeConfig, segments: np.ndarray) -> np.ndarra
 
 
 def _flow_inputs(dataset: PairDataset, vae_params: dict, vae_cfg: VaeConfig,
-                 cfg: FlowTrainConfig):
-    """Precompute normalized latents, condition tokens, and token weights."""
+                 cfg: FlowTrainConfig, stats: LatentStats | None = None):
+    """Precompute normalized latents, condition tokens, and token weights.
+
+    The latent statistics are fit on this dataset's latents unless given.
+    """
     t_p = dataset.past.shape[1]
     t_f = dataset.future.shape[1]
     k_p = -(-t_p // vae_cfg.temporal_ratio)
@@ -455,13 +448,13 @@ def _flow_inputs(dataset: PairDataset, vae_params: dict, vae_cfg: VaeConfig,
                          f"latent steps, dataset yields {k_p}/{k_f}")
     z_p = encode_mean(vae_params, vae_cfg, dataset.past)
     z_f = encode_mean(vae_params, vae_cfg, dataset.future)
-    stats = LatentStats.fit(np.concatenate([z_p, z_f], axis=1))
+    if stats is None:
+        stats = LatentStats.fit(np.concatenate([z_p, z_f], axis=1))
     z_p = normalize_latents(z_p, stats)
     z_f = normalize_latents(z_f, stats)
-    grid_p = vae_cfg.token_grid(t_p)
-    grid_f = vae_cfg.token_grid(t_f)
-    vis_tok = visibility_tokens(dataset.past_masks, grid_p)
-    weights = lb.token_weights(dataset.future_masks, grid_f, floor=cfg.token_floor).w
+    vis_tok = pool_visibility(dataset.past_masks, vae_cfg.token_grid(t_p), reduce="mean")
+    weights = lb.token_weights(dataset.future_masks, vae_cfg.token_grid(t_f),
+                               floor=cfg.token_floor).w
     return z_p, z_f, stats, vis_tok, weights
 
 
@@ -471,8 +464,7 @@ def flow_step_loss(flow_params, z_p, z_f, vis_tok, weights, cfg: FlowTrainConfig
     k_f = cfg.flow.future_steps
     z0 = boundary_init(z_p[:, -1], k_f, cfg.sigma0, rng, cfg.anchor_mode)
     t = np.array([sample_time(rng) for _ in range(b)])
-    problem = FlowProblem(z0, z_f, {}, weights, sigma=cfg.sigma, sigma0=cfg.sigma0)
-    z_t, u_t = interpolate(problem, t, rng)
+    z_t, u_t = interpolate(z0, z_f, t, cfg.sigma, rng)
     cond = {"z_hist": z_p, "visibility": vis_tok}
     v = velocity_forward(z_t, t, cond, flow_params, cfg.flow)
     return lb.fm_loss(v, u_t, weights), z0
@@ -485,19 +477,14 @@ def train_flow(dataset: PairDataset, vae_params: dict, vae_cfg: VaeConfig,
     if flow_params is None:
         flow_params = init_velocity_params(cfg.flow, rng)
     z_p, z_f, stats, vis_tok, weights = _flow_inputs(dataset, vae_params, vae_cfg, cfg)
-    state = gc.optim_init(flow_params, lr=cfg.lr, clip_norm=cfg.clip_norm)
-    curve = []
-    m_total = len(dataset)
-    for step in range(cfg.steps):
-        idx = rng.draw_integers(0, m_total, cfg.batch)
-        wrapped = wrap_params(flow_params)
-        loss, _ = flow_step_loss(wrapped, z_p[idx], z_f[idx], vis_tok[idx],
-                                 weights[idx], cfg, rng)
-        if not np.isfinite(float(loss)):
-            raise FloatingPointError(f"train_flow: non-finite loss at step {step}")
-        grads = dict(zip(wrapped.keys(), gc.backward(loss, list(wrapped.values()))))
-        flow_params = gc.optim_step(flow_params, grads, state)
-        curve.append({"step": step, "fm": float(loss)})
+
+    def step_loss(wrapped, idx):
+        loss, _ = flow_step_loss(wrapped, z_p[idx], z_f[idx], vis_tok[idx], weights[idx],
+                                 cfg, rng)
+        return loss, {"fm": float(loss)}
+
+    flow_params, curve = _fit("train_flow", flow_params, step_loss, rng, cfg.steps,
+                              len(dataset), cfg.batch, cfg.lr, cfg.clip_norm)
     bundle = FlowBundle(vae_cfg, cfg.flow, vae_params, flow_params, stats,
                         sigma0=cfg.sigma0, anchor_mode=cfg.anchor_mode)
     return bundle, curve
@@ -508,14 +495,8 @@ def eval_fm_loss(bundle: FlowBundle, dataset: PairDataset, cfg: FlowTrainConfig,
     """Deterministic held-out flow-matching loss (fixed noise/time draws)."""
     rng = gc.rng(seed)
     params = flow_params if flow_params is not None else bundle.flow_params
-    z_p = normalize_latents(encode_mean(bundle.vae_params, bundle.vae_cfg, dataset.past),
-                            bundle.stats)
-    z_f = normalize_latents(encode_mean(bundle.vae_params, bundle.vae_cfg, dataset.future),
-                            bundle.stats)
-    grid_p = bundle.vae_cfg.token_grid(dataset.past.shape[1])
-    grid_f = bundle.vae_cfg.token_grid(dataset.future.shape[1])
-    vis_tok = visibility_tokens(dataset.past_masks, grid_p)
-    weights = lb.token_weights(dataset.future_masks, grid_f, floor=cfg.token_floor).w
+    z_p, z_f, _, vis_tok, weights = _flow_inputs(dataset, bundle.vae_params, bundle.vae_cfg,
+                                                 cfg, bundle.stats)
     wrapped = wrap_params(params, requires_grad=False)
     loss, _ = flow_step_loss(wrapped, z_p, z_f, vis_tok, weights, cfg, rng)
     return float(loss)
@@ -532,12 +513,8 @@ def finetune_onpolicy(bundle: FlowBundle, dataset: PairDataset, flow_cfg: FlowTr
     z_p, z_f, stats, vis_tok, weights = _flow_inputs(dataset, bundle.vae_params,
                                                      bundle.vae_cfg, flow_cfg)
     grid = logit_grid(cfg.k_steps, cfg.t_eps)
-    state = gc.optim_init(flow_params, lr=cfg.lr, clip_norm=flow_cfg.clip_norm)
-    curve = []
-    m_total = len(dataset)
-    for step in range(cfg.steps):
-        idx = rng.draw_integers(0, m_total, flow_cfg.batch)
-        wrapped = wrap_params(flow_params)
+
+    def step_loss(wrapped, idx):
         fm, z0 = flow_step_loss(wrapped, z_p[idx], z_f[idx], vis_tok[idx],
                                 weights[idx], flow_cfg, rng)
         total = fm
@@ -563,13 +540,11 @@ def finetune_onpolicy(bundle: FlowBundle, dataset: PairDataset, flow_cfg: FlowTr
                                          cfg.lambda_kstep))
             parts["kstep"] = float(l_kstep)
             parts["cons"] = float(l_cons)
-        if not np.isfinite(float(total)):
-            raise FloatingPointError(f"finetune_onpolicy: non-finite loss at step {step}")
-        grads = dict(zip(wrapped.keys(), gc.backward(total, list(wrapped.values()))))
-        flow_params = gc.optim_step(flow_params, grads, state)
-        curve.append({"step": step, "total": float(total), **parts})
-    out = replace(bundle, flow_params=flow_params)
-    return out, curve
+        return total, {"total": float(total), **parts}
+
+    flow_params, curve = _fit("finetune_onpolicy", flow_params, step_loss, rng, cfg.steps,
+                              len(dataset), flow_cfg.batch, cfg.lr, flow_cfg.clip_norm)
+    return replace(bundle, flow_params=flow_params), curve
 
 
 # -- visibility head training -----------------------------------------------------
@@ -581,20 +556,14 @@ def train_visibility_head(latents: np.ndarray, targets: np.ndarray, flow_cfg: Fl
     """Fit the per-token visibility predictor with logit BCE."""
     rng = gc.rng(seed)
     params = init_visibility_params(flow_cfg, rng)
-    state = gc.optim_init(params, lr=lr, clip_norm=clip_norm)
+
+    def step_loss(wrapped, idx):
+        loss = lb.bce_logits(visibility_logits(latents[idx], wrapped), targets[idx])
+        return loss, {"bce": float(loss)}
+
     m_total = latents.shape[0]
-    curve = []
-    for step in range(steps):
-        idx = rng.draw_integers(0, m_total, min(batch, m_total))
-        wrapped = wrap_params(params)
-        logits = visibility_logits(latents[idx], wrapped)
-        loss = lb.bce_logits(logits, targets[idx])
-        if not np.isfinite(float(loss)):
-            raise FloatingPointError(f"train_visibility_head: non-finite loss at step {step}")
-        grads = dict(zip(wrapped.keys(), gc.backward(loss, list(wrapped.values()))))
-        params = gc.optim_step(params, grads, state)
-        curve.append({"step": step, "bce": float(loss)})
-    return params, curve
+    return _fit("train_visibility_head", params, step_loss, rng, steps, m_total,
+                min(batch, m_total), lr, clip_norm)
 
 
 # -- end-to-end sampling ------------------------------------------------------------
@@ -621,8 +590,7 @@ def sample_future(history: OffsetField, bundle: FlowBundle, sampler: dict | None
     t_f = future_frames if future_frames is not None else history.frames
     z_hist = normalize_latents(
         encode_mean(bundle.vae_params, vae_cfg, history.offsets[None])[0], bundle.stats)
-    grid_p = vae_cfg.token_grid(history.frames)
-    vis_tok = visibility_tokens(history.mask, grid_p)
+    vis_tok = pool_visibility(history.mask, vae_cfg.token_grid(history.frames), reduce="mean")
     cond = {"z_hist": z_hist, "visibility": vis_tok}
     z0 = boundary_init(z_hist[-1], flow_cfg.future_steps, bundle.sigma0, rng,
                        bundle.anchor_mode)

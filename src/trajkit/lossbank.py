@@ -8,12 +8,13 @@ gradcore Tensor, so every loss returns a Tensor (use float() to read it).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import gradcore as gc
 from .gradcore import Tensor, as_tensor
+from .models import pool_visibility
 
 
 @dataclass
@@ -48,7 +49,6 @@ class TokenWeights:
     """Normalized per-token loss weights over the latent grid (k, n)."""
 
     w: np.ndarray  # (T_lat, N) or (B, T_lat, N), sums to 1 per instance
-    channels: int = 0
 
 
 def _batched(arr, ndim_single):
@@ -184,27 +184,11 @@ def token_weights(future_mask: np.ndarray, token_grid: tuple, floor: float = 0.0
     token_grid is (t_lat, h_tok, w_tok); the mask's trailing (T, H, W) axes
     must tile onto it (time pads by repeating the last frame).
     """
-    mask = np.asarray(future_mask, dtype=np.float64)
-    single = mask.ndim == 3
-    if single:
-        mask = mask[None]
-    t_lat, h_tok, w_tok = token_grid
-    b, t, h, w = mask.shape
-    if t_lat <= 0 or h_tok <= 0 or w_tok <= 0 or h % h_tok or w % w_tok:
-        raise ValueError(f"token grid {token_grid} incompatible with mask {mask.shape}")
-    r = -(-t // t_lat)  # ceil
-    if t_lat * r != t:
-        pad = np.repeat(mask[:, -1:], t_lat * r - t, axis=1)
-        mask = np.concatenate([mask, pad], axis=1)
-    ph, pw = h // h_tok, w // w_tok
-    pooled = mask.reshape(b, t_lat, r, h_tok, ph, w_tok, pw).mean(axis=(2, 4, 6))
-    pooled = pooled.reshape(b, t_lat, h_tok * w_tok)
-    w_tok_arr = np.maximum(pooled, floor)
-    total = w_tok_arr.sum(axis=(1, 2), keepdims=True)
+    w = np.maximum(pool_visibility(future_mask, token_grid, reduce="mean"), floor)
+    total = w.sum(axis=(-2, -1), keepdims=True)
     if np.any(total == 0):
         raise ValueError("token_weights: all token weights zero (floor=0 and fully invisible)")
-    w_tok_arr = w_tok_arr / total
-    return TokenWeights(w_tok_arr[0] if single else w_tok_arr)
+    return TokenWeights(w / total)
 
 
 def _weighted_sq(diff: Tensor, weights: np.ndarray) -> Tensor:

@@ -58,11 +58,6 @@ class VaeConfig:
         t = self.frames if frames is None else frames
         return (-(-t // self.temporal_ratio), self.tokens_h, self.tokens_w)
 
-    @classmethod
-    def paper_scale(cls) -> "VaeConfig":
-        return cls(height=480, width=832, frames=81, patch=32, hidden=512,
-                   blocks=16, latent_channels=16, temporal_ratio=4)
-
 
 @dataclass
 class FlowConfig:
@@ -364,22 +359,30 @@ def velocity_forward(z_t, t, condition: dict, params: dict, cfg: FlowConfig) -> 
 # -- visibility head ---------------------------------------------------------
 
 
-def pool_visibility(mask: np.ndarray, token_grid: tuple) -> np.ndarray:
-    """Max-pool (logical OR) a dense mask onto the latent token grid."""
-    mask = np.asarray(mask)
+def pool_visibility(mask: np.ndarray, token_grid: tuple, reduce: str = "max") -> np.ndarray:
+    """Pool a dense (T, H, W) mask, or a batch of them, onto the latent token
+    grid (t_lat, h_tok, w_tok), giving (T_lat, N) float64 per instance.
+
+    reduce="max" is the logical OR (the visibility head's targets);
+    reduce="mean" is the visible fraction (condition tokens, loss weights).
+    The mask's (H, W) must tile onto the grid; time pads by repeating the
+    last frame.
+    """
+    if reduce not in ("max", "mean"):
+        raise ValueError(f"unknown reduce {reduce!r}")
+    mask = np.asarray(mask, dtype=np.float64)
     single = mask.ndim == 3
     if single:
         mask = mask[None]
     t_lat, h_tok, w_tok = token_grid
     b, t, h, w = mask.shape
-    if t_lat <= 0 or h % h_tok or w % w_tok:
+    if t_lat <= 0 or h_tok <= 0 or w_tok <= 0 or h % h_tok or w % w_tok:
         raise ValueError(f"token grid {token_grid} incompatible with mask {mask.shape}")
-    r = -(-t // t_lat)
+    r = -(-t // t_lat)  # ceil
     if t_lat * r != t:
         mask = np.concatenate([mask, np.repeat(mask[:, -1:], t_lat * r - t, axis=1)], axis=1)
-    ph, pw = h // h_tok, w // w_tok
-    pooled = mask.reshape(b, t_lat, r, h_tok, ph, w_tok, pw).max(axis=(2, 4, 6))
-    out = pooled.reshape(b, t_lat, h_tok * w_tok).astype(np.uint8)
+    blocks = mask.reshape(b, t_lat, r, h_tok, h // h_tok, w_tok, w // w_tok)
+    out = getattr(blocks, reduce)(axis=(2, 4, 6)).reshape(b, t_lat, h_tok * w_tok)
     return out[0] if single else out
 
 

@@ -153,8 +153,8 @@ def endpoint_latent_error(bundle, pairs, seed_base: int) -> float:
         flowgen.encode_mean(bundle.vae_params, bundle.vae_cfg, pairs.past), bundle.stats)
     z_f = flowgen.normalize_latents(
         flowgen.encode_mean(bundle.vae_params, bundle.vae_cfg, pairs.future), bundle.stats)
-    vis_tok = flowgen.visibility_tokens(pairs.past_masks,
-                                        bundle.vae_cfg.token_grid(pairs.past.shape[1]))
+    vis_tok = pool_visibility(pairs.past_masks, bundle.vae_cfg.token_grid(pairs.past.shape[1]),
+                              reduce="mean")
     wrapped = wrap_params(bundle.flow_params, requires_grad=False)
     errs = []
     for i in range(len(pairs)):

@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from trajkit import flowgen, plotting, tlf
 from trajkit.cli import dispatch, load_bundle, save_bundle
 from trajkit.config import ConfigError, RunConfig
+from trajkit.models import FlowConfig, VaeConfig
 from trajkit.motionlab import MotionSpec, generate
 from trajkit.trajfield import rasterize, to_absolute, to_offsets
 
@@ -98,6 +100,21 @@ class TestConfig:
         assert cfg.sha256() == again.sha256()
         assert again.seed == 7
 
+    @pytest.mark.parametrize("section", ["vae", "flow", "finetune"])
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_training_steps_below_one_rejected(self, section, steps):
+        with pytest.raises(ConfigError, match=f"{section}.steps"):
+            RunConfig.loads(f"[{section}]\nsteps = {steps}\n")
+
+    @pytest.mark.parametrize("section,key,good,bad", [
+        ("flow", "anchor_mode", "all-slices", "bogus"),
+        ("sampler", "method", "dopri5", "rk4"),
+    ])
+    def test_closed_set_values_checked_at_load(self, section, key, good, bad):
+        assert RunConfig.loads(f"[{section}]\n{key} = {good}\n")[section][key] == good
+        with pytest.raises(ConfigError, match=f"{section}.{key}"):
+            RunConfig.loads(f"[{section}]\n{key} = {bad}\n")
+
     def test_out_dir_env_fallback(self, monkeypatch, tmp_path):
         monkeypatch.setenv("TRAJLOOM_OUT", str(tmp_path / "envout"))
         cfg = RunConfig.default()
@@ -138,6 +155,68 @@ class TestSynthAndConversions:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[vae]\nnot_a_key = 3\n")
         assert run("train-vae", "--config", cfg, "--out", tmp_path) == 3
+
+    def test_zero_training_steps_give_exit_3_and_write_nothing(self, tmp_path):
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text("[vae]\nsteps = 0\n")
+        assert run("train-vae", "--config", cfg, "--out", tmp_path) == 3
+        assert not (tmp_path / "vae.ckpt").exists()
+
+
+def _bundle_parts():
+    blocks = {"vae/enc.w": np.ones((2, 2)), "flow/vel.w": np.ones((2, 2)),
+              "stats/mean": np.zeros(8), "stats/std": np.ones(8)}
+    meta = {"vae_cfg": asdict(VaeConfig()), "flow_cfg": asdict(FlowConfig()),
+            "sigma0": 0.1, "anchor_mode": "first-slice", "seed": 0}
+    return blocks, meta
+
+
+def _unknown_block(blocks, meta):
+    blocks["zzz/a"] = np.zeros(1)
+
+
+def _no_stats_mean(blocks, meta):
+    del blocks["stats/mean"]
+
+
+def _no_stats_std(blocks, meta):
+    del blocks["stats/std"]
+
+
+def _extra_vae_cfg_key(blocks, meta):
+    meta["vae_cfg"]["bogus"] = 1
+
+
+def _missing_flow_cfg_key(blocks, meta):
+    del meta["flow_cfg"]["hidden"]
+
+
+class TestMalformedBundle:
+    def test_hand_built_bundle_loads(self, tmp_path):
+        path = tmp_path / "ok.ckpt"
+        tlf.save_checkpoint(path, *_bundle_parts())
+        bundle = load_bundle(path)
+        assert bundle.vae_cfg == VaeConfig() and bundle.flow_cfg == FlowConfig()
+        assert bundle.vis_params is None
+
+    @pytest.mark.parametrize("corrupt", [_unknown_block, _no_stats_mean, _no_stats_std,
+                                         _extra_vae_cfg_key, _missing_flow_cfg_key])
+    def test_sample_gives_exit_2_with_message(self, tmp_path, capsys, corrupt):
+        blocks, meta = _bundle_parts()
+        corrupt(blocks, meta)
+        path = tmp_path / "bad.ckpt"
+        tlf.save_checkpoint(path, blocks, meta)
+        code = run("sample", "--ckpt", path, "--history", tmp_path / "absent.tlf",
+                   "--out", tmp_path)
+        assert code == 2
+        assert str(path) in capsys.readouterr().err
+
+    def test_train_flow_rejects_extra_vae_cfg_key(self, tmp_path, capsys):
+        path = tmp_path / "vae.ckpt"
+        tlf.save_checkpoint(path, {"vae/enc.w": np.ones(2)},
+                            {"vae_cfg": {**asdict(VaeConfig()), "bogus": 1}})
+        assert run("train-flow", "--vae", path, "--out", tmp_path) == 2
+        assert "vae_cfg" in capsys.readouterr().err
 
 
 class TestEvalAndCamcap:

@@ -6,7 +6,6 @@ import pytest
 from conftest import desk_flow_config, make_segment_dataset
 from trajkit import flowgen, gradcore as gc, lossbank as lb
 from trajkit.flowgen import (
-    FlowProblem,
     LatentStats,
     TimeGrid,
     boundary_init,
@@ -58,29 +57,31 @@ class TestSampleTime:
 
 
 class TestInterpolate:
-    def _problem(self, sigma=0.0):
+    def _endpoints(self):
         rng = np.random.default_rng(2)
-        z0 = rng.normal(size=(2, 4, 3))
-        z1 = rng.normal(size=(2, 4, 3))
-        return FlowProblem(z0, z1, {}, np.full((2, 4), 1 / 8), sigma=sigma)
+        return rng.normal(size=(2, 4, 3)), rng.normal(size=(2, 4, 3))
 
     def test_endpoints_exact_without_noise(self):
-        p = self._problem()
-        z_t, _ = interpolate(p, 0.0, gc.rng(0))
-        assert np.array_equal(z_t, p.z0)
-        z_t, _ = interpolate(p, 1.0, gc.rng(0))
-        assert np.array_equal(z_t, p.z1)
+        z0, z1 = self._endpoints()
+        z_t, _ = interpolate(z0, z1, 0.0, 0.0, gc.rng(0))
+        assert np.array_equal(z_t, z0)
+        z_t, _ = interpolate(z0, z1, 1.0, 0.0, gc.rng(0))
+        assert np.array_equal(z_t, z1)
 
     def test_velocity_constant_along_path(self):
-        p = self._problem()
-        _, u1 = interpolate(p, 0.2, gc.rng(0))
-        _, u2 = interpolate(p, 0.9, gc.rng(0))
+        z0, z1 = self._endpoints()
+        _, u1 = interpolate(z0, z1, 0.2, 0.0, gc.rng(0))
+        _, u2 = interpolate(z0, z1, 0.9, 0.0, gc.rng(0))
         assert np.array_equal(u1, u2)
-        assert np.array_equal(u1, p.z1 - p.z0)
+        assert np.array_equal(u1, z1 - z0)
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
-            FlowProblem(np.zeros((1, 1, 1)), np.zeros((1, 1, 1)), {}, None, sigma=-0.1)
+            interpolate(np.zeros((1, 1, 1)), np.zeros((1, 1, 1)), 0.5, -0.1, gc.rng(0))
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            interpolate(np.zeros((1, 1, 1)), np.zeros((1, 1, 2)), 0.5, 0.0, gc.rng(0))
 
 
 class TestBoundaryInit:
@@ -289,6 +290,21 @@ class TestTrainingLoops:
         assert seen[:8] == [1e-3] * 8
         assert seen[8:] == pytest.approx([2e-3 / 3, 1e-3 / 3], rel=1e-12)
 
+    @pytest.mark.parametrize("loop", ["train_vae", "train_visibility_head"])
+    def test_nonfinite_loss_aborts_at_step_0(self, tiny_vae_cfg, loop):
+        if loop == "train_vae":
+            dataset = make_segment_dataset("smooth", 4, seed=7)
+            dataset.segments[:] = np.nan
+            cfg = flowgen.VaeTrainConfig(vae=tiny_vae_cfg, steps=3, batch=2)
+            run = lambda: flowgen.train_vae(dataset, cfg, seed=0)
+        else:
+            flow_cfg = desk_flow_config(tiny_vae_cfg, hidden=24, blocks=1)
+            latents = np.full((4, 2, 16, flow_cfg.latent_channels), np.nan)
+            targets = np.zeros((4, 2, 16))
+            run = lambda: flowgen.train_visibility_head(latents, targets, flow_cfg, steps=3)
+        with pytest.raises(FloatingPointError, match=f"^{loop}: non-finite loss at step 0$"):
+            run()
+
     def test_train_flow_zero_steps(self, tiny_vae_cfg, tiny_bundle):
         bundle, pairs, fcfg = tiny_bundle
         cfg = flowgen.FlowTrainConfig(flow=fcfg.flow, steps=0)
@@ -363,7 +379,7 @@ class TestTrainingLoops:
         rng = np.random.default_rng(0)
         z0 = rng.normal(size=(2, 2, 16, 4))
         z1 = rng.normal(size=(2, 2, 16, 4))
-        grid = TimeGrid(np.linspace(0.05, 0.95, 9), mode="uniform")
+        grid = TimeGrid(np.linspace(0.05, 0.95, 9))
         u = z1 - z0
 
         states = [gc.Tensor((1 - t) * z0 + t * z1) for t in grid.times[:-1]]
