@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from . import lossbank as lb
 from .flowgen import FinetuneConfig, FlowTrainConfig, VaeTrainConfig
 from .models import FlowConfig, VaeConfig
+from .scenes import KIND_MIXES
 
 OUT_ENV_VAR = "TRAJLOOM_OUT"
 
@@ -55,7 +56,7 @@ SCHEMA: dict = {
         "out": (None, str),  # None -> TRAJLOOM_OUT env or ./runs
     },
     "data": {
-        "kind": ("smooth", str),
+        "kind": ("smooth", _one_of(*KIND_MIXES)),
         "scenes": (24, int),
         "frames": (16, int),
         "past": (8, int),

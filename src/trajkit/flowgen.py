@@ -510,8 +510,8 @@ def finetune_onpolicy(bundle: FlowBundle, dataset: PairDataset, flow_cfg: FlowTr
     """Continue flow training with the K-step rollout objective on a sub-batch."""
     rng = gc.rng(seed)
     flow_params = {k: v.copy() for k, v in bundle.flow_params.items()}
-    z_p, z_f, stats, vis_tok, weights = _flow_inputs(dataset, bundle.vae_params,
-                                                     bundle.vae_cfg, flow_cfg)
+    z_p, z_f, _, vis_tok, weights = _flow_inputs(dataset, bundle.vae_params, bundle.vae_cfg,
+                                                 flow_cfg, bundle.stats)
     grid = logit_grid(cfg.k_steps, cfg.t_eps)
 
     def step_loss(wrapped, idx):
@@ -583,11 +583,20 @@ def broadcast_token_mask(token_mask: np.ndarray, token_grid: tuple,
 
 def sample_future(history: OffsetField, bundle: FlowBundle, sampler: dict | None = None,
                   seed: int = 0, future_frames: int | None = None):
-    """History offsets in, generated future offsets and visibility out."""
+    """History offsets in, generated future offsets and visibility out.
+
+    `future_frames` (default: the history's length) must be in
+    1..future_steps * temporal_ratio, the frames the future latents decode to.
+    """
+    vae_cfg, flow_cfg = bundle.vae_cfg, bundle.flow_cfg
+    t_max = flow_cfg.future_steps * vae_cfg.temporal_ratio
+    t_f = future_frames if future_frames is not None else history.frames
+    if not 1 <= t_f <= t_max:
+        raise ValueError(f"future frames must be in 1..{t_max} (future_steps "
+                         f"{flow_cfg.future_steps} x temporal_ratio {vae_cfg.temporal_ratio}), "
+                         f"got {t_f}")
     sampler = sampler or {"method": "euler", "steps": 10}
     rng = gc.rng(seed)
-    vae_cfg, flow_cfg = bundle.vae_cfg, bundle.flow_cfg
-    t_f = future_frames if future_frames is not None else history.frames
     z_hist = normalize_latents(
         encode_mean(bundle.vae_params, vae_cfg, history.offsets[None])[0], bundle.stats)
     vis_tok = pool_visibility(history.mask, vae_cfg.token_grid(history.frames), reduce="mean")
@@ -610,10 +619,11 @@ def sample_future(history: OffsetField, bundle: FlowBundle, sampler: dict | None
     z1_denorm = denormalize_latents(z1, bundle.stats)
     wrapped_vae = wrap_params(bundle.vae_params, requires_grad=False)
     offsets = vae_decode(z1_denorm, wrapped_vae, vae_cfg, frames=t_f).data
-    grid_f = vae_cfg.token_grid(t_f)
     if bundle.vis_params is not None:
+        # broadcast over every decoded frame, then cut, as vae_decode does
         _, tok_mask = visibility_predict(z1_denorm, wrap_params(bundle.vis_params, False))
-        mask = broadcast_token_mask(tok_mask, grid_f, (t_f, vae_cfg.height, vae_cfg.width))
+        mask = broadcast_token_mask(tok_mask, vae_cfg.token_grid(t_max),
+                                    (t_max, vae_cfg.height, vae_cfg.width))[:t_f]
     else:
         mask = np.ones((t_f, vae_cfg.height, vae_cfg.width), dtype=np.uint8)
     return OffsetField(offsets, mask, stride=history.stride), mask

@@ -8,7 +8,6 @@ from .tensor import (
     Tensor,
     absolute,
     add,
-    affine,
     as_tensor,
     backward,
     concat,
@@ -16,6 +15,7 @@ from .tensor import (
     exp,
     gelu,
     getitem,
+    linear,
     log,
     matmul,
     mul,
@@ -36,8 +36,8 @@ __all__ = [
     "GradCheckError", "grad", "grad_check",
     "OptimState", "optim_init", "optim_step",
     "Rng", "rng",
-    "ShapeError", "Tensor", "absolute", "add", "affine", "as_tensor",
-    "backward", "concat", "div", "exp", "gelu", "getitem", "log", "matmul",
+    "ShapeError", "Tensor", "absolute", "add", "as_tensor", "backward",
+    "concat", "div", "exp", "gelu", "getitem", "linear", "log", "matmul",
     "mul", "reshape", "sigmoid", "softplus", "square", "stop_gradient",
     "tanh", "tmean", "transpose", "tsum", "where", "zeros",
 ]

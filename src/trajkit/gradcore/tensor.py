@@ -171,9 +171,23 @@ def matmul(a, b) -> Tensor:
                                lambda g: a.data.T @ g), "matmul")
 
 
-def affine(x, w, b) -> Tensor:
-    """x @ w + b for 2-D x; the workhorse linear map."""
-    return add(matmul(x, w), b)
+def linear(x, w, b, axis=-1) -> Tensor:
+    """x @ w + b over one axis of N-D x: one tape node, 2-D products inside."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if (w.data.ndim != 2 or b.shape != w.shape[1:] or not -x.data.ndim <= axis < x.data.ndim
+            or x.shape[axis] != w.shape[0]):
+        raise ShapeError("linear", x.shape, w.shape, b.shape)
+    swapped = x.data.swapaxes(axis, -1)
+    flat = swapped.reshape(-1, w.shape[0])
+    out = (flat @ w.data + b.data).reshape(*swapped.shape[:-1], w.shape[1])
+
+    def flat_g(g):  # the output adjoint with `axis` swapped last, flattened to 2-D
+        return g.swapaxes(axis, -1).reshape(-1, w.shape[1])
+
+    return _make(out.swapaxes(axis, -1), (x, w, b), (
+        lambda g: (flat_g(g) @ w.data.T).reshape(swapped.shape).swapaxes(axis, -1),
+        lambda g: flat.T @ flat_g(g),
+        lambda g: flat_g(g).sum(axis=0)), "linear")
 
 
 # -- unary elementwise ---------------------------------------------------
@@ -336,10 +350,13 @@ def zeros(shape) -> Tensor:
 def backward(out: Tensor, wrt) -> list:
     """Adjoints of scalar `out` w.r.t. each Tensor in `wrt`.
 
-    Tensors in `wrt` that do not influence `out` get zero gradients.
+    Tensors in `wrt` that do not influence `out` get zero gradients.  Only
+    the `wrt` tensors have `.grad` set; intermediate adjoints are freed as
+    soon as their node has been replayed.
     """
     if out.data.size != 1:
         raise ShapeError("backward", out.shape)
+    targets = {id(t) for t in wrt}
     for t in wrt:
         t.grad = None
     # Postorder over the recorded tape (operands append before consumers);
@@ -364,7 +381,8 @@ def backward(out: Tensor, wrt) -> list:
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        node.grad = g
+        if id(node) in targets:
+            node.grad = g
         for parent, vjp in zip(node._parents, node._vjps):
             if not parent.requires_grad:
                 continue

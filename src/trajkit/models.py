@@ -146,30 +146,16 @@ def wrap_params(params: dict, requires_grad: bool = True) -> dict:
 # -- shared forward pieces --------------------------------------------------
 
 
-def _linear(params: dict, name: str, x: Tensor) -> Tensor:
-    return gc.affine(x, params[f"{name}.w"], params[f"{name}.b"])
-
-
-def _linear_4d(params: dict, name: str, x: Tensor) -> Tensor:
-    """Apply a linear layer over the last axis of a (..., fan_in) tensor."""
-    shape = x.shape
-    fan_in = shape[-1]
-    flat = gc.reshape(x, (-1, fan_in))
-    out = _linear(params, name, flat)
-    return gc.reshape(out, (*shape[:-1], out.shape[-1]))
+def _linear(params: dict, name: str, x: Tensor, axis: int = -1) -> Tensor:
+    return gc.linear(x, params[f"{name}.w"], params[f"{name}.b"], axis=axis)
 
 
 def _block(params: dict, name: str, h: Tensor) -> Tensor:
-    """Residual token-mixing + channel MLP on (B, T, N, D) tokens."""
-    b, t, n, d = h.shape
-    # mix across spatial tokens
-    ht = gc.reshape(gc.transpose(h, (0, 1, 3, 2)), (-1, n))
-    mixed = _linear(params, f"{name}.tok2", gc.gelu(_linear(params, f"{name}.tok1", ht)))
-    h = gc.add(h, gc.transpose(gc.reshape(mixed, (b, t, d, n)), (0, 1, 3, 2)))
-    # per-token channel MLP
-    hc = gc.reshape(h, (-1, d))
-    out = _linear(params, f"{name}.ch2", gc.gelu(_linear(params, f"{name}.ch1", hc)))
-    return gc.add(h, gc.reshape(out, (b, t, n, d)))
+    """Residual token-mixing (axis 2) + channel MLP on (B, T, N, D) tokens."""
+    mixed = gc.gelu(_linear(params, f"{name}.tok1", h, axis=2))
+    h = gc.add(h, _linear(params, f"{name}.tok2", mixed, axis=2))
+    hidden = gc.gelu(_linear(params, f"{name}.ch1", h))
+    return gc.add(h, _linear(params, f"{name}.ch2", hidden))
 
 
 def _expand(x: Tensor, shape: tuple) -> Tensor:
@@ -225,17 +211,17 @@ def vae_encode(x, params: dict, cfg: VaeConfig):
     x = _pad_frames(x, cfg.temporal_ratio)
     t_pad = x.shape[1]
     t_lat = t_pad // cfg.temporal_ratio
-    tok = _linear_4d(params, "enc.embed", _patchify(x, cfg))
+    tok = _linear(params, "enc.embed", _patchify(x, cfg))
     for i in range(cfg.blocks):
         tok = _block(params, f"enc.block{i}", tok)
     d = cfg.hidden
     tok = gc.reshape(tok, (b, t_lat, cfg.temporal_ratio, cfg.n_tokens, d))
     tok = gc.transpose(tok, (0, 1, 3, 2, 4))
     tok = gc.reshape(tok, (b, t_lat, cfg.n_tokens, cfg.temporal_ratio * d))
-    tok = gc.gelu(_linear_4d(params, "enc.compress", tok))
+    tok = gc.gelu(_linear(params, "enc.compress", tok))
     tok = _block(params, "enc.post", tok)
-    mu = _linear_4d(params, "enc.mu", tok)
-    logvar = _linear_4d(params, "enc.logvar", tok)
+    mu = _linear(params, "enc.mu", tok)
+    logvar = _linear(params, "enc.logvar", tok)
     if single:
         mu = gc.reshape(mu, mu.shape[1:])
         logvar = gc.reshape(logvar, logvar.shape[1:])
@@ -258,16 +244,16 @@ def vae_decode(z, params: dict, cfg: VaeConfig, frames: int | None = None) -> Te
     if n != cfg.n_tokens or c != cfg.latent_channels:
         raise gc.ShapeError("vae_decode", z.shape, (cfg.n_tokens, cfg.latent_channels))
     frames = cfg.frames if frames is None else frames
-    tok = _linear_4d(params, "dec.embed", z)
+    tok = _linear(params, "dec.embed", z)
     tok = _block(params, "dec.pre", tok)
     d, r = cfg.hidden, cfg.temporal_ratio
-    tok = _linear_4d(params, "dec.expand", tok)
+    tok = _linear(params, "dec.expand", tok)
     tok = gc.reshape(tok, (b, t_lat, n, r, d))
     tok = gc.transpose(tok, (0, 1, 3, 2, 4))
     tok = gc.reshape(tok, (b, t_lat * r, n, d))
     for i in range(cfg.blocks):
         tok = _block(params, f"dec.block{i}", tok)
-    out = _unpatchify(_linear_4d(params, "dec.head", tok), cfg)
+    out = _unpatchify(_linear(params, "dec.head", tok), cfg)
     out = out[:, :frames]
     if single:
         out = gc.reshape(out, out.shape[1:])
@@ -296,10 +282,8 @@ def fuse_history(tokens: Tensor, z_hist, params: dict) -> Tensor:
     if z_hist.shape[1] < 2:
         raise ValueError("fuse_history: need at least 2 history latent steps")
     b, k_f, n, d = tokens.shape
-    last = _linear_4d(params, "vel.tok", z_hist[:, -1])       # (B, N, D)
-    prev = _linear_4d(params, "vel.tok", z_hist[:, -2])
-    boundary = gc.reshape(last, (b, 1, n, d))
-    hint = gc.reshape(gc.add(last, gc.mul(prev, -1.0)), (b, 1, n, d))
+    boundary = _linear(params, "vel.tok", z_hist[:, -1:])   # (B, 1, N, D)
+    hint = gc.add(boundary, gc.mul(_linear(params, "vel.tok", z_hist[:, -2:-1]), -1.0))
     omega = fusion_ramp(k_f).reshape(1, k_f, 1, 1)
     gates = gc.reshape(gc.sigmoid(params["vel.fusion.gate_raw"]), (1, k_f, 1, 1))
     cue = gc.add(_expand(boundary, (b, k_f, n, d)), gc.mul(_expand(hint, (b, k_f, n, d)), omega))
@@ -331,7 +315,7 @@ def velocity_forward(z_t, t, condition: dict, params: dict, cfg: FlowConfig) -> 
         vis = vis[None]
     k_p = z_hist.shape[1]
 
-    tok = _linear_4d(params, "vel.tok", z_t)
+    tok = _linear(params, "vel.tok", z_t)
     tok = fuse_history(tok, z_hist, params)
 
     emb = time_features(t, cfg.time_features)
@@ -340,17 +324,16 @@ def velocity_forward(z_t, t, condition: dict, params: dict, cfg: FlowConfig) -> 
     emb_t = _expand(Tensor(emb.reshape(b, 1, 1, cfg.time_features)),
                     (b, k_f, n, cfg.time_features))
 
-    hist_flat = gc.reshape(gc.transpose(z_hist, (0, 2, 1, 3)), (b * n, k_p * c))
-    vis_flat = Tensor(vis.transpose(0, 2, 1).reshape(b * n, k_p))
-    cond = _linear(params, "vel.cond", gc.concat([hist_flat, vis_flat], axis=1))
-    cond = gc.reshape(cond, (b, 1, n, cfg.cond_hidden))
+    hist_tok = gc.reshape(gc.transpose(z_hist, (0, 2, 1, 3)), (b, 1, n, k_p * c))
+    vis_hist = Tensor(vis.transpose(0, 2, 1).reshape(b, 1, n, k_p))
+    cond = _linear(params, "vel.cond", gc.concat([hist_tok, vis_hist], axis=3))
     cond = _expand(cond, (b, k_f, n, cfg.cond_hidden))
 
     h = gc.concat([tok, emb_t, cond], axis=3)
-    h = gc.gelu(_linear_4d(params, "vel.merge", h))
+    h = gc.gelu(_linear(params, "vel.merge", h))
     for i in range(cfg.blocks):
         h = _block(params, f"vel.block{i}", h)
-    v = _linear_4d(params, "vel.head", h)
+    v = _linear(params, "vel.head", h)
     if single:
         v = gc.reshape(v, v.shape[1:])
     return v
@@ -394,15 +377,15 @@ def _temporal_conv(params: dict, name: str, h: Tensor) -> Tensor:
     prev = gc.concat([zero, h[:, :-1]], axis=1) if k > 1 else zero
     nxt = gc.concat([h[:, 1:], zero], axis=1) if k > 1 else zero
     stacked = gc.concat([prev, h, nxt], axis=3)
-    return _linear_4d(params, name, stacked)
+    return _linear(params, name, stacked)
 
 
 def visibility_logits(z_f, params: dict) -> Tensor:
     z_f, single = _ensure_batched(z_f, 3)
-    h = _linear_4d(params, "vis.embed", z_f)
+    h = _linear(params, "vis.embed", z_f)
     h = gc.gelu(_temporal_conv(params, "vis.conv0", h))
     h = gc.gelu(_temporal_conv(params, "vis.conv1", h))
-    logits = _linear_4d(params, "vis.head", h)
+    logits = _linear(params, "vis.head", h)
     logits = gc.reshape(logits, logits.shape[:-1])
     if single:
         logits = gc.reshape(logits, logits.shape[1:])

@@ -50,6 +50,14 @@ class SparseTracks:
         return self.height // self.stride, self.width // self.stride
 
 
+def _field_arrays(values, mask):
+    """Cast a (T, H, W, 2) field to float64 and its (T, H, W) mask to uint8."""
+    values, mask = np.asarray(values, dtype=np.float64), np.asarray(mask, dtype=np.uint8)
+    if values.shape[:3] != mask.shape or values.shape[3:] != (2,):
+        raise ValueError(f"field arrays inconsistent: {values.shape} vs {mask.shape}")
+    return values, mask
+
+
 @dataclass
 class DenseField:
     """Dense normalized coordinates and mask, piecewise constant per stride cell."""
@@ -59,10 +67,7 @@ class DenseField:
     stride: int
 
     def __post_init__(self):
-        self.coords = np.asarray(self.coords, dtype=np.float64)
-        self.mask = np.asarray(self.mask, dtype=np.uint8)
-        if self.coords.shape[:3] != self.mask.shape or self.coords.shape[3] != 2:
-            raise ValueError(f"field arrays inconsistent: {self.coords.shape} vs {self.mask.shape}")
+        self.coords, self.mask = _field_arrays(self.coords, self.mask)
 
     @property
     def frames(self) -> int:
@@ -79,10 +84,7 @@ class OffsetField:
     stride: int
 
     def __post_init__(self):
-        self.offsets = np.asarray(self.offsets, dtype=np.float64)
-        self.mask = np.asarray(self.mask, dtype=np.uint8)
-        if self.offsets.shape[:3] != self.mask.shape or self.offsets.shape[3] != 2:
-            raise ValueError(f"field arrays inconsistent: {self.offsets.shape} vs {self.mask.shape}")
+        self.offsets, self.mask = _field_arrays(self.offsets, self.mask)
 
     @property
     def frames(self) -> int:

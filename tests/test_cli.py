@@ -109,6 +109,7 @@ class TestConfig:
     @pytest.mark.parametrize("section,key,good,bad", [
         ("flow", "anchor_mode", "all-slices", "bogus"),
         ("sampler", "method", "dopri5", "rk4"),
+        ("data", "kind", "jitter", "bogus"),
     ])
     def test_closed_set_values_checked_at_load(self, section, key, good, bad):
         assert RunConfig.loads(f"[{section}]\n{key} = {good}\n")[section][key] == good
@@ -271,6 +272,21 @@ class TestBundleIO:
         assert loaded.anchor_mode == bundle.anchor_mode
         for k, v in bundle.flow_params.items():
             assert np.allclose(loaded.flow_params[k], v.astype(np.float32), atol=1e-7)
+
+
+class TestSampleFrames:
+    @pytest.mark.parametrize("frames", [0, 9, 12])
+    def test_out_of_range_frames_give_exit_1_naming_range(self, tmp_path, capsys, tiny_bundle,
+                                                          frames):
+        bundle, _, _ = tiny_bundle
+        save_bundle(tmp_path / "bundle.ckpt", bundle, seed=3)
+        hist = tmp_path / "hist.tlf"
+        run("synth", hist, "--kind", "translation", "--vx", 0.5, "--frames", 8, "--out", tmp_path)
+        code = run("sample", "--ckpt", tmp_path / "bundle.ckpt", "--history", hist,
+                   "--frames", frames, "--out", tmp_path)
+        assert code == 1
+        assert f"future frames must be in 1..8 (future_steps 2 x temporal_ratio 4), got {frames}" \
+            in capsys.readouterr().err
 
 
 class TestPlot:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import desk_flow_config, make_segment_dataset
+from conftest import desk_flow_config, make_pair_dataset, make_segment_dataset
 from trajkit import flowgen, gradcore as gc, lossbank as lb
 from trajkit.flowgen import (
     LatentStats,
@@ -328,6 +328,30 @@ class TestTrainingLoops:
         for k in tuned.flow_params:
             assert np.allclose(tuned.flow_params[k], plain.flow_params[k], atol=1e-12)
 
+    def test_finetune_normalizes_by_bundle_stats(self, tiny_vae_cfg, tiny_bundle, monkeypatch):
+        # The bundle samples with its pretraining statistics, so fine-tuning on
+        # other data must normalize with those too, not refit them.
+        bundle, _, fcfg = tiny_bundle
+        other = make_pair_dataset("smooth", 8, seed=5)
+        inputs = []
+        real = flowgen._flow_inputs
+
+        def recording(*args, **kwargs):
+            inputs.append(real(*args, **kwargs))
+            return inputs[-1]
+
+        monkeypatch.setattr(flowgen, "_flow_inputs", recording)
+        ft_cfg = flowgen.FinetuneConfig(steps=1, k_steps=2, sub_batch=2)
+        flowgen.finetune_onpolicy(bundle, other, fcfg, ft_cfg, seed=0)
+        z_p, z_f, stats = inputs[0][:3]
+        raw_p = flowgen.encode_mean(bundle.vae_params, tiny_vae_cfg, other.past)
+        raw_f = flowgen.encode_mean(bundle.vae_params, tiny_vae_cfg, other.future)
+        refit = LatentStats.fit(np.concatenate([raw_p, raw_f], axis=1))
+        assert not np.allclose(refit.mean, bundle.stats.mean)
+        assert stats is bundle.stats
+        assert np.array_equal(z_p, normalize_latents(raw_p, bundle.stats))
+        assert np.array_equal(z_f, normalize_latents(raw_f, bundle.stats))
+
     def test_train_flow_bit_reproducible(self, tiny_vae_cfg, tiny_bundle):
         bundle, pairs, fcfg = tiny_bundle
         cfg = flowgen.FlowTrainConfig(flow=fcfg.flow, steps=5, batch=4, lr=1e-3)
@@ -417,6 +441,29 @@ class TestSampleFuture:
         fut, _ = sample_future(hist, bundle, sampler={"method": "dopri5", "rtol": 1e-4,
                                                       "atol": 1e-6}, seed=7)
         assert np.all(np.isfinite(fut.offsets))
+
+    @pytest.mark.parametrize("frames", [0, 9])
+    def test_future_frames_outside_decoded_range_rejected(self, tiny_bundle, frames):
+        bundle, pairs, _ = tiny_bundle
+        from trajkit.trajfield import OffsetField
+        hist = OffsetField(pairs.past[0], pairs.past_masks[0], stride=8)
+        with pytest.raises(ValueError, match=r"future frames must be in 1\.\.8 .*got"):
+            sample_future(hist, bundle, seed=5, future_frames=frames)
+
+    @pytest.mark.parametrize("frames", [3, 5])
+    def test_short_future_is_a_prefix_of_the_full_one(self, tiny_bundle, frames):
+        # Frames group onto latent steps by the VAE's temporal ratio, so a
+        # shorter request cuts the full-length sample, mask included.
+        bundle, pairs, fcfg = tiny_bundle
+        from dataclasses import replace
+        from trajkit.models import init_visibility_params
+        from trajkit.trajfield import OffsetField
+        with_vis = replace(bundle, vis_params=init_visibility_params(fcfg.flow, gc.rng(8)))
+        hist = OffsetField(pairs.past[0], pairs.past_masks[0], stride=8)
+        full, full_mask = sample_future(hist, with_vis, seed=5)
+        short, short_mask = sample_future(hist, with_vis, seed=5, future_frames=frames)
+        assert np.array_equal(short.offsets, full.offsets[:frames])
+        assert np.array_equal(short_mask, full_mask[:frames])
 
 
 class TestVisibilityTraining:

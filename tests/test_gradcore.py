@@ -117,6 +117,61 @@ def test_disconnected_input_gets_zero_gradient():
     assert np.all(grads[1] == 0.0)
 
 
+@pytest.mark.parametrize("x_shape,axis", [((5, 3), -1), ((2, 3, 4, 3), -1), ((2, 3, 3, 4), 2),
+                                         ((3, 2, 4), 0)])
+def test_linear_gradients(x_shape, axis):
+    rng = np.random.default_rng(3)
+    fan_in = x_shape[axis]
+    x = rng.normal(size=x_shape)
+    w = rng.normal(size=(fan_in, 2)) * 0.5
+    b = rng.normal(size=2)
+    f = lambda x_, w_, b_: gc.tsum(gc.tanh(gc.linear(x_, w_, b_, axis=axis)))
+    assert gc.grad_check(f, [x, w, b]) < 1e-4
+
+
+@pytest.mark.parametrize("axis", [-1, 2])
+def test_linear_bit_equal_to_reshape_matmul_add_chain(axis):
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(2, 3, 5, 6))
+    fan_in = x.shape[axis]
+    w = rng.normal(size=(fan_in, 7))
+    b = rng.normal(size=7)
+    out_shape = list(x.shape)
+    out_shape[axis] = 7
+    cot = rng.normal(size=out_shape)  # a generic cotangent for every output entry
+    perm = (0, 1, 3, 2) if axis == 2 else (0, 1, 2, 3)
+
+    def chain(x_, w_, b_):
+        moved = gc.transpose(x_, perm)
+        flat = gc.reshape(moved, (-1, fan_in))
+        out = gc.add(gc.matmul(flat, w_), b_)
+        return gc.transpose(gc.reshape(out, (*moved.shape[:-1], 7)), perm)
+
+    def prim(x_, w_, b_):
+        return gc.linear(x_, w_, b_, axis=axis)
+
+    assert np.array_equal(prim(x, w, b).data, chain(x, w, b).data)
+    _, g_prim = gc.grad(lambda *a: gc.tsum(gc.mul(prim(*a), cot)), [x, w, b])
+    _, g_chain = gc.grad(lambda *a: gc.tsum(gc.mul(chain(*a), cot)), [x, w, b])
+    for gp, gch in zip(g_prim, g_chain):
+        assert np.array_equal(gp, gch)
+
+
+@pytest.mark.parametrize("w_shape,b_shape", [((4, 2), (2,)), ((3, 2), (3,)), ((3, 2), (1, 2))])
+def test_linear_shape_error_names_linear(w_shape, b_shape):
+    with pytest.raises(gc.ShapeError, match="^linear: "):
+        gc.linear(np.ones((5, 3)), np.ones(w_shape), np.ones(b_shape))
+
+
+def test_backward_sets_grad_on_wrt_only():
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    hidden = gc.tanh(x)
+    out = gc.tsum(gc.square(hidden))
+    (gx,) = gc.backward(out, [x])
+    assert x.grad is gx
+    assert hidden.grad is None and out.grad is None
+
+
 class TestOptim:
     def test_zero_gradients_are_a_fixed_point(self):
         params = {"w": np.array([1.0, -2.0])}
