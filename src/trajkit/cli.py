@@ -110,25 +110,15 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def cmd_rasterize(args) -> int:
-    record = tlf.read_tlf(args.input)
-    out = tlf.convert(record, tlf.CONV_NORMALIZED)
-    tlf.write_tlf(args.output, out)
-    out_dir = _out_dir(args.out)
-    _write_manifest(out_dir, "rasterize", args.argv, None,
-                    _args_hash({"input": args.input, "output": args.output}),
-                    [Path(args.output).name])
-    print(f"wrote {args.output}")
-    return EXIT_OK
-
-
 def cmd_offsets(args) -> int:
+    """`offsets`, and `rasterize` (which is `offsets --invert`); the manifest
+    names the subcommand given."""
     record = tlf.read_tlf(args.input)
     target = tlf.CONV_NORMALIZED if args.invert else tlf.CONV_OFFSET
     out = tlf.convert(record, target)
     tlf.write_tlf(args.output, out)
     out_dir = _out_dir(args.out)
-    _write_manifest(out_dir, "offsets", args.argv, None,
+    _write_manifest(out_dir, args.command, args.argv, None,
                     _args_hash({"input": args.input, "output": args.output,
                                 "invert": args.invert}), [Path(args.output).name])
     print(f"wrote {args.output}")
@@ -256,7 +246,8 @@ def cmd_train_flow(args) -> int:
                                        seed=cfg.seed)
     f = cfg["flow"]
     z_f = flowgen.encode_mean(vae_params, vae_cfg, pairs.future)
-    targets = pool_visibility(pairs.future_masks, vae_cfg.token_grid(pairs.future.shape[1]))
+    targets = pool_visibility(pairs.future_masks, vae_cfg.token_grid(pairs.future.shape[1]),
+                              ratio=vae_cfg.temporal_ratio)
     vis_params, _ = flowgen.train_visibility_head(z_f, targets, train_cfg.flow,
                                                   steps=f["vis_steps"], lr=f["vis_lr"],
                                                   seed=cfg.seed)
@@ -436,11 +427,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("rasterize", help="convert a TLF to normalized coordinates")
+    p = sub.add_parser("rasterize", help="convert a TLF to normalized coordinates "
+                       "(the same as offsets --invert)")
     p.add_argument("input")
     p.add_argument("output")
     add_common(p)
-    p.set_defaults(func=cmd_rasterize)
+    p.set_defaults(func=cmd_offsets, invert=True)
 
     p = sub.add_parser("offsets", help="convert to (or from) anchor offsets")
     p.add_argument("input")

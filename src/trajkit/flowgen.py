@@ -452,9 +452,11 @@ def _flow_inputs(dataset: PairDataset, vae_params: dict, vae_cfg: VaeConfig,
         stats = LatentStats.fit(np.concatenate([z_p, z_f], axis=1))
     z_p = normalize_latents(z_p, stats)
     z_f = normalize_latents(z_f, stats)
-    vis_tok = pool_visibility(dataset.past_masks, vae_cfg.token_grid(t_p), reduce="mean")
+    r = vae_cfg.temporal_ratio
+    vis_tok = pool_visibility(dataset.past_masks, vae_cfg.token_grid(t_p), reduce="mean",
+                              ratio=r)
     weights = lb.token_weights(dataset.future_masks, vae_cfg.token_grid(t_f),
-                               floor=cfg.token_floor).w
+                               floor=cfg.token_floor, ratio=r).w
     return z_p, z_f, stats, vis_tok, weights
 
 
@@ -599,7 +601,8 @@ def sample_future(history: OffsetField, bundle: FlowBundle, sampler: dict | None
     rng = gc.rng(seed)
     z_hist = normalize_latents(
         encode_mean(bundle.vae_params, vae_cfg, history.offsets[None])[0], bundle.stats)
-    vis_tok = pool_visibility(history.mask, vae_cfg.token_grid(history.frames), reduce="mean")
+    vis_tok = pool_visibility(history.mask, vae_cfg.token_grid(history.frames), reduce="mean",
+                              ratio=vae_cfg.temporal_ratio)
     cond = {"z_hist": z_hist, "visibility": vis_tok}
     z0 = boundary_init(z_hist[-1], flow_cfg.future_steps, bundle.sigma0, rng,
                        bundle.anchor_mode)

@@ -20,6 +20,7 @@ from .tensor import (
     matmul,
     mul,
     reshape,
+    shift_diff,
     sigmoid,
     softplus,
     square,
@@ -38,6 +39,6 @@ __all__ = [
     "Rng", "rng",
     "ShapeError", "Tensor", "absolute", "add", "as_tensor", "backward",
     "concat", "div", "exp", "gelu", "getitem", "linear", "log", "matmul",
-    "mul", "reshape", "sigmoid", "softplus", "square", "stop_gradient",
+    "mul", "reshape", "shift_diff", "sigmoid", "softplus", "square", "stop_gradient",
     "tanh", "tmean", "transpose", "tsum", "where", "zeros",
 ]

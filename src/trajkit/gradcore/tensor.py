@@ -334,6 +334,26 @@ def getitem(a, key) -> Tensor:
     return _make(out, (a,), (vjp,), "getitem")
 
 
+def shift_diff(a, hop, axis) -> Tensor:
+    """a[hop:] - a[:-hop] along `axis` as one node; `a` is listed once per slice,
+    so its two adjoints accumulate like those of a getitem/mul/add chain."""
+    a = as_tensor(a)
+    if not -a.data.ndim <= axis < a.data.ndim or not 1 <= hop < a.shape[axis]:
+        raise ShapeError("shift_diff", a.shape, (hop, axis))
+    lead = (slice(None),) * (axis % a.data.ndim)
+    hi, lo = lead + (slice(hop, None),), lead + (slice(None, -hop),)
+
+    def scatter(key, ufunc):  # ufunc(0, g) in the `key` slice of zeros
+        def vjp(g):
+            full = np.zeros(a.shape)
+            ufunc(full[key], g, out=full[key])
+            return full
+        return vjp
+
+    return _make(a.data[hi] - a.data[lo], (a, a), (scatter(hi, np.add), scatter(lo, np.subtract)),
+                 "shift_diff")
+
+
 def stop_gradient(a) -> Tensor:
     """Detach: the value flows forward, no adjoint flows back."""
     a = as_tensor(a)

@@ -9,6 +9,7 @@ gradcore Tensor, so every loss returns a Tensor (use float() to read it).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -70,12 +71,18 @@ def huber(residual: Tensor, delta: float) -> Tensor:
     return gc.where(mag.data <= delta, quad, lin)
 
 
-def recon_loss(pair: SegmentPair, huber_delta: float = 1.0) -> Tensor:
-    """Visibility-normalized Huber reconstruction error, per-coordinate and
-    summed over the two channels."""
+def _pair_arrays(pair: SegmentPair):
+    """recon, target and mask of a pair, each with a batch axis."""
     recon, _ = _batched(pair.recon, 4)
     target, _ = _batched(np.asarray(pair.target, dtype=np.float64), 4)
     mask, _ = _batched(np.asarray(pair.mask, dtype=np.float64), 3)
+    return recon, target, mask
+
+
+def recon_loss(pair: SegmentPair, huber_delta: float = 1.0) -> Tensor:
+    """Visibility-normalized Huber reconstruction error, per-coordinate and
+    summed over the two channels."""
+    recon, target, mask = _pair_arrays(pair)
     denom = mask.sum(axis=(1, 2, 3))
     if np.any(denom == 0):
         raise ValueError("recon_loss: a segment has no visible elements")
@@ -85,21 +92,27 @@ def recon_loss(pair: SegmentPair, huber_delta: float = 1.0) -> Tensor:
     return gc.tmean(per_instance)
 
 
+def _shift_mismatch(recon, target, mask, hop: int, axis: int):
+    """Per instance: the L1 mismatch of recon's and target's hop-differences
+    along `axis`, summed over pairs whose two ends are visible, and the
+    count of those pairs."""
+    lead = (slice(None),) * axis
+    hi, lo = lead + (slice(hop, None),), lead + (slice(None, -hop),)
+    m_pair = mask[hi] * mask[lo]
+    d_target = target[hi] - target[lo]
+    l1 = gc.tsum(gc.absolute(gc.add(gc.shift_diff(recon, hop, axis), -d_target)), axis=4)
+    masked = gc.tsum(gc.reshape(gc.mul(l1, m_pair), (m_pair.shape[0], -1)), axis=1)
+    return masked, m_pair.sum(axis=(1, 2, 3))
+
+
 def temporal_loss(pair: SegmentPair) -> Tensor:
     """Pair-masked mean L1 mismatch of frame-to-frame displacements."""
-    recon, _ = _batched(pair.recon, 4)
-    target, _ = _batched(np.asarray(pair.target, dtype=np.float64), 4)
-    mask, _ = _batched(np.asarray(pair.mask, dtype=np.float64), 3)
+    recon, target, mask = _pair_arrays(pair)
     if target.shape[1] < 2:
         raise ValueError("temporal_loss: need at least 2 frames")
-    pair_mask = mask[:, 1:] * mask[:, :-1]
-    denom = pair_mask.sum(axis=(1, 2, 3))
+    masked, denom = _shift_mismatch(recon, target, mask, 1, 1)
     if np.any(denom == 0):
         raise ValueError("temporal_loss: no valid temporal pair in a segment")
-    d_recon = gc.add(recon[:, 1:], gc.mul(recon[:, :-1], -1.0))
-    d_target = target[:, 1:] - target[:, :-1]
-    l1 = gc.tsum(gc.absolute(gc.add(d_recon, -d_target)), axis=4)
-    masked = gc.tsum(gc.reshape(gc.mul(l1, pair_mask), (pair_mask.shape[0], -1)), axis=1)
     return gc.tmean(gc.div(masked, denom))
 
 
@@ -107,51 +120,21 @@ def spatial_loss(pair: SegmentPair, spec: NeighborSpec | None = None) -> Tensor:
     """Multi-hop neighbor-difference mismatch, both grid directions pooled
     per hop; hops with no valid pair drop out of the weight normalizer."""
     spec = spec or NeighborSpec()
-    recon, _ = _batched(pair.recon, 4)
-    target, _ = _batched(np.asarray(pair.target, dtype=np.float64), 4)
-    mask, _ = _batched(np.asarray(pair.mask, dtype=np.float64), 3)
-    b = mask.shape[0]
-    terms = []   # per hop: Tensor (b,) masked-sum mismatch
-    denoms = []  # per hop: ndarray (b,) valid-pair counts
+    recon, target, mask = _pair_arrays(pair)
+    terms, denoms = [], []  # per hop: (b,) mean mismatch Tensor or None, (b,) pair counts
     for hop in spec.hops:
-        num_parts = []
-        den = np.zeros(b)
-        for axis in (3, 2):  # horizontal (W) then vertical (H) on (b, t, h, w)
-            if mask.shape[axis] <= hop:
-                continue
-            sl_hi = [slice(None)] * 4
-            sl_lo = [slice(None)] * 4
-            sl_hi[axis] = slice(hop, None)
-            sl_lo[axis] = slice(None, -hop)
-            sl_hi, sl_lo = tuple(sl_hi), tuple(sl_lo)
-            m_pair = mask[sl_hi] * mask[sl_lo]
-            d_recon = gc.add(recon[sl_hi], gc.mul(recon[sl_lo], -1.0))
-            d_target = target[sl_hi] - target[sl_lo]
-            l1 = gc.tsum(gc.absolute(gc.add(d_recon, -d_target)), axis=4)
-            num_parts.append(gc.tsum(gc.reshape(gc.mul(l1, m_pair), (b, -1)), axis=1))
-            den += m_pair.sum(axis=tuple(range(1, 4)))
-        if not num_parts:
-            terms.append(None)
-            denoms.append(den)
-            continue
-        total = num_parts[0]
-        for part in num_parts[1:]:
-            total = gc.add(total, part)
-        terms.append(gc.div(total, np.maximum(den, 1.0)))
-        denoms.append(den)
-
+        parts = [_shift_mismatch(recon, target, mask, hop, axis)
+                 for axis in (3, 2) if mask.shape[axis] > hop]  # W, then H of (b, t, h, w)
+        denoms.append(sum((count for _, count in parts), np.zeros(mask.shape[0])))
+        terms.append(gc.div(reduce(gc.add, [part for part, _ in parts]),
+                            np.maximum(denoms[-1], 1.0)) if parts else None)
     alpha = np.array(spec.weights, dtype=np.float64)
     valid = np.stack([d > 0 for d in denoms])  # (hops, b)
     norms = (alpha[:, None] * valid).sum(axis=0)
     if np.any(norms == 0):
         raise ValueError("spatial_loss: no valid neighbor pair at any hop")
-    acc = None
-    for i, term in enumerate(terms):
-        if term is None:
-            continue
-        scaled = gc.mul(term, alpha[i] * valid[i] / norms)
-        acc = scaled if acc is None else gc.add(acc, scaled)
-    return gc.tmean(acc)
+    return gc.tmean(reduce(gc.add, [gc.mul(term, alpha[i] * valid[i] / norms)
+                                    for i, term in enumerate(terms) if term is not None]))
 
 
 def st_regularizer(pair: SegmentPair, spec: NeighborSpec | None = None,
@@ -177,14 +160,15 @@ def kl_loss(mu, logvar) -> Tensor:
     return gc.mul(gc.tmean(term), 0.5)
 
 
-def token_weights(future_mask: np.ndarray, token_grid: tuple, floor: float = 0.01) -> TokenWeights:
+def token_weights(future_mask: np.ndarray, token_grid: tuple, floor: float = 0.01, *,
+                  ratio: int) -> TokenWeights:
     """Mean-pool future visibility onto the latent token grid, floor it so
     invisible tokens keep a small weight, then normalize to sum 1.
 
     token_grid is (t_lat, h_tok, w_tok); the mask's trailing (T, H, W) axes
-    must tile onto it (time pads by repeating the last frame).
+    must tile onto it, `ratio` frames per latent step (see pool_visibility).
     """
-    w = np.maximum(pool_visibility(future_mask, token_grid, reduce="mean"), floor)
+    w = np.maximum(pool_visibility(future_mask, token_grid, reduce="mean", ratio=ratio), floor)
     total = w.sum(axis=(-2, -1), keepdims=True)
     if np.any(total == 0):
         raise ValueError("token_weights: all token weights zero (floor=0 and fully invisible)")

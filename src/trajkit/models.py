@@ -158,12 +158,6 @@ def _block(params: dict, name: str, h: Tensor) -> Tensor:
     return gc.add(h, _linear(params, f"{name}.ch2", hidden))
 
 
-def _expand(x: Tensor, shape: tuple) -> Tensor:
-    """Broadcast x up to `shape` (via an add with zeros, so the adjoint
-    sums back down)."""
-    return gc.add(gc.zeros(shape), x)
-
-
 def _ensure_batched(x, ndim_single: int):
     data = x.data if isinstance(x, Tensor) else np.asarray(x)
     if data.ndim == ndim_single:
@@ -281,12 +275,12 @@ def fuse_history(tokens: Tensor, z_hist, params: dict) -> Tensor:
     z_hist, _ = _ensure_batched(z_hist, 3)
     if z_hist.shape[1] < 2:
         raise ValueError("fuse_history: need at least 2 history latent steps")
-    b, k_f, n, d = tokens.shape
+    k_f = tokens.shape[1]
     boundary = _linear(params, "vel.tok", z_hist[:, -1:])   # (B, 1, N, D)
     hint = gc.add(boundary, gc.mul(_linear(params, "vel.tok", z_hist[:, -2:-1]), -1.0))
     omega = fusion_ramp(k_f).reshape(1, k_f, 1, 1)
     gates = gc.reshape(gc.sigmoid(params["vel.fusion.gate_raw"]), (1, k_f, 1, 1))
-    cue = gc.add(_expand(boundary, (b, k_f, n, d)), gc.mul(_expand(hint, (b, k_f, n, d)), omega))
+    cue = gc.add(boundary, gc.mul(hint, omega))  # (B, 1, N, D) broadcast over K_f
     return gc.add(tokens, gc.mul(gc.mul(cue, gates), params["vel.fusion.alpha"]))
 
 
@@ -321,13 +315,13 @@ def velocity_forward(z_t, t, condition: dict, params: dict, cfg: FlowConfig) -> 
     emb = time_features(t, cfg.time_features)
     if emb.shape[0] == 1 and b > 1:
         emb = np.repeat(emb, b, axis=0)
-    emb_t = _expand(Tensor(emb.reshape(b, 1, 1, cfg.time_features)),
-                    (b, k_f, n, cfg.time_features))
+    emb_t = np.broadcast_to(emb.reshape(b, 1, 1, cfg.time_features),
+                            (b, k_f, n, cfg.time_features))
 
     hist_tok = gc.reshape(gc.transpose(z_hist, (0, 2, 1, 3)), (b, 1, n, k_p * c))
     vis_hist = Tensor(vis.transpose(0, 2, 1).reshape(b, 1, n, k_p))
     cond = _linear(params, "vel.cond", gc.concat([hist_tok, vis_hist], axis=3))
-    cond = _expand(cond, (b, k_f, n, cfg.cond_hidden))
+    cond = gc.add(np.zeros((b, k_f, n, cfg.cond_hidden)), cond)  # concat needs the full shape
 
     h = gc.concat([tok, emb_t, cond], axis=3)
     h = gc.gelu(_linear(params, "vel.merge", h))
@@ -342,14 +336,16 @@ def velocity_forward(z_t, t, condition: dict, params: dict, cfg: FlowConfig) -> 
 # -- visibility head ---------------------------------------------------------
 
 
-def pool_visibility(mask: np.ndarray, token_grid: tuple, reduce: str = "max") -> np.ndarray:
+def pool_visibility(mask: np.ndarray, token_grid: tuple, reduce: str = "max", *,
+                    ratio: int) -> np.ndarray:
     """Pool a dense (T, H, W) mask, or a batch of them, onto the latent token
     grid (t_lat, h_tok, w_tok), giving (T_lat, N) float64 per instance.
 
     reduce="max" is the logical OR (the visibility head's targets);
     reduce="mean" is the visible fraction (condition tokens, loss weights).
-    The mask's (H, W) must tile onto the grid; time pads by repeating the
-    last frame.
+    The mask's (H, W) must tile onto the grid.  Time groups `ratio` frames
+    per latent step (the VAE's temporal_ratio) and pads the last group with
+    its last frame, as the VAE encoder does.
     """
     if reduce not in ("max", "mean"):
         raise ValueError(f"unknown reduce {reduce!r}")
@@ -359,12 +355,13 @@ def pool_visibility(mask: np.ndarray, token_grid: tuple, reduce: str = "max") ->
         mask = mask[None]
     t_lat, h_tok, w_tok = token_grid
     b, t, h, w = mask.shape
-    if t_lat <= 0 or h_tok <= 0 or w_tok <= 0 or h % h_tok or w % w_tok:
-        raise ValueError(f"token grid {token_grid} incompatible with mask {mask.shape}")
-    r = -(-t // t_lat)  # ceil
-    if t_lat * r != t:
-        mask = np.concatenate([mask, np.repeat(mask[:, -1:], t_lat * r - t, axis=1)], axis=1)
-    blocks = mask.reshape(b, t_lat, r, h_tok, h // h_tok, w_tok, w // w_tok)
+    if (t_lat <= 0 or h_tok <= 0 or w_tok <= 0 or h % h_tok or w % w_tok or ratio <= 0
+            or -(-t // ratio) != t_lat):
+        raise ValueError(f"token grid {token_grid} at {ratio} frames per step incompatible "
+                         f"with mask {mask.shape}")
+    if t_lat * ratio != t:
+        mask = np.concatenate([mask, np.repeat(mask[:, -1:], t_lat * ratio - t, axis=1)], axis=1)
+    blocks = mask.reshape(b, t_lat, ratio, h_tok, h // h_tok, w_tok, w // w_tok)
     out = getattr(blocks, reduce)(axis=(2, 4, 6)).reshape(b, t_lat, h_tok * w_tok)
     return out[0] if single else out
 

@@ -226,6 +226,8 @@ def load_checkpoint(path):
         (meta_len,) = struct.unpack_from("<I", raw, pos)
         pos += 4
         meta = json.loads(raw[pos:pos + meta_len].decode("utf-8"))
-    except (struct.error, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (struct.error, ValueError) as exc:  # ValueError: also a short block buffer
         raise TlfError(f"{path}: truncated or corrupt checkpoint") from exc
+    if not isinstance(meta, dict):
+        raise TlfError(f"{path}: checkpoint metadata is not a JSON object")
     return blocks, meta

@@ -154,7 +154,7 @@ def endpoint_latent_error(bundle, pairs, seed_base: int) -> float:
     z_f = flowgen.normalize_latents(
         flowgen.encode_mean(bundle.vae_params, bundle.vae_cfg, pairs.future), bundle.stats)
     vis_tok = pool_visibility(pairs.past_masks, bundle.vae_cfg.token_grid(pairs.past.shape[1]),
-                              reduce="mean")
+                              reduce="mean", ratio=bundle.vae_cfg.temporal_ratio)
     wrapped = wrap_params(bundle.flow_params, requires_grad=False)
     errs = []
     for i in range(len(pairs)):
@@ -476,8 +476,49 @@ def test_criterion_08_boundary_and_fusion_invariants(flow_cfg):
 # -- criterion 9: determinism and formats -----------------------------------------------------
 
 
+TINY_TRAIN_CONFIG = """\
+[run]
+seed = 5
+
+[data]
+kind = translation
+scenes = 4
+frames = 16
+past = 8
+
+[vae]
+steps = 6
+lr = 0.003
+batch = 4
+hidden = 24
+blocks = 1
+latent_channels = 4
+
+[flow]
+steps = 6
+lr = 0.001
+hidden = 24
+blocks = 1
+cond_hidden = 12
+vis_steps = 6
+"""
+
+
 def test_criterion_09_determinism_and_formats(tmp_path):
     with report(9, "seeded runs byte-identical; TLF and offset round trips exact"):
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(TINY_TRAIN_CONFIG)
+        trained = []
+        for name in ("trainA", "trainB"):
+            d = tmp_path / name
+            assert dispatch(["train-vae", "--config", str(cfg), "--out", str(d / "vae")]) == 0
+            assert dispatch(["train-flow", "--config", str(cfg),
+                             "--vae", str(d / "vae" / "vae.ckpt"),
+                             "--out", str(d / "flow")]) == 0
+            trained.append([(d / f).read_bytes() for f in ("vae/vae.ckpt", "vae/vae_loss.csv",
+                                                           "flow/flow.ckpt", "flow/flow_loss.csv")])
+        assert trained[0] == trained[1]
+
         csvs = []
         for name in ("runA", "runB"):
             d = tmp_path / name
@@ -518,7 +559,7 @@ def test_criterion_10_visibility_predictor(flow_cfg):
         rng = np.random.default_rng(12)
         for _ in range(10):
             m = (rng.random((8, 32, 32)) > 0.85).astype(np.uint8)
-            out = pool_visibility(m, (2, 4, 4))
+            out = pool_visibility(m, (2, 4, 4), ratio=4)
             for k in range(2):
                 for i in range(4):
                     for j in range(4):

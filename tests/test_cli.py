@@ -4,6 +4,8 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trajkit import flowgen, plotting, tlf
 from trajkit.cli import dispatch, load_bundle, save_bundle
@@ -60,6 +62,84 @@ class TestTlfFormat:
         assert got_meta == meta
         assert np.allclose(loaded["a/w"], blocks["a/w"])
         assert loaded["b"].shape == ()
+
+
+def _damaged(raw: bytes):
+    """`raw` cut short, or with one to four bytes overwritten."""
+    cut = st.integers(0, len(raw) - 1).map(lambda n: raw[:n])
+
+    def overwrite(edits):
+        out = bytearray(raw)
+        for pos, value in edits:
+            out[pos] = value
+        return bytes(out)
+
+    edits = st.lists(st.tuples(st.integers(0, len(raw) - 1), st.integers(0, 255)),
+                     min_size=1, max_size=4)
+    return st.one_of(cut, edits.map(overwrite))
+
+
+DAMAGE = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@pytest.fixture(scope="module")
+def intact(tmp_path_factory):
+    """A small TLF and a small VAE checkpoint, with a scratch directory."""
+    root = tmp_path_factory.mktemp("damage")
+    spec = MotionSpec("translation", frames=2, height=16, width=16, stride=8,
+                      velocity=(1.0, 0.5))
+    tlf.write_tlf(root / "ok.tlf", tlf.from_tracks(generate(spec)))
+    tlf.save_checkpoint(root / "vae.ckpt", {"vae/w": np.arange(3.0)}, {"seed": 1})
+    return root
+
+
+def _rejects(loader, path) -> bool:
+    """Whether `loader` refuses the file; any error but TlfError fails the test."""
+    try:
+        loader(path)
+    except tlf.TlfError:
+        return True
+    return False
+
+
+class TestDamagedFiles:
+    @DAMAGE
+    @given(data=st.data())
+    def test_read_tlf_raises_only_tlf_error(self, intact, data):
+        path = intact / "bad.tlf"
+        path.write_bytes(data.draw(_damaged((intact / "ok.tlf").read_bytes())))
+        _rejects(tlf.read_tlf, path)
+
+    @DAMAGE
+    @given(data=st.data())
+    def test_load_checkpoint_raises_only_tlf_error(self, intact, data):
+        path = intact / "bad.ckpt"
+        path.write_bytes(data.draw(_damaged((intact / "vae.ckpt").read_bytes())))
+        _rejects(tlf.load_checkpoint, path)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_cli_exits_2_on_rejected_files(self, intact, data):
+        track = intact / "cli.tlf"
+        track.write_bytes(data.draw(_damaged((intact / "ok.tlf").read_bytes())))
+        expected = 2 if _rejects(tlf.read_tlf, track) else 0
+        assert run("offsets", track, intact / "out.tlf", "--out", intact / "runs") == expected
+        ckpt = intact / "cli.ckpt"
+        ckpt.write_bytes(data.draw(_damaged((intact / "vae.ckpt").read_bytes())))
+        if _rejects(tlf.load_checkpoint, ckpt):  # an intact one would start training
+            assert run("train-flow", "--vae", ckpt, "--out", intact / "runs") == 2
+
+    def test_short_block_is_a_tlf_error(self, intact, capsys):
+        path = intact / "cut.ckpt"
+        path.write_bytes((intact / "vae.ckpt").read_bytes()[:30])  # 3 of 12 block bytes
+        assert run("train-flow", "--vae", path, "--out", intact / "runs") == 2
+        assert "truncated or corrupt checkpoint" in capsys.readouterr().err
+
+    def test_metadata_must_be_an_object(self, intact):
+        path = intact / "list.ckpt"
+        tlf.save_checkpoint(path, {"vae/w": np.ones(2)}, [1, 2])
+        with pytest.raises(tlf.TlfError, match="not a JSON object"):
+            tlf.load_checkpoint(path)
 
 
 class TestConfig:
@@ -146,6 +226,15 @@ class TestSynthAndConversions:
         b = tlf.read_tlf(back)
         assert a.coords.tobytes() == b.coords.tobytes()
         assert a.visibility.tobytes() == b.visibility.tobytes()
+
+    def test_rasterize_is_offsets_invert(self, tmp_path):
+        src = tmp_path / "in.tlf"
+        run("synth", src, "--kind", "rotation", "--omega", 0.05, "--frames", 6, "--out", tmp_path)
+        assert run("rasterize", src, tmp_path / "r.tlf", "--out", tmp_path / "r") == 0
+        assert run("offsets", "--invert", src, tmp_path / "o.tlf", "--out", tmp_path / "o") == 0
+        assert (tmp_path / "r.tlf").read_bytes() == (tmp_path / "o.tlf").read_bytes()
+        manifest = json.loads((tmp_path / "r" / "manifest.json").read_text())
+        assert manifest["command"] == "rasterize"
 
     def test_malformed_tlf_gives_exit_2(self, tmp_path):
         bad = tmp_path / "bad.tlf"

@@ -172,6 +172,43 @@ def test_backward_sets_grad_on_wrt_only():
     assert hidden.grad is None and out.grad is None
 
 
+@pytest.mark.parametrize("axis", [1, 2, 3])
+@pytest.mark.parametrize("hop", [1, 2, 4])
+def test_shift_diff_gradients(axis, hop):
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(2, 5, 6, 7, 2))
+    f = lambda x_: gc.tsum(gc.tanh(gc.shift_diff(x_, hop, axis)))
+    assert gc.grad_check(f, [x]) < 1e-4
+
+
+def _chain_diff(x, hop, axis):
+    lead = (slice(None),) * axis
+    return gc.add(x[lead + (slice(hop, None),)], gc.mul(x[lead + (slice(None, -hop),)], -1.0))
+
+
+@pytest.mark.parametrize("axis,hop", [(1, 1), (2, 2), (3, 4)])
+def test_shift_diff_bit_equal_to_getitem_mul_add_chain(axis, hop):
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(2, 5, 6, 7, 2))
+    cot = rng.normal(size=gc.shift_diff(x, hop, axis).shape)
+
+    def loss(diff):  # x enters directly and through two differences, as in the VAE loss
+        return lambda x_: gc.add(gc.tsum(gc.mul(gc.square(x_), 0.3)),
+                                 gc.add(gc.tsum(gc.mul(diff(x_, hop, axis), cot)),
+                                        gc.tsum(gc.absolute(diff(x_, 1, 1)))))
+
+    assert np.array_equal(gc.shift_diff(x, hop, axis).data, _chain_diff(x, hop, axis).data)
+    _, (g_prim,) = gc.grad(loss(gc.shift_diff), [x])
+    _, (g_chain,) = gc.grad(loss(_chain_diff), [x])
+    assert np.array_equal(g_prim, g_chain)
+
+
+@pytest.mark.parametrize("hop,axis", [(0, 1), (-1, 1), (3, 1), (5, 2), (1, 3), (1, -4)])
+def test_shift_diff_shape_error_names_shift_diff(hop, axis):
+    with pytest.raises(gc.ShapeError, match="^shift_diff: "):
+        gc.shift_diff(np.ones((2, 3, 4)), hop, axis)
+
+
 class TestOptim:
     def test_zero_gradients_are_a_fixed_point(self):
         params = {"w": np.array([1.0, -2.0])}

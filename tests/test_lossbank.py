@@ -182,24 +182,24 @@ class TestKlLoss:
 
 class TestTokenWeights:
     def test_all_visible_uniform(self):
-        tw = lb.token_weights(np.ones((4, 8, 8)), (2, 2, 2))
+        tw = lb.token_weights(np.ones((4, 8, 8)), (2, 2, 2), ratio=2)
         assert np.allclose(tw.w, 1.0 / 8)
 
     def test_all_invisible_uniform(self):
-        tw = lb.token_weights(np.zeros((4, 8, 8)), (2, 2, 2))
+        tw = lb.token_weights(np.zeros((4, 8, 8)), (2, 2, 2), ratio=2)
         assert np.allclose(tw.w, 1.0 / 8)
 
     def test_half_visible_ratio(self):
         m = np.zeros((2, 4, 4))
         m[:, :, :2] = 1  # left half visible
-        tw = lb.token_weights(m, (1, 2, 2), floor=0.01)
+        tw = lb.token_weights(m, (1, 2, 2), floor=0.01, ratio=2)
         flat = tw.w.reshape(-1)
         assert flat[0] / flat[1] == pytest.approx(100.0)
         assert tw.w.sum() == pytest.approx(1.0)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
-            lb.token_weights(np.ones((2, 4, 4)), (1, 0, 2))
+            lb.token_weights(np.ones((2, 4, 4)), (1, 0, 2), ratio=2)
 
 
 class TestFmLoss:

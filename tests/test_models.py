@@ -186,29 +186,58 @@ class TestVelocityForward:
 
 class TestPoolVisibility:
     def test_all_visible(self):
-        out = pool_visibility(np.ones((4, 8, 8)), (2, 2, 2))
+        out = pool_visibility(np.ones((4, 8, 8)), (2, 2, 2), ratio=2)
         assert out.shape == (2, 4)
         assert np.all(out == 1)
 
     def test_all_invisible(self):
-        assert np.all(pool_visibility(np.zeros((4, 8, 8)), (2, 2, 2)) == 0)
+        assert np.all(pool_visibility(np.zeros((4, 8, 8)), (2, 2, 2), ratio=2) == 0)
 
     def test_single_pixel_lights_token(self):
         m = np.zeros((4, 8, 8))
         m[3, 5, 6] = 1  # second latent step, bottom-right token
-        out = pool_visibility(m, (2, 2, 2))
+        out = pool_visibility(m, (2, 2, 2), ratio=2)
         assert out[1, 3] == 1
         assert out.sum() == 1
 
     def test_matches_logical_or_oracle(self):
         rng = np.random.default_rng(17)
         m = (rng.random((4, 8, 8)) > 0.8).astype(np.uint8)
-        out = pool_visibility(m, (2, 2, 2))
+        out = pool_visibility(m, (2, 2, 2), ratio=2)
         for k in range(2):
             for i in range(2):
                 for j in range(2):
                     block = m[2 * k:2 * k + 2, 4 * i:4 * i + 4, 4 * j:4 * j + 4]
                     assert out[k, 2 * i + j] == (1 if block.any() else 0)
+
+    def test_groups_ratio_frames_and_pads_with_the_last(self):
+        m = np.ones((6, 1, 1))
+        m[3] = 0  # frames 0-3 form step 0; frames 4, 5, 5, 5 form step 1
+        out = pool_visibility(m, (2, 1, 1), reduce="mean", ratio=4)
+        assert np.array_equal(out[:, 0], [0.75, 1.0])
+
+    def test_grid_must_match_ratio(self):
+        with pytest.raises(ValueError, match="token grid"):
+            pool_visibility(np.ones((6, 2, 2)), (3, 1, 1), ratio=4)
+
+    @pytest.mark.parametrize("ratio", [3, 4])
+    @pytest.mark.parametrize("frames", range(1, 10))
+    def test_grouping_agrees_with_vae_encode(self, frames, ratio):
+        cfg = VaeConfig(height=8, width=8, frames=frames, patch=8, hidden=8, blocks=1,
+                        latent_channels=2, temporal_ratio=ratio)
+        params = wrap_params(init_vae_params(cfg, gc.rng(1)), requires_grad=False)
+        base_mu, _ = vae_encode(np.zeros((frames, 8, 8, 2)), params, cfg)
+        full = pool_visibility(np.ones((frames, 8, 8)), cfg.token_grid(frames), ratio=ratio,
+                               reduce="mean")
+        for j in range(frames):  # the latent steps frame j reaches, through either path
+            x = np.zeros((frames, 8, 8, 2))
+            x[j] = 1.0
+            mu, _ = vae_encode(x, params, cfg)
+            m = np.ones((frames, 8, 8))
+            m[j] = 0
+            pooled = pool_visibility(m, cfg.token_grid(frames), ratio=ratio, reduce="mean")
+            assert np.array_equal(np.any(mu.data != base_mu.data, axis=(1, 2)),
+                                  np.any(pooled != full, axis=1))
 
 
 class TestVisibilityPredict:
