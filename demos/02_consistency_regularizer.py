@@ -13,8 +13,10 @@ for b in (0.05, 0.1, 0.2):
     gt, smooth, jitter, mask = toy_1d_pair(b, frames=10)
     rec_smooth = float(lb.recon_loss(lb.SegmentPair(gt, smooth, mask)))
     rec_jitter = float(lb.recon_loss(lb.SegmentPair(gt, jitter, mask)))
-    st_smooth = float(lb.st_regularizer(lb.SegmentPair(gt, smooth, mask)))
-    st_jitter = float(lb.st_regularizer(lb.SegmentPair(gt, jitter, mask)))
+    # the regularizer at the published weights: 0.1 * temporal + 0.2 * spatial
+    st_smooth, st_jitter = (sum(map(float, lb.consistency_terms(lb.SegmentPair(gt, r, mask),
+                                                                None, 0.1, 0.2)[:2]))
+                            for r in (smooth, jitter))
     print(f"b={b:4.2f}  recon: smooth={rec_smooth:.6f} jitter={rec_jitter:.6f}  "
           f"(equal: {abs(rec_smooth - rec_jitter) < 1e-12})")
     print(f"        st-reg: smooth={st_smooth:.6f} jitter={st_jitter:.6f}  "

@@ -34,8 +34,8 @@ from .flowgen import (
 from .lossbank import (
     NeighborSpec,
     SegmentPair,
-    TokenWeights,
     bce_logits,
+    consistency_terms,
     endpoint_consistency,
     fm_loss,
     kl_loss,
@@ -43,14 +43,12 @@ from .lossbank import (
     kstep_targets,
     recon_loss,
     spatial_loss,
-    st_regularizer,
     temporal_loss,
     token_weights,
 )
 from .metrics import GridFlow, div_curl_energy, explained_variance, flow_from_positions, flow_tv, vepe
 from .models import (
     FlowConfig,
-    FusionParams,
     VaeConfig,
     fuse_history,
     pool_visibility,

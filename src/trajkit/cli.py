@@ -20,7 +20,8 @@ import numpy as np
 
 from . import flowgen, gradcore as gc, lossbank as lb, metrics, motionlab, plotting, scenes, tlf
 from .config import ConfigError, RunConfig
-from .models import FlowConfig, VaeConfig, pool_visibility
+from .models import (FlowConfig, VaeConfig, init_vae_params, init_velocity_params,
+                     init_visibility_params, pool_visibility)
 from .motionlab import MotionSpec
 from .tlf import TlfError
 
@@ -99,7 +100,7 @@ def cmd_synth(args) -> int:
                           jitter_axis=args.jitter_axis, **spec_kw)
     else:
         raise ValueError(f"unknown kind {args.kind!r}")
-    tracks = motionlab.generate(spec, gc.rng(args.seed))
+    tracks = motionlab.generate(spec)
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
     tlf.write_tlf(out, tlf.from_tracks(tracks))
@@ -191,12 +192,28 @@ def _meta_config(cls, meta: dict, key: str, path):
         raise TlfError(f"{path}: bad {key} metadata: {exc}") from exc
 
 
+def _check_blocks(path, prefix: str, params: dict, want: dict) -> None:
+    """Raise TlfError unless `params` holds exactly the blocks of `want`, each
+    of its shape; the message names the first block that is missing, extra or
+    misshapen."""
+    for name in sorted(want.keys() | params.keys()):
+        if name not in params:
+            raise TlfError(f"{path}: missing block {prefix}/{name}")
+        if name not in want:
+            raise TlfError(f"{path}: unexpected block {prefix}/{name}")
+        if params[name].shape != want[name].shape:
+            raise TlfError(f"{path}: block {prefix}/{name} has shape {params[name].shape}, "
+                           f"expected {want[name].shape}")
+
+
 def _load_vae(path):
     blocks, meta = tlf.load_checkpoint(path)
     params = {k[len("vae/"):]: v for k, v in blocks.items() if k.startswith("vae/")}
     if not params or "vae_cfg" not in meta:
         raise TlfError(f"{path}: missing VAE parameters")
-    return params, _meta_config(VaeConfig, meta, "vae_cfg", path)
+    cfg = _meta_config(VaeConfig, meta, "vae_cfg", path)
+    _check_blocks(path, "vae", params, init_vae_params(cfg, gc.rng(0)))
+    return params, cfg
 
 
 def save_bundle(path, bundle: flowgen.FlowBundle, seed) -> None:
@@ -222,14 +239,21 @@ def load_bundle(path) -> flowgen.FlowBundle:
         if prefix not in split:
             raise TlfError(f"{path}: unknown block {name!r}")
         split[prefix][rest] = arr
-    stats = split["stats"]
-    if "mean" not in stats or "std" not in stats:
-        raise TlfError(f"{path}: missing stats/mean or stats/std block")
+    vae_cfg = _meta_config(VaeConfig, meta, "vae_cfg", path)
+    flow_cfg = _meta_config(FlowConfig, meta, "flow_cfg", path)
+    rng, channels = gc.rng(0), np.zeros(vae_cfg.latent_channels)
+    _check_blocks(path, "vae", split["vae"], init_vae_params(vae_cfg, rng))
+    _check_blocks(path, "flow", split["flow"], init_velocity_params(flow_cfg, rng))
+    if split["vis"]:  # the visibility head is optional
+        _check_blocks(path, "vis", split["vis"], init_visibility_params(flow_cfg, rng))
+    _check_blocks(path, "stats", split["stats"], {"mean": channels, "std": channels})
+    try:
+        stats = flowgen.LatentStats(split["stats"]["mean"], split["stats"]["std"])
+    except ValueError as exc:
+        raise TlfError(f"{path}: {exc}") from exc
     return flowgen.FlowBundle(
-        vae_cfg=_meta_config(VaeConfig, meta, "vae_cfg", path),
-        flow_cfg=_meta_config(FlowConfig, meta, "flow_cfg", path),
-        vae_params=split["vae"], flow_params=split["flow"],
-        stats=flowgen.LatentStats(stats["mean"], stats["std"]),
+        vae_cfg=vae_cfg, flow_cfg=flow_cfg,
+        vae_params=split["vae"], flow_params=split["flow"], stats=stats,
         vis_params=split["vis"] or None,
         sigma0=meta["sigma0"], anchor_mode=meta["anchor_mode"])
 
@@ -423,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shear-rate", type=float, default=0.0)
     p.add_argument("--jitter", type=float, default=0.3)
     p.add_argument("--jitter-axis", default="x", choices=["x", "y", "both"])
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="recorded in the manifest only")
     add_common(p)
     p.set_defaults(func=cmd_synth)
 

@@ -135,9 +135,7 @@ class RunConfig:
     def seed(self) -> int:
         return self.values["run"]["seed"]
 
-    def out_dir(self, override: str | None = None) -> str:
-        if override:
-            return override
+    def out_dir(self) -> str:
         configured = self.values["run"]["out"]
         if configured:
             return configured
@@ -210,10 +208,9 @@ class RunConfig:
 
     # -- converters to module configs ----------------------------------------
 
-    def vae_config(self, frames: int | None = None) -> VaeConfig:
+    def vae_config(self) -> VaeConfig:
         d, v = self.values["data"], self.values["vae"]
-        return VaeConfig(height=d["height"], width=d["width"],
-                         frames=frames if frames is not None else d["past"],
+        return VaeConfig(height=d["height"], width=d["width"], frames=d["past"],
                          patch=v["patch"], hidden=v["hidden"], blocks=v["blocks"],
                          latent_channels=v["latent_channels"],
                          temporal_ratio=v["temporal_ratio"])

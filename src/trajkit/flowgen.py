@@ -4,7 +4,7 @@ Covers flow-time sampling, noisy linear interpolation, boundary-anchored
 source states, latent normalization, Euler and Dormand-Prince samplers, the
 detached K-step rollout, and training for the VAE, the flow generator, the
 on-policy fine-tuning stage, and the visibility head, all four through one
-shared AdamW loop.  Everything is bit-reproducible given (seed, config,
+shared Adam loop.  Everything is bit-reproducible given (seed, config,
 dataset).
 """
 
@@ -16,7 +16,7 @@ import numpy as np
 
 from . import gradcore as gc
 from . import lossbank as lb
-from .gradcore import Rng, Tensor, as_tensor
+from .gradcore import Rng, as_tensor
 from .models import (
     FlowConfig,
     VaeConfig,
@@ -353,7 +353,7 @@ class FlowBundle:
 
 def _fit(name: str, params: dict, step_loss, rng: Rng, steps: int, n_items: int, batch: int,
          lr: float, clip_norm: float | None, lr_at=None):
-    """AdamW over `steps` minibatches; returns (params, curve).
+    """Adam over `steps` minibatches; returns (params, curve).
 
     Each step sets the rate from `lr_at(step)` when given, draws `batch` item
     indices from `rng`, and calls `step_loss(wrapped_params, idx)`, which
@@ -386,11 +386,10 @@ def vae_loss_terms(params, x, m, cfg: VaeTrainConfig, rng: Rng):
     recon = vae_decode(z, params, cfg.vae, frames=x.shape[1])
     pair = lb.SegmentPair(x, recon, m)
     l_rec = lb.recon_loss(pair, cfg.huber_delta)
-    l_tmp = lb.temporal_loss(pair) if cfg.lambda_temporal else Tensor(0.0)
-    l_sp = lb.spatial_loss(pair, cfg.neighbor) if cfg.lambda_spatial else Tensor(0.0)
+    w_tmp, w_sp, l_tmp, l_sp = lb.consistency_terms(pair, cfg.neighbor, cfg.lambda_temporal,
+                                                    cfg.lambda_spatial)
     l_kl = lb.kl_loss(mu, logvar)
-    total = gc.add(gc.add(l_rec, gc.mul(l_tmp, cfg.lambda_temporal)),
-                   gc.add(gc.mul(l_sp, cfg.lambda_spatial), gc.mul(l_kl, cfg.beta)))
+    total = gc.add(gc.add(l_rec, w_tmp), gc.add(w_sp, gc.mul(l_kl, cfg.beta)))
     return total, {"recon": float(l_rec), "temporal": float(l_tmp),
                    "spatial": float(l_sp), "kl": float(l_kl)}
 
@@ -456,7 +455,7 @@ def _flow_inputs(dataset: PairDataset, vae_params: dict, vae_cfg: VaeConfig,
     vis_tok = pool_visibility(dataset.past_masks, vae_cfg.token_grid(t_p), reduce="mean",
                               ratio=r)
     weights = lb.token_weights(dataset.future_masks, vae_cfg.token_grid(t_f),
-                               floor=cfg.token_floor, ratio=r).w
+                               floor=cfg.token_floor, ratio=r)
     return z_p, z_f, stats, vis_tok, weights
 
 
@@ -509,7 +508,13 @@ def eval_fm_loss(bundle: FlowBundle, dataset: PairDataset, cfg: FlowTrainConfig,
 
 def finetune_onpolicy(bundle: FlowBundle, dataset: PairDataset, flow_cfg: FlowTrainConfig,
                       cfg: FinetuneConfig, seed: int = 0):
-    """Continue flow training with the K-step rollout objective on a sub-batch."""
+    """Continue flow training with the K-step rollout objective on a sub-batch.
+
+    The architecture, `sigma0` and `anchor_mode` are the bundle's; `flow_cfg`
+    supplies only the training settings (tube noise, token floor, batch, clip).
+    """
+    flow_cfg = replace(flow_cfg, flow=bundle.flow_cfg, sigma0=bundle.sigma0,
+                       anchor_mode=bundle.anchor_mode)
     rng = gc.rng(seed)
     flow_params = {k: v.copy() for k, v in bundle.flow_params.items()}
     z_p, z_f, _, vis_tok, weights = _flow_inputs(dataset, bundle.vae_params, bundle.vae_cfg,
@@ -536,8 +541,7 @@ def finetune_onpolicy(bundle: FlowBundle, dataset: PairDataset, flow_cfg: FlowTr
                                         float(grid.times[i]), cfg.denom_clamp)
                        for i in range(grid.steps)]
             l_kstep = lb.kstep_loss(velocities, targets, w_sub, cfg.w1, cfg.w0)
-            l_cons = lb.endpoint_consistency(states[:-1], velocities, grid.times,
-                                             weights=None, masked=False)
+            l_cons = lb.endpoint_consistency(states[:-1], velocities, grid.times)
             total = gc.add(total, gc.mul(gc.add(l_kstep, gc.mul(l_cons, cfg.gamma)),
                                          cfg.lambda_kstep))
             parts["kstep"] = float(l_kstep)
@@ -553,9 +557,9 @@ def finetune_onpolicy(bundle: FlowBundle, dataset: PairDataset, flow_cfg: FlowTr
 
 
 def train_visibility_head(latents: np.ndarray, targets: np.ndarray, flow_cfg: FlowConfig,
-                          steps: int = 300, lr: float = 1e-2, batch: int = 16,
-                          seed: int = 0, clip_norm: float | None = 1.0):
-    """Fit the per-token visibility predictor with logit BCE."""
+                          steps: int = 300, lr: float = 1e-2, seed: int = 0):
+    """Fit the per-token visibility predictor with logit BCE, on minibatches
+    of up to 16 items with the gradient norm clipped at 1.0."""
     rng = gc.rng(seed)
     params = init_visibility_params(flow_cfg, rng)
 
@@ -565,7 +569,7 @@ def train_visibility_head(latents: np.ndarray, targets: np.ndarray, flow_cfg: Fl
 
     m_total = latents.shape[0]
     return _fit("train_visibility_head", params, step_loss, rng, steps, m_total,
-                min(batch, m_total), lr, clip_norm)
+                min(16, m_total), lr, clip_norm=1.0)
 
 
 # -- end-to-end sampling ------------------------------------------------------------

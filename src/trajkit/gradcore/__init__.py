@@ -1,4 +1,4 @@
-"""Dense-tensor numerics: reverse-mode autodiff, AdamW, seeded RNG."""
+"""Dense-tensor numerics: reverse-mode autodiff, Adam, seeded RNG."""
 
 from .autodiff import GradCheckError, grad, grad_check
 from .optim import OptimState, optim_init, optim_step

@@ -1,4 +1,4 @@
-"""Decoupled weight-decay adaptive-moment optimizer (AdamW) over named arrays."""
+"""Adam over named arrays: fixed betas, no weight decay, optional global-norm clip."""
 
 from __future__ import annotations
 
@@ -6,22 +6,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class OptimState:
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.0
     clip_norm: float | None = None  # global-norm clip, applied before moments
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
 
 
-def optim_init(params: dict, lr: float, **kw) -> OptimState:
-    state = OptimState(lr=lr, **kw)
+def optim_init(params: dict, lr: float, clip_norm: float | None = None) -> OptimState:
+    state = OptimState(lr=lr, clip_norm=clip_norm)
     for name, p in params.items():
         state.m[name] = np.zeros_like(p)
         state.v[name] = np.zeros_like(p)
@@ -29,7 +27,7 @@ def optim_init(params: dict, lr: float, **kw) -> OptimState:
 
 
 def optim_step(params: dict, grads: dict, state: OptimState) -> dict:
-    """One AdamW update; returns new params, mutates `state` moments/counter.
+    """One Adam update; returns new params, mutates `state` moments/counter.
 
     Rejects non-finite gradients before touching anything so a failed step
     never leaves params half-updated.
@@ -49,17 +47,17 @@ def optim_step(params: dict, grads: dict, state: OptimState) -> dict:
 
     state.step += 1
     t = state.step
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     out = {}
     for name, p in params.items():
         g = grads[name]
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-        out[name] = p - state.lr * (update + state.weight_decay * p)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
+        out[name] = p - state.lr * update
     return out

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import gradcore as gc
 from .gradcore import Tensor, as_tensor
-from .models import pool_visibility
+from .models import _batched, pool_visibility
 
 
 @dataclass
@@ -45,23 +45,6 @@ class NeighborSpec:
             raise ValueError("hops and weights must be positive")
 
 
-@dataclass
-class TokenWeights:
-    """Normalized per-token loss weights over the latent grid (k, n)."""
-
-    w: np.ndarray  # (T_lat, N) or (B, T_lat, N), sums to 1 per instance
-
-
-def _batched(arr, ndim_single):
-    """Add a batch axis when given a single instance; report if we did."""
-    data = arr.data if isinstance(arr, Tensor) else np.asarray(arr)
-    if data.ndim == ndim_single:
-        if isinstance(arr, Tensor):
-            return gc.reshape(arr, (1, *data.shape)), True
-        return data[None], True
-    return (arr if isinstance(arr, Tensor) else data), False
-
-
 def huber(residual: Tensor, delta: float) -> Tensor:
     """Quadratic inside |r| <= delta, linear outside; applied elementwise."""
     residual = as_tensor(residual)
@@ -73,10 +56,7 @@ def huber(residual: Tensor, delta: float) -> Tensor:
 
 def _pair_arrays(pair: SegmentPair):
     """recon, target and mask of a pair, each with a batch axis."""
-    recon, _ = _batched(pair.recon, 4)
-    target, _ = _batched(np.asarray(pair.target, dtype=np.float64), 4)
-    mask, _ = _batched(np.asarray(pair.mask, dtype=np.float64), 3)
-    return recon, target, mask
+    return _batched(pair.recon, 4)[0], _batched(pair.target, 4)[0], _batched(pair.mask, 3)[0]
 
 
 def recon_loss(pair: SegmentPair, huber_delta: float = 1.0) -> Tensor:
@@ -137,17 +117,14 @@ def spatial_loss(pair: SegmentPair, spec: NeighborSpec | None = None) -> Tensor:
                                     for i, term in enumerate(terms) if term is not None]))
 
 
-def st_regularizer(pair: SegmentPair, spec: NeighborSpec | None = None,
-                   lambda_temporal: float = 0.1, lambda_spatial: float = 0.2) -> Tensor:
-    if lambda_temporal == 0.0 and lambda_spatial == 0.0:
-        return Tensor(0.0)
-    total = None
-    if lambda_temporal != 0.0:
-        total = gc.mul(temporal_loss(pair), lambda_temporal)
-    if lambda_spatial != 0.0:
-        sp = gc.mul(spatial_loss(pair, spec), lambda_spatial)
-        total = sp if total is None else gc.add(total, sp)
-    return total
+def consistency_terms(pair: SegmentPair, spec: NeighborSpec | None,
+                      lambda_temporal: float, lambda_spatial: float):
+    """The spatiotemporal regularizer's terms: (lambda_temporal * temporal,
+    lambda_spatial * spatial, temporal, spatial).  A zero weight skips its
+    loss, which then reads 0."""
+    l_tmp = temporal_loss(pair) if lambda_temporal else Tensor(0.0)
+    l_sp = spatial_loss(pair, spec) if lambda_spatial else Tensor(0.0)
+    return gc.mul(l_tmp, lambda_temporal), gc.mul(l_sp, lambda_spatial), l_tmp, l_sp
 
 
 def kl_loss(mu, logvar) -> Tensor:
@@ -161,9 +138,10 @@ def kl_loss(mu, logvar) -> Tensor:
 
 
 def token_weights(future_mask: np.ndarray, token_grid: tuple, floor: float = 0.01, *,
-                  ratio: int) -> TokenWeights:
+                  ratio: int) -> np.ndarray:
     """Mean-pool future visibility onto the latent token grid, floor it so
-    invisible tokens keep a small weight, then normalize to sum 1.
+    invisible tokens keep a small weight, then normalize to sum 1 per
+    instance: (T_lat, N), or (B, T_lat, N) for a batch of masks.
 
     token_grid is (t_lat, h_tok, w_tok); the mask's trailing (T, H, W) axes
     must tile onto it, `ratio` frames per latent step (see pool_visibility).
@@ -172,7 +150,7 @@ def token_weights(future_mask: np.ndarray, token_grid: tuple, floor: float = 0.0
     total = w.sum(axis=(-2, -1), keepdims=True)
     if np.any(total == 0):
         raise ValueError("token_weights: all token weights zero (floor=0 and fully invisible)")
-    return TokenWeights(w / total)
+    return w / total
 
 
 def _weighted_sq(diff: Tensor, weights: np.ndarray) -> Tensor:
@@ -184,21 +162,18 @@ def _weighted_sq(diff: Tensor, weights: np.ndarray) -> Tensor:
     return gc.mul(gc.tsum(gc.reshape(gc.mul(sq, weights), (b, -1)), axis=1), 1.0 / c)
 
 
-def _weights_array(weights, batch: int, kn_shape) -> np.ndarray:
-    w = weights.w if isinstance(weights, TokenWeights) else np.asarray(weights, dtype=np.float64)
-    if w.ndim == 2:
-        w = np.broadcast_to(w[None], (batch, *w.shape))
-    return w
+def _weights_array(weights, batch: int) -> np.ndarray:
+    w = np.asarray(weights, dtype=np.float64)
+    return np.broadcast_to(w[None], (batch, *w.shape)) if w.ndim == 2 else w
 
 
 def fm_loss(v_pred, u_target, weights) -> Tensor:
     """Token-weighted squared flow-matching error, averaged over channels."""
-    v, single = _batched(v_pred, 3)
-    u, _ = _batched(np.asarray(u_target.data if isinstance(u_target, Tensor) else u_target,
-                               dtype=np.float64), 3)
+    v, _ = _batched(v_pred, 3)
+    u, _ = _batched(u_target.data if isinstance(u_target, Tensor) else u_target, 3)
     if v.shape != u.shape:
         raise gc.ShapeError("fm_loss", v.shape, u.shape)
-    w = _weights_array(weights, v.shape[0], v.shape[1:3])
+    w = _weights_array(weights, v.shape[0])
     return gc.tmean(_weighted_sq(gc.add(v, -u), w))
 
 
@@ -220,47 +195,42 @@ def kstep_loss(velocities, targets_per_step, weights, w1: float = 1.0, w0: float
     total = None
     for v, (v1, v0) in zip(velocities, targets_per_step):
         vb, _ = _batched(v, 3)
-        v1b, _ = _batched(np.asarray(v1, dtype=np.float64), 3)
-        v0b, _ = _batched(np.asarray(v0, dtype=np.float64), 3)
-        w = _weights_array(weights, vb.shape[0], vb.shape[1:3])
+        v1b, _ = _batched(v1, 3)
+        v0b, _ = _batched(v0, 3)
+        w = _weights_array(weights, vb.shape[0])
         step = gc.add(gc.mul(_weighted_sq(gc.add(vb, -v1b), w), w1),
                       gc.mul(_weighted_sq(gc.add(vb, -v0b), w), w0))
         total = step if total is None else gc.add(total, step)
     return gc.tmean(gc.mul(total, 1.0 / len(velocities)))
 
 
-def endpoint_consistency(states, velocities, times, weights=None, masked: bool = False) -> Tensor:
+def endpoint_consistency(states, velocities, times) -> Tensor:
     """Squared drift of consecutive implied endpoints along a rollout, with
-    the previous step's endpoints detached.  Unmasked by default: every token
-    weighs 1/|Lambda|."""
+    the previous step's endpoints detached; every token weighs 1/|Lambda|."""
     k = len(velocities)
     if k < 2:
         raise ValueError("endpoint_consistency: need at least 2 rollout steps")
     if len(states) < k or len(times) < k:
         raise ValueError("endpoint_consistency: states/times shorter than velocities")
 
-    def implied(i):
-        z = as_tensor(states[i])
-        zb, _ = _batched(z, 3)
-        vb, _ = _batched(velocities[i], 3)
+    def implied(i, velocity):
+        zb, _ = _batched(states[i], 3)
+        vb, _ = _batched(velocity, 3)
         t = float(times[i])
-        z1_hat = gc.add(zb, gc.mul(vb, 1.0 - t))
-        z0_hat = gc.add(zb, gc.mul(vb, -t))
-        return z1_hat, z0_hat
+        return gc.add(zb, gc.mul(vb, 1.0 - t)), gc.add(zb, gc.mul(vb, -t))
 
+    # step 0's endpoints are only ever detached: build them from the velocity's
+    # values, so no gradient-carrying node is made for them
+    prev = [e.data for e in implied(0, as_tensor(velocities[0]).data)]
     total = None
-    prev = implied(0)
     for i in range(1, k):
-        cur = implied(i)
+        cur = implied(i, velocities[i])
         b, kk, n, _ = cur[0].shape
-        if masked and weights is not None:
-            w = _weights_array(weights, b, (kk, n))
-        else:
-            w = np.full((b, kk, n), 1.0 / (kk * n))
-        term = gc.add(_weighted_sq(gc.add(cur[0], gc.mul(gc.stop_gradient(prev[0]), -1.0)), w),
-                      _weighted_sq(gc.add(cur[1], gc.mul(gc.stop_gradient(prev[1]), -1.0)), w))
+        w = np.full((b, kk, n), 1.0 / (kk * n))
+        term = gc.add(_weighted_sq(gc.add(cur[0], -prev[0]), w),
+                      _weighted_sq(gc.add(cur[1], -prev[1]), w))
         total = term if total is None else gc.add(total, term)
-        prev = cur
+        prev = [e.data for e in cur]
     return gc.tmean(gc.mul(total, 1.0 / (k - 1)))
 
 

@@ -47,10 +47,6 @@ class VaeConfig:
         return self.tokens_h * self.tokens_w
 
     @property
-    def latent_frames(self) -> int:
-        return -(-self.frames // self.temporal_ratio)  # ceil
-
-    @property
     def patch_dim(self) -> int:
         return self.patch * self.patch * 2
 
@@ -69,15 +65,6 @@ class FlowConfig:
     future_steps: int = 2    # latent steps generated
     latent_channels: int = 8
     n_tokens: int = 16
-
-
-@dataclass
-class FusionParams:
-    """History-injection schedule: a learnable gain, sigmoid gates per future
-    step, and a linear ramp from 0 at the first step to 1 at the last."""
-
-    alpha_init: float = 0.1
-    gate_raw_init: float = 0.0  # sigmoid(0) = 0.5
 
 
 # -- parameter initialization ---------------------------------------------
@@ -114,9 +101,7 @@ def init_vae_params(cfg: VaeConfig, rng: Rng) -> dict:
     return p
 
 
-def init_velocity_params(cfg: FlowConfig, rng: Rng,
-                         fusion: FusionParams | None = None) -> dict:
-    fusion = fusion or FusionParams()
+def init_velocity_params(cfg: FlowConfig, rng: Rng) -> dict:
     p: dict = {}
     d, c = cfg.hidden, cfg.latent_channels
     _init_linear(p, rng, "vel.tok", c, d)
@@ -125,12 +110,14 @@ def init_velocity_params(cfg: FlowConfig, rng: Rng,
     for i in range(cfg.blocks):
         _init_block(p, rng, f"vel.block{i}", cfg.n_tokens, d)
     _init_linear(p, rng, "vel.head", d, c)
-    p["vel.fusion.alpha"] = np.array(fusion.alpha_init)
-    p["vel.fusion.gate_raw"] = np.full(cfg.future_steps, fusion.gate_raw_init)
+    # history injection: a learnable gain and one sigmoid gate per future step
+    p["vel.fusion.alpha"] = np.array(0.1)
+    p["vel.fusion.gate_raw"] = np.full(cfg.future_steps, 0.0)  # sigmoid(0) = 0.5
     return p
 
 
-def init_visibility_params(cfg: FlowConfig, rng: Rng, hidden: int = 16) -> dict:
+def init_visibility_params(cfg: FlowConfig, rng: Rng) -> dict:
+    hidden = 16  # the visibility head's width
     p: dict = {}
     _init_linear(p, rng, "vis.embed", cfg.latent_channels, hidden)
     _init_linear(p, rng, "vis.conv0", 3 * hidden, hidden)
@@ -158,12 +145,15 @@ def _block(params: dict, name: str, h: Tensor) -> Tensor:
     return gc.add(h, _linear(params, f"{name}.ch2", hidden))
 
 
-def _ensure_batched(x, ndim_single: int):
-    data = x.data if isinstance(x, Tensor) else np.asarray(x)
-    if data.ndim == ndim_single:
-        t = as_tensor(x)
-        return gc.reshape(t, (1, *data.shape)), True
-    return as_tensor(x), False
+def _batched(x, ndim_single: int):
+    """(x with a batch axis, whether one was added).  A Tensor gets a reshape
+    node; anything else becomes a float64 array, sliced with [None]."""
+    if isinstance(x, Tensor):
+        if x.data.ndim == ndim_single:
+            return gc.reshape(x, (1, *x.shape)), True
+        return x, False
+    x = np.asarray(x, dtype=np.float64)
+    return (x[None], True) if x.ndim == ndim_single else (x, False)
 
 
 def _pad_frames(x: Tensor, ratio: int) -> Tensor:
@@ -198,7 +188,7 @@ def _unpatchify(x: Tensor, cfg: VaeConfig) -> Tensor:
 def vae_encode(x, params: dict, cfg: VaeConfig):
     """Offset segment (T, H, W, 2) or batch -> posterior (mu, logvar), each
     (T_lat, N, C) (batched when the input is)."""
-    x, single = _ensure_batched(x, 4)
+    x, single = _batched(x, 4)
     b, t, h, w, _ = x.shape
     if (h, w) != (cfg.height, cfg.width):
         raise gc.ShapeError("vae_encode", x.shape, (cfg.height, cfg.width))
@@ -233,7 +223,7 @@ def reparameterize(mu, logvar, rng: Rng) -> Tensor:
 
 def vae_decode(z, params: dict, cfg: VaeConfig, frames: int | None = None) -> Tensor:
     """Latent (T_lat, N, C) or batch -> offset segment (frames, H, W, 2)."""
-    z, single = _ensure_batched(z, 3)
+    z, single = _batched(z, 3)
     b, t_lat, n, c = z.shape
     if n != cfg.n_tokens or c != cfg.latent_channels:
         raise gc.ShapeError("vae_decode", z.shape, (cfg.n_tokens, cfg.latent_channels))
@@ -272,7 +262,7 @@ def fuse_history(tokens: Tensor, z_hist, params: dict) -> Tensor:
     difference with the second-last slice.  Tokenization shares weights with
     the main input tokenizer.
     """
-    z_hist, _ = _ensure_batched(z_hist, 3)
+    z_hist, _ = _batched(z_hist, 3)
     if z_hist.shape[1] < 2:
         raise ValueError("fuse_history: need at least 2 history latent steps")
     k_f = tokens.shape[1]
@@ -299,11 +289,11 @@ def velocity_forward(z_t, t, condition: dict, params: dict, cfg: FlowConfig) -> 
     condition carries 'z_hist' (B, K_p, N, C) and 'visibility' history
     tokens (B, K_p, N).  Output matches z_t's shape.
     """
-    z_t, single = _ensure_batched(z_t, 3)
+    z_t, single = _batched(z_t, 3)
     b, k_f, n, c = z_t.shape
     if n != cfg.n_tokens or c != cfg.latent_channels:
         raise gc.ShapeError("velocity_forward", z_t.shape, (cfg.n_tokens, cfg.latent_channels))
-    z_hist, _ = _ensure_batched(condition["z_hist"], 3)
+    z_hist, _ = _batched(condition["z_hist"], 3)
     vis = np.asarray(condition["visibility"], dtype=np.float64)
     if vis.ndim == 2:
         vis = vis[None]
@@ -378,7 +368,7 @@ def _temporal_conv(params: dict, name: str, h: Tensor) -> Tensor:
 
 
 def visibility_logits(z_f, params: dict) -> Tensor:
-    z_f, single = _ensure_batched(z_f, 3)
+    z_f, single = _batched(z_f, 3)
     h = _linear(params, "vis.embed", z_f)
     h = gc.gelu(_temporal_conv(params, "vis.conv0", h))
     h = gc.gelu(_temporal_conv(params, "vis.conv1", h))
@@ -389,8 +379,8 @@ def visibility_logits(z_f, params: dict) -> Tensor:
     return logits
 
 
-def visibility_predict(z_f, params: dict, threshold: float = 0.5):
-    """Per-token visibility (logits, binary mask) for future latents."""
+def visibility_predict(z_f, params: dict):
+    """Per-token visibility (logits, mask of probability >= 0.5) for future latents."""
     logits = visibility_logits(z_f, params)
     prob = 1.0 / (1.0 + np.exp(-logits.data))
-    return logits, (prob >= threshold).astype(np.uint8)
+    return logits, (prob >= 0.5).astype(np.uint8)

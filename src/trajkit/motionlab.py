@@ -65,15 +65,15 @@ def _grid_starts(spec: MotionSpec) -> np.ndarray:
     return np.stack([gx.ravel(), gy.ravel()], axis=-1)
 
 
-def _center(spec: MotionSpec) -> np.ndarray:
+def _center(height: int, width: int) -> np.ndarray:
     # Image center in continuous pixels; maps to normalized (0, 0).
-    return np.array([spec.width / 2.0 - 0.5, spec.height / 2.0 - 0.5])
+    return np.array([width / 2.0 - 0.5, height / 2.0 - 0.5])
 
 
 def _base_positions(spec: MotionSpec) -> np.ndarray:
     p0 = _grid_starts(spec)
     t = np.arange(spec.frames, dtype=np.float64)[:, None, None]
-    c = _center(spec)
+    c = _center(spec.height, spec.width)
     if spec.kind == "static":
         return np.broadcast_to(p0[None], (spec.frames, *p0.shape)).copy()
     if spec.kind == "translation":
@@ -107,7 +107,7 @@ def _base_positions(spec: MotionSpec) -> np.ndarray:
     raise ValueError(spec.kind)
 
 
-def generate(spec: MotionSpec, rng=None) -> SparseTracks:
+def generate(spec: MotionSpec) -> SparseTracks:
     """Analytic tracks for the spec; visibility drops inside occlusion
     rectangles and when a point leaves the normalized frame [-1, 1]."""
     pos = _base_positions(spec)
@@ -159,7 +159,7 @@ def estimate_camera(tracks: SparseTracks) -> CameraStats:
     t_frames = tracks.frames
     if t_frames < 2:
         raise ValueError("need at least 2 frames")
-    c = _center_from_dims(tracks.height, tracks.width)
+    c = _center(tracks.height, tracks.width)
     pos = tracks.coords
     vis = tracks.visibility.astype(bool)
     per_pair = []
@@ -191,10 +191,6 @@ def estimate_camera(tracks: SparseTracks) -> CameraStats:
     return CameraStats((float(mean[0]), float(mean[1])), float(mean[2]), float(mean[3]), float(mean[4]))
 
 
-def _center_from_dims(height: int, width: int) -> np.ndarray:
-    return np.array([width / 2.0 - 0.5, height / 2.0 - 0.5])
-
-
 DEFAULT_THRESHOLDS = {
     # Normalized units/frame; translation normalizes px by half frame extent.
     "translation": 0.002,
@@ -205,16 +201,14 @@ DEFAULT_THRESHOLDS = {
 }
 
 
-def caption(stats: CameraStats, height: int, width: int, thresholds: dict | None = None) -> str:
+def caption(stats: CameraStats, height: int, width: int) -> str:
     """Deterministic camera phrase from a fixed vocabulary.
 
     The dominant primitive is the one with the largest magnitude relative to
     its threshold; the speed bucket compares against fast_multiplier x the
     threshold.  Shake dominating every systematic term reads as handheld.
     """
-    th = dict(DEFAULT_THRESHOLDS)
-    if thresholds:
-        th.update(thresholds)
+    th = DEFAULT_THRESHOLDS
     tx = 2.0 * stats.translation[0] / width
     ty = 2.0 * stats.translation[1] / height
     shake = 2.0 * stats.shake / np.sqrt(height * width)

@@ -19,7 +19,7 @@ def track_colors(n: int) -> list:
     return [f"hsl({(360 * i) // max(n, 1)},80%,45%)" for i in range(n)]
 
 
-def overlay_svg(tlf: TlfFile, point_radius: float = 1.5) -> str:
+def overlay_svg(tlf: TlfFile) -> str:
     """Trajectory polylines in pixel coordinates, colored by the spatial
     order of the query points; hidden spans are still drawn but dashed."""
     positions, vis = coarse_pixel_positions(tlf)
@@ -40,7 +40,7 @@ def overlay_svg(tlf: TlfFile, point_radius: float = 1.5) -> str:
                   f'stroke-width="0.4"{dash}/>\n')
     for i in range(n):
         buf.write(f'<circle cx="{pos[-1, i, 0]:.6f}" cy="{pos[-1, i, 1]:.6f}" '
-                  f'r="{point_radius / 4}" fill="{colors[i]}"/>\n')
+                  f'r="0.375" fill="{colors[i]}"/>\n')
     buf.write("</svg>\n")
     return buf.getvalue()
 

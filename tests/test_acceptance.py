@@ -208,7 +208,7 @@ def test_criterion_01_gradient_suite():
                 (lambda r: lb.recon_loss(pair(r)), [xh0]),
                 (lambda r: lb.temporal_loss(pair(r)), [xh0]),
                 (lambda r: lb.spatial_loss(pair(r), spec), [xh0]),
-                (lambda r: lb.st_regularizer(pair(r), spec), [xh0]),
+                (lambda r: gc.add(*lb.consistency_terms(pair(r), spec, 0.1, 0.2)[:2]), [xh0]),
                 (lambda a, b: lb.kl_loss(a, b), [mu0, lv0]),
                 (lambda vv: lb.fm_loss(vv, u, w), [v0]),
                 (lambda *vs: lb.kstep_loss([gc.as_tensor(v) for v in vs], tgts, wk),
@@ -307,8 +307,9 @@ def test_criterion_03_toy_reproduction():
             rec_s = float(lb.recon_loss(lb.SegmentPair(gt, smooth, mask)))
             rec_j = float(lb.recon_loss(lb.SegmentPair(gt, jitter, mask)))
             assert abs(rec_s - rec_j) < 1e-12
-            st_s = float(lb.st_regularizer(lb.SegmentPair(gt, smooth, mask)))
-            st_j = float(lb.st_regularizer(lb.SegmentPair(gt, jitter, mask)))
+            st_s, st_j = (sum(map(float, lb.consistency_terms(lb.SegmentPair(gt, r, mask),
+                                                              None, 0.1, 0.2)[:2]))
+                          for r in (smooth, jitter))
             assert st_j - st_s == pytest.approx(0.1 * 2 * b, abs=1e-9)
 
 

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trajkit import flowgen, plotting, tlf
+from trajkit import flowgen, gradcore as gc, plotting, tlf
 from trajkit.cli import dispatch, load_bundle, save_bundle
 from trajkit.config import ConfigError, RunConfig
-from trajkit.models import FlowConfig, VaeConfig
+from trajkit.models import FlowConfig, VaeConfig, init_vae_params, init_velocity_params
 from trajkit.motionlab import MotionSpec, generate
 from trajkit.trajfield import rasterize, to_absolute, to_offsets
 
@@ -254,8 +254,12 @@ class TestSynthAndConversions:
 
 
 def _bundle_parts():
-    blocks = {"vae/enc.w": np.ones((2, 2)), "flow/vel.w": np.ones((2, 2)),
-              "stats/mean": np.zeros(8), "stats/std": np.ones(8)}
+    """An untrained bundle of the default configs: real parameter blocks, so it
+    can sample."""
+    rng = gc.rng(0)
+    blocks = {f"vae/{k}": v for k, v in init_vae_params(VaeConfig(), rng).items()}
+    blocks.update({f"flow/{k}": v for k, v in init_velocity_params(FlowConfig(), rng).items()})
+    blocks.update({"stats/mean": np.zeros(8), "stats/std": np.ones(8)})
     meta = {"vae_cfg": asdict(VaeConfig()), "flow_cfg": asdict(FlowConfig()),
             "sigma0": 0.1, "anchor_mode": "first-slice", "seed": 0}
     return blocks, meta
@@ -273,12 +277,45 @@ def _no_stats_std(blocks, meta):
     del blocks["stats/std"]
 
 
+def _zero_stats_std(blocks, meta):
+    blocks["stats/std"] = np.zeros(8)
+
+
 def _extra_vae_cfg_key(blocks, meta):
     meta["vae_cfg"]["bogus"] = 1
 
 
 def _missing_flow_cfg_key(blocks, meta):
     del meta["flow_cfg"]["hidden"]
+
+
+# (corruption, the block the error names); the VAE ones also apply to a VAE checkpoint
+def _missing_vae_block(blocks, meta):
+    del blocks["vae/enc.embed.w"]
+
+
+def _extra_vae_block(blocks, meta):
+    blocks["vae/enc.embed.u"] = np.zeros(3)
+
+
+def _misshapen_vae_block(blocks, meta):
+    blocks["vae/dec.head.b"] = np.zeros(5)
+
+
+def _misshapen_flow_block(blocks, meta):
+    blocks["flow/vel.fusion.gate_raw"] = np.zeros(3)
+
+
+def _partial_vis_head(blocks, meta):
+    blocks["vis/vis.head.w"] = np.zeros((16, 1))
+
+
+def _short_stats(blocks, meta):
+    blocks["stats/mean"] = np.zeros(5)
+
+
+BAD_BLOCKS = [(_missing_vae_block, "vae/enc.embed.w"), (_extra_vae_block, "vae/enc.embed.u"),
+              (_misshapen_vae_block, "vae/dec.head.b")]
 
 
 class TestMalformedBundle:
@@ -288,9 +325,39 @@ class TestMalformedBundle:
         bundle = load_bundle(path)
         assert bundle.vae_cfg == VaeConfig() and bundle.flow_cfg == FlowConfig()
         assert bundle.vis_params is None
+        hist = tmp_path / "hist.tlf"
+        run("synth", hist, "--kind", "translation", "--vx", 0.5, "--frames", 8, "--out", tmp_path)
+        assert run("sample", "--ckpt", path, "--history", hist, "--out", tmp_path) == 0
+
+    @pytest.mark.parametrize("corrupt,block", BAD_BLOCKS + [
+        (_misshapen_flow_block, "flow/vel.fusion.gate_raw"), (_partial_vis_head, "vis/vis.conv0.b"),
+        (_short_stats, "stats/mean")])
+    def test_bad_parameter_block_gives_exit_2_naming_it(self, tmp_path, capsys, corrupt, block):
+        blocks, meta = _bundle_parts()
+        corrupt(blocks, meta)
+        path = tmp_path / "bad.ckpt"
+        tlf.save_checkpoint(path, blocks, meta)
+        hist = tmp_path / "hist.tlf"
+        run("synth", hist, "--kind", "translation", "--vx", 0.5, "--frames", 8, "--out", tmp_path)
+        capsys.readouterr()
+        assert run("sample", "--ckpt", path, "--history", hist, "--out", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and block in err
+
+    @pytest.mark.parametrize("corrupt,block", BAD_BLOCKS)
+    def test_train_flow_rejects_bad_vae_block(self, tmp_path, capsys, corrupt, block):
+        blocks, meta = _bundle_parts()
+        corrupt(blocks, meta)
+        path = tmp_path / "vae.ckpt"
+        tlf.save_checkpoint(path, {k: v for k, v in blocks.items() if k.startswith("vae/")},
+                            {"vae_cfg": meta["vae_cfg"]})
+        assert run("train-flow", "--vae", path, "--out", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and block in err
 
     @pytest.mark.parametrize("corrupt", [_unknown_block, _no_stats_mean, _no_stats_std,
-                                         _extra_vae_cfg_key, _missing_flow_cfg_key])
+                                         _extra_vae_cfg_key, _missing_flow_cfg_key,
+                                         _zero_stats_std])
     def test_sample_gives_exit_2_with_message(self, tmp_path, capsys, corrupt):
         blocks, meta = _bundle_parts()
         corrupt(blocks, meta)

@@ -352,6 +352,24 @@ class TestTrainingLoops:
         assert np.array_equal(z_p, normalize_latents(raw_p, bundle.stats))
         assert np.array_equal(z_f, normalize_latents(raw_f, bundle.stats))
 
+    def test_finetune_takes_model_settings_from_the_bundle(self, tiny_bundle):
+        # A fine-tune config that disagrees on architecture, sigma0 and
+        # anchor_mode must not change what is trained: the bundle samples with
+        # its own settings, so it must be fine-tuned under them too.
+        from dataclasses import replace
+        bundle, pairs, fcfg = tiny_bundle
+        ft_cfg = flowgen.FinetuneConfig(steps=3, lr=1e-3, k_steps=2, sub_batch=2)
+        other = replace(fcfg, flow=replace(fcfg.flow, hidden=8, cond_hidden=4),
+                        sigma0=0.7, anchor_mode="all-slices")
+        assert bundle.anchor_mode == "first-slice" and bundle.sigma0 == fcfg.sigma0
+        want, curve_want = flowgen.finetune_onpolicy(bundle, pairs, fcfg, ft_cfg, seed=9)
+        got, curve_got = flowgen.finetune_onpolicy(bundle, pairs, other, ft_cfg, seed=9)
+        assert curve_got == curve_want
+        assert (got.flow_cfg, got.sigma0, got.anchor_mode) == (
+            bundle.flow_cfg, bundle.sigma0, bundle.anchor_mode)
+        for k in want.flow_params:
+            assert np.array_equal(got.flow_params[k], want.flow_params[k])
+
     def test_train_flow_bit_reproducible(self, tiny_vae_cfg, tiny_bundle):
         bundle, pairs, fcfg = tiny_bundle
         cfg = flowgen.FlowTrainConfig(flow=fcfg.flow, steps=5, batch=4, lr=1e-3)

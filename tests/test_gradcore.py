@@ -212,7 +212,7 @@ def test_shift_diff_shape_error_names_shift_diff(hop, axis):
 class TestOptim:
     def test_zero_gradients_are_a_fixed_point(self):
         params = {"w": np.array([1.0, -2.0])}
-        state = gc.optim_init(params, lr=0.1, weight_decay=0.0)
+        state = gc.optim_init(params, lr=0.1)
         out = gc.optim_step(params, {"w": np.zeros(2)}, state)
         assert np.all(out["w"] == params["w"])
         assert state.step == 1
@@ -225,7 +225,7 @@ class TestOptim:
 
     def test_three_step_trace_matches_scalar_reference(self):
         # Independent scalar re-implementation of the update rule.
-        lr, b1, b2, eps, wd = 0.1, 0.9, 0.999, 1e-8, 0.01
+        lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
         grads_seq = [0.3, -0.2, 0.05]
         p_ref, m_ref, v_ref = 1.0, 0.0, 0.0
         for t, g in enumerate(grads_seq, start=1):
@@ -233,10 +233,10 @@ class TestOptim:
             v_ref = b2 * v_ref + (1 - b2) * g * g
             mh = m_ref / (1 - b1 ** t)
             vh = v_ref / (1 - b2 ** t)
-            p_ref = p_ref - lr * (mh / (vh ** 0.5 + eps) + wd * p_ref)
+            p_ref = p_ref - lr * (mh / (vh ** 0.5 + eps))
 
         params = {"w": np.array([1.0])}
-        state = gc.optim_init(params, lr=lr, beta1=b1, beta2=b2, eps=eps, weight_decay=wd)
+        state = gc.optim_init(params, lr=lr)
         for g in grads_seq:
             params = gc.optim_step(params, {"w": np.array([g])}, state)
         assert params["w"][0] == pytest.approx(p_ref, rel=1e-12)

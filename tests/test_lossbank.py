@@ -145,14 +145,34 @@ class TestSpatialLoss:
             lb.spatial_loss(lb.SegmentPair(np.zeros((1, 6, 6, 2)), np.zeros((1, 6, 6, 2)), m))
 
 
+def _st_regularizer(pair, lambda_temporal=0.1, lambda_spatial=0.2):
+    """The weighted consistency terms, summed: the VAE objective's regularizer."""
+    w_tmp, w_sp, _, _ = lb.consistency_terms(pair, None, lambda_temporal, lambda_spatial)
+    return float(gc.add(w_tmp, w_sp))
+
+
 class TestStRegularizer:
     def test_zero_components(self):
         x = np.zeros((3, 4, 4, 2))
-        assert float(lb.st_regularizer(lb.SegmentPair(x, x.copy(), np.ones((3, 4, 4))))) == 0.0
+        assert _st_regularizer(lb.SegmentPair(x, x.copy(), np.ones((3, 4, 4)))) == 0.0
 
     def test_zero_lambdas(self):
         p = _pair(seed=6)
-        assert float(lb.st_regularizer(p, lambda_temporal=0.0, lambda_spatial=0.0)) == 0.0
+        assert _st_regularizer(p, lambda_temporal=0.0, lambda_spatial=0.0) == 0.0
+
+    def test_terms_are_weighted_losses(self):
+        p = _pair(seed=7)
+        w_tmp, w_sp, l_tmp, l_sp = lb.consistency_terms(p, None, 0.1, 0.2)
+        assert float(l_tmp) == float(lb.temporal_loss(p))
+        assert float(l_sp) == float(lb.spatial_loss(p))
+        assert float(w_tmp) == 0.1 * float(l_tmp) and float(w_sp) == 0.2 * float(l_sp)
+
+    def test_zero_weight_skips_its_loss(self):
+        # one frame: temporal_loss would raise, so a zero weight must not evaluate it
+        p = _pair(seed=8, t=1)
+        w_tmp, w_sp, l_tmp, l_sp = lb.consistency_terms(p, None, 0.0, 0.2)
+        assert float(w_tmp) == 0.0 and float(l_tmp) == 0.0
+        assert float(l_sp) == float(lb.spatial_loss(p))
 
     @pytest.mark.parametrize("b", [0.05, 0.1, 0.2])
     def test_toy_separates_smooth_from_jitter(self, b):
@@ -160,8 +180,8 @@ class TestStRegularizer:
         rec_s = float(lb.recon_loss(lb.SegmentPair(gt, smooth, mask)))
         rec_j = float(lb.recon_loss(lb.SegmentPair(gt, jitter, mask)))
         assert rec_s == pytest.approx(rec_j, abs=1e-12)
-        st_s = float(lb.st_regularizer(lb.SegmentPair(gt, smooth, mask)))
-        st_j = float(lb.st_regularizer(lb.SegmentPair(gt, jitter, mask)))
+        st_s = _st_regularizer(lb.SegmentPair(gt, smooth, mask))
+        st_j = _st_regularizer(lb.SegmentPair(gt, jitter, mask))
         assert st_j > st_s
         assert st_j - st_s == pytest.approx(0.1 * 2 * b, abs=1e-9)
 
@@ -183,19 +203,19 @@ class TestKlLoss:
 class TestTokenWeights:
     def test_all_visible_uniform(self):
         tw = lb.token_weights(np.ones((4, 8, 8)), (2, 2, 2), ratio=2)
-        assert np.allclose(tw.w, 1.0 / 8)
+        assert np.allclose(tw, 1.0 / 8)
 
     def test_all_invisible_uniform(self):
         tw = lb.token_weights(np.zeros((4, 8, 8)), (2, 2, 2), ratio=2)
-        assert np.allclose(tw.w, 1.0 / 8)
+        assert np.allclose(tw, 1.0 / 8)
 
     def test_half_visible_ratio(self):
         m = np.zeros((2, 4, 4))
         m[:, :, :2] = 1  # left half visible
         tw = lb.token_weights(m, (1, 2, 2), floor=0.01, ratio=2)
-        flat = tw.w.reshape(-1)
+        flat = tw.reshape(-1)
         assert flat[0] / flat[1] == pytest.approx(100.0)
-        assert tw.w.sum() == pytest.approx(1.0)
+        assert tw.sum() == pytest.approx(1.0)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -205,14 +225,12 @@ class TestTokenWeights:
 class TestFmLoss:
     def test_exact_zero(self):
         v = np.ones((2, 4, 3))
-        tw = lb.TokenWeights(np.full((2, 4), 1.0 / 8))
-        assert float(lb.fm_loss(v, v.copy(), tw)) == 0.0
+        assert float(lb.fm_loss(v, v.copy(), np.full((2, 4), 1.0 / 8))) == 0.0
 
     def test_constant_channel_error(self):
         u = np.zeros((2, 4, 3))
         v = np.full_like(u, 0.5)
-        tw = lb.TokenWeights(np.full((2, 4), 1.0 / 8))
-        assert float(lb.fm_loss(v, u, tw)) == pytest.approx(0.25)
+        assert float(lb.fm_loss(v, u, np.full((2, 4), 1.0 / 8))) == pytest.approx(0.25)
 
     def test_zero_weight_token_excluded(self):
         u = np.zeros((1, 2, 3))
@@ -315,17 +333,31 @@ class TestEndpointConsistency:
         want /= 2
         assert got == pytest.approx(want, rel=1e-12)
 
-    def test_unmasked_ignores_weights(self):
-        rng = np.random.default_rng(4)
-        z0 = rng.normal(size=(1, 2, 3))
-        u = rng.normal(size=(1, 2, 3))
+    def test_builds_no_dead_nodes(self, monkeypatch):
+        # Step 0's endpoints are only ever detached, so no gradient-carrying
+        # node may be built for them: every one must lie on the loss's tape.
+        from trajkit.gradcore import tensor
+        made, real = [], tensor._make
+
+        def recording(*args):
+            out = real(*args)
+            if out.requires_grad:
+                made.append(out)
+            return out
+
+        monkeypatch.setattr(tensor, "_make", recording)
+        rng = np.random.default_rng(5)
         times = [0.2, 0.5, 0.8]
-        states = [z0 + t * u for t in times]
-        velocities = [gc.Tensor(u + 0.1 * i) for i in range(3)]
-        skewed = np.array([[0.7, 0.3]])
-        a = float(lb.endpoint_consistency(states, velocities, times, weights=skewed, masked=False))
-        b = float(lb.endpoint_consistency(states, velocities, times, weights=None, masked=False))
-        assert a == b
+        states = [rng.normal(size=(2, 2, 3)) for _ in times]
+        velocities = [gc.Tensor(rng.normal(size=(2, 2, 3)), requires_grad=True) for _ in times]
+        out = lb.endpoint_consistency(states, velocities, times)
+        on_tape, stack = set(), [out]
+        while stack:
+            node = stack.pop()
+            if id(node) not in on_tape:
+                on_tape.add(id(node))
+                stack.extend(p for p in node._parents if p.requires_grad)
+        assert made and all(id(node) in on_tape for node in made)
 
     def test_single_step_raises(self):
         with pytest.raises(ValueError):
