@@ -241,6 +241,16 @@ def load_bundle(path) -> flowgen.FlowBundle:
         split[prefix][rest] = arr
     vae_cfg = _meta_config(VaeConfig, meta, "vae_cfg", path)
     flow_cfg = _meta_config(FlowConfig, meta, "flow_cfg", path)
+    for name in ("latent_channels", "n_tokens"):
+        if getattr(flow_cfg, name) != getattr(vae_cfg, name):
+            raise TlfError(f"{path}: flow_cfg.{name} {getattr(flow_cfg, name)} differs from "
+                           f"vae_cfg.{name} {getattr(vae_cfg, name)}")
+    if meta["anchor_mode"] not in flowgen.ANCHOR_MODES:
+        raise TlfError(f"{path}: anchor_mode {meta['anchor_mode']!r} is not one of "
+                       f"{', '.join(flowgen.ANCHOR_MODES)}")
+    sigma0 = meta["sigma0"]
+    if isinstance(sigma0, bool) or not isinstance(sigma0, (int, float)) or not 0 <= sigma0 < np.inf:
+        raise TlfError(f"{path}: sigma0 {sigma0!r} is not a finite number >= 0")
     rng, channels = gc.rng(0), np.zeros(vae_cfg.latent_channels)
     _check_blocks(path, "vae", split["vae"], init_vae_params(vae_cfg, rng))
     _check_blocks(path, "flow", split["flow"], init_velocity_params(flow_cfg, rng))

@@ -11,11 +11,12 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
+import math
 import os
 from dataclasses import dataclass, field
 
 from . import lossbank as lb
-from .flowgen import FinetuneConfig, FlowTrainConfig, VaeTrainConfig
+from .flowgen import ANCHOR_MODES, FinetuneConfig, FlowTrainConfig, VaeTrainConfig
 from .models import FlowConfig, VaeConfig
 from .scenes import KIND_MIXES
 
@@ -39,6 +40,13 @@ def _parse_steps(text: str) -> int:
     if steps < 1:
         raise ValueError("a training run needs at least 1 step")
     return steps
+
+
+def _parse_sigma0(text: str) -> float:  # flow bundles store it; load_bundle checks it alike
+    value = float(text)
+    if not 0 <= value < math.inf:
+        raise ValueError("expected a finite number >= 0")
+    return value
 
 
 def _one_of(*allowed: str):
@@ -87,8 +95,8 @@ SCHEMA: dict = {
         "cond_hidden": (32, int),
         "time_features": (8, int),
         "sigma": (0.05, float),
-        "sigma0": (0.1, float),
-        "anchor_mode": ("first-slice", _one_of("first-slice", "all-slices")),
+        "sigma0": (0.1, _parse_sigma0),
+        "anchor_mode": ("first-slice", _one_of(*ANCHOR_MODES)),
         "invisible_token_weight": (0.01, float),
         "lr": (6e-5, float),
         "steps": (1000, _parse_steps),

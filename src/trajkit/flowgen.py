@@ -129,6 +129,9 @@ def interpolate(z0: np.ndarray, z1: np.ndarray, t, sigma: float, rng: Rng):
     return z_t, z1 - z0
 
 
+ANCHOR_MODES = ("first-slice", "all-slices")
+
+
 def boundary_init(z_hist_last: np.ndarray, future_steps: int, sigma0: float,
                   rng: Rng, anchor_mode: str = "first-slice") -> np.ndarray:
     """Source state: unit Gaussian with the boundary latent anchored in.

@@ -231,7 +231,7 @@ def gelu(a) -> Tensor:
     """Tanh-form GELU as a single primitive with its analytic adjoint."""
     a = as_tensor(a)
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * x ** 3)
+    inner = _GELU_C * (x + 0.044715 * (x * x * x))  # x ** 3 goes through libm pow
     th = np.tanh(inner)
     out = 0.5 * x * (1.0 + th)
 
@@ -322,13 +322,27 @@ def concat(tensors, axis=0) -> Tensor:
     return _make(out, ts, tuple(make_vjp(i) for i in range(len(ts))), "concat")
 
 
+def _is_basic_key(key) -> bool:
+    """True when `a[key]` is a view (numpy basic indexing), so no element repeats.
+
+    `bool` subclasses `int`, but `a[True]` is advanced indexing: it copies."""
+    items = key if isinstance(key, tuple) else (key,)
+    return all(k is None or k is Ellipsis or isinstance(k, slice)
+               or (isinstance(k, (int, np.integer)) and not isinstance(k, bool))
+               for k in items)
+
+
 def getitem(a, key) -> Tensor:
     a = as_tensor(a)
     out = a.data[key]
+    basic = _is_basic_key(key) and np.ndim(out) > 0  # all-int keys give a scalar, not a view
 
     def vjp(g):
         full = np.zeros(a.shape, dtype=np.float64)
-        np.add.at(full, key, g)
+        if basic:  # a view: add in place, as shift_diff's scatter does
+            np.add(full[key], g, out=full[key])
+        else:  # advanced keys may repeat an index, and add.at accumulates
+            np.add.at(full, key, g)
         return full
 
     return _make(out, (a,), (vjp,), "getitem")

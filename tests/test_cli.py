@@ -196,6 +196,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"{section}.{key}"):
             RunConfig.loads(f"[{section}]\n{key} = {bad}\n")
 
+    @pytest.mark.parametrize("bad", ["-0.1", "nan", "inf"])
+    def test_flow_sigma0_must_be_finite_and_nonnegative(self, bad):
+        assert RunConfig.loads("[flow]\nsigma0 = 0\n")["flow"]["sigma0"] == 0.0
+        with pytest.raises(ConfigError, match="flow.sigma0"):
+            RunConfig.loads(f"[flow]\nsigma0 = {bad}\n")
+
     def test_out_dir_env_fallback(self, monkeypatch, tmp_path):
         monkeypatch.setenv("TRAJLOOM_OUT", str(tmp_path / "envout"))
         cfg = RunConfig.default()
@@ -314,6 +320,30 @@ def _short_stats(blocks, meta):
     blocks["stats/mean"] = np.zeros(5)
 
 
+def _flow_cfg_of(**changes):  # flow config and matching flow blocks, out of step with the VAE
+    def corrupt(blocks, meta):
+        cfg = FlowConfig(**changes)
+        for k in [k for k in blocks if k.startswith("flow/")]:
+            del blocks[k]
+        blocks.update({f"flow/{k}": v for k, v in init_velocity_params(cfg, gc.rng(0)).items()})
+        meta["flow_cfg"] = asdict(cfg)
+    return corrupt
+
+
+def _meta_value(key, value):
+    def corrupt(blocks, meta):
+        meta[key] = value
+    return corrupt
+
+
+BAD_META = [pytest.param(corrupt, field, id=name) for corrupt, field, name in [
+    (_flow_cfg_of(latent_channels=4), "latent_channels", "latent_channels"),
+    (_flow_cfg_of(n_tokens=8), "n_tokens", "n_tokens"),
+    (_meta_value("anchor_mode", "bogus"), "anchor_mode", "anchor_mode"),
+    *[(_meta_value("sigma0", v), "sigma0", f"sigma0={v!r}")
+      for v in (-0.1, float("nan"), float("inf"), "0.1", True)]]]
+
+
 BAD_BLOCKS = [(_missing_vae_block, "vae/enc.embed.w"), (_extra_vae_block, "vae/enc.embed.u"),
               (_misshapen_vae_block, "vae/dec.head.b")]
 
@@ -331,7 +361,7 @@ class TestMalformedBundle:
 
     @pytest.mark.parametrize("corrupt,block", BAD_BLOCKS + [
         (_misshapen_flow_block, "flow/vel.fusion.gate_raw"), (_partial_vis_head, "vis/vis.conv0.b"),
-        (_short_stats, "stats/mean")])
+        (_short_stats, "stats/mean")] + BAD_META)
     def test_bad_parameter_block_gives_exit_2_naming_it(self, tmp_path, capsys, corrupt, block):
         blocks, meta = _bundle_parts()
         corrupt(blocks, meta)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from trajkit import gradcore as gc
-from trajkit.gradcore.tensor import Tensor, _make
+from trajkit.gradcore.tensor import Tensor, _is_basic_key, _make
 
 
 def test_square_gradient():
@@ -207,6 +207,64 @@ def test_shift_diff_bit_equal_to_getitem_mul_add_chain(axis, hop):
 def test_shift_diff_shape_error_names_shift_diff(hop, axis):
     with pytest.raises(gc.ShapeError, match="^shift_diff: "):
         gc.shift_diff(np.ones((2, 3, 4)), hop, axis)
+
+
+def test_gelu_matches_closed_form_into_the_tails():
+    x = np.linspace(-8.0, 8.0, 4001)
+    c = np.sqrt(2.0 / np.pi)
+    ref = 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x ** 3)))
+    # atol: in the left tail 1 + tanh cancels, so one ulp of tanh is already a
+    # relative 3e-13 of the output at x = -3.5 in any formula; the absolute gap
+    # stays below 1e-15.
+    np.testing.assert_allclose(gc.gelu(x).data, ref, rtol=1e-13, atol=1e-15)
+    assert gc.grad_check(lambda x_: gc.tsum(gc.gelu(x_)), [x]) < 1e-4
+
+
+def _getitem_grad(x, key, cot):
+    _, (g,) = gc.grad(lambda x_: gc.tsum(gc.mul(gc.getitem(x_, key), cot)), [x])
+    return g
+
+
+BASIC_KEYS = [
+    slice(1, 4), slice(None, None, -1), slice(4, 0, -2), slice(-2, None), 2, -1, np.int64(3),
+    None, Ellipsis, (1, slice(None, None, -1)), (Ellipsis, 0), (None, slice(1, 3), Ellipsis, -2),
+    (slice(None), None, 1), (0, 1, slice(2, None)), (0, 1, 2), (-1, 0, -2),  # the last two: scalars
+]
+
+
+@pytest.mark.parametrize("key", BASIC_KEYS, ids=repr)
+def test_getitem_basic_key_gradient_is_add_at_bit_for_bit(key):
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(5, 4, 6))
+    cot = rng.normal(size=x[key].shape)
+    cot.flat[::3] = -0.0  # signed zeros: 0 + -0 is +0 in both scatters
+    assert _is_basic_key(key)
+    ref = np.zeros(x.shape)
+    np.add.at(ref, key, cot)
+    assert _getitem_grad(x, key, cot).tobytes() == ref.tobytes()
+
+
+def test_getitem_integer_array_key_accumulates_repeats():
+    x = np.arange(10.0).reshape(5, 2)
+    key = np.array([0, 3, 0, 0])
+    assert not _is_basic_key(key)
+    g = _getitem_grad(x, key, np.ones((4, 2)))
+    assert np.array_equal(g, [[3.0, 3.0], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize("key", [True, np.True_, (True, 1), False], ids=repr)
+def test_getitem_bool_key_is_advanced(key):
+    x = np.arange(6.0).reshape(2, 3)
+    assert not _is_basic_key(key)  # a[True] is a copy with a new leading axis, not a view
+    cot = np.arange(1.0, 1.0 + x[key].size).reshape(x[key].shape)
+    ref = np.zeros(x.shape)
+    np.add.at(ref, key, cot)
+    assert np.array_equal(_getitem_grad(x, key, cot), ref)
+
+
+def test_getitem_true_key_gradient_is_the_cotangent():
+    cot = np.arange(1.0, 7.0).reshape(1, 2, 3)
+    assert np.array_equal(_getitem_grad(np.zeros((2, 3)), True, cot), cot[0])
 
 
 class TestOptim:
