@@ -1,14 +1,16 @@
 """Command-line surface tying the toolkit into reproducible runs.
 
-Every subcommand writes its artifacts plus a manifest (seed, config hash,
-outputs) under the output directory.  Exit codes: 0 success, 2 malformed
-track file or checkpoint, 3 config validation failure, 4 numerical abort,
-1 other errors.
+`dispatch` runs every subcommand the same way: it loads the config (for the
+commands that take one), makes the output directory, runs the command and
+writes `manifest.json` (argv, seed, config hash, outputs) there.  Exit codes:
+0 success, 2 malformed track file or checkpoint, 3 config validation failure,
+4 numerical abort, 1 other errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -32,13 +34,16 @@ EXIT_CONFIG = 3
 EXIT_NUMERIC = 4
 
 
-def _write_manifest(out_dir: Path, command: str, argv: list, seed, config_hash: str,
+def _write_manifest(out_dir: Path, args, argv: list, cfg: RunConfig | None,
                     outputs: list) -> None:
+    """The one manifest rule: the seed is the command's `--seed`, else the
+    config's; the hash is the config's, else that of every argument but `--out`."""
     manifest = {
-        "command": command,
-        "argv": list(argv),
-        "seed": seed,
-        "config_sha256": config_hash,
+        "command": args.command,
+        "argv": argv,
+        "seed": getattr(args, "seed", cfg.seed if cfg else None),
+        "config_sha256": cfg.sha256() if cfg else _args_hash(
+            {k: v for k, v in vars(args).items() if k not in ("out", "func")}),
         "outputs": sorted(outputs),
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
@@ -48,7 +53,7 @@ def _args_hash(args: dict) -> str:
     return hashlib.sha256(json.dumps(args, sort_keys=True, default=str).encode()).hexdigest()
 
 
-def _out_dir(arg: str | None, cfg: RunConfig | None = None) -> Path:
+def _out_dir(arg: str | None, cfg: RunConfig | None) -> Path:
     if arg:
         path = Path(arg)
     elif cfg is not None:
@@ -72,61 +77,44 @@ def _load_config(path: str | None, preset: str | None) -> RunConfig:
     raise ConfigError(f"unknown preset {preset!r}")
 
 
-def _geometry(cfg: RunConfig) -> scenes.SceneGeometry:
+def _pairs(cfg: RunConfig) -> flowgen.PairDataset:
     d = cfg["data"]
-    return scenes.SceneGeometry(height=d["height"], width=d["width"], stride=d["stride"],
-                                frames=d["frames"], past=d["past"])
+    geom = scenes.SceneGeometry(**{f.name: d[f.name] for f in fields(scenes.SceneGeometry)})
+    return scenes.pair_dataset(d["kind"], d["scenes"], cfg.seed, geom)
 
 
 # -- subcommand implementations ------------------------------------------------
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args, cfg, out_dir) -> list:
     spec_kw = dict(frames=args.frames, height=args.height, width=args.width,
                    stride=args.stride)
-    if args.kind == "translation":
-        spec = MotionSpec("translation", velocity=(args.vx, args.vy), **spec_kw)
-    elif args.kind == "rotation":
-        spec = MotionSpec("rotation", angular_rate=args.omega, **spec_kw)
-    elif args.kind == "zoom":
-        spec = MotionSpec("zoom", zoom_rate=args.zoom_rate, **spec_kw)
-    elif args.kind == "shear":
-        spec = MotionSpec("shear", shear_rate=args.shear_rate, **spec_kw)
-    elif args.kind == "static":
-        spec = MotionSpec("static", **spec_kw)
-    elif args.kind == "jitter-overlay":
-        base = MotionSpec("translation", velocity=(args.vx, args.vy), **spec_kw)
-        spec = MotionSpec("jitter-overlay", base=base, jitter_amplitude=args.jitter,
-                          jitter_axis=args.jitter_axis, **spec_kw)
-    else:
-        raise ValueError(f"unknown kind {args.kind!r}")
+    velocity = (args.vx, args.vy)
+    base = MotionSpec("translation", velocity=velocity, **spec_kw) \
+        if args.kind == "jitter-overlay" else None
+    spec = MotionSpec(args.kind, velocity=velocity, angular_rate=args.omega,
+                      zoom_rate=args.zoom_rate, shear_rate=args.shear_rate,
+                      jitter_amplitude=args.jitter, jitter_axis=args.jitter_axis, base=base,
+                      **spec_kw)
     tracks = motionlab.generate(spec)
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
     tlf.write_tlf(out, tlf.from_tracks(tracks))
-    out_dir = _out_dir(args.out)
-    _write_manifest(out_dir, "synth", args.argv, args.seed,
-                    _args_hash(vars(args) | {"argv": None, "func": None}), [out.name])
     print(f"wrote {out}")
-    return EXIT_OK
+    return [out.name]
 
 
-def cmd_offsets(args) -> int:
-    """`offsets`, and `rasterize` (which is `offsets --invert`); the manifest
-    names the subcommand given."""
+def cmd_offsets(args, cfg, out_dir) -> list:
+    """`offsets`, and `rasterize` (which is `offsets --invert`)."""
     record = tlf.read_tlf(args.input)
     target = tlf.CONV_NORMALIZED if args.invert else tlf.CONV_OFFSET
     out = tlf.convert(record, target)
     tlf.write_tlf(args.output, out)
-    out_dir = _out_dir(args.out)
-    _write_manifest(out_dir, args.command, args.argv, None,
-                    _args_hash({"input": args.input, "output": args.output,
-                                "invert": args.invert}), [Path(args.output).name])
     print(f"wrote {args.output}")
-    return EXIT_OK
+    return [Path(args.output).name]
 
 
-def cmd_analyze_variance(args) -> int:
+def cmd_analyze_variance(args, cfg, out_dir) -> list:
     record = tlf.read_tlf(args.input)
     hc, wc = record.coarse_shape
     norm = tlf._to_normalized(record).reshape(record.frames, hc * wc, 2)
@@ -141,40 +129,26 @@ def cmd_analyze_variance(args) -> int:
                      "metric": f"explained_{label}", "value": float(exp_abs[axis])})
         rows.append({"dataset": stem, "method": "offset",
                      "metric": f"explained_{label}", "value": float(exp_off[axis])})
-    out_dir = _out_dir(args.out)
     (out_dir / "variance.csv").write_text(plotting.metrics_csv(rows))
-    _write_manifest(out_dir, "analyze-variance", args.argv, None,
-                    _args_hash({"input": args.input}), ["variance.csv"])
     print(f"absolute explained%: x={exp_abs[0]:.2f} y={exp_abs[1]:.2f}")
     print(f"offset explained%:   x={exp_off[0]:.2f} y={exp_off[1]:.2f}")
-    return EXIT_OK
+    return ["variance.csv"]
 
 
-def cmd_train_vae(args) -> int:
-    cfg = _load_config(args.config, args.preset)
-    out_dir = _out_dir(args.out, cfg)
-    geom = _geometry(cfg)
-    d = cfg["data"]
-    dataset = _vae_dataset(d["kind"], d["scenes"], cfg.seed, geom)
+def cmd_train_vae(args, cfg, out_dir) -> list:
+    # past and future windows as independent items: the encoder sees the
+    # windows the flow stage uses
+    pairs = _pairs(cfg)
+    dataset = flowgen.SegmentDataset(np.concatenate([pairs.past, pairs.future]),
+                                     np.concatenate([pairs.past_masks, pairs.future_masks]))
     train_cfg = cfg.vae_train_config()
     params, curve = flowgen.train_vae(dataset, train_cfg, seed=cfg.seed)
     blocks = {f"vae/{k}": v for k, v in params.items()}
     meta = {"vae_cfg": asdict(train_cfg.vae), "seed": cfg.seed}
     tlf.save_checkpoint(out_dir / "vae.ckpt", blocks, meta)
     (out_dir / "vae_loss.csv").write_text(plotting.curve_csv(curve))
-    _write_manifest(out_dir, "train-vae", args.argv, cfg.seed, cfg.sha256(),
-                    ["vae.ckpt", "vae_loss.csv"])
     print(f"final loss {curve[-1]['total']!r} (initial {curve[0]['total']!r})")
-    return EXIT_OK
-
-
-def _vae_dataset(kind: str, n: int, seed: int, geom: scenes.SceneGeometry):
-    """VAE segments: past and future windows of each scene as independent
-    items, so the encoder sees the same windows the flow stage uses."""
-    pairs = scenes.pair_dataset(kind, n, seed, geom)
-    segs = np.concatenate([pairs.past, pairs.future], axis=0)
-    masks = np.concatenate([pairs.past_masks, pairs.future_masks], axis=0)
-    return flowgen.SegmentDataset(segs, masks)
+    return ["vae.ckpt", "vae_loss.csv"]
 
 
 def _meta_config(cls, meta: dict, key: str, path):
@@ -268,13 +242,9 @@ def load_bundle(path) -> flowgen.FlowBundle:
         sigma0=meta["sigma0"], anchor_mode=meta["anchor_mode"])
 
 
-def cmd_train_flow(args) -> int:
-    cfg = _load_config(args.config, args.preset)
-    out_dir = _out_dir(args.out, cfg)
+def cmd_train_flow(args, cfg, out_dir) -> list:
     vae_params, vae_cfg = _load_vae(args.vae)
-    geom = _geometry(cfg)
-    d = cfg["data"]
-    pairs = scenes.pair_dataset(d["kind"], d["scenes"], cfg.seed, geom)
+    pairs = _pairs(cfg)
     train_cfg = cfg.flow_train_config()
     bundle, curve = flowgen.train_flow(pairs, vae_params, vae_cfg, train_cfg,
                                        seed=cfg.seed)
@@ -288,47 +258,36 @@ def cmd_train_flow(args) -> int:
     bundle.vis_params = vis_params
     save_bundle(out_dir / "flow.ckpt", bundle, cfg.seed)
     (out_dir / "flow_loss.csv").write_text(plotting.curve_csv(curve))
-    _write_manifest(out_dir, "train-flow", args.argv, cfg.seed, cfg.sha256(),
-                    ["flow.ckpt", "flow_loss.csv"])
     print(f"final fm loss {curve[-1]['fm']!r} (initial {curve[0]['fm']!r})")
-    return EXIT_OK
+    return ["flow.ckpt", "flow_loss.csv"]
 
 
-def cmd_finetune(args) -> int:
-    cfg = _load_config(args.config, args.preset)
-    out_dir = _out_dir(args.out, cfg)
+def cmd_finetune(args, cfg, out_dir) -> list:
     bundle = load_bundle(args.ckpt)
-    geom = _geometry(cfg)
-    d = cfg["data"]
-    pairs = scenes.pair_dataset(d["kind"], d["scenes"], cfg.seed, geom)
+    pairs = _pairs(cfg)
     flow_cfg = cfg.flow_train_config()
     tuned, curve = flowgen.finetune_onpolicy(bundle, pairs, flow_cfg,
                                              cfg.finetune_config(), seed=cfg.seed)
     save_bundle(out_dir / "finetuned.ckpt", tuned, cfg.seed)
     (out_dir / "finetune_loss.csv").write_text(plotting.curve_csv(curve))
-    _write_manifest(out_dir, "finetune", args.argv, cfg.seed, cfg.sha256(),
-                    ["finetuned.ckpt", "finetune_loss.csv"])
     print(f"final loss {curve[-1]['total']!r}")
-    return EXIT_OK
+    return ["finetuned.ckpt", "finetune_loss.csv"]
 
 
-def cmd_sample(args) -> int:
+def cmd_sample(args, cfg, out_dir) -> list:
     bundle = load_bundle(args.ckpt)
     record = tlf.read_tlf(args.history)
     history = tlf.to_offset_field(record)
-    cfg = _load_config(args.config, args.preset)
     sampler = cfg.sampler_spec()
     future, _ = flowgen.sample_future(history, bundle, sampler=sampler, seed=args.seed,
                                       future_frames=args.frames)
-    out_dir = _out_dir(args.out, cfg)
     out_path = out_dir / args.output
     tlf.write_tlf(out_path, tlf.from_offset_field(future, record.height, record.width))
-    _write_manifest(out_dir, "sample", args.argv, args.seed, cfg.sha256(), [args.output])
     print(f"wrote {out_path}")
-    return EXIT_OK
+    return [args.output]
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args, cfg, out_dir) -> list:
     record = tlf.read_tlf(args.input)
     positions, vis = tlf.coarse_pixel_positions(record)
     if args.metric == "flowtv":
@@ -345,37 +304,30 @@ def cmd_eval(args) -> int:
     else:
         raise ValueError(f"unknown metric {args.metric!r}")
     print(plotting.format_float(value))
-    out_dir = _out_dir(args.out)
     row = {"dataset": Path(args.input).stem, "method": args.method,
            "metric": args.metric, "value": float(value)}
     path = out_dir / "metrics.csv"
     rows = plotting.read_metrics_csv(path) if path.exists() else []
     rows.append(row)
     path.write_text(plotting.metrics_csv(rows))
-    _write_manifest(out_dir, "eval", args.argv, None,
-                    _args_hash({"input": args.input, "metric": args.metric}),
-                    ["metrics.csv"])
-    return EXIT_OK
+    return ["metrics.csv"]
 
 
-def cmd_camcap(args) -> int:
+def cmd_camcap(args, cfg, out_dir) -> list:
     record = tlf.read_tlf(args.input)
     tracks = tlf.to_tracks(record)
     stats = motionlab.estimate_camera(tracks)
     phrase = motionlab.caption(stats, record.height, record.width)
     print(phrase)
-    out_dir = _out_dir(args.out)
     stem = Path(args.input).stem
     rows = [{"dataset": stem, "method": "camcap", "metric": k, "value": v}
             for k, v in stats.as_dict().items()]
     (out_dir / "camcap.csv").write_text(plotting.metrics_csv(rows))
     (out_dir / "caption.txt").write_text(phrase + "\n")
-    _write_manifest(out_dir, "camcap", args.argv, None, _args_hash({"input": args.input}),
-                    ["camcap.csv", "caption.txt"])
-    return EXIT_OK
+    return ["camcap.csv", "caption.txt"]
 
 
-def cmd_gradcheck(args) -> int:
+def cmd_gradcheck(args, cfg, out_dir) -> list:
     report = []
     for seed in range(args.seeds):
         rng = np.random.default_rng(seed)
@@ -397,11 +349,10 @@ def cmd_gradcheck(args) -> int:
     print(f"worst: {worst:.3e}")
     if worst >= 1e-4:
         raise FloatingPointError(f"gradient check failed: {worst:.3e}")
-    return EXIT_OK
+    return []
 
 
-def cmd_plot(args) -> int:
-    out_dir = _out_dir(args.out)
+def cmd_plot(args, cfg, out_dir) -> list:
     outputs = []
     merged = []
     for run in args.runs:
@@ -423,16 +374,17 @@ def cmd_plot(args) -> int:
     table = plotting.metrics_csv(merged)
     (out_dir / "metrics_table.csv").write_text(table)
     outputs.append("metrics_table.csv")
-    _write_manifest(out_dir, "plot", args.argv, None, _args_hash({"runs": args.runs}),
-                    outputs)
     print(f"wrote {len(outputs)} artifacts to {out_dir}")
-    return EXIT_OK
+    return outputs
 
 
 # -- parser ----------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; `parse_args` leaves it unchanged,
+    so every dispatch can share it."""
     parser = argparse.ArgumentParser(prog="trajkit",
                                      description="dense trajectory motion toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -444,8 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate an analytic scene as a TLF file")
     p.add_argument("output")
     p.add_argument("--kind", default="translation",
-                   choices=["translation", "rotation", "zoom", "shear", "static",
-                            "jitter-overlay"])
+                   choices=motionlab.KINDS)
     p.add_argument("--frames", type=int, default=16)
     p.add_argument("--height", type=int, default=32)
     p.add_argument("--width", type=int, default=32)
@@ -533,11 +484,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(argv) -> int:
-    parser = build_parser()
+    argv = list(argv)
     try:
-        args = parser.parse_args(argv)
-        args.argv = list(argv)
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the help, or the usage and the error
+        return EXIT_OK if exc.code == 0 else EXIT_ERROR
+    try:
+        cfg = _load_config(args.config, args.preset) if hasattr(args, "config") else None
+        out_dir = _out_dir(args.out, cfg)
+        _write_manifest(out_dir, args, argv, cfg, args.func(args, cfg, out_dir))
+        return EXIT_OK
     except TlfError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TLF

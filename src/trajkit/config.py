@@ -38,14 +38,21 @@ def _parse_ints(text: str) -> tuple:
 def _parse_steps(text: str) -> int:
     steps = int(text)
     if steps < 1:
-        raise ValueError("a training run needs at least 1 step")
+        raise ValueError("at least 1 step is needed")
     return steps
 
 
-def _parse_sigma0(text: str) -> float:  # flow bundles store it; load_bundle checks it alike
+def _parse_finite_nonnegative(text: str) -> float:  # load_bundle checks a bundle's sigma0 alike
     value = float(text)
     if not 0 <= value < math.inf:
         raise ValueError("expected a finite number >= 0")
+    return value
+
+
+def _parse_finite_positive(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise ValueError("expected a finite number > 0")
     return value
 
 
@@ -94,10 +101,10 @@ SCHEMA: dict = {
         "blocks": (2, int),
         "cond_hidden": (32, int),
         "time_features": (8, int),
-        "sigma": (0.05, float),
-        "sigma0": (0.1, _parse_sigma0),
+        "sigma": (0.05, _parse_finite_nonnegative),
+        "sigma0": (0.1, _parse_finite_nonnegative),
         "anchor_mode": ("first-slice", _one_of(*ANCHOR_MODES)),
-        "invisible_token_weight": (0.01, float),
+        "invisible_token_weight": (0.01, _parse_finite_nonnegative),
         "lr": (6e-5, float),
         "steps": (1000, _parse_steps),
         "batch": (8, int),
@@ -119,9 +126,9 @@ SCHEMA: dict = {
     },
     "sampler": {
         "method": ("euler", _one_of("euler", "dopri5")),
-        "steps": (10, int),
-        "rtol": (1e-5, float),
-        "atol": (1e-8, float),
+        "steps": (10, _parse_steps),
+        "rtol": (1e-5, _parse_finite_positive),
+        "atol": (1e-8, _parse_finite_positive),
     },
 }
 

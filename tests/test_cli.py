@@ -1,13 +1,17 @@
 import json
 import os
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trajkit import flowgen, gradcore as gc, plotting, tlf
+import trajkit
+from trajkit import cli, flowgen, gradcore as gc, plotting, tlf
 from trajkit.cli import dispatch, load_bundle, save_bundle
 from trajkit.config import ConfigError, RunConfig
 from trajkit.models import FlowConfig, VaeConfig, init_vae_params, init_velocity_params
@@ -180,7 +184,7 @@ class TestConfig:
         assert cfg.sha256() == again.sha256()
         assert again.seed == 7
 
-    @pytest.mark.parametrize("section", ["vae", "flow", "finetune"])
+    @pytest.mark.parametrize("section", ["vae", "flow", "finetune", "sampler"])
     @pytest.mark.parametrize("steps", [0, -3])
     def test_training_steps_below_one_rejected(self, section, steps):
         with pytest.raises(ConfigError, match=f"{section}.steps"):
@@ -196,11 +200,21 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"{section}.{key}"):
             RunConfig.loads(f"[{section}]\n{key} = {bad}\n")
 
-    @pytest.mark.parametrize("bad", ["-0.1", "nan", "inf"])
-    def test_flow_sigma0_must_be_finite_and_nonnegative(self, bad):
-        assert RunConfig.loads("[flow]\nsigma0 = 0\n")["flow"]["sigma0"] == 0.0
-        with pytest.raises(ConfigError, match="flow.sigma0"):
-            RunConfig.loads(f"[flow]\nsigma0 = {bad}\n")
+    @pytest.mark.parametrize("key,bad", [
+        *[pytest.param("sigma0", bad, id=bad) for bad in ("-0.1", "nan", "inf")],
+        *[pytest.param(key, bad, id=f"{key}={bad}")
+          for key in ("sigma", "invisible_token_weight") for bad in ("-3", "nan", "inf")]])
+    def test_flow_sigma0_must_be_finite_and_nonnegative(self, key, bad):
+        assert RunConfig.loads(f"[flow]\n{key} = 0\n")["flow"][key] == 0.0
+        with pytest.raises(ConfigError, match=rf"flow\.{key}: "):
+            RunConfig.loads(f"[flow]\n{key} = {bad}\n")
+
+    @pytest.mark.parametrize("key", ["rtol", "atol"])
+    @pytest.mark.parametrize("bad", ["0", "-1", "nan", "inf"])
+    def test_sampler_tolerances_must_be_finite_and_positive(self, key, bad):
+        assert RunConfig.loads(f"[sampler]\n{key} = 1e-3\n")["sampler"][key] == 1e-3
+        with pytest.raises(ConfigError, match=rf"sampler\.{key}: "):
+            RunConfig.loads(f"[sampler]\n{key} = {bad}\n")
 
     def test_out_dir_env_fallback(self, monkeypatch, tmp_path):
         monkeypatch.setenv("TRAJLOOM_OUT", str(tmp_path / "envout"))
@@ -406,6 +420,46 @@ class TestMalformedBundle:
         assert "vae_cfg" in capsys.readouterr().err
 
 
+class TestSampleConfig:
+    @pytest.mark.parametrize("body,key", [("steps = 0", "steps"),
+                                          ("method = dopri5\nrtol = -1", "rtol"),
+                                          ("method = dopri5\natol = nan", "atol")])
+    def test_bad_sampler_key_gives_exit_3(self, tmp_path, capsys, body, key):
+        path = tmp_path / "ok.ckpt"
+        tlf.save_checkpoint(path, *_bundle_parts())
+        hist = tmp_path / "hist.tlf"
+        run("synth", hist, "--kind", "translation", "--vx", 0.5, "--frames", 8, "--out", tmp_path)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"[sampler]\n{body}\n")
+        capsys.readouterr()
+        assert run("sample", "--ckpt", path, "--history", hist, "--config", cfg,
+                   "--out", tmp_path) == 3
+        assert f"sampler.{key}" in capsys.readouterr().err
+
+    def test_config_is_read_before_the_checkpoint(self, tmp_path):
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(b"garbage")
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("[sampler]\nsteps = 0\n")
+        assert run("sample", "--ckpt", ckpt, "--history", tmp_path / "absent.tlf",
+                   "--config", cfg, "--out", tmp_path) == 3
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [["synth"], ["bogus"], ["eval", "x.tlf", "--metric", "bogus"],
+                                      []],
+                             ids=["missing-argument", "unknown-command", "bad-choice", "empty"])
+    def test_usage_error_exits_1_with_argparse_message(self, capsys, argv):
+        assert dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: trajkit") and "error:" in err
+
+    def test_help_exits_0(self, capsys):
+        assert dispatch(["--help"]) == 0
+        assert dispatch(["eval", "--help"]) == 0
+        assert "--single-spacing" in capsys.readouterr().out
+
+
 class TestEvalAndCamcap:
     def test_flowtv_zero_on_uniform_translation(self, tmp_path, capsys):
         scene = tmp_path / "move.tlf"
@@ -535,3 +589,71 @@ class TestManifest:
         # identical except for the differing argv paths
         m1.pop("argv"), m2.pop("argv"), m1.pop("config_sha256"), m2.pop("config_sha256")
         assert m1 == m2
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "{d}/new.tlf", "--kind", "zoom", "--zoom-rate", "0.01"],
+        ["rasterize", "{s}", "{d}/r.tlf"],
+        ["offsets", "{s}", "{d}/o.tlf"],
+        ["analyze-variance", "{s}"],
+        ["eval", "{s}", "--metric", "flowtv"],
+        ["camcap", "{s}"],
+        ["gradcheck", "--seeds", "1"],
+        ["plot", "{s_dir}"],
+    ], ids=lambda argv: argv[0])
+    def test_every_command_leaves_a_manifest_listing_its_outputs(self, tmp_path, argv):
+        scene = tmp_path / "src" / "s.tlf"
+        run("synth", scene, "--kind", "translation", "--vx", 0.5, "--vy", 0.25, "--frames", 12,
+            "--out", scene.parent)
+        d = tmp_path / "out"
+        argv = [a.format(d=d, s=scene, s_dir=scene.parent) for a in argv]
+        assert run(*argv, "--out", d) == 0
+        manifest = json.loads((d / "manifest.json").read_text())
+        assert manifest["command"] == argv[0]
+        assert manifest["argv"] == [*argv, "--out", str(d)]
+        assert bool(manifest["outputs"]) == (argv[0] != "gradcheck")
+        assert all((d / name).is_file() for name in manifest["outputs"])
+        assert manifest["seed"] == (0 if argv[0] == "synth" else None)
+
+    def test_eval_hash_covers_every_argument(self, tmp_path):
+        scene, ref = tmp_path / "s.tlf", tmp_path / "ref.tlf"
+        run("synth", scene, "--kind", "rotation", "--omega", 0.05, "--frames", 6, "--out", tmp_path)
+        run("synth", ref, "--kind", "static", "--frames", 6, "--out", tmp_path)
+        base = ["eval", scene, "--metric", "divcurle"]
+        hashes = []
+        for i, extra in enumerate([[], ["--single-spacing"], ["--ref", ref], ["--method", "b"]]):
+            assert run(*base, *extra, "--out", tmp_path / f"o{i}") == 0
+            hashes.append(json.loads((tmp_path / f"o{i}" / "manifest.json").read_text())
+                          ["config_sha256"])
+        assert len(set(hashes)) == 4
+        # --out is not part of the hash
+        assert run(*base, "--out", tmp_path / "again") == 0
+        again = json.loads((tmp_path / "again" / "manifest.json").read_text())
+        assert again["config_sha256"] == hashes[0]
+
+    def test_reused_parser_leaks_no_state(self, tmp_path):
+        cli.build_parser.cache_clear()
+        scene = tmp_path / "s.tlf"
+        run("synth", scene, "--kind", "translation", "--vx", 1, "--frames", 4, "--out", tmp_path)
+        assert run("rasterize", scene, tmp_path / "n.tlf", "--out", tmp_path) == 0
+        assert run("offsets", tmp_path / "n.tlf", tmp_path / "o.tlf", "--out", tmp_path) == 0
+        assert tlf.read_tlf(tmp_path / "n.tlf").convention == tlf.CONV_NORMALIZED
+        assert tlf.read_tlf(tmp_path / "o.tlf").convention == tlf.CONV_OFFSET
+        assert cli.build_parser.cache_info().misses == 1
+
+
+class TestProcess:
+    def test_main_passes_exit_status_to_the_shell(self, tmp_path):
+        src = str(Path(trajkit.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        garbage, cfg = tmp_path / "bad.tlf", tmp_path / "bad.cfg"
+        garbage.write_bytes(b"garbage")
+        cfg.write_text("[vae]\nnot_a_key = 3\n")
+        for code, argv in [(0, ["synth", tmp_path / "s.tlf", "--frames", 4]),
+                           (1, ["synth"]),
+                           (2, ["rasterize", garbage, tmp_path / "r.tlf"]),
+                           (3, ["train-vae", "--config", cfg])]:
+            proc = subprocess.run([sys.executable, "-m", "trajkit.cli", *map(str, argv),
+                                   "--out", str(tmp_path / "runs")],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == code, (argv, proc.stderr)

@@ -8,6 +8,7 @@ import pytest
 
 from trajkit import tlf
 from trajkit.cli import dispatch
+from trajkit.config import RunConfig
 
 TINY_CONFIG = """\
 [run]
@@ -77,6 +78,21 @@ def test_manifests_record_config_hash(pipeline):
     m2 = json.loads((pipeline / "ft" / "manifest.json").read_text())
     assert m["config_sha256"] == m2["config_sha256"]
     assert m["seed"] == 5
+
+
+def test_config_commands_leave_a_manifest_listing_their_outputs(pipeline, tmp_path):
+    samp = tmp_path / "samp"  # the pipeline's own sample directory also holds an eval
+    assert run("sample", "--ckpt", pipeline / "ft" / "finetuned.ckpt",
+               "--history", pipeline / "hist.tlf", "--config", pipeline / "tiny.cfg",
+               "--seed", "3", "--out", samp) == 0
+    for command, d, seed in [("train-vae", pipeline / "vae", 5),
+                             ("train-flow", pipeline / "flow", 5),
+                             ("finetune", pipeline / "ft", 5), ("sample", samp, 3)]:
+        m = json.loads((d / "manifest.json").read_text())
+        assert (m["command"], m["argv"][0], m["seed"]) == (command, command, seed)
+        assert m["config_sha256"] == RunConfig.load(pipeline / "tiny.cfg").sha256()
+        assert m["outputs"] and all((d / name).is_file() for name in m["outputs"])
+    assert (samp / "future.tlf").read_bytes() == (pipeline / "samp" / "future.tlf").read_bytes()
 
 
 def test_sampled_future_is_valid_offset_tlf(pipeline):
