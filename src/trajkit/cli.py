@@ -37,14 +37,15 @@ EXIT_NUMERIC = 4
 def _write_manifest(out_dir: Path, args, argv: list, cfg: RunConfig | None,
                     outputs: list) -> None:
     """The one manifest rule: the seed is the command's `--seed`, else the
-    config's; the hash is the config's, else that of every argument but `--out`."""
+    config's; the hash is the config's, else that of every argument but `--out`;
+    outputs, names in `out_dir` or absolute paths, are recorded relative to it."""
     manifest = {
         "command": args.command,
         "argv": argv,
         "seed": getattr(args, "seed", cfg.seed if cfg else None),
         "config_sha256": cfg.sha256() if cfg else _args_hash(
             {k: v for k, v in vars(args).items() if k not in ("out", "func")}),
-        "outputs": sorted(outputs),
+        "outputs": sorted(os.path.relpath(out_dir / name, out_dir) for name in outputs),
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
 
@@ -54,33 +55,22 @@ def _args_hash(args: dict) -> str:
 
 
 def _out_dir(arg: str | None, cfg: RunConfig | None) -> Path:
-    if arg:
-        path = Path(arg)
-    elif cfg is not None:
-        path = Path(cfg.out_dir())
-    else:
-        path = Path(os.environ.get("TRAJLOOM_OUT", "runs"))
+    path = Path(arg or (cfg or RunConfig.default()).out_dir())
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
 def _load_config(path: str | None, preset: str | None) -> RunConfig:
+    if path and preset:
+        raise ConfigError("--preset and --config are mutually exclusive")
     if path:
-        cfg = RunConfig.load(path)
-        if preset:
-            raise ConfigError("--preset and --config are mutually exclusive")
-        return cfg
-    if preset == "desk":
-        return RunConfig.desk()
-    if preset in (None, "default"):
-        return RunConfig.default()
-    raise ConfigError(f"unknown preset {preset!r}")
+        return RunConfig.load(path)
+    return RunConfig.desk() if preset == "desk" else RunConfig.default()
 
 
 def _pairs(cfg: RunConfig) -> flowgen.PairDataset:
     d = cfg["data"]
-    geom = scenes.SceneGeometry(**{f.name: d[f.name] for f in fields(scenes.SceneGeometry)})
-    return scenes.pair_dataset(d["kind"], d["scenes"], cfg.seed, geom)
+    return scenes.pair_dataset(d["kind"], d["scenes"], cfg.seed, cfg.geometry())
 
 
 # -- subcommand implementations ------------------------------------------------
@@ -101,7 +91,7 @@ def cmd_synth(args, cfg, out_dir) -> list:
     out.parent.mkdir(parents=True, exist_ok=True)
     tlf.write_tlf(out, tlf.from_tracks(tracks))
     print(f"wrote {out}")
-    return [out.name]
+    return [out.absolute()]
 
 
 def cmd_offsets(args, cfg, out_dir) -> list:
@@ -111,7 +101,7 @@ def cmd_offsets(args, cfg, out_dir) -> list:
     out = tlf.convert(record, target)
     tlf.write_tlf(args.output, out)
     print(f"wrote {args.output}")
-    return [Path(args.output).name]
+    return [Path(args.output).absolute()]
 
 
 def cmd_analyze_variance(args, cfg, out_dir) -> list:

@@ -1,9 +1,8 @@
 """Run configuration: sectioned key-value text files with strict validation.
 
-Every hyperparameter defaults to its published value where one exists
-(loss weights, noise scales, rollout constants, learning rates); step
-counts and scene counts default to desk scale so a run finishes in CPU
-minutes.  Unknown sections or keys are rejected outright.
+A key sets a field of a module config (`OWNERS`) and takes that field's
+default, or is one of `FREE_KEYS`.  Unknown sections or keys are rejected,
+and every module config, which checks its own ranges, is built once at load.
 """
 
 from __future__ import annotations
@@ -11,14 +10,16 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
-import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from pathlib import Path
 
+from . import flowgen
 from . import lossbank as lb
-from .flowgen import ANCHOR_MODES, FinetuneConfig, FlowTrainConfig, VaeTrainConfig
-from .models import FlowConfig, VaeConfig
-from .scenes import KIND_MIXES
+from .flowgen import FinetuneConfig, FlowTrainConfig, VaeTrainConfig
+from .models import (AT_LEAST_0, AT_LEAST_1, FINITE_NONNEGATIVE, FINITE_POSITIVE, FieldError,
+                     FlowConfig, VaeConfig)
+from .scenes import KIND_MIXES, SceneGeometry
 
 OUT_ENV_VAR = "TRAJLOOM_OUT"
 
@@ -27,110 +28,68 @@ class ConfigError(ValueError):
     """Invalid, unknown, or ill-typed configuration content."""
 
 
-def _parse_floats(text: str) -> tuple:
-    return tuple(float(x) for x in text.replace(",", " ").split())
-
-
-def _parse_ints(text: str) -> tuple:
-    return tuple(int(x) for x in text.replace(",", " ").split())
-
-
-def _parse_steps(text: str) -> int:
-    steps = int(text)
-    if steps < 1:
-        raise ValueError("at least 1 step is needed")
-    return steps
-
-
-def _parse_finite_nonnegative(text: str) -> float:  # load_bundle checks a bundle's sigma0 alike
-    value = float(text)
-    if not 0 <= value < math.inf:
-        raise ValueError("expected a finite number >= 0")
-    return value
-
-
-def _parse_finite_positive(text: str) -> float:
-    value = float(text)
-    if not 0 < value < math.inf:
-        raise ValueError("expected a finite number > 0")
-    return value
-
-
-def _one_of(*allowed: str):
-    def parse(text: str) -> str:
-        if text not in allowed:
-            raise ValueError(f"expected one of {', '.join(allowed)}")
-        return text
-    return parse
-
-
-# (default, parser) per section/key; parser None means str
-SCHEMA: dict = {
-    "run": {
-        "seed": (0, int),
-        "out": (None, str),  # None -> TRAJLOOM_OUT env or ./runs
-    },
-    "data": {
-        "kind": ("smooth", _one_of(*KIND_MIXES)),
-        "scenes": (24, int),
-        "frames": (16, int),
-        "past": (8, int),
-        "height": (32, int),
-        "width": (32, int),
-        "stride": (8, int),
-    },
-    "vae": {
-        "patch": (8, int),
-        "hidden": (64, int),
-        "blocks": (2, int),
-        "latent_channels": (8, int),
-        "temporal_ratio": (4, int),
-        "beta": (5e-5, float),
-        "lambda_temporal": (0.1, float),
-        "lambda_spatial": (0.2, float),
-        "huber_delta": (1.0, float),
-        "hops": ((1, 2, 4), _parse_ints),
-        "hop_weights": ((1.0, 0.5, 0.25), _parse_floats),
-        "lr": (2e-5, float),
-        "steps": (500, _parse_steps),
-        "batch": (4, int),
-        "grad_clip": (0.1, float),
-    },
-    "flow": {
-        "hidden": (64, int),
-        "blocks": (2, int),
-        "cond_hidden": (32, int),
-        "time_features": (8, int),
-        "sigma": (0.05, _parse_finite_nonnegative),
-        "sigma0": (0.1, _parse_finite_nonnegative),
-        "anchor_mode": ("first-slice", _one_of(*ANCHOR_MODES)),
-        "invisible_token_weight": (0.01, _parse_finite_nonnegative),
-        "lr": (6e-5, float),
-        "steps": (1000, _parse_steps),
-        "batch": (8, int),
-        "grad_clip": (1.0, float),
-        "vis_steps": (300, int),
-        "vis_lr": (0.01, float),
-    },
-    "finetune": {
-        "k_steps": (8, int),
-        "w1": (1.0, float),
-        "w0": (0.5, float),
-        "gamma": (0.1, float),
-        "lambda_kstep": (0.1, float),
-        "denom_clamp": (1e-3, float),
-        "t_eps": (1e-5, float),
-        "lr": (1e-5, float),
-        "sub_batch": (8, int),
-        "steps": (200, _parse_steps),
-    },
-    "sampler": {
-        "method": ("euler", _one_of("euler", "dopri5")),
-        "steps": (10, _parse_steps),
-        "rtol": (1e-5, _parse_finite_positive),
-        "atol": (1e-8, _parse_finite_positive),
-    },
+# [section] -> module configs whose fields are its keys, but for those set from other keys
+OWNERS = {
+    "data": {SceneGeometry: ()},
+    "vae": {VaeConfig: ("height", "width", "frames"), VaeTrainConfig: ("vae", "neighbor"),
+            lb.NeighborSpec: ()},
+    "flow": {FlowConfig: ("history_steps", "future_steps", "latent_channels", "n_tokens"),
+             FlowTrainConfig: ("flow",)},
+    "finetune": {FinetuneConfig: ()},
 }
+# the keys named unlike their field
+KEY_OF = {"clip_norm": "grad_clip", "token_floor": "invisible_token_weight",
+          "weights": "hop_weights"}
+
+# keys that no module config owns, with their defaults; the sampler's and the
+# visibility head's are the defaults of flowgen's own functions
+FREE_KEYS = {
+    "run": {"seed": 0, "out": None},  # out None: $TRAJLOOM_OUT, then ./runs
+    "data": {"kind": "smooth", "scenes": 24},
+    "flow": {"vis_steps": flowgen.VIS_STEPS, "vis_lr": flowgen.VIS_LR},
+    "sampler": flowgen.SAMPLER,
+}
+
+# rules of the config alone (the library also trains 0 steps; a run prints its last loss)
+RULES = {
+    ("run", "seed"): AT_LEAST_0,
+    ("data", "kind"): (f"one of {', '.join(KIND_MIXES)}", lambda v: v in KIND_MIXES),
+    ("data", "scenes"): AT_LEAST_1,
+    ("flow", "vis_steps"): AT_LEAST_0,
+    ("flow", "vis_lr"): FINITE_POSITIVE,
+    ("sampler", "method"): ("one of euler, dopri5", lambda v: v in ("euler", "dopri5")),
+    ("sampler", "rtol"): FINITE_POSITIVE,
+    ("sampler", "atol"): FINITE_POSITIVE,
+    **{(section, "steps"): AT_LEAST_1 for section in ("vae", "flow", "finetune", "sampler")},
+    **{(section, "grad_clip"): ("0 (no clip) or a finite number > 0", FINITE_NONNEGATIVE[1])
+       for section in ("vae", "flow")},
+}
+
+
+def _defaults() -> dict:
+    out = {section: dict(keys) for section, keys in FREE_KEYS.items()}
+    for section, owners in OWNERS.items():
+        for cls, derived in owners.items():
+            out.setdefault(section, {}).update(
+                {KEY_OF.get(f.name, f.name): f.default for f in fields(cls)
+                 if f.name not in derived})
+    return out
+
+
+DEFAULTS = _defaults()
+
+
+def _parse(section: str, key: str, text: str):
+    """`text` as the type of the key's default (a tuple: a space- or comma-separated list)."""
+    if key not in DEFAULTS[section]:
+        raise ConfigError(f"unknown key {key!r} in [{section}]")
+    default = DEFAULTS[section][key]
+    try:
+        if isinstance(default, tuple):
+            return tuple(type(default[0])(x) for x in text.replace(",", " ").split())
+        return text if default is None else type(default)(text)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {section}.{key}: {text!r} ({exc})") from exc
 
 
 @dataclass
@@ -138,10 +97,16 @@ class RunConfig:
     values: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        merged = {s: {k: spec[0] for k, spec in keys.items()} for s, keys in SCHEMA.items()}
+        merged = {section: dict(keys) for section, keys in DEFAULTS.items()}
         for section, keys in self.values.items():
             merged[section].update(keys)
         self.values = merged
+        for (section, key), (expected, ok) in RULES.items():
+            if not ok(self.values[section][key]):
+                error = FieldError(key, self.values[section][key], expected)
+                raise ConfigError(f"bad value for {section}.{key}: {error}")
+        # build each module config once, so that its checks run now
+        self.geometry(), self.vae_train_config(), self.flow_train_config(), self.finetune_config()
 
     def __getitem__(self, section: str) -> dict:
         return self.values[section]
@@ -151,10 +116,7 @@ class RunConfig:
         return self.values["run"]["seed"]
 
     def out_dir(self) -> str:
-        configured = self.values["run"]["out"]
-        if configured:
-            return configured
-        return os.environ.get(OUT_ENV_VAR, "runs")
+        return self.values["run"]["out"] or os.environ.get(OUT_ENV_VAR, "runs")
 
     # -- constructors ------------------------------------------------------
 
@@ -166,43 +128,37 @@ class RunConfig:
     def desk(cls) -> "RunConfig":
         """Desk-scale preset: small nets train in CPU minutes at the stated
         step counts; published loss weights are untouched."""
-        cfg = cls({})
-        cfg.values["vae"].update({"lr": 3e-3, "batch": 8})
-        cfg.values["flow"].update({"lr": 1e-3})
-        cfg.values["finetune"].update({"lr": 3e-4, "sub_batch": 4, "steps": 200})
-        return cfg
+        return cls({"vae": {"lr": 3e-3}, "flow": {"lr": 1e-3},
+                    "finetune": {"lr": 3e-4, "sub_batch": 4}})
 
     @classmethod
     def load(cls, path) -> "RunConfig":
-        parser = configparser.ConfigParser()
-        read = parser.read(path)
-        if not read:
-            raise ConfigError(f"cannot read config file {path}")
-        return cls._from_parser(parser, str(path))
+        try:
+            text = Path(path).read_bytes().decode("utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        return cls._from_text(text, str(path))
 
     @classmethod
     def loads(cls, text: str) -> "RunConfig":
-        parser = configparser.ConfigParser()
-        parser.read_string(text)
-        return cls._from_parser(parser, "<string>")
+        return cls._from_text(text, "<string>")
 
     @classmethod
-    def _from_parser(cls, parser, origin: str) -> "RunConfig":
-        values: dict = {}
-        for section in parser.sections():
-            if section not in SCHEMA:
-                raise ConfigError(f"{origin}: unknown section [{section}]")
-            values[section] = {}
-            for key, raw in parser.items(section):
-                if key not in SCHEMA[section]:
-                    raise ConfigError(f"{origin}: unknown key {key!r} in [{section}]")
-                _, parse = SCHEMA[section][key]
-                try:
-                    values[section][key] = parse(raw) if parse else raw
-                except ValueError as exc:
-                    raise ConfigError(
-                        f"{origin}: bad value for {section}.{key}: {raw!r} ({exc})") from exc
-        return cls(values)
+    def _from_text(cls, text: str, origin: str) -> "RunConfig":
+        parser = configparser.ConfigParser(default_section="")  # [DEFAULT] is unknown too
+        try:
+            parser.read_string(text, source=origin)
+            unknown = [s for s in parser.sections() if s not in DEFAULTS]
+            if unknown:
+                raise ConfigError(f"unknown section [{unknown[0]}]")
+            return cls({section: {key: _parse(section, key, raw)
+                                  for key, raw in parser.items(section)}
+                        for section in parser.sections()})
+        except configparser.Error as exc:  # on one line, as the CLI prints it
+            key = f"{exc.section}.{exc.option}: " if getattr(exc, "option", None) else ""
+            raise ConfigError(f"{origin}: {key}{' '.join(str(exc).split())}") from exc
+        except ConfigError as exc:
+            raise ConfigError(f"{origin}: {exc}") from exc
 
     # -- serialization -------------------------------------------------------
 
@@ -223,49 +179,46 @@ class RunConfig:
 
     # -- converters to module configs ----------------------------------------
 
+    def _build(self, section: str, cls, **derived):
+        """`cls` from the keys of [section] named after its fields, plus the
+        `derived` fields; a FieldError becomes a ConfigError naming the key."""
+        keys = self.values[section]
+        kwargs = {f.name: keys[KEY_OF.get(f.name, f.name)] for f in fields(cls)
+                  if f.name not in derived}
+        if "clip_norm" in kwargs:  # grad_clip 0, and only 0, means no clip
+            kwargs["clip_norm"] = kwargs["clip_norm"] or None
+        try:
+            return cls(**kwargs, **derived)
+        except FieldError as exc:
+            # history_steps is the one derived field that valid keys can fail
+            where = ("data.past" if exc.field == "history_steps"
+                     else f"{section}.{KEY_OF.get(exc.field, exc.field)}")
+            raise ConfigError(f"bad value for {where}: {exc}") from exc
+
+    def geometry(self) -> SceneGeometry:
+        return self._build("data", SceneGeometry)
+
     def vae_config(self) -> VaeConfig:
-        d, v = self.values["data"], self.values["vae"]
-        return VaeConfig(height=d["height"], width=d["width"], frames=d["past"],
-                         patch=v["patch"], hidden=v["hidden"], blocks=v["blocks"],
-                         latent_channels=v["latent_channels"],
-                         temporal_ratio=v["temporal_ratio"])
+        d = self.values["data"]
+        return self._build("vae", VaeConfig, height=d["height"], width=d["width"],
+                           frames=d["past"])
 
     def vae_train_config(self) -> VaeTrainConfig:
-        v = self.values["vae"]
-        return VaeTrainConfig(
-            vae=self.vae_config(), steps=v["steps"], batch=v["batch"], lr=v["lr"],
-            beta=v["beta"], lambda_temporal=v["lambda_temporal"],
-            lambda_spatial=v["lambda_spatial"], huber_delta=v["huber_delta"],
-            neighbor=lb.NeighborSpec(tuple(v["hops"]), tuple(v["hop_weights"])),
-            clip_norm=v["grad_clip"] if v["grad_clip"] > 0 else None)
+        return self._build("vae", VaeTrainConfig, vae=self.vae_config(),
+                           neighbor=self._build("vae", lb.NeighborSpec))
 
     def flow_config(self) -> FlowConfig:
-        d, f = self.values["data"], self.values["flow"]
-        vae = self.vae_config()
-        t_p = d["past"]
-        t_f = d["frames"] - d["past"]
-        return FlowConfig(hidden=f["hidden"], blocks=f["blocks"],
-                          cond_hidden=f["cond_hidden"], time_features=f["time_features"],
-                          history_steps=-(-t_p // vae.temporal_ratio),
-                          future_steps=-(-t_f // vae.temporal_ratio),
-                          latent_channels=vae.latent_channels, n_tokens=vae.n_tokens)
+        d, vae = self.values["data"], self.vae_config()
+        return self._build("flow", FlowConfig,
+                           history_steps=-(-d["past"] // vae.temporal_ratio),
+                           future_steps=-(-(d["frames"] - d["past"]) // vae.temporal_ratio),
+                           latent_channels=vae.latent_channels, n_tokens=vae.n_tokens)
 
     def flow_train_config(self) -> FlowTrainConfig:
-        f = self.values["flow"]
-        return FlowTrainConfig(flow=self.flow_config(), steps=f["steps"], batch=f["batch"],
-                               lr=f["lr"], sigma=f["sigma"], sigma0=f["sigma0"],
-                               anchor_mode=f["anchor_mode"],
-                               token_floor=f["invisible_token_weight"],
-                               clip_norm=f["grad_clip"] if f["grad_clip"] > 0 else None)
+        return self._build("flow", FlowTrainConfig, flow=self.flow_config())
 
     def finetune_config(self) -> FinetuneConfig:
-        f = self.values["finetune"]
-        return FinetuneConfig(steps=f["steps"], lr=f["lr"], sub_batch=f["sub_batch"],
-                              k_steps=f["k_steps"], t_eps=f["t_eps"],
-                              denom_clamp=f["denom_clamp"], w1=f["w1"], w0=f["w0"],
-                              gamma=f["gamma"], lambda_kstep=f["lambda_kstep"])
+        return self._build("finetune", FinetuneConfig)
 
     def sampler_spec(self) -> dict:
-        s = self.values["sampler"]
-        return {"method": s["method"], "steps": s["steps"], "rtol": s["rtol"],
-                "atol": s["atol"]}
+        return dict(self.values["sampler"])

@@ -18,8 +18,15 @@ from . import gradcore as gc
 from . import lossbank as lb
 from .gradcore import Rng, as_tensor
 from .models import (
+    AT_LEAST_0,
+    AT_LEAST_1,
+    CLIP_NORM,
+    FINITE_NONNEGATIVE,
+    FINITE_POSITIVE,
+    Checked,
     FlowConfig,
     VaeConfig,
+    ranged,
     vae_decode,
     vae_encode,
     velocity_forward,
@@ -35,6 +42,10 @@ from .models import (
 from .trajfield import OffsetField
 
 T_EPS = 1e-5
+
+# sample_future's sampler; a partial spec takes the rest from here
+SAMPLER = {"method": "euler", "steps": 10, "rtol": 1e-5, "atol": 1e-8}
+VIS_STEPS, VIS_LR = 300, 1e-2  # train_visibility_head's schedule
 
 
 @dataclass
@@ -157,7 +168,7 @@ def boundary_init(z_hist_last: np.ndarray, future_steps: int, sigma0: float,
 # -- ODE samplers ------------------------------------------------------------
 
 
-def euler_sample(v_fn, z0: np.ndarray, steps: int = 10) -> np.ndarray:
+def euler_sample(v_fn, z0: np.ndarray, steps: int = SAMPLER["steps"]) -> np.ndarray:
     """Forward Euler from t=0 to t=1 on a uniform grid."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -185,8 +196,9 @@ _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
                    187 / 2100, 1 / 40])
 
 
-def dopri5_sample(v_fn, z0: np.ndarray, rtol: float = 1e-5, atol: float = 1e-8,
-                  h_init: float = 0.01, h_min: float = 1e-13) -> np.ndarray:
+def dopri5_sample(v_fn, z0: np.ndarray, rtol: float = SAMPLER["rtol"],
+                  atol: float = SAMPLER["atol"], h_init: float = 0.01,
+                  h_min: float = 1e-13) -> np.ndarray:
     """Adaptive Dormand-Prince 4(5) integration from t=0 to t=1."""
     if rtol <= 0 or atol <= 0:
         raise ValueError("tolerances must be positive")
@@ -295,46 +307,48 @@ VAE_LR_DECAY_SHARE = 0.3
 
 
 @dataclass
-class VaeTrainConfig:
+class VaeTrainConfig(Checked):
     vae: VaeConfig = field(default_factory=VaeConfig)
-    steps: int = 500
-    batch: int = 8
-    lr: float = 2e-5
-    beta: float = 5e-5
-    lambda_temporal: float = 0.1
-    lambda_spatial: float = 0.2
-    huber_delta: float = 1.0
+    steps: int = ranged(500, AT_LEAST_0)
+    batch: int = ranged(8, AT_LEAST_1)
+    lr: float = ranged(2e-5, FINITE_POSITIVE)
+    beta: float = ranged(5e-5, FINITE_NONNEGATIVE)
+    lambda_temporal: float = ranged(0.1, FINITE_NONNEGATIVE)
+    lambda_spatial: float = ranged(0.2, FINITE_NONNEGATIVE)
+    huber_delta: float = ranged(1.0, FINITE_POSITIVE)
     neighbor: lb.NeighborSpec = field(default_factory=lb.NeighborSpec)
     # about the steady-state gradient norm: the large gradients of the first
     # steps would otherwise inflate Adam's second moment and starve later updates
-    clip_norm: float | None = 0.1
+    clip_norm: float | None = ranged(0.1, CLIP_NORM)
 
 
 @dataclass
-class FlowTrainConfig:
+class FlowTrainConfig(Checked):
     flow: FlowConfig = field(default_factory=FlowConfig)
-    steps: int = 1000
-    batch: int = 8
-    lr: float = 6e-5
-    sigma: float = 0.05
-    sigma0: float = 0.1
-    anchor_mode: str = "first-slice"
-    token_floor: float = 0.01
-    clip_norm: float | None = 1.0
+    steps: int = ranged(1000, AT_LEAST_0)
+    batch: int = ranged(8, AT_LEAST_1)
+    lr: float = ranged(6e-5, FINITE_POSITIVE)
+    sigma: float = ranged(0.05, FINITE_NONNEGATIVE)
+    sigma0: float = ranged(0.1, FINITE_NONNEGATIVE)
+    anchor_mode: str = ranged("first-slice", (f"one of {', '.join(ANCHOR_MODES)}",
+                                              lambda v: v in ANCHOR_MODES))
+    token_floor: float = ranged(0.01, FINITE_NONNEGATIVE)
+    clip_norm: float | None = ranged(1.0, CLIP_NORM)
 
 
 @dataclass
-class FinetuneConfig:
-    steps: int = 200
-    lr: float = 1e-5
-    sub_batch: int = 8
-    k_steps: int = 8
-    t_eps: float = T_EPS
-    denom_clamp: float = 1e-3
-    w1: float = 1.0
-    w0: float = 0.5
-    gamma: float = 0.1
-    lambda_kstep: float = 0.1
+class FinetuneConfig(Checked):
+    steps: int = ranged(200, AT_LEAST_0)
+    lr: float = ranged(1e-5, FINITE_POSITIVE)
+    sub_batch: int = ranged(8, AT_LEAST_1)
+    k_steps: int = ranged(8, AT_LEAST_1)
+    # logit_grid clamps times below T_EPS, which would repeat grid points
+    t_eps: float = ranged(T_EPS, (f"in [{T_EPS}, 0.5)", lambda v: T_EPS <= v < 0.5))
+    denom_clamp: float = ranged(1e-3, FINITE_POSITIVE)
+    w1: float = ranged(1.0, FINITE_NONNEGATIVE)
+    w0: float = ranged(0.5, FINITE_NONNEGATIVE)
+    gamma: float = ranged(0.1, FINITE_NONNEGATIVE)
+    lambda_kstep: float = ranged(0.1, FINITE_NONNEGATIVE)
 
 
 @dataclass
@@ -560,7 +574,7 @@ def finetune_onpolicy(bundle: FlowBundle, dataset: PairDataset, flow_cfg: FlowTr
 
 
 def train_visibility_head(latents: np.ndarray, targets: np.ndarray, flow_cfg: FlowConfig,
-                          steps: int = 300, lr: float = 1e-2, seed: int = 0):
+                          steps: int = VIS_STEPS, lr: float = VIS_LR, seed: int = 0):
     """Fit the per-token visibility predictor with logit BCE, on minibatches
     of up to 16 items with the gradient norm clipped at 1.0."""
     rng = gc.rng(seed)
@@ -604,7 +618,7 @@ def sample_future(history: OffsetField, bundle: FlowBundle, sampler: dict | None
         raise ValueError(f"future frames must be in 1..{t_max} (future_steps "
                          f"{flow_cfg.future_steps} x temporal_ratio {vae_cfg.temporal_ratio}), "
                          f"got {t_f}")
-    sampler = sampler or {"method": "euler", "steps": 10}
+    sampler = {**SAMPLER, **(sampler or {})}
     rng = gc.rng(seed)
     z_hist = normalize_latents(
         encode_mean(bundle.vae_params, vae_cfg, history.offsets[None])[0], bundle.stats)
@@ -619,10 +633,9 @@ def sample_future(history: OffsetField, bundle: FlowBundle, sampler: dict | None
         return velocity_forward(z, float(t), cond, wrapped, flow_cfg).data
 
     if sampler["method"] == "euler":
-        z1 = euler_sample(v_fn, z0, steps=sampler.get("steps", 10))
+        z1 = euler_sample(v_fn, z0, steps=sampler["steps"])
     elif sampler["method"] == "dopri5":
-        z1 = dopri5_sample(v_fn, z0, rtol=sampler.get("rtol", 1e-5),
-                           atol=sampler.get("atol", 1e-8))
+        z1 = dopri5_sample(v_fn, z0, rtol=sampler["rtol"], atol=sampler["atol"])
     else:
         raise ValueError(f"unknown sampler {sampler['method']!r}")
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import gradcore as gc
 from .gradcore import Tensor, as_tensor
-from .models import _batched, pool_visibility
+from .models import Checked, FieldError, _batched, pool_visibility, ranged
 
 
 @dataclass
@@ -32,17 +32,17 @@ class SegmentPair:
 
 
 @dataclass
-class NeighborSpec:
+class NeighborSpec(Checked):
     """Multi-hop neighborhood for the spatial consistency term."""
 
-    hops: tuple = (1, 2, 4)
-    weights: tuple = (1.0, 0.5, 0.25)
+    hops: tuple = ranged((1, 2, 4), ("one or more integers >= 1", lambda v: v and min(v) >= 1))
+    weights: tuple = ranged((1.0, 0.5, 0.25),
+                            ("finite numbers > 0", lambda v: all(0 < w < np.inf for w in v)))
 
     def __post_init__(self):
+        super().__post_init__()
         if len(self.hops) != len(self.weights):
-            raise ValueError("hops and weights must pair up")
-        if any(h <= 0 for h in self.hops) or any(w <= 0 for w in self.weights):
-            raise ValueError("hops and weights must be positive")
+            raise FieldError("hops", self.hops, f"one per weight ({len(self.weights)})")
 
 
 def huber(residual: Tensor, delta: float) -> Tensor:

@@ -11,7 +11,7 @@ accept the same dicts wrapped into Tensors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -19,20 +19,52 @@ from . import gradcore as gc
 from .gradcore import Rng, Tensor, as_tensor
 
 
-@dataclass
-class VaeConfig:
-    height: int = 32
-    width: int = 32
-    frames: int = 8          # segment length the VAE trains on
-    patch: int = 8
-    hidden: int = 64
-    blocks: int = 2
-    latent_channels: int = 8
-    temporal_ratio: int = 4
+class FieldError(ValueError):
+    """A module-config field outside its range; `field` names it."""
+
+    def __init__(self, name: str, value, expected: str):
+        super().__init__(f"{name} must be {expected}, got {value!r}")
+        self.field = name
+
+
+# (what a value must be, test) rules for `ranged` fields
+AT_LEAST_0 = ("an integer >= 0", lambda v: v >= 0)
+AT_LEAST_1 = ("an integer >= 1", lambda v: v >= 1)
+FINITE_NONNEGATIVE = ("a finite number >= 0", lambda v: 0 <= v < math.inf)
+FINITE_POSITIVE = ("a finite number > 0", lambda v: 0 < v < math.inf)
+CLIP_NORM = ("None (no clip) or a finite number > 0", lambda v: v is None or 0 < v < math.inf)
+
+
+def ranged(default, rule: tuple):
+    """A dataclass field with a default that `Checked` holds to `rule`."""
+    return field(default=default, metadata={"rule": rule})
+
+
+class Checked:
+    """Base of the module configs: a `ranged` field that fails its rule raises FieldError."""
 
     def __post_init__(self):
+        for f in fields(self):
+            expected, ok = f.metadata.get("rule", ("", lambda v: True))
+            if not ok(getattr(self, f.name)):
+                raise FieldError(f.name, getattr(self, f.name), expected)
+
+
+@dataclass
+class VaeConfig(Checked):
+    height: int = ranged(32, AT_LEAST_1)
+    width: int = ranged(32, AT_LEAST_1)
+    frames: int = ranged(8, AT_LEAST_1)  # segment length the VAE trains on
+    patch: int = ranged(8, AT_LEAST_1)
+    hidden: int = ranged(64, AT_LEAST_1)
+    blocks: int = ranged(2, AT_LEAST_0)
+    latent_channels: int = ranged(8, AT_LEAST_1)
+    temporal_ratio: int = ranged(4, AT_LEAST_1)
+
+    def __post_init__(self):
+        super().__post_init__()
         if self.height % self.patch or self.width % self.patch:
-            raise ValueError(f"patch {self.patch} must divide {self.height}x{self.width}")
+            raise FieldError("patch", self.patch, f"a divisor of {self.height}x{self.width}")
 
     @property
     def tokens_h(self) -> int:
@@ -56,15 +88,16 @@ class VaeConfig:
 
 
 @dataclass
-class FlowConfig:
-    hidden: int = 64
-    blocks: int = 2
-    cond_hidden: int = 32
-    time_features: int = 8
-    history_steps: int = 2   # latent steps of history context (>= 2 for fusion)
-    future_steps: int = 2    # latent steps generated
-    latent_channels: int = 8
-    n_tokens: int = 16
+class FlowConfig(Checked):
+    hidden: int = ranged(64, AT_LEAST_1)
+    blocks: int = ranged(2, AT_LEAST_0)
+    cond_hidden: int = ranged(32, AT_LEAST_1)
+    time_features: int = ranged(8, ("an even integer >= 2", lambda v: v >= 2 and v % 2 == 0))
+    # latent steps of history context; the history cue takes the last two
+    history_steps: int = ranged(2, ("an integer >= 2", lambda v: v >= 2))
+    future_steps: int = ranged(2, AT_LEAST_1)  # latent steps generated
+    latent_channels: int = ranged(8, AT_LEAST_1)
+    n_tokens: int = ranged(16, AT_LEAST_1)
 
 
 # -- parameter initialization ---------------------------------------------

@@ -8,18 +8,26 @@ import numpy as np
 
 from . import motionlab, trajfield
 from .flowgen import PairDataset, SegmentDataset, pairs_from_fields, segments_from_fields
+from .models import AT_LEAST_1, Checked, FieldError, ranged
 from .motionlab import MotionSpec
 
-KIND_MIXES = ("smooth", "translation", "jitter", "mixed-regions")
+KIND_MIXES = ("smooth", "translation", "jitter")
 
 
 @dataclass
-class SceneGeometry:
-    height: int = 32
-    width: int = 32
-    stride: int = 8
-    frames: int = 16
-    past: int = 8
+class SceneGeometry(Checked):
+    height: int = ranged(32, AT_LEAST_1)
+    width: int = ranged(32, AT_LEAST_1)
+    stride: int = ranged(8, AT_LEAST_1)
+    frames: int = ranged(16, AT_LEAST_1)
+    past: int = ranged(8, AT_LEAST_1)
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.past >= self.frames:
+            raise FieldError("past", self.past, f"less than frames ({self.frames})")
+        if self.height % self.stride or self.width % self.stride:
+            raise FieldError("stride", self.stride, f"a divisor of {self.height}x{self.width}")
 
 
 def scene_specs(kind_mix: str, n: int, seed: int, geom: SceneGeometry,

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -166,9 +167,34 @@ class TestConfig:
         assert cfg["vae"]["hops"] == (1, 2, 4)
         assert cfg["vae"]["hop_weights"] == (1.0, 0.5, 0.25)
 
-    def test_vae_grad_clip_default_matches_training_default(self):
-        assert RunConfig.default().vae_train_config().clip_norm == \
-            flowgen.VaeTrainConfig().clip_norm
+    def test_module_configs_take_the_dataclass_defaults(self):
+        cfg = RunConfig.default()
+        assert cfg.vae_train_config() == flowgen.VaeTrainConfig()
+        assert cfg.flow_train_config() == flowgen.FlowTrainConfig()
+        assert cfg.finetune_config() == flowgen.FinetuneConfig()
+        spec = cfg.sampler_spec()
+        euler, dopri5, vis = (inspect.signature(f).parameters for f in (
+            flowgen.euler_sample, flowgen.dopri5_sample, flowgen.train_visibility_head))
+        assert spec == flowgen.SAMPLER and spec["method"] == "euler"
+        assert spec["steps"] == euler["steps"].default
+        assert (spec["rtol"], spec["atol"]) == (dopri5["rtol"].default, dopri5["atol"].default)
+        assert (cfg["flow"]["vis_steps"], cfg["flow"]["vis_lr"]) == \
+            (vis["steps"].default, vis["lr"].default)
+
+    def test_preset_hashes_are_pinned(self):
+        assert RunConfig.desk().sha256() == \
+            "ce3e7009cd6c3707b9d3254cb108b7ab2d5bc63edf761227ab72be5a92eea4ed"
+        assert RunConfig.default().sha256() == \
+            "a08d0adb3db8751253fa33a61623456059a7a463ee5d867e0935a19fa57366c0"
+
+    @pytest.mark.parametrize("section", ["vae", "flow"])
+    def test_grad_clip_zero_is_the_only_no_clip(self, section):
+        convert = {"vae": RunConfig.vae_train_config, "flow": RunConfig.flow_train_config}[section]
+        assert convert(RunConfig.loads(f"[{section}]\ngrad_clip = 0\n")).clip_norm is None
+        assert convert(RunConfig.loads(f"[{section}]\ngrad_clip = 0.5\n")).clip_norm == 0.5
+        for bad in ("-1", "nan", "inf"):
+            with pytest.raises(ConfigError, match=rf"{section}\.grad_clip: "):
+                RunConfig.loads(f"[{section}]\ngrad_clip = {bad}\n")
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -271,6 +297,52 @@ class TestSynthAndConversions:
         cfg.write_text("[vae]\nsteps = 0\n")
         assert run("train-vae", "--config", cfg, "--out", tmp_path) == 3
         assert not (tmp_path / "vae.ckpt").exists()
+
+
+def _bad_value(key, value):
+    """A config setting `key` ("section.name") to `value`, run by the first
+    command that reads that section."""
+    section, name = key.split(".")
+    command = {"flow": "train-flow", "finetune": "finetune"}.get(section, "train-vae")
+    return pytest.param(command, f"[{section}]\n{name} = {value}\n".encode(), f"{key}: ",
+                        id=f"{key}={value}")
+
+
+# (command, config bytes, what stderr must name); each fails at load
+MALFORMED_CONFIGS = [
+    pytest.param("train-vae", b"[vae]\nlr = 1\nlr = 2\n", "vae.lr: ", id="duplicate-key"),
+    pytest.param("train-vae", b"[run]\nout = a%b\n", "run.out: ", id="interpolation"),
+    pytest.param("train-vae", b"[vae]\nlr = 1\n[vae]\nbatch = 2\n", "section 'vae'",
+                 id="duplicate-section"),
+    pytest.param("train-vae", b"lr = 1\n", "lr = 1", id="no-section-header"),
+    pytest.param("train-vae", b"[DEFAULT]\nsteps = 2\n", "unknown section [DEFAULT]",
+                 id="default-section"),
+    pytest.param("train-vae", b"[vae]\nlr = 1\xff\n", "utf-8", id="not-utf8"),
+    pytest.param("train-vae", b"[vae]\nhops = 0\nhop_weights = 1\n", "vae.hops: ",
+                 id="zero-hop"),
+    *[_bad_value(key, value) for key, value in [
+        ("vae.patch", 0), ("vae.temporal_ratio", 0), ("data.scenes", 0), ("data.scenes", -1),
+        ("data.past", 0), ("data.past", 16), ("data.past", 4), ("data.stride", 3),
+        ("vae.batch", 0), ("vae.hidden", 0), ("vae.hops", 0), ("vae.hops", "1 2"),
+        ("vae.lr", -1), ("vae.grad_clip", "nan"), ("vae.grad_clip", -1), ("flow.batch", 0),
+        ("finetune.k_steps", 0), ("run.seed", -1), ("data.kind", "mixed-regions")]],
+]
+
+
+class TestMalformedConfig:
+    @pytest.mark.parametrize("command,body,needle", MALFORMED_CONFIGS)
+    def test_exits_3_naming_the_key_and_writes_nothing(self, tmp_path, capsys, command, body,
+                                                       needle):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(body)
+        out = tmp_path / "out"
+        extra = {"train-flow": ["--vae", tmp_path / "absent.ckpt"],
+                 "finetune": ["--ckpt", tmp_path / "absent.ckpt"]}.get(command, [])
+        assert run(command, "--config", cfg, *extra, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert needle in err and str(cfg) in err
+        assert not out.exists()
 
 
 def _bundle_parts():
@@ -411,6 +483,13 @@ class TestMalformedBundle:
                    "--out", tmp_path)
         assert code == 2
         assert str(path) in capsys.readouterr().err
+
+    def test_train_flow_rejects_zero_patch(self, tmp_path, capsys):
+        path = tmp_path / "vae.ckpt"
+        tlf.save_checkpoint(path, {"vae/enc.w": np.ones(2)},
+                            {"vae_cfg": {**asdict(VaeConfig()), "patch": 0}})
+        assert run("train-flow", "--vae", path, "--out", tmp_path) == 2
+        assert "bad vae_cfg metadata: patch must be" in capsys.readouterr().err
 
     def test_train_flow_rejects_extra_vae_cfg_key(self, tmp_path, capsys):
         path = tmp_path / "vae.ckpt"
@@ -630,6 +709,15 @@ class TestManifest:
         again = json.loads((tmp_path / "again" / "manifest.json").read_text())
         assert again["config_sha256"] == hashes[0]
 
+    def test_outputs_outside_out_are_recorded_relative_to_it(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        for argv, written in [(["synth", a / "x.tlf", "--frames", 4], a / "x.tlf"),
+                              (["offsets", a / "x.tlf", a / "o.tlf"], a / "o.tlf")]:
+            assert run(*argv, "--out", b) == 0
+            outputs = json.loads((b / "manifest.json").read_text())["outputs"]
+            assert outputs == [os.path.join("..", "a", written.name)]
+            assert (b / outputs[0]).resolve() == written.resolve()
+
     def test_reused_parser_leaks_no_state(self, tmp_path):
         cli.build_parser.cache_clear()
         scene = tmp_path / "s.tlf"
@@ -646,14 +734,17 @@ class TestProcess:
         src = str(Path(trajkit.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-        garbage, cfg = tmp_path / "bad.tlf", tmp_path / "bad.cfg"
+        garbage, cfg, dup = tmp_path / "bad.tlf", tmp_path / "bad.cfg", tmp_path / "dup.cfg"
         garbage.write_bytes(b"garbage")
         cfg.write_text("[vae]\nnot_a_key = 3\n")
+        dup.write_text("[vae]\nlr = 1\nlr = 2\n")
         for code, argv in [(0, ["synth", tmp_path / "s.tlf", "--frames", 4]),
                            (1, ["synth"]),
                            (2, ["rasterize", garbage, tmp_path / "r.tlf"]),
-                           (3, ["train-vae", "--config", cfg])]:
+                           (3, ["train-vae", "--config", cfg]),
+                           (3, ["train-vae", "--config", dup])]:
             proc = subprocess.run([sys.executable, "-m", "trajkit.cli", *map(str, argv),
                                    "--out", str(tmp_path / "runs")],
                                   env=env, capture_output=True, text=True, timeout=120)
             assert proc.returncode == code, (argv, proc.stderr)
+            assert "Traceback" not in proc.stderr

@@ -19,7 +19,32 @@ from trajkit.flowgen import (
     sample_future,
     sample_time,
 )
-from trajkit.models import wrap_params
+from trajkit.models import FieldError, FlowConfig, VaeConfig, wrap_params
+from trajkit.scenes import SceneGeometry
+
+
+class TestModuleConfigChecks:
+    @pytest.mark.parametrize("cls,field,value", [pytest.param(
+        cls, field, value, id=f"{cls.__name__}.{field}={value!r}") for cls, field, value in [
+            (VaeConfig, "patch", 0), (VaeConfig, "patch", 3), (VaeConfig, "temporal_ratio", 0),
+            (FlowConfig, "history_steps", 1), (FlowConfig, "time_features", 5),
+            (lb.NeighborSpec, "hops", (1, 2)), (lb.NeighborSpec, "hops", (0, 1, 2)),
+            (lb.NeighborSpec, "weights", (1.0, float("nan"), 1.0)),
+            (flowgen.VaeTrainConfig, "lr", -1.0), (flowgen.VaeTrainConfig, "clip_norm", 0.0),
+            (flowgen.VaeTrainConfig, "steps", -1), (flowgen.FlowTrainConfig, "batch", 0),
+            (flowgen.FlowTrainConfig, "clip_norm", float("nan")),
+            (flowgen.FlowTrainConfig, "anchor_mode", "bogus"),
+            (flowgen.FinetuneConfig, "k_steps", 0), (flowgen.FinetuneConfig, "t_eps", 0.0),
+            (SceneGeometry, "past", 16), (SceneGeometry, "stride", 3)]])
+    def test_bad_field_raises_naming_it(self, cls, field, value):
+        with pytest.raises(FieldError, match=f"^{field} must be") as info:
+            cls(**{field: value})
+        assert info.value.field == field
+
+    def test_zero_steps_and_no_clip_are_allowed(self):
+        assert flowgen.VaeTrainConfig(steps=0, clip_norm=None).clip_norm is None
+        assert flowgen.FlowTrainConfig(steps=0).steps == 0
+        assert flowgen.FinetuneConfig(steps=0).steps == 0
 
 
 class TestTimeGrid:
