@@ -141,21 +141,6 @@ def cmd_train_vae(args, cfg, out_dir) -> list:
     return ["vae.ckpt", "vae_loss.csv"]
 
 
-def _meta_config(cls, meta: dict, key: str, path):
-    """A model config rebuilt from checkpoint metadata.  Every field must be
-    present (a default would silently describe another model) and no other."""
-    value = meta[key]
-    names = {f.name for f in fields(cls)}
-    if not isinstance(value, dict) or set(value) != names:
-        got = set(value) if isinstance(value, dict) else set()
-        raise TlfError(f"{path}: {key} metadata does not match {cls.__name__}: "
-                       f"missing {sorted(names - got)}, unknown {sorted(got - names)}")
-    try:
-        return cls(**value)
-    except (TypeError, ValueError) as exc:
-        raise TlfError(f"{path}: bad {key} metadata: {exc}") from exc
-
-
 def _check_blocks(path, prefix: str, params: dict, want: dict) -> None:
     """Raise TlfError unless `params` holds exactly the blocks of `want`, each
     of its shape; the message names the first block that is missing, extra or
@@ -170,14 +155,33 @@ def _check_blocks(path, prefix: str, params: dict, want: dict) -> None:
                            f"expected {want[name].shape}")
 
 
-def _load_vae(path):
-    blocks, meta = tlf.load_checkpoint(path)
-    params = {k[len("vae/"):]: v for k, v in blocks.items() if k.startswith("vae/")}
-    if not params or "vae_cfg" not in meta:
-        raise TlfError(f"{path}: missing VAE parameters")
-    cfg = _meta_config(VaeConfig, meta, "vae_cfg", path)
-    _check_blocks(path, "vae", params, init_vae_params(cfg, gc.rng(0)))
+def _blocks(blocks: dict, part: str) -> dict:
+    """The `<part>/` blocks of a checkpoint, keyed without the prefix."""
+    return {k[len(part) + 1:]: v for k, v in blocks.items() if k.startswith(f"{part}/")}
+
+
+def _read_part(path, blocks: dict, meta: dict, part: str, cls, init):
+    """(params, config) of a checkpoint part: its `<part>_cfg` metadata as `cls`,
+    which must hold every field (a default would silently describe another model)
+    and no other, and its `<part>/` blocks, exactly those that `init(config, rng)` makes."""
+    key = f"{part}_cfg"
+    value, names = meta.get(key), {f.name for f in fields(cls)}
+    if not isinstance(value, dict) or set(value) != names:
+        got = set(value) if isinstance(value, dict) else set()
+        raise TlfError(f"{path}: {key} metadata does not match {cls.__name__}: "
+                       f"missing {sorted(names - got)}, unknown {sorted(got - names)}")
+    try:
+        cfg = cls(**value)
+    except ValueError as exc:
+        raise TlfError(f"{path}: bad {key} metadata: {exc}") from exc
+    params = _blocks(blocks, part)
+    _check_blocks(path, part, params, init(cfg, gc.rng(0)))
     return params, cfg
+
+
+def _load_vae(path):
+    """The VAE of a VAE checkpoint or of a bundle."""
+    return _read_part(path, *tlf.load_checkpoint(path), "vae", VaeConfig, init_vae_params)
 
 
 def save_bundle(path, bundle: flowgen.FlowBundle, seed) -> None:
@@ -187,49 +191,33 @@ def save_bundle(path, bundle: flowgen.FlowBundle, seed) -> None:
         blocks.update({f"vis/{k}": v for k, v in bundle.vis_params.items()})
     blocks["stats/mean"] = bundle.stats.mean
     blocks["stats/std"] = bundle.stats.std
-    meta = {"vae_cfg": asdict(bundle.vae_cfg), "flow_cfg": asdict(bundle.flow_cfg),
-            "sigma0": bundle.sigma0, "anchor_mode": bundle.anchor_mode, "seed": seed}
+    meta = {"vae_cfg": asdict(bundle.vae_cfg), "flow_cfg": asdict(bundle.flow_cfg), "seed": seed}
     tlf.save_checkpoint(path, blocks, meta)
 
 
 def load_bundle(path) -> flowgen.FlowBundle:
     blocks, meta = tlf.load_checkpoint(path)
-    needed = ("vae_cfg", "flow_cfg", "sigma0", "anchor_mode")
-    if any(k not in meta for k in needed):
-        raise TlfError(f"{path}: not a flow bundle checkpoint")
-    split = {"vae": {}, "flow": {}, "vis": {}, "stats": {}}
-    for name, arr in blocks.items():
-        prefix, _, rest = name.partition("/")
-        if prefix not in split:
+    for name in blocks:
+        if name.partition("/")[0] not in ("vae", "flow", "vis", "stats"):
             raise TlfError(f"{path}: unknown block {name!r}")
-        split[prefix][rest] = arr
-    vae_cfg = _meta_config(VaeConfig, meta, "vae_cfg", path)
-    flow_cfg = _meta_config(FlowConfig, meta, "flow_cfg", path)
+    vae_params, vae_cfg = _read_part(path, blocks, meta, "vae", VaeConfig, init_vae_params)
+    flow_params, flow_cfg = _read_part(path, blocks, meta, "flow", FlowConfig,
+                                       init_velocity_params)
     for name in ("latent_channels", "n_tokens"):
         if getattr(flow_cfg, name) != getattr(vae_cfg, name):
             raise TlfError(f"{path}: flow_cfg.{name} {getattr(flow_cfg, name)} differs from "
                            f"vae_cfg.{name} {getattr(vae_cfg, name)}")
-    if meta["anchor_mode"] not in flowgen.ANCHOR_MODES:
-        raise TlfError(f"{path}: anchor_mode {meta['anchor_mode']!r} is not one of "
-                       f"{', '.join(flowgen.ANCHOR_MODES)}")
-    sigma0 = meta["sigma0"]
-    if isinstance(sigma0, bool) or not isinstance(sigma0, (int, float)) or not 0 <= sigma0 < np.inf:
-        raise TlfError(f"{path}: sigma0 {sigma0!r} is not a finite number >= 0")
-    rng, channels = gc.rng(0), np.zeros(vae_cfg.latent_channels)
-    _check_blocks(path, "vae", split["vae"], init_vae_params(vae_cfg, rng))
-    _check_blocks(path, "flow", split["flow"], init_velocity_params(flow_cfg, rng))
-    if split["vis"]:  # the visibility head is optional
-        _check_blocks(path, "vis", split["vis"], init_visibility_params(flow_cfg, rng))
-    _check_blocks(path, "stats", split["stats"], {"mean": channels, "std": channels})
+    vis_params, stats = _blocks(blocks, "vis"), _blocks(blocks, "stats")
+    if vis_params:  # the visibility head is optional
+        _check_blocks(path, "vis", vis_params, init_visibility_params(flow_cfg, gc.rng(0)))
+    channels = np.zeros(vae_cfg.latent_channels)
+    _check_blocks(path, "stats", stats, {"mean": channels, "std": channels})
     try:
-        stats = flowgen.LatentStats(split["stats"]["mean"], split["stats"]["std"])
+        stats = flowgen.LatentStats(stats["mean"], stats["std"])
     except ValueError as exc:
         raise TlfError(f"{path}: {exc}") from exc
-    return flowgen.FlowBundle(
-        vae_cfg=vae_cfg, flow_cfg=flow_cfg,
-        vae_params=split["vae"], flow_params=split["flow"], stats=stats,
-        vis_params=split["vis"] or None,
-        sigma0=meta["sigma0"], anchor_mode=meta["anchor_mode"])
+    return flowgen.FlowBundle(vae_cfg, flow_cfg, vae_params, flow_params, stats,
+                              vis_params or None)
 
 
 def cmd_train_flow(args, cfg, out_dir) -> list:

@@ -24,6 +24,7 @@ from .models import (
     FINITE_NONNEGATIVE,
     FINITE_POSITIVE,
     Checked,
+    FieldError,
     FlowConfig,
     VaeConfig,
     ranged,
@@ -140,28 +141,22 @@ def interpolate(z0: np.ndarray, z1: np.ndarray, t, sigma: float, rng: Rng):
     return z_t, z1 - z0
 
 
-ANCHOR_MODES = ("first-slice", "all-slices")
+def boundary_init(z_hist_last: np.ndarray, cfg: FlowConfig, rng: Rng) -> np.ndarray:
+    """Source state of the flow `cfg`: unit Gaussian with the boundary latent anchored in.
 
-
-def boundary_init(z_hist_last: np.ndarray, future_steps: int, sigma0: float,
-                  rng: Rng, anchor_mode: str = "first-slice") -> np.ndarray:
-    """Source state: unit Gaussian with the boundary latent anchored in.
-
-    first-slice (default) anchors only latent step k=0; all-slices repeats
-    the boundary latent across the whole horizon.
+    first-slice anchors only latent step k=0; all-slices repeats the boundary
+    latent across the whole horizon; either adds noise `cfg.sigma0` to it.
     """
     z_last = np.asarray(z_hist_last, dtype=np.float64)
     single = z_last.ndim == 2
     if single:
         z_last = z_last[None]
     b, n, c = z_last.shape
-    if anchor_mode == "first-slice":
-        z0 = rng.draw_normal((b, future_steps, n, c))
-        z0[:, 0] = z_last + sigma0 * rng.draw_normal((b, n, c))
-    elif anchor_mode == "all-slices":
-        z0 = z_last[:, None] + sigma0 * rng.draw_normal((b, future_steps, n, c))
-    else:
-        raise ValueError(f"unknown anchor_mode {anchor_mode!r}")
+    if cfg.anchor_mode == "first-slice":
+        z0 = rng.draw_normal((b, cfg.future_steps, n, c))
+        z0[:, 0] = z_last + cfg.sigma0 * rng.draw_normal((b, n, c))
+    else:  # all-slices, the one other mode FlowConfig admits
+        z0 = z_last[:, None] + cfg.sigma0 * rng.draw_normal((b, cfg.future_steps, n, c))
     return z0[0] if single else z0
 
 
@@ -321,6 +316,12 @@ class VaeTrainConfig(Checked):
     # steps would otherwise inflate Adam's second moment and starve later updates
     clip_norm: float | None = ranged(0.1, CLIP_NORM)
 
+    def __post_init__(self):
+        super().__post_init__()
+        side = max(self.vae.height, self.vae.width)  # spatial_loss may use one axis only
+        if max(self.neighbor.hops) >= side:
+            raise FieldError("hops", self.neighbor.hops, f"below the frame's longer side {side}")
+
 
 @dataclass
 class FlowTrainConfig(Checked):
@@ -329,9 +330,6 @@ class FlowTrainConfig(Checked):
     batch: int = ranged(8, AT_LEAST_1)
     lr: float = ranged(6e-5, FINITE_POSITIVE)
     sigma: float = ranged(0.05, FINITE_NONNEGATIVE)
-    sigma0: float = ranged(0.1, FINITE_NONNEGATIVE)
-    anchor_mode: str = ranged("first-slice", (f"one of {', '.join(ANCHOR_MODES)}",
-                                              lambda v: v in ANCHOR_MODES))
     token_floor: float = ranged(0.01, FINITE_NONNEGATIVE)
     clip_norm: float | None = ranged(1.0, CLIP_NORM)
 
@@ -361,8 +359,6 @@ class FlowBundle:
     flow_params: dict
     stats: LatentStats
     vis_params: dict | None = None
-    sigma0: float = 0.1
-    anchor_mode: str = "first-slice"
 
 
 # -- the shared training loop ---------------------------------------------------
@@ -479,8 +475,7 @@ def _flow_inputs(dataset: PairDataset, vae_params: dict, vae_cfg: VaeConfig,
 def flow_step_loss(flow_params, z_p, z_f, vis_tok, weights, cfg: FlowTrainConfig,
                    rng: Rng):
     b = z_f.shape[0]
-    k_f = cfg.flow.future_steps
-    z0 = boundary_init(z_p[:, -1], k_f, cfg.sigma0, rng, cfg.anchor_mode)
+    z0 = boundary_init(z_p[:, -1], cfg.flow, rng)
     t = np.array([sample_time(rng) for _ in range(b)])
     z_t, u_t = interpolate(z0, z_f, t, cfg.sigma, rng)
     cond = {"z_hist": z_p, "visibility": vis_tok}
@@ -503,18 +498,22 @@ def train_flow(dataset: PairDataset, vae_params: dict, vae_cfg: VaeConfig,
 
     flow_params, curve = _fit("train_flow", flow_params, step_loss, rng, cfg.steps,
                               len(dataset), cfg.batch, cfg.lr, cfg.clip_norm)
-    bundle = FlowBundle(vae_cfg, cfg.flow, vae_params, flow_params, stats,
-                        sigma0=cfg.sigma0, anchor_mode=cfg.anchor_mode)
-    return bundle, curve
+    return FlowBundle(vae_cfg, cfg.flow, vae_params, flow_params, stats), curve
+
+
+def _bundle_inputs(bundle: FlowBundle, dataset: PairDataset, cfg: FlowTrainConfig):
+    """`cfg` with the bundle's flow model, and `_flow_inputs` under the bundle's VAE and
+    latent statistics: a bundle is trained and scored as it samples."""
+    cfg = replace(cfg, flow=bundle.flow_cfg)
+    return cfg, _flow_inputs(dataset, bundle.vae_params, bundle.vae_cfg, cfg, bundle.stats)
 
 
 def eval_fm_loss(bundle: FlowBundle, dataset: PairDataset, cfg: FlowTrainConfig,
                  seed: int = 1234, flow_params: dict | None = None) -> float:
-    """Deterministic held-out flow-matching loss (fixed noise/time draws)."""
+    """Deterministic held-out flow-matching loss of the bundle's model (fixed noise/time draws)."""
     rng = gc.rng(seed)
     params = flow_params if flow_params is not None else bundle.flow_params
-    z_p, z_f, _, vis_tok, weights = _flow_inputs(dataset, bundle.vae_params, bundle.vae_cfg,
-                                                 cfg, bundle.stats)
+    cfg, (z_p, z_f, _, vis_tok, weights) = _bundle_inputs(bundle, dataset, cfg)
     wrapped = wrap_params(params, requires_grad=False)
     loss, _ = flow_step_loss(wrapped, z_p, z_f, vis_tok, weights, cfg, rng)
     return float(loss)
@@ -527,15 +526,12 @@ def finetune_onpolicy(bundle: FlowBundle, dataset: PairDataset, flow_cfg: FlowTr
                       cfg: FinetuneConfig, seed: int = 0):
     """Continue flow training with the K-step rollout objective on a sub-batch.
 
-    The architecture, `sigma0` and `anchor_mode` are the bundle's; `flow_cfg`
+    The flow model, source distribution included, is the bundle's; `flow_cfg`
     supplies only the training settings (tube noise, token floor, batch, clip).
     """
-    flow_cfg = replace(flow_cfg, flow=bundle.flow_cfg, sigma0=bundle.sigma0,
-                       anchor_mode=bundle.anchor_mode)
     rng = gc.rng(seed)
     flow_params = {k: v.copy() for k, v in bundle.flow_params.items()}
-    z_p, z_f, _, vis_tok, weights = _flow_inputs(dataset, bundle.vae_params, bundle.vae_cfg,
-                                                 flow_cfg, bundle.stats)
+    flow_cfg, (z_p, z_f, _, vis_tok, weights) = _bundle_inputs(bundle, dataset, flow_cfg)
     grid = logit_grid(cfg.k_steps, cfg.t_eps)
 
     def step_loss(wrapped, idx):
@@ -625,8 +621,7 @@ def sample_future(history: OffsetField, bundle: FlowBundle, sampler: dict | None
     vis_tok = pool_visibility(history.mask, vae_cfg.token_grid(history.frames), reduce="mean",
                               ratio=vae_cfg.temporal_ratio)
     cond = {"z_hist": z_hist, "visibility": vis_tok}
-    z0 = boundary_init(z_hist[-1], flow_cfg.future_steps, bundle.sigma0, rng,
-                       bundle.anchor_mode)
+    z0 = boundary_init(z_hist[-1], flow_cfg, rng)
     wrapped = wrap_params(bundle.flow_params, requires_grad=False)
 
     def v_fn(z, t):

@@ -27,12 +27,19 @@ class FieldError(ValueError):
         self.field = name
 
 
+def _is(v, kinds: tuple) -> bool:  # a bool is an int to Python, but no number here
+    return isinstance(v, kinds) and not isinstance(v, bool)
+
+
 # (what a value must be, test) rules for `ranged` fields
-AT_LEAST_0 = ("an integer >= 0", lambda v: v >= 0)
-AT_LEAST_1 = ("an integer >= 1", lambda v: v >= 1)
-FINITE_NONNEGATIVE = ("a finite number >= 0", lambda v: 0 <= v < math.inf)
-FINITE_POSITIVE = ("a finite number > 0", lambda v: 0 < v < math.inf)
-CLIP_NORM = ("None (no clip) or a finite number > 0", lambda v: v is None or 0 < v < math.inf)
+_INTEGER, _REAL = (int, np.integer), (int, float, np.integer, np.floating)
+AT_LEAST_0 = ("an integer >= 0", lambda v: _is(v, _INTEGER) and v >= 0)
+AT_LEAST_1 = ("an integer >= 1", lambda v: _is(v, _INTEGER) and v >= 1)
+FINITE_NONNEGATIVE = ("a finite number >= 0", lambda v: _is(v, _REAL) and 0 <= v < math.inf)
+FINITE_POSITIVE = ("a finite number > 0", lambda v: _is(v, _REAL) and 0 < v < math.inf)
+CLIP_NORM = ("None (no clip) or a finite number > 0",
+             lambda v: v is None or FINITE_POSITIVE[1](v))
+ANCHOR_MODES = ("first-slice", "all-slices")  # of FlowConfig.anchor_mode
 
 
 def ranged(default, rule: tuple):
@@ -92,12 +99,18 @@ class FlowConfig(Checked):
     hidden: int = ranged(64, AT_LEAST_1)
     blocks: int = ranged(2, AT_LEAST_0)
     cond_hidden: int = ranged(32, AT_LEAST_1)
-    time_features: int = ranged(8, ("an even integer >= 2", lambda v: v >= 2 and v % 2 == 0))
+    time_features: int = ranged(8, ("an even integer >= 2",
+                                    lambda v: _is(v, _INTEGER) and v >= 2 and v % 2 == 0))
     # latent steps of history context; the history cue takes the last two
-    history_steps: int = ranged(2, ("an integer >= 2", lambda v: v >= 2))
+    history_steps: int = ranged(2, ("an integer >= 2", lambda v: _is(v, _INTEGER) and v >= 2))
     future_steps: int = ranged(2, AT_LEAST_1)  # latent steps generated
     latent_channels: int = ranged(8, AT_LEAST_1)
     n_tokens: int = ranged(16, AT_LEAST_1)
+    # the source state boundary_init draws: noise on the boundary latent, and
+    # whether it anchors the first future latent step or all of them
+    sigma0: float = ranged(0.1, FINITE_NONNEGATIVE)
+    anchor_mode: str = ranged("first-slice", (f"one of {', '.join(ANCHOR_MODES)}",
+                                              lambda v: v in ANCHOR_MODES))
 
 
 # -- parameter initialization ---------------------------------------------

@@ -8,6 +8,7 @@ test-artifacts/acceptance_results.json for regression tracking.
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -159,7 +160,7 @@ def endpoint_latent_error(bundle, pairs, seed_base: int) -> float:
     errs = []
     for i in range(len(pairs)):
         rng = gc.rng(seed_base + i)
-        z0 = boundary_init(z_p[i, -1], bundle.flow_cfg.future_steps, bundle.sigma0, rng)
+        z0 = boundary_init(z_p[i, -1], bundle.flow_cfg, rng)
         cond = {"z_hist": z_p[i], "visibility": vis_tok[i]}
 
         def v_fn(z, t):
@@ -436,7 +437,7 @@ def test_criterion_07_flow_run(vae_cfg, flow_cfg, flow_runs):
 def test_criterion_08_boundary_and_fusion_invariants(flow_cfg):
     with report(8, "anchoring, fusion identity, detached rollout, time mixture"):
         z_last = gc.rng(0).draw_normal((16, 8))
-        z0 = boundary_init(z_last, 2, 0.0, gc.rng(1))
+        z0 = boundary_init(z_last, replace(flow_cfg, sigma0=0.0), gc.rng(1))
         assert np.array_equal(z0[0], z_last)
 
         vel_params = wrap_params(init_velocity_params(flow_cfg, gc.rng(2)),

@@ -320,6 +320,9 @@ MALFORMED_CONFIGS = [
     pytest.param("train-vae", b"[vae]\nlr = 1\xff\n", "utf-8", id="not-utf8"),
     pytest.param("train-vae", b"[vae]\nhops = 0\nhop_weights = 1\n", "vae.hops: ",
                  id="zero-hop"),
+    *[pytest.param("train-vae", f"[vae]\nhops = {hops}\nhop_weights = {weights}\n".encode(),
+                   "vae.hops: hops must be below the frame's longer side 32", id=f"hops={hops}")
+      for hops, weights in [("64", "1"), ("1 64", "1 1")]],
     *[_bad_value(key, value) for key, value in [
         ("vae.patch", 0), ("vae.temporal_ratio", 0), ("data.scenes", 0), ("data.scenes", -1),
         ("data.past", 0), ("data.past", 16), ("data.past", 4), ("data.stride", 3),
@@ -352,8 +355,7 @@ def _bundle_parts():
     blocks = {f"vae/{k}": v for k, v in init_vae_params(VaeConfig(), rng).items()}
     blocks.update({f"flow/{k}": v for k, v in init_velocity_params(FlowConfig(), rng).items()})
     blocks.update({"stats/mean": np.zeros(8), "stats/std": np.ones(8)})
-    meta = {"vae_cfg": asdict(VaeConfig()), "flow_cfg": asdict(FlowConfig()),
-            "sigma0": 0.1, "anchor_mode": "first-slice", "seed": 0}
+    meta = {"vae_cfg": asdict(VaeConfig()), "flow_cfg": asdict(FlowConfig()), "seed": 0}
     return blocks, meta
 
 
@@ -416,17 +418,17 @@ def _flow_cfg_of(**changes):  # flow config and matching flow blocks, out of ste
     return corrupt
 
 
-def _meta_value(key, value):
+def _flow_cfg_value(key, value):
     def corrupt(blocks, meta):
-        meta[key] = value
+        meta["flow_cfg"][key] = value
     return corrupt
 
 
 BAD_META = [pytest.param(corrupt, field, id=name) for corrupt, field, name in [
     (_flow_cfg_of(latent_channels=4), "latent_channels", "latent_channels"),
     (_flow_cfg_of(n_tokens=8), "n_tokens", "n_tokens"),
-    (_meta_value("anchor_mode", "bogus"), "anchor_mode", "anchor_mode"),
-    *[(_meta_value("sigma0", v), "sigma0", f"sigma0={v!r}")
+    (_flow_cfg_value("anchor_mode", "bogus"), "anchor_mode", "anchor_mode"),
+    *[(_flow_cfg_value("sigma0", v), "sigma0", f"sigma0={v!r}")
       for v in (-0.1, float("nan"), float("inf"), "0.1", True)]]]
 
 
@@ -483,6 +485,29 @@ class TestMalformedBundle:
                    "--out", tmp_path)
         assert code == 2
         assert str(path) in capsys.readouterr().err
+
+    def test_bundle_of_the_old_layout_gives_exit_2(self, tmp_path, capsys):
+        # sigma0 and anchor_mode were top-level keys before FlowConfig held them
+        blocks, meta = _bundle_parts()
+        for key in ("sigma0", "anchor_mode"):
+            meta[key] = meta["flow_cfg"].pop(key)
+        path = tmp_path / "old.ckpt"
+        tlf.save_checkpoint(path, blocks, meta)
+        assert run("sample", "--ckpt", path, "--history", tmp_path / "absent.tlf",
+                   "--out", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err and "flow_cfg" in err and "sigma0" in err
+
+    @pytest.mark.parametrize("patch", [8.0, "8", True, None])
+    def test_train_flow_rejects_a_patch_that_is_no_integer(self, tmp_path, capsys, patch):
+        path = tmp_path / "vae.ckpt"
+        tlf.save_checkpoint(path, {"vae/enc.w": np.ones(2)},
+                            {"vae_cfg": {**asdict(VaeConfig()), "patch": patch}})
+        assert run("train-flow", "--vae", path, "--out", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "bad vae_cfg metadata: patch must be an integer >= 1" in err
 
     def test_train_flow_rejects_zero_patch(self, tmp_path, capsys):
         path = tmp_path / "vae.ckpt"
@@ -586,9 +611,9 @@ class TestBundleIO:
         path = tmp_path / "bundle.ckpt"
         save_bundle(path, bundle, seed=3)
         loaded = load_bundle(path)
+        assert sorted(tlf.load_checkpoint(path)[1]) == ["flow_cfg", "seed", "vae_cfg"]
         assert loaded.vae_cfg == bundle.vae_cfg
         assert loaded.flow_cfg == bundle.flow_cfg
-        assert loaded.anchor_mode == bundle.anchor_mode
         for k, v in bundle.flow_params.items():
             assert np.allclose(loaded.flow_params[k], v.astype(np.float32), atol=1e-7)
 
@@ -738,9 +763,14 @@ class TestProcess:
         garbage.write_bytes(b"garbage")
         cfg.write_text("[vae]\nnot_a_key = 3\n")
         dup.write_text("[vae]\nlr = 1\nlr = 2\n")
+        vae = tmp_path / "vae.ckpt"  # a float where the config needs an integer
+        tlf.save_checkpoint(vae, {f"vae/{k}": v for k, v in
+                                  init_vae_params(VaeConfig(), gc.rng(0)).items()},
+                            {"vae_cfg": {**asdict(VaeConfig()), "patch": 8.0}, "seed": 0})
         for code, argv in [(0, ["synth", tmp_path / "s.tlf", "--frames", 4]),
                            (1, ["synth"]),
                            (2, ["rasterize", garbage, tmp_path / "r.tlf"]),
+                           (2, ["train-flow", "--vae", vae]),
                            (3, ["train-vae", "--config", cfg]),
                            (3, ["train-vae", "--config", dup])]:
             proc = subprocess.run([sys.executable, "-m", "trajkit.cli", *map(str, argv),

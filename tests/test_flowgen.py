@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,13 +28,16 @@ class TestModuleConfigChecks:
     @pytest.mark.parametrize("cls,field,value", [pytest.param(
         cls, field, value, id=f"{cls.__name__}.{field}={value!r}") for cls, field, value in [
             (VaeConfig, "patch", 0), (VaeConfig, "patch", 3), (VaeConfig, "temporal_ratio", 0),
+            (VaeConfig, "patch", "8"), (VaeConfig, "patch", 8.0),
             (FlowConfig, "history_steps", 1), (FlowConfig, "time_features", 5),
+            (FlowConfig, "sigma0", True), (FlowConfig, "sigma0", "0.1"),
+            (FlowConfig, "anchor_mode", "bogus"),
             (lb.NeighborSpec, "hops", (1, 2)), (lb.NeighborSpec, "hops", (0, 1, 2)),
             (lb.NeighborSpec, "weights", (1.0, float("nan"), 1.0)),
             (flowgen.VaeTrainConfig, "lr", -1.0), (flowgen.VaeTrainConfig, "clip_norm", 0.0),
-            (flowgen.VaeTrainConfig, "steps", -1), (flowgen.FlowTrainConfig, "batch", 0),
+            (flowgen.VaeTrainConfig, "steps", -1), (flowgen.VaeTrainConfig, "steps", 2.5),
+            (flowgen.FlowTrainConfig, "batch", 0),
             (flowgen.FlowTrainConfig, "clip_norm", float("nan")),
-            (flowgen.FlowTrainConfig, "anchor_mode", "bogus"),
             (flowgen.FinetuneConfig, "k_steps", 0), (flowgen.FinetuneConfig, "t_eps", 0.0),
             (SceneGeometry, "past", 16), (SceneGeometry, "stride", 3)]])
     def test_bad_field_raises_naming_it(self, cls, field, value):
@@ -45,6 +49,26 @@ class TestModuleConfigChecks:
         assert flowgen.VaeTrainConfig(steps=0, clip_norm=None).clip_norm is None
         assert flowgen.FlowTrainConfig(steps=0).steps == 0
         assert flowgen.FinetuneConfig(steps=0).steps == 0
+
+    def test_numpy_scalars_and_integer_floats_are_allowed(self):
+        assert VaeConfig(patch=np.int64(8), hidden=np.int32(16)).patch == 8
+        assert FlowConfig(sigma0=np.float32(0.5)).sigma0 == 0.5
+        assert FlowConfig(sigma0=0).sigma0 == 0
+        assert flowgen.FlowTrainConfig(lr=1, clip_norm=np.float64(2.0)).lr == 1
+
+    def test_hops_must_fit_the_longer_side_of_the_frame(self):
+        def train_cfg(hops, **vae):
+            return flowgen.VaeTrainConfig(vae=VaeConfig(**vae), neighbor=lb.NeighborSpec(
+                hops=hops, weights=(1.0,) * len(hops)))
+
+        for hops in [(32,), (1, 64)]:
+            with pytest.raises(FieldError, match=r"^hops must be below the frame's longer "
+                                                 r"side 32") as info:
+                train_cfg(hops)
+            assert info.value.field == "hops"
+        assert train_cfg((31,)).neighbor.hops == (31,)
+        # a hop with pairs along one axis only is kept: spatial_loss drops the other axis
+        assert train_cfg((16,), height=8, width=32).neighbor.hops == (16,)
 
 
 class TestTimeGrid:
@@ -112,7 +136,7 @@ class TestInterpolate:
 class TestBoundaryInit:
     def test_sigma0_zero_first_slice_exact(self):
         z_last = np.arange(12.0).reshape(4, 3)
-        z0 = boundary_init(z_last, 3, 0.0, gc.rng(0))
+        z0 = boundary_init(z_last, FlowConfig(future_steps=3, sigma0=0.0), gc.rng(0))
         assert np.array_equal(z0[0], z_last)
 
     def test_monte_carlo_anchor_mean(self):
@@ -120,26 +144,28 @@ class TestBoundaryInit:
         draws = []
         rng = gc.rng(1)
         for _ in range(10_000):
-            draws.append(boundary_init(z_last, 2, 0.1, rng)[0])
+            draws.append(boundary_init(z_last, FlowConfig(future_steps=2, sigma0=0.1), rng)[0])
         mean = np.mean(draws, axis=0)
         assert np.allclose(mean, z_last, atol=0.01)
 
     def test_later_slices_unit_gaussian(self):
         z_last = np.zeros((4, 2))
         rng = gc.rng(2)
-        draws = np.stack([boundary_init(z_last, 3, 0.1, rng)[1:] for _ in range(5_000)])
+        cfg = FlowConfig(future_steps=3, sigma0=0.1)
+        draws = np.stack([boundary_init(z_last, cfg, rng)[1:] for _ in range(5_000)])
         assert abs(draws.var() - 1.0) < 0.05
         assert abs(draws.mean()) < 0.05
 
     def test_all_slices_mode_repeats_anchor(self):
         z_last = np.arange(6.0).reshape(3, 2)
-        z0 = boundary_init(z_last, 4, 0.0, gc.rng(3), anchor_mode="all-slices")
+        cfg = FlowConfig(future_steps=4, sigma0=0.0, anchor_mode="all-slices")
+        z0 = boundary_init(z_last, cfg, gc.rng(3))
         for k in range(4):
             assert np.array_equal(z0[k], z_last)
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            boundary_init(np.zeros((2, 2)), 2, 0.1, gc.rng(0), anchor_mode="middle")
+        with pytest.raises(FieldError, match="^anchor_mode must be one of"):
+            boundary_init(np.zeros((2, 2)), FlowConfig(anchor_mode="middle"), gc.rng(0))
 
 
 class TestLatentStats:
@@ -346,7 +372,7 @@ class TestTrainingLoops:
         ft_cfg = flowgen.FinetuneConfig(steps=steps, lr=1e-3, lambda_kstep=0.0, sub_batch=2)
         tuned, _ = flowgen.finetune_onpolicy(bundle, pairs, fcfg, ft_cfg, seed=21)
         plain_cfg = flowgen.FlowTrainConfig(flow=fcfg.flow, steps=steps, batch=fcfg.batch,
-                                            lr=1e-3, sigma=fcfg.sigma, sigma0=fcfg.sigma0)
+                                            lr=1e-3, sigma=fcfg.sigma)
         plain, _ = flowgen.train_flow(pairs, bundle.vae_params, tiny_vae_cfg, plain_cfg,
                                       seed=21, flow_params={k: v.copy() for k, v
                                                             in bundle.flow_params.items()})
@@ -381,19 +407,28 @@ class TestTrainingLoops:
         # A fine-tune config that disagrees on architecture, sigma0 and
         # anchor_mode must not change what is trained: the bundle samples with
         # its own settings, so it must be fine-tuned under them too.
-        from dataclasses import replace
         bundle, pairs, fcfg = tiny_bundle
         ft_cfg = flowgen.FinetuneConfig(steps=3, lr=1e-3, k_steps=2, sub_batch=2)
-        other = replace(fcfg, flow=replace(fcfg.flow, hidden=8, cond_hidden=4),
-                        sigma0=0.7, anchor_mode="all-slices")
-        assert bundle.anchor_mode == "first-slice" and bundle.sigma0 == fcfg.sigma0
+        other = replace(fcfg, flow=replace(fcfg.flow, hidden=8, cond_hidden=4, sigma0=0.7,
+                                           anchor_mode="all-slices"))
+        assert bundle.flow_cfg == fcfg.flow and bundle.flow_cfg.anchor_mode == "first-slice"
         want, curve_want = flowgen.finetune_onpolicy(bundle, pairs, fcfg, ft_cfg, seed=9)
         got, curve_got = flowgen.finetune_onpolicy(bundle, pairs, other, ft_cfg, seed=9)
         assert curve_got == curve_want
-        assert (got.flow_cfg, got.sigma0, got.anchor_mode) == (
-            bundle.flow_cfg, bundle.sigma0, bundle.anchor_mode)
+        assert got.flow_cfg == bundle.flow_cfg
         for k in want.flow_params:
             assert np.array_equal(got.flow_params[k], want.flow_params[k])
+
+    def test_eval_fm_loss_scores_the_bundles_own_model(self, tiny_bundle):
+        bundle, pairs, fcfg = tiny_bundle
+        own = flowgen.eval_fm_loss(bundle, pairs, fcfg)
+        source = dict(sigma0=0.7, anchor_mode="all-slices")
+        for changes in (dict(hidden=8, cond_hidden=4), source):
+            other = replace(fcfg, flow=replace(fcfg.flow, **changes))
+            assert flowgen.eval_fm_loss(bundle, pairs, other) == own, changes
+        # the source settings do move the loss of a model that holds them
+        moved = replace(bundle, flow_cfg=replace(bundle.flow_cfg, **source))
+        assert flowgen.eval_fm_loss(moved, pairs, fcfg) != own
 
     def test_train_flow_bit_reproducible(self, tiny_vae_cfg, tiny_bundle):
         bundle, pairs, fcfg = tiny_bundle
