@@ -341,7 +341,8 @@ class FinetuneConfig(Checked):
     sub_batch: int = ranged(8, AT_LEAST_1)
     k_steps: int = ranged(8, AT_LEAST_1)
     # logit_grid clamps times below T_EPS, which would repeat grid points
-    t_eps: float = ranged(T_EPS, (f"in [{T_EPS}, 0.5)", lambda v: T_EPS <= v < 0.5))
+    t_eps: float = ranged(T_EPS, (f"a number in [{T_EPS}, 0.5)",
+                                  lambda v: FINITE_POSITIVE[1](v) and T_EPS <= v < 0.5))
     denom_clamp: float = ranged(1e-3, FINITE_POSITIVE)
     w1: float = ranged(1.0, FINITE_NONNEGATIVE)
     w0: float = ranged(0.5, FINITE_NONNEGATIVE)

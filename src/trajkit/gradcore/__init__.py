@@ -20,7 +20,7 @@ from .tensor import (
     matmul,
     mul,
     reshape,
-    shift_diff,
+    shift_l1,
     sigmoid,
     softplus,
     square,
@@ -39,6 +39,6 @@ __all__ = [
     "Rng", "rng",
     "ShapeError", "Tensor", "absolute", "add", "as_tensor", "backward",
     "concat", "div", "exp", "gelu", "getitem", "linear", "log", "matmul",
-    "mul", "reshape", "shift_diff", "sigmoid", "softplus", "square", "stop_gradient",
+    "mul", "reshape", "shift_l1", "sigmoid", "softplus", "square", "stop_gradient",
     "tanh", "tmean", "transpose", "tsum", "where", "zeros",
 ]

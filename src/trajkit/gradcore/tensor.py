@@ -339,7 +339,7 @@ def getitem(a, key) -> Tensor:
 
     def vjp(g):
         full = np.zeros(a.shape, dtype=np.float64)
-        if basic:  # a view: add in place, as shift_diff's scatter does
+        if basic:  # a view: add in place, as shift_l1's scatter does
             np.add(full[key], g, out=full[key])
         else:  # advanced keys may repeat an index, and add.at accumulates
             np.add.at(full, key, g)
@@ -348,24 +348,52 @@ def getitem(a, key) -> Tensor:
     return _make(out, (a,), (vjp,), "getitem")
 
 
-def shift_diff(a, hop, axis) -> Tensor:
-    """a[hop:] - a[:-hop] along `axis` as one node; `a` is listed once per slice,
-    so its two adjoints accumulate like those of a getitem/mul/add chain."""
-    a = as_tensor(a)
-    if not -a.data.ndim <= axis < a.data.ndim or not 1 <= hop < a.shape[axis]:
-        raise ShapeError("shift_diff", a.shape, (hop, axis))
-    lead = (slice(None),) * (axis % a.data.ndim)
-    hi, lo = lead + (slice(hop, None),), lead + (slice(None, -hop),)
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
-    def scatter(key, ufunc):  # ufunc(0, g) in the `key` slice of zeros
+
+def shift_l1(a, hop, axis, target, weight) -> Tensor:
+    """Weighted L1 of a hop-difference's mismatch, per instance, as one node.
+
+    With d = a[hop:] - a[:-hop] - target along `axis` (neither the leading
+    instance axis nor the trailing length-2 coordinate axis), returns the
+    (b,) sums of weight * (|d_x| + |d_y|).  `a` is listed once per slice, so
+    its two adjoints accumulate like those of a getitem/mul/add chain."""
+    a = as_tensor(a)
+    if (not _is_int(hop) or not _is_int(axis) or not 1 <= axis < a.data.ndim - 1
+            or a.shape[-1] != 2 or not 1 <= hop < a.shape[axis]):
+        raise ShapeError("shift_l1", a.shape, (hop, axis))
+    target, weight = np.asarray(target, dtype=np.float64), np.asarray(weight, dtype=np.float64)
+    lead = (slice(None),) * axis
+    hi, lo = lead + (slice(hop, None),), lead + (slice(None, -hop),)
+    d = a.data[hi] - a.data[lo]
+    if target.shape != d.shape or weight.shape != d.shape[:-1]:
+        raise ShapeError("shift_l1", d.shape, target.shape, weight.shape)
+    d -= target
+    mag = np.abs(d)
+    l1 = mag[..., 0] + mag[..., 1]
+    l1 *= weight
+    held = []  # (g, sign(d) * weight * g): made by the first adjoint, taken by the second
+
+    def cotangent(g):
+        if held and held[0][0] is g:
+            return held.pop()[1]
+        w = weight * g.reshape(-1, *(1,) * (weight.ndim - 1))
+        dd = np.sign(d)
+        dd[..., 0] *= w
+        dd[..., 1] *= w
+        held[:] = [(g, dd)]
+        return dd
+
+    def scatter(key, ufunc):  # ufunc(0, cotangent) in the `key` slice of zeros
         def vjp(g):
             full = np.zeros(a.shape)
-            ufunc(full[key], g, out=full[key])
+            ufunc(full[key], cotangent(g), out=full[key])
             return full
         return vjp
 
-    return _make(a.data[hi] - a.data[lo], (a, a), (scatter(hi, np.add), scatter(lo, np.subtract)),
-                 "shift_diff")
+    return _make(l1.reshape(l1.shape[0], -1).sum(axis=1), (a, a),
+                 (scatter(hi, np.add), scatter(lo, np.subtract)), "shift_l1")
 
 
 def stop_gradient(a) -> Tensor:

@@ -15,7 +15,8 @@ import numpy as np
 
 from . import gradcore as gc
 from .gradcore import Tensor, as_tensor
-from .models import Checked, FieldError, _batched, pool_visibility, ranged
+from .models import (AT_LEAST_1, FINITE_POSITIVE, Checked, FieldError, _batched, each,
+                     pool_visibility, ranged)
 
 
 @dataclass
@@ -35,9 +36,8 @@ class SegmentPair:
 class NeighborSpec(Checked):
     """Multi-hop neighborhood for the spatial consistency term."""
 
-    hops: tuple = ranged((1, 2, 4), ("one or more integers >= 1", lambda v: v and min(v) >= 1))
-    weights: tuple = ranged((1.0, 0.5, 0.25),
-                            ("finite numbers > 0", lambda v: all(0 < w < np.inf for w in v)))
+    hops: tuple = ranged((1, 2, 4), each("integers >= 1", AT_LEAST_1))
+    weights: tuple = ranged((1.0, 0.5, 0.25), each("finite numbers > 0", FINITE_POSITIVE))
 
     def __post_init__(self):
         super().__post_init__()
@@ -79,10 +79,8 @@ def _shift_mismatch(recon, target, mask, hop: int, axis: int):
     lead = (slice(None),) * axis
     hi, lo = lead + (slice(hop, None),), lead + (slice(None, -hop),)
     m_pair = mask[hi] * mask[lo]
-    d_target = target[hi] - target[lo]
-    l1 = gc.tsum(gc.absolute(gc.add(gc.shift_diff(recon, hop, axis), -d_target)), axis=4)
-    masked = gc.tsum(gc.reshape(gc.mul(l1, m_pair), (m_pair.shape[0], -1)), axis=1)
-    return masked, m_pair.sum(axis=(1, 2, 3))
+    return (gc.shift_l1(recon, hop, axis, target[hi] - target[lo], m_pair),
+            m_pair.sum(axis=(1, 2, 3)))
 
 
 def temporal_loss(pair: SegmentPair) -> Tensor:

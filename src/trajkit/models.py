@@ -42,6 +42,12 @@ CLIP_NORM = ("None (no clip) or a finite number > 0",
 ANCHOR_MODES = ("first-slice", "all-slices")  # of FlowConfig.anchor_mode
 
 
+def each(plural: str, rule: tuple) -> tuple:
+    """The rule for a non-empty tuple whose every element meets `rule`."""
+    return (f"one or more {plural}",
+            lambda v: isinstance(v, tuple) and len(v) > 0 and all(map(rule[1], v)))
+
+
 def ranged(default, rule: tuple):
     """A dataclass field with a default that `Checked` holds to `rule`."""
     return field(default=default, metadata={"rule": rule})

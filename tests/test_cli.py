@@ -603,6 +603,8 @@ class TestGradcheckCommand:
         assert run("gradcheck", "--seeds", 2, "--out", tmp_path) == 0
         out = capsys.readouterr().out
         assert "worst:" in out
+        for name in ("recon_loss", "temporal_loss", "spatial_loss"):
+            assert f"{name}[seed 1]: " in out and f"{name}[seed 0, masked]: " in out
 
 
 class TestBundleIO:

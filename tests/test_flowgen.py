@@ -34,11 +34,14 @@ class TestModuleConfigChecks:
             (FlowConfig, "anchor_mode", "bogus"),
             (lb.NeighborSpec, "hops", (1, 2)), (lb.NeighborSpec, "hops", (0, 1, 2)),
             (lb.NeighborSpec, "weights", (1.0, float("nan"), 1.0)),
+            (lb.NeighborSpec, "hops", 64), (lb.NeighborSpec, "hops", (True, 2, 4)),
+            (lb.NeighborSpec, "hops", (1.5, 2, 4)), (lb.NeighborSpec, "weights", ("1", 1.0, 1.0)),
             (flowgen.VaeTrainConfig, "lr", -1.0), (flowgen.VaeTrainConfig, "clip_norm", 0.0),
             (flowgen.VaeTrainConfig, "steps", -1), (flowgen.VaeTrainConfig, "steps", 2.5),
             (flowgen.FlowTrainConfig, "batch", 0),
             (flowgen.FlowTrainConfig, "clip_norm", float("nan")),
             (flowgen.FinetuneConfig, "k_steps", 0), (flowgen.FinetuneConfig, "t_eps", 0.0),
+            (flowgen.FinetuneConfig, "t_eps", "0.1"),
             (SceneGeometry, "past", 16), (SceneGeometry, "stride", 3)]])
     def test_bad_field_raises_naming_it(self, cls, field, value):
         with pytest.raises(FieldError, match=f"^{field} must be") as info:

@@ -172,41 +172,66 @@ def test_backward_sets_grad_on_wrt_only():
     assert hidden.grad is None and out.grad is None
 
 
+def _shift_l1_inputs(seed, hop, axis, shape=(2, 5, 6, 7, 2)):
+    """x, a target for its hop-difference and a weight with zeros in it."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=shape)
+    n = list(shape)
+    n[axis] -= hop
+    weight = (rng.random(n[:-1]) < 0.7) * rng.uniform(0.5, 2.0, size=n[:-1])
+    return x, rng.normal(size=n), weight
+
+
 @pytest.mark.parametrize("axis", [1, 2, 3])
 @pytest.mark.parametrize("hop", [1, 2, 4])
-def test_shift_diff_gradients(axis, hop):
-    rng = np.random.default_rng(6)
-    x = rng.normal(size=(2, 5, 6, 7, 2))
-    f = lambda x_: gc.tsum(gc.tanh(gc.shift_diff(x_, hop, axis)))
+def test_shift_l1_gradients(axis, hop):
+    x, target, weight = _shift_l1_inputs(6, hop, axis)
+    f = lambda x_: gc.tsum(gc.tanh(gc.shift_l1(x_, hop, axis, target, weight)))
     assert gc.grad_check(f, [x]) < 1e-4
 
 
-def _chain_diff(x, hop, axis):
+def _chain_l1(x, hop, axis, target, weight):
+    """The masked-L1 chain shift_l1 replaces, from getitem/add/abs/tsum/mul/reshape."""
     lead = (slice(None),) * axis
-    return gc.add(x[lead + (slice(hop, None),)], gc.mul(x[lead + (slice(None, -hop),)], -1.0))
+    diff = gc.add(x[lead + (slice(hop, None),)], gc.mul(x[lead + (slice(None, -hop),)], -1.0))
+    l1 = gc.tsum(gc.absolute(gc.add(diff, -target)), axis=4)
+    return gc.tsum(gc.reshape(gc.mul(l1, weight), (weight.shape[0], -1)), axis=1)
 
 
 @pytest.mark.parametrize("axis,hop", [(1, 1), (2, 2), (3, 4)])
-def test_shift_diff_bit_equal_to_getitem_mul_add_chain(axis, hop):
-    rng = np.random.default_rng(7)
-    x = rng.normal(size=(2, 5, 6, 7, 2))
-    cot = rng.normal(size=gc.shift_diff(x, hop, axis).shape)
+def test_shift_l1_bit_equal_to_masked_l1_chain(axis, hop):
+    x, target, weight = _shift_l1_inputs(7, hop, axis)
+    cot = np.array([0.7, -1.3])
+    t1, w1 = _shift_l1_inputs(8, 1, 1)[1:]
 
-    def loss(diff):  # x enters directly and through two differences, as in the VAE loss
+    def loss(node):  # x enters directly and through two differences, as in the VAE loss
         return lambda x_: gc.add(gc.tsum(gc.mul(gc.square(x_), 0.3)),
-                                 gc.add(gc.tsum(gc.mul(diff(x_, hop, axis), cot)),
-                                        gc.tsum(gc.absolute(diff(x_, 1, 1)))))
+                                 gc.add(gc.tsum(gc.mul(node(x_, hop, axis, target, weight), cot)),
+                                        gc.tsum(node(x_, 1, 1, t1, w1))))
 
-    assert np.array_equal(gc.shift_diff(x, hop, axis).data, _chain_diff(x, hop, axis).data)
-    _, (g_prim,) = gc.grad(loss(gc.shift_diff), [x])
-    _, (g_chain,) = gc.grad(loss(_chain_diff), [x])
+    assert np.array_equal(gc.shift_l1(x, hop, axis, target, weight).data,
+                          _chain_l1(x, hop, axis, target, weight).data)
+    _, (g_prim,) = gc.grad(loss(gc.shift_l1), [x])
+    _, (g_chain,) = gc.grad(loss(_chain_l1), [x])
     assert np.array_equal(g_prim, g_chain)
 
 
 @pytest.mark.parametrize("hop,axis", [(0, 1), (-1, 1), (3, 1), (5, 2), (1, 3), (1, -4)])
-def test_shift_diff_shape_error_names_shift_diff(hop, axis):
-    with pytest.raises(gc.ShapeError, match="^shift_diff: "):
-        gc.shift_diff(np.ones((2, 3, 4)), hop, axis)
+def test_shift_l1_shape_error_names_shift_l1(hop, axis):
+    with pytest.raises(gc.ShapeError, match="^shift_l1: "):
+        gc.shift_l1(np.ones((2, 3, 4, 2)), hop, axis, np.ones((2, 2, 4, 2)), np.ones((2, 2, 4)))
+
+
+@pytest.mark.parametrize("bad", [
+    {"hop": 1.0}, {"hop": True}, {"axis": 1.0}, {"target": np.ones((2, 3, 4, 2))},
+    {"weight": np.ones((2, 2, 4, 1))},
+    {"a": np.ones((2, 3, 4, 3)), "target": np.ones((2, 2, 4, 3))}],
+    ids=["float-hop", "bool-hop", "float-axis", "target", "weight", "three-channels"])
+def test_shift_l1_rejects_bad_operands(bad):
+    args = {"a": np.ones((2, 3, 4, 2)), "hop": 1, "axis": 1, "target": np.ones((2, 2, 4, 2)),
+            "weight": np.ones((2, 2, 4)), **bad}
+    with pytest.raises(gc.ShapeError, match="^shift_l1: "):
+        gc.shift_l1(**args)
 
 
 def test_gelu_matches_closed_form_into_the_tails():

@@ -437,3 +437,23 @@ class TestGradCheck:
         logits = rng.normal(size=(3, 4))
         targets = rng.random((3, 4))
         assert gc.grad_check(lambda l: lb.bce_logits(l, targets), [logits]) < 1e-4
+
+    def test_masked_batch_differentiates_cleanly(self):
+        # instance 1 hides row 0 and column 0 of a 5x5 frame, so hop 4 has
+        # no valid pair there and drops out of that instance's normalizer
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(2, 3, 5, 5, 2)) * 0.5
+        sign = rng.choice([-1.0, 1.0], size=x.shape)
+        xh0 = x + sign * (0.05 + 0.4 * rng.random(x.shape))
+        m = np.ones((2, 3, 5, 5))
+        m[0][rng.random((3, 5, 5)) < 0.3] = 0
+        m[1, :, 0, :] = 0
+        m[1, :, :, 0] = 0
+        spec = lb.NeighborSpec()
+        pair = lambda xh: lb.SegmentPair(x, xh, m)
+        hop4 = [m[1, :, 4:] * m[1, :, :-4], m[1, :, :, 4:] * m[1, :, :, :-4]]
+        assert sum(p.sum() for p in hop4) == 0
+        for fn in (lambda xh: lb.temporal_loss(pair(xh)),
+                   lambda xh: lb.spatial_loss(pair(xh), spec),
+                   lambda xh: gc.add(*lb.consistency_terms(pair(xh), spec, 0.7, 1.3)[:2])):
+            assert gc.grad_check(fn, [xh0]) < 1e-4
