@@ -199,6 +199,23 @@ def _chain_l1(x, hop, axis, target, weight):
 
 
 @pytest.mark.parametrize("axis,hop", [(1, 1), (2, 2), (3, 4)])
+def test_shift_diff_bit_equal_to_getitem_mul_add_chain(axis, hop):
+    """The hop-difference shift_l1 takes is the getitem/mul/add chain's, bit for bit:
+    with that chain's difference as target, every mismatch and its sign is exactly 0."""
+    x = np.random.default_rng(7).normal(size=(2, 5, 6, 7, 2))
+    lead = (slice(None),) * axis
+    diff = gc.add(x[lead + (slice(hop, None),)], gc.mul(x[lead + (slice(None, -hop),)], -1.0))
+    ones = np.ones(diff.shape[:-1])
+    assert np.array_equal(gc.shift_l1(x, hop, axis, diff.data, ones).data, np.zeros(2))
+    _, (g,) = gc.grad(lambda x_: gc.tsum(gc.shift_l1(x_, hop, axis, diff.data, ones)), [x])
+    assert np.array_equal(g, np.zeros_like(x))
+    # one ulp off the chain in one entry is a nonzero mismatch
+    off = diff.data.copy()
+    off[(0,) * off.ndim] = np.nextafter(off[(0,) * off.ndim], np.inf)
+    assert gc.shift_l1(x, hop, axis, off, ones).data[0] > 0
+
+
+@pytest.mark.parametrize("axis,hop", [(1, 1), (2, 2), (3, 4)])
 def test_shift_l1_bit_equal_to_masked_l1_chain(axis, hop):
     x, target, weight = _shift_l1_inputs(7, hop, axis)
     cot = np.array([0.7, -1.3])
