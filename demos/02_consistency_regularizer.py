@@ -10,7 +10,7 @@ from trajkit import lossbank as lb
 from trajkit.motionlab import toy_1d_pair
 
 for b in (0.05, 0.1, 0.2):
-    gt, smooth, jitter, mask = toy_1d_pair(b, frames=10)
+    gt, smooth, jitter, mask = (a[None] for a in toy_1d_pair(b, frames=10))  # a batch of one
     rec_smooth = float(lb.recon_loss(lb.SegmentPair(gt, smooth, mask)))
     rec_jitter = float(lb.recon_loss(lb.SegmentPair(gt, jitter, mask)))
     # the regularizer at the published weights: 0.1 * temporal + 0.2 * spatial

@@ -317,14 +317,14 @@ def cmd_gradcheck(args, cfg, out_dir) -> list:
         x = rng.normal(size=(3, 4, 4, 2)) * 0.5
         sign = rng.choice([-1.0, 1.0], size=x.shape)
         xh = x + sign * (0.05 + 0.4 * rng.random(x.shape))
-        pair = lambda r: lb.SegmentPair(x, r, m)
+        pair = lambda r: lb.SegmentPair(x[None], r, m[None])  # a batch of one
         checks = {
             "recon_loss": lambda r: lb.recon_loss(pair(r)),
             "temporal_loss": lambda r: lb.temporal_loss(pair(r)),
             "spatial_loss": lambda r: lb.spatial_loss(pair(r)),
         }
         for name, fn in checks.items():
-            report.append((f"{name}[{label}]", gc.grad_check(fn, [xh])))
+            report.append((f"{name}[{label}]", gc.grad_check(fn, [xh[None]])))
     worst = max(err for _, err in report)
     for name, err in report:
         print(f"{name}: {err:.3e}")
@@ -363,6 +363,13 @@ def cmd_plot(args, cfg, out_dir) -> list:
 # -- parser ----------------------------------------------------------------------
 
 
+def _count(text: str) -> int:
+    """An argparse type: an integer >= 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process; `parse_args` leaves it unchanged,
@@ -389,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zoom-rate", type=float, default=0.0)
     p.add_argument("--shear-rate", type=float, default=0.0)
     p.add_argument("--jitter", type=float, default=0.3)
-    p.add_argument("--jitter-axis", default="x", choices=["x", "y", "both"])
+    p.add_argument("--jitter-axis", default="x", choices=motionlab.JITTER_AXES)
     p.add_argument("--seed", type=int, default=0, help="recorded in the manifest only")
     add_common(p)
     p.set_defaults(func=cmd_synth)
@@ -453,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_camcap)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the losses")
-    p.add_argument("--seeds", type=int, default=3)
+    p.add_argument("--seeds", type=_count, default=3)
     add_common(p)
     p.set_defaults(func=cmd_gradcheck)
 

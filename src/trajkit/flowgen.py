@@ -27,6 +27,7 @@ from .models import (
     FieldError,
     FlowConfig,
     VaeConfig,
+    _with_batch,
     ranged,
     vae_decode,
     vae_encode,
@@ -132,9 +133,7 @@ def interpolate(z0: np.ndarray, z1: np.ndarray, t, sigma: float, rng: Rng):
         raise ValueError(f"z0/z1 shape mismatch: {z0.shape} vs {z1.shape}")
     if sigma < 0:
         raise ValueError("noise scale sigma must be nonnegative")
-    t_arr = np.asarray(t, dtype=np.float64)
-    if t_arr.ndim == 1:  # per-item time over a batch
-        t_arr = t_arr.reshape(-1, *([1] * (z0.ndim - 1)))
+    t_arr = np.asarray(t, dtype=np.float64).reshape(-1, *([1] * (z0.ndim - 1)))
     z_t = (1.0 - t_arr) * z0 + t_arr * z1
     if sigma > 0:
         z_t = z_t + sigma * rng.draw_normal(z0.shape)
@@ -142,22 +141,20 @@ def interpolate(z0: np.ndarray, z1: np.ndarray, t, sigma: float, rng: Rng):
 
 
 def boundary_init(z_hist_last: np.ndarray, cfg: FlowConfig, rng: Rng) -> np.ndarray:
-    """Source state of the flow `cfg`: unit Gaussian with the boundary latent anchored in.
+    """Source states (B, future_steps, N, C) of the flow `cfg`: unit Gaussian
+    with the boundary latents (B, N, C) anchored in.
 
     first-slice anchors only latent step k=0; all-slices repeats the boundary
     latent across the whole horizon; either adds noise `cfg.sigma0` to it.
     """
-    z_last = np.asarray(z_hist_last, dtype=np.float64)
-    single = z_last.ndim == 2
-    if single:
-        z_last = z_last[None]
+    z_last = _with_batch("boundary_init", z_hist_last, ("B", "N", "C"))
     b, n, c = z_last.shape
     if cfg.anchor_mode == "first-slice":
         z0 = rng.draw_normal((b, cfg.future_steps, n, c))
         z0[:, 0] = z_last + cfg.sigma0 * rng.draw_normal((b, n, c))
     else:  # all-slices, the one other mode FlowConfig admits
         z0 = z_last[:, None] + cfg.sigma0 * rng.draw_normal((b, cfg.future_steps, n, c))
-    return z0[0] if single else z0
+    return z0
 
 
 # -- ODE samplers ------------------------------------------------------------
@@ -603,7 +600,8 @@ def broadcast_token_mask(token_mask: np.ndarray, token_grid: tuple,
 
 def sample_future(history: OffsetField, bundle: FlowBundle, sampler: dict | None = None,
                   seed: int = 0, future_frames: int | None = None):
-    """History offsets in, generated future offsets and visibility out.
+    """History offsets in, generated future offsets and visibility out: the
+    one single-instance entry, run as a batch of one.
 
     `future_frames` (default: the history's length) must be in
     1..future_steps * temporal_ratio, the frames the future latents decode to.
@@ -617,12 +615,12 @@ def sample_future(history: OffsetField, bundle: FlowBundle, sampler: dict | None
                          f"got {t_f}")
     sampler = {**SAMPLER, **(sampler or {})}
     rng = gc.rng(seed)
-    z_hist = normalize_latents(
-        encode_mean(bundle.vae_params, vae_cfg, history.offsets[None])[0], bundle.stats)
-    vis_tok = pool_visibility(history.mask, vae_cfg.token_grid(history.frames), reduce="mean",
-                              ratio=vae_cfg.temporal_ratio)
+    z_hist = normalize_latents(encode_mean(bundle.vae_params, vae_cfg, history.offsets[None]),
+                               bundle.stats)
+    vis_tok = pool_visibility(history.mask[None], vae_cfg.token_grid(history.frames),
+                              reduce="mean", ratio=vae_cfg.temporal_ratio)
     cond = {"z_hist": z_hist, "visibility": vis_tok}
-    z0 = boundary_init(z_hist[-1], flow_cfg, rng)
+    z0 = boundary_init(z_hist[:, -1], flow_cfg, rng)
     wrapped = wrap_params(bundle.flow_params, requires_grad=False)
 
     def v_fn(z, t):
@@ -637,11 +635,11 @@ def sample_future(history: OffsetField, bundle: FlowBundle, sampler: dict | None
 
     z1_denorm = denormalize_latents(z1, bundle.stats)
     wrapped_vae = wrap_params(bundle.vae_params, requires_grad=False)
-    offsets = vae_decode(z1_denorm, wrapped_vae, vae_cfg, frames=t_f).data
+    offsets = vae_decode(z1_denorm, wrapped_vae, vae_cfg, frames=t_f).data[0]
     if bundle.vis_params is not None:
         # broadcast over every decoded frame, then cut, as vae_decode does
         _, tok_mask = visibility_predict(z1_denorm, wrap_params(bundle.vis_params, False))
-        mask = broadcast_token_mask(tok_mask, vae_cfg.token_grid(t_max),
+        mask = broadcast_token_mask(tok_mask[0], vae_cfg.token_grid(t_max),
                                     (t_max, vae_cfg.height, vae_cfg.width))[:t_f]
     else:
         mask = np.ones((t_f, vae_cfg.height, vae_cfg.width), dtype=np.uint8)

@@ -1,9 +1,10 @@
 """Differentiable training objectives for trajectory fields and latents.
 
-All losses accept a single instance or a leading batch dimension; masked
-normalizations happen per instance, then instances average.  Reconstruction
-targets and masks are plain arrays; the quantity being optimized may be a
-gradcore Tensor, so every loss returns a Tensor (use float() to read it).
+Every loss takes inputs with a leading batch axis, also for one instance,
+and refuses an input without it; masked normalizations happen per instance,
+then instances average.  Reconstruction targets and masks are plain arrays;
+the quantity being optimized may be a gradcore Tensor, so every loss returns
+a Tensor (use float() to read it).
 """
 
 from __future__ import annotations
@@ -15,16 +16,15 @@ import numpy as np
 
 from . import gradcore as gc
 from .gradcore import Tensor, as_tensor
-from .models import (AT_LEAST_1, FINITE_POSITIVE, Checked, FieldError, _batched, each,
-                     pool_visibility, ranged)
+from .models import (AT_LEAST_1, FINITE_POSITIVE, LATENT, SEGMENT, Checked, FieldError,
+                     _with_batch, each, pool_visibility, ranged)
 
 
 @dataclass
 class SegmentPair:
     """Target/reconstruction offset segments plus visibility mask.
 
-    target, recon: (T, H, W, 2) or (B, T, H, W, 2); mask matches minus the
-    channel axis.
+    target, recon: (B, T, H, W, 2); mask: (B, T, H, W).
     """
 
     target: np.ndarray
@@ -54,15 +54,17 @@ def huber(residual: Tensor, delta: float) -> Tensor:
     return gc.where(mag.data <= delta, quad, lin)
 
 
-def _pair_arrays(pair: SegmentPair):
-    """recon, target and mask of a pair, each with a batch axis."""
-    return _batched(pair.recon, 4)[0], _batched(pair.target, 4)[0], _batched(pair.mask, 3)[0]
+def _pair_arrays(pair: SegmentPair, op: str):
+    """recon, target and mask of a pair; one without its batch axis is a
+    ShapeError naming `op`."""
+    return (_with_batch(op, pair.recon, SEGMENT), _with_batch(op, pair.target, SEGMENT),
+            _with_batch(op, pair.mask, SEGMENT[:-1]))
 
 
 def recon_loss(pair: SegmentPair, huber_delta: float = 1.0) -> Tensor:
     """Visibility-normalized Huber reconstruction error, per-coordinate and
     summed over the two channels."""
-    recon, target, mask = _pair_arrays(pair)
+    recon, target, mask = _pair_arrays(pair, "recon_loss")
     denom = mask.sum(axis=(1, 2, 3))
     if np.any(denom == 0):
         raise ValueError("recon_loss: a segment has no visible elements")
@@ -85,7 +87,7 @@ def _shift_mismatch(recon, target, mask, hop: int, axis: int):
 
 def temporal_loss(pair: SegmentPair) -> Tensor:
     """Pair-masked mean L1 mismatch of frame-to-frame displacements."""
-    recon, target, mask = _pair_arrays(pair)
+    recon, target, mask = _pair_arrays(pair, "temporal_loss")
     if target.shape[1] < 2:
         raise ValueError("temporal_loss: need at least 2 frames")
     masked, denom = _shift_mismatch(recon, target, mask, 1, 1)
@@ -98,7 +100,7 @@ def spatial_loss(pair: SegmentPair, spec: NeighborSpec | None = None) -> Tensor:
     """Multi-hop neighbor-difference mismatch, both grid directions pooled
     per hop; hops with no valid pair drop out of the weight normalizer."""
     spec = spec or NeighborSpec()
-    recon, target, mask = _pair_arrays(pair)
+    recon, target, mask = _pair_arrays(pair, "spatial_loss")
     terms, denoms = [], []  # per hop: (b,) mean mismatch Tensor or None, (b,) pair counts
     for hop in spec.hops:
         parts = [_shift_mismatch(recon, target, mask, hop, axis)
@@ -120,6 +122,7 @@ def consistency_terms(pair: SegmentPair, spec: NeighborSpec | None,
     """The spatiotemporal regularizer's terms: (lambda_temporal * temporal,
     lambda_spatial * spatial, temporal, spatial).  A zero weight skips its
     loss, which then reads 0."""
+    _pair_arrays(pair, "consistency_terms")  # refused without a batch axis at any weight
     l_tmp = temporal_loss(pair) if lambda_temporal else Tensor(0.0)
     l_sp = spatial_loss(pair, spec) if lambda_spatial else Tensor(0.0)
     return gc.mul(l_tmp, lambda_temporal), gc.mul(l_sp, lambda_spatial), l_tmp, l_sp
@@ -137,42 +140,39 @@ def kl_loss(mu, logvar) -> Tensor:
 
 def token_weights(future_mask: np.ndarray, token_grid: tuple, floor: float = 0.01, *,
                   ratio: int) -> np.ndarray:
-    """Mean-pool future visibility onto the latent token grid, floor it so
-    invisible tokens keep a small weight, then normalize to sum 1 per
-    instance: (T_lat, N), or (B, T_lat, N) for a batch of masks.
+    """Mean-pool future visibility masks (B, T, H, W) onto the latent token
+    grid, floor it so invisible tokens keep a small weight, then normalize to
+    sum 1 per instance: (B, T_lat, N).
 
-    token_grid is (t_lat, h_tok, w_tok); the mask's trailing (T, H, W) axes
-    must tile onto it, `ratio` frames per latent step (see pool_visibility).
+    token_grid is (t_lat, h_tok, w_tok); the masks' (T, H, W) axes must tile
+    onto it, `ratio` frames per latent step (see pool_visibility).
     """
+    future_mask = _with_batch("token_weights", future_mask, SEGMENT[:-1])
     w = np.maximum(pool_visibility(future_mask, token_grid, reduce="mean", ratio=ratio), floor)
-    total = w.sum(axis=(-2, -1), keepdims=True)
+    total = w.sum(axis=(1, 2), keepdims=True)
     if np.any(total == 0):
         raise ValueError("token_weights: all token weights zero (floor=0 and fully invisible)")
     return w / total
 
 
-def _weighted_sq(diff: Tensor, weights: np.ndarray) -> Tensor:
-    """(1/C) sum_{k,n} w(k,n) ||diff(k,n)||^2, batched; returns (b,) Tensor."""
+def _weighted_sq(op: str, diff: Tensor, weights) -> Tensor:
+    """(1/C) sum_{k,n} w(k,n) ||diff(k,n)||^2 per instance of (b, k, n, c)
+    `diff`, a (b,) Tensor; weights not shaped (b, k, n) are a ShapeError naming `op`."""
     b, _, _, c = diff.shape
     sq = gc.tsum(gc.square(diff), axis=3)  # (b, k, n)
+    weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != sq.shape:
-        raise gc.ShapeError("token-weighted norm", weights.shape, sq.shape)
+        raise gc.ShapeError(op, weights.shape, sq.shape)
     return gc.mul(gc.tsum(gc.reshape(gc.mul(sq, weights), (b, -1)), axis=1), 1.0 / c)
-
-
-def _weights_array(weights, batch: int) -> np.ndarray:
-    w = np.asarray(weights, dtype=np.float64)
-    return np.broadcast_to(w[None], (batch, *w.shape)) if w.ndim == 2 else w
 
 
 def fm_loss(v_pred, u_target, weights) -> Tensor:
     """Token-weighted squared flow-matching error, averaged over channels."""
-    v, _ = _batched(v_pred, 3)
-    u, _ = _batched(u_target.data if isinstance(u_target, Tensor) else u_target, 3)
+    v = _with_batch("fm_loss", v_pred, LATENT)
+    u = _with_batch("fm_loss", as_tensor(u_target).data, LATENT)
     if v.shape != u.shape:
         raise gc.ShapeError("fm_loss", v.shape, u.shape)
-    w = _weights_array(weights, v.shape[0])
-    return gc.tmean(_weighted_sq(gc.add(v, -u), w))
+    return gc.tmean(_weighted_sq("fm_loss", gc.add(v, -u), weights))
 
 
 def kstep_targets(z_i: np.ndarray, z0: np.ndarray, z1: np.ndarray, t_i: float,
@@ -192,12 +192,9 @@ def kstep_loss(velocities, targets_per_step, weights, w1: float = 1.0, w0: float
                          f"{len(targets_per_step)} target pairs")
     total = None
     for v, (v1, v0) in zip(velocities, targets_per_step):
-        vb, _ = _batched(v, 3)
-        v1b, _ = _batched(v1, 3)
-        v0b, _ = _batched(v0, 3)
-        w = _weights_array(weights, vb.shape[0])
-        step = gc.add(gc.mul(_weighted_sq(gc.add(vb, -v1b), w), w1),
-                      gc.mul(_weighted_sq(gc.add(vb, -v0b), w), w0))
+        v, v1, v0 = (_with_batch("kstep_loss", a, LATENT) for a in (v, v1, v0))
+        step = gc.add(gc.mul(_weighted_sq("kstep_loss", gc.add(v, -v1), weights), w1),
+                      gc.mul(_weighted_sq("kstep_loss", gc.add(v, -v0), weights), w0))
         total = step if total is None else gc.add(total, step)
     return gc.tmean(gc.mul(total, 1.0 / len(velocities)))
 
@@ -212,10 +209,10 @@ def endpoint_consistency(states, velocities, times) -> Tensor:
         raise ValueError("endpoint_consistency: states/times shorter than velocities")
 
     def implied(i, velocity):
-        zb, _ = _batched(states[i], 3)
-        vb, _ = _batched(velocity, 3)
+        z = _with_batch("endpoint_consistency", states[i], LATENT)
+        v = _with_batch("endpoint_consistency", velocity, LATENT)
         t = float(times[i])
-        return gc.add(zb, gc.mul(vb, 1.0 - t)), gc.add(zb, gc.mul(vb, -t))
+        return gc.add(z, gc.mul(v, 1.0 - t)), gc.add(z, gc.mul(v, -t))
 
     # step 0's endpoints are only ever detached: build them from the velocity's
     # values, so no gradient-carrying node is made for them
@@ -225,8 +222,8 @@ def endpoint_consistency(states, velocities, times) -> Tensor:
         cur = implied(i, velocities[i])
         b, kk, n, _ = cur[0].shape
         w = np.full((b, kk, n), 1.0 / (kk * n))
-        term = gc.add(_weighted_sq(gc.add(cur[0], -prev[0]), w),
-                      _weighted_sq(gc.add(cur[1], -prev[1]), w))
+        term = gc.add(_weighted_sq("endpoint_consistency", gc.add(cur[0], -prev[0]), w),
+                      _weighted_sq("endpoint_consistency", gc.add(cur[1], -prev[1]), w))
         total = term if total is None else gc.add(total, term)
         prev = [e.data for e in cur]
     return gc.tmean(gc.mul(total, 1.0 / (k - 1)))

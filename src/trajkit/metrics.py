@@ -121,18 +121,17 @@ def vepe(pred: np.ndarray, target: np.ndarray, visibility: np.ndarray) -> float:
 def explained_variance(values: np.ndarray, visibility: np.ndarray) -> np.ndarray:
     """Percentage of variance attributable to grid location, per value axis.
 
-    values: (T, N) or (T, N, A); visibility: (T, N).  Per cell, a
-    visibility-weighted time mean and variance; the between-cell variance of
-    the means over (between + mean within) gives the explained share.
+    values: (T, N, A); visibility: (T, N); the result has one entry per
+    axis A.  Per cell, a visibility-weighted time mean and variance; the
+    between-cell variance of the means over (between + mean within) gives
+    the explained share.
     """
     values = np.asarray(values, dtype=np.float64)
     vis = np.asarray(visibility, dtype=np.float64)
-    squeeze = values.ndim == 2
-    if squeeze:
-        values = values[..., None]
-    t, n, axes = values.shape
-    if vis.shape != (t, n):
-        raise ValueError(f"explained_variance: visibility {vis.shape} != {(t, n)}")
+    if values.ndim != 3 or vis.shape != values.shape[:2]:
+        raise ValueError(f"explained_variance: values {values.shape} must be (T, N, A) "
+                         f"and visibility {vis.shape} their (T, N)")
+    _, n, axes = values.shape
     counts = vis.sum(axis=0)
     keep = counts > 0
     if keep.sum() < 2:
@@ -150,4 +149,4 @@ def explained_variance(values: np.ndarray, visibility: np.ndarray) -> np.ndarray
         if denom == 0:
             raise ValueError("explained_variance: zero total variance")
         out[a] = 100.0 * between / denom
-    return out[0] if squeeze else out
+    return out

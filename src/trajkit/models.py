@@ -37,9 +37,15 @@ AT_LEAST_0 = ("an integer >= 0", lambda v: _is(v, _INTEGER) and v >= 0)
 AT_LEAST_1 = ("an integer >= 1", lambda v: _is(v, _INTEGER) and v >= 1)
 FINITE_NONNEGATIVE = ("a finite number >= 0", lambda v: _is(v, _REAL) and 0 <= v < math.inf)
 FINITE_POSITIVE = ("a finite number > 0", lambda v: _is(v, _REAL) and 0 < v < math.inf)
+FINITE = ("a finite number", lambda v: _is(v, _REAL) and math.isfinite(v))
 CLIP_NORM = ("None (no clip) or a finite number > 0",
              lambda v: v is None or FINITE_POSITIVE[1](v))
 ANCHOR_MODES = ("first-slice", "all-slices")  # of FlowConfig.anchor_mode
+
+
+def one_of(choices: tuple) -> tuple:
+    """The rule for a value among `choices`."""
+    return f"one of {', '.join(choices)}", lambda v: v in choices
 
 
 def each(plural: str, rule: tuple) -> tuple:
@@ -115,8 +121,7 @@ class FlowConfig(Checked):
     # the source state boundary_init draws: noise on the boundary latent, and
     # whether it anchors the first future latent step or all of them
     sigma0: float = ranged(0.1, FINITE_NONNEGATIVE)
-    anchor_mode: str = ranged("first-slice", (f"one of {', '.join(ANCHOR_MODES)}",
-                                              lambda v: v in ANCHOR_MODES))
+    anchor_mode: str = ranged("first-slice", one_of(ANCHOR_MODES))
 
 
 # -- parameter initialization ---------------------------------------------
@@ -197,15 +202,18 @@ def _block(params: dict, name: str, h: Tensor) -> Tensor:
     return gc.add(h, _linear(params, f"{name}.ch2", hidden))
 
 
-def _batched(x, ndim_single: int):
-    """(x with a batch axis, whether one was added).  A Tensor gets a reshape
-    node; anything else becomes a float64 array, sliced with [None]."""
-    if isinstance(x, Tensor):
-        if x.data.ndim == ndim_single:
-            return gc.reshape(x, (1, *x.shape)), True
-        return x, False
-    x = np.asarray(x, dtype=np.float64)
-    return (x[None], True) if x.ndim == ndim_single else (x, False)
+SEGMENT, LATENT = ("B", "T", "H", "W", 2), ("B", "K", "N", "C")  # offsets and latents
+
+
+def _with_batch(op: str, x, axes: tuple):
+    """`x`, which must have the axes `axes`, the first the batch axis: a Tensor
+    as it is, anything else as a float64 array.  Another rank is a ShapeError
+    naming `op`."""
+    if not isinstance(x, Tensor):
+        x = np.asarray(x, dtype=np.float64)
+    if len(x.shape) != len(axes):
+        raise gc.ShapeError(op, x.shape, axes)
+    return x
 
 
 def _pad_frames(x: Tensor, ratio: int) -> Tensor:
@@ -238,9 +246,8 @@ def _unpatchify(x: Tensor, cfg: VaeConfig) -> Tensor:
 
 
 def vae_encode(x, params: dict, cfg: VaeConfig):
-    """Offset segment (T, H, W, 2) or batch -> posterior (mu, logvar), each
-    (T_lat, N, C) (batched when the input is)."""
-    x, single = _batched(x, 4)
+    """Offset segments (B, T, H, W, 2) -> posterior (mu, logvar), each (B, T_lat, N, C)."""
+    x = _with_batch("vae_encode", x, SEGMENT)
     b, t, h, w, _ = x.shape
     if (h, w) != (cfg.height, cfg.width):
         raise gc.ShapeError("vae_encode", x.shape, (cfg.height, cfg.width))
@@ -258,9 +265,6 @@ def vae_encode(x, params: dict, cfg: VaeConfig):
     tok = _block(params, "enc.post", tok)
     mu = _linear(params, "enc.mu", tok)
     logvar = _linear(params, "enc.logvar", tok)
-    if single:
-        mu = gc.reshape(mu, mu.shape[1:])
-        logvar = gc.reshape(logvar, logvar.shape[1:])
     return mu, logvar
 
 
@@ -274,8 +278,8 @@ def reparameterize(mu, logvar, rng: Rng) -> Tensor:
 
 
 def vae_decode(z, params: dict, cfg: VaeConfig, frames: int | None = None) -> Tensor:
-    """Latent (T_lat, N, C) or batch -> offset segment (frames, H, W, 2)."""
-    z, single = _batched(z, 3)
+    """Latents (B, T_lat, N, C) -> offset segments (B, frames, H, W, 2)."""
+    z = _with_batch("vae_decode", z, LATENT)
     b, t_lat, n, c = z.shape
     if n != cfg.n_tokens or c != cfg.latent_channels:
         raise gc.ShapeError("vae_decode", z.shape, (cfg.n_tokens, cfg.latent_channels))
@@ -290,10 +294,7 @@ def vae_decode(z, params: dict, cfg: VaeConfig, frames: int | None = None) -> Te
     for i in range(cfg.blocks):
         tok = _block(params, f"dec.block{i}", tok)
     out = _unpatchify(_linear(params, "dec.head", tok), cfg)
-    out = out[:, :frames]
-    if single:
-        out = gc.reshape(out, out.shape[1:])
-    return out
+    return out[:, :frames]
 
 
 # -- velocity network --------------------------------------------------------
@@ -314,7 +315,7 @@ def fuse_history(tokens: Tensor, z_hist, params: dict) -> Tensor:
     difference with the second-last slice.  Tokenization shares weights with
     the main input tokenizer.
     """
-    z_hist, _ = _batched(z_hist, 3)
+    z_hist = _with_batch("fuse_history", z_hist, LATENT)
     if z_hist.shape[1] < 2:
         raise ValueError("fuse_history: need at least 2 history latent steps")
     k_f = tokens.shape[1]
@@ -338,27 +339,23 @@ def time_features(t, n_features: int) -> np.ndarray:
 def velocity_forward(z_t, t, condition: dict, params: dict, cfg: FlowConfig) -> Tensor:
     """Conditional velocity for latent state z_t at flow time t.
 
-    condition carries 'z_hist' (B, K_p, N, C) and 'visibility' history
-    tokens (B, K_p, N).  Output matches z_t's shape.
+    z_t is (B, K_f, N, C), and so is the output; t is one flow time or one
+    per instance.  condition carries 'z_hist' (B, K_p, N, C) and
+    'visibility' history tokens (B, K_p, N).
     """
-    z_t, single = _batched(z_t, 3)
+    z_t = _with_batch("velocity_forward", z_t, LATENT)
     b, k_f, n, c = z_t.shape
     if n != cfg.n_tokens or c != cfg.latent_channels:
         raise gc.ShapeError("velocity_forward", z_t.shape, (cfg.n_tokens, cfg.latent_channels))
-    z_hist, _ = _batched(condition["z_hist"], 3)
-    vis = np.asarray(condition["visibility"], dtype=np.float64)
-    if vis.ndim == 2:
-        vis = vis[None]
+    z_hist = _with_batch("velocity_forward", condition["z_hist"], LATENT)
+    vis = _with_batch("velocity_forward", condition["visibility"], LATENT[:-1])
     k_p = z_hist.shape[1]
 
     tok = _linear(params, "vel.tok", z_t)
     tok = fuse_history(tok, z_hist, params)
 
     emb = time_features(t, cfg.time_features)
-    if emb.shape[0] == 1 and b > 1:
-        emb = np.repeat(emb, b, axis=0)
-    emb_t = np.broadcast_to(emb.reshape(b, 1, 1, cfg.time_features),
-                            (b, k_f, n, cfg.time_features))
+    emb_t = np.broadcast_to(emb[:, None, None], (b, k_f, n, cfg.time_features))
 
     hist_tok = gc.reshape(gc.transpose(z_hist, (0, 2, 1, 3)), (b, 1, n, k_p * c))
     vis_hist = Tensor(vis.transpose(0, 2, 1).reshape(b, 1, n, k_p))
@@ -369,10 +366,7 @@ def velocity_forward(z_t, t, condition: dict, params: dict, cfg: FlowConfig) -> 
     h = gc.gelu(_linear(params, "vel.merge", h))
     for i in range(cfg.blocks):
         h = _block(params, f"vel.block{i}", h)
-    v = _linear(params, "vel.head", h)
-    if single:
-        v = gc.reshape(v, v.shape[1:])
-    return v
+    return _linear(params, "vel.head", h)
 
 
 # -- visibility head ---------------------------------------------------------
@@ -380,21 +374,18 @@ def velocity_forward(z_t, t, condition: dict, params: dict, cfg: FlowConfig) -> 
 
 def pool_visibility(mask: np.ndarray, token_grid: tuple, reduce: str = "max", *,
                     ratio: int) -> np.ndarray:
-    """Pool a dense (T, H, W) mask, or a batch of them, onto the latent token
-    grid (t_lat, h_tok, w_tok), giving (T_lat, N) float64 per instance.
+    """Pool dense (B, T, H, W) masks onto the latent token grid (t_lat,
+    h_tok, w_tok), giving (B, T_lat, N) float64.
 
     reduce="max" is the logical OR (the visibility head's targets);
     reduce="mean" is the visible fraction (condition tokens, loss weights).
-    The mask's (H, W) must tile onto the grid.  Time groups `ratio` frames
+    The masks' (H, W) must tile onto the grid.  Time groups `ratio` frames
     per latent step (the VAE's temporal_ratio) and pads the last group with
     its last frame, as the VAE encoder does.
     """
     if reduce not in ("max", "mean"):
         raise ValueError(f"unknown reduce {reduce!r}")
-    mask = np.asarray(mask, dtype=np.float64)
-    single = mask.ndim == 3
-    if single:
-        mask = mask[None]
+    mask = _with_batch("pool_visibility", mask, SEGMENT[:-1])
     t_lat, h_tok, w_tok = token_grid
     b, t, h, w = mask.shape
     if (t_lat <= 0 or h_tok <= 0 or w_tok <= 0 or h % h_tok or w % w_tok or ratio <= 0
@@ -404,8 +395,7 @@ def pool_visibility(mask: np.ndarray, token_grid: tuple, reduce: str = "max", *,
     if t_lat * ratio != t:
         mask = np.concatenate([mask, np.repeat(mask[:, -1:], t_lat * ratio - t, axis=1)], axis=1)
     blocks = mask.reshape(b, t_lat, ratio, h_tok, h // h_tok, w_tok, w // w_tok)
-    out = getattr(blocks, reduce)(axis=(2, 4, 6)).reshape(b, t_lat, h_tok * w_tok)
-    return out[0] if single else out
+    return getattr(blocks, reduce)(axis=(2, 4, 6)).reshape(b, t_lat, h_tok * w_tok)
 
 
 def _temporal_conv(params: dict, name: str, h: Tensor) -> Tensor:
@@ -420,19 +410,17 @@ def _temporal_conv(params: dict, name: str, h: Tensor) -> Tensor:
 
 
 def visibility_logits(z_f, params: dict) -> Tensor:
-    z_f, single = _batched(z_f, 3)
+    """Per-token visibility logits (B, K_f, N) of future latents (B, K_f, N, C)."""
+    z_f = _with_batch("visibility_logits", z_f, LATENT)
     h = _linear(params, "vis.embed", z_f)
     h = gc.gelu(_temporal_conv(params, "vis.conv0", h))
     h = gc.gelu(_temporal_conv(params, "vis.conv1", h))
     logits = _linear(params, "vis.head", h)
-    logits = gc.reshape(logits, logits.shape[:-1])
-    if single:
-        logits = gc.reshape(logits, logits.shape[1:])
-    return logits
+    return gc.reshape(logits, logits.shape[:-1])
 
 
 def visibility_predict(z_f, params: dict):
     """Per-token visibility (logits, mask of probability >= 0.5) for future latents."""
-    logits = visibility_logits(z_f, params)
+    logits = visibility_logits(_with_batch("visibility_predict", z_f, LATENT), params)
     prob = 1.0 / (1.0 + np.exp(-logits.data))
     return logits, (prob >= 0.5).astype(np.uint8)

@@ -8,36 +8,37 @@ closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 
 import numpy as np
 
-from .trajfield import SparseTracks, normalize_coords
+from .models import AT_LEAST_1, FINITE, Checked, one_of, ranged
+from .trajfield import SparseTracks, cell_centers, normalize_coords
 
 KINDS = ("translation", "rotation", "zoom", "shear", "static", "jitter-overlay")
+JITTER_AXES = ("x", "y", "both")
 
 
 @dataclass
-class MotionSpec:
-    kind: str
-    frames: int
-    height: int = 32
-    width: int = 32
-    stride: int = 8
-    velocity: tuple[float, float] = (0.0, 0.0)   # px/frame (translation)
-    angular_rate: float = 0.0                    # rad/frame (rotation)
-    zoom_rate: float = 0.0                       # 1/frame (zoom)
-    shear_rate: float = 0.0                      # 1/frame (shear: u = rate * (x - cx))
-    jitter_amplitude: float = 0.0                # px, alternating-sign overlay
-    jitter_axis: str = "x"                       # x | y | both
+class MotionSpec(Checked):
+    kind: str = ranged(MISSING, one_of(KINDS))  # MISSING: no default
+    frames: int = ranged(MISSING, AT_LEAST_1)
+    height: int = ranged(32, AT_LEAST_1)
+    width: int = ranged(32, AT_LEAST_1)
+    stride: int = ranged(8, AT_LEAST_1)
+    velocity: tuple[float, float] = ranged(   # px/frame (translation)
+        (0.0, 0.0), ("a pair of finite numbers",
+                     lambda v: isinstance(v, tuple) and len(v) == 2 and all(map(FINITE[1], v))))
+    angular_rate: float = ranged(0.0, FINITE)      # rad/frame (rotation)
+    zoom_rate: float = ranged(0.0, FINITE)         # 1/frame (zoom)
+    shear_rate: float = ranged(0.0, FINITE)        # 1/frame (shear: u = rate * (x - cx))
+    jitter_amplitude: float = ranged(0.0, FINITE)  # px, alternating-sign overlay
+    jitter_axis: str = ranged("x", one_of(JITTER_AXES))
     base: "MotionSpec | None" = None             # jitter-overlay wraps a base motion
     occlusions: list = field(default_factory=list)  # (t0, t1, x0, y0, x1, y1) px rects
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown motion kind {self.kind!r}")
-        if self.frames < 1:
-            raise ValueError("frames must be >= 1")
+        super().__post_init__()
         for rect in self.occlusions:
             t0, t1, x0, y0, x1, y1 = rect
             if not (0 <= x0 <= x1 <= self.width and 0 <= y0 <= y1 <= self.height):
@@ -58,11 +59,7 @@ class CameraStats:
 
 def _grid_starts(spec: MotionSpec) -> np.ndarray:
     """Initial query points at stride-cell centers, (N, 2) px."""
-    hc, wc = spec.height // spec.stride, spec.width // spec.stride
-    xs = np.arange(wc) * spec.stride + (spec.stride - 1) / 2.0
-    ys = np.arange(hc) * spec.stride + (spec.stride - 1) / 2.0
-    gx, gy = np.meshgrid(xs, ys)
-    return np.stack([gx.ravel(), gy.ravel()], axis=-1)
+    return cell_centers(spec.height, spec.width, spec.stride).reshape(-1, 2)
 
 
 def _center(height: int, width: int) -> np.ndarray:

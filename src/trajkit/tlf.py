@@ -114,8 +114,8 @@ def from_tracks(tracks: SparseTracks) -> TlfFile:
                    tracks.stride, CONV_PIXEL)
 
 
-def _cell_anchor_rows(tlf: TlfFile) -> np.ndarray:
-    return cell_anchors(tlf.height, tlf.width, tlf.stride).reshape(-1, 2)
+def _cell_anchor_rows(height: int, width: int, stride: int) -> np.ndarray:
+    return cell_anchors(height, width, stride).reshape(-1, 2)
 
 
 def convert(tlf: TlfFile, convention: int) -> TlfFile:
@@ -132,7 +132,7 @@ def convert(tlf: TlfFile, convention: int) -> TlfFile:
     elif convention == CONV_PIXEL:
         out = denormalize_coords(norm, tlf.height, tlf.width)
     else:
-        out = norm - _cell_anchor_rows(tlf)[None]
+        out = norm - _cell_anchor_rows(tlf.height, tlf.width, tlf.stride)[None]
     return TlfFile(out, tlf.visibility.copy(), tlf.height, tlf.width, tlf.stride,
                    convention)
 
@@ -143,7 +143,7 @@ def _to_normalized(tlf: TlfFile) -> np.ndarray:
         return coords
     if tlf.convention == CONV_PIXEL:
         return normalize_coords(coords, tlf.height, tlf.width)
-    return coords + _cell_anchor_rows(tlf)[None]
+    return coords + _cell_anchor_rows(tlf.height, tlf.width, tlf.stride)[None]
 
 
 def to_tracks(tlf: TlfFile) -> SparseTracks:
@@ -172,7 +172,7 @@ def from_offset_field(field: OffsetField, height: int, width: int) -> TlfFile:
     px, vis = coarse_positions(field, height, width)
     t, hc, wc, _ = px.shape
     norm = normalize_coords(px.reshape(t, hc * wc, 2), height, width)
-    offsets = norm - cell_anchors(height, width, field.stride).reshape(-1, 2)[None]
+    offsets = norm - _cell_anchor_rows(height, width, field.stride)[None]
     return TlfFile(offsets, vis.reshape(t, hc * wc), height, width, field.stride,
                    CONV_OFFSET)
 

@@ -108,29 +108,25 @@ def denormalize_coords(coords_norm: np.ndarray, height: int, width: int) -> np.n
     return out
 
 
-def anchor_grid(height: int, width: int) -> np.ndarray:
-    """(H, W, 2) normalized pixel-center anchors."""
-    xs = 2.0 * (np.arange(width) + 0.5) / width - 1.0
-    ys = 2.0 * (np.arange(height) + 0.5) / height - 1.0
-    g = np.empty((height, width, 2), dtype=np.float64)
-    g[..., 0] = xs[None, :]
-    g[..., 1] = ys[:, None]
-    return g
+def cell_centers(height: int, width: int, stride: int) -> np.ndarray:
+    """(H_c, W_c, 2) continuous pixel (x, y) centers of the stride cells.
+
+    Cell (i, j) centers at (j*s + (s-1)/2, i*s + (s-1)/2), the mean position
+    of the pixels it covers.
+    """
+    xs = np.arange(width // stride) * stride + (stride - 1) / 2.0
+    ys = np.arange(height // stride) * stride + (stride - 1) / 2.0
+    return np.stack(np.meshgrid(xs, ys), axis=-1)
 
 
 def cell_anchors(height: int, width: int, stride: int) -> np.ndarray:
-    """(H_c, W_c, 2) normalized anchors at stride-cell centers.
+    """(H_c, W_c, 2) normalized anchors at stride-cell centers."""
+    return normalize_coords(cell_centers(height, width, stride), height, width)
 
-    Cell (i, j) anchors at continuous pixel (j*s + (s-1)/2, i*s + (s-1)/2),
-    the mean position of the pixels it covers.
-    """
-    hc, wc = height // stride, width // stride
-    xs = np.arange(wc) * stride + (stride - 1) / 2.0
-    ys = np.arange(hc) * stride + (stride - 1) / 2.0
-    g = np.empty((hc, wc, 2), dtype=np.float64)
-    g[..., 0] = 2.0 * (xs[None, :] + 0.5) / width - 1.0
-    g[..., 1] = 2.0 * (ys[:, None] + 0.5) / height - 1.0
-    return g
+
+def anchor_grid(height: int, width: int) -> np.ndarray:
+    """(H, W, 2) normalized pixel-center anchors: the cell anchors at stride 1."""
+    return cell_anchors(height, width, 1)
 
 
 def cell_index(h: int, w: int, stride: int, coarse_width: int) -> int:

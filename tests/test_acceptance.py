@@ -137,8 +137,8 @@ def eval_vepe_px(params, vae_cfg, dataset) -> float:
 
 def eval_temporal(params, vae_cfg, dataset) -> float:
     recon = flowgen.vae_reconstruct(params, vae_cfg, dataset.segments)
-    vals = [float(lb.temporal_loss(lb.SegmentPair(dataset.segments[i], recon[i],
-                                                  dataset.masks[i])))
+    vals = [float(lb.temporal_loss(lb.SegmentPair(dataset.segments[i:i + 1], recon[i:i + 1],
+                                                  dataset.masks[i:i + 1])))
             for i in range(len(dataset))]
     return float(np.mean(vals))
 
@@ -160,14 +160,14 @@ def endpoint_latent_error(bundle, pairs, seed_base: int) -> float:
     errs = []
     for i in range(len(pairs)):
         rng = gc.rng(seed_base + i)
-        z0 = boundary_init(z_p[i, -1], bundle.flow_cfg, rng)
-        cond = {"z_hist": z_p[i], "visibility": vis_tok[i]}
+        z0 = boundary_init(z_p[i:i + 1, -1], bundle.flow_cfg, rng)
+        cond = {"z_hist": z_p[i:i + 1], "visibility": vis_tok[i:i + 1]}
 
         def v_fn(z, t):
             return velocity_forward(z, float(t), cond, wrapped, bundle.flow_cfg).data
 
         z1 = euler_sample(v_fn, z0, steps=10)
-        errs.append(float(np.sqrt(np.mean((z1 - z_f[i]) ** 2))))
+        errs.append(float(np.sqrt(np.mean((z1 - z_f[i:i + 1]) ** 2))))
     return float(np.mean(errs))
 
 
@@ -185,25 +185,25 @@ def test_criterion_01_gradient_suite():
         for seed in range(10):
             rng = np.random.default_rng(seed)
             rngg = gc.rng(seed)
-            x = rng.normal(size=(3, 4, 4, 2)) * 0.5
+            x = rng.normal(size=(1, 3, 4, 4, 2)) * 0.5
             sign = rng.choice([-1.0, 1.0], size=x.shape)
             xh0 = x + sign * (0.05 + 0.4 * rng.random(x.shape))
-            m = np.ones((3, 4, 4))
+            m = np.ones((1, 3, 4, 4))
             pair = lambda r: lb.SegmentPair(x, r, m)
             spec = lb.NeighborSpec()
             mu0 = rng.normal(size=(2, 4, 4)) * 0.5
             lv0 = rng.normal(size=(2, 4, 4)) * 0.5
-            u = rng.normal(size=(2, 4, 3))
+            u = rng.normal(size=(1, 2, 4, 3))
             v0 = u + rng.normal(size=u.shape) * 0.3
-            w = np.full((2, 4), 1.0 / 8)
+            w = np.full((1, 2, 4), 1.0 / 8)
             logits0 = rng.normal(size=(3, 4))
             btargets = rng.random((3, 4))
-            z0k = rng.normal(size=(1, 2, 3))
-            z1k = rng.normal(size=(1, 2, 3))
+            z0k = rng.normal(size=(1, 1, 2, 3))
+            z1k = rng.normal(size=(1, 1, 2, 3))
             times = [0.2, 0.5, 0.8]
             states = [(1 - t) * z0k + t * z1k for t in times]
             tgts = [lb.kstep_targets(states[i], z0k, z1k, times[i]) for i in range(3)]
-            wk = np.full((1, 2), 0.5)
+            wk = np.full((1, 1, 2), 0.5)
 
             loss_checks = [
                 (lambda r: lb.recon_loss(pair(r)), [xh0]),
@@ -227,7 +227,7 @@ def test_criterion_01_gradient_suite():
                 worst = max(worst, gc.grad_check(fn, args))
 
             vae_params = init_vae_params(tiny_vae, rngg)
-            seg = rngg.draw_normal((4, 8, 8, 2)) * 0.3
+            seg = rngg.draw_normal((1, 4, 8, 8, 2)) * 0.3
 
             def enc_dec(inp):
                 mu, logvar = vae_encode(inp, vae_params, tiny_vae)
@@ -237,21 +237,21 @@ def test_criterion_01_gradient_suite():
             worst = max(worst, gc.grad_check(enc_dec, [seg]))
 
             vel_params = init_velocity_params(tiny_flow, rngg)
-            cond = {"z_hist": rngg.draw_normal((2, 4, 4)),
-                    "visibility": np.ones((2, 4))}
+            cond = {"z_hist": rngg.draw_normal((1, 2, 4, 4)),
+                    "visibility": np.ones((1, 2, 4))}
 
             def vel(z):
                 return gc.tsum(gc.square(velocity_forward(z, 0.4, cond, vel_params,
                                                           tiny_flow)))
 
-            worst = max(worst, gc.grad_check(vel, [rngg.draw_normal((2, 4, 4)) * 0.5]))
+            worst = max(worst, gc.grad_check(vel, [rngg.draw_normal((1, 2, 4, 4)) * 0.5]))
 
             vis_params = init_visibility_params(tiny_flow, rngg)
 
             def vis(z):
                 return gc.tsum(gc.square(visibility_logits(z, vis_params)))
 
-            worst = max(worst, gc.grad_check(vis, [rngg.draw_normal((2, 4, 4)) * 0.5]))
+            worst = max(worst, gc.grad_check(vis, [rngg.draw_normal((1, 2, 4, 4)) * 0.5]))
 
         RESULTS["criterion_01_worst_grad_error"] = worst
         assert worst < 1e-4
@@ -277,7 +277,7 @@ def test_criterion_02_metric_oracles():
             vals = rng.normal(size=(6, 8)) + rng.normal(size=(1, 8)) * 2
             v2 = (rng.random((6, 8)) > 0.2).astype(np.float64)
             if (v2.sum(axis=0) > 0).sum() >= 2:
-                assert metrics.explained_variance(vals, v2) == pytest.approx(
+                assert metrics.explained_variance(vals[..., None], v2) == pytest.approx(
                     explained_brute(vals, v2), abs=1e-9)
 
         base = _grid_positions(4, 4, 32.0)
@@ -304,7 +304,7 @@ def test_criterion_02_metric_oracles():
 def test_criterion_03_toy_reproduction():
     with report(3, "toy pair: equal recon, st gap = lambda_t * 2b"):
         for b in (0.05, 0.1, 0.2):
-            gt, smooth, jitter, mask = motionlab.toy_1d_pair(b, 8)
+            gt, smooth, jitter, mask = (a[None] for a in motionlab.toy_1d_pair(b, 8))
             rec_s = float(lb.recon_loss(lb.SegmentPair(gt, smooth, mask)))
             rec_j = float(lb.recon_loss(lb.SegmentPair(gt, jitter, mask)))
             assert abs(rec_s - rec_j) < 1e-12
@@ -436,9 +436,9 @@ def test_criterion_07_flow_run(vae_cfg, flow_cfg, flow_runs):
 
 def test_criterion_08_boundary_and_fusion_invariants(flow_cfg):
     with report(8, "anchoring, fusion identity, detached rollout, time mixture"):
-        z_last = gc.rng(0).draw_normal((16, 8))
+        z_last = gc.rng(0).draw_normal((1, 16, 8))
         z0 = boundary_init(z_last, replace(flow_cfg, sigma0=0.0), gc.rng(1))
-        assert np.array_equal(z0[0], z_last)
+        assert np.array_equal(z0[:, 0], z_last)
 
         vel_params = wrap_params(init_velocity_params(flow_cfg, gc.rng(2)),
                                  requires_grad=False)
@@ -561,7 +561,7 @@ def test_criterion_10_visibility_predictor(flow_cfg):
         rng = np.random.default_rng(12)
         for _ in range(10):
             m = (rng.random((8, 32, 32)) > 0.85).astype(np.uint8)
-            out = pool_visibility(m, (2, 4, 4), ratio=4)
+            out = pool_visibility(m[None], (2, 4, 4), ratio=4)[0]
             for k in range(2):
                 for i in range(4):
                     for j in range(4):

@@ -282,6 +282,17 @@ class TestSynthAndConversions:
         manifest = json.loads((tmp_path / "r" / "manifest.json").read_text())
         assert manifest["command"] == "rasterize"
 
+    @pytest.mark.parametrize("flag, value, field", [("--stride", 0, "stride"),
+                                                     ("--height", 0, "height"),
+                                                     ("--vx", "nan", "velocity")])
+    def test_bad_scene_value_exits_1_naming_the_field(self, tmp_path, capsys, flag, value,
+                                                      field):
+        out = tmp_path / "s.tlf"
+        assert run("synth", out, flag, value, "--out", tmp_path) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {field} must be")
+        assert not out.exists()
+
     def test_malformed_tlf_gives_exit_2(self, tmp_path):
         bad = tmp_path / "bad.tlf"
         bad.write_bytes(b"garbage")
@@ -551,8 +562,9 @@ class TestSampleConfig:
 
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [["synth"], ["bogus"], ["eval", "x.tlf", "--metric", "bogus"],
-                                      []],
-                             ids=["missing-argument", "unknown-command", "bad-choice", "empty"])
+                                      [], ["gradcheck", "--seeds", "-1"]],
+                             ids=["missing-argument", "unknown-command", "bad-choice", "empty",
+                                  "negative-count"])
     def test_usage_error_exits_1_with_argparse_message(self, capsys, argv):
         assert dispatch(argv) == 1
         err = capsys.readouterr().err
@@ -771,6 +783,9 @@ class TestProcess:
                             {"vae_cfg": {**asdict(VaeConfig()), "patch": 8.0}, "seed": 0})
         for code, argv in [(0, ["synth", tmp_path / "s.tlf", "--frames", 4]),
                            (1, ["synth"]),
+                           (1, ["synth", tmp_path / "s.tlf", "--stride", 0]),
+                           (1, ["synth", tmp_path / "s.tlf", "--height", 0]),
+                           (1, ["synth", tmp_path / "s.tlf", "--vx", "nan"]),
                            (2, ["rasterize", garbage, tmp_path / "r.tlf"]),
                            (2, ["train-flow", "--vae", vae]),
                            (3, ["train-vae", "--config", cfg]),

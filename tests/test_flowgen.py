@@ -138,37 +138,37 @@ class TestInterpolate:
 
 class TestBoundaryInit:
     def test_sigma0_zero_first_slice_exact(self):
-        z_last = np.arange(12.0).reshape(4, 3)
+        z_last = np.arange(12.0).reshape(1, 4, 3)
         z0 = boundary_init(z_last, FlowConfig(future_steps=3, sigma0=0.0), gc.rng(0))
-        assert np.array_equal(z0[0], z_last)
+        assert np.array_equal(z0[:, 0], z_last)
 
     def test_monte_carlo_anchor_mean(self):
-        z_last = np.array([[0.5, -0.3]])
+        z_last = np.array([[[0.5, -0.3]]])
         draws = []
         rng = gc.rng(1)
         for _ in range(10_000):
-            draws.append(boundary_init(z_last, FlowConfig(future_steps=2, sigma0=0.1), rng)[0])
+            draws.append(boundary_init(z_last, FlowConfig(future_steps=2, sigma0=0.1), rng)[:, 0])
         mean = np.mean(draws, axis=0)
         assert np.allclose(mean, z_last, atol=0.01)
 
     def test_later_slices_unit_gaussian(self):
-        z_last = np.zeros((4, 2))
+        z_last = np.zeros((1, 4, 2))
         rng = gc.rng(2)
         cfg = FlowConfig(future_steps=3, sigma0=0.1)
-        draws = np.stack([boundary_init(z_last, cfg, rng)[1:] for _ in range(5_000)])
+        draws = np.stack([boundary_init(z_last, cfg, rng)[:, 1:] for _ in range(5_000)])
         assert abs(draws.var() - 1.0) < 0.05
         assert abs(draws.mean()) < 0.05
 
     def test_all_slices_mode_repeats_anchor(self):
-        z_last = np.arange(6.0).reshape(3, 2)
+        z_last = np.arange(6.0).reshape(1, 3, 2)
         cfg = FlowConfig(future_steps=4, sigma0=0.0, anchor_mode="all-slices")
         z0 = boundary_init(z_last, cfg, gc.rng(3))
         for k in range(4):
-            assert np.array_equal(z0[k], z_last)
+            assert np.array_equal(z0[:, k], z_last)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(FieldError, match="^anchor_mode must be one of"):
-            boundary_init(np.zeros((2, 2)), FlowConfig(anchor_mode="middle"), gc.rng(0))
+            boundary_init(np.zeros((1, 2, 2)), FlowConfig(anchor_mode="middle"), gc.rng(0))
 
 
 class TestLatentStats:

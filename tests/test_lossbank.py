@@ -15,7 +15,7 @@ def _pair(seed=0, t=4, h=6, w=6, vis_p=1.0, residual_scale=0.3):
     m = (rng.random((t, h, w)) < vis_p).astype(np.uint8)
     if m.sum() == 0:
         m[0, 0, 0] = 1
-    return lb.SegmentPair(x, xh, m)
+    return lb.SegmentPair(x[None], xh[None], m[None])  # a batch of one
 
 
 class TestReconLoss:
@@ -24,29 +24,29 @@ class TestReconLoss:
         assert float(lb.recon_loss(lb.SegmentPair(p.target, p.target.copy(), p.mask))) == 0.0
 
     def test_uniform_half_residual_quadratic_branch(self):
-        x = np.zeros((2, 3, 3, 2))
+        x = np.zeros((1, 2, 3, 3, 2))
         xh = np.full_like(x, 0.5)
-        m = np.ones((2, 3, 3))
+        m = np.ones((1, 2, 3, 3))
         # Two channels, each 0.5^2 / 2 = 0.125, summed -> 0.25.
         assert float(lb.recon_loss(lb.SegmentPair(x, xh, m), huber_delta=1.0)) == pytest.approx(0.25)
 
     def test_invisible_residual_ignored(self):
-        x = np.zeros((2, 3, 3, 2))
+        x = np.zeros((1, 2, 3, 3, 2))
         xh = x.copy()
-        m = np.ones((2, 3, 3))
-        m[1] = 0
-        xh[1] += 7.0  # only on invisible frames
+        m = np.ones((1, 2, 3, 3))
+        m[0, 1] = 0
+        xh[0, 1] += 7.0  # only on invisible frames
         assert float(lb.recon_loss(lb.SegmentPair(x, xh, m))) == 0.0
 
     def test_all_invisible_raises(self):
         with pytest.raises(ValueError):
-            lb.recon_loss(lb.SegmentPair(np.zeros((2, 2, 2, 2)), np.zeros((2, 2, 2, 2)),
-                                         np.zeros((2, 2, 2))))
+            lb.recon_loss(lb.SegmentPair(np.zeros((1, 2, 2, 2, 2)), np.zeros((1, 2, 2, 2, 2)),
+                                         np.zeros((1, 2, 2, 2))))
 
     def test_linear_branch_engages_beyond_delta(self):
-        x = np.zeros((1, 1, 1, 2))
+        x = np.zeros((1, 1, 1, 1, 2))
         xh = np.full_like(x, 2.0)
-        m = np.ones((1, 1, 1))
+        m = np.ones((1, 1, 1, 1))
         # per channel: delta*(|r|-delta/2) = 0.5*(2-0.25) = 0.875; two channels.
         val = float(lb.recon_loss(lb.SegmentPair(x, xh, m), huber_delta=0.5))
         assert val == pytest.approx(2 * 0.5 * (2.0 - 0.25))
@@ -54,11 +54,11 @@ class TestReconLoss:
 
 class TestTemporalLoss:
     def test_exact_static_zero(self):
-        x = np.zeros((4, 3, 3, 2))
-        assert float(lb.temporal_loss(lb.SegmentPair(x, x.copy(), np.ones((4, 3, 3))))) == 0.0
+        x = np.zeros((1, 4, 3, 3, 2))
+        assert float(lb.temporal_loss(lb.SegmentPair(x, x.copy(), np.ones((1, 4, 3, 3))))) == 0.0
 
     def test_toy_jitter_closed_form(self):
-        gt, smooth, jitter, mask = toy_1d_pair(0.1, 8)
+        gt, smooth, jitter, mask = (a[None] for a in toy_1d_pair(0.1, 8))
         assert float(lb.temporal_loss(lb.SegmentPair(gt, smooth, mask))) == pytest.approx(0.0, abs=1e-15)
         assert float(lb.temporal_loss(lb.SegmentPair(gt, jitter, mask))) == pytest.approx(0.2, abs=1e-12)
 
@@ -68,10 +68,11 @@ class TestTemporalLoss:
         assert float(lb.temporal_loss(lb.SegmentPair(p.target, shifted, p.mask))) == pytest.approx(0.0, abs=1e-14)
 
     def test_no_valid_pair_raises(self):
-        m = np.zeros((3, 2, 2))
-        m[0] = 1  # visible only in one frame: no consecutive pair
+        m = np.zeros((1, 3, 2, 2))
+        m[0, 0] = 1  # visible only in one frame: no consecutive pair
         with pytest.raises(ValueError):
-            lb.temporal_loss(lb.SegmentPair(np.zeros((3, 2, 2, 2)), np.zeros((3, 2, 2, 2)), m))
+            lb.temporal_loss(lb.SegmentPair(np.zeros((1, 3, 2, 2, 2)), np.zeros((1, 3, 2, 2, 2)),
+                                            m))
 
 
 def spatial_brute_force(x, xh, m, hops, alphas):
@@ -115,7 +116,7 @@ class TestSpatialLoss:
         xh[1, 3, 3] += np.array([0.25, -0.1])
         m = np.ones((2, 6, 6))
         spec = lb.NeighborSpec()
-        got = float(lb.spatial_loss(lb.SegmentPair(x, xh, m), spec))
+        got = float(lb.spatial_loss(lb.SegmentPair(x[None], xh[None], m[None]), spec))
         want = spatial_brute_force(x, xh, m, spec.hops, spec.weights)
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -124,7 +125,7 @@ class TestSpatialLoss:
         p = _pair(seed=seed, vis_p=0.8)
         spec = lb.NeighborSpec()
         got = float(lb.spatial_loss(p, spec))
-        want = spatial_brute_force(p.target, p.recon, p.mask, spec.hops, spec.weights)
+        want = spatial_brute_force(p.target[0], p.recon[0], p.mask[0], spec.hops, spec.weights)
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_small_grid_drops_oversized_hop(self):
@@ -134,15 +135,16 @@ class TestSpatialLoss:
         xh = x + rng.normal(size=x.shape) * 0.1
         m = np.ones((2, 2, 2))
         spec = lb.NeighborSpec()
-        got = float(lb.spatial_loss(lb.SegmentPair(x, xh, m), spec))
+        got = float(lb.spatial_loss(lb.SegmentPair(x[None], xh[None], m[None]), spec))
         want = spatial_brute_force(x, xh, m, spec.hops, spec.weights)
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_all_hops_empty_raises(self):
-        m = np.zeros((1, 6, 6))
-        m[0, 0, 0] = 1  # a visible point with no visible neighbor
+        m = np.zeros((1, 1, 6, 6))
+        m[0, 0, 0, 0] = 1  # a visible point with no visible neighbor
         with pytest.raises(ValueError):
-            lb.spatial_loss(lb.SegmentPair(np.zeros((1, 6, 6, 2)), np.zeros((1, 6, 6, 2)), m))
+            lb.spatial_loss(lb.SegmentPair(np.zeros((1, 1, 6, 6, 2)), np.zeros((1, 1, 6, 6, 2)),
+                                           m))
 
 
 def _st_regularizer(pair, lambda_temporal=0.1, lambda_spatial=0.2):
@@ -153,8 +155,8 @@ def _st_regularizer(pair, lambda_temporal=0.1, lambda_spatial=0.2):
 
 class TestStRegularizer:
     def test_zero_components(self):
-        x = np.zeros((3, 4, 4, 2))
-        assert _st_regularizer(lb.SegmentPair(x, x.copy(), np.ones((3, 4, 4)))) == 0.0
+        x = np.zeros((1, 3, 4, 4, 2))
+        assert _st_regularizer(lb.SegmentPair(x, x.copy(), np.ones((1, 3, 4, 4)))) == 0.0
 
     def test_zero_lambdas(self):
         p = _pair(seed=6)
@@ -176,7 +178,7 @@ class TestStRegularizer:
 
     @pytest.mark.parametrize("b", [0.05, 0.1, 0.2])
     def test_toy_separates_smooth_from_jitter(self, b):
-        gt, smooth, jitter, mask = toy_1d_pair(b, 8)
+        gt, smooth, jitter, mask = (a[None] for a in toy_1d_pair(b, 8))
         rec_s = float(lb.recon_loss(lb.SegmentPair(gt, smooth, mask)))
         rec_j = float(lb.recon_loss(lb.SegmentPair(gt, jitter, mask)))
         assert rec_s == pytest.approx(rec_j, abs=1e-12)
@@ -202,16 +204,16 @@ class TestKlLoss:
 
 class TestTokenWeights:
     def test_all_visible_uniform(self):
-        tw = lb.token_weights(np.ones((4, 8, 8)), (2, 2, 2), ratio=2)
+        tw = lb.token_weights(np.ones((1, 4, 8, 8)), (2, 2, 2), ratio=2)
         assert np.allclose(tw, 1.0 / 8)
 
     def test_all_invisible_uniform(self):
-        tw = lb.token_weights(np.zeros((4, 8, 8)), (2, 2, 2), ratio=2)
+        tw = lb.token_weights(np.zeros((1, 4, 8, 8)), (2, 2, 2), ratio=2)
         assert np.allclose(tw, 1.0 / 8)
 
     def test_half_visible_ratio(self):
-        m = np.zeros((2, 4, 4))
-        m[:, :, :2] = 1  # left half visible
+        m = np.zeros((1, 2, 4, 4))
+        m[..., :2] = 1  # left half visible
         tw = lb.token_weights(m, (1, 2, 2), floor=0.01, ratio=2)
         flat = tw.reshape(-1)
         assert flat[0] / flat[1] == pytest.approx(100.0)
@@ -219,24 +221,24 @@ class TestTokenWeights:
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
-            lb.token_weights(np.ones((2, 4, 4)), (1, 0, 2), ratio=2)
+            lb.token_weights(np.ones((1, 2, 4, 4)), (1, 0, 2), ratio=2)
 
 
 class TestFmLoss:
     def test_exact_zero(self):
-        v = np.ones((2, 4, 3))
-        assert float(lb.fm_loss(v, v.copy(), np.full((2, 4), 1.0 / 8))) == 0.0
+        v = np.ones((1, 2, 4, 3))
+        assert float(lb.fm_loss(v, v.copy(), np.full((1, 2, 4), 1.0 / 8))) == 0.0
 
     def test_constant_channel_error(self):
-        u = np.zeros((2, 4, 3))
+        u = np.zeros((1, 2, 4, 3))
         v = np.full_like(u, 0.5)
-        assert float(lb.fm_loss(v, u, np.full((2, 4), 1.0 / 8))) == pytest.approx(0.25)
+        assert float(lb.fm_loss(v, u, np.full((1, 2, 4), 1.0 / 8))) == pytest.approx(0.25)
 
     def test_zero_weight_token_excluded(self):
-        u = np.zeros((1, 2, 3))
+        u = np.zeros((1, 1, 2, 3))
         v = u.copy()
-        v[0, 1] = 5.0  # error only on the zero-weight token
-        w = np.array([[1.0, 0.0]])
+        v[0, 0, 1] = 5.0  # error only on the zero-weight token
+        w = np.array([[[1.0, 0.0]]])
         assert float(lb.fm_loss(v, u, w)) == 0.0
 
 
@@ -266,40 +268,40 @@ class TestKstepPieces:
 
     def test_kstep_loss_zero_on_straight_path(self):
         rng = np.random.default_rng(1)
-        z0 = rng.normal(size=(2, 3, 4))
-        z1 = rng.normal(size=(2, 3, 4))
+        z0 = rng.normal(size=(1, 2, 3, 4))
+        z1 = rng.normal(size=(1, 2, 3, 4))
         u = z1 - z0
         times = [0.2, 0.5, 0.8]
         velocities = [gc.Tensor(u) for _ in times]
         targets = [lb.kstep_targets((1 - t) * z0 + t * z1, z0, z1, t) for t in times]
-        w = np.full((2, 3), 1.0 / 6)
+        w = np.full((1, 2, 3), 1.0 / 6)
         assert float(lb.kstep_loss(velocities, targets, w)) == pytest.approx(0.0, abs=1e-24)
 
     def test_kstep_loss_zero_weights(self):
-        v = [gc.Tensor(np.ones((1, 2, 2)))]
-        targets = [(np.zeros((1, 2, 2)), np.zeros((1, 2, 2)))]
-        w = np.full((1, 2), 0.5)
+        v = [gc.Tensor(np.ones((1, 1, 2, 2)))]
+        targets = [(np.zeros((1, 1, 2, 2)), np.zeros((1, 1, 2, 2)))]
+        w = np.full((1, 1, 2), 0.5)
         assert float(lb.kstep_loss(v, targets, w, w1=0.0, w0=0.0)) == 0.0
 
     def test_kstep_loss_single_step_hand_value(self):
-        v = [gc.Tensor(np.full((1, 1, 2), 1.0))]
-        v1 = np.full((1, 1, 2), 0.5)
-        v0 = np.full((1, 1, 2), 2.0)
-        w = np.ones((1, 1))
+        v = [gc.Tensor(np.full((1, 1, 1, 2), 1.0))]
+        v1 = np.full((1, 1, 1, 2), 0.5)
+        v0 = np.full((1, 1, 1, 2), 2.0)
+        w = np.ones((1, 1, 1))
         # w1 * (1/C)*1*(2*0.25) + w0 * (1/C)*1*(2*1.0) with C=2.
         want = 1.0 * 0.25 + 0.5 * 1.0
         assert float(lb.kstep_loss(v, [(v1, v0)], w)) == pytest.approx(want)
 
     def test_mismatched_step_counts_raise(self):
         with pytest.raises(ValueError):
-            lb.kstep_loss([gc.Tensor(np.ones((1, 1, 1)))], [], np.ones((1, 1)))
+            lb.kstep_loss([gc.Tensor(np.ones((1, 1, 1, 1)))], [], np.ones((1, 1, 1)))
 
 
 class TestEndpointConsistency:
     def test_exact_linear_field_zero(self):
         rng = np.random.default_rng(2)
-        z0 = rng.normal(size=(1, 2, 3))
-        z1 = rng.normal(size=(1, 2, 3))
+        z0 = rng.normal(size=(1, 1, 2, 3))
+        z1 = rng.normal(size=(1, 1, 2, 3))
         u = z1 - z0
         times = [0.1, 0.4, 0.7]
         states = [(1 - t) * z0 + t * z1 for t in times]
@@ -309,8 +311,8 @@ class TestEndpointConsistency:
 
     def test_constant_velocity_offset_matches_direct_evaluation(self):
         rng = np.random.default_rng(3)
-        z0 = rng.normal(size=(1, 2, 3))
-        z1 = rng.normal(size=(1, 2, 3))
+        z0 = rng.normal(size=(1, 1, 2, 3))
+        z1 = rng.normal(size=(1, 1, 2, 3))
         c = 0.3
         u = z1 - z0 + c
         times = [0.1, 0.5, 0.9]
@@ -348,8 +350,9 @@ class TestEndpointConsistency:
         monkeypatch.setattr(tensor, "_make", recording)
         rng = np.random.default_rng(5)
         times = [0.2, 0.5, 0.8]
-        states = [rng.normal(size=(2, 2, 3)) for _ in times]
-        velocities = [gc.Tensor(rng.normal(size=(2, 2, 3)), requires_grad=True) for _ in times]
+        states = [rng.normal(size=(1, 2, 2, 3)) for _ in times]
+        velocities = [gc.Tensor(rng.normal(size=(1, 2, 2, 3)), requires_grad=True)
+                      for _ in times]
         out = lb.endpoint_consistency(states, velocities, times)
         on_tape, stack = set(), [out]
         while stack:
@@ -361,7 +364,8 @@ class TestEndpointConsistency:
 
     def test_single_step_raises(self):
         with pytest.raises(ValueError):
-            lb.endpoint_consistency([np.zeros((1, 1, 1))], [gc.Tensor(np.zeros((1, 1, 1)))], [0.5])
+            lb.endpoint_consistency([np.zeros((1, 1, 1, 1))], [gc.Tensor(np.zeros((1, 1, 1, 1)))],
+                                    [0.5])
 
 
 class TestBceLogits:
@@ -408,8 +412,8 @@ class TestGradCheck:
     @pytest.mark.parametrize("seed", range(3))
     def test_losses_differentiate_cleanly(self, seed):
         rng = np.random.default_rng(seed)
-        x = rng.normal(size=(3, 4, 4, 2)) * 0.5
-        m = np.ones((3, 4, 4))
+        x = rng.normal(size=(1, 3, 4, 4, 2)) * 0.5
+        m = np.ones((1, 3, 4, 4))
         sign = rng.choice([-1.0, 1.0], size=x.shape)
         xh0 = x + sign * (0.05 + 0.4 * rng.random(x.shape))
 
@@ -429,9 +433,9 @@ class TestGradCheck:
         lv = rng.normal(size=(2, 3, 4)) * 0.5
         assert gc.grad_check(lambda a, b: lb.kl_loss(a, b), [mu, lv]) < 1e-4
 
-        u = rng.normal(size=(2, 4, 3))
+        u = rng.normal(size=(1, 2, 4, 3))
         v = u + rng.normal(size=u.shape) * 0.3
-        w = np.full((2, 4), 1.0 / 8)
+        w = np.full((1, 2, 4), 1.0 / 8)
         assert gc.grad_check(lambda vv: lb.fm_loss(vv, u, w), [v]) < 1e-4
 
         logits = rng.normal(size=(3, 4))

@@ -236,12 +236,12 @@ class TestVepe:
 class TestExplainedVariance:
     def test_static_distinct_cells_is_100(self):
         values = np.broadcast_to(np.arange(5.0), (4, 5)).copy()
-        assert explained_variance(values, np.ones((4, 5))) == pytest.approx(100.0)
+        assert explained_variance(values[..., None], np.ones((4, 5))) == pytest.approx(100.0)
 
     def test_identical_series_everywhere_is_0(self):
         series = np.sin(np.arange(6.0))
         values = np.tile(series[:, None], (1, 4))
-        assert explained_variance(values, np.ones((6, 4))) == pytest.approx(0.0)
+        assert explained_variance(values[..., None], np.ones((6, 4))) == pytest.approx(0.0)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_brute_force(self, seed):
@@ -250,7 +250,7 @@ class TestExplainedVariance:
         vis = (rng.random((6, 8)) > 0.2).astype(np.float64)
         if (vis.sum(axis=0) > 0).sum() < 2:
             return
-        got = explained_variance(values, vis)
+        got = explained_variance(values[..., None], vis)
         assert got == pytest.approx(explained_brute(values, vis), abs=1e-9)
 
     def test_invisible_perturbation_invariance(self):
@@ -260,8 +260,8 @@ class TestExplainedVariance:
         vis[:, 0] = 1
         tweaked = values.copy()
         tweaked[vis == 0] += 1e6
-        assert explained_variance(values, vis) == pytest.approx(
-            explained_variance(tweaked, vis), rel=1e-12)
+        assert explained_variance(values[..., None], vis) == pytest.approx(
+            explained_variance(tweaked[..., None], vis), rel=1e-12)
 
     def test_per_axis_output(self):
         rng = np.random.default_rng(14)
@@ -271,4 +271,4 @@ class TestExplainedVariance:
 
     def test_all_invisible_raises(self):
         with pytest.raises(ValueError):
-            explained_variance(np.zeros((3, 4)), np.zeros((3, 4)))
+            explained_variance(np.zeros((3, 4))[..., None], np.zeros((3, 4)))

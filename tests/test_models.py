@@ -1,7 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from trajkit import flowgen
 from trajkit import gradcore as gc
+from trajkit import lossbank as lb
 from trajkit import models
 from trajkit.models import (
     FlowConfig,
@@ -42,63 +46,95 @@ def vel_params(flow_cfg):
     return init_velocity_params(flow_cfg, gc.rng(1))
 
 
-class TestBatched:
-    def test_tensor_gets_a_reshape_node(self):
-        t = gc.Tensor(np.ones((2, 3)), requires_grad=True)
-        out, added = models._batched(t, 2)
-        assert added and out._op == "reshape" and out.shape == (1, 2, 3)
-        assert models._batched(out, 2) == (out, False)
+LAT, HIST, VIS = np.zeros((1, 2, 4, 4)), np.zeros((1, 2, 4, 4)), np.ones((1, 2, 4))
+SEG, MASK, W = np.zeros((1, 2, 4, 4, 2)), np.ones((1, 2, 4, 4)), np.full((1, 2, 4), 0.125)
+PAIR_LOSSES = {"recon_loss": lb.recon_loss, "temporal_loss": lb.temporal_loss,
+               "spatial_loss": lb.spatial_loss,
+               "consistency_terms": lambda p: lb.consistency_terms(p, None, 0.0, 0.0)}
+UNBATCHED_PAIRS = {"target": (SEG[0], SEG, MASK), "recon": (SEG, SEG[0], MASK),
+                   "mask": (SEG, SEG, MASK[0])}
+# "function[input]" -> a call, given the networks `n`, that passes that input
+# without its leading batch axis and every other input with it
+UNBATCHED = {
+    **{f"{name}[{field}]": lambda n, fn=fn, args=args: fn(lb.SegmentPair(*args))
+       for name, fn in PAIR_LOSSES.items() for field, args in UNBATCHED_PAIRS.items()},
+    "vae_encode[x]": lambda n: vae_encode(np.zeros((4, 16, 16, 2)), n.vae, n.vae_cfg),
+    "vae_decode[z]": lambda n: vae_decode(LAT[0], n.vae, n.vae_cfg),
+    "velocity_forward[z_t]": lambda n: velocity_forward(
+        LAT[0], 0.3, {"z_hist": HIST, "visibility": VIS}, n.vel, n.flow_cfg),
+    "velocity_forward[z_hist]": lambda n: velocity_forward(
+        LAT, 0.3, {"z_hist": HIST[0], "visibility": VIS}, n.vel, n.flow_cfg),
+    "velocity_forward[visibility]": lambda n: velocity_forward(
+        LAT, 0.3, {"z_hist": HIST, "visibility": VIS[0]}, n.vel, n.flow_cfg),
+    "fuse_history[z_hist]": lambda n: fuse_history(gc.zeros((1, 2, 4, 24)), HIST[0],
+                                                   wrap_params(n.vel)),
+    "visibility_logits[z_f]": lambda n: models.visibility_logits(LAT[0], n.vis),
+    "visibility_predict[z_f]": lambda n: visibility_predict(LAT[0], n.vis),
+    "pool_visibility[mask]": lambda n: pool_visibility(MASK[0], (1, 2, 2), ratio=2),
+    "token_weights[future_mask]": lambda n: lb.token_weights(MASK[0], (1, 2, 2), ratio=2),
+    "fm_loss[v_pred]": lambda n: lb.fm_loss(LAT[0], LAT, W),
+    "fm_loss[u_target]": lambda n: lb.fm_loss(LAT, LAT[0], W),
+    "fm_loss[weights]": lambda n: lb.fm_loss(LAT, LAT, W[0]),
+    "kstep_loss[velocities]": lambda n: lb.kstep_loss([LAT[0]], [(LAT, LAT)], W),
+    "kstep_loss[v1]": lambda n: lb.kstep_loss([LAT], [(LAT[0], LAT)], W),
+    "kstep_loss[v0]": lambda n: lb.kstep_loss([LAT], [(LAT, LAT[0])], W),
+    "kstep_loss[weights]": lambda n: lb.kstep_loss([LAT], [(LAT, LAT)], W[0]),
+    "endpoint_consistency[states]": lambda n: lb.endpoint_consistency(
+        [LAT, LAT[0]], [LAT, LAT], [0.2, 0.6]),
+    "endpoint_consistency[velocities]": lambda n: lb.endpoint_consistency(
+        [LAT, LAT], [LAT, LAT[0]], [0.2, 0.6]),
+    "boundary_init[z_hist_last]": lambda n: flowgen.boundary_init(np.zeros((4, 4)), n.flow_cfg,
+                                                                  gc.rng(0)),
+}
 
-    def test_array_stays_a_float64_array(self):
-        out, added = models._batched(np.ones((2, 3), dtype=np.float32), 2)
-        assert added and type(out) is np.ndarray and out.dtype == np.float64
-        assert out.shape == (1, 2, 3)
-        same, added = models._batched(out, 2)
-        assert same is out and not added
+
+@pytest.mark.parametrize("case", list(UNBATCHED))
+def test_input_without_batch_axis_is_a_shape_error_naming_the_function(
+        small_cfg, vae_params, flow_cfg, vel_params, case):
+    nets = SimpleNamespace(vae_cfg=small_cfg, vae=vae_params, flow_cfg=flow_cfg, vel=vel_params,
+                           vis=init_visibility_params(flow_cfg, gc.rng(2)))
+    name = case.split("[")[0]
+    with pytest.raises(gc.ShapeError, match=f"^{name}: ") as exc:
+        UNBATCHED[case](nets)
+    assert exc.value.op == name
 
 
 class TestVaeShapes:
     def test_latent_shape_arithmetic(self, small_cfg, vae_params):
-        x = gc.rng(2).draw_normal((4, 16, 16, 2)) * 0.1
+        x = gc.rng(2).draw_normal((1, 4, 16, 16, 2)) * 0.1
         mu, logvar = vae_encode(x, vae_params, small_cfg)
-        assert mu.shape == (2, 4, 4)
-        assert logvar.shape == (2, 4, 4)
+        assert mu.shape == (1, 2, 4, 4)
+        assert logvar.shape == (1, 2, 4, 4)
 
     def test_encode_deterministic(self, small_cfg, vae_params):
-        x = gc.rng(3).draw_normal((4, 16, 16, 2))
+        x = gc.rng(3).draw_normal((1, 4, 16, 16, 2))
         a, _ = vae_encode(x, vae_params, small_cfg)
         b, _ = vae_encode(x, vae_params, small_cfg)
         assert np.array_equal(a.data, b.data)
 
     def test_decode_round_trip_shape(self, small_cfg, vae_params):
-        x = gc.rng(4).draw_normal((4, 16, 16, 2))
+        x = gc.rng(4).draw_normal((1, 4, 16, 16, 2))
         mu, _ = vae_encode(x, vae_params, small_cfg)
         out = vae_decode(mu, vae_params, small_cfg)
         assert out.shape == x.shape
 
     def test_zero_latent_finite(self, small_cfg, vae_params):
-        out = vae_decode(np.zeros((2, 4, 4)), vae_params, small_cfg)
+        out = vae_decode(np.zeros((1, 2, 4, 4)), vae_params, small_cfg)
         assert np.all(np.isfinite(out.data))
-
-    def test_batched_matches_single(self, small_cfg, vae_params):
-        x = gc.rng(5).draw_normal((3, 4, 16, 16, 2))
-        mu_b, _ = vae_encode(x, vae_params, small_cfg)
-        mu_1, _ = vae_encode(x[1], vae_params, small_cfg)
-        assert np.allclose(mu_b.data[1], mu_1.data, atol=1e-12)
 
     def test_padding_handles_ragged_frames(self, vae_params):
         cfg = VaeConfig(height=16, width=16, frames=3, patch=8, hidden=24,
                         blocks=1, latent_channels=4, temporal_ratio=2)
         params = init_vae_params(cfg, gc.rng(0))
-        x = gc.rng(6).draw_normal((3, 16, 16, 2))
+        x = gc.rng(6).draw_normal((1, 3, 16, 16, 2))
         mu, _ = vae_encode(x, params, cfg)
-        assert mu.shape == (2, 4, 4)  # ceil(6/4) latent steps
+        assert mu.shape == (1, 2, 4, 4)  # ceil(6/4) latent steps
         out = vae_decode(mu, params, cfg)
-        assert out.shape == (3, 16, 16, 2)
+        assert out.shape == (1, 3, 16, 16, 2)
 
     def test_wrong_frame_size_rejected(self, small_cfg, vae_params):
         with pytest.raises(gc.ShapeError):
-            vae_encode(np.zeros((4, 12, 16, 2)), vae_params, small_cfg)
+            vae_encode(np.zeros((1, 4, 12, 16, 2)), vae_params, small_cfg)
 
 
 class TestReparameterize:
@@ -169,12 +205,12 @@ class TestVelocityForward:
                 "visibility": np.ones((b, 2, 4))}
 
     def test_output_shape_matches_input(self, flow_cfg, vel_params):
-        z_t = gc.rng(13).draw_normal((2, 4, 4))
+        z_t = gc.rng(13).draw_normal((1, 2, 4, 4))
         v = velocity_forward(z_t, 0.3, self._condition(), vel_params, flow_cfg)
         assert v.shape == z_t.shape
 
     def test_deterministic(self, flow_cfg, vel_params):
-        z_t = gc.rng(14).draw_normal((2, 4, 4))
+        z_t = gc.rng(14).draw_normal((1, 2, 4, 4))
         a = velocity_forward(z_t, 0.5, self._condition(), vel_params, flow_cfg)
         b = velocity_forward(z_t, 0.5, self._condition(), vel_params, flow_cfg)
         assert np.array_equal(a.data, b.data)
@@ -186,39 +222,39 @@ class TestVelocityForward:
             v = velocity_forward(z, 0.4, cond, vel_params, flow_cfg)
             return gc.tsum(gc.square(v))
 
-        z0 = gc.rng(15).draw_normal((2, 4, 4)) * 0.5
+        z0 = gc.rng(15).draw_normal((1, 2, 4, 4)) * 0.5
         assert gc.grad_check(f, [z0]) < 1e-4
 
     def test_batched_time_per_item(self, flow_cfg, vel_params):
         z_t = gc.rng(16).draw_normal((2, 2, 4, 4))
         cond = self._condition(b=2)
         v = velocity_forward(z_t, np.array([0.1, 0.9]), cond, vel_params, flow_cfg)
-        v1 = velocity_forward(z_t[1], 0.9,
-                              {"z_hist": cond["z_hist"][1], "visibility": cond["visibility"][1]},
+        v1 = velocity_forward(z_t[1:], 0.9,
+                              {"z_hist": cond["z_hist"][1:], "visibility": cond["visibility"][1:]},
                               vel_params, flow_cfg)
-        assert np.allclose(v.data[1], v1.data, atol=1e-12)
+        assert np.allclose(v.data[1], v1.data[0], atol=1e-12)
 
 
 class TestPoolVisibility:
     def test_all_visible(self):
-        out = pool_visibility(np.ones((4, 8, 8)), (2, 2, 2), ratio=2)
-        assert out.shape == (2, 4)
+        out = pool_visibility(np.ones((1, 4, 8, 8)), (2, 2, 2), ratio=2)
+        assert out.shape == (1, 2, 4)
         assert np.all(out == 1)
 
     def test_all_invisible(self):
-        assert np.all(pool_visibility(np.zeros((4, 8, 8)), (2, 2, 2), ratio=2) == 0)
+        assert np.all(pool_visibility(np.zeros((1, 4, 8, 8)), (2, 2, 2), ratio=2) == 0)
 
     def test_single_pixel_lights_token(self):
-        m = np.zeros((4, 8, 8))
-        m[3, 5, 6] = 1  # second latent step, bottom-right token
+        m = np.zeros((1, 4, 8, 8))
+        m[0, 3, 5, 6] = 1  # second latent step, bottom-right token
         out = pool_visibility(m, (2, 2, 2), ratio=2)
-        assert out[1, 3] == 1
+        assert out[0, 1, 3] == 1
         assert out.sum() == 1
 
     def test_matches_logical_or_oracle(self):
         rng = np.random.default_rng(17)
         m = (rng.random((4, 8, 8)) > 0.8).astype(np.uint8)
-        out = pool_visibility(m, (2, 2, 2), ratio=2)
+        out = pool_visibility(m[None], (2, 2, 2), ratio=2)[0]
         for k in range(2):
             for i in range(2):
                 for j in range(2):
@@ -226,14 +262,14 @@ class TestPoolVisibility:
                     assert out[k, 2 * i + j] == (1 if block.any() else 0)
 
     def test_groups_ratio_frames_and_pads_with_the_last(self):
-        m = np.ones((6, 1, 1))
-        m[3] = 0  # frames 0-3 form step 0; frames 4, 5, 5, 5 form step 1
+        m = np.ones((1, 6, 1, 1))
+        m[0, 3] = 0  # frames 0-3 form step 0; frames 4, 5, 5, 5 form step 1
         out = pool_visibility(m, (2, 1, 1), reduce="mean", ratio=4)
-        assert np.array_equal(out[:, 0], [0.75, 1.0])
+        assert np.array_equal(out[0, :, 0], [0.75, 1.0])
 
     def test_grid_must_match_ratio(self):
         with pytest.raises(ValueError, match="token grid"):
-            pool_visibility(np.ones((6, 2, 2)), (3, 1, 1), ratio=4)
+            pool_visibility(np.ones((1, 6, 2, 2)), (3, 1, 1), ratio=4)
 
     @pytest.mark.parametrize("ratio", [3, 4])
     @pytest.mark.parametrize("frames", range(1, 10))
@@ -241,27 +277,27 @@ class TestPoolVisibility:
         cfg = VaeConfig(height=8, width=8, frames=frames, patch=8, hidden=8, blocks=1,
                         latent_channels=2, temporal_ratio=ratio)
         params = wrap_params(init_vae_params(cfg, gc.rng(1)), requires_grad=False)
-        base_mu, _ = vae_encode(np.zeros((frames, 8, 8, 2)), params, cfg)
-        full = pool_visibility(np.ones((frames, 8, 8)), cfg.token_grid(frames), ratio=ratio,
+        base_mu, _ = vae_encode(np.zeros((1, frames, 8, 8, 2)), params, cfg)
+        full = pool_visibility(np.ones((1, frames, 8, 8)), cfg.token_grid(frames), ratio=ratio,
                                reduce="mean")
         for j in range(frames):  # the latent steps frame j reaches, through either path
-            x = np.zeros((frames, 8, 8, 2))
-            x[j] = 1.0
+            x = np.zeros((1, frames, 8, 8, 2))
+            x[0, j] = 1.0
             mu, _ = vae_encode(x, params, cfg)
-            m = np.ones((frames, 8, 8))
-            m[j] = 0
+            m = np.ones((1, frames, 8, 8))
+            m[0, j] = 0
             pooled = pool_visibility(m, cfg.token_grid(frames), ratio=ratio, reduce="mean")
-            assert np.array_equal(np.any(mu.data != base_mu.data, axis=(1, 2)),
-                                  np.any(pooled != full, axis=1))
+            assert np.array_equal(np.any(mu.data != base_mu.data, axis=(2, 3)),
+                                  np.any(pooled != full, axis=2))
 
 
 class TestVisibilityPredict:
     def test_logit_shape(self, flow_cfg):
         params = init_visibility_params(flow_cfg, gc.rng(18))
-        z = gc.rng(19).draw_normal((2, 4, 4))
+        z = gc.rng(19).draw_normal((1, 2, 4, 4))
         logits, mask = visibility_predict(z, params)
-        assert logits.shape == (2, 4)
-        assert mask.shape == (2, 4)
+        assert logits.shape == (1, 2, 4)
+        assert mask.shape == (1, 2, 4)
 
     def test_gradient_through_head(self, flow_cfg):
         params = init_visibility_params(flow_cfg, gc.rng(22))
@@ -269,7 +305,7 @@ class TestVisibilityPredict:
         def f(z):
             return gc.tsum(gc.square(models.visibility_logits(z, params)))
 
-        z0 = gc.rng(23).draw_normal((2, 4, 4)) * 0.5
+        z0 = gc.rng(23).draw_normal((1, 2, 4, 4)) * 0.5
         assert gc.grad_check(f, [z0]) < 1e-4
 
 
@@ -280,12 +316,12 @@ class TestVaeGradients:
             out = vae_decode(mu, vae_params, small_cfg)
             return gc.add(gc.tsum(gc.square(out)), gc.tsum(gc.square(logvar)))
 
-        x0 = gc.rng(24).draw_normal((4, 16, 16, 2)) * 0.3
+        x0 = gc.rng(24).draw_normal((1, 4, 16, 16, 2)) * 0.3
         assert gc.grad_check(f, [x0]) < 1e-4
 
     def test_grad_wrt_parameters(self, small_cfg):
         base = init_vae_params(small_cfg, gc.rng(25))
-        x = gc.rng(26).draw_normal((4, 16, 16, 2)) * 0.3
+        x = gc.rng(26).draw_normal((1, 4, 16, 16, 2)) * 0.3
         names = ["enc.embed.w", "enc.compress.w", "dec.head.b"]
 
         def f(*subset):

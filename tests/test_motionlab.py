@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from trajkit import motionlab
+from trajkit.models import FieldError
 from trajkit.motionlab import CameraStats, MotionSpec, caption, estimate_camera, generate, toy_1d_pair
 
 
@@ -47,6 +48,16 @@ class TestGenerate:
     def test_invalid_kind_rejected(self):
         with pytest.raises(ValueError):
             MotionSpec("warp", frames=4)
+
+    @pytest.mark.parametrize("field, value", [
+        ("frames", 0), ("height", 0), ("width", 2.5), ("stride", 0), ("stride", True),
+        ("velocity", (float("nan"), 0.0)), ("velocity", (1.0,)), ("angular_rate", float("inf")),
+        ("zoom_rate", float("nan")), ("shear_rate", "0.1"), ("jitter_amplitude", float("-inf")),
+        ("jitter_axis", "z")])
+    def test_bad_field_raises_naming_it(self, field, value):
+        with pytest.raises(FieldError, match=f"^{field} must be") as exc:
+            MotionSpec("translation", **{"frames": 4, field: value})
+        assert exc.value.field == field
 
     def test_jitter_overlay_alternates(self):
         base = MotionSpec("static", frames=6)
