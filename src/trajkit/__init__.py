@@ -50,6 +50,7 @@ from .metrics import GridFlow, div_curl_energy, explained_variance, flow_from_po
 from .models import (
     FlowConfig,
     VaeConfig,
+    encode_condition,
     fuse_history,
     pool_visibility,
     reparameterize,

@@ -28,6 +28,7 @@ from .models import (
     FlowConfig,
     VaeConfig,
     _with_batch,
+    encode_condition,
     ranged,
     vae_decode,
     vae_encode,
@@ -476,7 +477,7 @@ def flow_step_loss(flow_params, z_p, z_f, vis_tok, weights, cfg: FlowTrainConfig
     z0 = boundary_init(z_p[:, -1], cfg.flow, rng)
     t = np.array([sample_time(rng) for _ in range(b)])
     z_t, u_t = interpolate(z0, z_f, t, cfg.sigma, rng)
-    cond = {"z_hist": z_p, "visibility": vis_tok}
+    cond = encode_condition({"z_hist": z_p, "visibility": vis_tok}, flow_params, cfg.flow)
     v = velocity_forward(z_t, t, cond, flow_params, cfg.flow)
     return lb.fm_loss(v, u_t, weights), z0
 
@@ -545,7 +546,9 @@ def finetune_onpolicy(bundle: FlowBundle, dataset: PairDataset, flow_cfg: FlowTr
             cond = {"z_hist": z_p[sub], "visibility": vis_tok[sub]}
 
             def v_fn(z, t):
-                return velocity_forward(z, t, cond, wrapped, flow_cfg.flow)
+                # encoded per step: sharing one encoding would reorder the gradient accumulation
+                return velocity_forward(z, t, encode_condition(cond, wrapped, flow_cfg.flow),
+                                        wrapped, flow_cfg.flow)
 
             states, velocities = kstep_rollout(v_fn, z0_sub, grid)
             targets = [lb.kstep_targets(states[i].data, z0_sub, z1_sub,
@@ -601,27 +604,32 @@ def broadcast_token_mask(token_mask: np.ndarray, token_grid: tuple,
 def sample_future(history: OffsetField, bundle: FlowBundle, sampler: dict | None = None,
                   seed: int = 0, future_frames: int | None = None):
     """History offsets in, generated future offsets and visibility out: the
-    one single-instance entry, run as a batch of one.
+    one single-instance entry, run as a batch of one.  The condition is
+    encoded once and shared by every velocity evaluation of the solve.
 
+    The history's frames must give the flow's history_steps latent steps.
     `future_frames` (default: the history's length) must be in
     1..future_steps * temporal_ratio, the frames the future latents decode to.
     """
     vae_cfg, flow_cfg = bundle.vae_cfg, bundle.flow_cfg
-    t_max = flow_cfg.future_steps * vae_cfg.temporal_ratio
+    r, k_p = vae_cfg.temporal_ratio, flow_cfg.history_steps
+    if -(-history.frames // r) != k_p:
+        raise ValueError(f"history frames must be in {(k_p - 1) * r + 1}..{k_p * r} "
+                         f"(history_steps {k_p} x temporal_ratio {r}), got {history.frames}")
+    t_max = flow_cfg.future_steps * r
     t_f = future_frames if future_frames is not None else history.frames
     if not 1 <= t_f <= t_max:
         raise ValueError(f"future frames must be in 1..{t_max} (future_steps "
-                         f"{flow_cfg.future_steps} x temporal_ratio {vae_cfg.temporal_ratio}), "
-                         f"got {t_f}")
+                         f"{flow_cfg.future_steps} x temporal_ratio {r}), got {t_f}")
     sampler = {**SAMPLER, **(sampler or {})}
     rng = gc.rng(seed)
     z_hist = normalize_latents(encode_mean(bundle.vae_params, vae_cfg, history.offsets[None]),
                                bundle.stats)
     vis_tok = pool_visibility(history.mask[None], vae_cfg.token_grid(history.frames),
-                              reduce="mean", ratio=vae_cfg.temporal_ratio)
-    cond = {"z_hist": z_hist, "visibility": vis_tok}
+                              reduce="mean", ratio=r)
     z0 = boundary_init(z_hist[:, -1], flow_cfg, rng)
     wrapped = wrap_params(bundle.flow_params, requires_grad=False)
+    cond = encode_condition({"z_hist": z_hist, "visibility": vis_tok}, wrapped, flow_cfg)
 
     def v_fn(z, t):
         return velocity_forward(z, float(t), cond, wrapped, flow_cfg).data

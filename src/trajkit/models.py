@@ -307,24 +307,28 @@ def fusion_ramp(future_steps: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, future_steps)
 
 
-def fuse_history(tokens: Tensor, z_hist, params: dict) -> Tensor:
-    """Add the gated, ramped history cue to the query tokens.
+def history_cue(z_hist, params: dict, k_f: int) -> Tensor:
+    """The gated, ramped history cue (B, K_f, N, D) added to the query tokens.
 
-    tokens: (B, K_f, N, D); z_hist: (B, K_p >= 2, N, C).  The boundary
-    feature is the tokenized last history slice; the velocity hint is its
-    difference with the second-last slice.  Tokenization shares weights with
-    the main input tokenizer.
+    z_hist: (B, K_p >= 2, N, C).  The boundary feature is the tokenized last
+    history slice; the velocity hint is its difference with the second-last
+    slice.  Tokenization shares weights with the main input tokenizer.
     """
-    z_hist = _with_batch("fuse_history", z_hist, LATENT)
+    z_hist = _with_batch("history_cue", z_hist, LATENT)
     if z_hist.shape[1] < 2:
-        raise ValueError("fuse_history: need at least 2 history latent steps")
-    k_f = tokens.shape[1]
+        raise ValueError("history_cue: need at least 2 history latent steps")
     boundary = _linear(params, "vel.tok", z_hist[:, -1:])   # (B, 1, N, D)
     hint = gc.add(boundary, gc.mul(_linear(params, "vel.tok", z_hist[:, -2:-1]), -1.0))
     omega = fusion_ramp(k_f).reshape(1, k_f, 1, 1)
     gates = gc.reshape(gc.sigmoid(params["vel.fusion.gate_raw"]), (1, k_f, 1, 1))
     cue = gc.add(boundary, gc.mul(hint, omega))  # (B, 1, N, D) broadcast over K_f
-    return gc.add(tokens, gc.mul(gc.mul(cue, gates), params["vel.fusion.alpha"]))
+    return gc.mul(gc.mul(cue, gates), params["vel.fusion.alpha"])
+
+
+def fuse_history(tokens: Tensor, z_hist, params: dict) -> Tensor:
+    """Add the history cue of z_hist (B, K_p >= 2, N, C) to the query tokens (B, K_f, N, D)."""
+    z_hist = _with_batch("fuse_history", z_hist, LATENT)
+    return gc.add(tokens, history_cue(z_hist, params, tokens.shape[1]))
 
 
 def time_features(t, n_features: int) -> np.ndarray:
@@ -336,33 +340,55 @@ def time_features(t, n_features: int) -> np.ndarray:
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
 
 
-def velocity_forward(z_t, t, condition: dict, params: dict, cfg: FlowConfig) -> Tensor:
+@dataclass(frozen=True)
+class Condition:
+    """A batch's flow condition, fixed over an ODE solve: the history cue
+    (B, K_f, N, D) and the condition tokens (B, K_f, N, cond_hidden)."""
+
+    cue: Tensor
+    tokens: Tensor
+
+
+def encode_condition(condition: dict, params: dict, cfg: FlowConfig) -> Condition:
+    """Encode 'z_hist' (B, K_p, N, C) and 'visibility' history tokens
+    (B, K_p, N) for the K_f = cfg.future_steps latent steps generated."""
+    z_hist = _with_batch("encode_condition", condition["z_hist"], LATENT)
+    vis = _with_batch("encode_condition", condition["visibility"], LATENT[:-1])
+    b, k_p, n, c = z_hist.shape
+    expected = (cfg.history_steps, cfg.n_tokens, cfg.latent_channels)
+    if z_hist.shape[1:] != expected:
+        raise gc.ShapeError("encode_condition", z_hist.shape, expected)
+    if vis.shape != z_hist.shape[:-1]:
+        raise gc.ShapeError("encode_condition", vis.shape, z_hist.shape[:-1])
+    k_f = cfg.future_steps
+    cue = history_cue(z_hist, params, k_f)
+    hist_tok = gc.reshape(gc.transpose(z_hist, (0, 2, 1, 3)), (b, 1, n, k_p * c))
+    vis_hist = Tensor(vis.transpose(0, 2, 1).reshape(b, 1, n, k_p))
+    tokens = _linear(params, "vel.cond", gc.concat([hist_tok, vis_hist], axis=3))
+    tokens = gc.add(np.zeros((b, k_f, n, cfg.cond_hidden)), tokens)  # concat needs the full shape
+    return Condition(cue, tokens)
+
+
+def velocity_forward(z_t, t, cond: Condition, params: dict, cfg: FlowConfig) -> Tensor:
     """Conditional velocity for latent state z_t at flow time t.
 
     z_t is (B, K_f, N, C), and so is the output; t is one flow time or one
-    per instance.  condition carries 'z_hist' (B, K_p, N, C) and
-    'visibility' history tokens (B, K_p, N).
+    per instance; cond is `encode_condition`'s encoding of the same batch.
     """
     z_t = _with_batch("velocity_forward", z_t, LATENT)
     b, k_f, n, c = z_t.shape
     if n != cfg.n_tokens or c != cfg.latent_channels:
         raise gc.ShapeError("velocity_forward", z_t.shape, (cfg.n_tokens, cfg.latent_channels))
-    z_hist = _with_batch("velocity_forward", condition["z_hist"], LATENT)
-    vis = _with_batch("velocity_forward", condition["visibility"], LATENT[:-1])
-    k_p = z_hist.shape[1]
+    if cond.cue.shape[:3] != (b, k_f, n):
+        raise gc.ShapeError("velocity_forward", z_t.shape, cond.cue.shape)
+    t = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    if t.shape not in ((1,), (b,)):
+        raise gc.ShapeError("velocity_forward", t.shape, (b,))
 
-    tok = _linear(params, "vel.tok", z_t)
-    tok = fuse_history(tok, z_hist, params)
-
+    tok = gc.add(_linear(params, "vel.tok", z_t), cond.cue)
     emb = time_features(t, cfg.time_features)
     emb_t = np.broadcast_to(emb[:, None, None], (b, k_f, n, cfg.time_features))
-
-    hist_tok = gc.reshape(gc.transpose(z_hist, (0, 2, 1, 3)), (b, 1, n, k_p * c))
-    vis_hist = Tensor(vis.transpose(0, 2, 1).reshape(b, 1, n, k_p))
-    cond = _linear(params, "vel.cond", gc.concat([hist_tok, vis_hist], axis=3))
-    cond = gc.add(np.zeros((b, k_f, n, cfg.cond_hidden)), cond)  # concat needs the full shape
-
-    h = gc.concat([tok, emb_t, cond], axis=3)
+    h = gc.concat([tok, emb_t, cond.tokens], axis=3)
     h = gc.gelu(_linear(params, "vel.merge", h))
     for i in range(cfg.blocks):
         h = _block(params, f"vel.block{i}", h)

@@ -20,6 +20,7 @@ from trajkit.flowgen import boundary_init, dopri5_sample, euler_sample, logit_gr
 from trajkit.models import (
     FlowConfig,
     VaeConfig,
+    encode_condition,
     fuse_history,
     init_vae_params,
     init_velocity_params,
@@ -161,7 +162,8 @@ def endpoint_latent_error(bundle, pairs, seed_base: int) -> float:
     for i in range(len(pairs)):
         rng = gc.rng(seed_base + i)
         z0 = boundary_init(z_p[i:i + 1, -1], bundle.flow_cfg, rng)
-        cond = {"z_hist": z_p[i:i + 1], "visibility": vis_tok[i:i + 1]}
+        cond = encode_condition({"z_hist": z_p[i:i + 1], "visibility": vis_tok[i:i + 1]},
+                                wrapped, bundle.flow_cfg)
 
         def v_fn(z, t):
             return velocity_forward(z, float(t), cond, wrapped, bundle.flow_cfg).data
@@ -237,8 +239,8 @@ def test_criterion_01_gradient_suite():
             worst = max(worst, gc.grad_check(enc_dec, [seg]))
 
             vel_params = init_velocity_params(tiny_flow, rngg)
-            cond = {"z_hist": rngg.draw_normal((1, 2, 4, 4)),
-                    "visibility": np.ones((1, 2, 4))}
+            cond = encode_condition({"z_hist": rngg.draw_normal((1, 2, 4, 4)),
+                                     "visibility": np.ones((1, 2, 4))}, vel_params, tiny_flow)
 
             def vel(z):
                 return gc.tsum(gc.square(velocity_forward(z, 0.4, cond, vel_params,

@@ -646,6 +646,21 @@ class TestSampleFrames:
         assert f"future frames must be in 1..8 (future_steps 2 x temporal_ratio 4), got {frames}" \
             in capsys.readouterr().err
 
+    @pytest.mark.parametrize("frames", [4, 12])
+    def test_history_of_another_latent_length_gives_exit_1_naming_range(
+            self, tmp_path, capsys, tiny_bundle, frames):
+        bundle, _, _ = tiny_bundle
+        save_bundle(tmp_path / "bundle.ckpt", bundle, seed=3)
+        hist = tmp_path / "hist.tlf"
+        run("synth", hist, "--kind", "translation", "--vx", 0.5, "--frames", frames,
+            "--out", tmp_path)
+        capsys.readouterr()
+        code = run("sample", "--ckpt", tmp_path / "bundle.ckpt", "--history", hist,
+                   "--out", tmp_path)
+        assert code == 1
+        assert capsys.readouterr().err == ("error: history frames must be in 5..8 (history_steps "
+                                           f"2 x temporal_ratio 4), got {frames}\n")
+
 
 class TestPlot:
     def test_overlay_positions_match_to_absolute(self, tmp_path):

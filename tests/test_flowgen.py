@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import desk_flow_config, make_pair_dataset, make_segment_dataset
-from trajkit import flowgen, gradcore as gc, lossbank as lb
+from trajkit import flowgen, gradcore as gc, lossbank as lb, models
 from trajkit.flowgen import (
     LatentStats,
     TimeGrid,
@@ -496,6 +496,17 @@ class TestTrainingLoops:
         assert float(lb.endpoint_consistency(states, velocities, grid.times)) == pytest.approx(0.0, abs=1e-20)
 
 
+SAMPLERS = [pytest.param({"method": "euler", "steps": 10}, id="euler10"),
+            pytest.param({"method": "dopri5", "rtol": 1e-4, "atol": 1e-6}, id="dopri5")]
+
+
+def _history(pairs, i: int, frames: int | None = None):
+    """Item i's history window, its frames cycled or cut to `frames`."""
+    from trajkit.trajfield import OffsetField
+    idx = np.arange(frames if frames is not None else pairs.past.shape[1]) % pairs.past.shape[1]
+    return OffsetField(pairs.past[i][idx], pairs.past_masks[i][idx], stride=8)
+
+
 class TestSampleFuture:
     def test_same_seed_identical(self, tiny_bundle):
         bundle, pairs, _ = tiny_bundle
@@ -545,6 +556,65 @@ class TestSampleFuture:
         short, short_mask = sample_future(hist, with_vis, seed=5, future_frames=frames)
         assert np.array_equal(short.offsets, full.offsets[:frames])
         assert np.array_equal(short_mask, full_mask[:frames])
+
+
+    @pytest.mark.parametrize("frames", [4, 12])
+    def test_history_of_another_latent_length_rejected(self, tiny_bundle, frames):
+        bundle, pairs, _ = tiny_bundle
+        with pytest.raises(ValueError,
+                           match=rf"^history frames must be in 5\.\.8 .*got {frames}$"):
+            sample_future(_history(pairs, 0, frames), bundle, seed=5)
+
+    def test_shortest_admissible_history_samples(self, tiny_bundle):
+        bundle, pairs, _ = tiny_bundle
+        fut, _ = sample_future(_history(pairs, 0, 5), bundle, seed=5)
+        assert fut.offsets.shape == (5, 32, 32, 2)
+
+    @pytest.mark.parametrize("sampler", SAMPLERS)
+    def test_one_encoding_gives_the_bytes_of_one_per_evaluation(self, tiny_bundle, monkeypatch,
+                                                                sampler):
+        bundle, pairs, _ = tiny_bundle
+        shared, shared_mask = sample_future(_history(pairs, 3), bundle, sampler, seed=9)
+        raw = []
+
+        def record(condition, params, cfg):
+            raw.append(condition)
+            return models.encode_condition(condition, params, cfg)
+
+        def encode_per_evaluation(z, t, cond, params, cfg):
+            return models.velocity_forward(z, t, models.encode_condition(raw[-1], params, cfg),
+                                           params, cfg)
+
+        monkeypatch.setattr(flowgen, "encode_condition", record)
+        monkeypatch.setattr(flowgen, "velocity_forward", encode_per_evaluation)
+        fresh, fresh_mask = sample_future(_history(pairs, 3), bundle, sampler, seed=9)
+        assert fresh.offsets.tobytes() == shared.offsets.tobytes()
+        assert fresh_mask.tobytes() == shared_mask.tobytes()
+
+    @pytest.mark.parametrize("sampler", SAMPLERS)
+    def test_one_encoding_and_one_velocity_call_per_evaluation(self, tiny_bundle, monkeypatch,
+                                                               sampler):
+        bundle, pairs, _ = tiny_bundle
+        calls = {"encode": 0, "velocity": 0, "evaluations": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(flowgen, "encode_condition",
+                            counted("encode", flowgen.encode_condition))
+        monkeypatch.setattr(flowgen, "velocity_forward",
+                            counted("velocity", flowgen.velocity_forward))
+        for solver in ("euler_sample", "dopri5_sample"):
+            monkeypatch.setattr(flowgen, solver, lambda v_fn, z0, solve=getattr(flowgen, solver),
+                                **kw: solve(counted("evaluations", v_fn), z0, **kw))
+        sample_future(_history(pairs, 3), bundle, sampler, seed=9)
+        assert calls["encode"] == 1
+        assert calls["velocity"] == calls["evaluations"] > 0
+        if sampler["method"] == "euler":
+            assert calls["evaluations"] == sampler["steps"]
 
 
 class TestVisibilityTraining:

@@ -10,7 +10,9 @@ from trajkit import models
 from trajkit.models import (
     FlowConfig,
     VaeConfig,
+    encode_condition,
     fuse_history,
+    history_cue,
     init_vae_params,
     init_velocity_params,
     init_visibility_params,
@@ -61,13 +63,15 @@ UNBATCHED = {
     "vae_encode[x]": lambda n: vae_encode(np.zeros((4, 16, 16, 2)), n.vae, n.vae_cfg),
     "vae_decode[z]": lambda n: vae_decode(LAT[0], n.vae, n.vae_cfg),
     "velocity_forward[z_t]": lambda n: velocity_forward(
-        LAT[0], 0.3, {"z_hist": HIST, "visibility": VIS}, n.vel, n.flow_cfg),
-    "velocity_forward[z_hist]": lambda n: velocity_forward(
-        LAT, 0.3, {"z_hist": HIST[0], "visibility": VIS}, n.vel, n.flow_cfg),
-    "velocity_forward[visibility]": lambda n: velocity_forward(
-        LAT, 0.3, {"z_hist": HIST, "visibility": VIS[0]}, n.vel, n.flow_cfg),
+        LAT[0], 0.3, encode_condition({"z_hist": HIST, "visibility": VIS}, n.vel, n.flow_cfg),
+        n.vel, n.flow_cfg),
+    "encode_condition[z_hist]": lambda n: encode_condition(
+        {"z_hist": HIST[0], "visibility": VIS}, n.vel, n.flow_cfg),
+    "encode_condition[visibility]": lambda n: encode_condition(
+        {"z_hist": HIST, "visibility": VIS[0]}, n.vel, n.flow_cfg),
     "fuse_history[z_hist]": lambda n: fuse_history(gc.zeros((1, 2, 4, 24)), HIST[0],
                                                    wrap_params(n.vel)),
+    "history_cue[z_hist]": lambda n: history_cue(HIST[0], wrap_params(n.vel), 2),
     "visibility_logits[z_f]": lambda n: models.visibility_logits(LAT[0], n.vis),
     "visibility_predict[z_f]": lambda n: visibility_predict(LAT[0], n.vis),
     "pool_visibility[mask]": lambda n: pool_visibility(MASK[0], (1, 2, 2), ratio=2),
@@ -204,19 +208,22 @@ class TestVelocityForward:
         return {"z_hist": rng.draw_normal((b, 2, 4, 4)),
                 "visibility": np.ones((b, 2, 4))}
 
+    def _encoded(self, vel_params, flow_cfg, b=1):
+        return encode_condition(self._condition(b), vel_params, flow_cfg)
+
     def test_output_shape_matches_input(self, flow_cfg, vel_params):
         z_t = gc.rng(13).draw_normal((1, 2, 4, 4))
-        v = velocity_forward(z_t, 0.3, self._condition(), vel_params, flow_cfg)
+        v = velocity_forward(z_t, 0.3, self._encoded(vel_params, flow_cfg), vel_params, flow_cfg)
         assert v.shape == z_t.shape
 
     def test_deterministic(self, flow_cfg, vel_params):
         z_t = gc.rng(14).draw_normal((1, 2, 4, 4))
-        a = velocity_forward(z_t, 0.5, self._condition(), vel_params, flow_cfg)
-        b = velocity_forward(z_t, 0.5, self._condition(), vel_params, flow_cfg)
+        a = velocity_forward(z_t, 0.5, self._encoded(vel_params, flow_cfg), vel_params, flow_cfg)
+        b = velocity_forward(z_t, 0.5, self._encoded(vel_params, flow_cfg), vel_params, flow_cfg)
         assert np.array_equal(a.data, b.data)
 
     def test_gradient_wrt_state(self, flow_cfg, vel_params):
-        cond = self._condition()
+        cond = self._encoded(vel_params, flow_cfg)
 
         def f(z):
             v = velocity_forward(z, 0.4, cond, vel_params, flow_cfg)
@@ -228,11 +235,51 @@ class TestVelocityForward:
     def test_batched_time_per_item(self, flow_cfg, vel_params):
         z_t = gc.rng(16).draw_normal((2, 2, 4, 4))
         cond = self._condition(b=2)
-        v = velocity_forward(z_t, np.array([0.1, 0.9]), cond, vel_params, flow_cfg)
-        v1 = velocity_forward(z_t[1:], 0.9,
-                              {"z_hist": cond["z_hist"][1:], "visibility": cond["visibility"][1:]},
+        v = velocity_forward(z_t, np.array([0.1, 0.9]),
+                             encode_condition(cond, vel_params, flow_cfg), vel_params, flow_cfg)
+        v1 = velocity_forward(z_t[1:], 0.9, encode_condition(
+                                  {"z_hist": cond["z_hist"][1:],
+                                   "visibility": cond["visibility"][1:]}, vel_params, flow_cfg),
                               vel_params, flow_cfg)
         assert np.allclose(v.data[1], v1.data[0], atol=1e-12)
+
+    @pytest.mark.parametrize("b,t", [(1, [0.1, 0.9]), (2, [0.1, 0.5, 0.9]), (2, [[0.1, 0.9]])])
+    def test_time_of_another_length_than_the_batch_is_a_shape_error(self, flow_cfg, vel_params,
+                                                                     b, t):
+        z_t = gc.rng(17).draw_normal((b, 2, 4, 4))
+        with pytest.raises(gc.ShapeError, match="^velocity_forward: ") as exc:
+            velocity_forward(z_t, np.array(t), self._encoded(vel_params, flow_cfg, b=b),
+                             vel_params, flow_cfg)
+        assert exc.value.op == "velocity_forward"
+
+    def test_condition_of_another_batch_size_is_a_shape_error(self, flow_cfg, vel_params):
+        z_t = gc.rng(18).draw_normal((2, 2, 4, 4))
+        with pytest.raises(gc.ShapeError, match="^velocity_forward: ") as exc:
+            velocity_forward(z_t, 0.5, self._encoded(vel_params, flow_cfg, b=1), vel_params,
+                             flow_cfg)
+        assert exc.value.op == "velocity_forward"
+
+    def test_condition_of_another_horizon_is_a_shape_error(self, flow_cfg, vel_params):
+        z_t = gc.rng(19).draw_normal((1, 3, 4, 4))  # K_f = 3; the condition is encoded for 2
+        with pytest.raises(gc.ShapeError, match="^velocity_forward: ") as exc:
+            velocity_forward(z_t, 0.5, self._encoded(vel_params, flow_cfg), vel_params, flow_cfg)
+        assert exc.value.op == "velocity_forward"
+
+    @pytest.mark.parametrize("z_hist,vis", [((1, 3, 4, 4), (1, 3, 4)), ((1, 2, 4, 4), (1, 3, 4)),
+                                            ((1, 2, 4, 4), (2, 2, 4))])
+    def test_condition_of_other_shapes_than_the_model_is_a_shape_error(
+            self, flow_cfg, vel_params, z_hist, vis):
+        cond = {"z_hist": np.zeros(z_hist), "visibility": np.ones(vis)}
+        with pytest.raises(gc.ShapeError, match="^encode_condition: ") as exc:
+            encode_condition(cond, vel_params, flow_cfg)
+        assert exc.value.op == "encode_condition"
+
+    def test_encoded_cue_fuses_as_fuse_history(self, flow_cfg, vel_params):
+        cond = self._condition()
+        encoded = encode_condition(cond, vel_params, flow_cfg)
+        tokens = gc.Tensor(gc.rng(20).draw_normal((1, 2, 4, 24)))
+        fused = fuse_history(tokens, cond["z_hist"], vel_params)
+        assert np.array_equal(gc.add(tokens, encoded.cue).data, fused.data)
 
 
 class TestPoolVisibility:
