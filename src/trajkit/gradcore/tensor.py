@@ -172,21 +172,33 @@ def matmul(a, b) -> Tensor:
 
 
 def linear(x, w, b, axis=-1) -> Tensor:
-    """x @ w + b over one axis of N-D x: one tape node, 2-D products inside."""
+    """x @ w + b over one axis of N-D x: one tape node.
+
+    The last axis is one 2-D product on x reshaped to 2-D (a view when x is
+    contiguous); any other axis is moved to -2 and mixed by a batched left
+    product w.T @ x, so x is not copied to swap it last."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if (w.data.ndim != 2 or b.shape != w.shape[1:] or not -x.data.ndim <= axis < x.data.ndim
             or x.shape[axis] != w.shape[0]):
         raise ShapeError("linear", x.shape, w.shape, b.shape)
-    swapped = x.data.swapaxes(axis, -1)
-    flat = swapped.reshape(-1, w.shape[0])
-    out = (flat @ w.data + b.data).reshape(*swapped.shape[:-1], w.shape[1])
+    axis %= x.data.ndim
 
     def flat_g(g):  # the output adjoint with `axis` swapped last, flattened to 2-D
         return g.swapaxes(axis, -1).reshape(-1, w.shape[1])
 
-    return _make(out.swapaxes(axis, -1), (x, w, b), (
-        lambda g: (flat_g(g) @ w.data.T).reshape(swapped.shape).swapaxes(axis, -1),
-        lambda g: flat.T @ flat_g(g),
+    if axis == x.data.ndim - 1:
+        out = x.data.reshape(-1, w.shape[0]) @ w.data
+        out += b.data
+        return _make(out.reshape(*x.shape[:-1], w.shape[1]), (x, w, b), (
+            lambda g: (flat_g(g) @ w.data.T).reshape(x.shape),
+            lambda g: x.data.reshape(-1, w.shape[0]).T @ flat_g(g),
+            lambda g: flat_g(g).sum(axis=0)), "linear")
+    others = [i for i in range(x.data.ndim) if i != axis]
+    out = np.matmul(w.data.T, np.moveaxis(x.data, axis, -2))
+    out += b.data[:, None]
+    return _make(np.moveaxis(out, -2, axis), (x, w, b), (
+        lambda g: np.moveaxis(np.matmul(w.data, np.moveaxis(g, axis, -2)), -2, axis),
+        lambda g: np.tensordot(x.data, g, axes=(others, others)),
         lambda g: flat_g(g).sum(axis=0)), "linear")
 
 
@@ -228,17 +240,37 @@ _GELU_C = np.sqrt(2.0 / np.pi)
 
 
 def gelu(a) -> Tensor:
-    """Tanh-form GELU as a single primitive with its analytic adjoint."""
+    """Tanh-form GELU as a single primitive with its analytic adjoint.
+
+    Computed in place, in the association order of
+    out = 0.5 * x * (1 + tanh(c * (x + 0.044715 * x * x * x))) and
+    g * (0.5 * (1 + th) + 0.5 * x * sech2 * (c * (1 + 3 * 0.044715 * x * x)))."""
     a = as_tensor(a)
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * (x * x * x))  # x ** 3 goes through libm pow
-    th = np.tanh(inner)
-    out = 0.5 * x * (1.0 + th)
+    th = np.multiply(x, x, out=np.empty_like(x))  # x ** 3 goes through libm pow
+    th *= x
+    th *= 0.044715
+    th += x
+    th *= _GELU_C
+    np.tanh(th, out=th)
+    out = np.multiply(0.5, x, out=np.empty_like(x))
+    out *= 1.0 + th
 
     def vjp(g):
-        sech2 = 1.0 - th * th
-        d_inner = _GELU_C * (1.0 + 3 * 0.044715 * x * x)
-        return g * (0.5 * (1.0 + th) + 0.5 * x * sech2 * d_inner)
+        t = np.multiply(th, th, out=np.empty_like(x))
+        np.subtract(1.0, t, out=t)  # sech2
+        rhs = np.multiply(0.5, x, out=np.empty_like(x))
+        rhs *= t
+        np.multiply(x, 3 * 0.044715, out=t)
+        t *= x
+        t += 1.0
+        t *= _GELU_C  # d_inner
+        rhs *= t
+        np.add(th, 1.0, out=t)
+        t *= 0.5
+        t += rhs
+        t *= g
+        return t
 
     return _make(out, (a,), (vjp,), "gelu")
 
@@ -338,11 +370,10 @@ def getitem(a, key) -> Tensor:
     basic = _is_basic_key(key) and np.ndim(out) > 0  # all-int keys give a scalar, not a view
 
     def vjp(g):
-        full = np.zeros(a.shape, dtype=np.float64)
-        if basic:  # a view: add in place, as shift_l1's scatter does
-            np.add(full[key], g, out=full[key])
-        else:  # advanced keys may repeat an index, and add.at accumulates
-            np.add.at(full, key, g)
+        if basic:  # a view: a slice contribution, added into the keyed slice
+            return key, g, np.add
+        full = np.zeros(a.shape)
+        np.add.at(full, key, g)  # advanced keys may repeat an index, and add.at accumulates
         return full
 
     return _make(out, (a,), (vjp,), "getitem")
@@ -385,12 +416,8 @@ def shift_l1(a, hop, axis, target, weight) -> Tensor:
         held[:] = [(g, dd)]
         return dd
 
-    def scatter(key, ufunc):  # ufunc(0, cotangent) in the `key` slice of zeros
-        def vjp(g):
-            full = np.zeros(a.shape)
-            ufunc(full[key], cotangent(g), out=full[key])
-            return full
-        return vjp
+    def scatter(key, ufunc):  # a slice contribution: ufunc(adjoint[key], cotangent)
+        return lambda g: (key, cotangent(g), ufunc)
 
     return _make(l1.reshape(l1.shape[0], -1).sum(axis=1), (a, a),
                  (scatter(hi, np.add), scatter(lo, np.subtract)), "shift_l1")
@@ -415,6 +442,17 @@ def backward(out: Tensor, wrt) -> list:
     Tensors in `wrt` that do not influence `out` get zero gradients.  Only
     the `wrt` tensors have `.grad` set; intermediate adjoints are freed as
     soon as their node has been replayed.
+
+    A VJP returns a full adjoint for its operand or a slice contribution
+    `(key, value, ufunc)`: ufunc(adjoint[key], value), zeros elsewhere.
+    Contributions go in place into accumulators `backward` allocated itself.
+    A first full contribution may alias another node's adjoint (`add` passes
+    `g` on), so it is never written into: the next full contribution makes a
+    new array, a slice contribution copies it first.  0-d adjoints
+    (`_unbroadcast` may give an `np.float64`) are summed out of place.  Adding
+    a slice in place gives the floats of adding zeros around it, in the same
+    order, except that a -0.0 accumulator entry may stay -0.0 where
+    `acc + zeros` gives +0.0; the two compare equal.
     """
     if out.data.size != 1:
         raise ShapeError("backward", out.shape)
@@ -439,6 +477,7 @@ def backward(out: Tensor, wrt) -> list:
             if p.requires_grad and id(p) not in visited:
                 stack.append((p, False))
     grads = {id(out): np.ones_like(out.data)}
+    owned = set()  # ids of the nodes whose accumulator backward allocated
     for node in reversed(order):
         g = grads.pop(id(node), None)
         if g is None:
@@ -449,6 +488,20 @@ def backward(out: Tensor, wrt) -> list:
             if not parent.requires_grad:
                 continue
             contrib = vjp(g)
-            acc = grads.get(id(parent))
-            grads[id(parent)] = contrib if acc is None else acc + contrib
+            pid = id(parent)
+            acc = grads.get(pid)
+            if isinstance(contrib, tuple):
+                key, value, ufunc = contrib
+                if pid not in owned:
+                    acc = grads[pid] = np.zeros(parent.shape) if acc is None else np.array(acc)
+                    owned.add(pid)
+                ufunc(acc[key], value, out=acc[key])
+            elif acc is None:
+                grads[pid] = contrib
+            elif pid in owned:
+                np.add(acc, contrib, out=acc)
+            else:
+                acc = grads[pid] = acc + contrib
+                if np.ndim(acc):
+                    owned.add(pid)
     return [t.grad if t.grad is not None else np.zeros_like(t.data) for t in wrt]

@@ -172,6 +172,30 @@ def test_backward_sets_grad_on_wrt_only():
     assert hidden.grad is None and out.grad is None
 
 
+def test_backward_never_writes_into_an_aliased_first_adjoint():
+    """x gets three adjoints; the first is c's own adjoint array, passed on by
+    `add`, which is also the .grad of the intermediate wrt tensors c and a."""
+    x = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
+    cot = np.arange(1.0, 13.0).reshape(4, 3)  # small integers: every sum below is exact
+    a = gc.mul(x, 2.0)
+    b = gc.getitem(x, slice(1, 3))  # a slice contribution
+    c = gc.add(x, gc.add(gc.tsum(b), a))  # c replays first; on this tape b's slice comes next
+    gx, ga, gcc = gc.backward(gc.tsum(gc.mul(c, cot)), [x, a, c])
+    ref = cot + 2.0 * cot
+    ref[1:3] += cot.sum()
+    assert np.array_equal(gx, ref)
+    assert c.grad is gcc and np.array_equal(gcc, cot) and np.array_equal(ga, cot)
+
+
+def test_zero_d_leaf_used_four_times():
+    s = Tensor(np.array(1.5), requires_grad=True)
+    v = np.arange(1.0, 7.0).reshape(2, 3)
+    out = gc.add(gc.add(gc.add(gc.tsum(gc.mul(v, s)), gc.mul(s, s)), gc.mul(s, 4.0)), s)
+    (gs,) = gc.backward(out, [s])
+    assert np.ndim(gs) == 0
+    assert gs == v.sum() + 2 * 1.5 + 4.0 + 1.0
+
+
 def _shift_l1_inputs(seed, hop, axis, shape=(2, 5, 6, 7, 2)):
     """x, a target for its hop-difference and a weight with zeros in it."""
     rng = np.random.default_rng(seed)
@@ -233,6 +257,28 @@ def test_shift_l1_bit_equal_to_masked_l1_chain(axis, hop):
     assert np.array_equal(g_prim, g_chain)
 
 
+@pytest.mark.parametrize("axis", [1, 2])
+def test_shift_l1_hop_1_adjoint_bytes_equal_full_size_adds_in_tape_order(axis):
+    """At hop 1 the two slices overlap in all but one row.  x also feeds a
+    full-size consumer that replays first, so x's adjoint is that consumer's
+    array plus the zero-padded hi and lo scatters, added in this order."""
+    x, target, weight = _shift_l1_inputs(9, 1, axis)
+    cot = np.random.default_rng(10).normal(size=x.shape)
+    xt = Tensor(x, requires_grad=True)
+    s = gc.tsum(gc.shift_l1(xt, 1, axis, target, weight))
+    (g,) = gc.backward(gc.tsum(gc.mul(gc.mul(xt, s), cot)), [xt])  # mul(x, s) depends on s
+
+    lead = (slice(None),) * axis
+    hi, lo = lead + (slice(1, None),), lead + (slice(None, -1),)
+    g_s = np.sum(cot * x)
+    scaled = np.sign(x[hi] - x[lo] - target) * (weight * g_s)[..., None]
+    add_hi, sub_lo = np.zeros(x.shape), np.zeros(x.shape)
+    add_hi[hi] += scaled
+    sub_lo[lo] -= scaled
+    ref = cot * s.data + add_hi + sub_lo
+    assert g.tobytes() == ref.tobytes()
+
+
 @pytest.mark.parametrize("hop,axis", [(0, 1), (-1, 1), (3, 1), (5, 2), (1, 3), (1, -4)])
 def test_shift_l1_shape_error_names_shift_l1(hop, axis):
     with pytest.raises(gc.ShapeError, match="^shift_l1: "):
@@ -260,6 +306,20 @@ def test_gelu_matches_closed_form_into_the_tails():
     # stays below 1e-15.
     np.testing.assert_allclose(gc.gelu(x).data, ref, rtol=1e-13, atol=1e-15)
     assert gc.grad_check(lambda x_: gc.tsum(gc.gelu(x_)), [x]) < 1e-4
+
+
+def test_gelu_bytes_equal_the_closed_form_expression():
+    """Forward and VJP bytes are those of the plain expressions, in their
+    association order, on a grid into both tails and a generic cotangent."""
+    x = np.concatenate([np.linspace(-12.0, 12.0, 4801), [0.0, -0.0, -40.0, 40.0, 1e-300]])
+    cot = np.random.default_rng(11).normal(size=x.shape)
+    c = np.sqrt(2.0 / np.pi)
+    th = np.tanh(c * (x + 0.044715 * (x * x * x)))
+    out = 0.5 * x * (1.0 + th)
+    adj = cot * (0.5 * (1.0 + th) + 0.5 * x * (1.0 - th * th) * (c * (1.0 + 3 * 0.044715 * x * x)))
+    assert gc.gelu(x).data.tobytes() == out.tobytes()
+    _, (g,) = gc.grad(lambda x_: gc.tsum(gc.mul(gc.gelu(x_), cot)), [x])
+    assert g.tobytes() == adj.tobytes()
 
 
 def _getitem_grad(x, key, cot):

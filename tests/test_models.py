@@ -379,3 +379,67 @@ class TestVaeGradients:
             return gc.tsum(gc.square(vae_decode(mu, params, small_cfg)))
 
         assert gc.grad_check(f, [base[n] for n in names]) < 1e-4
+
+
+def _param_grad_errors(loss, params: dict, rng, per_block: int = 40, step: float = 1e-5):
+    """grad_check's error, block by block, for every parameter block of
+    loss(params): central differences at up to `per_block` sampled coordinates
+    against one backward pass.  Also returns each block's largest |adjoint|."""
+    names = sorted(params)
+    arrays = [np.array(params[n], dtype=np.float64) for n in names]
+    f = lambda *ts: loss(dict(zip(names, ts)))
+    _, analytic = gc.grad(f, arrays)
+    errors, largest = {}, {}
+    for name, x, g in zip(names, arrays, analytic):
+        flat, g = x.reshape(-1), np.reshape(g, -1)
+        worst = 0.0
+        for j in rng.choice(flat.size, min(per_block, flat.size), replace=False):
+            orig, vals = flat[j], []
+            for v in (orig + step, orig - step):
+                flat[j] = v
+                vals.append(float(f(*[gc.Tensor(a) for a in arrays]).data))
+            flat[j] = orig
+            fd = (vals[0] - vals[1]) / (2.0 * step)
+            worst = max(worst, abs(g[j] - fd) / max(1.0, abs(fd)))
+        errors[name], largest[name] = worst, np.abs(g).max()
+    return errors, largest
+
+
+def _vae_loss(draw, vae_cfg, flow_cfg):
+    x = draw((2, vae_cfg.frames, vae_cfg.height, vae_cfg.width, 2)) * 0.3
+
+    def loss(params):
+        mu, logvar = vae_encode(x, params, vae_cfg)
+        out = vae_decode(mu, params, vae_cfg)
+        return gc.add(gc.tsum(gc.square(out)), gc.tsum(gc.square(logvar)))
+    return init_vae_params(vae_cfg, gc.rng(30)), loss
+
+
+def _velocity_loss(draw, vae_cfg, flow_cfg):
+    """Through encode_condition, with one flow time per instance; vel.tok
+    enters three times and vel.fusion.alpha is 0-d."""
+    z_t, z_hist, t = draw((2, 2, 4, 4)) * 0.5, draw((2, 2, 4, 4)), np.array([0.3, 0.8])
+    vis = np.array([[[1.0, 0.0, 1.0, 1.0]] * 2, [[0.0, 1.0, 1.0, 0.0]] * 2])
+
+    def loss(params):
+        cond = encode_condition({"z_hist": z_hist, "visibility": vis}, params, flow_cfg)
+        return gc.tsum(gc.square(velocity_forward(z_t, t, cond, params, flow_cfg)))
+    params = init_velocity_params(flow_cfg, gc.rng(31))
+    params["vel.fusion.gate_raw"] = np.array([0.4, -0.7])  # distinct gates
+    return params, loss
+
+
+def _visibility_loss(draw, vae_cfg, flow_cfg):
+    z_f = draw((2, 2, 4, 4)) * 0.5
+    return (init_visibility_params(flow_cfg, gc.rng(32)),
+            lambda params: gc.tsum(gc.square(models.visibility_logits(z_f, params))))
+
+
+@pytest.mark.parametrize("network", [_vae_loss, _velocity_loss, _visibility_loss],
+                         ids=["vae", "velocity", "visibility"])
+def test_every_parameter_block_passes_grad_check(network, small_cfg, flow_cfg):
+    params, loss = network(gc.rng(33).draw_normal, small_cfg, flow_cfg)
+    errors, largest = _param_grad_errors(loss, params, np.random.default_rng(34))
+    assert set(errors) == set(params)
+    assert {n: e for n, e in errors.items() if not e < 1e-4} == {}
+    assert [n for n, g in largest.items() if not g > 0] == []  # every block gets a gradient
