@@ -175,16 +175,19 @@ def linear(x, w, b, axis=-1) -> Tensor:
     """x @ w + b over one axis of N-D x: one tape node.
 
     The last axis is one 2-D product on x reshaped to 2-D (a view when x is
-    contiguous); any other axis is moved to -2 and mixed by a batched left
-    product w.T @ x, so x is not copied to swap it last."""
+    contiguous); any other axis is swapped with axis -2 and mixed by a batched
+    left product w.T @ x, so x is not copied to move it last.  The weight and
+    bias adjoints sum over the other axes in their order, as the chain that
+    moves `axis` last, flattens, multiplies and adds does, to the bit."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if (w.data.ndim != 2 or b.shape != w.shape[1:] or not -x.data.ndim <= axis < x.data.ndim
             or x.shape[axis] != w.shape[0]):
         raise ShapeError("linear", x.shape, w.shape, b.shape)
     axis %= x.data.ndim
+    others = [i for i in range(x.data.ndim) if i != axis]
 
-    def flat_g(g):  # the output adjoint with `axis` swapped last, flattened to 2-D
-        return g.swapaxes(axis, -1).reshape(-1, w.shape[1])
+    def flat_g(g):  # the output adjoint with `axis` moved last, flattened to 2-D
+        return g.transpose(*others, axis).reshape(-1, w.shape[1])
 
     if axis == x.data.ndim - 1:
         out = x.data.reshape(-1, w.shape[0]) @ w.data
@@ -193,11 +196,10 @@ def linear(x, w, b, axis=-1) -> Tensor:
             lambda g: (flat_g(g) @ w.data.T).reshape(x.shape),
             lambda g: x.data.reshape(-1, w.shape[0]).T @ flat_g(g),
             lambda g: flat_g(g).sum(axis=0)), "linear")
-    others = [i for i in range(x.data.ndim) if i != axis]
-    out = np.matmul(w.data.T, np.moveaxis(x.data, axis, -2))
+    out = np.matmul(w.data.T, x.data.swapaxes(axis, -2))
     out += b.data[:, None]
-    return _make(np.moveaxis(out, -2, axis), (x, w, b), (
-        lambda g: np.moveaxis(np.matmul(w.data, np.moveaxis(g, axis, -2)), -2, axis),
+    return _make(out.swapaxes(-2, axis), (x, w, b), (
+        lambda g: np.matmul(w.data, g.swapaxes(axis, -2)).swapaxes(-2, axis),
         lambda g: np.tensordot(x.data, g, axes=(others, others)),
         lambda g: flat_g(g).sum(axis=0)), "linear")
 

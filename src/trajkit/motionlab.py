@@ -144,6 +144,17 @@ def toy_1d_pair(b: float, frames: int, grid: int = 2):
     return embed(gt), embed(smooth), embed(jitter), mask
 
 
+def _masked_median(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """np.median of each row of x (last axis) over its masked entries, to the
+    bit: the row is sorted with +inf padding and the two middle entries are
+    averaged (for an odd count the middle one with itself), as np.median
+    averages them.  A row with a NaN entry gives NaN; an empty row gives inf."""
+    k = mask.sum(axis=-1, keepdims=True)
+    s = np.sort(np.where(mask, x, np.inf), axis=-1)
+    med = (np.take_along_axis(s, (k - 1) // 2, -1) + np.take_along_axis(s, k // 2, -1)) / 2
+    return np.where(np.isnan(s[..., -1:]), np.nan, med)[..., 0]
+
+
 def estimate_camera(tracks: SparseTracks) -> CameraStats:
     """Global camera motion from track displacements.
 
@@ -152,39 +163,38 @@ def estimate_camera(tracks: SparseTracks) -> CameraStats:
     the image center into a radial part (zoom rate: median radial residual
     over radius) and a tangential part (roll rate); shake is the RMS of what
     the median zoom/roll model leaves unexplained.  Stats average over time.
+    Every frame pair is computed at once as a (pairs, tracks) array, with the
+    tracks not visible in both frames masked out (their points moved to the
+    image center); only shake's mean runs per pair, over the visible tracks.
     """
-    t_frames = tracks.frames
-    if t_frames < 2:
+    if tracks.frames < 2:
         raise ValueError("need at least 2 frames")
     c = _center(tracks.height, tracks.width)
-    pos = tracks.coords
     vis = tracks.visibility.astype(bool)
-    per_pair = []
-    for t in range(1, t_frames):
-        both = vis[t] & vis[t - 1]
-        if both.sum() < 4:
-            raise ValueError(f"fewer than 4 visible tracks between frames {t-1} and {t}")
-        p_prev = pos[t - 1, both]
-        p_cur = pos[t, both]
-        disp = p_cur - p_prev
-        trans = np.median(disp, axis=0)
-        resid = disp - trans
-        rel = p_prev - c
-        radius = np.linalg.norm(rel, axis=1)
-        ok = radius > 1e-9
-        e_r = np.zeros_like(rel)
-        e_r[ok] = rel[ok] / radius[ok, None]
-        e_t = np.stack([-e_r[:, 1], e_r[:, 0]], axis=-1)
-        radial = np.einsum("nd,nd->n", resid, e_r)
-        tangential = np.einsum("nd,nd->n", resid, e_t)
-        zoom = float(np.median(radial[ok] / radius[ok])) if ok.any() else 0.0
-        roll = float(np.median(tangential[ok] / radius[ok])) if ok.any() else 0.0
-        model = zoom * radius[:, None] * e_r + roll * radius[:, None] * e_t
-        leftover = resid - model
-        shake = float(np.sqrt(np.mean(np.sum(leftover ** 2, axis=1))))
-        per_pair.append((trans[0], trans[1], zoom, roll, shake))
-    arr = np.array(per_pair)
-    mean = arr.mean(axis=0)
+    both = vis[1:] & vis[:-1]
+    few = np.flatnonzero(both.sum(axis=1) < 4)
+    if few.size:
+        raise ValueError(f"fewer than 4 visible tracks between frames {few[0]} and {few[0] + 1}")
+    p_prev = np.where(both[..., None], tracks.coords[:-1], c)
+    disp = np.where(both[..., None], tracks.coords[1:], c) - p_prev
+    trans = _masked_median(disp.swapaxes(1, 2), both[:, None])
+    resid = disp - trans[:, None]
+    rel = p_prev - c
+    radius = np.linalg.norm(rel, axis=-1)
+    ok = radius > 1e-9
+    e_r = np.divide(rel, radius[..., None], out=np.zeros_like(rel), where=ok[..., None])
+    e_t = np.stack([-e_r[..., 1], e_r[..., 0]], axis=-1)
+    radial = np.einsum("pnd,pnd->pn", resid, e_r)
+    tangential = np.einsum("pnd,pnd->pn", resid, e_t)
+    used = both & ok
+    rates = np.stack([radial, tangential], axis=1)  # (pairs, 2, tracks)
+    np.divide(rates, radius[:, None], out=rates, where=used[:, None])
+    zoom, roll = np.where(used.any(axis=1), _masked_median(rates, used[:, None]).T, 0.0)
+    model = (zoom[:, None, None] * radius[..., None] * e_r
+             + roll[:, None, None] * radius[..., None] * e_t)
+    sq = np.sum((resid - model) ** 2, axis=-1)
+    shake = [np.sqrt(np.mean(row[m])) for row, m in zip(sq, both)]
+    mean = np.column_stack([trans, zoom, roll, shake]).mean(axis=0)
     return CameraStats((float(mean[0]), float(mean[1])), float(mean[2]), float(mean[3]), float(mean[4]))
 
 

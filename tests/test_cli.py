@@ -5,6 +5,7 @@ import subprocess
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -781,6 +782,48 @@ class TestManifest:
         assert tlf.read_tlf(tmp_path / "n.tlf").convention == tlf.CONV_NORMALIZED
         assert tlf.read_tlf(tmp_path / "o.tlf").convention == tlf.CONV_OFFSET
         assert cli.build_parser.cache_info().misses == 1
+
+
+def _no_libc(name):
+    raise OSError("no C library")
+
+
+class TestAllocatorPolicy:
+    def test_first_dispatch_calls_mallopt_once(self, monkeypatch, tmp_path):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+        cli._keep_freed_memory.cache_clear()
+        for _ in range(3):
+            assert run("synth", tmp_path / "s.tlf", "--frames", 4, "--out", tmp_path) == 0
+        assert dispatch(["bogus"]) == 1
+        assert calls == [(cli.M_MMAP_THRESHOLD, 32 << 20), (cli.M_TRIM_THRESHOLD, 256 << 20)]
+
+    @pytest.mark.parametrize("cdll", [lambda name: object(), _no_libc], ids=["no-mallopt", "no-libc"])
+    def test_exit_codes_without_mallopt(self, monkeypatch, tmp_path, capsys, cdll):
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+        cli._keep_freed_memory.cache_clear()
+        garbage, cfg, huge = tmp_path / "bad.tlf", tmp_path / "bad.cfg", tmp_path / "lr.cfg"
+        garbage.write_bytes(b"garbage")
+        cfg.write_text("[vae]\nnot_a_key = 3\n")
+        huge.write_text("[vae]\nlr = 1e6\nsteps = 2\n")
+        assert run("synth", tmp_path / "s.tlf", "--frames", 4, "--out", tmp_path) == 0
+        assert run("synth") == 1
+        assert run("rasterize", garbage, tmp_path / "r.tlf", "--out", tmp_path) == 2
+        assert run("train-vae", "--config", cfg, "--out", tmp_path) == 3
+        assert run("train-vae", "--config", huge, "--out", tmp_path) == 4
+
+    def test_import_leaves_the_allocator_alone(self):
+        src = str(Path(trajkit.__file__).parents[1])
+        code = ("import trajkit, trajkit.cli as c; "
+                "print(c._keep_freed_memory.cache_info().currsize)")
+        proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.stdout.strip() == "0", proc.stderr
 
 
 class TestProcess:

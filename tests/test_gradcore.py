@@ -129,7 +129,7 @@ def test_linear_gradients(x_shape, axis):
     assert gc.grad_check(f, [x, w, b]) < 1e-4
 
 
-@pytest.mark.parametrize("axis", [-1, 2])
+@pytest.mark.parametrize("axis", [-1, 0, 1, 2])
 def test_linear_bit_equal_to_reshape_matmul_add_chain(axis):
     rng = np.random.default_rng(4)
     x = rng.normal(size=(2, 3, 5, 6))
@@ -139,13 +139,13 @@ def test_linear_bit_equal_to_reshape_matmul_add_chain(axis):
     out_shape = list(x.shape)
     out_shape[axis] = 7
     cot = rng.normal(size=out_shape)  # a generic cotangent for every output entry
-    perm = (0, 1, 3, 2) if axis == 2 else (0, 1, 2, 3)
+    perm = [i for i in range(4) if i != axis % 4] + [axis % 4]  # the mixed axis moved last
 
     def chain(x_, w_, b_):
         moved = gc.transpose(x_, perm)
         flat = gc.reshape(moved, (-1, fan_in))
         out = gc.add(gc.matmul(flat, w_), b_)
-        return gc.transpose(gc.reshape(out, (*moved.shape[:-1], 7)), perm)
+        return gc.transpose(gc.reshape(out, (*moved.shape[:-1], 7)), tuple(np.argsort(perm)))
 
     def prim(x_, w_, b_):
         return gc.linear(x_, w_, b_, axis=axis)
