@@ -51,7 +51,6 @@ from .models import (
     FlowConfig,
     VaeConfig,
     encode_condition,
-    fuse_history,
     pool_visibility,
     reparameterize,
     vae_decode,

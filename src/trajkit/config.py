@@ -17,8 +17,8 @@ from pathlib import Path
 from . import flowgen
 from . import lossbank as lb
 from .flowgen import FinetuneConfig, FlowTrainConfig, VaeTrainConfig
-from .models import (AT_LEAST_0, AT_LEAST_1, FINITE_NONNEGATIVE, FINITE_POSITIVE, FieldError,
-                     FlowConfig, VaeConfig)
+from .models import FlowConfig, VaeConfig, latent_steps
+from .rules import AT_LEAST_0, AT_LEAST_1, FINITE_NONNEGATIVE, FINITE_POSITIVE, FieldError
 from .scenes import KIND_MIXES, SceneGeometry
 
 OUT_ENV_VAR = "TRAJLOOM_OUT"
@@ -210,8 +210,8 @@ class RunConfig:
     def flow_config(self) -> FlowConfig:
         d, vae = self.values["data"], self.vae_config()
         return self._build("flow", FlowConfig,
-                           history_steps=-(-d["past"] // vae.temporal_ratio),
-                           future_steps=-(-(d["frames"] - d["past"]) // vae.temporal_ratio),
+                           history_steps=latent_steps(d["past"], vae.temporal_ratio),
+                           future_steps=latent_steps(d["frames"] - d["past"], vae.temporal_ratio),
                            latent_channels=vae.latent_channels, n_tokens=vae.n_tokens)
 
     def flow_train_config(self) -> FlowTrainConfig:

@@ -18,18 +18,11 @@ from . import gradcore as gc
 from . import lossbank as lb
 from .gradcore import Rng, as_tensor
 from .models import (
-    AT_LEAST_0,
-    AT_LEAST_1,
-    CLIP_NORM,
-    FINITE_NONNEGATIVE,
-    FINITE_POSITIVE,
-    Checked,
-    FieldError,
     FlowConfig,
     VaeConfig,
     _with_batch,
     encode_condition,
-    ranged,
+    latent_steps,
     vae_decode,
     vae_encode,
     velocity_forward,
@@ -42,6 +35,8 @@ from .models import (
     reparameterize,
     wrap_params,
 )
+from .rules import (AT_LEAST_0, AT_LEAST_1, CLIP_NORM, FINITE_NONNEGATIVE, FINITE_POSITIVE,
+                    Checked, FieldError, ranged)
 from .trajfield import OffsetField
 
 T_EPS = 1e-5
@@ -452,8 +447,8 @@ def _flow_inputs(dataset: PairDataset, vae_params: dict, vae_cfg: VaeConfig,
     """
     t_p = dataset.past.shape[1]
     t_f = dataset.future.shape[1]
-    k_p = -(-t_p // vae_cfg.temporal_ratio)
-    k_f = -(-t_f // vae_cfg.temporal_ratio)
+    k_p = latent_steps(t_p, vae_cfg.temporal_ratio)
+    k_f = latent_steps(t_f, vae_cfg.temporal_ratio)
     if (k_p, k_f) != (cfg.flow.history_steps, cfg.flow.future_steps):
         raise ValueError(f"flow config expects {cfg.flow.history_steps}/{cfg.flow.future_steps} "
                          f"latent steps, dataset yields {k_p}/{k_f}")
@@ -613,7 +608,7 @@ def sample_future(history: OffsetField, bundle: FlowBundle, sampler: dict | None
     """
     vae_cfg, flow_cfg = bundle.vae_cfg, bundle.flow_cfg
     r, k_p = vae_cfg.temporal_ratio, flow_cfg.history_steps
-    if -(-history.frames // r) != k_p:
+    if latent_steps(history.frames, r) != k_p:
         raise ValueError(f"history frames must be in {(k_p - 1) * r + 1}..{k_p * r} "
                          f"(history_steps {k_p} x temporal_ratio {r}), got {history.frames}")
     t_max = flow_cfg.future_steps * r

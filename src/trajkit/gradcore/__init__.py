@@ -16,7 +16,6 @@ from .tensor import (
     gelu,
     getitem,
     linear,
-    log,
     matmul,
     mul,
     reshape,
@@ -25,12 +24,10 @@ from .tensor import (
     softplus,
     square,
     stop_gradient,
-    tanh,
     tmean,
     transpose,
     tsum,
     where,
-    zeros,
 )
 
 __all__ = [
@@ -38,7 +35,7 @@ __all__ = [
     "OptimState", "optim_init", "optim_step",
     "Rng", "rng",
     "ShapeError", "Tensor", "absolute", "add", "as_tensor", "backward",
-    "concat", "div", "exp", "gelu", "getitem", "linear", "log", "matmul",
+    "concat", "div", "exp", "gelu", "getitem", "linear", "matmul",
     "mul", "reshape", "shift_l1", "sigmoid", "softplus", "square", "stop_gradient",
-    "tanh", "tmean", "transpose", "tsum", "where", "zeros",
+    "tmean", "transpose", "tsum", "where",
 ]

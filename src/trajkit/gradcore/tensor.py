@@ -4,7 +4,8 @@ A ``Tensor`` wraps a float64 ndarray.  Every primitive records its operands
 and a vector-Jacobian closure on the implicit tape (the operand links of the
 output node); ``backward`` replays those closures in reverse topological
 order.  ``stop_gradient`` cuts the tape: nothing upstream of it receives
-adjoint contributions.
+adjoint contributions.  A ``Tensor`` takes ``[]`` (``getitem``) and
+``float()``; every other op is a function of this module.
 
 Training math runs in float64 so finite-difference checks stay tight; file
 storage elsewhere in the package downcasts to float32.
@@ -58,61 +59,14 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __float__(self) -> float:
         return float(self.data)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self._op!r}, requires_grad={self.requires_grad})"
 
-    # -- operator sugar -------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0) if isinstance(other, Tensor) else -np.asarray(other, dtype=np.float64))
-
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __getitem__(self, key):
+    def __getitem__(self, key):  # the one op spelled as an operator: x[:, -1:]
         return getitem(self, key)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, axes):
-        return transpose(self, axes)
 
 
 def as_tensor(x) -> Tensor:
@@ -211,18 +165,6 @@ def exp(a) -> Tensor:
     a = as_tensor(a)
     out = np.exp(a.data)
     return _make(out, (a,), (lambda g: g * out,), "exp")
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.log(a.data)
-    return _make(out, (a,), (lambda g: g / a.data,), "log")
-
-
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.tanh(a.data)
-    return _make(out, (a,), (lambda g: g * (1.0 - out * out),), "tanh")
 
 
 def sigmoid(a) -> Tensor:
@@ -429,10 +371,6 @@ def stop_gradient(a) -> Tensor:
     """Detach: the value flows forward, no adjoint flows back."""
     a = as_tensor(a)
     return Tensor(a.data, _op="stop_gradient")
-
-
-def zeros(shape) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=np.float64))
 
 
 # -- backward pass --------------------------------------------------------

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import gradcore as gc
 from .gradcore import Tensor, as_tensor
-from .models import (AT_LEAST_1, FINITE_POSITIVE, LATENT, SEGMENT, Checked, FieldError,
-                     _with_batch, each, pool_visibility, ranged)
+from .models import LATENT, SEGMENT, _with_batch, pool_visibility
+from .rules import AT_LEAST_1, FINITE_POSITIVE, Checked, FieldError, each, ranged
 
 
 @dataclass

@@ -11,62 +11,22 @@ accept the same dicts wrapped into Tensors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import gradcore as gc
 from .gradcore import Rng, Tensor, as_tensor
+from .rules import AT_LEAST_0, AT_LEAST_1, FINITE_NONNEGATIVE, Checked, FieldError, one_of, ranged
 
 
-class FieldError(ValueError):
-    """A module-config field outside its range; `field` names it."""
-
-    def __init__(self, name: str, value, expected: str):
-        super().__init__(f"{name} must be {expected}, got {value!r}")
-        self.field = name
-
-
-def _is(v, kinds: tuple) -> bool:  # a bool is an int to Python, but no number here
-    return isinstance(v, kinds) and not isinstance(v, bool)
-
-
-# (what a value must be, test) rules for `ranged` fields
-_INTEGER, _REAL = (int, np.integer), (int, float, np.integer, np.floating)
-AT_LEAST_0 = ("an integer >= 0", lambda v: _is(v, _INTEGER) and v >= 0)
-AT_LEAST_1 = ("an integer >= 1", lambda v: _is(v, _INTEGER) and v >= 1)
-FINITE_NONNEGATIVE = ("a finite number >= 0", lambda v: _is(v, _REAL) and 0 <= v < math.inf)
-FINITE_POSITIVE = ("a finite number > 0", lambda v: _is(v, _REAL) and 0 < v < math.inf)
-FINITE = ("a finite number", lambda v: _is(v, _REAL) and math.isfinite(v))
-CLIP_NORM = ("None (no clip) or a finite number > 0",
-             lambda v: v is None or FINITE_POSITIVE[1](v))
 ANCHOR_MODES = ("first-slice", "all-slices")  # of FlowConfig.anchor_mode
 
 
-def one_of(choices: tuple) -> tuple:
-    """The rule for a value among `choices`."""
-    return f"one of {', '.join(choices)}", lambda v: v in choices
-
-
-def each(plural: str, rule: tuple) -> tuple:
-    """The rule for a non-empty tuple whose every element meets `rule`."""
-    return (f"one or more {plural}",
-            lambda v: isinstance(v, tuple) and len(v) > 0 and all(map(rule[1], v)))
-
-
-def ranged(default, rule: tuple):
-    """A dataclass field with a default that `Checked` holds to `rule`."""
-    return field(default=default, metadata={"rule": rule})
-
-
-class Checked:
-    """Base of the module configs: a `ranged` field that fails its rule raises FieldError."""
-
-    def __post_init__(self):
-        for f in fields(self):
-            expected, ok = f.metadata.get("rule", ("", lambda v: True))
-            if not ok(getattr(self, f.name)):
-                raise FieldError(f.name, getattr(self, f.name), expected)
+def latent_steps(frames: int, ratio: int) -> int:
+    """Latent steps that `frames` frames encode to at `ratio` frames per step
+    (the last step padded with the last frame)."""
+    return -(-frames // ratio)
 
 
 @dataclass
@@ -103,7 +63,7 @@ class VaeConfig(Checked):
 
     def token_grid(self, frames: int | None = None) -> tuple:
         t = self.frames if frames is None else frames
-        return (-(-t // self.temporal_ratio), self.tokens_h, self.tokens_w)
+        return (latent_steps(t, self.temporal_ratio), self.tokens_h, self.tokens_w)
 
 
 @dataclass
@@ -112,9 +72,9 @@ class FlowConfig(Checked):
     blocks: int = ranged(2, AT_LEAST_0)
     cond_hidden: int = ranged(32, AT_LEAST_1)
     time_features: int = ranged(8, ("an even integer >= 2",
-                                    lambda v: _is(v, _INTEGER) and v >= 2 and v % 2 == 0))
+                                    lambda v: AT_LEAST_1[1](v) and v >= 2 and v % 2 == 0))
     # latent steps of history context; the history cue takes the last two
-    history_steps: int = ranged(2, ("an integer >= 2", lambda v: _is(v, _INTEGER) and v >= 2))
+    history_steps: int = ranged(2, ("an integer >= 2", lambda v: AT_LEAST_1[1](v) and v >= 2))
     future_steps: int = ranged(2, AT_LEAST_1)  # latent steps generated
     latent_channels: int = ranged(8, AT_LEAST_1)
     n_tokens: int = ranged(16, AT_LEAST_1)
@@ -325,12 +285,6 @@ def history_cue(z_hist, params: dict, k_f: int) -> Tensor:
     return gc.mul(gc.mul(cue, gates), params["vel.fusion.alpha"])
 
 
-def fuse_history(tokens: Tensor, z_hist, params: dict) -> Tensor:
-    """Add the history cue of z_hist (B, K_p >= 2, N, C) to the query tokens (B, K_f, N, D)."""
-    z_hist = _with_batch("fuse_history", z_hist, LATENT)
-    return gc.add(tokens, history_cue(z_hist, params, tokens.shape[1]))
-
-
 def time_features(t, n_features: int) -> np.ndarray:
     """Sinusoidal embedding of flow time, (B, n_features)."""
     t = np.atleast_1d(np.asarray(t, dtype=np.float64))
@@ -415,7 +369,7 @@ def pool_visibility(mask: np.ndarray, token_grid: tuple, reduce: str = "max", *,
     t_lat, h_tok, w_tok = token_grid
     b, t, h, w = mask.shape
     if (t_lat <= 0 or h_tok <= 0 or w_tok <= 0 or h % h_tok or w % w_tok or ratio <= 0
-            or -(-t // ratio) != t_lat):
+            or latent_steps(t, ratio) != t_lat):
         raise ValueError(f"token grid {token_grid} at {ratio} frames per step incompatible "
                          f"with mask {mask.shape}")
     if t_lat * ratio != t:
@@ -428,7 +382,7 @@ def _temporal_conv(params: dict, name: str, h: Tensor) -> Tensor:
     """Kernel-3 zero-padded 1-D convolution along latent time, as a strided
     affine map over shifted copies."""
     b, k, n, d = h.shape
-    zero = gc.zeros((b, 1, n, d))
+    zero = np.zeros((b, 1, n, d))
     prev = gc.concat([zero, h[:, :-1]], axis=1) if k > 1 else zero
     nxt = gc.concat([h[:, 1:], zero], axis=1) if k > 1 else zero
     stacked = gc.concat([prev, h, nxt], axis=3)

@@ -12,7 +12,7 @@ from dataclasses import MISSING, dataclass, field
 
 import numpy as np
 
-from .models import AT_LEAST_1, FINITE, Checked, one_of, ranged
+from .rules import AT_LEAST_1, FINITE, Checked, one_of, ranged
 from .trajfield import SparseTracks, cell_centers, normalize_coords
 
 KINDS = ("translation", "rotation", "zoom", "shear", "static", "jitter-overlay")

@@ -8,8 +8,8 @@ import numpy as np
 
 from . import motionlab, trajfield
 from .flowgen import PairDataset, SegmentDataset, pairs_from_fields, segments_from_fields
-from .models import AT_LEAST_1, Checked, FieldError, ranged
 from .motionlab import MotionSpec
+from .rules import AT_LEAST_1, Checked, FieldError, ranged
 
 KIND_MIXES = ("smooth", "translation", "jitter")
 

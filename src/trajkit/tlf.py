@@ -4,7 +4,9 @@ TLF layout, little-endian: magic "TRJF", version u32, then u32 header
 fields T, H_c, W_c, H, W, s, convention (0 absolute-pixel, 1
 absolute-normalized, 2 offset), then float32 coordinates [T*N*2] and
 visibility bytes [T*N] with N = H_c*W_c.  Offset-convention coordinates are
-relative to the stride-cell center anchors.
+relative to the stride-cell center anchors.  `read_tlf` refuses a file
+whose H_c, W_c are not H/s, W/s or whose coordinates are not all finite,
+hidden points included.
 
 Checkpoints store named float32 parameter blocks plus a JSON metadata tail.
 Conversions run in float64 and round once to the float32 payload.
@@ -102,11 +104,17 @@ def read_tlf(path) -> TlfFile:
     coords = np.frombuffer(raw[36:36 + coord_bytes], dtype="<f4").reshape(t, n, 2)
     vis = np.frombuffer(raw[36 + coord_bytes:], dtype=np.uint8).reshape(t, n)
     try:
-        return TlfFile(coords, vis, height, width, stride, convention)
-    except TlfError:
-        raise
-    except ValueError as exc:
+        record = TlfFile(coords, vis, height, width, stride, convention)
+    except ValueError as exc:  # TlfError included: every message names the file
         raise TlfError(f"{path}: {exc}") from exc
+    if (hc, wc) != record.coarse_shape:
+        raise TlfError(f"{path}: header grid {hc}x{wc} != frame {height}x{width} "
+                       f"/ stride {stride}")
+    finite = np.isfinite(coords)  # hidden points too: a metric may weight them by 0
+    if not finite.all():
+        frame, track = np.argwhere(~finite.all(axis=2))[0]
+        raise TlfError(f"{path}: non-finite coordinate at frame {frame}, track {track}")
+    return record
 
 
 def from_tracks(tracks: SparseTracks) -> TlfFile:

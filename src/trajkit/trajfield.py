@@ -129,11 +129,6 @@ def anchor_grid(height: int, width: int) -> np.ndarray:
     return cell_anchors(height, width, 1)
 
 
-def cell_index(h: int, w: int, stride: int, coarse_width: int) -> int:
-    """1-based coarse-grid trajectory index of pixel (h, w)."""
-    return (h // stride) * coarse_width + (w // stride) + 1
-
-
 def rasterize(tracks: SparseTracks) -> DenseField:
     """Expand stride-grid tracks into a dense normalized coordinate field.
 

@@ -3,7 +3,7 @@
 import pytest
 
 from trajkit import flowgen
-from trajkit.models import FlowConfig, VaeConfig
+from trajkit.models import FlowConfig, VaeConfig, latent_steps
 from trajkit.scenes import SceneGeometry, pair_dataset, segment_dataset
 
 DESK_GEOM = SceneGeometry(height=32, width=32, stride=8, frames=16, past=8)
@@ -18,8 +18,8 @@ def desk_vae_config(**overrides) -> VaeConfig:
 
 def desk_flow_config(vae: VaeConfig, **overrides) -> FlowConfig:
     base = dict(hidden=64, blocks=2, cond_hidden=32, time_features=8,
-                history_steps=-(-DESK_GEOM.past // vae.temporal_ratio),
-                future_steps=-(-(DESK_GEOM.frames - DESK_GEOM.past) // vae.temporal_ratio),
+                history_steps=latent_steps(DESK_GEOM.past, vae.temporal_ratio),
+                future_steps=latent_steps(DESK_GEOM.frames - DESK_GEOM.past, vae.temporal_ratio),
                 latent_channels=vae.latent_channels, n_tokens=vae.n_tokens)
     base.update(overrides)
     return FlowConfig(**base)

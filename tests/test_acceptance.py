@@ -21,7 +21,7 @@ from trajkit.models import (
     FlowConfig,
     VaeConfig,
     encode_condition,
-    fuse_history,
+    history_cue,
     init_vae_params,
     init_velocity_params,
     init_visibility_params,
@@ -447,7 +447,7 @@ def test_criterion_08_boundary_and_fusion_invariants(flow_cfg):
         vel_params["vel.fusion.alpha"] = gc.Tensor(0.0)
         tokens = gc.Tensor(gc.rng(3).draw_normal((1, 2, 16, 64)))
         z_hist = gc.rng(4).draw_normal((1, 2, 16, 8))
-        fused = fuse_history(tokens, z_hist, vel_params)
+        fused = gc.add(tokens, history_cue(z_hist, vel_params, 2))
         assert np.array_equal(fused.data, tokens.data)
 
         w = gc.Tensor(np.array([[0.3]]), requires_grad=True)

@@ -148,6 +148,56 @@ class TestDamagedFiles:
             tlf.load_checkpoint(path)
 
 
+def _scene_with(path, damage):
+    """An 8-frame 32x32 stride-8 translation scene (16 tracks) with `damage`
+    applied to its bytes: a header grid other than H/s x W/s, or a NaN
+    coordinate at frame 2, track 5, visible or hidden."""
+    record = tlf.from_tracks(generate(MotionSpec("translation", frames=8, velocity=(1.0, 0.0))))
+    tlf.write_tlf(path, record)
+    raw = bytearray(path.read_bytes())
+    t, n = record.visibility.shape
+    if damage == "grid":
+        raw[12:20] = np.array([2, 8], dtype="<u4").tobytes()  # H_c, W_c: still 16 tracks
+    else:
+        x = 36 + (2 * n + 5) * 8  # the x of frame 2, track 5
+        raw[x:x + 4] = np.array([np.nan], dtype="<f4").tobytes()
+        raw[36 + t * n * 8 + 2 * n + 5] = int(damage == "nan-visible")
+    path.write_bytes(bytes(raw))
+    return path
+
+
+DAMAGED_SCENES = {"grid": "header grid 2x8 != frame 32x32 / stride 8",
+                  "nan-visible": "non-finite coordinate at frame 2, track 5",
+                  "nan-hidden": "non-finite coordinate at frame 2, track 5"}
+
+
+class TestMalformedTrackValues:
+    @pytest.mark.parametrize("damage", list(DAMAGED_SCENES))
+    def test_read_tlf_names_the_file_and_the_fault(self, tmp_path, damage):
+        path = _scene_with(tmp_path / "bad.tlf", damage)
+        with pytest.raises(tlf.TlfError) as exc:
+            tlf.read_tlf(path)
+        assert str(exc.value) == f"{path}: {DAMAGED_SCENES[damage]}"
+
+    @pytest.mark.parametrize("command", ["camcap", "eval", "offsets", "analyze-variance",
+                                         "sample"])
+    @pytest.mark.parametrize("damage", list(DAMAGED_SCENES))
+    def test_every_reader_exits_2_with_one_error_line(self, tmp_path, capsys, tiny_bundle,
+                                                      command, damage):
+        scene = _scene_with(tmp_path / "bad.tlf", damage)
+        argv = {"camcap": ["camcap", scene],
+                "eval": ["eval", scene, "--metric", "flowtv"],
+                "offsets": ["offsets", scene, tmp_path / "o.tlf"],
+                "analyze-variance": ["analyze-variance", scene]}.get(command)
+        if argv is None:
+            save_bundle(tmp_path / "bundle.ckpt", tiny_bundle[0], seed=3)
+            argv = ["sample", "--ckpt", tmp_path / "bundle.ckpt", "--history", scene]
+        capsys.readouterr()
+        assert run(*argv, "--out", tmp_path / "runs") == 2
+        out = capsys.readouterr()
+        assert out.err == f"error: {scene}: {DAMAGED_SCENES[damage]}\n" and out.out == ""
+
+
 class TestConfig:
     def test_defaults_match_published_values(self):
         cfg = RunConfig.default()

@@ -20,7 +20,8 @@ from trajkit.flowgen import (
     sample_future,
     sample_time,
 )
-from trajkit.models import FieldError, FlowConfig, VaeConfig, wrap_params
+from trajkit.models import FlowConfig, VaeConfig, wrap_params
+from trajkit.rules import FieldError
 from trajkit.scenes import SceneGeometry
 
 

@@ -11,7 +11,6 @@ from trajkit.models import (
     FlowConfig,
     VaeConfig,
     encode_condition,
-    fuse_history,
     history_cue,
     init_vae_params,
     init_velocity_params,
@@ -69,8 +68,6 @@ UNBATCHED = {
         {"z_hist": HIST[0], "visibility": VIS}, n.vel, n.flow_cfg),
     "encode_condition[visibility]": lambda n: encode_condition(
         {"z_hist": HIST, "visibility": VIS[0]}, n.vel, n.flow_cfg),
-    "fuse_history[z_hist]": lambda n: fuse_history(gc.zeros((1, 2, 4, 24)), HIST[0],
-                                                   wrap_params(n.vel)),
     "history_cue[z_hist]": lambda n: history_cue(HIST[0], wrap_params(n.vel), 2),
     "visibility_logits[z_f]": lambda n: models.visibility_logits(LAT[0], n.vis),
     "visibility_predict[z_f]": lambda n: visibility_predict(LAT[0], n.vis),
@@ -168,7 +165,7 @@ class TestFusion:
         params["vel.fusion.alpha"] = gc.Tensor(0.0)
         tokens = gc.Tensor(gc.rng(8).draw_normal((1, 2, 4, 24)))
         z_hist = gc.rng(9).draw_normal((1, 2, 4, 4))
-        fused = fuse_history(tokens, z_hist, params)
+        fused = gc.add(tokens, history_cue(z_hist, params, 2))
         assert np.array_equal(fused.data, tokens.data)
 
     def test_first_step_gets_no_velocity_hint(self, flow_cfg, vel_params):
@@ -177,12 +174,12 @@ class TestFusion:
         # the boundary term (ramp starts at 0).
         params = wrap_params(dict(vel_params), requires_grad=False)
         params["vel.fusion.gate_raw"] = gc.Tensor(np.full(2, 100.0))  # gates -> 1
-        tokens = gc.zeros((1, 2, 4, 24))
+        tokens = np.zeros((1, 2, 4, 24))
         rng = gc.rng(10)
         z_last = rng.draw_normal((1, 1, 4, 4))
         z_prev = rng.draw_normal((1, 1, 4, 4))
         z_hist = np.concatenate([z_prev, z_last], axis=1)
-        fused = fuse_history(tokens, z_hist, params)
+        fused = gc.add(tokens, history_cue(z_hist, params, 2))
         tok_last = (z_last[0, 0] @ params["vel.tok.w"].data) + params["vel.tok.b"].data
         alpha = float(params["vel.fusion.alpha"].data)
         assert np.allclose(fused.data[0, 0], alpha * tok_last, atol=1e-9)
@@ -190,16 +187,16 @@ class TestFusion:
     def test_static_history_injection_independent_of_step(self, flow_cfg, vel_params):
         params = wrap_params(dict(vel_params), requires_grad=False)
         params["vel.fusion.gate_raw"] = gc.Tensor(np.zeros(2))  # equal gates
-        tokens = gc.zeros((1, 2, 4, 24))
+        tokens = np.zeros((1, 2, 4, 24))
         z_slice = gc.rng(11).draw_normal((1, 1, 4, 4))
         z_hist = np.concatenate([z_slice, z_slice], axis=1)
-        fused = fuse_history(tokens, z_hist, params)
+        fused = gc.add(tokens, history_cue(z_hist, params, 2))
         assert np.allclose(fused.data[0, 0], fused.data[0, 1], atol=1e-12)
 
     def test_single_history_step_rejected(self, flow_cfg, vel_params):
         params = wrap_params(dict(vel_params), requires_grad=False)
         with pytest.raises(ValueError):
-            fuse_history(gc.zeros((1, 2, 4, 24)), np.zeros((1, 1, 4, 4)), params)
+            history_cue(np.zeros((1, 1, 4, 4)), params, 2)
 
 
 class TestVelocityForward:
@@ -278,7 +275,7 @@ class TestVelocityForward:
         cond = self._condition()
         encoded = encode_condition(cond, vel_params, flow_cfg)
         tokens = gc.Tensor(gc.rng(20).draw_normal((1, 2, 4, 24)))
-        fused = fuse_history(tokens, cond["z_hist"], vel_params)
+        fused = gc.add(tokens, history_cue(cond["z_hist"], vel_params, 2))
         assert np.array_equal(gc.add(tokens, encoded.cue).data, fused.data)
 
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from trajkit import motionlab
-from trajkit.models import FieldError
 from trajkit.motionlab import CameraStats, MotionSpec, caption, estimate_camera, generate, toy_1d_pair
+from trajkit.rules import FieldError
 from trajkit.trajfield import SparseTracks
 
 

@@ -1,0 +1,36 @@
+"""The benchmark's span tracer (perfbench/tracer.py) still fits the package:
+every module and `Rng` method it wraps exists, and a wrapped primitive
+produced every node on the tape of a training step."""
+
+import sys
+from pathlib import Path
+
+from trajkit import flowgen
+from trajkit.trajfield import OffsetField
+
+from conftest import make_segment_dataset
+
+BENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
+if BENCH not in sys.path:
+    sys.path.append(BENCH)
+
+from tracer import Tracer  # noqa: E402
+
+
+def test_tracer_wraps_two_vae_steps_and_a_dopri5_solve(tiny_vae_cfg, tiny_bundle):
+    bundle, pairs, _ = tiny_bundle
+    segments = make_segment_dataset("smooth", 4, seed=0)
+    history = OffsetField(pairs.past[0], pairs.past_masks[0], stride=8)
+    tracer = Tracer()
+    tracer.install()  # a CoverageError from backward's hook would fail the test here
+    try:
+        flowgen.train_vae(segments, flowgen.VaeTrainConfig(vae=tiny_vae_cfg, steps=2, batch=2),
+                          seed=0)
+        flowgen.sample_future(history, bundle, sampler={"method": "dopri5"}, seed=0)
+    finally:
+        tracer.uninstall()
+    spans = tracer.phases["setup"]
+    assert spans.calls["gradcore.linear"] > 0 and spans.calls["gradcore.linear.vjp"] > 0
+    assert len(spans.series["tape_nodes"]) == 2
+    assert len(spans.series["dopri5_times"]) == 1 and spans.series["dopri5_times"][0]
+    assert spans.calls["gradcore.rng.draw_normal"] > 0

@@ -8,7 +8,6 @@ from trajkit.trajfield import (
     DenseField,
     SparseTracks,
     anchor_grid,
-    cell_index,
     coarse_positions,
     denormalize_coords,
     normalize_coords,
@@ -25,31 +24,6 @@ def _random_tracks(seed=0, t=5, h=16, w=16, s=4):
     coords = rng.uniform(-2, max(h, w) + 2, size=(t, n, 2))
     vis = (rng.random((t, n)) > 0.3).astype(np.uint8)
     return SparseTracks(coords, vis, s, h, w)
-
-
-class TestCellIndex:
-    def test_zero_case(self):
-        assert cell_index(0, 0, 32, 26) == 1
-
-    def test_second_row(self):
-        # W=832, s=32 -> W_c=26; pixel (32, 0) falls in the first cell of row 1.
-        assert cell_index(32, 0, 32, 26) == 27
-
-    def test_matches_nested_loop_oracle(self):
-        s, h, w = 4, 16, 24
-        wc = w // s
-        # Independent oracle: enumerate cells row-major and look the pixel up.
-        lookup = {}
-        idx = 1
-        for ci in range(h // s):
-            for cj in range(wc):
-                for dh in range(s):
-                    for dw in range(s):
-                        lookup[(ci * s + dh, cj * s + dw)] = idx
-                idx += 1
-        for hh in range(h):
-            for ww in range(w):
-                assert cell_index(hh, ww, s, wc) == lookup[(hh, ww)]
 
 
 class TestRasterize:
@@ -70,7 +44,7 @@ class TestRasterize:
         s, wc = tracks.stride, tracks.width // tracks.stride
         norm = normalize_coords(tracks.coords, tracks.height, tracks.width)
         for (h, w) in [(0, 0), (5, 11), (15, 3), (8, 8)]:
-            idx = cell_index(h, w, s, wc) - 1
+            idx = (h // s) * wc + w // s
             assert np.allclose(field.coords[:, h, w], norm[:, idx])
 
     def test_indivisible_frame_rejected(self):
