@@ -1,9 +1,12 @@
 """Reverse-mode automatic differentiation over dense numpy arrays.
 
-A ``Tensor`` wraps a float64 ndarray.  Every primitive records its operands
-and a vector-Jacobian closure on the implicit tape (the operand links of the
-output node); ``backward`` replays those closures in reverse topological
-order.  ``stop_gradient`` cuts the tape: nothing upstream of it receives
+A ``Tensor`` wraps a float64 ndarray.  A primitive with an operand that
+requires a gradient records its operands and a vector-Jacobian closure on the
+implicit tape (the operand links of the output node); ``backward`` replays
+those closures in reverse topological order.  A primitive none of whose
+operands requires a gradient records nothing: it computes its value and
+builds no closure, so a forward pass over constant parameters builds no
+tape.  ``stop_gradient`` cuts the tape: nothing upstream of it receives
 adjoint contributions.  A ``Tensor`` takes ``[]`` (``getitem``) and
 ``float()``; every other op is a function of this module.
 
@@ -38,13 +41,18 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
+_F64 = np.dtype(np.float64)  # numpy's one native float64 dtype object
+
+
 class Tensor:
     """Node on the autodiff tape: value plus links to its operands."""
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjps", "_op")
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _vjps=(), _op="leaf"):
-        self.data = np.asarray(data, dtype=np.float64)
+        # np.asarray would return a native float64 ndarray itself, only slower
+        self.data = data if type(data) is np.ndarray and data.dtype is _F64 \
+            else np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._parents = _parents
@@ -76,9 +84,16 @@ def as_tensor(x) -> Tensor:
     return Tensor(x)
 
 
+def _needs_grad(operands) -> bool:
+    """True when some operand requires a gradient, so the output is a tape node."""
+    for t in operands:
+        if t.requires_grad:
+            return True
+    return False
+
+
 def _make(data, parents, vjps, op) -> Tensor:
-    need = any(p.requires_grad for p in parents)
-    if not need:
+    if not _needs_grad(parents):
         return Tensor(data, _op=op)
     return Tensor(data, requires_grad=True, _parents=tuple(parents), _vjps=tuple(vjps), _op=op)
 
@@ -92,6 +107,8 @@ def add(a, b) -> Tensor:
         out = a.data + b.data
     except ValueError:
         raise ShapeError("add", a.shape, b.shape) from None
+    if not _needs_grad((a, b)):
+        return Tensor(out, _op="add")
     return _make(out, (a, b), (lambda g: _unbroadcast(g, a.shape),
                                lambda g: _unbroadcast(g, b.shape)), "add")
 
@@ -102,6 +119,8 @@ def mul(a, b) -> Tensor:
         out = a.data * b.data
     except ValueError:
         raise ShapeError("mul", a.shape, b.shape) from None
+    if not _needs_grad((a, b)):
+        return Tensor(out, _op="mul")
     return _make(out, (a, b), (lambda g: _unbroadcast(g * b.data, a.shape),
                                lambda g: _unbroadcast(g * a.data, b.shape)), "mul")
 
@@ -112,6 +131,8 @@ def div(a, b) -> Tensor:
         out = a.data / b.data
     except ValueError:
         raise ShapeError("div", a.shape, b.shape) from None
+    if not _needs_grad((a, b)):
+        return Tensor(out, _op="div")
     return _make(out, (a, b), (lambda g: _unbroadcast(g / b.data, a.shape),
                                lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.shape)), "div")
 
@@ -121,6 +142,8 @@ def matmul(a, b) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError("matmul", a.shape, b.shape)
     out = a.data @ b.data
+    if not _needs_grad((a, b)):
+        return Tensor(out, _op="matmul")
     return _make(out, (a, b), (lambda g: g @ b.data.T,
                                lambda g: a.data.T @ g), "matmul")
 
@@ -138,24 +161,29 @@ def linear(x, w, b, axis=-1) -> Tensor:
             or x.shape[axis] != w.shape[0]):
         raise ShapeError("linear", x.shape, w.shape, b.shape)
     axis %= x.data.ndim
+    last = axis == x.data.ndim - 1
+    if last:
+        out = x.data.reshape(-1, w.shape[0]) @ w.data
+        out += b.data
+        out = out.reshape(*x.shape[:-1], w.shape[1])
+    else:
+        out = np.matmul(w.data.T, x.data.swapaxes(axis, -2))
+        out += b.data[:, None]
+        out = out.swapaxes(-2, axis)
+    if not _needs_grad((x, w, b)):
+        return Tensor(out, _op="linear")
     others = [i for i in range(x.data.ndim) if i != axis]
 
     def flat_g(g):  # the output adjoint with `axis` moved last, flattened to 2-D
         return g.transpose(*others, axis).reshape(-1, w.shape[1])
 
-    if axis == x.data.ndim - 1:
-        out = x.data.reshape(-1, w.shape[0]) @ w.data
-        out += b.data
-        return _make(out.reshape(*x.shape[:-1], w.shape[1]), (x, w, b), (
-            lambda g: (flat_g(g) @ w.data.T).reshape(x.shape),
-            lambda g: x.data.reshape(-1, w.shape[0]).T @ flat_g(g),
-            lambda g: flat_g(g).sum(axis=0)), "linear")
-    out = np.matmul(w.data.T, x.data.swapaxes(axis, -2))
-    out += b.data[:, None]
-    return _make(out.swapaxes(-2, axis), (x, w, b), (
-        lambda g: np.matmul(w.data, g.swapaxes(axis, -2)).swapaxes(-2, axis),
-        lambda g: np.tensordot(x.data, g, axes=(others, others)),
-        lambda g: flat_g(g).sum(axis=0)), "linear")
+    if last:
+        vjps = (lambda g: (flat_g(g) @ w.data.T).reshape(x.shape),
+                lambda g: x.data.reshape(-1, w.shape[0]).T @ flat_g(g))
+    else:
+        vjps = (lambda g: np.matmul(w.data, g.swapaxes(axis, -2)).swapaxes(-2, axis),
+                lambda g: np.tensordot(x.data, g, axes=(others, others)))
+    return _make(out, (x, w, b), vjps + (lambda g: flat_g(g).sum(axis=0),), "linear")
 
 
 # -- unary elementwise ---------------------------------------------------
@@ -164,18 +192,24 @@ def linear(x, w, b, axis=-1) -> Tensor:
 def exp(a) -> Tensor:
     a = as_tensor(a)
     out = np.exp(a.data)
+    if not _needs_grad((a,)):
+        return Tensor(out, _op="exp")
     return _make(out, (a,), (lambda g: g * out,), "exp")
 
 
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
     out = 1.0 / (1.0 + np.exp(-a.data))
+    if not _needs_grad((a,)):
+        return Tensor(out, _op="sigmoid")
     return _make(out, (a,), (lambda g: g * out * (1.0 - out),), "sigmoid")
 
 
 def softplus(a) -> Tensor:
     a = as_tensor(a)
     out = np.logaddexp(0.0, a.data)
+    if not _needs_grad((a,)):
+        return Tensor(out, _op="softplus")
     sig = 1.0 / (1.0 + np.exp(-a.data))
     return _make(out, (a,), (lambda g: g * sig,), "softplus")
 
@@ -199,6 +233,8 @@ def gelu(a) -> Tensor:
     np.tanh(th, out=th)
     out = np.multiply(0.5, x, out=np.empty_like(x))
     out *= 1.0 + th
+    if not _needs_grad((a,)):
+        return Tensor(out, _op="gelu")
 
     def vjp(g):
         t = np.multiply(th, th, out=np.empty_like(x))
@@ -222,6 +258,8 @@ def gelu(a) -> Tensor:
 def absolute(a) -> Tensor:
     a = as_tensor(a)
     out = np.abs(a.data)
+    if not _needs_grad((a,)):
+        return Tensor(out, _op="abs")
     sign = np.sign(a.data)
     return _make(out, (a,), (lambda g: g * sign,), "abs")
 
@@ -235,6 +273,8 @@ def where(mask, a, b) -> Tensor:
     mask = np.asarray(mask, dtype=bool)
     a, b = as_tensor(a), as_tensor(b)
     out = np.where(mask, a.data, b.data)
+    if not _needs_grad((a, b)):
+        return Tensor(out, _op="where")
     return _make(out, (a, b), (lambda g: _unbroadcast(np.where(mask, g, 0.0), a.shape),
                                lambda g: _unbroadcast(np.where(mask, 0.0, g), b.shape)), "where")
 
@@ -245,6 +285,8 @@ def where(mask, a, b) -> Tensor:
 def tsum(a, axis=None, keepdims=False) -> Tensor:
     a = as_tensor(a)
     out = a.data.sum(axis=axis, keepdims=keepdims)
+    if not _needs_grad((a,)):
+        return Tensor(out, _op="sum")
 
     def vjp(g):
         if axis is None:
@@ -269,14 +311,18 @@ def reshape(a, shape) -> Tensor:
         out = a.data.reshape(shape)
     except ValueError:
         raise ShapeError("reshape", a.shape, shape) from None
+    if not _needs_grad((a,)):
+        return Tensor(out, _op="reshape")
     return _make(out, (a,), (lambda g: g.reshape(a.shape),), "reshape")
 
 
 def transpose(a, axes) -> Tensor:
     a = as_tensor(a)
     axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
     out = a.data.transpose(axes)
+    if not _needs_grad((a,)):
+        return Tensor(out, _op="transpose")
+    inv = tuple(np.argsort(axes))
     return _make(out, (a,), (lambda g: g.transpose(inv),), "transpose")
 
 
@@ -286,6 +332,8 @@ def concat(tensors, axis=0) -> Tensor:
         out = np.concatenate([t.data for t in ts], axis=axis)
     except ValueError:
         raise ShapeError("concat", *[t.shape for t in ts]) from None
+    if not _needs_grad(ts):
+        return Tensor(out, _op="concat")
     sizes = [t.shape[axis] for t in ts]
     offsets = np.cumsum([0] + sizes)
 
@@ -311,6 +359,8 @@ def _is_basic_key(key) -> bool:
 def getitem(a, key) -> Tensor:
     a = as_tensor(a)
     out = a.data[key]
+    if not _needs_grad((a,)):
+        return Tensor(out, _op="getitem")
     basic = _is_basic_key(key) and np.ndim(out) > 0  # all-int keys give a scalar, not a view
 
     def vjp(g):
@@ -348,6 +398,9 @@ def shift_l1(a, hop, axis, target, weight) -> Tensor:
     mag = np.abs(d)
     l1 = mag[..., 0] + mag[..., 1]
     l1 *= weight
+    out = l1.reshape(l1.shape[0], -1).sum(axis=1)
+    if not _needs_grad((a,)):
+        return Tensor(out, _op="shift_l1")
     held = []  # (g, sign(d) * weight * g): made by the first adjoint, taken by the second
 
     def cotangent(g):
@@ -363,8 +416,7 @@ def shift_l1(a, hop, axis, target, weight) -> Tensor:
     def scatter(key, ufunc):  # a slice contribution: ufunc(adjoint[key], cotangent)
         return lambda g: (key, cotangent(g), ufunc)
 
-    return _make(l1.reshape(l1.shape[0], -1).sum(axis=1), (a, a),
-                 (scatter(hi, np.add), scatter(lo, np.subtract)), "shift_l1")
+    return _make(out, (a, a), (scatter(hi, np.add), scatter(lo, np.subtract)), "shift_l1")
 
 
 def stop_gradient(a) -> Tensor:

@@ -6,9 +6,10 @@ absolute-normalized, 2 offset), then float32 coordinates [T*N*2] and
 visibility bytes [T*N] with N = H_c*W_c.  Offset-convention coordinates are
 relative to the stride-cell center anchors.  `read_tlf` refuses a file
 whose H_c, W_c are not H/s, W/s or whose coordinates are not all finite,
-hidden points included.
+hidden points included; `write_tlf` refuses to write such coordinates.
 
-Checkpoints store named float32 parameter blocks plus a JSON metadata tail.
+Checkpoints store named float32 parameter blocks plus a JSON metadata tail;
+`load_checkpoint` refuses a block with a non-finite value.
 Conversions run in float64 and round once to the float32 payload.
 """
 
@@ -50,7 +51,8 @@ class TlfFile:
 
     def __init__(self, coords, visibility, height: int, width: int, stride: int,
                  convention: int):
-        self.coords = np.asarray(coords, dtype=np.float32)
+        with np.errstate(over="ignore"):  # beyond float32's range is inf, which write_tlf refuses
+            self.coords = np.asarray(coords, dtype=np.float32)
         self.visibility = np.asarray(visibility, dtype=np.uint8)
         self.height = int(height)
         self.width = int(width)
@@ -75,15 +77,32 @@ class TlfFile:
         return self.height // self.stride, self.width // self.stride
 
 
+def _first_nonfinite(coords: np.ndarray):
+    """(frame, track) of the first track with a non-finite coordinate, or None."""
+    finite = np.isfinite(coords)
+    if finite.all():
+        return None
+    frame, track = np.argwhere(~finite.all(axis=2))[0]
+    return frame, track
+
+
 def write_tlf(path, tlf: TlfFile) -> None:
+    """Raises FloatingPointError, before opening `path`, when a coordinate of
+    the float32 payload is not finite (a float64 offset beyond float32's
+    range becomes inf there)."""
     t, n, _ = tlf.coords.shape
     hc, wc = tlf.coarse_shape
+    coords = tlf.coords.astype("<f4")
+    bad = _first_nonfinite(coords)
+    if bad is not None:
+        raise FloatingPointError(f"{path}: non-finite coordinate at frame {bad[0]}, "
+                                 f"track {bad[1]}; nothing written")
     with open(path, "wb") as fh:
         fh.write(TLF_MAGIC)
         fh.write(struct.pack("<7I", TLF_VERSION, t, hc, wc, tlf.height, tlf.width,
                              tlf.stride))
         fh.write(struct.pack("<I", tlf.convention))
-        fh.write(tlf.coords.astype("<f4").tobytes())
+        fh.write(coords.tobytes())
         fh.write(tlf.visibility.astype(np.uint8).tobytes())
 
 
@@ -110,10 +129,9 @@ def read_tlf(path) -> TlfFile:
     if (hc, wc) != record.coarse_shape:
         raise TlfError(f"{path}: header grid {hc}x{wc} != frame {height}x{width} "
                        f"/ stride {stride}")
-    finite = np.isfinite(coords)  # hidden points too: a metric may weight them by 0
-    if not finite.all():
-        frame, track = np.argwhere(~finite.all(axis=2))[0]
-        raise TlfError(f"{path}: non-finite coordinate at frame {frame}, track {track}")
+    bad = _first_nonfinite(coords)  # hidden points too: a metric may weight them by 0
+    if bad is not None:
+        raise TlfError(f"{path}: non-finite coordinate at frame {bad[0]}, track {bad[1]}")
     return record
 
 
@@ -238,4 +256,7 @@ def load_checkpoint(path):
         raise TlfError(f"{path}: truncated or corrupt checkpoint") from exc
     if not isinstance(meta, dict):
         raise TlfError(f"{path}: checkpoint metadata is not a JSON object")
+    for name, arr in blocks.items():
+        if not np.isfinite(arr).all():
+            raise TlfError(f"{path}: block {name} has a non-finite value")
     return blocks, meta

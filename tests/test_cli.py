@@ -586,6 +586,80 @@ class TestMalformedBundle:
         assert "vae_cfg" in capsys.readouterr().err
 
 
+def _history_scene(tmp_path):
+    hist = tmp_path / "hist.tlf"
+    run("synth", hist, "--kind", "translation", "--vx", 0.5, "--frames", 8, "--out", tmp_path)
+    return hist
+
+
+class TestNonFiniteValues:
+    """A TLF writer refuses what `read_tlf` refuses (exit 4, numeric), and a
+    checkpoint with a non-finite parameter block is malformed (exit 2)."""
+
+    @pytest.mark.parametrize("value", [np.nan, 1e39])  # 1e39 is inf in float32
+    def test_write_tlf_names_the_fault_and_writes_nothing(self, tmp_path, value):
+        record = tlf.from_tracks(generate(MotionSpec("translation", frames=4)))
+        coords = record.coords.astype(np.float64)
+        coords[2, 5, 1] = value
+        path = tmp_path / "bad.tlf"
+        with pytest.raises(FloatingPointError) as exc:
+            tlf.write_tlf(path, tlf.TlfFile(coords, record.visibility, record.height,
+                                            record.width, record.stride, record.convention))
+        assert str(exc.value) == f"{path}: non-finite coordinate at frame 2, track 5; " \
+                                 "nothing written"
+        assert not path.exists()
+
+    def test_load_checkpoint_names_the_non_finite_block(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        tlf.save_checkpoint(path, {"a/w": np.ones(2), "b/w": np.array([1.0, np.nan, np.inf])})
+        with pytest.raises(tlf.TlfError) as exc:
+            tlf.load_checkpoint(path)
+        assert str(exc.value) == f"{path}: block b/w has a non-finite value"
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_sample_exits_2_on_a_non_finite_block(self, tmp_path, capsys, value):
+        blocks, meta = _bundle_parts()
+        blocks["vae/dec.head.b"] = blocks["vae/dec.head.b"].copy()
+        blocks["vae/dec.head.b"][1] = value
+        path = tmp_path / "bad.ckpt"
+        tlf.save_checkpoint(path, blocks, meta)
+        hist = _history_scene(tmp_path)
+        capsys.readouterr()
+        assert run("sample", "--ckpt", path, "--history", hist, "--out", tmp_path / "runs") == 2
+        out = capsys.readouterr()
+        assert out.err == f"error: {path}: block vae/dec.head.b has a non-finite value\n"
+        assert out.out == "" and not (tmp_path / "runs" / "future.tlf").exists()
+
+    @pytest.mark.parametrize("fault", ["nan", "overflow"])
+    def test_sample_of_a_non_finite_future_exits_4_and_writes_nothing(
+            self, tmp_path, capsys, monkeypatch, fault):
+        blocks, meta = _bundle_parts()
+        if fault == "overflow":  # finite float32 weights whose decoded offsets are not
+            blocks["vae/dec.head.w"] = np.full(blocks["vae/dec.head.w"].shape, 3e38)
+        else:  # a NaN the solve or the decoder produced from finite parameters
+            real = flowgen.sample_future
+
+            def nan_future(*args, **kwargs):
+                field, vis = real(*args, **kwargs)
+                field.offsets[1] = np.nan
+                return field, vis
+            monkeypatch.setattr(flowgen, "sample_future", nan_future)
+        path = tmp_path / "b.ckpt"
+        tlf.save_checkpoint(path, blocks, meta)
+        hist = _history_scene(tmp_path)
+        runs = tmp_path / "runs"
+        capsys.readouterr()
+        assert run("sample", "--ckpt", path, "--history", hist, "--out", runs) == 4
+        out = capsys.readouterr()
+        lines = out.err.splitlines()
+        assert len(lines) == 1 and out.out == ""
+        assert lines[0].startswith(f"error: {runs / 'future.tlf'}: non-finite coordinate at frame ")
+        assert lines[0].endswith("; nothing written")
+        if fault == "nan":
+            assert "at frame 1, track 0;" in lines[0]
+        assert not (runs / "future.tlf").exists() and not (runs / "manifest.json").exists()
+
+
 class TestSampleConfig:
     @pytest.mark.parametrize("body,key", [("steps = 0", "steps"),
                                           ("method = dopri5\nrtol = -1", "rtol"),

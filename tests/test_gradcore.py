@@ -101,6 +101,82 @@ def test_every_differentiable_primitive_has_a_gradient_check():
     assert set(NOT_DIFFERENTIABLE) <= public
 
 
+def _constant_calls(rng) -> dict:
+    """Each differentiable primitive on two (3, 4) operands, with no other
+    primitive between it and its output; a tuple where its code has more
+    than one path."""
+    m = rng.random((3, 4)) > 0.5
+    target, weight = rng.normal(size=(3, 1, 2)), rng.uniform(0.5, 2.0, size=(3, 1))
+    return {
+        "add": gc.add,
+        "mul": gc.mul,
+        "div": gc.div,
+        "matmul": lambda x, y: gc.matmul(x, gc.transpose(y, (1, 0))),
+        "linear": lambda x, y: (gc.linear(x, y, y[0], axis=0),
+                                gc.linear(x, gc.transpose(y, (1, 0)), y[:, 0])),
+        "exp": lambda x, y: gc.exp(x),
+        "sigmoid": lambda x, y: gc.sigmoid(x),
+        "softplus": lambda x, y: gc.softplus(x),
+        "gelu": lambda x, y: gc.gelu(x),
+        "absolute": lambda x, y: gc.absolute(x),
+        "square": lambda x, y: gc.square(x),
+        "where": lambda x, y: gc.where(m, x, y),
+        "tsum": lambda x, y: (gc.tsum(x), gc.tsum(x, axis=1), gc.tsum(x, axis=0, keepdims=True)),
+        "tmean": lambda x, y: (gc.tmean(x), gc.tmean(x, axis=0)),
+        "reshape": lambda x, y: gc.reshape(x, (4, 3)),
+        "transpose": lambda x, y: gc.transpose(x, (1, 0)),
+        "concat": lambda x, y: gc.concat([x, y], axis=1),
+        "getitem": lambda x, y: (x[1:, :2], x[[0, 2, 0]], x[1, 2]),
+        "shift_l1": lambda x, y: gc.shift_l1(gc.reshape(x, (3, 2, 2)), 1, 1, target, weight),
+    }
+
+
+def test_every_differentiable_primitive_has_a_constant_call():
+    assert set(_constant_calls(np.random.default_rng(0))) == \
+        set(_primitive_cases(np.random.default_rng(0)))
+
+
+@pytest.mark.parametrize("name", sorted(_constant_calls(np.random.default_rng(0))))
+def test_constant_operands_record_nothing(name, monkeypatch):
+    """No operand requires a gradient: the output is a constant, no VJP is
+    handed to the tape, and the value has the bytes of the recorded call."""
+    rng = np.random.default_rng(11)
+    a, b = rng.normal(size=(3, 4)), rng.normal(size=(3, 4)) + 2.5
+    call = _constant_calls(rng)[name]
+    recorded = []
+    monkeypatch.setattr(tensor, "_make", lambda *args: recorded.append(args[3]))
+    outs = call(Tensor(a), Tensor(b))
+    monkeypatch.undo()
+    outs = outs if isinstance(outs, tuple) else (outs,)
+    assert recorded == []
+    for out in outs:
+        assert not out.requires_grad and out._parents == () and out._vjps == ()
+    for grad_arg in (0, 1):
+        args = [Tensor(a), Tensor(b)]
+        args[grad_arg] = Tensor(args[grad_arg].data, requires_grad=True)
+        taped = call(*args)
+        taped = taped if isinstance(taped, tuple) else (taped,)
+        if grad_arg == 0:  # every call reads x
+            assert all(t.requires_grad and t._vjps for t in taped)
+        for out, t in zip(outs, taped, strict=True):
+            assert out.data.dtype == t.data.dtype and out.shape == t.shape
+            assert out.data.tobytes() == t.data.tobytes()
+
+
+def test_constant_subexpression_feeding_a_tape_node_passes_grad_check():
+    rng = np.random.default_rng(12)
+    k, w, b = rng.normal(size=(3, 4)), rng.normal(size=(4, 3)) * 0.5, rng.normal(size=3)
+
+    def f(x):
+        c = gc.gelu(gc.linear(Tensor(k), Tensor(w), Tensor(b)))
+        c = gc.concat([c, gc.absolute(Tensor(k[:, :1]))], axis=1)  # (3, 4), built off the tape
+        assert not c.requires_grad and c._parents == ()
+        h = gc.linear(gc.mul(x, c), Tensor(w), c[0, :3])
+        return gc.tsum(gc.sigmoid(gc.add(h, gc.transpose(c[:, :3], (1, 0)))))
+
+    assert gc.grad_check(f, [rng.normal(size=(3, 4))]) < 1e-4
+
+
 def test_abs_gradient_away_from_kink():
     a = np.array([0.5, -1.5, 2.0])
     assert gc.grad_check(lambda x: gc.tsum(gc.absolute(x)), [a]) < 1e-10

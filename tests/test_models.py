@@ -440,3 +440,39 @@ def test_every_parameter_block_passes_grad_check(network, small_cfg, flow_cfg):
     assert set(errors) == set(params)
     assert {n: e for n, e in errors.items() if not e < 1e-4} == {}
     assert [n for n, g in largest.items() if not g > 0] == []  # every block gets a gradient
+
+
+def _network_outputs(cfg, flow_cfg, requires_grad: bool) -> dict:
+    """The outputs of every network, its parameters (random, so no block is
+    zero) wrapped with `requires_grad`."""
+    rng = np.random.default_rng(40)
+
+    def params(init, net_cfg):
+        return wrap_params({k: rng.normal(size=np.shape(v)) * 0.3
+                            for k, v in init(net_cfg, gc.rng(0)).items()}, requires_grad)
+    vae = params(init_vae_params, cfg)
+    vel, head = params(init_velocity_params, flow_cfg), params(init_visibility_params, flow_cfg)
+    x = rng.normal(size=(2, cfg.frames, cfg.height, cfg.width, 2))
+    z_t, z_hist = rng.normal(size=(2, 2, 4, 4)), rng.normal(size=(2, 2, 4, 4))
+    vis = (rng.random((2, 2, 4)) > 0.3).astype(np.float64)
+    mu, logvar = vae_encode(x, vae, cfg)
+    cond = encode_condition({"z_hist": z_hist, "visibility": vis}, vel, flow_cfg)
+    return {"vae_encode.mu": mu, "vae_encode.logvar": logvar,
+            "vae_decode": vae_decode(mu, vae, cfg),
+            "encode_condition.cue": cond.cue, "encode_condition.tokens": cond.tokens,
+            "velocity_forward": velocity_forward(z_t, np.array([0.3, 0.8]), cond, vel, flow_cfg),
+            "visibility_logits": models.visibility_logits(z_t, head)}
+
+
+def test_constant_parameters_build_no_tape_and_give_the_same_bytes(small_cfg, flow_cfg,
+                                                                     monkeypatch):
+    recorded = []
+    real = gc.tensor._make
+    monkeypatch.setattr(gc.tensor, "_make", lambda *args: recorded.append(args[3]) or real(*args))
+    const = _network_outputs(small_cfg, flow_cfg, requires_grad=False)
+    assert recorded == []
+    taped = _network_outputs(small_cfg, flow_cfg, requires_grad=True)
+    assert recorded
+    for name, out in const.items():
+        assert not out.requires_grad and out._parents == () and taped[name].requires_grad, name
+        assert out.data.tobytes() == taped[name].data.tobytes(), name

@@ -1,6 +1,7 @@
 """The benchmark's span tracer (perfbench/tracer.py) still fits the package:
-every module and `Rng` method it wraps exists, and a wrapped primitive
-produced every node on the tape of a training step."""
+every module and `Rng` method it wraps exists, a wrapped primitive
+produced every node on the tape of a training step, and a forward pass over
+constant parameters still reaches the wrapped primitives."""
 
 import sys
 from pathlib import Path
@@ -34,3 +35,18 @@ def test_tracer_wraps_two_vae_steps_and_a_dopri5_solve(tiny_vae_cfg, tiny_bundle
     assert len(spans.series["tape_nodes"]) == 2
     assert len(spans.series["dopri5_times"]) == 1 and spans.series["dopri5_times"][0]
     assert spans.calls["gradcore.rng.draw_normal"] > 0
+
+
+def test_tracer_wraps_a_constant_parameter_euler_sample(tiny_bundle):
+    bundle, pairs, _ = tiny_bundle
+    history = OffsetField(pairs.past[0], pairs.past_masks[0], stride=8)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        flowgen.sample_future(history, bundle, sampler={"method": "euler", "steps": 10}, seed=0)
+    finally:
+        tracer.uninstall()
+    spans = tracer.phases["setup"]
+    assert spans.calls["models.velocity_forward"] == 10 and spans.calls["gradcore.linear"] > 0
+    assert spans.counts["nodes_created"] > 0
+    assert tracer.step_outputs == 0 and spans.calls["gradcore.linear.vjp"] == 0  # no tape
