@@ -12,7 +12,7 @@ import numpy as np
 
 from trajkit import flowgen
 from trajkit.models import FlowConfig, VaeConfig
-from trajkit.scenes import SceneGeometry, pair_dataset, scene_specs, segment_dataset
+from trajkit.scenes import SceneGeometry, pair_dataset, scene_specs
 from trajkit.trajfield import OffsetField, coarse_positions
 
 geom = SceneGeometry(height=32, width=32, stride=8, frames=16, past=8)
@@ -23,10 +23,7 @@ flow_cfg = FlowConfig(hidden=64, blocks=2, history_steps=2, future_steps=2,
 
 print("training trajectory VAE (500 steps) ...")
 # both windows of each scene, so the decoder sees late-window offset scales
-smooth_pairs = pair_dataset("smooth", 16, seed=0, geom=geom)
-segments = flowgen.SegmentDataset(
-    np.concatenate([smooth_pairs.past, smooth_pairs.future]),
-    np.concatenate([smooth_pairs.past_masks, smooth_pairs.future_masks]))
+segments = pair_dataset("smooth", 16, seed=0, geom=geom).windows()
 vae_params, vae_curve = flowgen.train_vae(
     segments, flowgen.VaeTrainConfig(vae=vae_cfg, steps=500, batch=8, lr=3e-3), seed=0)
 print(f"  loss {vae_curve[0]['total']:.4f} -> {vae_curve[-1]['total']:.4f}")

@@ -67,7 +67,6 @@ from .trajfield import (
     cell_anchors,
     coarse_positions,
     rasterize,
-    split_windows,
     to_absolute,
     to_offsets,
 )

@@ -131,9 +131,7 @@ def cmd_analyze_variance(args, cfg, out_dir) -> list:
 def cmd_train_vae(args, cfg, out_dir) -> list:
     # past and future windows as independent items: the encoder sees the
     # windows the flow stage uses
-    pairs = _pairs(cfg)
-    dataset = flowgen.SegmentDataset(np.concatenate([pairs.past, pairs.future]),
-                                     np.concatenate([pairs.past_masks, pairs.future_masks]))
+    dataset = _pairs(cfg).windows()
     train_cfg = cfg.vae_train_config()
     params, curve = flowgen.train_vae(dataset, train_cfg, seed=cfg.seed)
     blocks = {f"vae/{k}": v for k, v in params.items()}

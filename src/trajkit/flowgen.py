@@ -44,6 +44,8 @@ T_EPS = 1e-5
 # sample_future's sampler; a partial spec takes the rest from here
 SAMPLER = {"method": "euler", "steps": 10, "rtol": 1e-5, "atol": 1e-8}
 VIS_STEPS, VIS_LR = 300, 1e-2  # train_visibility_head's schedule
+EVAL_FM_SEED = 1234  # eval_fm_loss's noise and time draws
+DOPRI5_H_MIN = 1e-13  # dopri5_sample gives up below this step size
 
 
 @dataclass
@@ -185,8 +187,7 @@ _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
 
 
 def dopri5_sample(v_fn, z0: np.ndarray, rtol: float = SAMPLER["rtol"],
-                  atol: float = SAMPLER["atol"], h_init: float = 0.01,
-                  h_min: float = 1e-13) -> np.ndarray:
+                  atol: float = SAMPLER["atol"], h_init: float = 0.01) -> np.ndarray:
     """Adaptive Dormand-Prince 4(5) integration from t=0 to t=1."""
     if rtol <= 0 or atol <= 0:
         raise ValueError("tolerances must be positive")
@@ -218,7 +219,7 @@ def dopri5_sample(v_fn, z0: np.ndarray, rtol: float = SAMPLER["rtol"],
         else:
             factor = 5.0 if err == 0.0 else 0.9 * err ** -0.2
             h *= min(5.0, max(0.2, factor))
-        if h < h_min and t < 1.0:
+        if h < DOPRI5_H_MIN and t < 1.0:
             raise FloatingPointError(f"dopri5_sample: step size underflow at t={t:.6f}")
     return y
 
@@ -255,6 +256,16 @@ class SegmentDataset:
     def __len__(self):
         return self.segments.shape[0]
 
+    def split(self, past_frames: int) -> "PairDataset":
+        """Each segment's first `past_frames` frames as its history, the rest
+        as its future; every window array is a contiguous copy."""
+        frames = self.segments.shape[1]
+        if not 1 <= past_frames <= frames - 1:
+            raise ValueError(f"past_frames must be in 1..{frames - 1}, got {past_frames}")
+        past, future = slice(None, past_frames), slice(past_frames, None)
+        return PairDataset(*(np.ascontiguousarray(a[:, w]) for w in (past, future)
+                             for a in (self.segments, self.masks)))
+
 
 @dataclass
 class PairDataset:
@@ -268,22 +279,10 @@ class PairDataset:
     def __len__(self):
         return self.past.shape[0]
 
-
-def segments_from_fields(fields: list[OffsetField]) -> SegmentDataset:
-    return SegmentDataset(np.stack([f.offsets for f in fields]),
-                          np.stack([f.mask for f in fields]))
-
-
-def pairs_from_fields(fields: list[OffsetField], past_frames: int) -> PairDataset:
-    from .trajfield import split_windows
-    past, pm, fut, fm = [], [], [], []
-    for f in fields:
-        p, fu = split_windows(f, past_frames, f.frames - past_frames)
-        past.append(p.offsets)
-        pm.append(p.mask)
-        fut.append(fu.offsets)
-        fm.append(fu.mask)
-    return PairDataset(np.stack(past), np.stack(pm), np.stack(fut), np.stack(fm))
+    def windows(self) -> SegmentDataset:
+        """Every history, then every future, as independent segments."""
+        return SegmentDataset(np.concatenate([self.past, self.future]),
+                              np.concatenate([self.past_masks, self.future_masks]))
 
 
 # -- training configs ---------------------------------------------------------
@@ -502,13 +501,11 @@ def _bundle_inputs(bundle: FlowBundle, dataset: PairDataset, cfg: FlowTrainConfi
     return cfg, _flow_inputs(dataset, bundle.vae_params, bundle.vae_cfg, cfg, bundle.stats)
 
 
-def eval_fm_loss(bundle: FlowBundle, dataset: PairDataset, cfg: FlowTrainConfig,
-                 seed: int = 1234, flow_params: dict | None = None) -> float:
+def eval_fm_loss(bundle: FlowBundle, dataset: PairDataset, cfg: FlowTrainConfig) -> float:
     """Deterministic held-out flow-matching loss of the bundle's model (fixed noise/time draws)."""
-    rng = gc.rng(seed)
-    params = flow_params if flow_params is not None else bundle.flow_params
+    rng = gc.rng(EVAL_FM_SEED)
     cfg, (z_p, z_f, _, vis_tok, weights) = _bundle_inputs(bundle, dataset, cfg)
-    wrapped = wrap_params(params, requires_grad=False)
+    wrapped = wrap_params(bundle.flow_params, requires_grad=False)
     loss, _ = flow_step_loss(wrapped, z_p, z_f, vis_tok, weights, cfg, rng)
     return float(loss)
 

@@ -289,12 +289,9 @@ def tsum(a, axis=None, keepdims=False) -> Tensor:
         return Tensor(out, _op="sum")
 
     def vjp(g):
-        if axis is None:
-            return np.broadcast_to(g, a.shape).copy() if np.ndim(g) == 0 else np.full(a.shape, g)
-        gg = g
-        if not keepdims:
-            gg = np.expand_dims(gg, axis)
-        return np.broadcast_to(gg, a.shape).copy()
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return np.broadcast_to(g, a.shape).copy()
 
     return _make(out, (a,), (vjp,), "sum")
 

@@ -32,6 +32,10 @@ def flow_from_positions(positions: np.ndarray, visibility: np.ndarray) -> GridFl
     return GridFlow(flow, valid)
 
 
+# (later, earlier) cells of each horizontal, then each vertical neighbor pair
+_NEIGHBOR_SLICES = ((np.s_[:, 1:], np.s_[:, :-1]), (np.s_[1:, :], np.s_[:-1, :]))
+
+
 def flow_tv(positions: np.ndarray, visibility: np.ndarray, stride: float) -> float:
     """Time-averaged total variation of the flow field.
 
@@ -48,22 +52,15 @@ def flow_tv(positions: np.ndarray, visibility: np.ndarray, stride: float) -> flo
     total = 0.0
     any_pair = False
     for t in range(t_minus_1):
-        val = gf.valid[t]
+        val, u_t, v_t = gf.valid[t], u[t], v[t]
         frame = 0.0
-        if u.shape[2] >= 2:
-            pair = val[:, 1:] & val[:, :-1]
+        for head, tail in _NEIGHBOR_SLICES:
+            pair = val[head] & val[tail]
             if pair.any():
                 any_pair = True
-                dx_u = (u[t, :, 1:] - u[t, :, :-1]) / stride
-                dx_v = (v[t, :, 1:] - v[t, :, :-1]) / stride
-                frame += (np.abs(dx_u[pair]).sum() + np.abs(dx_v[pair]).sum()) / pair.sum()
-        if u.shape[1] >= 2:
-            pair = val[1:, :] & val[:-1, :]
-            if pair.any():
-                any_pair = True
-                dy_u = (u[t, 1:, :] - u[t, :-1, :]) / stride
-                dy_v = (v[t, 1:, :] - v[t, :-1, :]) / stride
-                frame += (np.abs(dy_u[pair]).sum() + np.abs(dy_v[pair]).sum()) / pair.sum()
+                d_u = (u_t[head] - u_t[tail]) / stride
+                d_v = (v_t[head] - v_t[tail]) / stride
+                frame += (np.abs(d_u[pair]).sum() + np.abs(d_v[pair]).sum()) / pair.sum()
         total += frame
     if not any_pair:
         raise ValueError("flow_tv: no valid neighbor pair at any frame")

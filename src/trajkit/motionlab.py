@@ -120,13 +120,13 @@ def generate(spec: MotionSpec) -> SparseTracks:
     return SparseTracks(pos, vis, spec.stride, spec.height, spec.width)
 
 
-def toy_1d_pair(b: float, frames: int, grid: int = 2):
+def toy_1d_pair(b: float, frames: int):
     """The 1-coordinate smooth-vs-jitter pair, embedded as spatially constant
     offset segments with full visibility.
 
     Ground truth x(t) = t, smooth recon x(t) = t + b, jitter recon
     x(t) = t + b*(-1)^t; the inactive coordinate is zero everywhere.
-    Returns (target, smooth, jitter, mask) with fields (T, grid, grid, 2).
+    Returns (target, smooth, jitter, mask) with fields (T, 2, 2, 2).
     """
     if frames < 3:
         raise ValueError("need at least 3 frames")
@@ -136,11 +136,11 @@ def toy_1d_pair(b: float, frames: int, grid: int = 2):
     jitter = t + b * (-1.0) ** t
 
     def embed(series):
-        f = np.zeros((frames, grid, grid, 2))
+        f = np.zeros((frames, 2, 2, 2))
         f[..., 0] = series[:, None, None]
         return f
 
-    mask = np.ones((frames, grid, grid), dtype=np.uint8)
+    mask = np.ones((frames, 2, 2), dtype=np.uint8)
     return embed(gt), embed(smooth), embed(jitter), mask
 
 

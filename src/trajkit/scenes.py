@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import motionlab, trajfield
-from .flowgen import PairDataset, SegmentDataset, pairs_from_fields, segments_from_fields
+from .flowgen import PairDataset, SegmentDataset
 from .motionlab import MotionSpec
 from .rules import AT_LEAST_1, Checked, FieldError, ranged
 
@@ -41,22 +41,19 @@ def scene_specs(kind_mix: str, n: int, seed: int, geom: SceneGeometry,
     rng = np.random.default_rng(seed)
     base = dict(frames=frames if frames is not None else geom.frames,
                 height=geom.height, width=geom.width, stride=geom.stride)
+
+    def translation(angle, speed):
+        return MotionSpec("translation", velocity=(speed * np.cos(angle), speed * np.sin(angle)),
+                          **base)
+
     specs = []
     for i in range(n):
         if kind_mix == "translation":
-            angle = 2 * np.pi * i / n
-            speed = 0.3 + 0.5 * rng.random()
-            specs.append(MotionSpec("translation",
-                                    velocity=(speed * np.cos(angle), speed * np.sin(angle)),
-                                    **base))
+            specs.append(translation(2 * np.pi * i / n, 0.3 + 0.5 * rng.random()))
         elif kind_mix == "smooth":
             kind = ("translation", "zoom", "rotation", "static")[i % 4]
             if kind == "translation":
-                angle = 2 * np.pi * rng.random()
-                speed = 0.2 + 0.6 * rng.random()
-                specs.append(MotionSpec("translation",
-                                        velocity=(speed * np.cos(angle), speed * np.sin(angle)),
-                                        **base))
+                specs.append(translation(2 * np.pi * rng.random(), 0.2 + 0.6 * rng.random()))
             elif kind == "zoom":
                 specs.append(MotionSpec("zoom", zoom_rate=float(rng.uniform(-0.012, 0.012)),
                                         **base))
@@ -66,10 +63,7 @@ def scene_specs(kind_mix: str, n: int, seed: int, geom: SceneGeometry,
             else:
                 specs.append(MotionSpec("static", **base))
         elif kind_mix == "jitter":
-            angle = 2 * np.pi * rng.random()
-            speed = 0.2 + 0.4 * rng.random()
-            inner = MotionSpec("translation",
-                               velocity=(speed * np.cos(angle), speed * np.sin(angle)), **base)
+            inner = translation(2 * np.pi * rng.random(), 0.2 + 0.4 * rng.random())
             specs.append(MotionSpec("jitter-overlay", base=inner,
                                     jitter_amplitude=float(rng.uniform(0.2, 0.45)),
                                     jitter_axis=("x", "y", "both")[i % 3], **base))
@@ -78,20 +72,23 @@ def scene_specs(kind_mix: str, n: int, seed: int, geom: SceneGeometry,
     return specs
 
 
-def fields_from_specs(specs) -> list:
-    return [trajfield.to_offsets(trajfield.rasterize(motionlab.generate(s))) for s in specs]
+def segments_from_specs(specs) -> SegmentDataset:
+    """Generate, rasterize and offset each spec; stack the offset fields."""
+    fields = [trajfield.to_offsets(trajfield.rasterize(motionlab.generate(s))) for s in specs]
+    return SegmentDataset(np.stack([f.offsets for f in fields]),
+                          np.stack([f.mask for f in fields]))
 
 
 def segment_dataset(kind_mix: str, n: int, seed: int, geom: SceneGeometry,
                     frames: int | None = None) -> SegmentDataset:
-    specs = scene_specs(kind_mix, n, seed, geom,
-                        frames=frames if frames is not None else geom.past)
-    return segments_from_fields(fields_from_specs(specs))
+    """`n` scenes of `frames` frames (default: the history length)."""
+    return segments_from_specs(scene_specs(kind_mix, n, seed, geom,
+                                           frames=frames if frames is not None else geom.past))
 
 
 def pair_dataset(kind_mix: str, n: int, seed: int, geom: SceneGeometry) -> PairDataset:
-    specs = scene_specs(kind_mix, n, seed, geom, frames=geom.frames)
-    return pairs_from_fields(fields_from_specs(specs), geom.past)
+    """`n` full-length scenes, each split into its history and future windows."""
+    return segment_dataset(kind_mix, n, seed, geom, frames=geom.frames).split(geom.past)
 
 
 def mixed_region_tracks(seed: int, geom: SceneGeometry, moving_fraction: float = 0.5,

@@ -67,6 +67,10 @@ class TlfFile:
             raise TlfError(f"coords shape {self.coords.shape} inconsistent with grid {hc}x{wc}")
         if self.visibility.shape != self.coords.shape[:2]:
             raise TlfError(f"visibility shape {self.visibility.shape} != {self.coords.shape[:2]}")
+        if self.visibility.max(initial=0) > 1:
+            frame, track = np.argwhere(self.visibility > 1)[0]
+            raise TlfError(f"visibility {self.visibility[frame, track]} at frame {frame}, "
+                           f"track {track} is not 0 or 1")
 
     @property
     def frames(self) -> int:
@@ -207,12 +211,21 @@ def from_offset_field(field: OffsetField, height: int, width: int) -> TlfFile:
 
 
 def save_checkpoint(path, blocks: dict, meta: dict | None = None) -> None:
-    """Named float32 parameter blocks with a JSON metadata tail."""
+    """Named float32 parameter blocks with a JSON metadata tail.
+
+    Raises FloatingPointError, before opening `path`, when a block's float32
+    payload holds a NaN or inf (a float64 value beyond float32's range
+    becomes inf there)."""
+    with np.errstate(over="ignore"):
+        arrays = {name: np.asarray(blocks[name], dtype="<f4") for name in sorted(blocks)}
+    for name, arr in arrays.items():
+        if not np.isfinite(arr).all():
+            raise FloatingPointError(f"{path}: block {name} has a non-finite value; "
+                                     "nothing written")
     with open(path, "wb") as fh:
         fh.write(CKPT_MAGIC)
-        fh.write(struct.pack("<2I", CKPT_VERSION, len(blocks)))
-        for name in sorted(blocks):
-            arr = np.asarray(blocks[name], dtype="<f4")
+        fh.write(struct.pack("<2I", CKPT_VERSION, len(arrays)))
+        for name, arr in arrays.items():
             encoded = name.encode("utf-8")
             fh.write(struct.pack("<H", len(encoded)))
             fh.write(encoded)

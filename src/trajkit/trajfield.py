@@ -156,19 +156,6 @@ def to_absolute(offsets: OffsetField) -> DenseField:
     return DenseField(offsets.offsets + g[None], offsets.mask, stride=offsets.stride)
 
 
-def split_windows(field, past_frames: int, future_frames: int):
-    """Frame-contiguous (past, future) split; past + future must cover T."""
-    if past_frames <= 0 or future_frames <= 0:
-        raise ValueError(f"window sizes must be positive, got {past_frames}, {future_frames}")
-    if past_frames + future_frames != field.frames:
-        raise ValueError(f"window sizes {past_frames}+{future_frames} != {field.frames} frames")
-    if isinstance(field, OffsetField):
-        return (OffsetField(field.offsets[:past_frames], field.mask[:past_frames], field.stride),
-                OffsetField(field.offsets[past_frames:], field.mask[past_frames:], field.stride))
-    return (DenseField(field.coords[:past_frames], field.mask[:past_frames], field.stride),
-            DenseField(field.coords[past_frames:], field.mask[past_frames:], field.stride))
-
-
 def coarse_positions(field, height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     """Sample one representative pixel per stride cell, in pixel coordinates.
 

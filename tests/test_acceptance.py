@@ -379,10 +379,7 @@ def test_criterion_06_vae_run(vae_cfg, vae_runs):
         # held-out smooth scenes, both windows (late windows carry the
         # largest offsets, the harder reconstruction case)
         held_out = scenes.pair_dataset("smooth", 8, 200, GEOM)
-        eval_smooth = flowgen.SegmentDataset(
-            np.concatenate([held_out.past, held_out.future]),
-            np.concatenate([held_out.past_masks, held_out.future_masks]))
-        vepe_px = eval_vepe_px(params, vae_cfg, eval_smooth)
+        vepe_px = eval_vepe_px(params, vae_cfg, held_out.windows())
         RESULTS["criterion_06_eval_vepe_px"] = vepe_px
         RESULTS["criterion_06_eval_vepe_past_px"] = eval_vepe_px(
             params, vae_cfg, flowgen.SegmentDataset(held_out.past, held_out.past_masks))

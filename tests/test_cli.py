@@ -150,14 +150,17 @@ class TestDamagedFiles:
 
 def _scene_with(path, damage):
     """An 8-frame 32x32 stride-8 translation scene (16 tracks) with `damage`
-    applied to its bytes: a header grid other than H/s x W/s, or a NaN
-    coordinate at frame 2, track 5, visible or hidden."""
+    applied to its bytes: a header grid other than H/s x W/s, a NaN
+    coordinate at frame 2, track 5, visible or hidden, or a visibility byte
+    of 2 there."""
     record = tlf.from_tracks(generate(MotionSpec("translation", frames=8, velocity=(1.0, 0.0))))
     tlf.write_tlf(path, record)
     raw = bytearray(path.read_bytes())
     t, n = record.visibility.shape
     if damage == "grid":
         raw[12:20] = np.array([2, 8], dtype="<u4").tobytes()  # H_c, W_c: still 16 tracks
+    elif damage == "visibility":
+        raw[36 + t * n * 8 + 2 * n + 5] = 2
     else:
         x = 36 + (2 * n + 5) * 8  # the x of frame 2, track 5
         raw[x:x + 4] = np.array([np.nan], dtype="<f4").tobytes()
@@ -168,7 +171,8 @@ def _scene_with(path, damage):
 
 DAMAGED_SCENES = {"grid": "header grid 2x8 != frame 32x32 / stride 8",
                   "nan-visible": "non-finite coordinate at frame 2, track 5",
-                  "nan-hidden": "non-finite coordinate at frame 2, track 5"}
+                  "nan-hidden": "non-finite coordinate at frame 2, track 5",
+                  "visibility": "visibility 2 at frame 2, track 5 is not 0 or 1"}
 
 
 class TestMalformedTrackValues:
@@ -592,9 +596,22 @@ def _history_scene(tmp_path):
     return hist
 
 
+def _patch_floats(path, replacements):
+    """Overwrite, in a saved checkpoint, the float32 bytes of each finite
+    marker value with those of its replacement (save_checkpoint refuses a
+    non-finite block, so a test writes one this way)."""
+    raw = path.read_bytes()
+    for marker, value in replacements.items():
+        old = np.float32(marker).tobytes()
+        assert raw.count(old) == 1
+        raw = raw.replace(old, np.float32(value).tobytes())
+    path.write_bytes(raw)
+
+
 class TestNonFiniteValues:
-    """A TLF writer refuses what `read_tlf` refuses (exit 4, numeric), and a
-    checkpoint with a non-finite parameter block is malformed (exit 2)."""
+    """A TLF writer refuses what `read_tlf` refuses (exit 4, numeric); a
+    checkpoint with a non-finite parameter block is malformed (exit 2), and
+    its writer refuses to write one (exit 4)."""
 
     @pytest.mark.parametrize("value", [np.nan, 1e39])  # 1e39 is inf in float32
     def test_write_tlf_names_the_fault_and_writes_nothing(self, tmp_path, value):
@@ -609,9 +626,36 @@ class TestNonFiniteValues:
                                  "nothing written"
         assert not path.exists()
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e39])  # 1e39 is inf in float32
+    def test_save_checkpoint_names_the_block_and_writes_nothing(self, tmp_path, value):
+        path = tmp_path / "m.ckpt"
+        with pytest.raises(FloatingPointError) as exc:
+            tlf.save_checkpoint(path, {"a/w": np.ones(2), "b/w": np.array([1.0, value])})
+        assert str(exc.value) == f"{path}: block b/w has a non-finite value; nothing written"
+        assert not path.exists()
+
+    def test_train_vae_of_non_finite_parameters_exits_4_and_writes_nothing(
+            self, tmp_path, capsys, monkeypatch):
+        real = flowgen.train_vae
+
+        def inf_params(*args, **kwargs):
+            params, curve = real(*args, **kwargs)
+            params["dec.head.b"] = np.full(params["dec.head.b"].shape, np.inf)
+            return params, curve
+        monkeypatch.setattr(flowgen, "train_vae", inf_params)
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text("[data]\nscenes = 2\n\n[vae]\nsteps = 1\nbatch = 2\n")
+        capsys.readouterr()
+        assert run("train-vae", "--config", cfg, "--out", tmp_path / "vae") == 4
+        out = capsys.readouterr()
+        assert out.err == (f"error: {tmp_path / 'vae' / 'vae.ckpt'}: block vae/dec.head.b has "
+                           "a non-finite value; nothing written\n")
+        assert not (tmp_path / "vae" / "vae.ckpt").exists()
+
     def test_load_checkpoint_names_the_non_finite_block(self, tmp_path):
         path = tmp_path / "m.ckpt"
-        tlf.save_checkpoint(path, {"a/w": np.ones(2), "b/w": np.array([1.0, np.nan, np.inf])})
+        tlf.save_checkpoint(path, {"a/w": np.ones(2), "b/w": np.array([1.0, 2.5e5, 3.5e5])})
+        _patch_floats(path, {2.5e5: np.nan, 3.5e5: np.inf})
         with pytest.raises(tlf.TlfError) as exc:
             tlf.load_checkpoint(path)
         assert str(exc.value) == f"{path}: block b/w has a non-finite value"
@@ -620,9 +664,10 @@ class TestNonFiniteValues:
     def test_sample_exits_2_on_a_non_finite_block(self, tmp_path, capsys, value):
         blocks, meta = _bundle_parts()
         blocks["vae/dec.head.b"] = blocks["vae/dec.head.b"].copy()
-        blocks["vae/dec.head.b"][1] = value
+        blocks["vae/dec.head.b"][1] = 2.5e5
         path = tmp_path / "bad.ckpt"
         tlf.save_checkpoint(path, blocks, meta)
+        _patch_floats(path, {2.5e5: value})
         hist = _history_scene(tmp_path)
         capsys.readouterr()
         assert run("sample", "--ckpt", path, "--history", hist, "--out", tmp_path / "runs") == 2

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import desk_flow_config, make_pair_dataset, make_segment_dataset
-from trajkit import flowgen, gradcore as gc, lossbank as lb, models
+from trajkit import flowgen, gradcore as gc, lossbank as lb, models, motionlab, scenes, trajfield
 from trajkit.flowgen import (
     LatentStats,
     TimeGrid,
@@ -304,6 +304,63 @@ class TestKstepRollout:
         assert grads[0][0, 0] != 0.0
 
 
+def _assert_same_arrays(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.flags["C_CONTIGUOUS"] and got.tobytes() == want.tobytes()
+
+
+SCENE_GEOM = SceneGeometry(height=32, width=48, stride=8, frames=12, past=5)
+
+
+def _scene_fields(kind_mix, frames):
+    specs = scenes.scene_specs(kind_mix, 5, 42, SCENE_GEOM, frames=frames)
+    return [trajfield.to_offsets(trajfield.rasterize(motionlab.generate(s))) for s in specs]
+
+
+class TestSceneDatasets:
+    @pytest.mark.parametrize("kind_mix", scenes.KIND_MIXES)
+    def test_builders_match_a_per_field_reference(self, kind_mix):
+        geom = SCENE_GEOM
+        fields = _scene_fields(kind_mix, geom.frames)
+        pairs = scenes.pair_dataset(kind_mix, 5, 42, geom)
+        _assert_same_arrays(pairs.past, np.stack([f.offsets[:geom.past] for f in fields]))
+        _assert_same_arrays(pairs.past_masks, np.stack([f.mask[:geom.past] for f in fields]))
+        _assert_same_arrays(pairs.future, np.stack([f.offsets[geom.past:] for f in fields]))
+        _assert_same_arrays(pairs.future_masks, np.stack([f.mask[geom.past:] for f in fields]))
+        fields = _scene_fields(kind_mix, geom.past)
+        segments = scenes.segment_dataset(kind_mix, 5, 42, geom)
+        _assert_same_arrays(segments.segments, np.stack([f.offsets for f in fields]))
+        _assert_same_arrays(segments.masks, np.stack([f.mask for f in fields]))
+
+    def test_split_windows_cover_the_segments(self):
+        rng = np.random.default_rng(3)
+        ds = flowgen.SegmentDataset(rng.normal(size=(2, 7, 4, 4, 2)),
+                                    (rng.random((2, 7, 4, 4)) > 0.5).astype(np.uint8))
+        pairs = ds.split(3)
+        assert pairs.past.shape[1] == 3 and pairs.future.shape[1] == 4
+        assert np.array_equal(np.concatenate([pairs.past, pairs.future], axis=1), ds.segments)
+        assert np.array_equal(np.concatenate([pairs.past_masks, pairs.future_masks], axis=1),
+                              ds.masks)
+
+    @pytest.mark.parametrize("past_frames", [0, 7])
+    def test_split_rejects_an_empty_window(self, past_frames):
+        ds = flowgen.SegmentDataset(np.zeros((1, 7, 2, 2, 2)), np.ones((1, 7, 2, 2)))
+        with pytest.raises(ValueError):
+            ds.split(past_frames)
+
+    def test_windows_put_every_history_before_every_future(self):
+        m = 3
+        past = np.arange(m, dtype=np.float64)[:, None, None, None, None] * np.ones((1, 4, 2, 2, 2))
+        pairs = flowgen.PairDataset(past, np.zeros((m, 4, 2, 2), np.uint8),
+                                    past + 100.0, np.ones((m, 4, 2, 2), np.uint8))
+        ds = pairs.windows()
+        assert len(ds) == 2 * m
+        assert np.array_equal(ds.segments[:m], pairs.past)
+        assert np.array_equal(ds.segments[m:], pairs.future)
+        assert np.array_equal(ds.masks[:m], pairs.past_masks)
+        assert np.array_equal(ds.masks[m:], pairs.future_masks)
+
+
 class TestTrainingLoops:
     def test_train_vae_zero_steps_keeps_init(self, tiny_vae_cfg):
         dataset = make_segment_dataset("smooth", 4, seed=5)
@@ -446,7 +503,7 @@ class TestTrainingLoops:
     def test_static_scene_model_samples_near_static_futures(self, tiny_vae_cfg):
         # Trained on (near-)static scenes, sampled futures should barely move.
         from trajkit.motionlab import MotionSpec
-        from trajkit.scenes import fields_from_specs
+        from trajkit.scenes import segments_from_specs
         from trajkit.trajfield import OffsetField
         rng = np.random.default_rng(0)
         specs = []
@@ -456,10 +513,8 @@ class TestTrainingLoops:
             specs.append(MotionSpec("translation", frames=16, height=32, width=32,
                                     stride=8, velocity=(speed * np.cos(angle),
                                                         speed * np.sin(angle))))
-        pairs = flowgen.pairs_from_fields(fields_from_specs(specs), 8)
-        segments = flowgen.SegmentDataset(
-            np.concatenate([pairs.past, pairs.future]),
-            np.concatenate([pairs.past_masks, pairs.future_masks]))
+        pairs = segments_from_specs(specs).split(8)
+        segments = pairs.windows()
         vcfg = flowgen.VaeTrainConfig(vae=tiny_vae_cfg, steps=120, batch=8, lr=3e-3)
         vae_params, _ = flowgen.train_vae(segments, vcfg, seed=5)
         fcfg2 = flowgen.FlowTrainConfig(

@@ -12,7 +12,6 @@ from trajkit.trajfield import (
     denormalize_coords,
     normalize_coords,
     rasterize,
-    split_windows,
     to_absolute,
     to_offsets,
 )
@@ -94,27 +93,6 @@ class TestOffsets:
         pos_px, vis = coarse_positions(off, 32, 32)
         gt = tracks.coords.reshape(6, 4, 4, 2)
         assert np.max(np.abs(pos_px - gt)) < 1e-6
-
-
-class TestSplitWindows:
-    def test_split_162_into_81_81(self):
-        field = DenseField(np.zeros((162, 2, 2, 2)), np.ones((162, 2, 2)), stride=2)
-        past, future = split_windows(field, 81, 81)
-        assert past.frames == 81 and future.frames == 81
-
-    def test_zero_future_rejected(self):
-        field = DenseField(np.zeros((4, 2, 2, 2)), np.ones((4, 2, 2)), stride=2)
-        with pytest.raises(ValueError):
-            split_windows(field, 4, 0)
-
-    def test_concatenation_reproduces_input(self):
-        rng = np.random.default_rng(3)
-        coords = rng.normal(size=(7, 4, 4, 2))
-        mask = (rng.random((7, 4, 4)) > 0.5).astype(np.uint8)
-        field = trajfield.OffsetField(coords, mask, stride=2)
-        past, future = split_windows(field, 3, 4)
-        assert np.array_equal(np.concatenate([past.offsets, future.offsets]), coords)
-        assert np.array_equal(np.concatenate([past.mask, future.mask]), mask)
 
 
 def test_normalize_round_trip():
