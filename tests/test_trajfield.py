@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trajkit import motionlab, trajfield
+from trajkit import flowgen, motionlab, trajfield
 from trajkit.trajfield import (
     DenseField,
     SparseTracks,
@@ -93,6 +93,24 @@ class TestOffsets:
         pos_px, vis = coarse_positions(off, 32, 32)
         gt = tracks.coords.reshape(6, 4, 4, 2)
         assert np.max(np.abs(pos_px - gt)) < 1e-6
+
+
+class TestSplitWindows:
+    """A field's history/future windows, cut by SegmentDataset.split."""
+
+    def test_split_162_into_81_81(self):
+        field = DenseField(np.zeros((162, 2, 2, 2)), np.ones((162, 2, 2)), stride=2)
+        pairs = flowgen.SegmentDataset(field.coords[None], field.mask[None]).split(81)
+        assert pairs.past.shape[1] == 81 and pairs.future.shape[1] == 81
+
+    def test_concatenation_reproduces_input(self):
+        rng = np.random.default_rng(3)
+        coords = rng.normal(size=(7, 4, 4, 2))
+        mask = (rng.random((7, 4, 4)) > 0.5).astype(np.uint8)
+        field = trajfield.OffsetField(coords, mask, stride=2)
+        pairs = flowgen.SegmentDataset(field.offsets[None], field.mask[None]).split(3)
+        assert np.array_equal(np.concatenate([pairs.past[0], pairs.future[0]]), coords)
+        assert np.array_equal(np.concatenate([pairs.past_masks[0], pairs.future_masks[0]]), mask)
 
 
 def test_normalize_round_trip():
