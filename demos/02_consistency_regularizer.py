@@ -11,11 +11,10 @@ from trajkit.motionlab import toy_1d_pair
 
 for b in (0.05, 0.1, 0.2):
     gt, smooth, jitter, mask = (a[None] for a in toy_1d_pair(b, frames=10))  # a batch of one
-    rec_smooth = float(lb.recon_loss(lb.SegmentPair(gt, smooth, mask)))
-    rec_jitter = float(lb.recon_loss(lb.SegmentPair(gt, jitter, mask)))
+    rec_smooth = float(lb.recon_loss(gt, smooth, mask))
+    rec_jitter = float(lb.recon_loss(gt, jitter, mask))
     # the regularizer at the published weights: 0.1 * temporal + 0.2 * spatial
-    st_smooth, st_jitter = (sum(map(float, lb.consistency_terms(lb.SegmentPair(gt, r, mask),
-                                                                None, 0.1, 0.2)[:2]))
+    st_smooth, st_jitter = (sum(map(float, lb.consistency_terms(gt, r, mask, None, 0.1, 0.2)[:2]))
                             for r in (smooth, jitter))
     print(f"b={b:4.2f}  recon: smooth={rec_smooth:.6f} jitter={rec_jitter:.6f}  "
           f"(equal: {abs(rec_smooth - rec_jitter) < 1e-12})")

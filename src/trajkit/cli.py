@@ -282,12 +282,11 @@ def cmd_eval(args, cfg, out_dir) -> list:
         value = metrics.vepe(positions, ref_pos, ref_vis & vis)
     else:
         raise ValueError(f"unknown metric {args.metric!r}")
-    print(plotting.format_float(value))
-    row = {"dataset": Path(args.input).stem, "method": args.method,
-           "metric": args.metric, "value": float(value)}
     path = out_dir / "metrics.csv"
     rows = plotting.read_metrics_csv(path) if path.exists() else []
-    rows.append(row)
+    print(plotting.format_float(value))
+    rows.append({"dataset": Path(args.input).stem, "method": args.method,
+                 "metric": args.metric, "value": float(value)})
     path.write_text(plotting.metrics_csv(rows))
     return ["metrics.csv"]
 
@@ -318,11 +317,11 @@ def cmd_gradcheck(args, cfg, out_dir) -> list:
         x = rng.normal(size=(3, 4, 4, 2)) * 0.5
         sign = rng.choice([-1.0, 1.0], size=x.shape)
         xh = x + sign * (0.05 + 0.4 * rng.random(x.shape))
-        pair = lambda r: lb.SegmentPair(x[None], r, m[None])  # a batch of one
+        target, mask = x[None], m[None]  # a batch of one
         checks = {
-            "recon_loss": lambda r: lb.recon_loss(pair(r)),
-            "temporal_loss": lambda r: lb.temporal_loss(pair(r)),
-            "spatial_loss": lambda r: lb.spatial_loss(pair(r)),
+            "recon_loss": lambda r: lb.recon_loss(target, r, mask),
+            "temporal_loss": lambda r: lb.temporal_loss(target, r, mask),
+            "spatial_loss": lambda r: lb.spatial_loss(target, r, mask),
         }
         for name, fn in checks.items():
             report.append((f"{name}[{label}]", gc.grad_check(fn, [xh[None]])))

@@ -390,10 +390,9 @@ def vae_loss_terms(params, x, m, cfg: VaeTrainConfig, rng: Rng):
     mu, logvar = vae_encode(x, params, cfg.vae)
     z = reparameterize(mu, logvar, rng)
     recon = vae_decode(z, params, cfg.vae, frames=x.shape[1])
-    pair = lb.SegmentPair(x, recon, m)
-    l_rec = lb.recon_loss(pair, cfg.huber_delta)
-    w_tmp, w_sp, l_tmp, l_sp = lb.consistency_terms(pair, cfg.neighbor, cfg.lambda_temporal,
-                                                    cfg.lambda_spatial)
+    l_rec = lb.recon_loss(x, recon, m, cfg.huber_delta)
+    w_tmp, w_sp, l_tmp, l_sp = lb.consistency_terms(x, recon, m, cfg.neighbor,
+                                                    cfg.lambda_temporal, cfg.lambda_spatial)
     l_kl = lb.kl_loss(mu, logvar)
     total = gc.add(gc.add(l_rec, w_tmp), gc.add(w_sp, gc.mul(l_kl, cfg.beta)))
     return total, {"recon": float(l_rec), "temporal": float(l_tmp),
@@ -471,7 +470,7 @@ def flow_step_loss(flow_params, z_p, z_f, vis_tok, weights, cfg: FlowTrainConfig
     z0 = boundary_init(z_p[:, -1], cfg.flow, rng)
     t = np.array([sample_time(rng) for _ in range(b)])
     z_t, u_t = interpolate(z0, z_f, t, cfg.sigma, rng)
-    cond = encode_condition({"z_hist": z_p, "visibility": vis_tok}, flow_params, cfg.flow)
+    cond = encode_condition(z_p, vis_tok, flow_params, cfg.flow)
     v = velocity_forward(z_t, t, cond, flow_params, cfg.flow)
     return lb.fm_loss(v, u_t, weights), z0
 
@@ -535,12 +534,12 @@ def finetune_onpolicy(bundle: FlowBundle, dataset: PairDataset, flow_cfg: FlowTr
             z0_sub = z0[:cfg.sub_batch]
             z1_sub = z_f[sub]
             w_sub = weights[sub]
-            cond = {"z_hist": z_p[sub], "visibility": vis_tok[sub]}
+            z_hist, vis_hist = z_p[sub], vis_tok[sub]
 
             def v_fn(z, t):
                 # encoded per step: sharing one encoding would reorder the gradient accumulation
-                return velocity_forward(z, t, encode_condition(cond, wrapped, flow_cfg.flow),
-                                        wrapped, flow_cfg.flow)
+                cond = encode_condition(z_hist, vis_hist, wrapped, flow_cfg.flow)
+                return velocity_forward(z, t, cond, wrapped, flow_cfg.flow)
 
             states, velocities = kstep_rollout(v_fn, z0_sub, grid)
             targets = [lb.kstep_targets(states[i].data, z0_sub, z1_sub,
@@ -621,7 +620,7 @@ def sample_future(history: OffsetField, bundle: FlowBundle, sampler: dict | None
                               reduce="mean", ratio=r)
     z0 = boundary_init(z_hist[:, -1], flow_cfg, rng)
     wrapped = wrap_params(bundle.flow_params, requires_grad=False)
-    cond = encode_condition({"z_hist": z_hist, "visibility": vis_tok}, wrapped, flow_cfg)
+    cond = encode_condition(z_hist, vis_tok, wrapped, flow_cfg)
 
     def v_fn(z, t):
         return velocity_forward(z, float(t), cond, wrapped, flow_cfg).data

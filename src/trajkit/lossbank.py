@@ -2,9 +2,9 @@
 
 Every loss takes inputs with a leading batch axis, also for one instance,
 and refuses an input without it; masked normalizations happen per instance,
-then instances average.  Reconstruction targets and masks are plain arrays;
-the quantity being optimized may be a gradcore Tensor, so every loss returns
-a Tensor (use float() to read it).
+then instances average.  Segment losses take `target, recon, mask` first;
+targets and masks are plain arrays, the quantity being optimized may be a
+gradcore Tensor, so every loss returns a Tensor (use float() to read it).
 """
 
 from __future__ import annotations
@@ -18,18 +18,6 @@ from . import gradcore as gc
 from .gradcore import Tensor, as_tensor
 from .models import LATENT, SEGMENT, _with_batch, pool_visibility
 from .rules import AT_LEAST_1, FINITE_POSITIVE, Checked, FieldError, each, ranged
-
-
-@dataclass
-class SegmentPair:
-    """Target/reconstruction offset segments plus visibility mask.
-
-    target, recon: (B, T, H, W, 2); mask: (B, T, H, W).
-    """
-
-    target: np.ndarray
-    recon: "Tensor | np.ndarray"
-    mask: np.ndarray
 
 
 @dataclass
@@ -54,17 +42,17 @@ def huber(residual: Tensor, delta: float) -> Tensor:
     return gc.where(mag.data <= delta, quad, lin)
 
 
-def _pair_arrays(pair: SegmentPair, op: str):
-    """recon, target and mask of a pair; one without its batch axis is a
-    ShapeError naming `op`."""
-    return (_with_batch(op, pair.recon, SEGMENT), _with_batch(op, pair.target, SEGMENT),
-            _with_batch(op, pair.mask, SEGMENT[:-1]))
+def _pair_arrays(target, recon, mask, op: str):
+    """target, recon (B, T, H, W, 2) and mask (B, T, H, W), returned as recon, target,
+    mask; one without its batch axis is a ShapeError naming `op`."""
+    return (_with_batch(op, recon, SEGMENT), _with_batch(op, target, SEGMENT),
+            _with_batch(op, mask, SEGMENT[:-1]))
 
 
-def recon_loss(pair: SegmentPair, huber_delta: float = 1.0) -> Tensor:
+def recon_loss(target, recon, mask, huber_delta: float = 1.0) -> Tensor:
     """Visibility-normalized Huber reconstruction error, per-coordinate and
     summed over the two channels."""
-    recon, target, mask = _pair_arrays(pair, "recon_loss")
+    recon, target, mask = _pair_arrays(target, recon, mask, "recon_loss")
     denom = mask.sum(axis=(1, 2, 3))
     if np.any(denom == 0):
         raise ValueError("recon_loss: a segment has no visible elements")
@@ -85,9 +73,9 @@ def _shift_mismatch(recon, target, mask, hop: int, axis: int):
             m_pair.sum(axis=(1, 2, 3)))
 
 
-def temporal_loss(pair: SegmentPair) -> Tensor:
+def temporal_loss(target, recon, mask) -> Tensor:
     """Pair-masked mean L1 mismatch of frame-to-frame displacements."""
-    recon, target, mask = _pair_arrays(pair, "temporal_loss")
+    recon, target, mask = _pair_arrays(target, recon, mask, "temporal_loss")
     if target.shape[1] < 2:
         raise ValueError("temporal_loss: need at least 2 frames")
     masked, denom = _shift_mismatch(recon, target, mask, 1, 1)
@@ -96,11 +84,11 @@ def temporal_loss(pair: SegmentPair) -> Tensor:
     return gc.tmean(gc.div(masked, denom))
 
 
-def spatial_loss(pair: SegmentPair, spec: NeighborSpec | None = None) -> Tensor:
+def spatial_loss(target, recon, mask, spec: NeighborSpec | None = None) -> Tensor:
     """Multi-hop neighbor-difference mismatch, both grid directions pooled
     per hop; hops with no valid pair drop out of the weight normalizer."""
     spec = spec or NeighborSpec()
-    recon, target, mask = _pair_arrays(pair, "spatial_loss")
+    recon, target, mask = _pair_arrays(target, recon, mask, "spatial_loss")
     terms, denoms = [], []  # per hop: (b,) mean mismatch Tensor or None, (b,) pair counts
     for hop in spec.hops:
         parts = [_shift_mismatch(recon, target, mask, hop, axis)
@@ -117,14 +105,14 @@ def spatial_loss(pair: SegmentPair, spec: NeighborSpec | None = None) -> Tensor:
                                     for i, term in enumerate(terms) if term is not None]))
 
 
-def consistency_terms(pair: SegmentPair, spec: NeighborSpec | None,
+def consistency_terms(target, recon, mask, spec: NeighborSpec | None,
                       lambda_temporal: float, lambda_spatial: float):
     """The spatiotemporal regularizer's terms: (lambda_temporal * temporal,
     lambda_spatial * spatial, temporal, spatial).  A zero weight skips its
     loss, which then reads 0."""
-    _pair_arrays(pair, "consistency_terms")  # refused without a batch axis at any weight
-    l_tmp = temporal_loss(pair) if lambda_temporal else Tensor(0.0)
-    l_sp = spatial_loss(pair, spec) if lambda_spatial else Tensor(0.0)
+    _pair_arrays(target, recon, mask, "consistency_terms")  # batch axes checked at any weight
+    l_tmp = temporal_loss(target, recon, mask) if lambda_temporal else Tensor(0.0)
+    l_sp = spatial_loss(target, recon, mask, spec) if lambda_spatial else Tensor(0.0)
     return gc.mul(l_tmp, lambda_temporal), gc.mul(l_sp, lambda_spatial), l_tmp, l_sp
 
 

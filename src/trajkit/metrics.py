@@ -8,28 +8,21 @@ the dense pixel field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
-@dataclass
-class GridFlow:
-    """Frame-to-frame displacements per cell: flow[t] covers frames t -> t+1
-    of the source positions; valid where both endpoints are visible."""
-
-    flow: np.ndarray   # (T-1, H_c, W_c, 2) px/frame
-    valid: np.ndarray  # (T-1, H_c, W_c) bool
-
-
-def flow_from_positions(positions: np.ndarray, visibility: np.ndarray) -> GridFlow:
+def flow_from_positions(positions: np.ndarray, visibility: np.ndarray):
+    """Frame-to-frame displacements per cell, (flow, valid): flow[t], of
+    shape (T-1, H_c, W_c, 2) in px/frame, covers frames t -> t+1 of the
+    positions; the bool valid (T-1, H_c, W_c) holds where both endpoints
+    are visible."""
     positions = np.asarray(positions, dtype=np.float64)
     visibility = np.asarray(visibility).astype(bool)
     if positions.shape[0] < 2:
         raise ValueError("flow needs at least 2 frames")
     flow = positions[1:] - positions[:-1]
     valid = visibility[1:] & visibility[:-1]
-    return GridFlow(flow, valid)
+    return flow, valid
 
 
 # (later, earlier) cells of each horizontal, then each vertical neighbor pair
@@ -44,15 +37,15 @@ def flow_tv(positions: np.ndarray, visibility: np.ndarray, stride: float) -> flo
     neighbor pairs and add; frames without a valid pair contribute zero to
     the time average.
     """
-    gf = flow_from_positions(positions, visibility)
-    u, v = gf.flow[..., 0], gf.flow[..., 1]
-    t_minus_1 = gf.flow.shape[0]
-    if gf.flow.shape[1] < 2 and gf.flow.shape[2] < 2:
+    flow, valid = flow_from_positions(positions, visibility)
+    u, v = flow[..., 0], flow[..., 1]
+    t_minus_1 = flow.shape[0]
+    if flow.shape[1] < 2 and flow.shape[2] < 2:
         raise ValueError("flow_tv needs a grid of at least 2 cells in one direction")
     total = 0.0
     any_pair = False
     for t in range(t_minus_1):
-        val, u_t, v_t = gf.valid[t], u[t], v[t]
+        val, u_t, v_t = valid[t], u[t], v[t]
         frame = 0.0
         for head, tail in _NEIGHBOR_SLICES:
             pair = val[head] & val[tail]
@@ -76,16 +69,16 @@ def div_curl_energy(positions: np.ndarray, visibility: np.ndarray, stride: float
     without the second division).  A cell is valid when it and both forward
     neighbors are visible.
     """
-    gf = flow_from_positions(positions, visibility)
-    if gf.flow.shape[1] < 2 or gf.flow.shape[2] < 2:
+    flow, valid = flow_from_positions(positions, visibility)
+    if flow.shape[1] < 2 or flow.shape[2] < 2:
         raise ValueError("div_curl_energy needs a grid of at least 2x2 cells")
-    u, v = gf.flow[..., 0], gf.flow[..., 1]
-    t_minus_1 = gf.flow.shape[0]
+    u, v = flow[..., 0], flow[..., 1]
+    t_minus_1 = flow.shape[0]
     extra = 1.0 if single_spacing else 1.0 / stride
     total = 0.0
     any_cell = False
     for t in range(t_minus_1):
-        val = gf.valid[t]
+        val = valid[t]
         cell = val[:-1, :-1] & val[:-1, 1:] & val[1:, :-1]
         if not cell.any():
             continue

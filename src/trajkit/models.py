@@ -303,11 +303,11 @@ class Condition:
     tokens: Tensor
 
 
-def encode_condition(condition: dict, params: dict, cfg: FlowConfig) -> Condition:
-    """Encode 'z_hist' (B, K_p, N, C) and 'visibility' history tokens
-    (B, K_p, N) for the K_f = cfg.future_steps latent steps generated."""
-    z_hist = _with_batch("encode_condition", condition["z_hist"], LATENT)
-    vis = _with_batch("encode_condition", condition["visibility"], LATENT[:-1])
+def encode_condition(z_hist, visibility, params: dict, cfg: FlowConfig) -> Condition:
+    """Encode history latents z_hist (B, K_p, N, C) and their visibility
+    tokens (B, K_p, N) for the K_f = cfg.future_steps latent steps generated."""
+    z_hist = _with_batch("encode_condition", z_hist, LATENT)
+    vis = _with_batch("encode_condition", visibility, LATENT[:-1])
     b, k_p, n, c = z_hist.shape
     expected = (cfg.history_steps, cfg.n_tokens, cfg.latent_channels)
     if z_hist.shape[1:] != expected:

@@ -4,9 +4,10 @@ TLF layout, little-endian: magic "TRJF", version u32, then u32 header
 fields T, H_c, W_c, H, W, s, convention (0 absolute-pixel, 1
 absolute-normalized, 2 offset), then float32 coordinates [T*N*2] and
 visibility bytes [T*N] with N = H_c*W_c.  Offset-convention coordinates are
-relative to the stride-cell center anchors.  `read_tlf` refuses a file
-whose H_c, W_c are not H/s, W/s or whose coordinates are not all finite,
-hidden points included; `write_tlf` refuses to write such coordinates.
+relative to the stride-cell center anchors.  A record has at least one
+frame.  `read_tlf` refuses a file whose H_c, W_c are not H/s, W/s or whose
+coordinates are not all finite, hidden points included; `write_tlf` refuses
+to write such coordinates.
 
 Checkpoints store named float32 parameter blocks plus a JSON metadata tail;
 `load_checkpoint` refuses a block with a non-finite value.
@@ -65,6 +66,8 @@ class TlfFile:
         hc, wc = self.coarse_shape
         if self.coords.ndim != 3 or self.coords.shape[2] != 2 or self.coords.shape[1] != hc * wc:
             raise TlfError(f"coords shape {self.coords.shape} inconsistent with grid {hc}x{wc}")
+        if self.frames == 0:
+            raise TlfError("no frames: a track record needs at least one")
         if self.visibility.shape != self.coords.shape[:2]:
             raise TlfError(f"visibility shape {self.visibility.shape} != {self.coords.shape[:2]}")
         if self.visibility.max(initial=0) > 1:

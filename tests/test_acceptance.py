@@ -86,12 +86,10 @@ def flow_cfg(vae_cfg):
 def vae_train_data():
     smooth = scenes.segment_dataset("smooth", 16, 100, GEOM, frames=GEOM.frames)
     jitter = scenes.segment_dataset("jitter", 8, 101, GEOM, frames=GEOM.frames)
-    segs, masks = [], []
-    for ds in (smooth, jitter):
-        # split each 16-frame scene into two 8-frame training segments
-        segs.extend([ds.segments[:, :8], ds.segments[:, 8:]])
-        masks.extend([ds.masks[:, :8], ds.masks[:, 8:]])
-    return flowgen.SegmentDataset(np.concatenate(segs), np.concatenate(masks))
+    # split each 16-frame scene into two 8-frame training segments
+    windows = [ds.split(8).windows() for ds in (smooth, jitter)]
+    return flowgen.SegmentDataset(np.concatenate([w.segments for w in windows]),
+                                  np.concatenate([w.masks for w in windows]))
 
 
 @pytest.fixture(scope="module")
@@ -138,8 +136,8 @@ def eval_vepe_px(params, vae_cfg, dataset) -> float:
 
 def eval_temporal(params, vae_cfg, dataset) -> float:
     recon = flowgen.vae_reconstruct(params, vae_cfg, dataset.segments)
-    vals = [float(lb.temporal_loss(lb.SegmentPair(dataset.segments[i:i + 1], recon[i:i + 1],
-                                                  dataset.masks[i:i + 1])))
+    vals = [float(lb.temporal_loss(dataset.segments[i:i + 1], recon[i:i + 1],
+                                   dataset.masks[i:i + 1]))
             for i in range(len(dataset))]
     return float(np.mean(vals))
 
@@ -162,8 +160,7 @@ def endpoint_latent_error(bundle, pairs, seed_base: int) -> float:
     for i in range(len(pairs)):
         rng = gc.rng(seed_base + i)
         z0 = boundary_init(z_p[i:i + 1, -1], bundle.flow_cfg, rng)
-        cond = encode_condition({"z_hist": z_p[i:i + 1], "visibility": vis_tok[i:i + 1]},
-                                wrapped, bundle.flow_cfg)
+        cond = encode_condition(z_p[i:i + 1], vis_tok[i:i + 1], wrapped, bundle.flow_cfg)
 
         def v_fn(z, t):
             return velocity_forward(z, float(t), cond, wrapped, bundle.flow_cfg).data
@@ -191,7 +188,6 @@ def test_criterion_01_gradient_suite():
             sign = rng.choice([-1.0, 1.0], size=x.shape)
             xh0 = x + sign * (0.05 + 0.4 * rng.random(x.shape))
             m = np.ones((1, 3, 4, 4))
-            pair = lambda r: lb.SegmentPair(x, r, m)
             spec = lb.NeighborSpec()
             mu0 = rng.normal(size=(2, 4, 4)) * 0.5
             lv0 = rng.normal(size=(2, 4, 4)) * 0.5
@@ -208,10 +204,10 @@ def test_criterion_01_gradient_suite():
             wk = np.full((1, 1, 2), 0.5)
 
             loss_checks = [
-                (lambda r: lb.recon_loss(pair(r)), [xh0]),
-                (lambda r: lb.temporal_loss(pair(r)), [xh0]),
-                (lambda r: lb.spatial_loss(pair(r), spec), [xh0]),
-                (lambda r: gc.add(*lb.consistency_terms(pair(r), spec, 0.1, 0.2)[:2]), [xh0]),
+                (lambda r: lb.recon_loss(x, r, m), [xh0]),
+                (lambda r: lb.temporal_loss(x, r, m), [xh0]),
+                (lambda r: lb.spatial_loss(x, r, m, spec), [xh0]),
+                (lambda r: gc.add(*lb.consistency_terms(x, r, m, spec, 0.1, 0.2)[:2]), [xh0]),
                 (lambda a, b: lb.kl_loss(a, b), [mu0, lv0]),
                 (lambda vv: lb.fm_loss(vv, u, w), [v0]),
                 (lambda *vs: lb.kstep_loss([gc.as_tensor(v) for v in vs], tgts, wk),
@@ -239,8 +235,8 @@ def test_criterion_01_gradient_suite():
             worst = max(worst, gc.grad_check(enc_dec, [seg]))
 
             vel_params = init_velocity_params(tiny_flow, rngg)
-            cond = encode_condition({"z_hist": rngg.draw_normal((1, 2, 4, 4)),
-                                     "visibility": np.ones((1, 2, 4))}, vel_params, tiny_flow)
+            cond = encode_condition(rngg.draw_normal((1, 2, 4, 4)), np.ones((1, 2, 4)),
+                                    vel_params, tiny_flow)
 
             def vel(z):
                 return gc.tsum(gc.square(velocity_forward(z, 0.4, cond, vel_params,
@@ -307,11 +303,10 @@ def test_criterion_03_toy_reproduction():
     with report(3, "toy pair: equal recon, st gap = lambda_t * 2b"):
         for b in (0.05, 0.1, 0.2):
             gt, smooth, jitter, mask = (a[None] for a in motionlab.toy_1d_pair(b, 8))
-            rec_s = float(lb.recon_loss(lb.SegmentPair(gt, smooth, mask)))
-            rec_j = float(lb.recon_loss(lb.SegmentPair(gt, jitter, mask)))
+            rec_s = float(lb.recon_loss(gt, smooth, mask))
+            rec_j = float(lb.recon_loss(gt, jitter, mask))
             assert abs(rec_s - rec_j) < 1e-12
-            st_s, st_j = (sum(map(float, lb.consistency_terms(lb.SegmentPair(gt, r, mask),
-                                                              None, 0.1, 0.2)[:2]))
+            st_s, st_j = (sum(map(float, lb.consistency_terms(gt, r, mask, None, 0.1, 0.2)[:2]))
                           for r in (smooth, jitter))
             assert st_j - st_s == pytest.approx(0.1 * 2 * b, abs=1e-9)
 

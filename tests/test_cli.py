@@ -151,14 +151,17 @@ class TestDamagedFiles:
 def _scene_with(path, damage):
     """An 8-frame 32x32 stride-8 translation scene (16 tracks) with `damage`
     applied to its bytes: a header grid other than H/s x W/s, a NaN
-    coordinate at frame 2, track 5, visible or hidden, or a visibility byte
-    of 2 there."""
+    coordinate at frame 2, track 5, visible or hidden, a visibility byte
+    of 2 there, or a header of no frames and no payload."""
     record = tlf.from_tracks(generate(MotionSpec("translation", frames=8, velocity=(1.0, 0.0))))
     tlf.write_tlf(path, record)
     raw = bytearray(path.read_bytes())
     t, n = record.visibility.shape
     if damage == "grid":
         raw[12:20] = np.array([2, 8], dtype="<u4").tobytes()  # H_c, W_c: still 16 tracks
+    elif damage == "frames":
+        raw[8:12] = np.array([0], dtype="<u4").tobytes()  # T
+        del raw[36:]
     elif damage == "visibility":
         raw[36 + t * n * 8 + 2 * n + 5] = 2
     else:
@@ -172,7 +175,8 @@ def _scene_with(path, damage):
 DAMAGED_SCENES = {"grid": "header grid 2x8 != frame 32x32 / stride 8",
                   "nan-visible": "non-finite coordinate at frame 2, track 5",
                   "nan-hidden": "non-finite coordinate at frame 2, track 5",
-                  "visibility": "visibility 2 at frame 2, track 5 is not 0 or 1"}
+                  "visibility": "visibility 2 at frame 2, track 5 is not 0 or 1",
+                  "frames": "no frames: a track record needs at least one"}
 
 
 class TestMalformedTrackValues:
@@ -184,7 +188,7 @@ class TestMalformedTrackValues:
         assert str(exc.value) == f"{path}: {DAMAGED_SCENES[damage]}"
 
     @pytest.mark.parametrize("command", ["camcap", "eval", "offsets", "analyze-variance",
-                                         "sample"])
+                                         "plot", "sample"])
     @pytest.mark.parametrize("damage", list(DAMAGED_SCENES))
     def test_every_reader_exits_2_with_one_error_line(self, tmp_path, capsys, tiny_bundle,
                                                       command, damage):
@@ -192,7 +196,8 @@ class TestMalformedTrackValues:
         argv = {"camcap": ["camcap", scene],
                 "eval": ["eval", scene, "--metric", "flowtv"],
                 "offsets": ["offsets", scene, tmp_path / "o.tlf"],
-                "analyze-variance": ["analyze-variance", scene]}.get(command)
+                "analyze-variance": ["analyze-variance", scene],
+                "plot": ["plot", tmp_path]}.get(command)
         if argv is None:
             save_bundle(tmp_path / "bundle.ckpt", tiny_bundle[0], seed=3)
             argv = ["sample", "--ckpt", tmp_path / "bundle.ckpt", "--history", scene]
@@ -744,6 +749,60 @@ class TestUsageErrors:
         assert dispatch(["--help"]) == 0
         assert dispatch(["eval", "--help"]) == 0
         assert "--single-spacing" in capsys.readouterr().out
+
+
+class TestZeroFrameRecord:
+    def test_record_of_no_frames_is_refused(self):
+        with pytest.raises(tlf.TlfError, match="^no frames: "):
+            tlf.TlfFile(np.zeros((0, 16, 2)), np.zeros((0, 16)), 32, 32, 8, tlf.CONV_PIXEL)
+
+
+MALFORMED_METRICS = {
+    "header": ("a,b\n1,2\n", "line 1: header is not dataset,method,metric,value"),
+    "header-only": ("a,b\n", "line 1: header is not dataset,method,metric,value"),
+    "short-row": ("dataset,method,metric,value\na,b\n", "line 2: 2 fields, not 4"),
+    "value": ("dataset,method,metric,value\ns,m,flowtv,1.5\ns,m,flowtv,x\n",
+              "line 3: value 'x' is not a number"),
+}
+
+
+class TestMalformedMetricsCsv:
+    @pytest.mark.parametrize("case", list(MALFORMED_METRICS))
+    def test_read_names_the_file_and_the_line(self, tmp_path, case):
+        body, fault = MALFORMED_METRICS[case]
+        path = tmp_path / "metrics.csv"
+        path.write_text(body)
+        with pytest.raises(ValueError) as exc:
+            plotting.read_metrics_csv(path)
+        assert str(exc.value) == f"{path}: {fault}"
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        path.write_text("dataset,method,metric,value\n\ns,m,flowtv,1.5\n\n")
+        assert plotting.read_metrics_csv(path) == [
+            {"dataset": "s", "method": "m", "metric": "flowtv", "value": 1.5}]
+
+    @pytest.mark.parametrize("command", ["plot", "eval"])
+    @pytest.mark.parametrize("case", list(MALFORMED_METRICS))
+    def test_command_exits_1_with_one_error_line_and_keeps_the_file(self, tmp_path, capsys,
+                                                                    command, case):
+        body, fault = MALFORMED_METRICS[case]
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        path = runs / "metrics.csv"
+        path.write_text(body)
+        if command == "plot":
+            argv = ["plot", runs, "--out", tmp_path / "figs"]
+        else:
+            scene = tmp_path / "move.tlf"
+            run("synth", scene, "--kind", "translation", "--vx", 1, "--frames", 8,
+                "--out", tmp_path)
+            argv = ["eval", scene, "--metric", "flowtv", "--out", runs]
+        capsys.readouterr()
+        assert run(*argv) == 1
+        out = capsys.readouterr()
+        assert out.err == f"error: {path}: {fault}\n" and out.out == ""
+        assert path.read_text() == body
 
 
 class TestEvalAndCamcap:

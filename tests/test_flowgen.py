@@ -552,6 +552,49 @@ class TestTrainingLoops:
         assert float(lb.endpoint_consistency(states, velocities, grid.times)) == pytest.approx(0.0, abs=1e-20)
 
 
+def _train_one_step(loop, vae_cfg):
+    """One step of `loop` at the desk VAE and the default flow model."""
+    vae_train_cfg = flowgen.VaeTrainConfig(vae=vae_cfg, steps=int(loop == "vae"))
+    vae_params, _ = flowgen.train_vae(make_segment_dataset("smooth", 8, seed=0), vae_train_cfg,
+                                      seed=0)
+    if loop == "vae":
+        return
+    pairs = make_pair_dataset("translation", 8, seed=1)
+    flow_cfg = flowgen.FlowTrainConfig(flow=FlowConfig(), steps=int(loop == "flow"))
+    bundle, _ = flowgen.train_flow(pairs, vae_params, vae_cfg, flow_cfg, seed=2)
+    if loop == "finetune":
+        flowgen.finetune_onpolicy(bundle, pairs, flow_cfg,
+                                  flowgen.FinetuneConfig(steps=1, k_steps=8, sub_batch=4), seed=3)
+
+
+@pytest.mark.parametrize("loop,ops,leaves", [("vae", 121, 62), ("flow", 43, 26),
+                                             ("finetune", 607, 26)])
+def test_grad_carrying_tape_nodes_per_step_are_pinned(desk_vae_cfg, monkeypatch, loop, ops,
+                                                      leaves):
+    """Op nodes and parameter leaves on the tape of one training step, walked
+    from the loss through grad-carrying parents as perfbench's tracer walks it."""
+    sizes, real = [], gc.backward
+
+    def walk(loss, wrt):
+        seen, stack, kinds = {id(loss)}, [loss], []
+        while stack:
+            node = stack.pop()
+            kinds.append(node._op == "leaf")
+            for parent in node._parents:
+                if parent.requires_grad and id(parent) not in seen:
+                    seen.add(id(parent))
+                    stack.append(parent)
+        sizes.append((kinds.count(False), kinds.count(True)))
+        return real(loss, wrt)
+
+    monkeypatch.setattr(gc, "backward", walk)
+    _train_one_step(loop, desk_vae_cfg)
+    assert sizes == [(ops, leaves)], (
+        f"{loop}: (op nodes, leaves) per step is {sizes}, pinned at {(ops, leaves)}; a "
+        "deliberate change of the graph (ROADMAP items 3 and 11) updates these numbers and "
+        "reports them in CHANGES.md")
+
+
 SAMPLERS = [pytest.param({"method": "euler", "steps": 10}, id="euler10"),
             pytest.param({"method": "dopri5", "rtol": 1e-4, "atol": 1e-6}, id="dopri5")]
 
@@ -633,12 +676,12 @@ class TestSampleFuture:
         shared, shared_mask = sample_future(_history(pairs, 3), bundle, sampler, seed=9)
         raw = []
 
-        def record(condition, params, cfg):
-            raw.append(condition)
-            return models.encode_condition(condition, params, cfg)
+        def record(z_hist, visibility, params, cfg):
+            raw.append((z_hist, visibility))
+            return models.encode_condition(z_hist, visibility, params, cfg)
 
         def encode_per_evaluation(z, t, cond, params, cfg):
-            return models.velocity_forward(z, t, models.encode_condition(raw[-1], params, cfg),
+            return models.velocity_forward(z, t, models.encode_condition(*raw[-1], params, cfg),
                                            params, cfg)
 
         monkeypatch.setattr(flowgen, "encode_condition", record)

@@ -15,20 +15,20 @@ def _pair(seed=0, t=4, h=6, w=6, vis_p=1.0, residual_scale=0.3):
     m = (rng.random((t, h, w)) < vis_p).astype(np.uint8)
     if m.sum() == 0:
         m[0, 0, 0] = 1
-    return lb.SegmentPair(x[None], xh[None], m[None])  # a batch of one
+    return x[None], xh[None], m[None]  # target, recon, mask: a batch of one
 
 
 class TestReconLoss:
     def test_exact_reconstruction_is_zero(self):
-        p = _pair()
-        assert float(lb.recon_loss(lb.SegmentPair(p.target, p.target.copy(), p.mask))) == 0.0
+        target, _, mask = _pair()
+        assert float(lb.recon_loss(target, target.copy(), mask)) == 0.0
 
     def test_uniform_half_residual_quadratic_branch(self):
         x = np.zeros((1, 2, 3, 3, 2))
         xh = np.full_like(x, 0.5)
         m = np.ones((1, 2, 3, 3))
         # Two channels, each 0.5^2 / 2 = 0.125, summed -> 0.25.
-        assert float(lb.recon_loss(lb.SegmentPair(x, xh, m), huber_delta=1.0)) == pytest.approx(0.25)
+        assert float(lb.recon_loss(x, xh, m, huber_delta=1.0)) == pytest.approx(0.25)
 
     def test_invisible_residual_ignored(self):
         x = np.zeros((1, 2, 3, 3, 2))
@@ -36,43 +36,42 @@ class TestReconLoss:
         m = np.ones((1, 2, 3, 3))
         m[0, 1] = 0
         xh[0, 1] += 7.0  # only on invisible frames
-        assert float(lb.recon_loss(lb.SegmentPair(x, xh, m))) == 0.0
+        assert float(lb.recon_loss(x, xh, m)) == 0.0
 
     def test_all_invisible_raises(self):
         with pytest.raises(ValueError):
-            lb.recon_loss(lb.SegmentPair(np.zeros((1, 2, 2, 2, 2)), np.zeros((1, 2, 2, 2, 2)),
-                                         np.zeros((1, 2, 2, 2))))
+            lb.recon_loss(np.zeros((1, 2, 2, 2, 2)), np.zeros((1, 2, 2, 2, 2)),
+                          np.zeros((1, 2, 2, 2)))
 
     def test_linear_branch_engages_beyond_delta(self):
         x = np.zeros((1, 1, 1, 1, 2))
         xh = np.full_like(x, 2.0)
         m = np.ones((1, 1, 1, 1))
         # per channel: delta*(|r|-delta/2) = 0.5*(2-0.25) = 0.875; two channels.
-        val = float(lb.recon_loss(lb.SegmentPair(x, xh, m), huber_delta=0.5))
+        val = float(lb.recon_loss(x, xh, m, huber_delta=0.5))
         assert val == pytest.approx(2 * 0.5 * (2.0 - 0.25))
 
 
 class TestTemporalLoss:
     def test_exact_static_zero(self):
         x = np.zeros((1, 4, 3, 3, 2))
-        assert float(lb.temporal_loss(lb.SegmentPair(x, x.copy(), np.ones((1, 4, 3, 3))))) == 0.0
+        assert float(lb.temporal_loss(x, x.copy(), np.ones((1, 4, 3, 3)))) == 0.0
 
     def test_toy_jitter_closed_form(self):
         gt, smooth, jitter, mask = (a[None] for a in toy_1d_pair(0.1, 8))
-        assert float(lb.temporal_loss(lb.SegmentPair(gt, smooth, mask))) == pytest.approx(0.0, abs=1e-15)
-        assert float(lb.temporal_loss(lb.SegmentPair(gt, jitter, mask))) == pytest.approx(0.2, abs=1e-12)
+        assert float(lb.temporal_loss(gt, smooth, mask)) == pytest.approx(0.0, abs=1e-15)
+        assert float(lb.temporal_loss(gt, jitter, mask)) == pytest.approx(0.2, abs=1e-12)
 
     def test_constant_offset_cancels(self):
-        p = _pair(seed=1)
-        shifted = p.target + np.array([0.3, -0.7])
-        assert float(lb.temporal_loss(lb.SegmentPair(p.target, shifted, p.mask))) == pytest.approx(0.0, abs=1e-14)
+        target, _, mask = _pair(seed=1)
+        shifted = target + np.array([0.3, -0.7])
+        assert float(lb.temporal_loss(target, shifted, mask)) == pytest.approx(0.0, abs=1e-14)
 
     def test_no_valid_pair_raises(self):
         m = np.zeros((1, 3, 2, 2))
         m[0, 0] = 1  # visible only in one frame: no consecutive pair
         with pytest.raises(ValueError):
-            lb.temporal_loss(lb.SegmentPair(np.zeros((1, 3, 2, 2, 2)), np.zeros((1, 3, 2, 2, 2)),
-                                            m))
+            lb.temporal_loss(np.zeros((1, 3, 2, 2, 2)), np.zeros((1, 3, 2, 2, 2)), m)
 
 
 def spatial_brute_force(x, xh, m, hops, alphas):
@@ -102,13 +101,13 @@ def spatial_brute_force(x, xh, m, hops, alphas):
 
 class TestSpatialLoss:
     def test_constant_field_shift_is_zero(self):
-        p = _pair(seed=2)
-        shifted = p.target + np.array([0.2, 0.4])
-        assert float(lb.spatial_loss(lb.SegmentPair(p.target, shifted, p.mask))) == pytest.approx(0.0, abs=1e-14)
+        target, _, mask = _pair(seed=2)
+        shifted = target + np.array([0.2, 0.4])
+        assert float(lb.spatial_loss(target, shifted, mask)) == pytest.approx(0.0, abs=1e-14)
 
     def test_perfect_reconstruction_zero(self):
-        p = _pair(seed=3)
-        assert float(lb.spatial_loss(lb.SegmentPair(p.target, p.target.copy(), p.mask))) == 0.0
+        target, _, mask = _pair(seed=3)
+        assert float(lb.spatial_loss(target, target.copy(), mask)) == 0.0
 
     def test_single_point_perturbation_matches_brute_force(self):
         x = np.zeros((2, 6, 6, 2))
@@ -116,16 +115,16 @@ class TestSpatialLoss:
         xh[1, 3, 3] += np.array([0.25, -0.1])
         m = np.ones((2, 6, 6))
         spec = lb.NeighborSpec()
-        got = float(lb.spatial_loss(lb.SegmentPair(x[None], xh[None], m[None]), spec))
+        got = float(lb.spatial_loss(x[None], xh[None], m[None], spec))
         want = spatial_brute_force(x, xh, m, spec.hops, spec.weights)
         assert got == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_fields_match_brute_force(self, seed):
-        p = _pair(seed=seed, vis_p=0.8)
+        target, recon, mask = _pair(seed=seed, vis_p=0.8)
         spec = lb.NeighborSpec()
-        got = float(lb.spatial_loss(p, spec))
-        want = spatial_brute_force(p.target[0], p.recon[0], p.mask[0], spec.hops, spec.weights)
+        got = float(lb.spatial_loss(target, recon, mask, spec))
+        want = spatial_brute_force(target[0], recon[0], mask[0], spec.hops, spec.weights)
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_small_grid_drops_oversized_hop(self):
@@ -135,7 +134,7 @@ class TestSpatialLoss:
         xh = x + rng.normal(size=x.shape) * 0.1
         m = np.ones((2, 2, 2))
         spec = lb.NeighborSpec()
-        got = float(lb.spatial_loss(lb.SegmentPair(x[None], xh[None], m[None]), spec))
+        got = float(lb.spatial_loss(x[None], xh[None], m[None], spec))
         want = spatial_brute_force(x, xh, m, spec.hops, spec.weights)
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -143,47 +142,47 @@ class TestSpatialLoss:
         m = np.zeros((1, 1, 6, 6))
         m[0, 0, 0, 0] = 1  # a visible point with no visible neighbor
         with pytest.raises(ValueError):
-            lb.spatial_loss(lb.SegmentPair(np.zeros((1, 1, 6, 6, 2)), np.zeros((1, 1, 6, 6, 2)),
-                                           m))
+            lb.spatial_loss(np.zeros((1, 1, 6, 6, 2)), np.zeros((1, 1, 6, 6, 2)), m)
 
 
-def _st_regularizer(pair, lambda_temporal=0.1, lambda_spatial=0.2):
+def _st_regularizer(target, recon, mask, lambda_temporal=0.1, lambda_spatial=0.2):
     """The weighted consistency terms, summed: the VAE objective's regularizer."""
-    w_tmp, w_sp, _, _ = lb.consistency_terms(pair, None, lambda_temporal, lambda_spatial)
+    w_tmp, w_sp, _, _ = lb.consistency_terms(target, recon, mask, None, lambda_temporal,
+                                             lambda_spatial)
     return float(gc.add(w_tmp, w_sp))
 
 
 class TestStRegularizer:
     def test_zero_components(self):
         x = np.zeros((1, 3, 4, 4, 2))
-        assert _st_regularizer(lb.SegmentPair(x, x.copy(), np.ones((1, 3, 4, 4)))) == 0.0
+        assert _st_regularizer(x, x.copy(), np.ones((1, 3, 4, 4))) == 0.0
 
     def test_zero_lambdas(self):
         p = _pair(seed=6)
-        assert _st_regularizer(p, lambda_temporal=0.0, lambda_spatial=0.0) == 0.0
+        assert _st_regularizer(*p, lambda_temporal=0.0, lambda_spatial=0.0) == 0.0
 
     def test_terms_are_weighted_losses(self):
         p = _pair(seed=7)
-        w_tmp, w_sp, l_tmp, l_sp = lb.consistency_terms(p, None, 0.1, 0.2)
-        assert float(l_tmp) == float(lb.temporal_loss(p))
-        assert float(l_sp) == float(lb.spatial_loss(p))
+        w_tmp, w_sp, l_tmp, l_sp = lb.consistency_terms(*p, None, 0.1, 0.2)
+        assert float(l_tmp) == float(lb.temporal_loss(*p))
+        assert float(l_sp) == float(lb.spatial_loss(*p))
         assert float(w_tmp) == 0.1 * float(l_tmp) and float(w_sp) == 0.2 * float(l_sp)
 
     def test_zero_weight_skips_its_loss(self):
         # one frame: temporal_loss would raise, so a zero weight must not evaluate it
         p = _pair(seed=8, t=1)
-        w_tmp, w_sp, l_tmp, l_sp = lb.consistency_terms(p, None, 0.0, 0.2)
+        w_tmp, w_sp, l_tmp, l_sp = lb.consistency_terms(*p, None, 0.0, 0.2)
         assert float(w_tmp) == 0.0 and float(l_tmp) == 0.0
-        assert float(l_sp) == float(lb.spatial_loss(p))
+        assert float(l_sp) == float(lb.spatial_loss(*p))
 
     @pytest.mark.parametrize("b", [0.05, 0.1, 0.2])
     def test_toy_separates_smooth_from_jitter(self, b):
         gt, smooth, jitter, mask = (a[None] for a in toy_1d_pair(b, 8))
-        rec_s = float(lb.recon_loss(lb.SegmentPair(gt, smooth, mask)))
-        rec_j = float(lb.recon_loss(lb.SegmentPair(gt, jitter, mask)))
+        rec_s = float(lb.recon_loss(gt, smooth, mask))
+        rec_j = float(lb.recon_loss(gt, jitter, mask))
         assert rec_s == pytest.approx(rec_j, abs=1e-12)
-        st_s = _st_regularizer(lb.SegmentPair(gt, smooth, mask))
-        st_j = _st_regularizer(lb.SegmentPair(gt, jitter, mask))
+        st_s = _st_regularizer(gt, smooth, mask)
+        st_j = _st_regularizer(gt, jitter, mask)
         assert st_j > st_s
         assert st_j - st_s == pytest.approx(0.1 * 2 * b, abs=1e-9)
 
@@ -388,23 +387,23 @@ class TestBceLogits:
 
 class TestInvariances:
     def test_losses_blind_to_invisible_perturbations(self):
-        p = _pair(seed=7, vis_p=0.7)
-        tweaked = np.array(p.recon, copy=True)
-        tweaked[p.mask == 0] += 50.0
+        target, recon, mask = _pair(seed=7, vis_p=0.7)
+        tweaked = np.array(recon, copy=True)
+        tweaked[mask == 0] += 50.0
         for fn in (lb.recon_loss, lb.temporal_loss, lb.spatial_loss):
-            base = float(fn(lb.SegmentPair(p.target, p.recon, p.mask)))
-            pert = float(fn(lb.SegmentPair(p.target, tweaked, p.mask)))
+            base = float(fn(target, recon, mask))
+            pert = float(fn(target, tweaked, mask))
             # Temporal/spatial pairs touching an invisible endpoint are masked out.
             assert base == pytest.approx(pert, abs=1e-12)
 
     def test_difference_losses_shift_invariant_both_fields(self):
-        p = _pair(seed=8)
+        target, recon, mask = _pair(seed=8)
         shift = np.array([1.5, -2.0])
-        a = float(lb.temporal_loss(p))
-        b = float(lb.temporal_loss(lb.SegmentPair(p.target + shift, p.recon + shift, p.mask)))
+        a = float(lb.temporal_loss(target, recon, mask))
+        b = float(lb.temporal_loss(target + shift, recon + shift, mask))
         assert a == pytest.approx(b, abs=1e-12)
-        a = float(lb.spatial_loss(p))
-        b = float(lb.spatial_loss(lb.SegmentPair(p.target + shift, p.recon + shift, p.mask)))
+        a = float(lb.spatial_loss(target, recon, mask))
+        b = float(lb.spatial_loss(target + shift, recon + shift, mask))
         assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -418,13 +417,13 @@ class TestGradCheck:
         xh0 = x + sign * (0.05 + 0.4 * rng.random(x.shape))
 
         def recon(xh):
-            return lb.recon_loss(lb.SegmentPair(x, xh, m))
+            return lb.recon_loss(x, xh, m)
 
         def temporal(xh):
-            return lb.temporal_loss(lb.SegmentPair(x, xh, m))
+            return lb.temporal_loss(x, xh, m)
 
         def spatial(xh):
-            return lb.spatial_loss(lb.SegmentPair(x, xh, m))
+            return lb.spatial_loss(x, xh, m)
 
         for fn in (recon, temporal, spatial):
             assert gc.grad_check(fn, [xh0]) < 1e-4
@@ -454,10 +453,9 @@ class TestGradCheck:
         m[1, :, 0, :] = 0
         m[1, :, :, 0] = 0
         spec = lb.NeighborSpec()
-        pair = lambda xh: lb.SegmentPair(x, xh, m)
         hop4 = [m[1, :, 4:] * m[1, :, :-4], m[1, :, :, 4:] * m[1, :, :, :-4]]
         assert sum(p.sum() for p in hop4) == 0
-        for fn in (lambda xh: lb.temporal_loss(pair(xh)),
-                   lambda xh: lb.spatial_loss(pair(xh), spec),
-                   lambda xh: gc.add(*lb.consistency_terms(pair(xh), spec, 0.7, 1.3)[:2])):
+        for fn in (lambda xh: lb.temporal_loss(x, xh, m),
+                   lambda xh: lb.spatial_loss(x, xh, m, spec),
+                   lambda xh: gc.add(*lb.consistency_terms(x, xh, m, spec, 0.7, 1.3)[:2])):
             assert gc.grad_check(fn, [xh0]) < 1e-4

@@ -99,25 +99,25 @@ def _grid_positions(h=4, w=4, s=32.0):
 class TestFlowFromPositions:
     def test_static_zero(self):
         p = np.broadcast_to(_grid_positions(), (5, 4, 4, 2)).copy()
-        gf = flow_from_positions(p, np.ones((5, 4, 4)))
-        assert np.all(gf.flow == 0.0)
-        assert gf.valid.all()
+        flow, valid = flow_from_positions(p, np.ones((5, 4, 4)))
+        assert np.all(flow == 0.0)
+        assert valid.all()
 
     def test_linear_motion_constant(self):
         base = _grid_positions()
         p = np.stack([base + t * np.array([2.0, 0.0]) for t in range(4)])
-        gf = flow_from_positions(p, np.ones((4, 4, 4)))
-        assert np.all(gf.flow[..., 0] == 2.0)
-        assert np.all(gf.flow[..., 1] == 0.0)
+        flow, _ = flow_from_positions(p, np.ones((4, 4, 4)))
+        assert np.all(flow[..., 0] == 2.0)
+        assert np.all(flow[..., 1] == 0.0)
 
     def test_visibility_hole_invalidates_both_adjacent_flows(self):
         p = np.zeros((4, 2, 2, 2))
         vis = np.ones((4, 2, 2))
         vis[2, 0, 1] = 0
-        gf = flow_from_positions(p, vis)
-        assert not gf.valid[1, 0, 1]  # flow into frame 2
-        assert not gf.valid[2, 0, 1]  # flow out of frame 2
-        assert gf.valid[0, 0, 1]
+        _, valid = flow_from_positions(p, vis)
+        assert not valid[1, 0, 1]  # flow into frame 2
+        assert not valid[2, 0, 1]  # flow out of frame 2
+        assert valid[0, 0, 1]
 
     def test_single_frame_rejected(self):
         with pytest.raises(ValueError):

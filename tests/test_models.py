@@ -51,23 +51,21 @@ LAT, HIST, VIS = np.zeros((1, 2, 4, 4)), np.zeros((1, 2, 4, 4)), np.ones((1, 2, 
 SEG, MASK, W = np.zeros((1, 2, 4, 4, 2)), np.ones((1, 2, 4, 4)), np.full((1, 2, 4), 0.125)
 PAIR_LOSSES = {"recon_loss": lb.recon_loss, "temporal_loss": lb.temporal_loss,
                "spatial_loss": lb.spatial_loss,
-               "consistency_terms": lambda p: lb.consistency_terms(p, None, 0.0, 0.0)}
+               "consistency_terms": lambda *p: lb.consistency_terms(*p, None, 0.0, 0.0)}
 UNBATCHED_PAIRS = {"target": (SEG[0], SEG, MASK), "recon": (SEG, SEG[0], MASK),
                    "mask": (SEG, SEG, MASK[0])}
 # "function[input]" -> a call, given the networks `n`, that passes that input
 # without its leading batch axis and every other input with it
 UNBATCHED = {
-    **{f"{name}[{field}]": lambda n, fn=fn, args=args: fn(lb.SegmentPair(*args))
+    **{f"{name}[{field}]": lambda n, fn=fn, args=args: fn(*args)
        for name, fn in PAIR_LOSSES.items() for field, args in UNBATCHED_PAIRS.items()},
     "vae_encode[x]": lambda n: vae_encode(np.zeros((4, 16, 16, 2)), n.vae, n.vae_cfg),
     "vae_decode[z]": lambda n: vae_decode(LAT[0], n.vae, n.vae_cfg),
     "velocity_forward[z_t]": lambda n: velocity_forward(
-        LAT[0], 0.3, encode_condition({"z_hist": HIST, "visibility": VIS}, n.vel, n.flow_cfg),
+        LAT[0], 0.3, encode_condition(HIST, VIS, n.vel, n.flow_cfg),
         n.vel, n.flow_cfg),
-    "encode_condition[z_hist]": lambda n: encode_condition(
-        {"z_hist": HIST[0], "visibility": VIS}, n.vel, n.flow_cfg),
-    "encode_condition[visibility]": lambda n: encode_condition(
-        {"z_hist": HIST, "visibility": VIS[0]}, n.vel, n.flow_cfg),
+    "encode_condition[z_hist]": lambda n: encode_condition(HIST[0], VIS, n.vel, n.flow_cfg),
+    "encode_condition[visibility]": lambda n: encode_condition(HIST, VIS[0], n.vel, n.flow_cfg),
     "history_cue[z_hist]": lambda n: history_cue(HIST[0], wrap_params(n.vel), 2),
     "visibility_logits[z_f]": lambda n: models.visibility_logits(LAT[0], n.vis),
     "visibility_predict[z_f]": lambda n: visibility_predict(LAT[0], n.vis),
@@ -201,12 +199,12 @@ class TestFusion:
 
 class TestVelocityForward:
     def _condition(self, b=1):
+        """History latents and their visibility tokens."""
         rng = gc.rng(12)
-        return {"z_hist": rng.draw_normal((b, 2, 4, 4)),
-                "visibility": np.ones((b, 2, 4))}
+        return rng.draw_normal((b, 2, 4, 4)), np.ones((b, 2, 4))
 
     def _encoded(self, vel_params, flow_cfg, b=1):
-        return encode_condition(self._condition(b), vel_params, flow_cfg)
+        return encode_condition(*self._condition(b), vel_params, flow_cfg)
 
     def test_output_shape_matches_input(self, flow_cfg, vel_params):
         z_t = gc.rng(13).draw_normal((1, 2, 4, 4))
@@ -231,12 +229,12 @@ class TestVelocityForward:
 
     def test_batched_time_per_item(self, flow_cfg, vel_params):
         z_t = gc.rng(16).draw_normal((2, 2, 4, 4))
-        cond = self._condition(b=2)
+        z_hist, vis = self._condition(b=2)
         v = velocity_forward(z_t, np.array([0.1, 0.9]),
-                             encode_condition(cond, vel_params, flow_cfg), vel_params, flow_cfg)
-        v1 = velocity_forward(z_t[1:], 0.9, encode_condition(
-                                  {"z_hist": cond["z_hist"][1:],
-                                   "visibility": cond["visibility"][1:]}, vel_params, flow_cfg),
+                             encode_condition(z_hist, vis, vel_params, flow_cfg), vel_params,
+                             flow_cfg)
+        v1 = velocity_forward(z_t[1:], 0.9,
+                              encode_condition(z_hist[1:], vis[1:], vel_params, flow_cfg),
                               vel_params, flow_cfg)
         assert np.allclose(v.data[1], v1.data[0], atol=1e-12)
 
@@ -266,16 +264,15 @@ class TestVelocityForward:
                                             ((1, 2, 4, 4), (2, 2, 4))])
     def test_condition_of_other_shapes_than_the_model_is_a_shape_error(
             self, flow_cfg, vel_params, z_hist, vis):
-        cond = {"z_hist": np.zeros(z_hist), "visibility": np.ones(vis)}
         with pytest.raises(gc.ShapeError, match="^encode_condition: ") as exc:
-            encode_condition(cond, vel_params, flow_cfg)
+            encode_condition(np.zeros(z_hist), np.ones(vis), vel_params, flow_cfg)
         assert exc.value.op == "encode_condition"
 
     def test_encoded_cue_fuses_as_fuse_history(self, flow_cfg, vel_params):
-        cond = self._condition()
-        encoded = encode_condition(cond, vel_params, flow_cfg)
+        z_hist, vis = self._condition()
+        encoded = encode_condition(z_hist, vis, vel_params, flow_cfg)
         tokens = gc.Tensor(gc.rng(20).draw_normal((1, 2, 4, 24)))
-        fused = gc.add(tokens, history_cue(cond["z_hist"], vel_params, 2))
+        fused = gc.add(tokens, history_cue(z_hist, vel_params, 2))
         assert np.array_equal(gc.add(tokens, encoded.cue).data, fused.data)
 
 
@@ -419,7 +416,7 @@ def _velocity_loss(draw, vae_cfg, flow_cfg):
     vis = np.array([[[1.0, 0.0, 1.0, 1.0]] * 2, [[0.0, 1.0, 1.0, 0.0]] * 2])
 
     def loss(params):
-        cond = encode_condition({"z_hist": z_hist, "visibility": vis}, params, flow_cfg)
+        cond = encode_condition(z_hist, vis, params, flow_cfg)
         return gc.tsum(gc.square(velocity_forward(z_t, t, cond, params, flow_cfg)))
     params = init_velocity_params(flow_cfg, gc.rng(31))
     params["vel.fusion.gate_raw"] = np.array([0.4, -0.7])  # distinct gates
@@ -456,7 +453,7 @@ def _network_outputs(cfg, flow_cfg, requires_grad: bool) -> dict:
     z_t, z_hist = rng.normal(size=(2, 2, 4, 4)), rng.normal(size=(2, 2, 4, 4))
     vis = (rng.random((2, 2, 4)) > 0.3).astype(np.float64)
     mu, logvar = vae_encode(x, vae, cfg)
-    cond = encode_condition({"z_hist": z_hist, "visibility": vis}, vel, flow_cfg)
+    cond = encode_condition(z_hist, vis, vel, flow_cfg)
     return {"vae_encode.mu": mu, "vae_encode.logvar": logvar,
             "vae_decode": vae_decode(mu, vae, cfg),
             "encode_condition.cue": cond.cue, "encode_condition.tokens": cond.tokens,
