@@ -15,10 +15,12 @@ from .tensor import (
     exp,
     gelu,
     getitem,
+    huber,
     linear,
     matmul,
     mul,
     reshape,
+    residual_mlp,
     shift_l1,
     sigmoid,
     softplus,
@@ -35,7 +37,7 @@ __all__ = [
     "OptimState", "optim_init", "optim_step",
     "Rng", "rng",
     "ShapeError", "Tensor", "absolute", "add", "as_tensor", "backward",
-    "concat", "div", "exp", "gelu", "getitem", "linear", "matmul",
-    "mul", "reshape", "shift_l1", "sigmoid", "softplus", "square", "stop_gradient",
+    "concat", "div", "exp", "gelu", "getitem", "huber", "linear", "matmul",
+    "mul", "reshape", "residual_mlp", "shift_l1", "sigmoid", "softplus", "square", "stop_gradient",
     "tmean", "transpose", "tsum", "where",
 ]

@@ -148,6 +148,60 @@ def matmul(a, b) -> Tensor:
                                lambda g: a.data.T @ g), "matmul")
 
 
+def _shared(make, uses: int):
+    """An adjoint part that `uses` adjoint calls of one node read: made by
+    the first call with an output adjoint `g`, handed to the others with
+    the same `g`, and dropped by the last, so it lives only while the node
+    replays."""
+    held = []  # [g, part, calls still to come]
+
+    def part(g):
+        if held and held[0] is g:
+            value = held[1]
+            held[2] -= 1
+            if not held[2]:
+                held.clear()
+            return value
+        value = make(g)
+        if uses > 1:
+            held[:] = [g, value, uses - 1]
+        return value
+
+    return part
+
+
+def _linear(x, w, b, axis, wb_grads=None):
+    """linear's arithmetic on arrays, `axis` in range.  Returns (out, None)
+    for a constant output; given `wb_grads`, how many of the weight and bias
+    adjoints backward calls, returns (out, (x adjoint, w adjoint, b adjoint))
+    as functions of the output adjoint g.  The weight and bias adjoints read
+    one copy of g with `axis` moved last, flattened to 2-D, which they share."""
+    last = axis == x.ndim - 1
+    if last:
+        out = x.reshape(-1, w.shape[0]) @ w
+        out += b
+        out = out.reshape(*x.shape[:-1], w.shape[1])
+    else:
+        out = np.matmul(w.T, x.swapaxes(axis, -2))
+        out += b[:, None]
+        out = out.swapaxes(-2, axis)
+    if wb_grads is None:
+        return out, None
+    others = [i for i in range(x.ndim) if i != axis]
+
+    def flat_g(g):  # the output adjoint with `axis` moved last, flattened to 2-D
+        return g.transpose(*others, axis).reshape(-1, w.shape[1])
+
+    fg = _shared(flat_g, wb_grads)
+    if last:
+        dx = lambda g: (flat_g(g) @ w.T).reshape(x.shape)
+        dw = lambda g: x.reshape(-1, w.shape[0]).T @ fg(g)
+    else:  # np.tensordot(x, g, axes=(others, others)), spelled out to share fg
+        dx = lambda g: np.matmul(w, g.swapaxes(axis, -2)).swapaxes(-2, axis)
+        dw = lambda g: np.dot(x.transpose(axis, *others).reshape(w.shape[0], -1), fg(g))
+    return out, (dx, dw, lambda g: fg(g).sum(axis=0))
+
+
 def linear(x, w, b, axis=-1) -> Tensor:
     """x @ w + b over one axis of N-D x: one tape node.
 
@@ -161,29 +215,40 @@ def linear(x, w, b, axis=-1) -> Tensor:
             or x.shape[axis] != w.shape[0]):
         raise ShapeError("linear", x.shape, w.shape, b.shape)
     axis %= x.data.ndim
-    last = axis == x.data.ndim - 1
-    if last:
-        out = x.data.reshape(-1, w.shape[0]) @ w.data
-        out += b.data
-        out = out.reshape(*x.shape[:-1], w.shape[1])
-    else:
-        out = np.matmul(w.data.T, x.data.swapaxes(axis, -2))
-        out += b.data[:, None]
-        out = out.swapaxes(-2, axis)
     if not _needs_grad((x, w, b)):
-        return Tensor(out, _op="linear")
-    others = [i for i in range(x.data.ndim) if i != axis]
+        return Tensor(_linear(x.data, w.data, b.data, axis)[0], _op="linear")
+    out, vjps = _linear(x.data, w.data, b.data, axis, w.requires_grad + b.requires_grad)
+    return _make(out, (x, w, b), vjps, "linear")
 
-    def flat_g(g):  # the output adjoint with `axis` moved last, flattened to 2-D
-        return g.transpose(*others, axis).reshape(-1, w.shape[1])
 
-    if last:
-        vjps = (lambda g: (flat_g(g) @ w.data.T).reshape(x.shape),
-                lambda g: x.data.reshape(-1, w.shape[0]).T @ flat_g(g))
-    else:
-        vjps = (lambda g: np.matmul(w.data, g.swapaxes(axis, -2)).swapaxes(-2, axis),
-                lambda g: np.tensordot(x.data, g, axes=(others, others)))
-    return _make(out, (x, w, b), vjps + (lambda g: flat_g(g).sum(axis=0),), "linear")
+def residual_mlp(h, w1, b1, w2, b2, axis=-1) -> Tensor:
+    """h + linear(gelu(linear(h, w1, b1, axis)), w2, b2, axis) as one node.
+
+    The forward repeats linear's, gelu's and add's arithmetic in the chain's
+    order.  For its adjoints the node keeps the inner linear's output and
+    gelu's tanh and output, not the outer linear's output.  `h` is listed
+    twice: its first adjoint passes g on, as add's does, and its second is
+    the inner chain's, so backward adds them into h in the chain's order."""
+    h, w1, b1, w2, b2 = (as_tensor(t) for t in (h, w1, b1, w2, b2))
+    if (w1.data.ndim != 2 or w2.shape != w1.shape[::-1] or b1.shape != w1.shape[1:]
+            or b2.shape != w2.shape[1:] or not -h.data.ndim <= axis < h.data.ndim
+            or h.shape[axis] != w1.shape[0]):
+        raise ShapeError("residual_mlp", h.shape, w1.shape, b1.shape, w2.shape, b2.shape)
+    axis %= h.data.ndim
+    operands = (h, h, w1, b1, w2, b2)
+    if not _needs_grad(operands):
+        a = _gelu(_linear(h.data, w1.data, b1.data, axis)[0])[0]
+        return Tensor(h.data + _linear(a, w2.data, b2.data, axis)[0], _op="residual_mlp")
+    m, (dx1, dw1, db1) = _linear(h.data, w1.data, b1.data, axis,
+                                 w1.requires_grad + b1.requires_grad)
+    a, th = _gelu(m)
+    y, (dx2, dw2, db2) = _linear(a, w2.data, b2.data, axis, w2.requires_grad + b2.requires_grad)
+    # the inner linear's output adjoint: read by h's second adjoint, w1's and b1's
+    dm = _shared(lambda g: _gelu_vjp(m, th, dx2(g)),
+                 h.requires_grad + w1.requires_grad + b1.requires_grad)
+    return _make(h.data + y, operands,
+                 (lambda g: g, lambda g: dx1(dm(g)), lambda g: dw1(dm(g)),
+                  lambda g: db1(dm(g)), dw2, db2), "residual_mlp")
 
 
 # -- unary elementwise ---------------------------------------------------
@@ -217,14 +282,8 @@ def softplus(a) -> Tensor:
 _GELU_C = np.sqrt(2.0 / np.pi)
 
 
-def gelu(a) -> Tensor:
-    """Tanh-form GELU as a single primitive with its analytic adjoint.
-
-    Computed in place, in the association order of
-    out = 0.5 * x * (1 + tanh(c * (x + 0.044715 * x * x * x))) and
-    g * (0.5 * (1 + th) + 0.5 * x * sech2 * (c * (1 + 3 * 0.044715 * x * x)))."""
-    a = as_tensor(a)
-    x = a.data
+def _gelu(x):
+    """gelu's forward on an array: (out, th), th the tanh its adjoint reads."""
     th = np.multiply(x, x, out=np.empty_like(x))  # x ** 3 goes through libm pow
     th *= x
     th *= 0.044715
@@ -233,26 +292,38 @@ def gelu(a) -> Tensor:
     np.tanh(th, out=th)
     out = np.multiply(0.5, x, out=np.empty_like(x))
     out *= 1.0 + th
+    return out, th
+
+
+def _gelu_vjp(x, th, g):
+    """gelu's input adjoint at x, from the forward's tanh `th`."""
+    t = np.multiply(th, th, out=np.empty_like(x))
+    np.subtract(1.0, t, out=t)  # sech2
+    rhs = np.multiply(0.5, x, out=np.empty_like(x))
+    rhs *= t
+    np.multiply(x, 3 * 0.044715, out=t)
+    t *= x
+    t += 1.0
+    t *= _GELU_C  # d_inner
+    rhs *= t
+    np.add(th, 1.0, out=t)
+    t *= 0.5
+    t += rhs
+    t *= g
+    return t
+
+
+def gelu(a) -> Tensor:
+    """Tanh-form GELU as a single primitive with its analytic adjoint.
+
+    Computed in place, in the association order of
+    out = 0.5 * x * (1 + tanh(c * (x + 0.044715 * x * x * x))) and
+    g * (0.5 * (1 + th) + 0.5 * x * sech2 * (c * (1 + 3 * 0.044715 * x * x)))."""
+    a = as_tensor(a)
+    out, th = _gelu(a.data)
     if not _needs_grad((a,)):
         return Tensor(out, _op="gelu")
-
-    def vjp(g):
-        t = np.multiply(th, th, out=np.empty_like(x))
-        np.subtract(1.0, t, out=t)  # sech2
-        rhs = np.multiply(0.5, x, out=np.empty_like(x))
-        rhs *= t
-        np.multiply(x, 3 * 0.044715, out=t)
-        t *= x
-        t += 1.0
-        t *= _GELU_C  # d_inner
-        rhs *= t
-        np.add(th, 1.0, out=t)
-        t *= 0.5
-        t += rhs
-        t *= g
-        return t
-
-    return _make(out, (a,), (vjp,), "gelu")
+    return _make(out, (a,), (lambda g: _gelu_vjp(a.data, th, g),), "gelu")
 
 
 def absolute(a) -> Tensor:
@@ -277,6 +348,43 @@ def where(mask, a, b) -> Tensor:
         return Tensor(out, _op="where")
     return _make(out, (a, b), (lambda g: _unbroadcast(np.where(mask, g, 0.0), a.shape),
                                lambda g: _unbroadcast(np.where(mask, 0.0, g), b.shape)), "where")
+
+
+def huber(a, delta: float) -> Tensor:
+    """Elementwise Huber loss as one node: a * a * 0.5 where |a| <= delta,
+    |a| * delta - 0.5 * delta * delta elsewhere.
+
+    The arithmetic is the absolute/square/mul/add/where chain's.  The node
+    keeps only the mask |a| <= delta and takes the sign from `a` when its
+    adjoint runs.  `a` is listed once per contribution of that chain, the
+    square's two and then the magnitude's, so backward adds them into a's
+    adjoint in its order."""
+    a = as_tensor(a)
+    x = a.data
+    lin = np.abs(x)
+    mask = lin <= delta
+    quad = x * x
+    quad *= 0.5
+    lin *= delta
+    lin += -0.5 * delta * delta
+    out = np.where(mask, quad, lin)
+    if not _needs_grad((a,)):
+        return Tensor(out, _op="huber")
+
+    def through_square(g):  # each of the square's two adjoints
+        part = np.where(mask, g, 0.0)
+        part *= 0.5
+        part *= x
+        return part
+
+    def through_magnitude(g):
+        part = np.where(mask, 0.0, g)
+        part *= delta
+        part *= np.sign(x)
+        return part
+
+    square_part = _shared(through_square, 2)
+    return _make(out, (a, a, a), (square_part, square_part, through_magnitude), "huber")
 
 
 # -- reductions / structure ----------------------------------------------
@@ -398,20 +506,19 @@ def shift_l1(a, hop, axis, target, weight) -> Tensor:
     out = l1.reshape(l1.shape[0], -1).sum(axis=1)
     if not _needs_grad((a,)):
         return Tensor(out, _op="shift_l1")
-    held = []  # (g, sign(d) * weight * g): made by the first adjoint, taken by the second
+    sign = np.sign(d, out=np.empty(d.shape, np.float32))  # -1, 0, 1 and nan are exact
 
-    def cotangent(g):
-        if held and held[0][0] is g:
-            return held.pop()[1]
+    def cotangent(g):  # sign(d) * weight * g
         w = weight * g.reshape(-1, *(1,) * (weight.ndim - 1))
-        dd = np.sign(d)
+        dd = sign.astype(np.float64)
         dd[..., 0] *= w
         dd[..., 1] *= w
-        held[:] = [(g, dd)]
         return dd
 
+    shared = _shared(cotangent, 2)  # read by both slice adjoints
+
     def scatter(key, ufunc):  # a slice contribution: ufunc(adjoint[key], cotangent)
-        return lambda g: (key, cotangent(g), ufunc)
+        return lambda g: (key, shared(g), ufunc)
 
     return _make(out, (a, a), (scatter(hi, np.add), scatter(lo, np.subtract)), "shift_l1")
 

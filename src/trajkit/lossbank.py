@@ -33,15 +33,6 @@ class NeighborSpec(Checked):
             raise FieldError("hops", self.hops, f"one per weight ({len(self.weights)})")
 
 
-def huber(residual: Tensor, delta: float) -> Tensor:
-    """Quadratic inside |r| <= delta, linear outside; applied elementwise."""
-    residual = as_tensor(residual)
-    mag = gc.absolute(residual)
-    quad = gc.mul(gc.square(residual), 0.5)
-    lin = gc.add(gc.mul(mag, delta), -0.5 * delta * delta)
-    return gc.where(mag.data <= delta, quad, lin)
-
-
 def _pair_arrays(target, recon, mask, op: str):
     """target, recon (B, T, H, W, 2) and mask (B, T, H, W), returned as recon, target,
     mask; one without its batch axis is a ShapeError naming `op`."""
@@ -57,7 +48,7 @@ def recon_loss(target, recon, mask, huber_delta: float = 1.0) -> Tensor:
     if np.any(denom == 0):
         raise ValueError("recon_loss: a segment has no visible elements")
     w = mask / denom[:, None, None, None]
-    rho = gc.tsum(huber(gc.add(recon, -target), huber_delta), axis=4)
+    rho = gc.tsum(gc.huber(gc.add(recon, -target), huber_delta), axis=4)
     per_instance = gc.tsum(gc.reshape(gc.mul(rho, w), (w.shape[0], -1)), axis=1)
     return gc.tmean(per_instance)
 

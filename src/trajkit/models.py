@@ -154,12 +154,15 @@ def _linear(params: dict, name: str, x: Tensor, axis: int = -1) -> Tensor:
     return gc.linear(x, params[f"{name}.w"], params[f"{name}.b"], axis=axis)
 
 
+def _mlp_params(params: dict, name: str, part: str) -> tuple:
+    """w1, b1, w2, b2 of a block's residual MLP `part` ("tok" or "ch")."""
+    return tuple(params[f"{name}.{part}{i}.{p}"] for i in (1, 2) for p in ("w", "b"))
+
+
 def _block(params: dict, name: str, h: Tensor) -> Tensor:
     """Residual token-mixing (axis 2) + channel MLP on (B, T, N, D) tokens."""
-    mixed = gc.gelu(_linear(params, f"{name}.tok1", h, axis=2))
-    h = gc.add(h, _linear(params, f"{name}.tok2", mixed, axis=2))
-    hidden = gc.gelu(_linear(params, f"{name}.ch1", h))
-    return gc.add(h, _linear(params, f"{name}.ch2", hidden))
+    h = gc.residual_mlp(h, *_mlp_params(params, name, "tok"), axis=2)
+    return gc.residual_mlp(h, *_mlp_params(params, name, "ch"))
 
 
 SEGMENT, LATENT = ("B", "T", "H", "W", 2), ("B", "K", "N", "C")  # offsets and latents

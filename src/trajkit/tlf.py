@@ -64,6 +64,9 @@ class TlfFile:
         if self.stride <= 0 or self.height % self.stride or self.width % self.stride:
             raise TlfError(f"frame {self.height}x{self.width} not divisible by stride {self.stride}")
         hc, wc = self.coarse_shape
+        if hc <= 0 or wc <= 0:
+            raise TlfError(f"frame {self.height}x{self.width} / stride {self.stride} "
+                           "has no grid cell")
         if self.coords.ndim != 3 or self.coords.shape[2] != 2 or self.coords.shape[1] != hc * wc:
             raise TlfError(f"coords shape {self.coords.shape} inconsistent with grid {hc}x{wc}")
         if self.frames == 0:

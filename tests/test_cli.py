@@ -152,7 +152,8 @@ def _scene_with(path, damage):
     """An 8-frame 32x32 stride-8 translation scene (16 tracks) with `damage`
     applied to its bytes: a header grid other than H/s x W/s, a NaN
     coordinate at frame 2, track 5, visible or hidden, a visibility byte
-    of 2 there, or a header of no frames and no payload."""
+    of 2 there, a header of no frames and no payload, or a 0x0 frame of
+    8 frames and no tracks."""
     record = tlf.from_tracks(generate(MotionSpec("translation", frames=8, velocity=(1.0, 0.0))))
     tlf.write_tlf(path, record)
     raw = bytearray(path.read_bytes())
@@ -162,6 +163,9 @@ def _scene_with(path, damage):
     elif damage == "frames":
         raw[8:12] = np.array([0], dtype="<u4").tobytes()  # T
         del raw[36:]
+    elif damage == "empty-grid":
+        raw[12:28] = np.zeros(4, dtype="<u4").tobytes()  # H_c, W_c, H, W: a 0x0 frame
+        del raw[36:]  # no tracks, so no payload
     elif damage == "visibility":
         raw[36 + t * n * 8 + 2 * n + 5] = 2
     else:
@@ -176,7 +180,8 @@ DAMAGED_SCENES = {"grid": "header grid 2x8 != frame 32x32 / stride 8",
                   "nan-visible": "non-finite coordinate at frame 2, track 5",
                   "nan-hidden": "non-finite coordinate at frame 2, track 5",
                   "visibility": "visibility 2 at frame 2, track 5 is not 0 or 1",
-                  "frames": "no frames: a track record needs at least one"}
+                  "frames": "no frames: a track record needs at least one",
+                  "empty-grid": "frame 0x0 / stride 8 has no grid cell"}
 
 
 class TestMalformedTrackValues:
@@ -755,6 +760,12 @@ class TestZeroFrameRecord:
     def test_record_of_no_frames_is_refused(self):
         with pytest.raises(tlf.TlfError, match="^no frames: "):
             tlf.TlfFile(np.zeros((0, 16, 2)), np.zeros((0, 16)), 32, 32, 8, tlf.CONV_PIXEL)
+
+    @pytest.mark.parametrize("height,width", [(0, 0), (0, 32), (32, 0)])
+    def test_record_of_no_grid_rows_or_columns_is_refused(self, height, width):
+        n = (height // 8) * (width // 8)
+        with pytest.raises(tlf.TlfError, match=f"^frame {height}x{width} / stride 8 has no grid"):
+            tlf.TlfFile(np.zeros((4, n, 2)), np.zeros((4, n)), height, width, 8, tlf.CONV_PIXEL)
 
 
 MALFORMED_METRICS = {

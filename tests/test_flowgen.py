@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -567,12 +568,15 @@ def _train_one_step(loop, vae_cfg):
                                   flowgen.FinetuneConfig(steps=1, k_steps=8, sub_batch=4), seed=3)
 
 
-@pytest.mark.parametrize("loop,ops,leaves", [("vae", 121, 62), ("flow", 43, 26),
-                                             ("finetune", 607, 26)])
+@pytest.mark.parametrize("loop,ops,leaves", [("vae", 80, 62), ("flow", 31, 26),
+                                             ("finetune", 499, 26)])
 def test_grad_carrying_tape_nodes_per_step_are_pinned(desk_vae_cfg, monkeypatch, loop, ops,
                                                       leaves):
     """Op nodes and parameter leaves on the tape of one training step, walked
-    from the loss through grad-carrying parents as perfbench's tracer walks it."""
+    from the loss through grad-carrying parents as perfbench's tracer walks it.
+    The op counts were 121, 43 and 607 until each residual MLP half of a
+    block became one residual_mlp node (ROADMAP item 11) and the recon loss's
+    Huber chain one huber node."""
     sizes, real = [], gc.backward
 
     def walk(loss, wrt):
@@ -591,8 +595,32 @@ def test_grad_carrying_tape_nodes_per_step_are_pinned(desk_vae_cfg, monkeypatch,
     _train_one_step(loop, desk_vae_cfg)
     assert sizes == [(ops, leaves)], (
         f"{loop}: (op nodes, leaves) per step is {sizes}, pinned at {(ops, leaves)}; a "
-        "deliberate change of the graph (ROADMAP items 3 and 11) updates these numbers and "
-        "reports them in CHANGES.md")
+        "deliberate change of the graph (ROADMAP item 3) updates these numbers and reports "
+        "them in CHANGES.md")
+
+
+# Bytes a desk VAE step's forward leaves live while its loss is held: the
+# arrays its tape keeps for the adjoints (43,646,848 when pinned; the measure
+# repeats to the byte).  A node that keeps more than its adjoints read fails
+# here; a change that keeps less lowers the pin.
+VAE_TAPE_BYTES = 43_700_000
+
+
+def test_vae_step_tape_memory_is_pinned(desk_vae_cfg):
+    cfg = flowgen.VaeTrainConfig(vae=desk_vae_cfg)
+    data = make_segment_dataset("smooth", 8, seed=0)
+    params = wrap_params(models.init_vae_params(desk_vae_cfg, gc.rng(0)))
+    rng = gc.rng(1)
+    flowgen.vae_loss_terms(params, data.segments, data.masks, cfg, rng)  # warm every code path
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss, _ = flowgen.vae_loss_terms(params, data.segments, data.masks, cfg, rng)
+        live = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert float(loss) > 0 and live <= VAE_TAPE_BYTES, (
+        f"a desk VAE step's tape holds {live} bytes, pinned at {VAE_TAPE_BYTES}")
 
 
 SAMPLERS = [pytest.param({"method": "euler", "steps": 10}, id="euler10"),

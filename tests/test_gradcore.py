@@ -1,4 +1,5 @@
 import inspect
+import weakref
 
 import numpy as np
 import pytest
@@ -66,6 +67,8 @@ def _primitive_cases(rng) -> dict:
         "div": lambda x, y: gc.tsum(gc.div(x, y)),
         "matmul": lambda x, y: gc.tsum(gc.sigmoid(gc.matmul(x, gc.transpose(y, (1, 0))))),
         "linear": lambda x, y: gc.tsum(gc.sigmoid(gc.linear(x, y, y[0], axis=0))),
+        "residual_mlp": lambda x, y: gc.tsum(gc.sigmoid(
+            gc.residual_mlp(x, gc.transpose(y, (1, 0)), y[0, :3], gc.add(y, -2.5), y[1]))),
         "exp": lambda x, y: gc.tsum(gc.exp(gc.mul(x, 0.3))),
         "sigmoid": lambda x, y: gc.tsum(gc.sigmoid(x)),
         "softplus": lambda x, y: gc.tsum(gc.softplus(x)),
@@ -73,6 +76,7 @@ def _primitive_cases(rng) -> dict:
         "absolute": lambda x, y: gc.tsum(gc.absolute(x)),
         "square": lambda x, y: gc.tsum(gc.mul(gc.square(x), y)),
         "where": lambda x, y: gc.tsum(gc.where(m, x, y)),
+        "huber": lambda x, y: gc.tsum(gc.mul(gc.huber(x, 0.7), y)),
         "tsum": lambda x, y: gc.tsum(gc.square(gc.tsum(x, axis=1))),
         "tmean": lambda x, y: gc.tsum(gc.tmean(x, axis=0)),
         "reshape": lambda x, y: gc.tsum(gc.square(gc.reshape(x, (4, 3)))),
@@ -114,6 +118,9 @@ def _constant_calls(rng) -> dict:
         "matmul": lambda x, y: gc.matmul(x, gc.transpose(y, (1, 0))),
         "linear": lambda x, y: (gc.linear(x, y, y[0], axis=0),
                                 gc.linear(x, gc.transpose(y, (1, 0)), y[:, 0])),
+        "residual_mlp": lambda x, y: (
+            gc.residual_mlp(x, y[:, :3], y[0, :3], y[:, 1:], y[1, :3], axis=0),
+            gc.residual_mlp(x, gc.transpose(y, (1, 0)), y[0, :3], y, y[1])),
         "exp": lambda x, y: gc.exp(x),
         "sigmoid": lambda x, y: gc.sigmoid(x),
         "softplus": lambda x, y: gc.softplus(x),
@@ -121,6 +128,7 @@ def _constant_calls(rng) -> dict:
         "absolute": lambda x, y: gc.absolute(x),
         "square": lambda x, y: gc.square(x),
         "where": lambda x, y: gc.where(m, x, y),
+        "huber": lambda x, y: gc.huber(x, 0.7),
         "tsum": lambda x, y: (gc.tsum(x), gc.tsum(x, axis=1), gc.tsum(x, axis=0, keepdims=True)),
         "tmean": lambda x, y: (gc.tmean(x), gc.tmean(x, axis=0)),
         "reshape": lambda x, y: gc.reshape(x, (4, 3)),
@@ -257,6 +265,99 @@ def test_linear_bit_equal_to_reshape_matmul_add_chain(axis):
     _, g_chain = gc.grad(lambda *a: gc.tsum(gc.mul(chain(*a), cot)), [x, w, b])
     for gp, gch in zip(g_prim, g_chain):
         assert np.array_equal(gp, gch)
+
+
+def test_shared_part_is_made_once_per_adjoint_and_dropped_by_its_last_reader():
+    made = []
+    part = tensor._shared(lambda g: made.append(g) or np.ones(3), 3)
+    g = np.zeros(2)
+    first = part(g)
+    ref = weakref.ref(first)
+    assert part(g) is first and len(made) == 1
+    del first
+    assert ref() is not None  # one reader still to come
+    part(g)
+    assert ref() is None and len(made) == 1
+    part(np.zeros(2))  # another output adjoint: made again
+    assert len(made) == 2
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2, -1])
+def test_residual_mlp_gradients(axis):
+    rng = np.random.default_rng(5)
+    h = rng.normal(size=(2, 3, 4, 3))
+    n = h.shape[axis]
+    w1, b1 = rng.normal(size=(n, 5)) * 0.5, rng.normal(size=5)
+    w2, b2 = rng.normal(size=(5, n)) * 0.5, rng.normal(size=n)
+    f = lambda *a: gc.tsum(gc.sigmoid(gc.residual_mlp(*a, axis=axis)))
+    assert gc.grad_check(f, [h, w1, b1, w2, b2]) < 1e-4
+
+
+def _residual_chain(h, w1, b1, w2, b2, axis):
+    """The linear/gelu/linear/add chain residual_mlp replaces."""
+    return gc.add(h, gc.linear(gc.gelu(gc.linear(h, w1, b1, axis=axis)), w2, b2, axis=axis))
+
+
+@pytest.mark.parametrize("axis", [2, -1, 0])
+def test_residual_mlp_bit_equal_to_linear_gelu_add_chain(axis):
+    """Forward bytes and every adjoint, h's two contributions included, with h
+    also read by a consumer of its own, as in a model step."""
+    rng = np.random.default_rng(6)
+    h = rng.normal(size=(2, 3, 5, 6))
+    n = h.shape[axis]
+    w1, b1 = rng.normal(size=(n, 7)) * 0.5, rng.normal(size=7)
+    w2, b2 = rng.normal(size=(7, n)) * 0.5, rng.normal(size=n)
+    cot = rng.normal(size=h.shape)
+
+    def loss(node):
+        return lambda *a: gc.add(gc.tsum(gc.mul(gc.square(a[0]), 0.3)),
+                                 gc.tsum(gc.mul(node(*a, axis), cot)))
+
+    args = [h, w1, b1, w2, b2]
+    assert gc.residual_mlp(*args, axis=axis).data.tobytes() == \
+        _residual_chain(*args, axis).data.tobytes()
+    _, g_prim = gc.grad(loss(lambda *a: gc.residual_mlp(*a[:5], axis=a[5])), args)
+    _, g_chain = gc.grad(loss(_residual_chain), args)
+    for gp, gch in zip(g_prim, g_chain, strict=True):
+        assert gp.tobytes() == gch.tobytes()
+
+
+@pytest.mark.parametrize("shapes", [((3, 2), (2,), (2, 3), (3,)),
+                                    ((4, 2), (2,), (2, 3), (3,)), ((4, 2), (3,), (2, 4), (4,)),
+                                    ((4, 2), (2,), (2, 4), (1, 4))])
+def test_residual_mlp_shape_error_names_residual_mlp(shapes):
+    with pytest.raises(gc.ShapeError, match="^residual_mlp: "):
+        gc.residual_mlp(np.ones((5, 4)), *(np.ones(s) for s in shapes))
+
+
+def _huber_chain(r, delta):
+    """The absolute/square/mul/add/where chain huber replaces."""
+    mag = gc.absolute(r)
+    quad = gc.mul(gc.square(r), 0.5)
+    lin = gc.add(gc.mul(mag, delta), -0.5 * delta * delta)
+    return gc.where(mag.data <= delta, quad, lin)
+
+
+@pytest.mark.parametrize("delta", [1.0, 0.3])
+def test_huber_bit_equal_to_abs_square_where_chain(delta):
+    rng = np.random.default_rng(8)
+    r = rng.normal(size=(2, 4, 5, 2)) * 1.5
+    r.reshape(-1)[:6] = [delta, -delta, 0.0, -0.0, np.nextafter(delta, 0), 1e-310]
+    cot = rng.normal(size=r.shape)
+    cot.reshape(-1)[6] = 0.0
+
+    def loss(node):  # r also read directly, as a further consumer of its adjoint
+        return lambda r_: gc.add(gc.tsum(gc.mul(node(r_, delta), cot)), gc.tsum(gc.mul(r_, 0.1)))
+
+    assert gc.huber(r, delta).data.tobytes() == _huber_chain(r, delta).data.tobytes()
+    _, (g_prim,) = gc.grad(loss(gc.huber), [r])
+    _, (g_chain,) = gc.grad(loss(_huber_chain), [r])
+    assert g_prim.tobytes() == g_chain.tobytes()
+
+
+def test_huber_gradients_on_both_sides_of_delta():
+    r = np.array([-2.0, -0.8, -0.2, 0.1, 0.5, 1.7])
+    assert gc.grad_check(lambda r_: gc.tsum(gc.huber(r_, 0.6)), [r]) < 1e-8
 
 
 @pytest.mark.parametrize("w_shape,b_shape", [((4, 2), (2,)), ((3, 2), (3,)), ((3, 2), (1, 2))])

@@ -1,7 +1,7 @@
 """The benchmark's span tracer (perfbench/tracer.py) still fits the package:
 every module and `Rng` method it wraps exists, a wrapped primitive
-produced every node on the tape of a training step, and a forward pass over
-constant parameters still reaches the wrapped primitives."""
+produced every node on the tape of a VAE and of a fine-tune step, and a
+forward pass over constant parameters still reaches the wrapped primitives."""
 
 import sys
 from pathlib import Path
@@ -31,10 +31,28 @@ def test_tracer_wraps_two_vae_steps_and_a_dopri5_solve(tiny_vae_cfg, tiny_bundle
     finally:
         tracer.uninstall()
     spans = tracer.phases["setup"]
-    assert spans.calls["gradcore.linear"] > 0 and spans.calls["gradcore.linear.vjp"] > 0
+    for op in ("linear", "residual_mlp", "huber", "shift_l1"):
+        assert spans.calls[f"gradcore.{op}"] > 0 and spans.calls[f"gradcore.{op}.vjp"] > 0, op
     assert len(spans.series["tape_nodes"]) == 2
     assert len(spans.series["dopri5_times"]) == 1 and spans.series["dopri5_times"][0]
     assert spans.calls["gradcore.rng.draw_normal"] > 0
+
+
+def test_tracer_covers_a_finetune_step(tiny_bundle):
+    """The K-step rollout's tape, residual_mlp nodes of nine velocity
+    evaluations on shared parameters included, passes the coverage walk."""
+    bundle, pairs, fcfg = tiny_bundle
+    tracer = Tracer()
+    tracer.install()
+    try:
+        flowgen.finetune_onpolicy(bundle, pairs, fcfg,
+                                  flowgen.FinetuneConfig(steps=1, k_steps=8, sub_batch=4), seed=3)
+    finally:
+        tracer.uninstall()
+    spans = tracer.phases["setup"]
+    assert len(spans.series["tape_nodes"]) == 1
+    assert spans.calls["models.velocity_forward"] == 9
+    assert spans.calls["gradcore.residual_mlp.vjp"] > 0
 
 
 def test_tracer_wraps_a_constant_parameter_euler_sample(tiny_bundle):
