@@ -1,7 +1,7 @@
 """Grid-anchored offset encoding, step by step.
 
 Builds a translating synthetic scene, rasterizes the stride-grid tracks into
-a dense field, converts to anchor offsets, and shows why offsets are the
+a dense field of anchor offsets, and shows why offsets are the
 better learning representation: the share of coordinate variance explained
 by grid location collapses once anchors are subtracted.
 """
@@ -18,12 +18,11 @@ tracks = generate(spec)
 print(f"scene: {spec.kind}, {tracks.frames} frames, "
       f"{tracks.coords.shape[1]} tracks on a stride-{spec.stride} grid")
 
-dense = rasterize(tracks)
-print(f"dense field: {dense.coords.shape} (piecewise constant per {spec.stride}x{spec.stride} cell)")
-
-offsets = to_offsets(dense)
-back = to_absolute(offsets)
-print("offset round trip max error:", np.max(np.abs(back.coords - dense.coords)))
+field = rasterize(tracks)
+coords = to_absolute(field.offsets)
+print(f"dense field: {field.offsets.shape} anchor offsets "
+      f"(coordinates piecewise constant per {spec.stride}x{spec.stride} cell)")
+print("offset round trip max error:", np.max(np.abs(to_offsets(coords) - field.offsets)))
 
 # Variance attributable to *where* a track sits vs *how* it moves, on a
 # scene mixing a static background with an oscillating region.

@@ -40,7 +40,7 @@ eval_specs = scene_specs("translation", 4, seed=7, geom=geom)
 for i, spec in enumerate(eval_specs):
     hist = OffsetField(eval_pairs.past[i], eval_pairs.past_masks[i], geom.stride)
     future, _ = flowgen.sample_future(hist, bundle, seed=100 + i)
-    px, _ = coarse_positions(future, geom.height, geom.width)
+    px, _ = coarse_positions(future)
     got = (px[1:] - px[:-1]).mean(axis=(0, 1, 2))
     want = np.array(spec.velocity)
     cos = got @ want / (np.linalg.norm(got) * np.linalg.norm(want))

@@ -82,13 +82,9 @@ def _pairs(cfg: RunConfig) -> flowgen.PairDataset:
 def cmd_synth(args, cfg, out_dir) -> list:
     spec_kw = dict(frames=args.frames, height=args.height, width=args.width,
                    stride=args.stride)
-    velocity = (args.vx, args.vy)
-    base = MotionSpec("translation", velocity=velocity, **spec_kw) \
-        if args.kind == "jitter-overlay" else None
-    spec = MotionSpec(args.kind, velocity=velocity, angular_rate=args.omega,
+    spec = MotionSpec(args.kind, velocity=(args.vx, args.vy), angular_rate=args.omega,
                       zoom_rate=args.zoom_rate, shear_rate=args.shear_rate,
-                      jitter_amplitude=args.jitter, jitter_axis=args.jitter_axis, base=base,
-                      **spec_kw)
+                      jitter_amplitude=args.jitter, jitter_axis=args.jitter_axis, **spec_kw)
     tracks = motionlab.generate(spec)
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -261,7 +257,7 @@ def cmd_sample(args, cfg, out_dir) -> list:
     future, _ = flowgen.sample_future(history, bundle, sampler=sampler, seed=args.seed,
                                       future_frames=args.frames)
     out_path = out_dir / args.output
-    tlf.write_tlf(out_path, tlf.from_offset_field(future, record.height, record.width))
+    tlf.write_tlf(out_path, tlf.from_offset_field(future))
     print(f"wrote {out_path}")
     return [args.output]
 
@@ -279,6 +275,9 @@ def cmd_eval(args, cfg, out_dir) -> list:
             raise ValueError("vepe needs --ref GT.tlf")
         ref = tlf.read_tlf(args.ref)
         ref_pos, ref_vis = tlf.coarse_pixel_positions(ref)
+        if ref_vis.shape != vis.shape:
+            raise ValueError(f"vepe: {args.input} has (frames, grid rows, grid columns) "
+                             f"{vis.shape}, but {args.ref} has {ref_vis.shape}")
         value = metrics.vepe(positions, ref_pos, ref_vis & vis)
     else:
         raise ValueError(f"unknown metric {args.metric!r}")
@@ -339,8 +338,8 @@ def cmd_plot(args, cfg, out_dir) -> list:
     merged = []
     for run in args.runs:
         run_path = Path(run)
-        if not run_path.exists():
-            raise ValueError(f"run directory {run} does not exist")
+        if not run_path.is_dir():
+            raise ValueError(f"{run} is not a run directory")
         for track_file in sorted(run_path.glob("*.tlf")):
             record = tlf.read_tlf(track_file)
             svg = plotting.overlay_svg(record)

@@ -26,7 +26,7 @@ class MotionSpec(Checked):
     height: int = ranged(32, AT_LEAST_1)
     width: int = ranged(32, AT_LEAST_1)
     stride: int = ranged(8, AT_LEAST_1)
-    velocity: tuple[float, float] = ranged(   # px/frame (translation)
+    velocity: tuple[float, float] = ranged(   # px/frame (translation, jitter-overlay)
         (0.0, 0.0), ("a pair of finite numbers",
                      lambda v: isinstance(v, tuple) and len(v) == 2 and all(map(FINITE[1], v))))
     angular_rate: float = ranged(0.0, FINITE)      # rad/frame (rotation)
@@ -34,7 +34,6 @@ class MotionSpec(Checked):
     shear_rate: float = ranged(0.0, FINITE)        # 1/frame (shear: u = rate * (x - cx))
     jitter_amplitude: float = ranged(0.0, FINITE)  # px, alternating-sign overlay
     jitter_axis: str = ranged("x", one_of(JITTER_AXES))
-    base: "MotionSpec | None" = None             # jitter-overlay wraps a base motion
     occlusions: list = field(default_factory=list)  # (t0, t1, x0, y0, x1, y1) px rects
 
     def __post_init__(self):
@@ -73,9 +72,15 @@ def _base_positions(spec: MotionSpec) -> np.ndarray:
     c = _center(spec.height, spec.width)
     if spec.kind == "static":
         return np.broadcast_to(p0[None], (spec.frames, *p0.shape)).copy()
-    if spec.kind == "translation":
-        v = np.asarray(spec.velocity, dtype=np.float64)
-        return p0[None] + t * v
+    if spec.kind in ("translation", "jitter-overlay"):
+        pos = p0[None] + t * np.asarray(spec.velocity, dtype=np.float64)
+        if spec.kind == "jitter-overlay":
+            wiggle = spec.jitter_amplitude * ((-1.0) ** np.arange(spec.frames))[:, None]
+            if spec.jitter_axis in ("x", "both"):
+                pos[..., 0] += wiggle
+            if spec.jitter_axis in ("y", "both"):
+                pos[..., 1] += wiggle
+        return pos
     if spec.kind == "rotation":
         rel = p0 - c
         ang = spec.angular_rate * np.arange(spec.frames)[:, None]
@@ -91,16 +96,6 @@ def _base_positions(spec: MotionSpec) -> np.ndarray:
         out = np.broadcast_to(p0[None], (spec.frames, *p0.shape)).copy()
         out[..., 0] += t[..., 0] * u[None]
         return out
-    if spec.kind == "jitter-overlay":
-        if spec.base is None:
-            raise ValueError("jitter-overlay requires a base spec")
-        base = _base_positions(spec.base)
-        wiggle = spec.jitter_amplitude * ((-1.0) ** np.arange(spec.frames))[:, None]
-        if spec.jitter_axis in ("x", "both"):
-            base[..., 0] += wiggle
-        if spec.jitter_axis in ("y", "both"):
-            base[..., 1] += wiggle
-        return base
     raise ValueError(spec.kind)
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import io
 
-from .tlf import TlfFile, coarse_pixel_positions
+from .tlf import TlfFile, to_tracks
 
 METRIC_COLUMNS = ["dataset", "method", "metric", "value"]
 
@@ -22,11 +22,9 @@ def track_colors(n: int) -> list:
 def overlay_svg(tlf: TlfFile) -> str:
     """Trajectory polylines in pixel coordinates, colored by the spatial
     order of the query points; hidden spans are still drawn but dashed."""
-    positions, vis = coarse_pixel_positions(tlf)
-    t, hc, wc, _ = positions.shape
-    n = hc * wc
-    pos = positions.reshape(t, n, 2)
-    visible = vis.reshape(t, n)
+    tracks = to_tracks(tlf)
+    pos, visible = tracks.coords, tracks.visibility
+    t, n, _ = pos.shape
     colors = track_colors(n)
     buf = io.StringIO()
     buf.write('<?xml version="1.0" encoding="UTF-8"?>\n')

@@ -42,18 +42,18 @@ def scene_specs(kind_mix: str, n: int, seed: int, geom: SceneGeometry,
     base = dict(frames=frames if frames is not None else geom.frames,
                 height=geom.height, width=geom.width, stride=geom.stride)
 
-    def translation(angle, speed):
-        return MotionSpec("translation", velocity=(speed * np.cos(angle), speed * np.sin(angle)),
-                          **base)
+    def moving(kind, angle, speed, **rates):
+        return MotionSpec(kind, velocity=(speed * np.cos(angle), speed * np.sin(angle)),
+                          **rates, **base)
 
     specs = []
     for i in range(n):
         if kind_mix == "translation":
-            specs.append(translation(2 * np.pi * i / n, 0.3 + 0.5 * rng.random()))
+            specs.append(moving("translation", 2 * np.pi * i / n, 0.3 + 0.5 * rng.random()))
         elif kind_mix == "smooth":
             kind = ("translation", "zoom", "rotation", "static")[i % 4]
             if kind == "translation":
-                specs.append(translation(2 * np.pi * rng.random(), 0.2 + 0.6 * rng.random()))
+                specs.append(moving(kind, 2 * np.pi * rng.random(), 0.2 + 0.6 * rng.random()))
             elif kind == "zoom":
                 specs.append(MotionSpec("zoom", zoom_rate=float(rng.uniform(-0.012, 0.012)),
                                         **base))
@@ -63,18 +63,19 @@ def scene_specs(kind_mix: str, n: int, seed: int, geom: SceneGeometry,
             else:
                 specs.append(MotionSpec("static", **base))
         elif kind_mix == "jitter":
-            inner = translation(2 * np.pi * rng.random(), 0.2 + 0.4 * rng.random())
-            specs.append(MotionSpec("jitter-overlay", base=inner,
-                                    jitter_amplitude=float(rng.uniform(0.2, 0.45)),
-                                    jitter_axis=("x", "y", "both")[i % 3], **base))
+            # drawn in this order: angle, speed, amplitude
+            specs.append(moving("jitter-overlay", 2 * np.pi * rng.random(),
+                                0.2 + 0.4 * rng.random(),
+                                jitter_amplitude=float(rng.uniform(0.2, 0.45)),
+                                jitter_axis=("x", "y", "both")[i % 3]))
         else:
             raise ValueError(f"unknown kind mix {kind_mix!r}; choose from {KIND_MIXES}")
     return specs
 
 
 def segments_from_specs(specs) -> SegmentDataset:
-    """Generate, rasterize and offset each spec; stack the offset fields."""
-    fields = [trajfield.to_offsets(trajfield.rasterize(motionlab.generate(s))) for s in specs]
+    """Generate and rasterize each spec; stack the offset fields."""
+    fields = [trajfield.rasterize(motionlab.generate(s)) for s in specs]
     return SegmentDataset(np.stack([f.offsets for f in fields]),
                           np.stack([f.mask for f in fields]))
 

@@ -9,8 +9,9 @@ frame.  `read_tlf` refuses a file whose H_c, W_c are not H/s, W/s or whose
 coordinates are not all finite, hidden points included; `write_tlf` refuses
 to write such coordinates.
 
-Checkpoints store named float32 parameter blocks plus a JSON metadata tail;
-`load_checkpoint` refuses a block with a non-finite value.
+Checkpoints store named float32 parameter blocks plus a JSON metadata tail
+that ends the file; `load_checkpoint` refuses a block with a non-finite
+value, a block name given twice, and a tail nested too deep to parse.
 Conversions run in float64 and round once to the float32 payload.
 """
 
@@ -25,10 +26,11 @@ from .trajfield import (
     OffsetField,
     SparseTracks,
     cell_anchors,
+    check_grid,
+    coarse_positions,
     denormalize_coords,
     normalize_coords,
     rasterize,
-    to_offsets,
 )
 
 TLF_MAGIC = b"TRJF"
@@ -61,22 +63,10 @@ class TlfFile:
         self.convention = int(convention)
         if self.convention not in CONVENTIONS:
             raise TlfError(f"unknown coordinate convention {convention}")
-        if self.stride <= 0 or self.height % self.stride or self.width % self.stride:
-            raise TlfError(f"frame {self.height}x{self.width} not divisible by stride {self.stride}")
-        hc, wc = self.coarse_shape
-        if hc <= 0 or wc <= 0:
-            raise TlfError(f"frame {self.height}x{self.width} / stride {self.stride} "
-                           "has no grid cell")
-        if self.coords.ndim != 3 or self.coords.shape[2] != 2 or self.coords.shape[1] != hc * wc:
-            raise TlfError(f"coords shape {self.coords.shape} inconsistent with grid {hc}x{wc}")
-        if self.frames == 0:
-            raise TlfError("no frames: a track record needs at least one")
-        if self.visibility.shape != self.coords.shape[:2]:
-            raise TlfError(f"visibility shape {self.visibility.shape} != {self.coords.shape[:2]}")
-        if self.visibility.max(initial=0) > 1:
-            frame, track = np.argwhere(self.visibility > 1)[0]
-            raise TlfError(f"visibility {self.visibility[frame, track]} at frame {frame}, "
-                           f"track {track} is not 0 or 1")
+        try:
+            check_grid(self.coords, self.visibility, self.height, self.width, self.stride)
+        except ValueError as exc:
+            raise TlfError(str(exc)) from None
 
     @property
     def frames(self) -> int:
@@ -191,21 +181,21 @@ def to_tracks(tlf: TlfFile) -> SparseTracks:
 
 def to_offset_field(tlf: TlfFile) -> OffsetField:
     """Dense pixel-anchored offset field for model consumption."""
-    return to_offsets(rasterize(to_tracks(tlf)))
+    return rasterize(to_tracks(tlf))
 
 
 def coarse_pixel_positions(tlf: TlfFile):
     """(T, H_c, W_c, 2) pixel positions plus visibility, for the metrics."""
-    hc, wc = tlf.coarse_shape
-    norm = _to_normalized(tlf)
-    px = denormalize_coords(norm, tlf.height, tlf.width)
-    return px.reshape(tlf.frames, hc, wc, 2), tlf.visibility.reshape(tlf.frames, hc, wc).copy()
+    tracks = to_tracks(tlf)
+    grid = (tlf.frames, *tlf.coarse_shape)
+    return tracks.coords.reshape(*grid, 2), tracks.visibility.reshape(grid)
 
 
-def from_offset_field(field: OffsetField, height: int, width: int) -> TlfFile:
-    """Coarse-sample a dense offset field back into an offset-convention TLF."""
-    from .trajfield import coarse_positions
-    px, vis = coarse_positions(field, height, width)
+def from_offset_field(field: OffsetField) -> TlfFile:
+    """Coarse-sample a dense offset field back into an offset-convention TLF
+    of the field's own frame."""
+    height, width = field.mask.shape[1:]
+    px, vis = coarse_positions(field)
     t, hc, wc, _ = px.shape
     norm = normalize_coords(px.reshape(t, hc * wc, 2), height, width)
     offsets = norm - _cell_anchor_rows(height, width, field.stride)[None]
@@ -260,6 +250,8 @@ def load_checkpoint(path):
             pos += 2
             name = raw[pos:pos + name_len].decode("utf-8")
             pos += name_len
+            if name in blocks:
+                raise TlfError(f"{path}: block {name} appears twice")
             (ndim,) = struct.unpack_from("<I", raw, pos)
             pos += 4
             shape = struct.unpack_from(f"<{ndim}I", raw, pos) if ndim else ()
@@ -270,8 +262,14 @@ def load_checkpoint(path):
             blocks[name] = arr.astype(np.float64)
         (meta_len,) = struct.unpack_from("<I", raw, pos)
         pos += 4
-        meta = json.loads(raw[pos:pos + meta_len].decode("utf-8"))
-    except (struct.error, ValueError) as exc:  # ValueError: also a short block buffer
+        if pos + meta_len != len(raw):
+            raise TlfError(f"{path}: metadata of {meta_len} bytes does not end the file "
+                           f"({len(raw) - pos} bytes follow its length)")
+        meta = json.loads(raw[pos:].decode("utf-8"))
+    except TlfError:
+        raise
+    except (struct.error, ValueError, RecursionError) as exc:
+        # ValueError: also a short block buffer; RecursionError: a tail nested too deep
         raise TlfError(f"{path}: truncated or corrupt checkpoint") from exc
     if not isinstance(meta, dict):
         raise TlfError(f"{path}: checkpoint metadata is not a JSON object")

@@ -31,15 +31,7 @@ class SparseTracks:
     def __post_init__(self):
         self.coords = np.asarray(self.coords, dtype=np.float64)
         self.visibility = np.asarray(self.visibility, dtype=np.uint8)
-        if self.height % self.stride or self.width % self.stride:
-            raise ValueError(f"frame {self.height}x{self.width} not divisible by stride {self.stride}")
-        n_expected = (self.height // self.stride) * (self.width // self.stride)
-        t, n, two = self.coords.shape
-        if two != 2 or n != n_expected or self.visibility.shape != (t, n):
-            raise ValueError(f"track arrays inconsistent: coords {self.coords.shape}, "
-                             f"visibility {self.visibility.shape}, expected N={n_expected}")
-        if not np.all((self.visibility == 0) | (self.visibility == 1)):
-            raise ValueError("visibility must be binary")
+        check_grid(self.coords, self.visibility, self.height, self.width, self.stride)
 
     @property
     def frames(self) -> int:
@@ -50,41 +42,41 @@ class SparseTracks:
         return self.height // self.stride, self.width // self.stride
 
 
-def _field_arrays(values, mask):
-    """Cast a (T, H, W, 2) field to float64 and its (T, H, W) mask to uint8."""
-    values, mask = np.asarray(values, dtype=np.float64), np.asarray(mask, dtype=np.uint8)
-    if values.shape[:3] != mask.shape or values.shape[3:] != (2,):
-        raise ValueError(f"field arrays inconsistent: {values.shape} vs {mask.shape}")
-    return values, mask
-
-
-@dataclass
-class DenseField:
-    """Dense normalized coordinates and mask, piecewise constant per stride cell."""
-
-    coords: np.ndarray  # (T, H, W, 2) normalized
-    mask: np.ndarray    # (T, H, W) in {0, 1}
-    stride: int
-
-    def __post_init__(self):
-        self.coords, self.mask = _field_arrays(self.coords, self.mask)
-
-    @property
-    def frames(self) -> int:
-        return self.coords.shape[0]
+def check_grid(coords, visibility, height: int, width: int, stride: int) -> None:
+    """Raise ValueError unless (T, N, 2) coordinates and (T, N) visibility
+    bytes hold T >= 1 frames of one track per stride cell, N = (H/s)*(W/s),
+    with every visibility 0 or 1."""
+    if stride <= 0 or height % stride or width % stride:
+        raise ValueError(f"frame {height}x{width} not divisible by stride {stride}")
+    hc, wc = height // stride, width // stride
+    if hc <= 0 or wc <= 0:
+        raise ValueError(f"frame {height}x{width} / stride {stride} has no grid cell")
+    if coords.ndim != 3 or coords.shape[2] != 2 or coords.shape[1] != hc * wc:
+        raise ValueError(f"coords shape {coords.shape} inconsistent with grid {hc}x{wc}")
+    if coords.shape[0] == 0:
+        raise ValueError("no frames: a track record needs at least one")
+    if visibility.shape != coords.shape[:2]:
+        raise ValueError(f"visibility shape {visibility.shape} != {coords.shape[:2]}")
+    if visibility.max(initial=0) > 1:
+        frame, track = np.argwhere(visibility > 1)[0]
+        raise ValueError(f"visibility {visibility[frame, track]} at frame {frame}, "
+                         f"track {track} is not 0 or 1")
 
 
 @dataclass
 class OffsetField:
-    """Offsets from pixel-center anchors: adding the anchors back recovers
-    the dense absolute field."""
+    """Offsets from pixel-center anchors: adding the anchors back (`to_absolute`)
+    recovers the dense normalized field.  Its frame is the arrays' H x W."""
 
     offsets: np.ndarray  # (T, H, W, 2)
     mask: np.ndarray     # (T, H, W)
     stride: int
 
     def __post_init__(self):
-        self.offsets, self.mask = _field_arrays(self.offsets, self.mask)
+        self.offsets = np.asarray(self.offsets, dtype=np.float64)
+        self.mask = np.asarray(self.mask, dtype=np.uint8)
+        if self.offsets.shape[:3] != self.mask.shape or self.offsets.shape[3:] != (2,):
+            raise ValueError(f"field arrays inconsistent: {self.offsets.shape} vs {self.mask.shape}")
 
     @property
     def frames(self) -> int:
@@ -129,43 +121,39 @@ def anchor_grid(height: int, width: int) -> np.ndarray:
     return cell_anchors(height, width, 1)
 
 
-def rasterize(tracks: SparseTracks) -> DenseField:
-    """Expand stride-grid tracks into a dense normalized coordinate field.
+def rasterize(tracks: SparseTracks) -> OffsetField:
+    """Expand stride-grid tracks into the dense anchor-offset field.
 
-    Every pixel of a stride cell shares that cell's track, so the output is
-    piecewise constant within each s x s block.
+    Every pixel of a stride cell shares that cell's track, so the normalized
+    coordinates are piecewise constant within each s x s block; each pixel
+    then stores its cell's track minus its own anchor.
     """
-    hc, wc = tracks.coarse_shape
-    s = tracks.stride
-    norm = normalize_coords(tracks.coords, tracks.height, tracks.width)  # (T, N, 2)
-    t = tracks.frames
-    coarse = norm.reshape(t, hc, wc, 2)
+    t, (hc, wc), s = tracks.frames, tracks.coarse_shape, tracks.stride
+    coarse = normalize_coords(tracks.coords, tracks.height, tracks.width).reshape(t, hc, wc, 2)
     dense = np.repeat(np.repeat(coarse, s, axis=1), s, axis=2)
     vis = tracks.visibility.reshape(t, hc, wc)
     mask = np.repeat(np.repeat(vis, s, axis=1), s, axis=2)
-    return DenseField(dense, mask, stride=s)
+    return OffsetField(to_offsets(dense), mask, stride=s)
 
 
-def to_offsets(field: DenseField) -> OffsetField:
-    g = anchor_grid(field.coords.shape[1], field.coords.shape[2])
-    return OffsetField(field.coords - g[None], field.mask, stride=field.stride)
+def to_offsets(coords: np.ndarray) -> np.ndarray:
+    """(T, H, W, 2) normalized coordinates -> offsets from the anchors of their H x W frame."""
+    return coords - anchor_grid(*coords.shape[1:3])[None]
 
 
-def to_absolute(offsets: OffsetField) -> DenseField:
-    g = anchor_grid(offsets.offsets.shape[1], offsets.offsets.shape[2])
-    return DenseField(offsets.offsets + g[None], offsets.mask, stride=offsets.stride)
+def to_absolute(offsets: np.ndarray) -> np.ndarray:
+    """(T, H, W, 2) anchor offsets -> normalized coordinates; inverts `to_offsets`."""
+    return offsets + anchor_grid(*offsets.shape[1:3])[None]
 
 
-def coarse_positions(field, height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+def coarse_positions(field: OffsetField) -> tuple[np.ndarray, np.ndarray]:
     """Sample one representative pixel per stride cell, in pixel coordinates.
 
     Returns positions (T, H_c, W_c, 2) and visibility (T, H_c, W_c).  Exact
     for rasterized fields (constant within cells); for reconstructed fields
     this is the declared cell sample point (the center pixel).
     """
-    dense = to_absolute(field) if isinstance(field, OffsetField) else field
-    s = dense.stride
-    c = s // 2
-    sub = dense.coords[:, c::s, c::s, :]
-    vis = dense.mask[:, c::s, c::s]
-    return denormalize_coords(sub, height, width), vis.copy()
+    height, width = field.mask.shape[1:]
+    s, c = field.stride, field.stride // 2
+    sub = to_absolute(field.offsets)[:, c::s, c::s, :]
+    return denormalize_coords(sub, height, width), field.mask[:, c::s, c::s].copy()

@@ -128,8 +128,8 @@ def eval_vepe_px(params, vae_cfg, dataset) -> float:
     for i in range(len(dataset)):
         pred = OffsetField(recon[i], dataset.masks[i], GEOM.stride)
         gt = OffsetField(dataset.segments[i], dataset.masks[i], GEOM.stride)
-        p_px, vis = coarse_positions(pred, GEOM.height, GEOM.width)
-        g_px, _ = coarse_positions(gt, GEOM.height, GEOM.width)
+        p_px, vis = coarse_positions(pred)
+        g_px, _ = coarse_positions(gt)
         vals.append(metrics.vepe(p_px, g_px, vis))
     return float(np.mean(vals))
 
@@ -144,7 +144,7 @@ def eval_temporal(params, vae_cfg, dataset) -> float:
 
 def mean_displacement_px(field) -> np.ndarray:
     from trajkit.trajfield import coarse_positions
-    px, _ = coarse_positions(field, GEOM.height, GEOM.width)
+    px, _ = coarse_positions(field)
     return (px[1:] - px[:-1]).mean(axis=(0, 1, 2))
 
 
@@ -539,12 +539,11 @@ def test_criterion_09_determinism_and_formats(tmp_path):
         tlf.write_tlf(p2, tlf.read_tlf(p1))
         assert p1.read_bytes() == p2.read_bytes()
 
-        from trajkit.trajfield import DenseField, to_absolute, to_offsets
+        from trajkit.trajfield import to_absolute, to_offsets
         rng = np.random.default_rng(11)
         coords = rng.uniform(-1.1, 1.1, size=(4, 32, 32, 2))
-        field = DenseField(coords, np.ones((4, 32, 32)), stride=8)
-        back = to_absolute(to_offsets(field))
-        assert np.array_equal(back.coords.astype(np.float32), coords.astype(np.float32))
+        back = to_absolute(to_offsets(coords))
+        assert np.array_equal(back.astype(np.float32), coords.astype(np.float32))
 
 
 # -- criterion 10: visibility predictor ---------------------------------------------------------

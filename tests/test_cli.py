@@ -1,6 +1,7 @@
 import inspect
 import json
 import os
+import struct
 import subprocess
 import sys
 from dataclasses import asdict
@@ -18,7 +19,7 @@ from trajkit.cli import dispatch, load_bundle, save_bundle
 from trajkit.config import ConfigError, RunConfig
 from trajkit.models import FlowConfig, VaeConfig, init_vae_params, init_velocity_params
 from trajkit.motionlab import MotionSpec, generate
-from trajkit.trajfield import rasterize, to_absolute, to_offsets
+from trajkit.trajfield import rasterize, to_absolute
 
 
 def run(*argv):
@@ -54,8 +55,8 @@ class TestTlfFormat:
 
     def test_offset_field_round_trip_through_tlf(self, tmp_path):
         tracks = generate(MotionSpec("translation", frames=5, velocity=(2.0, 1.0)))
-        field = to_offsets(rasterize(tracks))
-        record = tlf.from_offset_field(field, 32, 32)
+        field = rasterize(tracks)
+        record = tlf.from_offset_field(field)
         back = tlf.to_offset_field(record)
         assert np.allclose(back.offsets, field.offsets, atol=1e-6)
 
@@ -600,6 +601,41 @@ class TestMalformedBundle:
         assert "vae_cfg" in capsys.readouterr().err
 
 
+def _checkpoint_with(path, damage):
+    """A one-block checkpoint's bytes with `damage`: a metadata tail of
+    200 000 nested `[`, its one block written twice, a tail length 5 bytes
+    past the end of the file, or one byte after the tail."""
+    meta = b'{"seed": 1}'
+    tlf.save_checkpoint(path, {"vae/w": np.arange(3.0)}, {"seed": 1})
+    raw = path.read_bytes()
+    head, block = raw[:8], raw[12:-4 - len(meta)]
+    if damage == "deep-tail":
+        return raw[:-4 - len(meta)] + struct.pack("<I", 200_000) + b"[" * 200_000
+    if damage == "repeated-block":
+        return head + struct.pack("<I", 2) + block * 2 + raw[-4 - len(meta):]
+    if damage == "long-tail":
+        return raw[:-4 - len(meta)] + struct.pack("<I", len(meta) + 5) + meta
+    return raw + b" "
+
+
+class TestMalformedCheckpointLayout:
+    @pytest.mark.parametrize("command", ["sample", "finetune", "train-flow"])
+    @pytest.mark.parametrize("damage,reason", [
+        ("deep-tail", "truncated or corrupt checkpoint"),
+        ("repeated-block", "block vae/w appears twice"),
+        ("long-tail", "metadata of 16 bytes does not end the file (11 bytes follow its length)"),
+        ("trailing-byte", "metadata of 11 bytes does not end the file (12 bytes follow its length)")],
+        ids=["deep-tail", "repeated-block", "long-tail", "trailing-byte"])
+    def test_exits_2_naming_the_file(self, tmp_path, capsys, command, damage, reason):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(_checkpoint_with(path, damage))
+        argv = {"sample": ["--ckpt", path, "--history", tmp_path / "absent.tlf"],
+                "finetune": ["--ckpt", path], "train-flow": ["--vae", path]}[command]
+        assert run(command, *argv, "--out", tmp_path / "runs") == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: {reason}\n"
+
+
 def _history_scene(tmp_path):
     hist = tmp_path / "hist.tlf"
     run("synth", hist, "--kind", "translation", "--vx", 0.5, "--frames", 8, "--out", tmp_path)
@@ -833,6 +869,23 @@ class TestEvalAndCamcap:
         run("synth", scene, "--kind", "static", "--frames", 4, "--out", tmp_path)
         assert run("eval", scene, "--metric", "vepe", "--out", tmp_path) == 1
 
+    @pytest.mark.parametrize("ref_args,ref_shape", [
+        (["--frames", 8, "--height", 64, "--width", 64], "(8, 8, 8)"),
+        (["--frames", 1], "(1, 4, 4)")], ids=["other-grid", "other-frames"])
+    def test_vepe_refuses_a_reference_of_another_shape(self, tmp_path, capsys, ref_args,
+                                                       ref_shape):
+        scene, ref = tmp_path / "s.tlf", tmp_path / "ref.tlf"
+        run("synth", scene, "--kind", "translation", "--vx", 1, "--frames", 8, "--out", tmp_path)
+        run("synth", ref, "--kind", "translation", "--vx", 1, *ref_args, "--out", tmp_path)
+        run("eval", scene, "--metric", "flowtv", "--out", tmp_path)
+        before = (tmp_path / "metrics.csv").read_bytes()
+        capsys.readouterr()
+        assert run("eval", scene, "--metric", "vepe", "--ref", ref, "--out", tmp_path) == 1
+        assert capsys.readouterr().err == (
+            f"error: vepe: {scene} has (frames, grid rows, grid columns) (8, 4, 4), "
+            f"but {ref} has {ref_shape}\n")
+        assert (tmp_path / "metrics.csv").read_bytes() == before
+
     def test_camcap_pan_phrase(self, tmp_path, capsys):
         scene = tmp_path / "pan.tlf"
         run("synth", scene, "--kind", "translation", "--vx", 3, "--frames", 8,
@@ -913,7 +966,7 @@ class TestPlot:
         svg = (tmp_path / "figs" / "runA_scene_overlay.svg").read_text()
         pts = re.findall(r'<polyline points="([^"]+)"', svg)
         record = tlf.read_tlf(scene)
-        dense = to_absolute(tlf.to_offset_field(record))
+        dense = to_absolute(tlf.to_offset_field(record).offsets)
         positions, _ = tlf.coarse_pixel_positions(record)
         first_track = [tuple(map(float, p.split(","))) for p in pts[0].split()]
         want = positions[:, 0, 0, :]
@@ -923,8 +976,8 @@ class TestPlot:
         c = record.stride // 2
         assert np.allclose(
             positions[:, 0, 0, :],
-            np.stack([(dense.coords[:, c, c, 0] + 1) * record.width / 2 - 0.5,
-                      (dense.coords[:, c, c, 1] + 1) * record.height / 2 - 0.5], axis=-1),
+            np.stack([(dense[:, c, c, 0] + 1) * record.width / 2 - 0.5,
+                      (dense[:, c, c, 1] + 1) * record.height / 2 - 0.5], axis=-1),
             atol=1e-5)
 
     def test_empty_metrics_gives_header_only(self, tmp_path):
@@ -933,6 +986,14 @@ class TestPlot:
         assert run("plot", rundir, "--out", tmp_path / "figs") == 0
         text = (tmp_path / "figs" / "metrics_table.csv").read_text()
         assert text.strip() == ",".join(plotting.METRIC_COLUMNS)
+
+    def test_a_run_that_is_no_directory_exits_1(self, tmp_path, capsys):
+        scene = tmp_path / "scene.tlf"
+        run("synth", scene, "--frames", 4, "--out", tmp_path)
+        capsys.readouterr()
+        assert run("plot", scene, "--out", tmp_path / "figs") == 1
+        assert capsys.readouterr().err == f"error: {scene} is not a run directory\n"
+        assert not (tmp_path / "figs" / "metrics_table.csv").exists()
 
     def test_two_run_comparison_rows(self, tmp_path):
         for name, vx in (("r1", 1.0), ("r2", 2.0)):

@@ -1,8 +1,11 @@
 """The quick demos run to completion against the current sources.
 
-Demo 03 trains a VAE and a flow model for minutes, so it is left out.
+Demo 03 trains a VAE and a flow model for minutes, so it is left out of the
+runs; every demo's `trajkit` imports are still checked.
 """
 
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -27,3 +30,16 @@ def test_demo_exits_0_and_leaves_no_temp_files(demo, tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert list(tmp.iterdir()) == []
+
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
+def test_demo_trajkit_imports_exist(demo):
+    """Each `from trajkit... import name` of a demo names a module attribute
+    or a submodule, so a renamed or removed name fails here in milliseconds."""
+    for node in ast.walk(ast.parse((ROOT / "demos" / demo).read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "trajkit":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                if not hasattr(module, alias.name):  # else a submodule, or ModuleNotFoundError
+                    importlib.import_module(f"{node.module}.{alias.name}")

@@ -315,7 +315,7 @@ SCENE_GEOM = SceneGeometry(height=32, width=48, stride=8, frames=12, past=5)
 
 def _scene_fields(kind_mix, frames):
     specs = scenes.scene_specs(kind_mix, 5, 42, SCENE_GEOM, frames=frames)
-    return [trajfield.to_offsets(trajfield.rasterize(motionlab.generate(s))) for s in specs]
+    return [trajfield.rasterize(motionlab.generate(s)) for s in specs]
 
 
 class TestSceneDatasets:

@@ -61,8 +61,7 @@ class TestGenerate:
         assert exc.value.field == field
 
     def test_jitter_overlay_alternates(self):
-        base = MotionSpec("static", frames=6)
-        spec = MotionSpec("jitter-overlay", frames=6, jitter_amplitude=0.5, base=base)
+        spec = MotionSpec("jitter-overlay", frames=6, jitter_amplitude=0.5)
         tracks = generate(spec)
         x = tracks.coords[:, 0, 0]
         assert np.allclose(np.diff(x), [-1.0, 1.0, -1.0, 1.0, -1.0])
@@ -168,12 +167,9 @@ def _ragged_tracks(kind: str, seed: int) -> SparseTracks:
     rng = np.random.default_rng(seed)
     frames = 12
     occlusions = [(2, 7, 0.0, 0.0, 40.0, 24.0), (5, 9, 30.0, 20.0, 64.0, 64.0)]
-    base = MotionSpec("translation", frames=frames, height=64, width=64, stride=4,
-                      velocity=(4.5, -2.0))
     spec = MotionSpec(kind, frames=frames, height=64, width=64, stride=4, velocity=(4.5, -2.0),
                       angular_rate=0.04, zoom_rate=0.05, shear_rate=0.03, jitter_amplitude=1.5,
-                      jitter_axis="both", base=base if kind == "jitter-overlay" else None,
-                      occlusions=occlusions)
+                      jitter_axis="both", occlusions=occlusions)
     tracks = generate(spec)
     vis = tracks.visibility * (rng.random(tracks.visibility.shape) > 0.3)
     coords = tracks.coords + rng.normal(0.0, 0.2, tracks.coords.shape)

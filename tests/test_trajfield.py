@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trajkit import flowgen, motionlab, trajfield
+from trajkit import flowgen, motionlab, tlf, trajfield
 from trajkit.trajfield import (
-    DenseField,
     SparseTracks,
     anchor_grid,
     coarse_positions,
@@ -27,28 +26,50 @@ def _random_tracks(seed=0, t=5, h=16, w=16, s=4):
 
 class TestRasterize:
     def test_piecewise_constant_within_cells(self):
-        field = rasterize(_random_tracks(seed=1))
-        s = field.stride
+        tracks = _random_tracks(seed=1)
+        field = rasterize(tracks)
+        s, wc = tracks.stride, tracks.width // tracks.stride
+        norm = normalize_coords(tracks.coords, tracks.height, tracks.width)
+        g = anchor_grid(tracks.height, tracks.width)
         for t in range(field.frames):
-            for i in range(0, field.coords.shape[1], s):
-                for j in range(0, field.coords.shape[2], s):
-                    block = field.coords[t, i:i + s, j:j + s]
-                    assert np.all(block == block[0, 0])
+            for i in range(0, tracks.height, s):
+                for j in range(0, tracks.width, s):
+                    idx = (i // s) * wc + j // s
+                    block = field.offsets[t, i:i + s, j:j + s]
+                    assert np.array_equal(block, norm[t, idx] - g[i:i + s, j:j + s])
                     mblock = field.mask[t, i:i + s, j:j + s]
-                    assert np.all(mblock == mblock[0, 0])
+                    assert np.all(mblock == tracks.visibility[t, idx])
 
     def test_pixel_maps_to_its_track(self):
         tracks = _random_tracks(seed=2)
         field = rasterize(tracks)
         s, wc = tracks.stride, tracks.width // tracks.stride
         norm = normalize_coords(tracks.coords, tracks.height, tracks.width)
+        g = anchor_grid(tracks.height, tracks.width)
         for (h, w) in [(0, 0), (5, 11), (15, 3), (8, 8)]:
             idx = (h // s) * wc + w // s
-            assert np.allclose(field.coords[:, h, w], norm[:, idx])
+            assert np.array_equal(field.offsets[:, h, w], norm[:, idx] - g[h, w])
+            assert np.array_equal(field.mask[:, h, w], tracks.visibility[:, idx])
 
     def test_indivisible_frame_rejected(self):
         with pytest.raises(ValueError):
             SparseTracks(np.zeros((2, 4, 2)), np.ones((2, 4)), 5, 16, 16)
+
+
+class TestCheckGrid:
+    """SparseTracks refuses what TlfFile refuses, with the same messages."""
+
+    @pytest.mark.parametrize("coords,vis,stride,message", [
+        (np.zeros((2, 4, 2)), np.ones((2, 4)), 0, "not divisible by stride 0"),
+        (np.zeros((4, 2)), np.ones(4), 8, r"coords shape \(4, 2\) inconsistent"),
+        (np.zeros((0, 4, 2)), np.ones((0, 4)), 8, "no frames"),
+        (np.zeros((2, 4, 2)), np.full((2, 4), 2), 8, "visibility 2 at frame 0, track 0"),
+    ], ids=["stride-0", "2d-coords", "zero-frames", "visibility-2"])
+    def test_sparse_tracks_refuses(self, coords, vis, stride, message):
+        with pytest.raises(ValueError, match=message):
+            SparseTracks(coords, vis, stride, 16, 16)
+        with pytest.raises(tlf.TlfError, match=message):
+            tlf.TlfFile(coords, vis, 16, 16, stride, tlf.CONV_PIXEL)
 
 
 class TestAnchors:
@@ -67,30 +88,26 @@ class TestAnchors:
 class TestOffsets:
     def test_d_equals_g_gives_zero_offsets(self):
         g = anchor_grid(8, 8)
-        field = DenseField(np.broadcast_to(g, (3, 8, 8, 2)).copy(), np.ones((3, 8, 8)), stride=4)
-        off = to_offsets(field)
-        assert np.all(off.offsets == 0.0)
+        off = to_offsets(np.broadcast_to(g, (3, 8, 8, 2)).copy())
+        assert np.all(off == 0.0)
 
     def test_absolute_of_zero_offsets_is_anchor_grid(self):
-        off = trajfield.OffsetField(np.zeros((2, 4, 4, 2)), np.ones((2, 4, 4)), stride=2)
-        dense = to_absolute(off)
-        assert np.allclose(dense.coords[0], anchor_grid(4, 4))
+        dense = to_absolute(np.zeros((2, 4, 4, 2)))
+        assert np.allclose(dense[0], anchor_grid(4, 4))
 
     @given(seed=st.integers(0, 1000))
     @settings(max_examples=25, deadline=None)
     def test_round_trip_exact_in_stored_precision(self, seed):
         rng = np.random.default_rng(seed)
         coords = rng.uniform(-1.2, 1.2, size=(2, 8, 8, 2))
-        field = DenseField(coords, np.ones((2, 8, 8)), stride=4)
-        back = to_absolute(to_offsets(field))
-        assert np.array_equal(back.coords.astype(np.float32), coords.astype(np.float32))
+        back = to_absolute(to_offsets(coords))
+        assert np.array_equal(back.astype(np.float32), coords.astype(np.float32))
 
     def test_translated_scene_recovers_generator_truth(self):
         spec = motionlab.MotionSpec("translation", frames=6, height=32, width=32, stride=8,
                                     velocity=(2.0, 1.0))
         tracks = motionlab.generate(spec)
-        off = to_offsets(rasterize(tracks))
-        pos_px, vis = coarse_positions(off, 32, 32)
+        pos_px, vis = coarse_positions(rasterize(tracks))
         gt = tracks.coords.reshape(6, 4, 4, 2)
         assert np.max(np.abs(pos_px - gt)) < 1e-6
 
@@ -99,8 +116,8 @@ class TestSplitWindows:
     """A field's history/future windows, cut by SegmentDataset.split."""
 
     def test_split_162_into_81_81(self):
-        field = DenseField(np.zeros((162, 2, 2, 2)), np.ones((162, 2, 2)), stride=2)
-        pairs = flowgen.SegmentDataset(field.coords[None], field.mask[None]).split(81)
+        field = trajfield.OffsetField(np.zeros((162, 2, 2, 2)), np.ones((162, 2, 2)), stride=2)
+        pairs = flowgen.SegmentDataset(field.offsets[None], field.mask[None]).split(81)
         assert pairs.past.shape[1] == 81 and pairs.future.shape[1] == 81
 
     def test_concatenation_reproduces_input(self):
@@ -122,5 +139,5 @@ def test_normalize_round_trip():
 
 def test_masks_stay_binary_through_pipeline():
     tracks = _random_tracks(seed=5)
-    off = to_offsets(rasterize(tracks))
+    off = rasterize(tracks)
     assert set(np.unique(off.mask)) <= {0, 1}
