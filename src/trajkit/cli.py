@@ -181,6 +181,17 @@ def _load_vae(path):
     return _read_part(path, *tlf.load_checkpoint(path), "vae", VaeConfig, init_vae_params)
 
 
+def _check_vae_fits(path, vae_cfg: VaeConfig, cfg: RunConfig) -> None:
+    """Raise ValueError naming checkpoint `path`, the field and both values
+    unless its VAE has the frame, patch, latent channels and temporal ratio
+    that the run config's [data] and [vae] give."""
+    want = cfg.vae_config()
+    for name in ("height", "width", "patch", "latent_channels", "temporal_ratio"):
+        got, expected = getattr(vae_cfg, name), getattr(want, name)
+        if got != expected:
+            raise ValueError(f"{path}: vae_cfg.{name} is {got}, but the config gives {expected}")
+
+
 def save_bundle(path, bundle: flowgen.FlowBundle, seed) -> None:
     blocks = {f"vae/{k}": v for k, v in bundle.vae_params.items()}
     blocks.update({f"flow/{k}": v for k, v in bundle.flow_params.items()})
@@ -219,14 +230,14 @@ def load_bundle(path) -> flowgen.FlowBundle:
 
 def cmd_train_flow(args, cfg, out_dir) -> list:
     vae_params, vae_cfg = _load_vae(args.vae)
+    _check_vae_fits(args.vae, vae_cfg, cfg)
     pairs = _pairs(cfg)
     train_cfg = cfg.flow_train_config()
     bundle, curve = flowgen.train_flow(pairs, vae_params, vae_cfg, train_cfg,
                                        seed=cfg.seed)
     f = cfg["flow"]
     z_f = flowgen.encode_mean(vae_params, vae_cfg, pairs.future)
-    targets = pool_visibility(pairs.future_masks, vae_cfg.token_grid(pairs.future.shape[1]),
-                              ratio=vae_cfg.temporal_ratio)
+    targets = pool_visibility(pairs.future_masks, vae_cfg)
     vis_params, _ = flowgen.train_visibility_head(z_f, targets, train_cfg.flow,
                                                   steps=f["vis_steps"], lr=f["vis_lr"],
                                                   seed=cfg.seed)
@@ -239,6 +250,7 @@ def cmd_train_flow(args, cfg, out_dir) -> list:
 
 def cmd_finetune(args, cfg, out_dir) -> list:
     bundle = load_bundle(args.ckpt)
+    _check_vae_fits(args.ckpt, bundle.vae_cfg, cfg)
     pairs = _pairs(cfg)
     flow_cfg = cfg.flow_train_config()
     tuned, curve = flowgen.finetune_onpolicy(bundle, pairs, flow_cfg,
@@ -274,10 +286,11 @@ def cmd_eval(args, cfg, out_dir) -> list:
         if not args.ref:
             raise ValueError("vepe needs --ref GT.tlf")
         ref = tlf.read_tlf(args.ref)
+        shape, ref_shape = ((r.frames, r.height, r.width, r.stride) for r in (record, ref))
+        if ref_shape != shape:
+            raise ValueError(f"vepe: {args.input} has (frames, height, width, stride) "
+                             f"{shape}, but {args.ref} has {ref_shape}")
         ref_pos, ref_vis = tlf.coarse_pixel_positions(ref)
-        if ref_vis.shape != vis.shape:
-            raise ValueError(f"vepe: {args.input} has (frames, grid rows, grid columns) "
-                             f"{vis.shape}, but {args.ref} has {ref_vis.shape}")
         value = metrics.vepe(positions, ref_pos, ref_vis & vis)
     else:
         raise ValueError(f"unknown metric {args.metric!r}")

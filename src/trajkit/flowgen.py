@@ -16,11 +16,12 @@ import numpy as np
 
 from . import gradcore as gc
 from . import lossbank as lb
-from .gradcore import Rng, as_tensor
+from .gradcore import Rng
 from .models import (
     FlowConfig,
     VaeConfig,
     _with_batch,
+    broadcast_token_mask,
     encode_condition,
     latent_steps,
     vae_decode,
@@ -35,8 +36,8 @@ from .models import (
     reparameterize,
     wrap_params,
 )
-from .rules import (AT_LEAST_0, AT_LEAST_1, CLIP_NORM, FINITE_NONNEGATIVE, FINITE_POSITIVE,
-                    Checked, FieldError, ranged)
+from .rules import (AT_LEAST_0, AT_LEAST_1, AT_LEAST_2, CLIP_NORM, FINITE_NONNEGATIVE,
+                    FINITE_POSITIVE, Checked, FieldError, ranged)
 from .trajfield import OffsetField
 
 T_EPS = 1e-5
@@ -48,33 +49,13 @@ EVAL_FM_SEED = 1234  # eval_fm_loss's noise and time draws
 DOPRI5_H_MIN = 1e-13  # dopri5_sample gives up below this step size
 
 
-@dataclass
-class TimeGrid:
-    """K+1 strictly increasing flow times inside [t_eps, 1 - t_eps]."""
-
-    times: np.ndarray
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=np.float64)
-        if self.times.ndim != 1 or len(self.times) < 2:
-            raise ValueError("time grid needs at least 2 points")
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("time grid must be strictly increasing")
-        if self.times[0] < T_EPS - 1e-12 or self.times[-1] > 1 - T_EPS + 1e-12:
-            raise ValueError(f"time grid must stay within [{T_EPS}, {1 - T_EPS}]")
-
-    @property
-    def steps(self) -> int:
-        return len(self.times) - 1
-
-
-def logit_grid(k: int, t_eps: float = T_EPS) -> TimeGrid:
-    """K-step grid: sigmoid of K+1 evenly spaced logits, clamped to the
-    admissible interval."""
+def logit_grid(k: int, t_eps: float = T_EPS) -> np.ndarray:
+    """The (K+1,) flow times of a K-step rollout: the sigmoid of K+1 evenly
+    spaced logits, clamped to the admissible interval.  For t_eps in
+    [T_EPS, 0.5) they increase strictly inside [T_EPS, 1 - T_EPS]."""
     lo = np.log(t_eps / (1 - t_eps))
     levels = np.linspace(lo, -lo, k + 1)
-    times = np.clip(1.0 / (1.0 + np.exp(-levels)), T_EPS, 1 - T_EPS)
-    return TimeGrid(times)
+    return np.clip(1.0 / (1.0 + np.exp(-levels)), T_EPS, 1 - T_EPS)
 
 
 @dataclass
@@ -224,22 +205,19 @@ def dopri5_sample(v_fn, z0: np.ndarray, rtol: float = SAMPLER["rtol"],
     return y
 
 
-def kstep_rollout(v_fn, z0, grid: TimeGrid):
-    """Detached forward-Euler rollout along the grid.
+def kstep_rollout(v_fn, z0, times: np.ndarray):
+    """Detached forward-Euler rollout over the flow times `times`.
 
-    Returns (states, velocities): K+1 states and K velocities.  States carry
-    no gradient (each step propagates through stop_gradient); velocities keep
-    their full parameter gradients for the rollout losses.
+    Returns (states, velocities): K+1 float64 state arrays, which carry no
+    gradient, and K velocities, which keep their full parameter gradients for
+    the rollout losses.
     """
-    z = as_tensor(z0)
-    states = [gc.stop_gradient(z)]
+    states = [np.asarray(z0, dtype=np.float64)]
     velocities = []
-    times = grid.times
-    for i in range(grid.steps):
+    for i in range(len(times) - 1):
         v = v_fn(states[i], float(times[i]))
         velocities.append(v)
-        dt = float(times[i + 1] - times[i])
-        states.append(gc.add(states[i], gc.mul(gc.stop_gradient(v), dt)))
+        states.append(states[i] + v.data * float(times[i + 1] - times[i]))
     return states, velocities
 
 
@@ -331,7 +309,7 @@ class FinetuneConfig(Checked):
     steps: int = ranged(200, AT_LEAST_0)
     lr: float = ranged(1e-5, FINITE_POSITIVE)
     sub_batch: int = ranged(8, AT_LEAST_1)
-    k_steps: int = ranged(8, AT_LEAST_1)
+    k_steps: int = ranged(8, AT_LEAST_2)  # endpoint_consistency compares consecutive steps
     # logit_grid clamps times below T_EPS, which would repeat grid points
     t_eps: float = ranged(T_EPS, (f"a number in [{T_EPS}, 0.5)",
                                   lambda v: FINITE_POSITIVE[1](v) and T_EPS <= v < 0.5))
@@ -456,11 +434,8 @@ def _flow_inputs(dataset: PairDataset, vae_params: dict, vae_cfg: VaeConfig,
         stats = LatentStats.fit(np.concatenate([z_p, z_f], axis=1))
     z_p = normalize_latents(z_p, stats)
     z_f = normalize_latents(z_f, stats)
-    r = vae_cfg.temporal_ratio
-    vis_tok = pool_visibility(dataset.past_masks, vae_cfg.token_grid(t_p), reduce="mean",
-                              ratio=r)
-    weights = lb.token_weights(dataset.future_masks, vae_cfg.token_grid(t_f),
-                               floor=cfg.token_floor, ratio=r)
+    vis_tok = pool_visibility(dataset.past_masks, vae_cfg, reduce="mean")
+    weights = lb.token_weights(dataset.future_masks, vae_cfg, cfg.token_floor)
     return z_p, z_f, stats, vis_tok, weights
 
 
@@ -542,11 +517,10 @@ def finetune_onpolicy(bundle: FlowBundle, dataset: PairDataset, flow_cfg: FlowTr
                 return velocity_forward(z, t, cond, wrapped, flow_cfg.flow)
 
             states, velocities = kstep_rollout(v_fn, z0_sub, grid)
-            targets = [lb.kstep_targets(states[i].data, z0_sub, z1_sub,
-                                        float(grid.times[i]), cfg.denom_clamp)
-                       for i in range(grid.steps)]
+            targets = [lb.kstep_targets(states[i], z0_sub, z1_sub, float(grid[i]),
+                                        cfg.denom_clamp) for i in range(cfg.k_steps)]
             l_kstep = lb.kstep_loss(velocities, targets, w_sub, cfg.w1, cfg.w0)
-            l_cons = lb.endpoint_consistency(states[:-1], velocities, grid.times)
+            l_cons = lb.endpoint_consistency(states[:-1], velocities, grid)
             total = gc.add(total, gc.mul(gc.add(l_kstep, gc.mul(l_cons, cfg.gamma)),
                                          cfg.lambda_kstep))
             parts["kstep"] = float(l_kstep)
@@ -580,18 +554,6 @@ def train_visibility_head(latents: np.ndarray, targets: np.ndarray, flow_cfg: Fl
 # -- end-to-end sampling ------------------------------------------------------------
 
 
-def broadcast_token_mask(token_mask: np.ndarray, token_grid: tuple,
-                         out_shape: tuple) -> np.ndarray:
-    """Up-broadcast a (T_lat, N) token mask to dense (T, H, W)."""
-    t_lat, h_tok, w_tok = token_grid
-    t, h, w = out_shape
-    r = -(-t // t_lat)
-    ph, pw = h // h_tok, w // w_tok
-    grid = token_mask.reshape(t_lat, h_tok, w_tok)
-    dense = np.repeat(np.repeat(np.repeat(grid, r, axis=0), ph, axis=1), pw, axis=2)
-    return dense[:t].astype(np.uint8)
-
-
 def sample_future(history: OffsetField, bundle: FlowBundle, sampler: dict | None = None,
                   seed: int = 0, future_frames: int | None = None):
     """History offsets in, generated future offsets and visibility out: the
@@ -616,8 +578,7 @@ def sample_future(history: OffsetField, bundle: FlowBundle, sampler: dict | None
     rng = gc.rng(seed)
     z_hist = normalize_latents(encode_mean(bundle.vae_params, vae_cfg, history.offsets[None]),
                                bundle.stats)
-    vis_tok = pool_visibility(history.mask[None], vae_cfg.token_grid(history.frames),
-                              reduce="mean", ratio=r)
+    vis_tok = pool_visibility(history.mask[None], vae_cfg, reduce="mean")
     z0 = boundary_init(z_hist[:, -1], flow_cfg, rng)
     wrapped = wrap_params(bundle.flow_params, requires_grad=False)
     cond = encode_condition(z_hist, vis_tok, wrapped, flow_cfg)
@@ -636,10 +597,8 @@ def sample_future(history: OffsetField, bundle: FlowBundle, sampler: dict | None
     wrapped_vae = wrap_params(bundle.vae_params, requires_grad=False)
     offsets = vae_decode(z1_denorm, wrapped_vae, vae_cfg, frames=t_f).data[0]
     if bundle.vis_params is not None:
-        # broadcast over every decoded frame, then cut, as vae_decode does
         _, tok_mask = visibility_predict(z1_denorm, wrap_params(bundle.vis_params, False))
-        mask = broadcast_token_mask(tok_mask[0], vae_cfg.token_grid(t_max),
-                                    (t_max, vae_cfg.height, vae_cfg.width))[:t_f]
+        mask = broadcast_token_mask(tok_mask[0], vae_cfg, t_f)
     else:
         mask = np.ones((t_f, vae_cfg.height, vae_cfg.width), dtype=np.uint8)
     return OffsetField(offsets, mask, stride=history.stride), mask

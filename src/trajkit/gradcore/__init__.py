@@ -25,7 +25,6 @@ from .tensor import (
     sigmoid,
     softplus,
     square,
-    stop_gradient,
     tmean,
     transpose,
     tsum,
@@ -38,6 +37,6 @@ __all__ = [
     "Rng", "rng",
     "ShapeError", "Tensor", "absolute", "add", "as_tensor", "backward",
     "concat", "div", "exp", "gelu", "getitem", "huber", "linear", "matmul",
-    "mul", "reshape", "residual_mlp", "shift_l1", "sigmoid", "softplus", "square", "stop_gradient",
+    "mul", "reshape", "residual_mlp", "shift_l1", "sigmoid", "softplus", "square",
     "tmean", "transpose", "tsum", "where",
 ]

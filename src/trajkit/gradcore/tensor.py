@@ -6,9 +6,8 @@ implicit tape (the operand links of the output node); ``backward`` replays
 those closures in reverse topological order.  A primitive none of whose
 operands requires a gradient records nothing: it computes its value and
 builds no closure, so a forward pass over constant parameters builds no
-tape.  ``stop_gradient`` cuts the tape: nothing upstream of it receives
-adjoint contributions.  A ``Tensor`` takes ``[]`` (``getitem``) and
-``float()``; every other op is a function of this module.
+tape.  A ``Tensor`` takes ``[]`` (``getitem``) and ``float()``; every other
+op is a function of this module.
 
 Training math runs in float64 so finite-difference checks stay tight; file
 storage elsewhere in the package downcasts to float32.
@@ -521,12 +520,6 @@ def shift_l1(a, hop, axis, target, weight) -> Tensor:
         return lambda g: (key, shared(g), ufunc)
 
     return _make(out, (a, a), (scatter(hi, np.add), scatter(lo, np.subtract)), "shift_l1")
-
-
-def stop_gradient(a) -> Tensor:
-    """Detach: the value flows forward, no adjoint flows back."""
-    a = as_tensor(a)
-    return Tensor(a.data, _op="stop_gradient")
 
 
 # -- backward pass --------------------------------------------------------

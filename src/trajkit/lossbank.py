@@ -16,7 +16,7 @@ import numpy as np
 
 from . import gradcore as gc
 from .gradcore import Tensor, as_tensor
-from .models import LATENT, SEGMENT, _with_batch, pool_visibility
+from .models import LATENT, SEGMENT, VaeConfig, _with_batch, pool_visibility
 from .rules import AT_LEAST_1, FINITE_POSITIVE, Checked, FieldError, each, ranged
 
 
@@ -117,17 +117,13 @@ def kl_loss(mu, logvar) -> Tensor:
     return gc.mul(gc.tmean(term), 0.5)
 
 
-def token_weights(future_mask: np.ndarray, token_grid: tuple, floor: float = 0.01, *,
-                  ratio: int) -> np.ndarray:
-    """Mean-pool future visibility masks (B, T, H, W) onto the latent token
-    grid, floor it so invisible tokens keep a small weight, then normalize to
-    sum 1 per instance: (B, T_lat, N).
-
-    token_grid is (t_lat, h_tok, w_tok); the masks' (T, H, W) axes must tile
-    onto it, `ratio` frames per latent step (see pool_visibility).
+def token_weights(future_mask: np.ndarray, cfg: VaeConfig, floor: float) -> np.ndarray:
+    """Mean-pool future visibility masks (B, T, H, W) onto the token grid of
+    the VAE `cfg` (see pool_visibility), floor it so invisible tokens keep a
+    small weight, then normalize to sum 1 per instance: (B, T_lat, N).
     """
     future_mask = _with_batch("token_weights", future_mask, SEGMENT[:-1])
-    w = np.maximum(pool_visibility(future_mask, token_grid, reduce="mean", ratio=ratio), floor)
+    w = np.maximum(pool_visibility(future_mask, cfg, reduce="mean"), floor)
     total = w.sum(axis=(1, 2), keepdims=True)
     if np.any(total == 0):
         raise ValueError("token_weights: all token weights zero (floor=0 and fully invisible)")

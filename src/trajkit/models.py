@@ -17,7 +17,8 @@ import numpy as np
 
 from . import gradcore as gc
 from .gradcore import Rng, Tensor, as_tensor
-from .rules import AT_LEAST_0, AT_LEAST_1, FINITE_NONNEGATIVE, Checked, FieldError, one_of, ranged
+from .rules import (AT_LEAST_0, AT_LEAST_1, AT_LEAST_2, FINITE_NONNEGATIVE, Checked, FieldError,
+                    one_of, ranged)
 
 
 ANCHOR_MODES = ("first-slice", "all-slices")  # of FlowConfig.anchor_mode
@@ -61,10 +62,6 @@ class VaeConfig(Checked):
     def patch_dim(self) -> int:
         return self.patch * self.patch * 2
 
-    def token_grid(self, frames: int | None = None) -> tuple:
-        t = self.frames if frames is None else frames
-        return (latent_steps(t, self.temporal_ratio), self.tokens_h, self.tokens_w)
-
 
 @dataclass
 class FlowConfig(Checked):
@@ -74,7 +71,7 @@ class FlowConfig(Checked):
     time_features: int = ranged(8, ("an even integer >= 2",
                                     lambda v: AT_LEAST_1[1](v) and v >= 2 and v % 2 == 0))
     # latent steps of history context; the history cue takes the last two
-    history_steps: int = ranged(2, ("an integer >= 2", lambda v: AT_LEAST_1[1](v) and v >= 2))
+    history_steps: int = ranged(2, AT_LEAST_2)
     future_steps: int = ranged(2, AT_LEAST_1)  # latent steps generated
     latent_channels: int = ranged(8, AT_LEAST_1)
     n_tokens: int = ranged(16, AT_LEAST_1)
@@ -355,30 +352,39 @@ def velocity_forward(z_t, t, cond: Condition, params: dict, cfg: FlowConfig) -> 
 # -- visibility head ---------------------------------------------------------
 
 
-def pool_visibility(mask: np.ndarray, token_grid: tuple, reduce: str = "max", *,
-                    ratio: int) -> np.ndarray:
-    """Pool dense (B, T, H, W) masks onto the latent token grid (t_lat,
-    h_tok, w_tok), giving (B, T_lat, N) float64.
+def pool_visibility(mask: np.ndarray, cfg: VaeConfig, reduce: str = "max") -> np.ndarray:
+    """Pool dense (B, T, H, W) masks onto the latent token grid of the VAE
+    `cfg`, giving (B, T_lat, N) float64.
 
     reduce="max" is the logical OR (the visibility head's targets);
     reduce="mean" is the visible fraction (condition tokens, loss weights).
-    The masks' (H, W) must tile onto the grid.  Time groups `ratio` frames
-    per latent step (the VAE's temporal_ratio) and pads the last group with
-    its last frame, as the VAE encoder does.
+    As vae_encode does, time groups temporal_ratio frames per latent step and
+    pads the last group with its last frame, and space groups patch x patch
+    blocks; the masks' (H, W) must be the VAE's frame.
     """
     if reduce not in ("max", "mean"):
         raise ValueError(f"unknown reduce {reduce!r}")
     mask = _with_batch("pool_visibility", mask, SEGMENT[:-1])
-    t_lat, h_tok, w_tok = token_grid
     b, t, h, w = mask.shape
-    if (t_lat <= 0 or h_tok <= 0 or w_tok <= 0 or h % h_tok or w % w_tok or ratio <= 0
-            or latent_steps(t, ratio) != t_lat):
-        raise ValueError(f"token grid {token_grid} at {ratio} frames per step incompatible "
-                         f"with mask {mask.shape}")
-    if t_lat * ratio != t:
-        mask = np.concatenate([mask, np.repeat(mask[:, -1:], t_lat * ratio - t, axis=1)], axis=1)
-    blocks = mask.reshape(b, t_lat, ratio, h_tok, h // h_tok, w_tok, w // w_tok)
-    return getattr(blocks, reduce)(axis=(2, 4, 6)).reshape(b, t_lat, h_tok * w_tok)
+    if t < 1 or (h, w) != (cfg.height, cfg.width):
+        raise gc.ShapeError("pool_visibility", mask.shape, (cfg.height, cfg.width))
+    r, p = cfg.temporal_ratio, cfg.patch
+    t_lat = latent_steps(t, r)
+    if t_lat * r != t:
+        mask = np.concatenate([mask, np.repeat(mask[:, -1:], t_lat * r - t, axis=1)], axis=1)
+    blocks = mask.reshape(b, t_lat, r, cfg.tokens_h, p, cfg.tokens_w, p)
+    return getattr(blocks, reduce)(axis=(2, 4, 6)).reshape(b, t_lat, cfg.n_tokens)
+
+
+def broadcast_token_mask(token_mask: np.ndarray, cfg: VaeConfig, frames: int) -> np.ndarray:
+    """Up-broadcast a (T_lat, N) token mask of the VAE `cfg` to a dense
+    (frames, H, W) uint8 mask, the inverse of pool_visibility: a latent step
+    covers temporal_ratio frames and a token a patch x patch block; frames
+    past `frames` are cut, as vae_decode does."""
+    r, p = cfg.temporal_ratio, cfg.patch
+    grid = token_mask.reshape(-1, cfg.tokens_h, cfg.tokens_w)
+    dense = np.repeat(np.repeat(np.repeat(grid, r, axis=0), p, axis=1), p, axis=2)
+    return dense[:frames].astype(np.uint8)
 
 
 def _temporal_conv(params: dict, name: str, h: Tensor) -> Tensor:

@@ -153,8 +153,7 @@ def endpoint_latent_error(bundle, pairs, seed_base: int) -> float:
         flowgen.encode_mean(bundle.vae_params, bundle.vae_cfg, pairs.past), bundle.stats)
     z_f = flowgen.normalize_latents(
         flowgen.encode_mean(bundle.vae_params, bundle.vae_cfg, pairs.future), bundle.stats)
-    vis_tok = pool_visibility(pairs.past_masks, bundle.vae_cfg.token_grid(pairs.past.shape[1]),
-                              reduce="mean", ratio=bundle.vae_cfg.temporal_ratio)
+    vis_tok = pool_visibility(pairs.past_masks, bundle.vae_cfg, reduce="mean")
     wrapped = wrap_params(bundle.flow_params, requires_grad=False)
     errs = []
     for i in range(len(pairs)):
@@ -549,12 +548,12 @@ def test_criterion_09_determinism_and_formats(tmp_path):
 # -- criterion 10: visibility predictor ---------------------------------------------------------
 
 
-def test_criterion_10_visibility_predictor(flow_cfg):
+def test_criterion_10_visibility_predictor(vae_cfg, flow_cfg):
     with report(10, "pooled targets match OR oracle; trained head > 95% accurate"):
         rng = np.random.default_rng(12)
         for _ in range(10):
             m = (rng.random((8, 32, 32)) > 0.85).astype(np.uint8)
-            out = pool_visibility(m[None], (2, 4, 4), ratio=4)[0]
+            out = pool_visibility(m[None], vae_cfg)[0]  # 2 steps of 4x4 tokens
             for k in range(2):
                 for i in range(4):
                     for j in range(4):

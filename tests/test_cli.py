@@ -405,7 +405,8 @@ MALFORMED_CONFIGS = [
         ("data.past", 0), ("data.past", 16), ("data.past", 4), ("data.stride", 3),
         ("vae.batch", 0), ("vae.hidden", 0), ("vae.hops", 0), ("vae.hops", "1 2"),
         ("vae.lr", -1), ("vae.grad_clip", "nan"), ("vae.grad_clip", -1), ("flow.batch", 0),
-        ("finetune.k_steps", 0), ("run.seed", -1), ("data.kind", "mixed-regions")]],
+        ("finetune.k_steps", 0), ("finetune.k_steps", 1), ("run.seed", -1),
+        ("data.kind", "mixed-regions")]],
 ]
 
 
@@ -599,6 +600,31 @@ class TestMalformedBundle:
                             {"vae_cfg": {**asdict(VaeConfig()), "bogus": 1}})
         assert run("train-flow", "--vae", path, "--out", tmp_path) == 2
         assert "vae_cfg" in capsys.readouterr().err
+
+
+class TestVaeThatDoesNotFitTheConfig:
+    @pytest.mark.parametrize("vae,body,message", [
+        (VaeConfig(latent_channels=4), "", "vae_cfg.latent_channels is 4, but the config gives 8"),
+        (VaeConfig(height=64, width=64), "", "vae_cfg.height is 64, but the config gives 32")],
+        ids=["latent_channels", "frame-size"])
+    def test_train_flow_exits_1_naming_the_checkpoint_before_training(self, tmp_path, capsys,
+                                                                      vae, body, message):
+        path, cfg, out = tmp_path / "vae.ckpt", tmp_path / "run.cfg", tmp_path / "out"
+        blocks = {f"vae/{k}": v for k, v in init_vae_params(vae, gc.rng(0)).items()}
+        tlf.save_checkpoint(path, blocks, {"vae_cfg": asdict(vae)})
+        cfg.write_text(body)
+        assert run("train-flow", "--config", cfg, "--vae", path, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not any(out.iterdir())
+
+    def test_finetune_exits_1_naming_the_bundle_before_training(self, tmp_path, capsys):
+        path, cfg, out = tmp_path / "flow.ckpt", tmp_path / "run.cfg", tmp_path / "out"
+        tlf.save_checkpoint(path, *_bundle_parts())  # a 32x32 VAE
+        cfg.write_text("[data]\nheight = 64\nwidth = 64\n")
+        assert run("finetune", "--config", cfg, "--ckpt", path, "--out", out) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: vae_cfg.height is 32, but the config gives 64\n")
+        assert not any(out.iterdir())
 
 
 def _checkpoint_with(path, damage):
@@ -870,8 +896,11 @@ class TestEvalAndCamcap:
         assert run("eval", scene, "--metric", "vepe", "--out", tmp_path) == 1
 
     @pytest.mark.parametrize("ref_args,ref_shape", [
-        (["--frames", 8, "--height", 64, "--width", 64], "(8, 8, 8)"),
-        (["--frames", 1], "(1, 4, 4)")], ids=["other-grid", "other-frames"])
+        (["--frames", 8, "--height", 64, "--width", 64], "(8, 64, 64, 8)"),
+        (["--frames", 1], "(1, 32, 32, 8)"),
+        # the same 4x4 grid of tracks, over another frame size at another stride
+        (["--frames", 8, "--height", 64, "--width", 64, "--stride", 16], "(8, 64, 64, 16)")],
+        ids=["other-grid", "other-frames", "other-frame-size-and-stride"])
     def test_vepe_refuses_a_reference_of_another_shape(self, tmp_path, capsys, ref_args,
                                                        ref_shape):
         scene, ref = tmp_path / "s.tlf", tmp_path / "ref.tlf"
@@ -882,7 +911,7 @@ class TestEvalAndCamcap:
         capsys.readouterr()
         assert run("eval", scene, "--metric", "vepe", "--ref", ref, "--out", tmp_path) == 1
         assert capsys.readouterr().err == (
-            f"error: vepe: {scene} has (frames, grid rows, grid columns) (8, 4, 4), "
+            f"error: vepe: {scene} has (frames, height, width, stride) (8, 32, 32, 8), "
             f"but {ref} has {ref_shape}\n")
         assert (tmp_path / "metrics.csv").read_bytes() == before
 

@@ -9,7 +9,6 @@ from conftest import desk_flow_config, make_pair_dataset, make_segment_dataset
 from trajkit import flowgen, gradcore as gc, lossbank as lb, models, motionlab, scenes, trajfield
 from trajkit.flowgen import (
     LatentStats,
-    TimeGrid,
     boundary_init,
     denormalize_latents,
     dopri5_sample,
@@ -42,7 +41,8 @@ class TestModuleConfigChecks:
             (flowgen.VaeTrainConfig, "steps", -1), (flowgen.VaeTrainConfig, "steps", 2.5),
             (flowgen.FlowTrainConfig, "batch", 0),
             (flowgen.FlowTrainConfig, "clip_norm", float("nan")),
-            (flowgen.FinetuneConfig, "k_steps", 0), (flowgen.FinetuneConfig, "t_eps", 0.0),
+            (flowgen.FinetuneConfig, "k_steps", 0), (flowgen.FinetuneConfig, "k_steps", 1),
+            (flowgen.FinetuneConfig, "t_eps", 0.0),
             (flowgen.FinetuneConfig, "t_eps", "0.1"),
             (SceneGeometry, "past", 16), (SceneGeometry, "stride", 3)]])
     def test_bad_field_raises_naming_it(self, cls, field, value):
@@ -76,16 +76,14 @@ class TestModuleConfigChecks:
         assert train_cfg((16,), height=8, width=32).neighbor.hops == (16,)
 
 
-class TestTimeGrid:
-    def test_logit_grid_k8_strictly_increasing_within_bounds(self):
-        grid = logit_grid(8)
-        assert grid.steps == 8
-        assert np.all(np.diff(grid.times) > 0)
-        assert grid.times[0] >= 1e-5 and grid.times[-1] <= 1 - 1e-5
-
-    def test_rejects_decreasing(self):
-        with pytest.raises(ValueError):
-            TimeGrid(np.array([0.1, 0.1, 0.2]))
+class TestLogitGrid:
+    @pytest.mark.parametrize("t_eps", [1e-5, 1e-3, 0.4999])
+    @pytest.mark.parametrize("k", [1, 8, 1000])
+    def test_strictly_increasing_within_bounds(self, k, t_eps):
+        grid = logit_grid(k, t_eps)
+        assert grid.shape == (k + 1,) and grid.dtype == np.float64
+        assert np.all(np.diff(grid) > 0)
+        assert grid[0] >= flowgen.T_EPS and grid[-1] <= 1 - flowgen.T_EPS
 
 
 class TestSampleTime:
@@ -272,8 +270,9 @@ class TestKstepRollout:
             return gc.Tensor(u)
 
         states, velocities = kstep_rollout(v_fn, np.zeros((1, 2, 2, 3)), grid)
-        span = grid.times[-1] - grid.times[0]
-        assert np.allclose(states[-1].data, span * u, atol=1e-12)
+        span = grid[-1] - grid[0]
+        assert all(type(z) is np.ndarray and z.dtype == np.float64 for z in states)
+        assert np.allclose(states[-1], span * u, atol=1e-12)
         assert len(velocities) == 8
 
     def test_states_carry_zero_parameter_gradient(self):
@@ -541,16 +540,15 @@ class TestTrainingLoops:
         rng = np.random.default_rng(0)
         z0 = rng.normal(size=(2, 2, 16, 4))
         z1 = rng.normal(size=(2, 2, 16, 4))
-        grid = TimeGrid(np.linspace(0.05, 0.95, 9))
+        grid = np.linspace(0.05, 0.95, 9)
         u = z1 - z0
 
-        states = [gc.Tensor((1 - t) * z0 + t * z1) for t in grid.times[:-1]]
-        velocities = [gc.Tensor(u) for _ in range(grid.steps)]
-        targets = [lb.kstep_targets(states[i].data, z0, z1, float(grid.times[i]))
-                   for i in range(grid.steps)]
+        states = [(1 - t) * z0 + t * z1 for t in grid[:-1]]
+        velocities = [gc.Tensor(u) for _ in states]
+        targets = [lb.kstep_targets(z, z0, z1, float(t)) for z, t in zip(states, grid)]
         w = np.full((2, 2, 16), 1.0 / 32)
         assert float(lb.kstep_loss(velocities, targets, w)) == pytest.approx(0.0, abs=1e-20)
-        assert float(lb.endpoint_consistency(states, velocities, grid.times)) == pytest.approx(0.0, abs=1e-20)
+        assert float(lb.endpoint_consistency(states, velocities, grid)) == pytest.approx(0.0, abs=1e-20)
 
 
 def _train_one_step(loop, vae_cfg):

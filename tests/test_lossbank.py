@@ -5,6 +5,7 @@ import pytest
 
 from trajkit import gradcore as gc
 from trajkit import lossbank as lb
+from trajkit.models import VaeConfig
 from trajkit.motionlab import toy_1d_pair
 
 
@@ -202,25 +203,28 @@ class TestKlLoss:
 
 
 class TestTokenWeights:
+    CFG = VaeConfig(height=8, width=8, frames=4, patch=4, temporal_ratio=2)  # 2x2 tokens
+
     def test_all_visible_uniform(self):
-        tw = lb.token_weights(np.ones((1, 4, 8, 8)), (2, 2, 2), ratio=2)
+        tw = lb.token_weights(np.ones((1, 4, 8, 8)), self.CFG, 0.01)
         assert np.allclose(tw, 1.0 / 8)
 
     def test_all_invisible_uniform(self):
-        tw = lb.token_weights(np.zeros((1, 4, 8, 8)), (2, 2, 2), ratio=2)
+        tw = lb.token_weights(np.zeros((1, 4, 8, 8)), self.CFG, 0.01)
         assert np.allclose(tw, 1.0 / 8)
 
     def test_half_visible_ratio(self):
         m = np.zeros((1, 2, 4, 4))
         m[..., :2] = 1  # left half visible
-        tw = lb.token_weights(m, (1, 2, 2), floor=0.01, ratio=2)
+        cfg = VaeConfig(height=4, width=4, frames=2, patch=2, temporal_ratio=2)
+        tw = lb.token_weights(m, cfg, floor=0.01)
         flat = tw.reshape(-1)
         assert flat[0] / flat[1] == pytest.approx(100.0)
         assert tw.sum() == pytest.approx(1.0)
 
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            lb.token_weights(np.ones((1, 2, 4, 4)), (1, 0, 2), ratio=2)
+    def test_mask_of_another_frame_size_rejected(self):
+        with pytest.raises(ValueError, match="^pool_visibility: "):
+            lb.token_weights(np.ones((1, 2, 4, 4)), self.CFG, 0.01)
 
 
 class TestFmLoss:

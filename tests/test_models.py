@@ -49,6 +49,7 @@ def vel_params(flow_cfg):
 
 LAT, HIST, VIS = np.zeros((1, 2, 4, 4)), np.zeros((1, 2, 4, 4)), np.ones((1, 2, 4))
 SEG, MASK, W = np.zeros((1, 2, 4, 4, 2)), np.ones((1, 2, 4, 4)), np.full((1, 2, 4), 0.125)
+MASK_CFG = VaeConfig(height=4, width=4, frames=2, patch=2, temporal_ratio=2)  # MASK's frame
 PAIR_LOSSES = {"recon_loss": lb.recon_loss, "temporal_loss": lb.temporal_loss,
                "spatial_loss": lb.spatial_loss,
                "consistency_terms": lambda *p: lb.consistency_terms(*p, None, 0.0, 0.0)}
@@ -69,8 +70,8 @@ UNBATCHED = {
     "history_cue[z_hist]": lambda n: history_cue(HIST[0], wrap_params(n.vel), 2),
     "visibility_logits[z_f]": lambda n: models.visibility_logits(LAT[0], n.vis),
     "visibility_predict[z_f]": lambda n: visibility_predict(LAT[0], n.vis),
-    "pool_visibility[mask]": lambda n: pool_visibility(MASK[0], (1, 2, 2), ratio=2),
-    "token_weights[future_mask]": lambda n: lb.token_weights(MASK[0], (1, 2, 2), ratio=2),
+    "pool_visibility[mask]": lambda n: pool_visibility(MASK[0], MASK_CFG),
+    "token_weights[future_mask]": lambda n: lb.token_weights(MASK[0], MASK_CFG, 0.01),
     "fm_loss[v_pred]": lambda n: lb.fm_loss(LAT[0], LAT, W),
     "fm_loss[u_target]": lambda n: lb.fm_loss(LAT, LAT[0], W),
     "fm_loss[weights]": lambda n: lb.fm_loss(LAT, LAT, W[0]),
@@ -276,26 +277,30 @@ class TestVelocityForward:
         assert np.array_equal(gc.add(tokens, encoded.cue).data, fused.data)
 
 
+# 8x8 frames in 2x2 tokens, 2 frames per latent step
+POOL_CFG = VaeConfig(height=8, width=8, frames=4, patch=4, temporal_ratio=2)
+
+
 class TestPoolVisibility:
     def test_all_visible(self):
-        out = pool_visibility(np.ones((1, 4, 8, 8)), (2, 2, 2), ratio=2)
+        out = pool_visibility(np.ones((1, 4, 8, 8)), POOL_CFG)
         assert out.shape == (1, 2, 4)
         assert np.all(out == 1)
 
     def test_all_invisible(self):
-        assert np.all(pool_visibility(np.zeros((1, 4, 8, 8)), (2, 2, 2), ratio=2) == 0)
+        assert np.all(pool_visibility(np.zeros((1, 4, 8, 8)), POOL_CFG) == 0)
 
     def test_single_pixel_lights_token(self):
         m = np.zeros((1, 4, 8, 8))
         m[0, 3, 5, 6] = 1  # second latent step, bottom-right token
-        out = pool_visibility(m, (2, 2, 2), ratio=2)
+        out = pool_visibility(m, POOL_CFG)
         assert out[0, 1, 3] == 1
         assert out.sum() == 1
 
     def test_matches_logical_or_oracle(self):
         rng = np.random.default_rng(17)
         m = (rng.random((4, 8, 8)) > 0.8).astype(np.uint8)
-        out = pool_visibility(m[None], (2, 2, 2), ratio=2)[0]
+        out = pool_visibility(m[None], POOL_CFG)[0]
         for k in range(2):
             for i in range(2):
                 for j in range(2):
@@ -305,12 +310,15 @@ class TestPoolVisibility:
     def test_groups_ratio_frames_and_pads_with_the_last(self):
         m = np.ones((1, 6, 1, 1))
         m[0, 3] = 0  # frames 0-3 form step 0; frames 4, 5, 5, 5 form step 1
-        out = pool_visibility(m, (2, 1, 1), reduce="mean", ratio=4)
+        cfg = VaeConfig(height=1, width=1, frames=6, patch=1, temporal_ratio=4)
+        out = pool_visibility(m, cfg, reduce="mean")
         assert np.array_equal(out[0, :, 0], [0.75, 1.0])
 
-    def test_grid_must_match_ratio(self):
-        with pytest.raises(ValueError, match="token grid"):
-            pool_visibility(np.ones((1, 6, 2, 2)), (3, 1, 1), ratio=4)
+    @pytest.mark.parametrize("shape", [(1, 4, 16, 8), (1, 4, 8, 4), (1, 0, 8, 8)],
+                             ids=["taller", "narrower", "no-frame"])
+    def test_mask_of_another_frame_size_or_no_frame_is_refused(self, shape):
+        with pytest.raises(gc.ShapeError, match=r"^pool_visibility: .* vs \(8, 8\)$"):
+            pool_visibility(np.ones(shape), POOL_CFG)
 
     @pytest.mark.parametrize("ratio", [3, 4])
     @pytest.mark.parametrize("frames", range(1, 10))
@@ -319,15 +327,14 @@ class TestPoolVisibility:
                         latent_channels=2, temporal_ratio=ratio)
         params = wrap_params(init_vae_params(cfg, gc.rng(1)), requires_grad=False)
         base_mu, _ = vae_encode(np.zeros((1, frames, 8, 8, 2)), params, cfg)
-        full = pool_visibility(np.ones((1, frames, 8, 8)), cfg.token_grid(frames), ratio=ratio,
-                               reduce="mean")
+        full = pool_visibility(np.ones((1, frames, 8, 8)), cfg, reduce="mean")
         for j in range(frames):  # the latent steps frame j reaches, through either path
             x = np.zeros((1, frames, 8, 8, 2))
             x[0, j] = 1.0
             mu, _ = vae_encode(x, params, cfg)
             m = np.ones((1, frames, 8, 8))
             m[0, j] = 0
-            pooled = pool_visibility(m, cfg.token_grid(frames), ratio=ratio, reduce="mean")
+            pooled = pool_visibility(m, cfg, reduce="mean")
             assert np.array_equal(np.any(mu.data != base_mu.data, axis=(2, 3)),
                                   np.any(pooled != full, axis=2))
 
