@@ -24,7 +24,7 @@ import numpy as np
 from . import flowgen, gradcore as gc, lossbank as lb, metrics, motionlab, plotting, scenes, tlf
 from .config import ConfigError, RunConfig
 from .models import (FlowConfig, VaeConfig, init_vae_params, init_velocity_params,
-                     init_visibility_params, pool_visibility)
+                     init_visibility_params, latent_steps, pool_visibility)
 from .motionlab import MotionSpec
 from .tlf import TlfError
 
@@ -181,15 +181,31 @@ def _load_vae(path):
     return _read_part(path, *tlf.load_checkpoint(path), "vae", VaeConfig, init_vae_params)
 
 
-def _check_vae_fits(path, vae_cfg: VaeConfig, cfg: RunConfig) -> None:
-    """Raise ValueError naming checkpoint `path`, the field and both values
-    unless its VAE has the frame, patch, latent channels and temporal ratio
-    that the run config's [data] and [vae] give."""
-    want = cfg.vae_config()
-    for name in ("height", "width", "patch", "latent_channels", "temporal_ratio"):
-        got, expected = getattr(vae_cfg, name), getattr(want, name)
+def _check_fits(path, checks) -> None:
+    """Raise ValueError at the first of `checks`, each (a field of checkpoint
+    `path`, its value, what the input gives, the input's value), whose two
+    values differ; the message names the checkpoint, the field, the input and
+    both values."""
+    for name, got, source, expected in checks:
         if got != expected:
-            raise ValueError(f"{path}: vae_cfg.{name} is {got}, but the config gives {expected}")
+            raise ValueError(f"{path}: {name} is {got}, but {source} {expected}")
+
+
+def _config_checks(cfg: RunConfig, vae_cfg: VaeConfig, flow_cfg: FlowConfig | None = None):
+    """`_check_fits` checks of a checkpoint's VAE, and of its flow when given,
+    against the frame, patch, latent channels and temporal ratio that the run
+    config's [data] and [vae] give, and the latent steps of its [data] windows."""
+    want = cfg.vae_config()
+    checks = [(f"vae_cfg.{name}", getattr(vae_cfg, name), "the config gives", getattr(want, name))
+              for name in ("height", "width", "patch", "latent_channels", "temporal_ratio")]
+    if flow_cfg is not None:
+        d, flow = cfg["data"], cfg.flow_config()
+        checks += [("flow_cfg.history_steps", flow_cfg.history_steps,
+                    f"data.past = {d['past']} gives", flow.history_steps),
+                   ("flow_cfg.future_steps", flow_cfg.future_steps,
+                    f"data.frames - data.past = {d['frames'] - d['past']} gives",
+                    flow.future_steps)]
+    return checks
 
 
 def save_bundle(path, bundle: flowgen.FlowBundle, seed) -> None:
@@ -230,7 +246,7 @@ def load_bundle(path) -> flowgen.FlowBundle:
 
 def cmd_train_flow(args, cfg, out_dir) -> list:
     vae_params, vae_cfg = _load_vae(args.vae)
-    _check_vae_fits(args.vae, vae_cfg, cfg)
+    _check_fits(args.vae, _config_checks(cfg, vae_cfg))
     pairs = _pairs(cfg)
     train_cfg = cfg.flow_train_config()
     bundle, curve = flowgen.train_flow(pairs, vae_params, vae_cfg, train_cfg,
@@ -250,7 +266,7 @@ def cmd_train_flow(args, cfg, out_dir) -> list:
 
 def cmd_finetune(args, cfg, out_dir) -> list:
     bundle = load_bundle(args.ckpt)
-    _check_vae_fits(args.ckpt, bundle.vae_cfg, cfg)
+    _check_fits(args.ckpt, _config_checks(cfg, bundle.vae_cfg, bundle.flow_cfg))
     pairs = _pairs(cfg)
     flow_cfg = cfg.flow_train_config()
     tuned, curve = flowgen.finetune_onpolicy(bundle, pairs, flow_cfg,
@@ -264,6 +280,13 @@ def cmd_finetune(args, cfg, out_dir) -> list:
 def cmd_sample(args, cfg, out_dir) -> list:
     bundle = load_bundle(args.ckpt)
     record = tlf.read_tlf(args.history)
+    vae_cfg, r = bundle.vae_cfg, bundle.vae_cfg.temporal_ratio
+    _check_fits(args.ckpt, [
+        ("vae_cfg.height", vae_cfg.height, f"{args.history} has height", record.height),
+        ("vae_cfg.width", vae_cfg.width, f"{args.history} has width", record.width),
+        ("flow_cfg.history_steps", bundle.flow_cfg.history_steps,
+         f"the {record.frames} frames of {args.history} (temporal_ratio {r}) give",
+         latent_steps(record.frames, r))])
     history = tlf.to_offset_field(record)
     sampler = cfg.sampler_spec()
     future, _ = flowgen.sample_future(history, bundle, sampler=sampler, seed=args.seed,

@@ -106,7 +106,12 @@ class RunConfig:
                 error = FieldError(key, self.values[section][key], expected)
                 raise ConfigError(f"bad value for {section}.{key}: {error}")
         # build each module config once, so that its checks run now
-        self.geometry(), self.vae_train_config(), self.flow_train_config(), self.finetune_config()
+        self.geometry(), self.vae_train_config()
+        flow, finetune = self.flow_train_config(), self.finetune_config()
+        try:
+            flowgen.check_sub_batch(finetune, flow)
+        except FieldError as exc:
+            raise ConfigError(f"bad value for finetune.sub_batch: {exc}") from exc
 
     def __getitem__(self, section: str) -> dict:
         return self.values[section]

@@ -320,6 +320,13 @@ class FinetuneConfig(Checked):
     lambda_kstep: float = ranged(0.1, FINITE_NONNEGATIVE)
 
 
+def check_sub_batch(cfg: FinetuneConfig, flow_cfg: FlowTrainConfig) -> None:
+    """Raise FieldError unless the rollout's sub-batch fits in the flow batch
+    it is cut from (a larger one would silently roll out the whole batch)."""
+    if cfg.sub_batch > flow_cfg.batch:
+        raise FieldError("sub_batch", cfg.sub_batch, f"at most the flow batch {flow_cfg.batch}")
+
+
 @dataclass
 class FlowBundle:
     """Everything needed to sample futures end to end."""
@@ -493,7 +500,9 @@ def finetune_onpolicy(bundle: FlowBundle, dataset: PairDataset, flow_cfg: FlowTr
 
     The flow model, source distribution included, is the bundle's; `flow_cfg`
     supplies only the training settings (tube noise, token floor, batch, clip).
+    A `cfg.sub_batch` above that batch is a FieldError.
     """
+    check_sub_batch(cfg, flow_cfg)
     rng = gc.rng(seed)
     flow_params = {k: v.copy() for k, v in bundle.flow_params.items()}
     flow_cfg, (z_p, z_f, _, vis_tok, weights) = _bundle_inputs(bundle, dataset, flow_cfg)

@@ -28,6 +28,7 @@ from .tensor import (
     tmean,
     transpose,
     tsum,
+    weighted_sq,
     where,
 )
 
@@ -38,5 +39,5 @@ __all__ = [
     "ShapeError", "Tensor", "absolute", "add", "as_tensor", "backward",
     "concat", "div", "exp", "gelu", "getitem", "huber", "linear", "matmul",
     "mul", "reshape", "residual_mlp", "shift_l1", "sigmoid", "softplus", "square",
-    "tmean", "transpose", "tsum", "where",
+    "tmean", "transpose", "tsum", "weighted_sq", "where",
 ]

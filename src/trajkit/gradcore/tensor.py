@@ -386,6 +386,37 @@ def huber(a, delta: float) -> Tensor:
     return _make(out, (a, a, a), (square_part, square_part, through_magnitude), "huber")
 
 
+def weighted_sq(x, target, weights) -> Tensor:
+    """(1/C) sum_{k,n} weights(k,n) ||x(k,n) - target(k,n)||^2 per instance
+    of (B, K, N, C) `x`, with constant `target` and (B, K, N) `weights`: a
+    (B,) Tensor, one node.
+
+    The arithmetic is the add/square/tsum/mul/reshape/tsum/mul chain's.  `x`
+    is listed once, with one contribution t + t: the chain's backward sums
+    the square's two adjoints t into the difference before add passes that
+    sum on, so backward adds it to the contributions of x's other consumers
+    as one array, as it does for the chain."""
+    x = as_tensor(x)
+    target, weights = np.asarray(target, dtype=np.float64), np.asarray(weights, dtype=np.float64)
+    if x.data.ndim != 4 or target.shape != x.shape or weights.shape != x.shape[:3]:
+        raise ShapeError("weighted_sq", x.shape, target.shape, weights.shape)
+    b, c = x.shape[0], x.shape[3]
+    d = x.data - target
+    per_token = (d * d).sum(axis=3)
+    per_token *= weights
+    out = per_token.reshape(b, -1).sum(axis=1)
+    out *= 1.0 / c
+    if not _needs_grad((x,)):
+        return Tensor(out, _op="weighted_sq")
+
+    def vjp(g):
+        t = (g * (1.0 / c))[:, None, None] * weights
+        t = t[..., None] * d
+        return t + t
+
+    return _make(out, (x,), (vjp,), "weighted_sq")
+
+
 # -- reductions / structure ----------------------------------------------
 
 

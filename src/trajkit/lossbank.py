@@ -130,24 +130,21 @@ def token_weights(future_mask: np.ndarray, cfg: VaeConfig, floor: float) -> np.n
     return w / total
 
 
-def _weighted_sq(op: str, diff: Tensor, weights) -> Tensor:
-    """(1/C) sum_{k,n} w(k,n) ||diff(k,n)||^2 per instance of (b, k, n, c)
-    `diff`, a (b,) Tensor; weights not shaped (b, k, n) are a ShapeError naming `op`."""
-    b, _, _, c = diff.shape
-    sq = gc.tsum(gc.square(diff), axis=3)  # (b, k, n)
+def _weighted_sq(op: str, x: Tensor, target: np.ndarray, weights) -> Tensor:
+    """gc.weighted_sq of (b, k, n, c) `x` against `target`, a (b,) Tensor;
+    a target not shaped like `x` or weights not shaped (b, k, n) are a
+    ShapeError naming `op`."""
     weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != sq.shape:
-        raise gc.ShapeError(op, weights.shape, sq.shape)
-    return gc.mul(gc.tsum(gc.reshape(gc.mul(sq, weights), (b, -1)), axis=1), 1.0 / c)
+    if target.shape != x.shape or weights.shape != x.shape[:3]:
+        raise gc.ShapeError(op, x.shape, target.shape, weights.shape)
+    return gc.weighted_sq(x, target, weights)
 
 
 def fm_loss(v_pred, u_target, weights) -> Tensor:
     """Token-weighted squared flow-matching error, averaged over channels."""
     v = _with_batch("fm_loss", v_pred, LATENT)
     u = _with_batch("fm_loss", as_tensor(u_target).data, LATENT)
-    if v.shape != u.shape:
-        raise gc.ShapeError("fm_loss", v.shape, u.shape)
-    return gc.tmean(_weighted_sq("fm_loss", gc.add(v, -u), weights))
+    return gc.tmean(_weighted_sq("fm_loss", v, u, weights))
 
 
 def kstep_targets(z_i: np.ndarray, z0: np.ndarray, z1: np.ndarray, t_i: float,
@@ -168,8 +165,8 @@ def kstep_loss(velocities, targets_per_step, weights, w1: float = 1.0, w0: float
     total = None
     for v, (v1, v0) in zip(velocities, targets_per_step):
         v, v1, v0 = (_with_batch("kstep_loss", a, LATENT) for a in (v, v1, v0))
-        step = gc.add(gc.mul(_weighted_sq("kstep_loss", gc.add(v, -v1), weights), w1),
-                      gc.mul(_weighted_sq("kstep_loss", gc.add(v, -v0), weights), w0))
+        step = gc.add(gc.mul(_weighted_sq("kstep_loss", v, v1, weights), w1),
+                      gc.mul(_weighted_sq("kstep_loss", v, v0, weights), w0))
         total = step if total is None else gc.add(total, step)
     return gc.tmean(gc.mul(total, 1.0 / len(velocities)))
 
@@ -197,8 +194,8 @@ def endpoint_consistency(states, velocities, times) -> Tensor:
         cur = implied(i, velocities[i])
         b, kk, n, _ = cur[0].shape
         w = np.full((b, kk, n), 1.0 / (kk * n))
-        term = gc.add(_weighted_sq("endpoint_consistency", gc.add(cur[0], -prev[0]), w),
-                      _weighted_sq("endpoint_consistency", gc.add(cur[1], -prev[1]), w))
+        term = gc.add(_weighted_sq("endpoint_consistency", cur[0], prev[0], w),
+                      _weighted_sq("endpoint_consistency", cur[1], prev[1], w))
         total = term if total is None else gc.add(total, term)
         prev = [e.data for e in cur]
     return gc.tmean(gc.mul(total, 1.0 / (k - 1)))

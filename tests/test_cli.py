@@ -406,7 +406,9 @@ MALFORMED_CONFIGS = [
         ("vae.batch", 0), ("vae.hidden", 0), ("vae.hops", 0), ("vae.hops", "1 2"),
         ("vae.lr", -1), ("vae.grad_clip", "nan"), ("vae.grad_clip", -1), ("flow.batch", 0),
         ("finetune.k_steps", 0), ("finetune.k_steps", 1), ("run.seed", -1),
-        ("data.kind", "mixed-regions")]],
+        ("data.kind", "mixed-regions"), ("finetune.sub_batch", 16)]],
+    pytest.param("train-flow", b"[flow]\nbatch = 4\n", "finetune.sub_batch: ",
+                 id="flow.batch-below-sub_batch"),
 ]
 
 
@@ -624,6 +626,35 @@ class TestVaeThatDoesNotFitTheConfig:
         assert run("finetune", "--config", cfg, "--ckpt", path, "--out", out) == 1
         assert capsys.readouterr().err == (
             f"error: {path}: vae_cfg.height is 32, but the config gives 64\n")
+        assert not any(out.iterdir())
+
+
+class TestBundleThatDoesNotFitItsInput:
+    @pytest.mark.parametrize("body,message", [
+        ("[data]\npast = 12\n", "flow_cfg.history_steps is 2, but data.past = 12 gives 3"),
+        ("[data]\nframes = 20\n",
+         "flow_cfg.future_steps is 2, but data.frames - data.past = 12 gives 3")],
+        ids=["past", "frames"])
+    def test_finetune_of_other_latent_steps_exits_1_naming_the_bundle_and_key(
+            self, tmp_path, capsys, body, message):
+        path, cfg, out = tmp_path / "flow.ckpt", tmp_path / "run.cfg", tmp_path / "out"
+        tlf.save_checkpoint(path, *_bundle_parts())  # 2 history and 2 future latent steps
+        cfg.write_text(body)
+        assert run("finetune", "--config", cfg, "--ckpt", path, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("height,width,field,value", [
+        (64, 64, "height", 64), (32, 64, "width", 64), (16, 32, "height", 16)])
+    def test_sample_of_another_frame_size_exits_1_naming_both_files(
+            self, tmp_path, capsys, height, width, field, value):
+        path, hist, out = tmp_path / "flow.ckpt", tmp_path / "hist.tlf", tmp_path / "out"
+        tlf.save_checkpoint(path, *_bundle_parts())  # a 32x32 VAE
+        run("synth", hist, "--frames", 8, "--height", height, "--width", width, "--out", tmp_path)
+        capsys.readouterr()
+        assert run("sample", "--ckpt", path, "--history", hist, "--out", out) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: vae_cfg.{field} is 32, but {hist} has {field} {value}\n")
         assert not any(out.iterdir())
 
 
@@ -980,8 +1011,9 @@ class TestSampleFrames:
         code = run("sample", "--ckpt", tmp_path / "bundle.ckpt", "--history", hist,
                    "--out", tmp_path)
         assert code == 1
-        assert capsys.readouterr().err == ("error: history frames must be in 5..8 (history_steps "
-                                           f"2 x temporal_ratio 4), got {frames}\n")
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'bundle.ckpt'}: flow_cfg.history_steps is 2, but the {frames} "
+            f"frames of {hist} (temporal_ratio 4) give {frames // 4}\n")
 
 
 class TestPlot:

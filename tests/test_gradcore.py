@@ -48,6 +48,7 @@ def _primitive_cases(rng) -> dict:
     """One scalar function of two (3, 4) inputs per differentiable primitive."""
     m = rng.random((3, 4)) > 0.5
     target, weight = rng.normal(size=(3, 1, 2)), rng.uniform(0.5, 2.0, size=(3, 1))
+    sq_target, sq_weight = rng.normal(size=(3, 2, 1, 2)), rng.uniform(0.0, 2.0, size=(3, 2, 1))
     return {
         "add": lambda x, y: gc.tsum(gc.add(x, y)),
         "mul": lambda x, y: gc.tsum(gc.mul(x, y)),
@@ -72,6 +73,8 @@ def _primitive_cases(rng) -> dict:
         "getitem": lambda x, y: gc.tsum(gc.square(x[1:, :2])),
         "shift_l1": lambda x, y: gc.tsum(gc.sigmoid(
             gc.shift_l1(gc.reshape(x, (3, 2, 2)), 1, 1, target, weight))),
+        "weighted_sq": lambda x, y: gc.tsum(gc.sigmoid(
+            gc.weighted_sq(gc.reshape(x, (3, 2, 1, 2)), sq_target, sq_weight))),
     }
 
 
@@ -124,6 +127,7 @@ def _constant_calls(rng) -> dict:
     than one path."""
     m = rng.random((3, 4)) > 0.5
     target, weight = rng.normal(size=(3, 1, 2)), rng.uniform(0.5, 2.0, size=(3, 1))
+    sq_target, sq_weight = rng.normal(size=(3, 2, 1, 2)), rng.uniform(0.0, 2.0, size=(3, 2, 1))
     return {
         "add": gc.add,
         "mul": gc.mul,
@@ -149,6 +153,8 @@ def _constant_calls(rng) -> dict:
         "concat": lambda x, y: gc.concat([x, y], axis=1),
         "getitem": lambda x, y: (x[1:, :2], x[[0, 2, 0]], x[1, 2]),
         "shift_l1": lambda x, y: gc.shift_l1(gc.reshape(x, (3, 2, 2)), 1, 1, target, weight),
+        "weighted_sq": lambda x, y: gc.weighted_sq(gc.reshape(x, (3, 2, 1, 2)), sq_target,
+                                                   sq_weight),
     }
 
 
@@ -371,6 +377,53 @@ def test_huber_bit_equal_to_abs_square_where_chain(delta):
 def test_huber_gradients_on_both_sides_of_delta():
     r = np.array([-2.0, -0.8, -0.2, 0.1, 0.5, 1.7])
     assert gc.grad_check(lambda r_: gc.tsum(gc.huber(r_, 0.6)), [r]) < 1e-8
+
+
+def _weighted_sq_chain(x, target, weights):
+    """The add/square/tsum/mul/reshape/tsum/mul chain weighted_sq replaces."""
+    b, c = x.shape[0], x.shape[3]
+    sq = gc.tsum(gc.square(gc.add(x, -target)), axis=3)
+    return gc.mul(gc.tsum(gc.reshape(gc.mul(sq, weights), (b, -1)), axis=1), 1.0 / c)
+
+
+def _weighted_sq_listing_x_twice(x, target, weights):
+    """weighted_sq's value with `x` listed twice, one square adjoint t each, so
+    backward adds t and t into x's adjoint one after the other."""
+    d, c = x.data - target, x.shape[3]
+    t = lambda g: ((g * (1.0 / c))[:, None, None] * weights)[..., None] * d
+    return _make(gc.weighted_sq(x.data, target, weights).data, (x, x), (t, t), "weighted_sq")
+
+
+def test_weighted_sq_bit_equal_to_the_seven_node_chain():
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=(3, 4, 5, 6))
+    targets = rng.normal(size=(2, *x.shape))
+    weights = rng.uniform(0.0, 2.0, size=x.shape[:3])
+    weights[0, 0, :2] = 0.0
+    cot = rng.normal(size=(2, 3))
+
+    def loss(node):  # x read by two weighted errors and once more, as a rollout velocity is
+        return lambda x_: gc.add(gc.tsum(gc.mul(x_, 0.3)), gc.add(
+            gc.tsum(gc.mul(node(x_, targets[0], weights), cot[0])),
+            gc.tsum(gc.mul(node(x_, targets[1], weights), cot[1]))))
+
+    assert gc.weighted_sq(x, targets[0], weights).data.tobytes() == \
+        _weighted_sq_chain(x, targets[0], weights).data.tobytes()
+    _, (g_prim,) = gc.grad(loss(gc.weighted_sq), [x])
+    _, (g_chain,) = gc.grad(loss(_weighted_sq_chain), [x])
+    assert g_prim.tobytes() == g_chain.tobytes()
+    # the inputs tell the one-contribution form from one that lists x twice
+    _, (g_twice,) = gc.grad(loss(_weighted_sq_listing_x_twice), [x])
+    assert g_twice.tobytes() != g_chain.tobytes()
+
+
+@pytest.mark.parametrize("x_shape,target_shape,weights_shape", [
+    ((2, 3, 4), (2, 3, 4), (2, 3)), ((2, 3, 4, 2), (2, 3, 4, 1), (2, 3, 4)),
+    ((2, 3, 4, 2), (2, 3, 4, 2), (2, 3, 1)), ((2, 3, 4, 2), (2, 3, 4, 2), (2, 3, 4, 2))],
+    ids=["rank-3", "target", "weights", "per-channel-weights"])
+def test_weighted_sq_shape_error_names_weighted_sq(x_shape, target_shape, weights_shape):
+    with pytest.raises(gc.ShapeError, match="^weighted_sq: "):
+        gc.weighted_sq(np.ones(x_shape), np.ones(target_shape), np.ones(weights_shape))
 
 
 @pytest.mark.parametrize("w_shape,b_shape", [((4, 2), (2,)), ((3, 2), (3,)), ((3, 2), (1, 2))])

@@ -53,6 +53,8 @@ def test_tracer_covers_a_finetune_step(tiny_bundle):
     assert len(spans.series["tape_nodes"]) == 1
     assert spans.calls["models.velocity_forward"] == 9
     assert spans.calls["gradcore.residual_mlp.vjp"] > 0
+    # one node per weighted squared error: fm 1, kstep 2 x 8 and endpoint consistency 2 x 7
+    assert spans.calls["gradcore.weighted_sq"] == spans.calls["gradcore.weighted_sq.vjp"] == 31
 
 
 def test_tracer_wraps_a_constant_parameter_euler_sample(tiny_bundle):
