@@ -394,10 +394,14 @@ def train_vae(dataset: SegmentDataset, cfg: VaeTrainConfig, seed: int = 0,
     rng = gc.rng(seed)
     if params is None:
         params = init_vae_params(cfg.vae, rng)
+    # 0/1 visibility, as scenes and TLF files give it, goes to the losses as
+    # bool, whose pair products and counts are exact at a byte a cell; any
+    # other mask keeps its float weights
+    visible = dataset.masks != 0
+    masks = visible if np.array_equal(visible, dataset.masks) else dataset.masks
 
     def step_loss(wrapped, idx):
-        total, parts = vae_loss_terms(wrapped, dataset.segments[idx], dataset.masks[idx],
-                                      cfg, rng)
+        total, parts = vae_loss_terms(wrapped, dataset.segments[idx], masks[idx], cfg, rng)
         return total, {"total": float(total), **parts}
 
     return _fit("train_vae", params, step_loss, rng, cfg.steps, len(dataset), cfg.batch,

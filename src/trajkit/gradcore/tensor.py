@@ -224,10 +224,11 @@ def residual_mlp(h, w1, b1, w2, b2, axis=-1) -> Tensor:
     """h + linear(gelu(linear(h, w1, b1, axis)), w2, b2, axis) as one node.
 
     The forward repeats linear's, gelu's and add's arithmetic in the chain's
-    order.  For its adjoints the node keeps the inner linear's output and
-    gelu's tanh and output, not the outer linear's output.  `h` is listed
-    twice: its first adjoint passes g on, as add's does, and its second is
-    the inner chain's, so backward adds them into h in the chain's order."""
+    order.  For its adjoints the node keeps gelu's derivative and output, not
+    the inner linear's output, gelu's tanh or the outer linear's output.  `h`
+    is listed twice: its first adjoint passes g on, as add's does, and its
+    second is the inner chain's, so backward adds them into h in the chain's
+    order."""
     h, w1, b1, w2, b2 = (as_tensor(t) for t in (h, w1, b1, w2, b2))
     if (w1.data.ndim != 2 or w2.shape != w1.shape[::-1] or b1.shape != w1.shape[1:]
             or b2.shape != w2.shape[1:] or not -h.data.ndim <= axis < h.data.ndim
@@ -240,12 +241,19 @@ def residual_mlp(h, w1, b1, w2, b2, axis=-1) -> Tensor:
         return Tensor(h.data + _linear(a, w2.data, b2.data, axis)[0], _op="residual_mlp")
     m, (dx1, dw1, db1) = _linear(h.data, w1.data, b1.data, axis,
                                  w1.requires_grad + b1.requires_grad)
-    a, th = _gelu(m)
+    a, local = _gelu_and_derivative(m)
+    del m  # no adjoint reads it: freed before the outer linear allocates
     y, (dx2, dw2, db2) = _linear(a, w2.data, b2.data, axis, w2.requires_grad + b2.requires_grad)
-    # the inner linear's output adjoint: read by h's second adjoint, w1's and b1's
-    dm = _shared(lambda g: _gelu_vjp(m, th, dx2(g)),
-                 h.requires_grad + w1.requires_grad + b1.requires_grad)
-    return _make(h.data + y, operands,
+    y += h.data  # y is the outer linear's fresh output, which no adjoint reads
+
+    def inner(g):  # the inner linear's output adjoint: dx2's fresh output times local
+        dm = dx2(g)
+        dm *= local
+        return dm
+
+    # read by h's second adjoint, w1's and b1's
+    dm = _shared(inner, h.requires_grad + w1.requires_grad + b1.requires_grad)
+    return _make(y, operands,
                  (lambda g: g, lambda g: dx1(dm(g)), lambda g: dw1(dm(g)),
                   lambda g: db1(dm(g)), dw2, db2), "residual_mlp")
 
@@ -294,8 +302,10 @@ def _gelu(x):
     return out, th
 
 
-def _gelu_vjp(x, th, g):
-    """gelu's input adjoint at x, from the forward's tanh `th`."""
+def _gelu_and_derivative(x):
+    """gelu's forward on an array and its derivative there: (out, local), the
+    input adjoint being local * g."""
+    out, th = _gelu(x)
     t = np.multiply(th, th, out=np.empty_like(x))
     np.subtract(1.0, t, out=t)  # sech2
     rhs = np.multiply(0.5, x, out=np.empty_like(x))
@@ -308,8 +318,7 @@ def _gelu_vjp(x, th, g):
     np.add(th, 1.0, out=t)
     t *= 0.5
     t += rhs
-    t *= g
-    return t
+    return out, t
 
 
 def gelu(a) -> Tensor:
@@ -317,12 +326,14 @@ def gelu(a) -> Tensor:
 
     Computed in place, in the association order of
     out = 0.5 * x * (1 + tanh(c * (x + 0.044715 * x * x * x))) and
-    g * (0.5 * (1 + th) + 0.5 * x * sech2 * (c * (1 + 3 * 0.044715 * x * x)))."""
+    g * (0.5 * (1 + th) + 0.5 * x * sech2 * (c * (1 + 3 * 0.044715 * x * x))).
+    The derivative factor is computed in the forward, so the node keeps it
+    alone, not x and th."""
     a = as_tensor(a)
-    out, th = _gelu(a.data)
     if not _needs_grad((a,)):
-        return Tensor(out, _op="gelu")
-    return _make(out, (a,), (lambda g: _gelu_vjp(a.data, th, g),), "gelu")
+        return Tensor(_gelu(a.data)[0], _op="gelu")
+    out, local = _gelu_and_derivative(a.data)
+    return _make(out, (a,), (lambda g: local * g,), "gelu")
 
 
 def absolute(a) -> Tensor:
@@ -518,12 +529,17 @@ def shift_l1(a, hop, axis, target, weight) -> Tensor:
     With d = a[hop:] - a[:-hop] - target along `axis` (neither the leading
     instance axis nor the trailing length-2 coordinate axis), returns the
     (b,) sums of weight * (|d_x| + |d_y|).  `a` is listed once per slice, so
-    its two adjoints accumulate like those of a getitem/mul/add chain."""
+    its two adjoints accumulate like those of a getitem/mul/add chain.  The
+    node keeps the weight and a float32 sign of d.  A bool weight is kept as
+    it is, a byte a cell, and widened only inside the products, which are
+    exact for 0 and 1; any other weight is float64."""
     a = as_tensor(a)
     if (not _is_int(hop) or not _is_int(axis) or not 1 <= axis < a.data.ndim - 1
             or a.shape[-1] != 2 or not 1 <= hop < a.shape[axis]):
         raise ShapeError("shift_l1", a.shape, (hop, axis))
-    target, weight = np.asarray(target, dtype=np.float64), np.asarray(weight, dtype=np.float64)
+    target, weight = np.asarray(target, dtype=np.float64), np.asarray(weight)
+    if weight.dtype != bool:
+        weight = weight.astype(np.float64, copy=False)
     lead = (slice(None),) * axis
     hi, lo = lead + (slice(hop, None),), lead + (slice(None, -hop),)
     d = a.data[hi] - a.data[lo]

@@ -35,9 +35,15 @@ class NeighborSpec(Checked):
 
 def _pair_arrays(target, recon, mask, op: str):
     """target, recon (B, T, H, W, 2) and mask (B, T, H, W), returned as recon, target,
-    mask; one without its batch axis is a ShapeError naming `op`."""
-    return (_with_batch(op, recon, SEGMENT), _with_batch(op, target, SEGMENT),
-            _with_batch(op, mask, SEGMENT[:-1]))
+    mask; one without its batch axis is a ShapeError naming `op`.  A bool mask
+    stays bool, a byte a cell: its pair products and counts are exact, and
+    shift_l1 keeps it as it is.  Any other mask is a float64 weight."""
+    recon, target = _with_batch(op, recon, SEGMENT), _with_batch(op, target, SEGMENT)
+    if not (isinstance(mask, np.ndarray) and mask.dtype == bool):
+        mask = _with_batch(op, mask, SEGMENT[:-1])
+    elif mask.ndim != len(SEGMENT) - 1:
+        raise gc.ShapeError(op, mask.shape, SEGMENT[:-1])
+    return recon, target, mask
 
 
 def recon_loss(target, recon, mask, huber_delta: float = 1.0) -> Tensor:

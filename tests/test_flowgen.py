@@ -1,3 +1,4 @@
+import gc as gc_module
 import math
 import tracemalloc
 from dataclasses import replace
@@ -402,6 +403,25 @@ class TestTrainingLoops:
         assert seen[:8] == [1e-3] * 8
         assert seen[8:] == pytest.approx([2e-3 / 3, 1e-3 / 3], rel=1e-12)
 
+    @pytest.mark.parametrize("scale", [1.0, 0.5])
+    def test_train_vae_passes_0_1_visibility_as_bool(self, tiny_vae_cfg, monkeypatch, scale):
+        """0/1 masks reach the losses as bool; a fractional mask keeps its weights."""
+        dataset = make_segment_dataset("smooth", 4, seed=7)
+        assert dataset.masks.dtype == np.uint8
+        dataset.masks[:, :, :4] = 0  # hide the top rows, so both values occur
+        dataset.masks = dataset.masks * scale
+        seen, real = [], flowgen.vae_loss_terms
+
+        def spy(params, x, m, cfg, rng):
+            seen.append(m)
+            return real(params, x, m, cfg, rng)
+
+        monkeypatch.setattr(flowgen, "vae_loss_terms", spy)
+        flowgen.train_vae(dataset, flowgen.VaeTrainConfig(vae=tiny_vae_cfg, steps=2, batch=2),
+                          seed=0)
+        assert [m.dtype for m in seen] == [np.dtype(bool if scale == 1.0 else np.float64)] * 2
+        assert all(np.isin(m, (0.0, scale)).all() for m in seen)
+
     @pytest.mark.parametrize("loop", ["train_vae", "train_visibility_head"])
     def test_nonfinite_loss_aborts_at_step_0(self, tiny_vae_cfg, loop):
         if loop == "train_vae":
@@ -558,19 +578,19 @@ class TestTrainingLoops:
         assert float(lb.endpoint_consistency(states, velocities, grid)) == pytest.approx(0.0, abs=1e-20)
 
 
-def _train_one_step(loop, vae_cfg):
-    """One step of `loop` at the desk VAE and the default flow model."""
-    vae_train_cfg = flowgen.VaeTrainConfig(vae=vae_cfg, steps=int(loop == "vae"))
+def _train_steps(loop, vae_cfg, steps=1):
+    """`steps` steps of `loop` at the desk VAE and the default flow model."""
+    vae_train_cfg = flowgen.VaeTrainConfig(vae=vae_cfg, steps=steps * (loop == "vae"))
     vae_params, _ = flowgen.train_vae(make_segment_dataset("smooth", 8, seed=0), vae_train_cfg,
                                       seed=0)
     if loop == "vae":
         return
     pairs = make_pair_dataset("translation", 8, seed=1)
-    flow_cfg = flowgen.FlowTrainConfig(flow=FlowConfig(), steps=int(loop == "flow"))
+    flow_cfg = flowgen.FlowTrainConfig(flow=FlowConfig(), steps=steps * (loop == "flow"))
     bundle, _ = flowgen.train_flow(pairs, vae_params, vae_cfg, flow_cfg, seed=2)
     if loop == "finetune":
-        flowgen.finetune_onpolicy(bundle, pairs, flow_cfg,
-                                  flowgen.FinetuneConfig(steps=1, k_steps=8, sub_batch=4), seed=3)
+        flowgen.finetune_onpolicy(bundle, pairs, flow_cfg, flowgen.FinetuneConfig(
+            steps=steps, k_steps=8, sub_batch=4), seed=3)
 
 
 @pytest.mark.parametrize("loop,ops,leaves", [("vae", 80, 62), ("flow", 25, 26),
@@ -600,35 +620,63 @@ def test_grad_carrying_tape_nodes_per_step_are_pinned(desk_vae_cfg, monkeypatch,
         return real(loss, wrt)
 
     monkeypatch.setattr(gc, "backward", walk)
-    _train_one_step(loop, desk_vae_cfg)
+    _train_steps(loop, desk_vae_cfg)
     assert sizes == [(ops, leaves)], (
         f"{loop}: (op nodes, leaves) per step is {sizes}, pinned at {(ops, leaves)}; a "
         "deliberate change of the graph (ROADMAP item 3) updates these numbers and reports "
         "them in CHANGES.md")
 
 
-# Bytes a desk VAE step's forward leaves live while its loss is held: the
-# arrays its tape keeps for the adjoints (43,646,848 when pinned; the measure
-# repeats to the byte).  A node that keeps more than its adjoints read fails
-# here; a change that keeps less lowers the pin.
-VAE_TAPE_BYTES = 43_700_000
+# Bytes a training step's forward leaves live when its backward starts: the
+# arrays its tape keeps for the adjoints, measured on the second step of
+# `_train_steps` (the first warms every code path), on the batch as the loop
+# builds it.  A node that keeps more than its adjoints read fails here; a
+# change that keeps less lowers the pin.  The VAE step held 58.0 MB until
+# residual_mlp, huber and shift_l1 became single nodes (ROADMAP item 11), then
+# 43,679,928 bytes until gelu's derivative replaced its operands on the tape
+# and train_vae's 0/1 visibility reached the consistency losses as bool
+# (33,646,280 since; the flow pretraining step 4,840,081 -> 4,052,875 and the
+# fine-tune step, K = 8 and sub-batch 4, 24,840,598 -> 20,900,512 bytes).
+# The VAE measure repeats to the byte, the flow ones within 1 KB.
+VAE_TAPE_BYTES = 33_700_000
+FLOW_TAPE_BYTES = {"flow": 4_100_000, "finetune": 20_950_000}
 
 
-def test_vae_step_tape_memory_is_pinned(desk_vae_cfg):
-    cfg = flowgen.VaeTrainConfig(vae=desk_vae_cfg)
-    data = make_segment_dataset("smooth", 8, seed=0)
-    params = wrap_params(models.init_vae_params(desk_vae_cfg, gc.rng(0)))
-    rng = gc.rng(1)
-    flowgen.vae_loss_terms(params, data.segments, data.masks, cfg, rng)  # warm every code path
+def _live_tape_bytes(loop, vae_cfg, monkeypatch) -> int:
+    """Traced bytes live at the last step's backward over those live when
+    that step wrapped its parameters."""
+    marks, wrap, backward = [], flowgen.wrap_params, gc.backward
+
+    def mark(fn, name):
+        def marked(*args, **kwargs):
+            gc_module.collect()  # cyclic garbage of earlier work would blur the measure
+            marks.append((name, tracemalloc.get_traced_memory()[0]))
+            return fn(*args, **kwargs)
+        return marked
+
+    monkeypatch.setattr(flowgen, "wrap_params", mark(wrap, "wrap"))
+    monkeypatch.setattr(gc, "backward", mark(backward, "backward"))
     tracemalloc.start()
     try:
-        base = tracemalloc.get_traced_memory()[0]
-        loss, _ = flowgen.vae_loss_terms(params, data.segments, data.masks, cfg, rng)
-        live = tracemalloc.get_traced_memory()[0] - base
+        _train_steps(loop, vae_cfg, steps=2)
     finally:
         tracemalloc.stop()
-    assert float(loss) > 0 and live <= VAE_TAPE_BYTES, (
+    (first, start), (last, end) = marks[-2:]
+    assert (first, last) == ("wrap", "backward")
+    return end - start
+
+
+def test_vae_step_tape_memory_is_pinned(desk_vae_cfg, monkeypatch):
+    live = _live_tape_bytes("vae", desk_vae_cfg, monkeypatch)
+    assert live <= VAE_TAPE_BYTES, (
         f"a desk VAE step's tape holds {live} bytes, pinned at {VAE_TAPE_BYTES}")
+
+
+@pytest.mark.parametrize("loop", FLOW_TAPE_BYTES)
+def test_flow_step_tape_memory_is_pinned(desk_vae_cfg, monkeypatch, loop):
+    live = _live_tape_bytes(loop, desk_vae_cfg, monkeypatch)
+    assert live <= FLOW_TAPE_BYTES[loop], (
+        f"a {loop} step's tape holds {live} bytes, pinned at {FLOW_TAPE_BYTES[loop]}")
 
 
 SAMPLERS = [pytest.param({"method": "euler", "steps": 10}, id="euler10"),

@@ -341,6 +341,29 @@ def test_residual_mlp_bit_equal_to_linear_gelu_add_chain(axis):
         assert gp.tobytes() == gch.tobytes()
 
 
+@pytest.mark.parametrize("axis", [2, -1, 0])
+def test_residual_mlp_writes_into_no_array_another_node_reads(axis):
+    """The output adds h into the outer linear's fresh output in place, and the
+    inner adjoint scales dx2's fresh output in place: h, which a second
+    consumer also reads, keeps its bytes, and so does that consumer's gradient,
+    also when the tape is replayed twice."""
+    rng = np.random.default_rng(16)
+    h0 = rng.normal(size=(2, 3, 5, 6))
+    n = h0.shape[axis]
+    w1, b1 = rng.normal(size=(n, 7)) * 0.5, rng.normal(size=7)
+    w2, b2 = rng.normal(size=(7, n)) * 0.5, rng.normal(size=n)
+    cot = rng.normal(size=h0.shape)
+    h = Tensor(h0.copy(), requires_grad=True)
+    c = Tensor(np.zeros(h0.shape), requires_grad=True)
+    out = gc.residual_mlp(h, w1, b1, w2, b2, axis=axis)
+    loss = gc.add(gc.tsum(gc.mul(out, cot)), gc.tsum(gc.mul(h, c)))
+    assert not np.shares_memory(out.data, h.data) and h.data.tobytes() == h0.tobytes()
+    g_h, g_c = gc.backward(loss, [h, c])
+    assert h.data.tobytes() == h0.tobytes() and g_c.tobytes() == h0.tobytes()
+    again = gc.backward(loss, [h, c])
+    assert again[0].tobytes() == g_h.tobytes() and again[1].tobytes() == h0.tobytes()
+
+
 @pytest.mark.parametrize("shapes", [((3, 2), (2,), (2, 3), (3,)),
                                     ((4, 2), (2,), (2, 3), (3,)), ((4, 2), (3,), (2, 4), (4,)),
                                     ((4, 2), (2,), (2, 4), (1, 4))])
@@ -524,6 +547,24 @@ def test_shift_l1_bit_equal_to_masked_l1_chain(axis, hop):
     _, (g_prim,) = gc.grad(loss(gc.shift_l1), [x])
     _, (g_chain,) = gc.grad(loss(_chain_l1), [x])
     assert np.array_equal(g_prim, g_chain)
+
+
+@pytest.mark.parametrize("axis,hop", [(1, 1), (2, 2), (3, 4)])
+def test_shift_l1_bool_weight_bit_equal_to_float_weight(axis, hop):
+    """A bool weight is kept as bool and widened inside the products, which
+    are exact for 0 and 1: the bytes of the same weight as float64 0/1."""
+    x, target, weight = _shift_l1_inputs(12, hop, axis)
+    mask = weight > 0
+    cot = np.array([0.7, -1.3])
+
+    def run(w):
+        f = lambda x_: gc.tsum(gc.mul(gc.shift_l1(x_, hop, axis, target, w), cot))
+        value, (g,) = gc.grad(f, [x])
+        return gc.shift_l1(x, hop, axis, target, w).data.tobytes(), value, g.tobytes()
+
+    assert run(mask) == run(mask.astype(np.float64))
+    f = lambda x_: gc.tsum(gc.sigmoid(gc.shift_l1(x_, hop, axis, target, mask)))
+    assert gc.grad_check(f, [x]) < 1e-4
 
 
 @pytest.mark.parametrize("axis", [1, 2])

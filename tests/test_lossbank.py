@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -186,6 +187,71 @@ class TestStRegularizer:
         st_j = _st_regularizer(gt, jitter, mask)
         assert st_j > st_s
         assert st_j - st_s == pytest.approx(0.1 * 2 * b, abs=1e-9)
+
+
+def _masked_batch(seed=12):
+    """target, recon and a bool mask: a batch of two with about 30% hidden."""
+    rng = np.random.default_rng(seed)
+    target = rng.normal(size=(2, 4, 6, 6, 2)) * 0.5
+    recon = target + rng.normal(size=target.shape) * 0.3
+    return target, recon, rng.random((2, 4, 6, 6)) < 0.7
+
+
+MASKED_LOSSES = {
+    "recon_loss": lb.recon_loss,
+    "temporal_loss": lb.temporal_loss,
+    "spatial_loss": lb.spatial_loss,
+    "consistency_terms": lambda t, r, m: gc.add(*lb.consistency_terms(t, r, m, None, 0.1, 0.2)[:2]),
+}
+
+
+def _value_and_grad(name, target, recon, mask):
+    value, (g,) = gc.grad(lambda r: MASKED_LOSSES[name](target, r, mask), [recon])
+    return value, g
+
+
+class TestBoolMask:
+    """A bool mask stays bool through the consistency losses; a float one is a weight."""
+
+    @pytest.mark.parametrize("name", MASKED_LOSSES)
+    def test_bool_mask_bytes_equal_its_float_copy(self, name, monkeypatch):
+        target, recon, mask = _masked_batch()
+        weights, shift_l1 = [], gc.shift_l1
+
+        def spy(*args):
+            weights.append(args[4].dtype)
+            return shift_l1(*args)
+
+        monkeypatch.setattr(gc, "shift_l1", spy)
+        v_bool, g_bool = _value_and_grad(name, target, recon, mask)
+        kept, weights[:] = set(weights), []
+        v_float, g_float = _value_and_grad(name, target, recon, mask.astype(np.float64))
+        assert v_bool.hex() == v_float.hex() and g_bool.tobytes() == g_float.tobytes()
+        if name != "recon_loss":
+            assert kept == {np.dtype(bool)} and set(weights) == {np.dtype(np.float64)}
+
+    # float.hex of each loss and the sha256 of its gradient's bytes at a
+    # fractional mask, as computed before bool masks kept their dtype
+    FRACTIONAL = {
+        "recon_loss": ("0x1.68f2a2324d0efp-4", "638e5b954f679f68"),
+        "temporal_loss": ("0x1.535402f055c26p-1", "d938f2f7d72b138f"),
+        "spatial_loss": ("0x1.5aef908cc7a3bp-1", "9bee1ce9d2ac21e3"),
+        "consistency_terms": ("0x1.9d47a803f5372p-3", "647e83476485746a"),
+    }
+
+    @pytest.mark.parametrize("name", MASKED_LOSSES)
+    def test_fractional_float_mask_keeps_its_bytes(self, name):
+        target, recon, mask = _masked_batch()
+        frac = mask * np.random.default_rng(13).uniform(0.25, 2.0, size=mask.shape)
+        value, g = _value_and_grad(name, target, recon, frac)
+        assert (value.hex(), hashlib.sha256(g.tobytes()).hexdigest()[:16]) == \
+            self.FRACTIONAL[name]
+        assert value != _value_and_grad(name, target, recon, mask)[0]  # the weights count
+
+    def test_bool_mask_without_batch_axis_names_the_loss(self):
+        target, recon, mask = _masked_batch()
+        with pytest.raises(gc.ShapeError, match="^temporal_loss: "):
+            lb.temporal_loss(target, recon, mask[0])
 
 
 class TestKlLoss:
