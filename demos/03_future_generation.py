@@ -11,26 +11,23 @@ import math
 import numpy as np
 
 from trajkit import flowgen
-from trajkit.models import FlowConfig, VaeConfig
-from trajkit.scenes import SceneGeometry, pair_dataset, scene_specs
+from trajkit.config import RunConfig
+from trajkit.scenes import pair_dataset, scene_specs
 from trajkit.trajfield import OffsetField, coarse_positions
 
-geom = SceneGeometry(height=32, width=32, stride=8, frames=16, past=8)
-vae_cfg = VaeConfig(height=32, width=32, frames=8, patch=8, hidden=64, blocks=2,
-                    latent_channels=8, temporal_ratio=4)
-flow_cfg = FlowConfig(hidden=64, blocks=2, history_steps=2, future_steps=2,
-                      latent_channels=8, n_tokens=vae_cfg.n_tokens)
+desk = RunConfig.desk()
+geom = desk.geometry()
+vae_cfg = desk.vae_config()
 
 print("training trajectory VAE (500 steps) ...")
 # both windows of each scene, so the decoder sees late-window offset scales
 segments = pair_dataset("smooth", 16, seed=0, geom=geom).windows()
-vae_params, vae_curve = flowgen.train_vae(
-    segments, flowgen.VaeTrainConfig(vae=vae_cfg, steps=500, batch=8, lr=3e-3), seed=0)
+vae_params, vae_curve = flowgen.train_vae(segments, desk.vae_train_config(), seed=0)
 print(f"  loss {vae_curve[0]['total']:.4f} -> {vae_curve[-1]['total']:.4f}")
 
 print("training rectified flow (1000 steps) ...")
 pairs = pair_dataset("translation", 24, seed=1, geom=geom)
-train_cfg = flowgen.FlowTrainConfig(flow=flow_cfg, steps=1000, batch=8, lr=1e-3)
+train_cfg = desk.flow_train_config()
 bundle, flow_curve = flowgen.train_flow(pairs, vae_params, vae_cfg, train_cfg, seed=2)
 print(f"  fm loss {flow_curve[0]['fm']:.4f} -> {flow_curve[-1]['fm']:.4f}")
 

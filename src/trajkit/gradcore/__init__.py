@@ -19,6 +19,7 @@ from .tensor import (
     linear,
     matmul,
     mul,
+    regroup,
     reshape,
     residual_mlp,
     shift_l1,
@@ -26,7 +27,6 @@ from .tensor import (
     softplus,
     square,
     tmean,
-    transpose,
     tsum,
     weighted_sq,
     where,
@@ -38,6 +38,6 @@ __all__ = [
     "Rng", "rng",
     "ShapeError", "Tensor", "absolute", "add", "as_tensor", "backward",
     "concat", "div", "exp", "gelu", "getitem", "huber", "linear", "matmul",
-    "mul", "reshape", "residual_mlp", "shift_l1", "sigmoid", "softplus", "square",
-    "tmean", "transpose", "tsum", "weighted_sq", "where",
+    "mul", "regroup", "reshape", "residual_mlp", "shift_l1", "sigmoid", "softplus",
+    "square", "tmean", "tsum", "weighted_sq", "where",
 ]

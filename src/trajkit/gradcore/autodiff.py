@@ -6,6 +6,8 @@ import numpy as np
 
 from .tensor import Tensor, backward
 
+STEP = 1e-5  # grad_check's central-difference step
+
 
 class GradCheckError(RuntimeError):
     """Raised when finite-difference probing hits a non-finite value."""
@@ -23,14 +25,13 @@ def grad(f, inputs):
     return float(out.data), gs
 
 
-def grad_check(f, inputs, step: float = 1e-5) -> float:
+def grad_check(f, inputs) -> float:
     """Max relative error between analytic adjoints and central differences.
 
-    Error per coordinate is |analytic - fd| / max(1, |fd|); the max over all
-    coordinates of all inputs is returned.
+    Error per coordinate is |analytic - fd| / max(1, |fd|), fd the central
+    difference of step STEP; the max over all coordinates of all inputs is
+    returned.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
     inputs = [np.array(x, dtype=np.float64) for x in inputs]
     _, analytic = grad(f, inputs)
     worst = 0.0
@@ -38,12 +39,12 @@ def grad_check(f, inputs, step: float = 1e-5) -> float:
         flat = x.reshape(-1)
         for j in range(flat.size):
             orig = flat[j]
-            flat[j] = orig + step
+            flat[j] = orig + STEP
             up, _ = _eval(f, inputs, i, j)
-            flat[j] = orig - step
+            flat[j] = orig - STEP
             dn, _ = _eval(f, inputs, i, j)
             flat[j] = orig
-            fd = (up - dn) / (2.0 * step)
+            fd = (up - dn) / (2.0 * STEP)
             if not np.isfinite(fd):
                 raise GradCheckError(f"non-finite probe at input {i}, coordinate {j}")
             err = abs(analytic[i].reshape(-1)[j] - fd) / max(1.0, abs(fd))

@@ -92,8 +92,7 @@ def _needs_grad(operands) -> bool:
 
 
 def _make(data, parents, vjps, op) -> Tensor:
-    if not _needs_grad(parents):
-        return Tensor(data, _op=op)
+    """A tape node; each primitive returns its constant output before it calls this."""
     return Tensor(data, requires_grad=True, _parents=tuple(parents), _vjps=tuple(vjps), _op=op)
 
 
@@ -431,24 +430,22 @@ def weighted_sq(x, target, weights) -> Tensor:
 # -- reductions / structure ----------------------------------------------
 
 
-def tsum(a, axis=None, keepdims=False) -> Tensor:
+def tsum(a, axis=None) -> Tensor:
     a = as_tensor(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
+    out = a.data.sum(axis=axis)
     if not _needs_grad((a,)):
         return Tensor(out, _op="sum")
 
     def vjp(g):
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         return np.broadcast_to(g, a.shape).copy()
 
     return _make(out, (a,), (vjp,), "sum")
 
 
-def tmean(a, axis=None, keepdims=False) -> Tensor:
-    a = as_tensor(a)
-    count = a.size if axis is None else a.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / count)
+def tmean(a) -> Tensor:
+    return mul(tsum(a), 1.0 / as_tensor(a).size)
 
 
 def reshape(a, shape) -> Tensor:
@@ -462,14 +459,21 @@ def reshape(a, shape) -> Tensor:
     return _make(out, (a,), (lambda g: g.reshape(a.shape),), "reshape")
 
 
-def transpose(a, axes) -> Tensor:
+def regroup(a, split, axes, shape) -> Tensor:
+    """a.reshape(split).transpose(axes).reshape(shape) as one node: the VAE's
+    moves between frames, patches and tokens.  Pure data movement, so the
+    adjoint is the inverse regroup of g, with the chain's bytes both ways."""
     a = as_tensor(a)
-    axes = tuple(axes)
-    out = a.data.transpose(axes)
+    try:
+        moved = a.data.reshape(split).transpose(axes)
+        out = moved.reshape(shape)
+    except ValueError:
+        raise ShapeError("regroup", a.shape, split, shape) from None
     if not _needs_grad((a,)):
-        return Tensor(out, _op="transpose")
-    inv = tuple(np.argsort(axes))
-    return _make(out, (a,), (lambda g: g.transpose(inv),), "transpose")
+        return Tensor(out, _op="regroup")
+    moved_shape, inv = moved.shape, tuple(np.argsort(axes))
+    return _make(out, (a,), (lambda g: g.reshape(moved_shape).transpose(inv).reshape(a.shape),),
+                 "regroup")
 
 
 def concat(tensors, axis=0) -> Tensor:

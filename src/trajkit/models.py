@@ -147,8 +147,8 @@ def wrap_params(params: dict, requires_grad: bool = True) -> dict:
 # -- shared forward pieces --------------------------------------------------
 
 
-def _linear(params: dict, name: str, x: Tensor, axis: int = -1) -> Tensor:
-    return gc.linear(x, params[f"{name}.w"], params[f"{name}.b"], axis=axis)
+def _linear(params: dict, name: str, x: Tensor) -> Tensor:
+    return gc.linear(x, params[f"{name}.w"], params[f"{name}.b"])
 
 
 def _mlp_params(params: dict, name: str, part: str) -> tuple:
@@ -192,17 +192,15 @@ def _pad_frames(x: Tensor, ratio: int) -> Tensor:
 def _patchify(x: Tensor, cfg: VaeConfig) -> Tensor:
     b, t = x.shape[0], x.shape[1]
     ph, pw, p = cfg.tokens_h, cfg.tokens_w, cfg.patch
-    x = gc.reshape(x, (b, t, ph, p, pw, p, 2))
-    x = gc.transpose(x, (0, 1, 2, 4, 3, 5, 6))
-    return gc.reshape(x, (b, t, ph * pw, p * p * 2))
+    return gc.regroup(x, (b, t, ph, p, pw, p, 2), (0, 1, 2, 4, 3, 5, 6),
+                      (b, t, ph * pw, p * p * 2))
 
 
 def _unpatchify(x: Tensor, cfg: VaeConfig) -> Tensor:
     b, t = x.shape[0], x.shape[1]
     ph, pw, p = cfg.tokens_h, cfg.tokens_w, cfg.patch
-    x = gc.reshape(x, (b, t, ph, pw, p, p, 2))
-    x = gc.transpose(x, (0, 1, 2, 4, 3, 5, 6))
-    return gc.reshape(x, (b, t, ph * p, pw * p, 2))
+    return gc.regroup(x, (b, t, ph, pw, p, p, 2), (0, 1, 2, 4, 3, 5, 6),
+                      (b, t, ph * p, pw * p, 2))
 
 
 def vae_encode(x, params: dict, cfg: VaeConfig):
@@ -211,16 +209,14 @@ def vae_encode(x, params: dict, cfg: VaeConfig):
     b, t, h, w, _ = x.shape
     if (h, w) != (cfg.height, cfg.width):
         raise gc.ShapeError("vae_encode", x.shape, (cfg.height, cfg.width))
-    x = _pad_frames(x, cfg.temporal_ratio)
-    t_pad = x.shape[1]
-    t_lat = t_pad // cfg.temporal_ratio
+    r = cfg.temporal_ratio
+    x = _pad_frames(x, r)
+    t_lat = x.shape[1] // r
     tok = _linear(params, "enc.embed", _patchify(x, cfg))
     for i in range(cfg.blocks):
         tok = _block(params, f"enc.block{i}", tok)
-    d = cfg.hidden
-    tok = gc.reshape(tok, (b, t_lat, cfg.temporal_ratio, cfg.n_tokens, d))
-    tok = gc.transpose(tok, (0, 1, 3, 2, 4))
-    tok = gc.reshape(tok, (b, t_lat, cfg.n_tokens, cfg.temporal_ratio * d))
+    n, d = cfg.n_tokens, cfg.hidden
+    tok = gc.regroup(tok, (b, t_lat, r, n, d), (0, 1, 3, 2, 4), (b, t_lat, n, r * d))
     tok = gc.gelu(_linear(params, "enc.compress", tok))
     tok = _block(params, "enc.post", tok)
     mu = _linear(params, "enc.mu", tok)
@@ -248,9 +244,7 @@ def vae_decode(z, params: dict, cfg: VaeConfig, frames: int | None = None) -> Te
     tok = _block(params, "dec.pre", tok)
     d, r = cfg.hidden, cfg.temporal_ratio
     tok = _linear(params, "dec.expand", tok)
-    tok = gc.reshape(tok, (b, t_lat, n, r, d))
-    tok = gc.transpose(tok, (0, 1, 3, 2, 4))
-    tok = gc.reshape(tok, (b, t_lat * r, n, d))
+    tok = gc.regroup(tok, (b, t_lat, n, r, d), (0, 1, 3, 2, 4), (b, t_lat * r, n, d))
     for i in range(cfg.blocks):
         tok = _block(params, f"dec.block{i}", tok)
     out = _unpatchify(_linear(params, "dec.head", tok), cfg)
@@ -258,13 +252,6 @@ def vae_decode(z, params: dict, cfg: VaeConfig, frames: int | None = None) -> Te
 
 
 # -- velocity network --------------------------------------------------------
-
-
-def fusion_ramp(future_steps: int) -> np.ndarray:
-    """Linear ramp over future latent steps; 0 at the first, 1 at the last."""
-    if future_steps == 1:
-        return np.zeros(1)
-    return np.linspace(0.0, 1.0, future_steps)
 
 
 def history_cue(z_hist, params: dict, k_f: int) -> Tensor:
@@ -279,7 +266,8 @@ def history_cue(z_hist, params: dict, k_f: int) -> Tensor:
         raise ValueError("history_cue: need at least 2 history latent steps")
     boundary = _linear(params, "vel.tok", z_hist[:, -1:])   # (B, 1, N, D)
     hint = gc.add(boundary, gc.mul(_linear(params, "vel.tok", z_hist[:, -2:-1]), -1.0))
-    omega = fusion_ramp(k_f).reshape(1, k_f, 1, 1)
+    # the fusion ramp: 0 at the first future step, 1 at the last
+    omega = np.linspace(0.0, 1.0, k_f).reshape(1, k_f, 1, 1)
     gates = gc.reshape(gc.sigmoid(params["vel.fusion.gate_raw"]), (1, k_f, 1, 1))
     cue = gc.add(boundary, gc.mul(hint, omega))  # (B, 1, N, D) broadcast over K_f
     return gc.mul(gc.mul(cue, gates), params["vel.fusion.alpha"])
@@ -316,7 +304,7 @@ def encode_condition(z_hist, visibility, params: dict, cfg: FlowConfig) -> Condi
         raise gc.ShapeError("encode_condition", vis.shape, z_hist.shape[:-1])
     k_f = cfg.future_steps
     cue = history_cue(z_hist, params, k_f)
-    hist_tok = gc.reshape(gc.transpose(z_hist, (0, 2, 1, 3)), (b, 1, n, k_p * c))
+    hist_tok = gc.regroup(z_hist, z_hist.shape, (0, 2, 1, 3), (b, 1, n, k_p * c))
     vis_hist = Tensor(vis.transpose(0, 2, 1).reshape(b, 1, n, k_p))
     tokens = _linear(params, "vel.cond", gc.concat([hist_tok, vis_hist], axis=3))
     tokens = gc.add(np.zeros((b, k_f, n, cfg.cond_hidden)), tokens)  # concat needs the full shape

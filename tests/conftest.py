@@ -1,28 +1,26 @@
 """Shared desk-scale fixtures: scene suites, datasets, and tiny configs."""
 
+from dataclasses import replace
+
 import pytest
 
 from trajkit import flowgen
-from trajkit.models import FlowConfig, VaeConfig, latent_steps
-from trajkit.scenes import SceneGeometry, pair_dataset, segment_dataset
+from trajkit.config import RunConfig
+from trajkit.models import FlowConfig, VaeConfig
+from trajkit.scenes import pair_dataset, segment_dataset
 
-DESK_GEOM = SceneGeometry(height=32, width=32, stride=8, frames=16, past=8)
+DESK = RunConfig.desk()
+DESK_GEOM = DESK.geometry()
 
 
 def desk_vae_config(**overrides) -> VaeConfig:
-    base = dict(height=DESK_GEOM.height, width=DESK_GEOM.width, frames=DESK_GEOM.past,
-                patch=8, hidden=64, blocks=2, latent_channels=8, temporal_ratio=4)
-    base.update(overrides)
-    return VaeConfig(**base)
+    return replace(DESK.vae_config(), **overrides)
 
 
 def desk_flow_config(vae: VaeConfig, **overrides) -> FlowConfig:
-    base = dict(hidden=64, blocks=2, cond_hidden=32, time_features=8,
-                history_steps=latent_steps(DESK_GEOM.past, vae.temporal_ratio),
-                future_steps=latent_steps(DESK_GEOM.frames - DESK_GEOM.past, vae.temporal_ratio),
-                latent_channels=vae.latent_channels, n_tokens=vae.n_tokens)
-    base.update(overrides)
-    return FlowConfig(**base)
+    """The desk flow config on `vae`'s latents (at the desk's temporal ratio)."""
+    return replace(DESK.flow_config(), latent_channels=vae.latent_channels,
+                   n_tokens=vae.n_tokens, **overrides)
 
 
 def make_segment_dataset(kind_mix: str, n: int, seed: int, frames: int | None = None):

@@ -16,6 +16,7 @@ import pytest
 
 from trajkit import flowgen, gradcore as gc, lossbank as lb, metrics, motionlab, scenes, tlf
 from trajkit.cli import dispatch
+from trajkit.config import RunConfig
 from trajkit.flowgen import boundary_init, dopri5_sample, euler_sample, logit_grid
 from trajkit.models import (
     FlowConfig,
@@ -34,7 +35,8 @@ from trajkit.models import (
     wrap_params,
 )
 
-GEOM = scenes.SceneGeometry(height=32, width=32, stride=8, frames=16, past=8)
+DESK = RunConfig.desk()
+GEOM = DESK.geometry()
 RESULTS: dict = {}
 ARTIFACT_DIR = Path(__file__).resolve().parent.parent / "test-artifacts"
 
@@ -63,23 +65,14 @@ def _dump_results():
 # -- shared heavy runs ---------------------------------------------------------
 
 
-def desk_vae_train_cfg(vae_cfg, **overrides):
-    base = dict(vae=vae_cfg, steps=500, batch=8, lr=3e-3)
-    base.update(overrides)
-    return flowgen.VaeTrainConfig(**base)
-
-
 @pytest.fixture(scope="module")
 def vae_cfg():
-    return VaeConfig(height=32, width=32, frames=8, patch=8, hidden=64, blocks=2,
-                     latent_channels=8, temporal_ratio=4)
+    return DESK.vae_config()
 
 
 @pytest.fixture(scope="module")
-def flow_cfg(vae_cfg):
-    return FlowConfig(hidden=64, blocks=2, cond_hidden=32, time_features=8,
-                      history_steps=2, future_steps=2,
-                      latent_channels=vae_cfg.latent_channels, n_tokens=vae_cfg.n_tokens)
+def flow_cfg():
+    return DESK.flow_config()
 
 
 @pytest.fixture(scope="module")
@@ -93,26 +86,25 @@ def vae_train_data():
 
 
 @pytest.fixture(scope="module")
-def vae_runs(vae_cfg, vae_train_data):
+def vae_runs(vae_train_data):
     """The 500-step default run and its lambda=0 ablation (paired seed)."""
-    default_cfg = desk_vae_train_cfg(vae_cfg)
-    ablation_cfg = desk_vae_train_cfg(vae_cfg, lambda_temporal=0.0, lambda_spatial=0.0)
+    default_cfg = DESK.vae_train_config()
+    ablation_cfg = replace(default_cfg, lambda_temporal=0.0, lambda_spatial=0.0)
     params_d, curve_d = flowgen.train_vae(vae_train_data, default_cfg, seed=42)
     params_a, curve_a = flowgen.train_vae(vae_train_data, ablation_cfg, seed=42)
     return {"default": (params_d, curve_d), "ablation": (params_a, curve_a)}
 
 
 @pytest.fixture(scope="module")
-def flow_runs(vae_cfg, flow_cfg, vae_runs):
+def flow_runs(vae_cfg, vae_runs):
     """1000-step flow pretraining plus 200-step on-policy fine-tuning."""
     vae_params = vae_runs["default"][0]
     pairs = scenes.pair_dataset("translation", 24, 300, GEOM)
-    train_cfg = flowgen.FlowTrainConfig(flow=flow_cfg, steps=1000, batch=8, lr=1e-3)
-    init_bundle, _ = flowgen.train_flow(
-        pairs, vae_params, vae_cfg,
-        flowgen.FlowTrainConfig(flow=flow_cfg, steps=0), seed=43)
+    train_cfg = DESK.flow_train_config()
+    init_bundle, _ = flowgen.train_flow(pairs, vae_params, vae_cfg,
+                                        replace(train_cfg, steps=0), seed=43)
     bundle, curve = flowgen.train_flow(pairs, vae_params, vae_cfg, train_cfg, seed=43)
-    ft_cfg = flowgen.FinetuneConfig(steps=200, lr=3e-4, sub_batch=4)
+    ft_cfg = DESK.finetune_config()
     tuned, _ = flowgen.finetune_onpolicy(bundle, pairs, train_cfg, ft_cfg, seed=44)
     return {"pairs": pairs, "train_cfg": train_cfg, "init": init_bundle,
             "pretrained": bundle, "finetuned": tuned}
