@@ -126,7 +126,12 @@ def cmd_analyze_variance(args, cfg, out_dir) -> list:
 
 def cmd_train_vae(args, cfg, out_dir) -> list:
     # past and future windows as independent items: the encoder sees the
-    # windows the flow stage uses
+    # windows the flow stage uses, so both must have one length
+    past, frames = cfg["data"]["past"], cfg["data"]["frames"]
+    if 2 * past != frames:
+        raise ConfigError(f"train-vae: data.past ({past}) must be half of data.frames ({frames}), "
+                          f"as it trains on the {past}-frame history and {frames - past}-frame "
+                          f"future windows as one set")
     dataset = _pairs(cfg).windows()
     train_cfg = cfg.vae_train_config()
     params, curve = flowgen.train_vae(dataset, train_cfg, seed=cfg.seed)
@@ -473,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--history", required=True)
     p.add_argument("--config", default=None)
     p.add_argument("--preset", default=None, choices=["default", "desk"])
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count, default=0)
     p.add_argument("--frames", type=int, default=None)
     p.add_argument("--output", default="future.tlf")
     add_common(p)

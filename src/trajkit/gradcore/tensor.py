@@ -359,41 +359,57 @@ def where(mask, a, b) -> Tensor:
                                lambda g: _unbroadcast(np.where(mask, 0.0, g), b.shape)), "where")
 
 
-def huber(a, delta: float) -> Tensor:
-    """Elementwise Huber loss as one node: a * a * 0.5 where |a| <= delta,
-    |a| * delta - 0.5 * delta * delta elsewhere.
+def _instance_sums(cell, weight):
+    """The (b,) sums of weight * cell over every axis of a (b, ...) `cell`
+    but the first; `cell` is scaled in place."""
+    cell *= weight
+    return cell.reshape(cell.shape[0], -1).sum(axis=1)
 
-    The arithmetic is the absolute/square/mul/add/where chain's.  The node
-    keeps only the mask |a| <= delta and takes the sign from `a` when its
-    adjoint runs.  `a` is listed once per contribution of that chain, the
-    square's two and then the magnitude's, so backward adds them into a's
-    adjoint in its order."""
-    a = as_tensor(a)
-    x = a.data
-    lin = np.abs(x)
+
+def _spread(weight, g):
+    """_instance_sums' adjoint for `cell`: weight * g, each instance's g spread over its cells."""
+    return weight * g.reshape(-1, *(1,) * (weight.ndim - 1))
+
+
+def huber(x, target, weight, delta: float) -> Tensor:
+    """sum weight * (rho(d_x) + rho(d_y)) per instance of (B, ..., 2) `x`, with
+    d = x - target, rho(r) = r * r * 0.5 where |r| <= delta and
+    |r| * delta - 0.5 * delta * delta elsewhere: a (B,) Tensor, one node.
+
+    The arithmetic is the add/absolute/square/mul/add/where/tsum/mul/reshape/
+    tsum chain's.  `x` is listed once, with one contribution (s + s) + m, the
+    square's two parts and then the magnitude's, summed as the chain's
+    backward sums them into the difference before add passes them on.  The
+    node keeps d, the mask |d| <= delta and the weight."""
+    x = as_tensor(x)
+    target, weight = np.asarray(target, dtype=np.float64), np.asarray(weight, dtype=np.float64)
+    if (x.data.ndim < 2 or x.shape[-1] != 2 or target.shape != x.shape
+            or weight.shape != x.shape[:-1]):
+        raise ShapeError("huber", x.shape, target.shape, weight.shape)
+    d = x.data - target
+    lin = np.abs(d)
     mask = lin <= delta
-    quad = x * x
+    quad = d * d
     quad *= 0.5
     lin *= delta
     lin += -0.5 * delta * delta
-    out = np.where(mask, quad, lin)
-    if not _needs_grad((a,)):
+    out = _instance_sums(np.where(mask, quad, lin).sum(axis=-1), weight)
+    if not _needs_grad((x,)):
         return Tensor(out, _op="huber")
 
-    def through_square(g):  # each of the square's two adjoints
-        part = np.where(mask, g, 0.0)
-        part *= 0.5
-        part *= x
-        return part
+    def vjp(g):
+        g = _spread(weight, g)[..., None]
+        s = np.where(mask, g, 0.0)
+        s *= 0.5
+        s *= d
+        m = np.where(mask, 0.0, g)
+        m *= delta
+        m *= np.sign(d)
+        s += s
+        s += m
+        return s
 
-    def through_magnitude(g):
-        part = np.where(mask, 0.0, g)
-        part *= delta
-        part *= np.sign(x)
-        return part
-
-    square_part = _shared(through_square, 2)
-    return _make(out, (a, a, a), (square_part, square_part, through_magnitude), "huber")
+    return _make(out, (x,), (vjp,), "huber")
 
 
 def weighted_sq(x, target, weights) -> Tensor:
@@ -410,18 +426,15 @@ def weighted_sq(x, target, weights) -> Tensor:
     target, weights = np.asarray(target, dtype=np.float64), np.asarray(weights, dtype=np.float64)
     if x.data.ndim != 4 or target.shape != x.shape or weights.shape != x.shape[:3]:
         raise ShapeError("weighted_sq", x.shape, target.shape, weights.shape)
-    b, c = x.shape[0], x.shape[3]
+    c = x.shape[3]
     d = x.data - target
-    per_token = (d * d).sum(axis=3)
-    per_token *= weights
-    out = per_token.reshape(b, -1).sum(axis=1)
+    out = _instance_sums((d * d).sum(axis=3), weights)
     out *= 1.0 / c
     if not _needs_grad((x,)):
         return Tensor(out, _op="weighted_sq")
 
     def vjp(g):
-        t = (g * (1.0 / c))[:, None, None] * weights
-        t = t[..., None] * d
+        t = _spread(weights, g * (1.0 / c))[..., None] * d
         return t + t
 
     return _make(out, (x,), (vjp,), "weighted_sq")
@@ -551,15 +564,13 @@ def shift_l1(a, hop, axis, target, weight) -> Tensor:
         raise ShapeError("shift_l1", d.shape, target.shape, weight.shape)
     d -= target
     mag = np.abs(d)
-    l1 = mag[..., 0] + mag[..., 1]
-    l1 *= weight
-    out = l1.reshape(l1.shape[0], -1).sum(axis=1)
+    out = _instance_sums(mag[..., 0] + mag[..., 1], weight)
     if not _needs_grad((a,)):
         return Tensor(out, _op="shift_l1")
     sign = np.sign(d, out=np.empty(d.shape, np.float32))  # -1, 0, 1 and nan are exact
 
     def cotangent(g):  # sign(d) * weight * g
-        w = weight * g.reshape(-1, *(1,) * (weight.ndim - 1))
+        w = _spread(weight, g)
         dd = sign.astype(np.float64)
         dd[..., 0] *= w
         dd[..., 1] *= w

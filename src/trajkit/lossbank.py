@@ -53,10 +53,7 @@ def recon_loss(target, recon, mask, huber_delta: float = 1.0) -> Tensor:
     denom = mask.sum(axis=(1, 2, 3))
     if np.any(denom == 0):
         raise ValueError("recon_loss: a segment has no visible elements")
-    w = mask / denom[:, None, None, None]
-    rho = gc.tsum(gc.huber(gc.add(recon, -target), huber_delta), axis=4)
-    per_instance = gc.tsum(gc.reshape(gc.mul(rho, w), (w.shape[0], -1)), axis=1)
-    return gc.tmean(per_instance)
+    return gc.tmean(gc.huber(recon, target, mask / denom[:, None, None, None], huber_delta))
 
 
 def _shift_mismatch(recon, target, mask, hop: int, axis: int):
@@ -136,21 +133,11 @@ def token_weights(future_mask: np.ndarray, cfg: VaeConfig, floor: float) -> np.n
     return w / total
 
 
-def _weighted_sq(op: str, x: Tensor, target: np.ndarray, weights) -> Tensor:
-    """gc.weighted_sq of (b, k, n, c) `x` against `target`, a (b,) Tensor;
-    a target not shaped like `x` or weights not shaped (b, k, n) are a
-    ShapeError naming `op`."""
-    weights = np.asarray(weights, dtype=np.float64)
-    if target.shape != x.shape or weights.shape != x.shape[:3]:
-        raise gc.ShapeError(op, x.shape, target.shape, weights.shape)
-    return gc.weighted_sq(x, target, weights)
-
-
 def fm_loss(v_pred, u_target, weights) -> Tensor:
     """Token-weighted squared flow-matching error, averaged over channels."""
     v = _with_batch("fm_loss", v_pred, LATENT)
     u = _with_batch("fm_loss", as_tensor(u_target).data, LATENT)
-    return gc.tmean(_weighted_sq("fm_loss", v, u, weights))
+    return gc.tmean(gc.weighted_sq(v, u, _with_batch("fm_loss", weights, LATENT[:-1])))
 
 
 def kstep_targets(z_i: np.ndarray, z0: np.ndarray, z1: np.ndarray, t_i: float,
@@ -168,11 +155,11 @@ def kstep_loss(velocities, targets_per_step, weights, w1: float = 1.0, w0: float
     if len(velocities) != len(targets_per_step) or not velocities:
         raise ValueError(f"kstep_loss: {len(velocities)} velocities vs "
                          f"{len(targets_per_step)} target pairs")
-    total = None
+    weights, total = _with_batch("kstep_loss", weights, LATENT[:-1]), None
     for v, (v1, v0) in zip(velocities, targets_per_step):
         v, v1, v0 = (_with_batch("kstep_loss", a, LATENT) for a in (v, v1, v0))
-        step = gc.add(gc.mul(_weighted_sq("kstep_loss", v, v1, weights), w1),
-                      gc.mul(_weighted_sq("kstep_loss", v, v0, weights), w0))
+        step = gc.add(gc.mul(gc.weighted_sq(v, v1, weights), w1),
+                      gc.mul(gc.weighted_sq(v, v0, weights), w0))
         total = step if total is None else gc.add(total, step)
     return gc.tmean(gc.mul(total, 1.0 / len(velocities)))
 
@@ -200,8 +187,7 @@ def endpoint_consistency(states, velocities, times) -> Tensor:
         cur = implied(i, velocities[i])
         b, kk, n, _ = cur[0].shape
         w = np.full((b, kk, n), 1.0 / (kk * n))
-        term = gc.add(_weighted_sq("endpoint_consistency", cur[0], prev[0], w),
-                      _weighted_sq("endpoint_consistency", cur[1], prev[1], w))
+        term = gc.add(gc.weighted_sq(cur[0], prev[0], w), gc.weighted_sq(cur[1], prev[1], w))
         total = term if total is None else gc.add(total, term)
         prev = [e.data for e in cur]
     return gc.tmean(gc.mul(total, 1.0 / (k - 1)))

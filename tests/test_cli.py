@@ -60,6 +60,34 @@ class TestTlfFormat:
         back = tlf.to_offset_field(record)
         assert np.allclose(back.offsets, field.offsets, atol=1e-6)
 
+    def test_convert_round_trip_through_every_convention(self):
+        # pixel -> normalized -> offset -> pixel: three float32 roundings
+        record = tlf.from_tracks(generate(MotionSpec("rotation", frames=5, angular_rate=0.1)))
+        back = record
+        for convention in (tlf.CONV_NORMALIZED, tlf.CONV_OFFSET, tlf.CONV_PIXEL):
+            back = tlf.convert(back, convention)
+            assert back.convention == convention
+        ulp = np.finfo(np.float32).eps * max(record.height, record.width)
+        assert np.abs(back.coords - record.coords).max() <= ulp
+        assert np.array_equal(back.visibility, record.visibility)
+
+    def test_convert_to_its_own_convention_copies(self):
+        record = tlf.convert(tlf.from_tracks(generate(MotionSpec("translation", frames=4,
+                                                                 velocity=(1.0, 2.0)))),
+                             tlf.CONV_OFFSET)
+        same = tlf.convert(record, tlf.CONV_OFFSET)
+        assert same.coords.tobytes() == record.coords.tobytes()
+        assert same.visibility.tobytes() == record.visibility.tobytes()
+        assert (same.height, same.width, same.stride, same.convention) == \
+            (record.height, record.width, record.stride, record.convention)
+        assert not np.shares_memory(same.coords, record.coords)
+        assert not np.shares_memory(same.visibility, record.visibility)
+
+    def test_convert_to_an_unknown_convention_is_a_tlf_error(self):
+        record = tlf.from_tracks(generate(MotionSpec("static", frames=2)))
+        with pytest.raises(tlf.TlfError, match="unknown coordinate convention 7"):
+            tlf.convert(record, 7)
+
     def test_checkpoint_round_trip(self, tmp_path):
         blocks = {"a/w": np.arange(6.0).reshape(2, 3), "b": np.array(1.5)}
         meta = {"note": "x", "n": 3}
@@ -373,6 +401,18 @@ class TestSynthAndConversions:
         cfg = tmp_path / "zero.cfg"
         cfg.write_text("[vae]\nsteps = 0\n")
         assert run("train-vae", "--config", cfg, "--out", tmp_path) == 3
+        assert not (tmp_path / "vae.ckpt").exists()
+
+    def test_train_vae_of_two_window_lengths_exits_3_naming_the_keys(self, tmp_path, capsys):
+        # a valid config (train-flow runs on it) whose history and future
+        # windows differ in length, which the VAE's one training set cannot mix
+        cfg = tmp_path / "uneven.cfg"
+        cfg.write_text("[data]\npast = 6\nframes = 16\n")
+        RunConfig.load(cfg)
+        assert run("train-vae", "--config", cfg, "--out", tmp_path) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert all(word in err for word in ("data.past", "data.frames", "6-frame", "10-frame"))
         assert not (tmp_path / "vae.ckpt").exists()
 
 
@@ -842,6 +882,14 @@ class TestUsageErrors:
         assert dispatch(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("usage: trajkit") and "error:" in err
+
+    def test_negative_sample_seed_names_the_argument(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("sample", "--ckpt", tmp_path / "absent.ckpt", "--history",
+                   tmp_path / "absent.tlf", "--seed", "-1", "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: trajkit") and "argument --seed" in err
+        assert not out.exists()
 
     def test_help_exits_0(self, capsys):
         assert dispatch(["--help"]) == 0

@@ -54,6 +54,7 @@ def _primitive_cases(rng) -> dict:
     m = rng.random((3, 4)) > 0.5
     target, weight = rng.normal(size=(3, 1, 2)), rng.uniform(0.5, 2.0, size=(3, 1))
     sq_target, sq_weight = rng.normal(size=(3, 2, 1, 2)), rng.uniform(0.0, 2.0, size=(3, 2, 1))
+    hb_target, hb_weight = rng.normal(size=(3, 2, 2)), rng.uniform(0.0, 2.0, size=(3, 2))
     return {
         "add": lambda x, y: gc.tsum(gc.add(x, y)),
         "mul": lambda x, y: gc.tsum(gc.mul(x, y)),
@@ -69,7 +70,8 @@ def _primitive_cases(rng) -> dict:
         "absolute": lambda x, y: gc.tsum(gc.absolute(x)),
         "square": lambda x, y: gc.tsum(gc.mul(gc.square(x), y)),
         "where": lambda x, y: gc.tsum(gc.where(m, x, y)),
-        "huber": lambda x, y: gc.tsum(gc.mul(gc.huber(x, 0.7), y)),
+        "huber": lambda x, y: gc.tsum(gc.sigmoid(
+            gc.huber(gc.reshape(x, (3, 2, 2)), hb_target, hb_weight, 0.7))),
         "tsum": lambda x, y: gc.tsum(gc.square(gc.tsum(x, axis=1))),
         "tmean": lambda x, y: gc.tmean(gc.mul(x, y)),
         "reshape": lambda x, y: gc.tsum(gc.square(gc.reshape(x, (4, 3)))),
@@ -129,8 +131,10 @@ def test_every_exported_name_is_used_by_the_package():
 
 # the package mixes a non-last axis only inside residual_mlp, but
 # _residual_chain, the tests' bit-equality reference for residual_mlp, calls
-# linear at the token axis 2
-OPTIONS_SET_BY_TESTS_ONLY = {("linear", "axis")}
+# linear at the token axis 2; the package sums over an axis only inside
+# huber and weighted_sq, but _huber_chain and _weighted_sq_chain, their
+# bit-equality references, call tsum with an axis
+OPTIONS_SET_BY_TESTS_ONLY = {("linear", "axis"), ("tsum", "axis")}
 
 
 def test_every_option_of_gradcore_is_set_by_the_package():
@@ -176,6 +180,7 @@ def _constant_calls(rng) -> dict:
     m = rng.random((3, 4)) > 0.5
     target, weight = rng.normal(size=(3, 1, 2)), rng.uniform(0.5, 2.0, size=(3, 1))
     sq_target, sq_weight = rng.normal(size=(3, 2, 1, 2)), rng.uniform(0.0, 2.0, size=(3, 2, 1))
+    hb_target, hb_weight = rng.normal(size=(3, 2, 2)), rng.uniform(0.0, 2.0, size=(3, 2))
     return {
         "add": gc.add,
         "mul": gc.mul,
@@ -193,7 +198,7 @@ def _constant_calls(rng) -> dict:
         "absolute": lambda x, y: gc.absolute(x),
         "square": lambda x, y: gc.square(x),
         "where": lambda x, y: gc.where(m, x, y),
-        "huber": lambda x, y: gc.huber(x, 0.7),
+        "huber": lambda x, y: gc.huber(gc.reshape(x, (3, 2, 2)), hb_target, hb_weight, 0.7),
         "tsum": lambda x, y: (gc.tsum(x), gc.tsum(x, axis=1)),
         "tmean": lambda x, y: gc.tmean(x),
         "reshape": lambda x, y: gc.reshape(x, (4, 3)),
@@ -420,34 +425,61 @@ def test_residual_mlp_shape_error_names_residual_mlp(shapes):
         gc.residual_mlp(np.ones((5, 4)), *(np.ones(s) for s in shapes))
 
 
-def _huber_chain(r, delta):
-    """The absolute/square/mul/add/where chain huber replaces."""
+def _huber_chain(x, target, weight, delta):
+    """The add/absolute/square/mul/add/where/tsum/mul/reshape/tsum chain huber
+    replaces."""
+    r = gc.add(x, -target)
     mag = gc.absolute(r)
     quad = gc.mul(gc.square(r), 0.5)
     lin = gc.add(gc.mul(mag, delta), -0.5 * delta * delta)
-    return gc.where(mag.data <= delta, quad, lin)
+    rho = gc.tsum(gc.where(mag.data <= delta, quad, lin), axis=-1)
+    return gc.tsum(gc.reshape(gc.mul(rho, weight), (x.shape[0], -1)), axis=1)
 
 
 @pytest.mark.parametrize("delta", [1.0, 0.3])
-def test_huber_bit_equal_to_abs_square_where_chain(delta):
+def test_huber_bit_equal_to_the_ten_node_chain(delta):
+    """Forward bytes and x's adjoint, with x also read by a consumer of its
+    own, at differences on and next to the branch edges and at a weight with
+    zeros and fractional entries."""
     rng = np.random.default_rng(8)
-    r = rng.normal(size=(2, 4, 5, 2)) * 1.5
-    r.reshape(-1)[:6] = [delta, -delta, 0.0, -0.0, np.nextafter(delta, 0), 1e-310]
-    cot = rng.normal(size=r.shape)
-    cot.reshape(-1)[6] = 0.0
+    x = rng.normal(size=(3, 4, 5, 2)) * 1.5
+    target = rng.normal(size=x.shape)
+    edges = [delta, -delta, 0.0, -0.0, np.nextafter(delta, 0), -np.nextafter(delta, 0), 1e-310]
+    target.reshape(-1)[:len(edges)] = 0.0
+    x.reshape(-1)[:len(edges)] = edges
+    target.reshape(-1)[10:12] = [delta, -delta]  # x - target is +-delta exactly
+    x.reshape(-1)[10:12] = [2 * delta, -2 * delta]
+    weight = rng.uniform(0.0, 1.0, size=x.shape[:-1])
+    weight[0, 0, :3] = 0.0
+    weight[1] = 0.0
+    cot = rng.normal(size=x.shape[0])
 
-    def loss(node):  # r also read directly, as a further consumer of its adjoint
-        return lambda r_: gc.add(gc.tsum(gc.mul(node(r_, delta), cot)), gc.tsum(gc.mul(r_, 0.1)))
+    def loss(node):  # x's own consumer replays first, so x's adjoint sums in the chain's order
+        return lambda x_: gc.add(gc.tsum(gc.mul(x_, 0.1)),
+                                 gc.tsum(gc.mul(node(x_, target, weight, delta), cot)))
 
-    assert gc.huber(r, delta).data.tobytes() == _huber_chain(r, delta).data.tobytes()
-    _, (g_prim,) = gc.grad(loss(gc.huber), [r])
-    _, (g_chain,) = gc.grad(loss(_huber_chain), [r])
+    assert gc.huber(x, target, weight, delta).data.tobytes() == \
+        _huber_chain(x, target, weight, delta).data.tobytes()
+    _, (g_prim,) = gc.grad(loss(gc.huber), [x])
+    _, (g_chain,) = gc.grad(loss(_huber_chain), [x])
     assert g_prim.tobytes() == g_chain.tobytes()
 
 
 def test_huber_gradients_on_both_sides_of_delta():
-    r = np.array([-2.0, -0.8, -0.2, 0.1, 0.5, 1.7])
-    assert gc.grad_check(lambda r_: gc.tsum(gc.huber(r_, 0.6)), [r]) < 1e-8
+    d = np.array([-2.0, -0.8, -0.2, 0.1, 0.5, 1.7, 0.59, -0.61]).reshape(2, 2, 2)
+    target = np.random.default_rng(9).normal(size=d.shape)
+    weight = np.array([[0.5, 1.0], [2.0, 0.25]])
+    f = lambda x_: gc.tsum(gc.mul(gc.huber(x_, target, weight, 0.6), np.array([1.0, -0.7])))
+    assert gc.grad_check(f, [d + target]) < 1e-8
+
+
+@pytest.mark.parametrize("x_shape,target_shape,weight_shape", [
+    ((2, 3, 3), (2, 3, 3), (2, 3)), ((2,), (2,), ()), ((2, 3, 2), (2, 3, 1), (2, 3)),
+    ((2, 3, 2), (2, 3, 2), (2, 1)), ((2, 3, 2), (2, 3, 2), (2, 3, 2))],
+    ids=["three-coordinates", "no-batch-axis", "target", "weight", "per-coordinate-weight"])
+def test_huber_shape_error_names_huber(x_shape, target_shape, weight_shape):
+    with pytest.raises(gc.ShapeError, match="^huber: "):
+        gc.huber(np.ones(x_shape), np.ones(target_shape), np.ones(weight_shape), 1.0)
 
 
 def _weighted_sq_chain(x, target, weights):

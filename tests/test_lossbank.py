@@ -310,6 +310,12 @@ class TestFmLoss:
         w = np.array([[[1.0, 0.0]]])
         assert float(lb.fm_loss(v, u, w)) == 0.0
 
+    def test_weights_of_another_token_grid_name_weighted_sq(self):
+        # the loss checks only the batch axis; the node checks the rest
+        v = np.ones((1, 2, 4, 3))
+        with pytest.raises(gc.ShapeError, match="^weighted_sq: "):
+            lb.fm_loss(v, v.copy(), np.full((1, 2, 3), 1.0 / 6))
+
 
 class TestKstepPieces:
     def test_on_path_targets_equal_straight_velocity(self):

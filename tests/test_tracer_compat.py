@@ -34,6 +34,8 @@ def test_tracer_wraps_two_vae_steps_and_a_dopri5_solve(tiny_vae_cfg, tiny_bundle
     for op in ("linear", "residual_mlp", "huber", "shift_l1"):
         assert spans.calls[f"gradcore.{op}"] > 0 and spans.calls[f"gradcore.{op}.vjp"] > 0, op
     assert len(spans.series["tape_nodes"]) == 2
+    # one huber node per step, whose one adjoint is x's single contribution
+    assert spans.calls["gradcore.huber"] == spans.calls["gradcore.huber.vjp"] == 2
     assert len(spans.series["dopri5_times"]) == 1 and spans.series["dopri5_times"][0]
     assert spans.calls["gradcore.rng.draw_normal"] > 0
 
