@@ -256,11 +256,10 @@ def cmd_train_flow(args, cfg, out_dir) -> list:
     train_cfg = cfg.flow_train_config()
     bundle, curve = flowgen.train_flow(pairs, vae_params, vae_cfg, train_cfg,
                                        seed=cfg.seed)
-    f = cfg["flow"]
     z_f = flowgen.encode_mean(vae_params, vae_cfg, pairs.future)
     targets = pool_visibility(pairs.future_masks, vae_cfg)
     vis_params, _ = flowgen.train_visibility_head(z_f, targets, train_cfg.flow,
-                                                  steps=f["vis_steps"], lr=f["vis_lr"],
+                                                  train_cfg.vis_steps, train_cfg.vis_lr,
                                                   seed=cfg.seed)
     bundle.vis_params = vis_params
     save_bundle(out_dir / "flow.ckpt", bundle, cfg.seed)

@@ -41,12 +41,11 @@ OWNERS = {
 KEY_OF = {"clip_norm": "grad_clip", "token_floor": "invisible_token_weight",
           "weights": "hop_weights"}
 
-# keys that no module config owns, with their defaults; the sampler's and the
-# visibility head's are the defaults of flowgen's own functions
+# keys that no module config owns, with their defaults; the sampler's are
+# the defaults of flowgen's own functions
 FREE_KEYS = {
     "run": {"seed": 0, "out": None},  # out None: $TRAJLOOM_OUT, then ./runs
     "data": {"kind": "smooth", "scenes": 24},
-    "flow": {"vis_steps": flowgen.VIS_STEPS, "vis_lr": flowgen.VIS_LR},
     "sampler": flowgen.SAMPLER,
 }
 
@@ -55,8 +54,6 @@ RULES = {
     ("run", "seed"): AT_LEAST_0,
     ("data", "kind"): (f"one of {', '.join(KIND_MIXES)}", lambda v: v in KIND_MIXES),
     ("data", "scenes"): AT_LEAST_1,
-    ("flow", "vis_steps"): AT_LEAST_0,
-    ("flow", "vis_lr"): FINITE_POSITIVE,
     ("sampler", "method"): ("one of euler, dopri5", lambda v: v in ("euler", "dopri5")),
     ("sampler", "rtol"): FINITE_POSITIVE,
     ("sampler", "atol"): FINITE_POSITIVE,

@@ -44,7 +44,6 @@ T_EPS = 1e-5
 
 # sample_future's sampler; a partial spec takes the rest from here
 SAMPLER = {"method": "euler", "steps": 10, "rtol": 1e-5, "atol": 1e-8}
-VIS_STEPS, VIS_LR = 300, 1e-2  # train_visibility_head's schedule
 EVAL_FM_SEED = 1234  # eval_fm_loss's noise and time draws
 DOPRI5_H_MIN = 1e-13  # dopri5_sample gives up below this step size
 
@@ -302,6 +301,9 @@ class FlowTrainConfig(Checked):
     sigma: float = ranged(0.05, FINITE_NONNEGATIVE)
     token_floor: float = ranged(0.01, FINITE_NONNEGATIVE)
     clip_norm: float | None = ranged(1.0, CLIP_NORM)
+    # train_visibility_head's steps and lr; the fields above are train_flow's
+    vis_steps: int = ranged(300, AT_LEAST_0)
+    vis_lr: float = ranged(1e-2, FINITE_POSITIVE)
 
 
 @dataclass
@@ -394,14 +396,9 @@ def train_vae(dataset: SegmentDataset, cfg: VaeTrainConfig, seed: int = 0,
     rng = gc.rng(seed)
     if params is None:
         params = init_vae_params(cfg.vae, rng)
-    # 0/1 visibility, as scenes and TLF files give it, goes to the losses as
-    # bool, whose pair products and counts are exact at a byte a cell; any
-    # other mask keeps its float weights
-    visible = dataset.masks != 0
-    masks = visible if np.array_equal(visible, dataset.masks) else dataset.masks
 
     def step_loss(wrapped, idx):
-        total, parts = vae_loss_terms(wrapped, dataset.segments[idx], masks[idx], cfg, rng)
+        total, parts = vae_loss_terms(wrapped, dataset.segments[idx], dataset.masks[idx], cfg, rng)
         return total, {"total": float(total), **parts}
 
     return _fit("train_vae", params, step_loss, rng, cfg.steps, len(dataset), cfg.batch,
@@ -549,7 +546,7 @@ def finetune_onpolicy(bundle: FlowBundle, dataset: PairDataset, flow_cfg: FlowTr
 
 
 def train_visibility_head(latents: np.ndarray, targets: np.ndarray, flow_cfg: FlowConfig,
-                          steps: int = VIS_STEPS, lr: float = VIS_LR, seed: int = 0):
+                          steps: int, lr: float, seed: int = 0):
     """Fit the per-token visibility predictor with logit BCE, on minibatches
     of up to 16 items with the gradient norm clipped at 1.0."""
     rng = gc.rng(seed)

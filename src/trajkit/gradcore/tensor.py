@@ -520,20 +520,15 @@ def _is_basic_key(key) -> bool:
 
 
 def getitem(a, key) -> Tensor:
+    """a[key] for a view key, one that `_is_basic_key` accepts and that leaves
+    an axis; its adjoint is a slice contribution, added into the keyed slice.
+    Any other key is a ValueError."""
     a = as_tensor(a)
-    out = a.data[key]
+    if not _is_basic_key(key) or (out := a.data[key]).ndim == 0:
+        raise ValueError(f"getitem: key {key!r} is not a view with an axis")
     if not _needs_grad((a,)):
         return Tensor(out, _op="getitem")
-    basic = _is_basic_key(key) and np.ndim(out) > 0  # all-int keys give a scalar, not a view
-
-    def vjp(g):
-        if basic:  # a view: a slice contribution, added into the keyed slice
-            return key, g, np.add
-        full = np.zeros(a.shape)
-        np.add.at(full, key, g)  # advanced keys may repeat an index, and add.at accumulates
-        return full
-
-    return _make(out, (a,), (vjp,), "getitem")
+    return _make(out, (a,), (lambda g: (key, g, np.add),), "getitem")
 
 
 def _is_int(v) -> bool:
@@ -548,8 +543,8 @@ def shift_l1(a, hop, axis, target, weight) -> Tensor:
     (b,) sums of weight * (|d_x| + |d_y|).  `a` is listed once per slice, so
     its two adjoints accumulate like those of a getitem/mul/add chain.  The
     node keeps the weight and a float32 sign of d.  A bool weight is kept as
-    it is, a byte a cell, and widened only inside the products, which are
-    exact for 0 and 1; any other weight is float64."""
+    it is, a byte a cell, and widened only inside the products, exact for
+    0 and 1; any other weight is float64, as in `huber` and `weighted_sq`."""
     a = as_tensor(a)
     if (not _is_int(hop) or not _is_int(axis) or not 1 <= axis < a.data.ndim - 1
             or a.shape[-1] != 2 or not 1 <= hop < a.shape[axis]):

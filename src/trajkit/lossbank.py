@@ -18,6 +18,7 @@ from . import gradcore as gc
 from .gradcore import Tensor, as_tensor
 from .models import LATENT, SEGMENT, VaeConfig, _with_batch, pool_visibility
 from .rules import AT_LEAST_1, FINITE_POSITIVE, Checked, FieldError, each, ranged
+from .trajfield import check_visibility
 
 
 @dataclass
@@ -34,16 +35,19 @@ class NeighborSpec(Checked):
 
 
 def _pair_arrays(target, recon, mask, op: str):
-    """target, recon (B, T, H, W, 2) and mask (B, T, H, W), returned as recon, target,
-    mask; one without its batch axis is a ShapeError naming `op`.  A bool mask
-    stays bool, a byte a cell: its pair products and counts are exact, and
-    shift_l1 keeps it as it is.  Any other mask is a float64 weight."""
+    """target, recon (B, T, H, W, 2) and a 0/1 mask (B, T, H, W) of any dtype,
+    returned as recon, target and the mask as bool, a byte a cell, whose pair
+    products and counts are exact.  An input without its batch axis is a
+    ShapeError, a mask entry other than 0 or 1 a ValueError, each naming `op`."""
     recon, target = _with_batch(op, recon, SEGMENT), _with_batch(op, target, SEGMENT)
-    if not (isinstance(mask, np.ndarray) and mask.dtype == bool):
-        mask = _with_batch(op, mask, SEGMENT[:-1])
-    elif mask.ndim != len(SEGMENT) - 1:
+    mask = np.asarray(mask)
+    if mask.ndim != len(SEGMENT) - 1:
         raise gc.ShapeError(op, mask.shape, SEGMENT[:-1])
-    return recon, target, mask
+    try:
+        check_visibility(mask, ("segment", "frame", "row", "column"))
+    except ValueError as exc:
+        raise ValueError(f"{op}: {exc}") from None
+    return recon, target, mask != 0
 
 
 def recon_loss(target, recon, mask, huber_delta: float = 1.0) -> Tensor:

@@ -56,7 +56,6 @@ class TlfFile:
                  convention: int):
         with np.errstate(over="ignore"):  # beyond float32's range is inf, which write_tlf refuses
             self.coords = np.asarray(coords, dtype=np.float32)
-        self.visibility = np.asarray(visibility, dtype=np.uint8)
         self.height = int(height)
         self.width = int(width)
         self.stride = int(stride)
@@ -64,9 +63,10 @@ class TlfFile:
         if self.convention not in CONVENTIONS:
             raise TlfError(f"unknown coordinate convention {convention}")
         try:
-            check_grid(self.coords, self.visibility, self.height, self.width, self.stride)
+            check_grid(self.coords, visibility, self.height, self.width, self.stride)
         except ValueError as exc:
             raise TlfError(str(exc)) from None
+        self.visibility = np.asarray(visibility, dtype=np.uint8)
 
     @property
     def frames(self) -> int:

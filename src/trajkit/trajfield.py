@@ -30,8 +30,8 @@ class SparseTracks:
 
     def __post_init__(self):
         self.coords = np.asarray(self.coords, dtype=np.float64)
-        self.visibility = np.asarray(self.visibility, dtype=np.uint8)
         check_grid(self.coords, self.visibility, self.height, self.width, self.stride)
+        self.visibility = np.asarray(self.visibility, dtype=np.uint8)
 
     @property
     def frames(self) -> int:
@@ -44,8 +44,8 @@ class SparseTracks:
 
 def check_grid(coords, visibility, height: int, width: int, stride: int) -> None:
     """Raise ValueError unless (T, N, 2) coordinates and (T, N) visibility
-    bytes hold T >= 1 frames of one track per stride cell, N = (H/s)*(W/s),
-    with every visibility 0 or 1."""
+    hold T >= 1 frames of one track per stride cell, N = (H/s)*(W/s), with
+    every visibility 0 or 1."""
     if stride <= 0 or height % stride or width % stride:
         raise ValueError(f"frame {height}x{width} not divisible by stride {stride}")
     hc, wc = height // stride, width // stride
@@ -55,12 +55,20 @@ def check_grid(coords, visibility, height: int, width: int, stride: int) -> None
         raise ValueError(f"coords shape {coords.shape} inconsistent with grid {hc}x{wc}")
     if coords.shape[0] == 0:
         raise ValueError("no frames: a track record needs at least one")
-    if visibility.shape != coords.shape[:2]:
-        raise ValueError(f"visibility shape {visibility.shape} != {coords.shape[:2]}")
-    if visibility.max(initial=0) > 1:
-        frame, track = np.argwhere(visibility > 1)[0]
-        raise ValueError(f"visibility {visibility[frame, track]} at frame {frame}, "
-                         f"track {track} is not 0 or 1")
+    if np.shape(visibility) != coords.shape[:2]:
+        raise ValueError(f"visibility shape {np.shape(visibility)} != {coords.shape[:2]}")
+    check_visibility(visibility, ("frame", "track"))
+
+
+def check_visibility(values, axes) -> None:
+    """Raise ValueError naming the first entry of `values` other than 0 or 1
+    (NaN included) and its index, one name of `axes` per dimension."""
+    values = np.asarray(values)
+    bad = (values != 0) & (values != 1)
+    if bad.any():
+        index = tuple(np.argwhere(bad)[0])
+        where = ", ".join(f"{name} {i}" for name, i in zip(axes, index))
+        raise ValueError(f"visibility {values[index]} at {where} is not 0 or 1")
 
 
 @dataclass
@@ -74,9 +82,11 @@ class OffsetField:
 
     def __post_init__(self):
         self.offsets = np.asarray(self.offsets, dtype=np.float64)
-        self.mask = np.asarray(self.mask, dtype=np.uint8)
-        if self.offsets.shape[:3] != self.mask.shape or self.offsets.shape[3:] != (2,):
-            raise ValueError(f"field arrays inconsistent: {self.offsets.shape} vs {self.mask.shape}")
+        mask = np.asarray(self.mask)
+        if self.offsets.shape[:3] != mask.shape or self.offsets.shape[3:] != (2,):
+            raise ValueError(f"field arrays inconsistent: {self.offsets.shape} vs {mask.shape}")
+        check_visibility(mask, ("frame", "row", "column"))
+        self.mask = mask.astype(np.uint8, copy=False)
 
     @property
     def frames(self) -> int:

@@ -267,13 +267,11 @@ class TestConfig:
         assert cfg.flow_train_config() == flowgen.FlowTrainConfig()
         assert cfg.finetune_config() == flowgen.FinetuneConfig()
         spec = cfg.sampler_spec()
-        euler, dopri5, vis = (inspect.signature(f).parameters for f in (
-            flowgen.euler_sample, flowgen.dopri5_sample, flowgen.train_visibility_head))
+        euler, dopri5 = (inspect.signature(f).parameters for f in (
+            flowgen.euler_sample, flowgen.dopri5_sample))
         assert spec == flowgen.SAMPLER and spec["method"] == "euler"
         assert spec["steps"] == euler["steps"].default
         assert (spec["rtol"], spec["atol"]) == (dopri5["rtol"].default, dopri5["atol"].default)
-        assert (cfg["flow"]["vis_steps"], cfg["flow"]["vis_lr"]) == \
-            (vis["steps"].default, vis["lr"].default)
 
     def test_preset_hashes_are_pinned(self):
         assert RunConfig.desk().sha256() == \

@@ -405,22 +405,32 @@ class TestTrainingLoops:
 
     @pytest.mark.parametrize("scale", [1.0, 0.5])
     def test_train_vae_passes_0_1_visibility_as_bool(self, tiny_vae_cfg, monkeypatch, scale):
-        """0/1 masks reach the losses as bool; a fractional mask keeps its weights."""
+        """0/1 masks reach the consistency losses as bool; a fractional mask is
+        refused before any optimizer step."""
         dataset = make_segment_dataset("smooth", 4, seed=7)
         assert dataset.masks.dtype == np.uint8
         dataset.masks[:, :, :4] = 0  # hide the top rows, so both values occur
         dataset.masks = dataset.masks * scale
-        seen, real = [], flowgen.vae_loss_terms
+        weights, steps, shift_l1, optim_step = [], [], gc.shift_l1, gc.optim_step
 
-        def spy(params, x, m, cfg, rng):
-            seen.append(m)
-            return real(params, x, m, cfg, rng)
+        def spy(*args):
+            weights.append(args[4].dtype)
+            return shift_l1(*args)
 
-        monkeypatch.setattr(flowgen, "vae_loss_terms", spy)
-        flowgen.train_vae(dataset, flowgen.VaeTrainConfig(vae=tiny_vae_cfg, steps=2, batch=2),
-                          seed=0)
-        assert [m.dtype for m in seen] == [np.dtype(bool if scale == 1.0 else np.float64)] * 2
-        assert all(np.isin(m, (0.0, scale)).all() for m in seen)
+        def step_spy(*args):
+            steps.append(args[2].step)
+            return optim_step(*args)
+
+        monkeypatch.setattr(gc, "shift_l1", spy)
+        monkeypatch.setattr(gc, "optim_step", step_spy)
+        cfg = flowgen.VaeTrainConfig(vae=tiny_vae_cfg, steps=2, batch=2)
+        if scale == 1.0:
+            flowgen.train_vae(dataset, cfg, seed=0)
+            assert len(steps) == 2 and weights and set(weights) == {np.dtype(bool)}
+        else:
+            with pytest.raises(ValueError, match="^recon_loss: visibility 0.5 at segment 0, "):
+                flowgen.train_vae(dataset, cfg, seed=0)
+            assert steps == []
 
     @pytest.mark.parametrize("loop", ["train_vae", "train_visibility_head"])
     def test_nonfinite_loss_aborts_at_step_0(self, tiny_vae_cfg, loop):
@@ -433,7 +443,8 @@ class TestTrainingLoops:
             flow_cfg = desk_flow_config(tiny_vae_cfg, hidden=24, blocks=1)
             latents = np.full((4, 2, 16, flow_cfg.latent_channels), np.nan)
             targets = np.zeros((4, 2, 16))
-            run = lambda: flowgen.train_visibility_head(latents, targets, flow_cfg, steps=3)
+            run = lambda: flowgen.train_visibility_head(latents, targets, flow_cfg, steps=3,
+                                                        lr=1e-2)
         with pytest.raises(FloatingPointError, match=f"^{loop}: non-finite loss at step 0$"):
             run()
 

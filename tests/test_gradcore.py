@@ -1,11 +1,14 @@
 import ast
+import importlib
 import inspect
+import pkgutil
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import trajkit
 from trajkit import gradcore as gc
 from trajkit.gradcore import autodiff, tensor
 from trajkit.gradcore.tensor import Tensor, _is_basic_key, _make
@@ -129,38 +132,71 @@ def test_every_exported_name_is_used_by_the_package():
     assert REFERENCE_ONLY <= set(gc.__all__)
 
 
-# the package mixes a non-last axis only inside residual_mlp, but
-# _residual_chain, the tests' bit-equality reference for residual_mlp, calls
-# linear at the token axis 2; the package sums over an axis only inside
-# huber and weighted_sq, but _huber_chain and _weighted_sq_chain, their
-# bit-equality references, call tsum with an axis
-OPTIONS_SET_BY_TESTS_ONLY = {("linear", "axis"), ("tsum", "axis")}
+OPTIONS_SET_BY_TESTS_ONLY = {
+    # criterion 04 sweeps the moving share and the motion of its variance scenes
+    ("mixed_region_tracks", "moving_fraction"), ("mixed_region_tracks", "oscillate"),
+    # the package mixes a non-last axis only inside residual_mlp, but
+    # _residual_chain, the tests' bit-equality reference for residual_mlp,
+    # calls linear at the token axis 2
+    ("linear", "axis"),
+    # the package sums over an axis only inside huber and weighted_sq, but
+    # _huber_chain and _weighted_sq_chain, their bit-equality references,
+    # call tsum with an axis
+    ("tsum", "axis"),
+}
 
 
-def test_every_option_of_gradcore_is_set_by_the_package():
-    """Each defaulted parameter of a public function of gradcore.tensor and
-    gradcore.autodiff is set, by keyword or by position, by a call outside
-    gradcore: `gc.name(...)`, or `name(...)` where name is imported from
-    gradcore."""
-    init = Path(gc.__file__)
+def _trajkit_names(path: Path, tree: ast.Module) -> dict:
+    """The names through which a file reaches trajkit: a module of the
+    package sees its own globals, any other file what it imports from
+    trajkit."""
+    src = Path(trajkit.__file__).parents[1]
+    if path.is_relative_to(src):
+        name = ".".join(path.relative_to(src).with_suffix("").parts).removesuffix(".__init__")
+        return vars(importlib.import_module(name))
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "trajkit":
+                    names[alias.asname or "trajkit"] = importlib.import_module(
+                        alias.name if alias.asname else "trajkit")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "trajkit":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                names[alias.asname or alias.name] = getattr(module, alias.name)
+    return names
+
+
+def _callee(f: ast.expr, names: dict):
+    """What `f` of a call `f(...)` is, when it is a name from `names` or an
+    attribute of a trajkit module reached that way; else None."""
+    if isinstance(f, ast.Name):
+        return names.get(f.id)
+    if isinstance(f, ast.Attribute):
+        base = _callee(f.value, names)
+        if inspect.ismodule(base) and base.__name__.split(".")[0] == "trajkit":
+            return getattr(base, f.attr, None)
+    return None
+
+
+def test_every_option_of_the_package_is_set_by_the_package():
+    """Each defaulted parameter of a public module-level function of trajkit
+    is set, by keyword or by position, by a call in src/, perfbench/ or
+    demos/ whose callee is that function: a name imported from its module
+    (or its own module's), or an attribute of a trajkit module alias such as
+    `gc.name(...)` or `flowgen.name(...)`."""
+    root = Path(__file__).parents[1]
     calls = {}
-    for path in init.parents[1].rglob("*.py"):
-        if path.parent == init.parent:
-            continue
+    for path in [p for top in ("src", "perfbench", "demos") for p in (root / top).rglob("*.py")]:
         tree = ast.parse(path.read_text())
-        imported = {alias.asname or alias.name for node in ast.walk(tree)
-                    if isinstance(node, ast.ImportFrom) and "gradcore" in (node.module or "")
-                    for alias in node.names}
+        names = _trajkit_names(path, tree)
         for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            f = node.func
-            if isinstance(f, ast.Attribute) and getattr(f.value, "id", None) == "gc":
-                calls.setdefault(f.attr, []).append(node)
-            elif isinstance(f, ast.Name) and f.id in imported:
-                calls.setdefault(f.id, []).append(node)
+            if isinstance(node, ast.Call) and inspect.isfunction(fn := _callee(node.func, names)):
+                calls.setdefault(fn, []).append(node)
     unset = set()
-    for module in (tensor, autodiff):
+    for info in pkgutil.walk_packages(trajkit.__path__, "trajkit."):
+        module = importlib.import_module(info.name)
         for name, fn in vars(module).items():
             if not (inspect.isfunction(fn) and fn.__module__ == module.__name__
                     and not name.startswith("_")):
@@ -168,7 +204,7 @@ def test_every_option_of_gradcore_is_set_by_the_package():
             for i, param in enumerate(inspect.signature(fn).parameters.values()):
                 if param.default is not inspect.Parameter.empty and not any(
                         len(call.args) > i or any(k.arg == param.name for k in call.keywords)
-                        for call in calls.get(name, [])):
+                        for call in calls.get(fn, [])):
                     unset.add((name, param.name))
     assert unset == OPTIONS_SET_BY_TESTS_ONLY
 
@@ -204,7 +240,7 @@ def _constant_calls(rng) -> dict:
         "reshape": lambda x, y: gc.reshape(x, (4, 3)),
         "regroup": lambda x, y: gc.regroup(x, (3, 2, 2), (1, 0, 2), (2, 6)),
         "concat": lambda x, y: gc.concat([x, y], axis=1),
-        "getitem": lambda x, y: (x[1:, :2], x[[0, 2, 0]], x[1, 2]),
+        "getitem": lambda x, y: x[1:, :2],
         "shift_l1": lambda x, y: gc.shift_l1(gc.reshape(x, (3, 2, 2)), 1, 1, target, weight),
         "weighted_sq": lambda x, y: gc.weighted_sq(gc.reshape(x, (3, 2, 1, 2)), sq_target,
                                                    sq_weight),
@@ -750,7 +786,7 @@ def _getitem_grad(x, key, cot):
 BASIC_KEYS = [
     slice(1, 4), slice(None, None, -1), slice(4, 0, -2), slice(-2, None), 2, -1, np.int64(3),
     None, Ellipsis, (1, slice(None, None, -1)), (Ellipsis, 0), (None, slice(1, 3), Ellipsis, -2),
-    (slice(None), None, 1), (0, 1, slice(2, None)), (0, 1, 2), (-1, 0, -2),  # the last two: scalars
+    (slice(None), None, 1), (0, 1, slice(2, None)),
 ]
 
 
@@ -766,27 +802,19 @@ def test_getitem_basic_key_gradient_is_add_at_bit_for_bit(key):
     assert _getitem_grad(x, key, cot).tobytes() == ref.tobytes()
 
 
-def test_getitem_integer_array_key_accumulates_repeats():
-    x = np.arange(10.0).reshape(5, 2)
-    key = np.array([0, 3, 0, 0])
-    assert not _is_basic_key(key)
-    g = _getitem_grad(x, key, np.ones((4, 2)))
-    assert np.array_equal(g, [[3.0, 3.0], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
+# advanced keys copy, a[True] too (bool subclasses int), and all-int keys leave a scalar
+NON_VIEW_KEYS = [np.array([0, 3, 0, 0]), [0, 2], np.array(2), True, np.True_, (True, 1), False,
+                 (0, 1, 2), (-1, 0, -2)]
 
 
-@pytest.mark.parametrize("key", [True, np.True_, (True, 1), False], ids=repr)
-def test_getitem_bool_key_is_advanced(key):
-    x = np.arange(6.0).reshape(2, 3)
-    assert not _is_basic_key(key)  # a[True] is a copy with a new leading axis, not a view
-    cot = np.arange(1.0, 1.0 + x[key].size).reshape(x[key].shape)
-    ref = np.zeros(x.shape)
-    np.add.at(ref, key, cot)
-    assert np.array_equal(_getitem_grad(x, key, cot), ref)
-
-
-def test_getitem_true_key_gradient_is_the_cotangent():
-    cot = np.arange(1.0, 7.0).reshape(1, 2, 3)
-    assert np.array_equal(_getitem_grad(np.zeros((2, 3)), True, cot), cot[0])
+@pytest.mark.parametrize("requires_grad", [False, True])
+@pytest.mark.parametrize("key", NON_VIEW_KEYS, ids=repr)
+def test_getitem_refuses_a_key_that_is_no_view_with_an_axis(key, requires_grad):
+    x = Tensor(np.arange(120.0).reshape(5, 4, 6), requires_grad=requires_grad)
+    with pytest.raises(ValueError, match=r"^getitem: key .* is not a view with an axis$"):
+        gc.getitem(x, key)
+    with pytest.raises(ValueError, match="^getitem: "):
+        x[key]
 
 
 class TestOptim:

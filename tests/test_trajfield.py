@@ -71,6 +71,21 @@ class TestCheckGrid:
         with pytest.raises(tlf.TlfError, match=message):
             tlf.TlfFile(coords, vis, 16, 16, stride, tlf.CONV_PIXEL)
 
+    @pytest.mark.parametrize("value", [0.6, -1.0, 2.0])
+    def test_visibility_is_checked_before_the_byte_cast(self, value):
+        """0.6 would cast to a hidden 0 and -1.0 to 255: each record names the value."""
+        vis = np.ones((3, 16))
+        vis[2, 5] = value
+        message = f"^visibility {value} at frame 2, track 5 is not 0 or 1$"
+        with pytest.raises(ValueError, match=message):
+            SparseTracks(np.zeros((3, 16, 2)), vis, 4, 16, 16)
+        with pytest.raises(tlf.TlfError, match=message):
+            tlf.TlfFile(np.zeros((3, 16, 2)), vis, 16, 16, 4, tlf.CONV_PIXEL)
+        mask = np.ones((3, 8, 8))
+        mask[2, 5, 7] = value
+        with pytest.raises(ValueError, match=f"^visibility {value} at frame 2, row 5, column 7 "):
+            trajfield.OffsetField(np.zeros((3, 8, 8, 2)), mask, stride=4)
+
 
 class TestAnchors:
     def test_symmetric_2x2_anchor(self):
