@@ -6,7 +6,6 @@ from .rng import Rng, rng
 from .tensor import (
     ShapeError,
     Tensor,
-    absolute,
     add,
     as_tensor,
     backward,
@@ -17,7 +16,6 @@ from .tensor import (
     getitem,
     huber,
     linear,
-    matmul,
     mul,
     regroup,
     reshape,
@@ -25,19 +23,16 @@ from .tensor import (
     shift_l1,
     sigmoid,
     softplus,
-    square,
     tmean,
     tsum,
     weighted_sq,
-    where,
 )
 
 __all__ = [
     "GradCheckError", "grad", "grad_check",
     "OptimState", "optim_init", "optim_step",
     "Rng", "rng",
-    "ShapeError", "Tensor", "absolute", "add", "as_tensor", "backward",
-    "concat", "div", "exp", "gelu", "getitem", "huber", "linear", "matmul",
-    "mul", "regroup", "reshape", "residual_mlp", "shift_l1", "sigmoid", "softplus",
-    "square", "tmean", "tsum", "weighted_sq", "where",
+    "ShapeError", "Tensor", "add", "as_tensor", "backward", "concat", "div",
+    "exp", "gelu", "getitem", "huber", "linear", "mul", "regroup", "reshape",
+    "residual_mlp", "shift_l1", "sigmoid", "softplus", "tmean", "tsum", "weighted_sq",
 ]

@@ -135,17 +135,6 @@ def div(a, b) -> Tensor:
                                lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.shape)), "div")
 
 
-def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError("matmul", a.shape, b.shape)
-    out = a.data @ b.data
-    if not _needs_grad((a, b)):
-        return Tensor(out, _op="matmul")
-    return _make(out, (a, b), (lambda g: g @ b.data.T,
-                               lambda g: a.data.T @ g), "matmul")
-
-
 def _shared(make, uses: int):
     """An adjoint part that `uses` adjoint calls of one node read: made by
     the first call with an output adjoint `g`, handed to the others with
@@ -169,11 +158,16 @@ def _shared(make, uses: int):
 
 
 def _linear(x, w, b, axis, wb_grads=None):
-    """linear's arithmetic on arrays, `axis` in range.  Returns (out, None)
-    for a constant output; given `wb_grads`, how many of the weight and bias
-    adjoints backward calls, returns (out, (x adjoint, w adjoint, b adjoint))
-    as functions of the output adjoint g.  The weight and bias adjoints read
-    one copy of g with `axis` moved last, flattened to 2-D, which they share."""
+    """x @ w + b over `axis` (in range) of array x.  The last axis is one 2-D
+    product on x reshaped to 2-D (a view when x is contiguous); any other,
+    which only residual_mlp mixes, is swapped with axis -2 and mixed by a
+    batched left product w.T @ x, so x is not copied to move it last.
+    Returns (out, None) for a constant output; given `wb_grads`, how many of
+    the weight and bias adjoints backward calls, returns (out, (x adjoint,
+    w adjoint, b adjoint)) as functions of the output adjoint g.  The weight
+    and bias adjoints share one copy of g with `axis` moved last, flattened
+    to 2-D, so they sum over the other axes in the order of the chain that
+    moves `axis` last, flattens, multiplies and adds, to the bit."""
     last = axis == x.ndim - 1
     if last:
         out = x.reshape(-1, w.shape[0]) @ w
@@ -200,19 +194,12 @@ def _linear(x, w, b, axis, wb_grads=None):
     return out, (dx, dw, lambda g: fg(g).sum(axis=0))
 
 
-def linear(x, w, b, axis=-1) -> Tensor:
-    """x @ w + b over one axis of N-D x: one tape node.
-
-    The last axis is one 2-D product on x reshaped to 2-D (a view when x is
-    contiguous); any other axis is swapped with axis -2 and mixed by a batched
-    left product w.T @ x, so x is not copied to move it last.  The weight and
-    bias adjoints sum over the other axes in their order, as the chain that
-    moves `axis` last, flattens, multiplies and adds does, to the bit."""
+def linear(x, w, b) -> Tensor:
+    """x @ w + b over the last axis of N-D x: one tape node (see _linear)."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    if (w.data.ndim != 2 or b.shape != w.shape[1:] or not -x.data.ndim <= axis < x.data.ndim
-            or x.shape[axis] != w.shape[0]):
+    if w.data.ndim != 2 or b.shape != w.shape[1:] or x.shape[-1:] != w.shape[:1]:
         raise ShapeError("linear", x.shape, w.shape, b.shape)
-    axis %= x.data.ndim
+    axis = x.data.ndim - 1
     if not _needs_grad((x, w, b)):
         return Tensor(_linear(x.data, w.data, b.data, axis)[0], _op="linear")
     out, vjps = _linear(x.data, w.data, b.data, axis, w.requires_grad + b.requires_grad)
@@ -220,12 +207,14 @@ def linear(x, w, b, axis=-1) -> Tensor:
 
 
 def residual_mlp(h, w1, b1, w2, b2, axis=-1) -> Tensor:
-    """h + linear(gelu(linear(h, w1, b1, axis)), w2, b2, axis) as one node.
+    """h + linear(gelu(linear(h, w1, b1)), w2, b2) as one node, both
+    products mixing `axis` of h.
 
     The forward repeats linear's, gelu's and add's arithmetic in the chain's
-    order.  For its adjoints the node keeps gelu's derivative and output, not
-    the inner linear's output, gelu's tanh or the outer linear's output.  `h`
-    is listed twice: its first adjoint passes g on, as add's does, and its
+    order; tests/reference_ops.py holds that chain, at any axis.  For its
+    adjoints the node keeps gelu's derivative and output, not the inner
+    linear's output, gelu's tanh or the outer linear's output.  `h` is
+    listed twice: its first adjoint passes g on, as add's does, and its
     second is the inner chain's, so backward adds them into h in the chain's
     order."""
     h, w1, b1, w2, b2 = (as_tensor(t) for t in (h, w1, b1, w2, b2))
@@ -335,30 +324,6 @@ def gelu(a) -> Tensor:
     return _make(out, (a,), (lambda g: local * g,), "gelu")
 
 
-def absolute(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.abs(a.data)
-    if not _needs_grad((a,)):
-        return Tensor(out, _op="abs")
-    sign = np.sign(a.data)
-    return _make(out, (a,), (lambda g: g * sign,), "abs")
-
-
-def square(a) -> Tensor:
-    return mul(a, a)
-
-
-def where(mask, a, b) -> Tensor:
-    """Select by a constant boolean mask; the mask never carries gradient."""
-    mask = np.asarray(mask, dtype=bool)
-    a, b = as_tensor(a), as_tensor(b)
-    out = np.where(mask, a.data, b.data)
-    if not _needs_grad((a, b)):
-        return Tensor(out, _op="where")
-    return _make(out, (a, b), (lambda g: _unbroadcast(np.where(mask, g, 0.0), a.shape),
-                               lambda g: _unbroadcast(np.where(mask, 0.0, g), b.shape)), "where")
-
-
 def _instance_sums(cell, weight):
     """The (b,) sums of weight * cell over every axis of a (b, ...) `cell`
     but the first; `cell` is scaled in place."""
@@ -377,10 +342,11 @@ def huber(x, target, weight, delta: float) -> Tensor:
     |r| * delta - 0.5 * delta * delta elsewhere: a (B,) Tensor, one node.
 
     The arithmetic is the add/absolute/square/mul/add/where/tsum/mul/reshape/
-    tsum chain's.  `x` is listed once, with one contribution (s + s) + m, the
-    square's two parts and then the magnitude's, summed as the chain's
-    backward sums them into the difference before add passes them on.  The
-    node keeps d, the mask |d| <= delta and the weight."""
+    tsum chain's, which tests/reference_ops.py holds.  `x` is listed once,
+    with one contribution (s + s) + m, the square's two parts and then the
+    magnitude's, summed as the chain's backward sums them into the difference
+    before add passes them on.  The node keeps d, the mask |d| <= delta and
+    the weight."""
     x = as_tensor(x)
     target, weight = np.asarray(target, dtype=np.float64), np.asarray(weight, dtype=np.float64)
     if (x.data.ndim < 2 or x.shape[-1] != 2 or target.shape != x.shape
@@ -417,11 +383,12 @@ def weighted_sq(x, target, weights) -> Tensor:
     of (B, K, N, C) `x`, with constant `target` and (B, K, N) `weights`: a
     (B,) Tensor, one node.
 
-    The arithmetic is the add/square/tsum/mul/reshape/tsum/mul chain's.  `x`
-    is listed once, with one contribution t + t: the chain's backward sums
-    the square's two adjoints t into the difference before add passes that
-    sum on, so backward adds it to the contributions of x's other consumers
-    as one array, as it does for the chain."""
+    The arithmetic is the add/square/tsum/mul/reshape/tsum/mul chain's,
+    which tests/reference_ops.py holds.  `x` is listed once, with one
+    contribution t + t: the chain's backward sums the square's two adjoints t
+    into the difference before add passes that sum on, so backward adds it to
+    the contributions of x's other consumers as one array, as it does for
+    the chain."""
     x = as_tensor(x)
     target, weights = np.asarray(target, dtype=np.float64), np.asarray(weights, dtype=np.float64)
     if x.data.ndim != 4 or target.shape != x.shape or weights.shape != x.shape[:3]:
@@ -443,18 +410,12 @@ def weighted_sq(x, target, weights) -> Tensor:
 # -- reductions / structure ----------------------------------------------
 
 
-def tsum(a, axis=None) -> Tensor:
+def tsum(a) -> Tensor:
     a = as_tensor(a)
-    out = a.data.sum(axis=axis)
+    out = a.data.sum()
     if not _needs_grad((a,)):
         return Tensor(out, _op="sum")
-
-    def vjp(g):
-        if axis is not None:
-            g = np.expand_dims(g, axis)
-        return np.broadcast_to(g, a.shape).copy()
-
-    return _make(out, (a,), (vjp,), "sum")
+    return _make(out, (a,), (lambda g: np.broadcast_to(g, a.shape).copy(),), "sum")
 
 
 def tmean(a) -> Tensor:
@@ -509,14 +470,16 @@ def concat(tensors, axis=0) -> Tensor:
     return _make(out, ts, tuple(make_vjp(i) for i in range(len(ts))), "concat")
 
 
-def _is_basic_key(key) -> bool:
-    """True when `a[key]` is a view (numpy basic indexing), so no element repeats.
+def _is_int(v) -> bool:
+    """An integer, not a bool: `bool` subclasses `int`, but `a[True]` is
+    advanced indexing, which copies."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
-    `bool` subclasses `int`, but `a[True]` is advanced indexing: it copies."""
+
+def _is_basic_key(key) -> bool:
+    """True when `a[key]` is a view (numpy basic indexing), so no element repeats."""
     items = key if isinstance(key, tuple) else (key,)
-    return all(k is None or k is Ellipsis or isinstance(k, slice)
-               or (isinstance(k, (int, np.integer)) and not isinstance(k, bool))
-               for k in items)
+    return all(k is None or k is Ellipsis or isinstance(k, slice) or _is_int(k) for k in items)
 
 
 def getitem(a, key) -> Tensor:
@@ -531,10 +494,6 @@ def getitem(a, key) -> Tensor:
     return _make(out, (a,), (lambda g: (key, g, np.add),), "getitem")
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
 def shift_l1(a, hop, axis, target, weight) -> Tensor:
     """Weighted L1 of a hop-difference's mismatch, per instance, as one node.
 
@@ -542,16 +501,16 @@ def shift_l1(a, hop, axis, target, weight) -> Tensor:
     instance axis nor the trailing length-2 coordinate axis), returns the
     (b,) sums of weight * (|d_x| + |d_y|).  `a` is listed once per slice, so
     its two adjoints accumulate like those of a getitem/mul/add chain.  The
-    node keeps the weight and a float32 sign of d.  A bool weight is kept as
-    it is, a byte a cell, and widened only inside the products, exact for
-    0 and 1; any other weight is float64, as in `huber` and `weighted_sq`."""
+    weight is bool only, any other dtype a TypeError.  The node keeps it, a
+    byte a cell, widened only inside the products, exact for 0 and 1, and a
+    float32 sign of d."""
     a = as_tensor(a)
     if (not _is_int(hop) or not _is_int(axis) or not 1 <= axis < a.data.ndim - 1
             or a.shape[-1] != 2 or not 1 <= hop < a.shape[axis]):
         raise ShapeError("shift_l1", a.shape, (hop, axis))
     target, weight = np.asarray(target, dtype=np.float64), np.asarray(weight)
     if weight.dtype != bool:
-        weight = weight.astype(np.float64, copy=False)
+        raise TypeError(f"shift_l1: weight dtype {weight.dtype}, not bool")
     lead = (slice(None),) * axis
     hi, lo = lead + (slice(hop, None),), lead + (slice(None, -hop),)
     d = a.data[hi] - a.data[lo]

@@ -120,7 +120,7 @@ def kl_loss(mu, logvar) -> Tensor:
     logvar = as_tensor(logvar)
     if mu.shape != logvar.shape:
         raise gc.ShapeError("kl_loss", mu.shape, logvar.shape)
-    term = gc.add(gc.add(gc.square(mu), gc.exp(logvar)), gc.add(gc.mul(logvar, -1.0), -1.0))
+    term = gc.add(gc.add(gc.mul(mu, mu), gc.exp(logvar)), gc.add(gc.mul(logvar, -1.0), -1.0))
     return gc.mul(gc.tmean(term), 0.5)
 
 

