@@ -105,12 +105,9 @@ def cmd_offsets(args, cfg, out_dir) -> list:
 
 def cmd_analyze_variance(args, cfg, out_dir) -> list:
     record = tlf.read_tlf(args.input)
-    hc, wc = record.coarse_shape
-    norm = tlf._to_normalized(record).reshape(record.frames, hc * wc, 2)
-    offsets = tlf.convert(record, tlf.CONV_OFFSET).coords.astype(np.float64)
-    vis = record.visibility
-    exp_abs = metrics.explained_variance(norm, vis)
-    exp_off = metrics.explained_variance(offsets, vis)
+    norm = tlf.to_normalized(record)
+    exp_abs = metrics.explained_variance(norm, record.visibility)
+    exp_off = metrics.explained_variance(tlf.offset_coords(record, norm), record.visibility)
     stem = Path(args.input).stem
     rows = []
     for axis, label in enumerate(("x", "y")):

@@ -3,7 +3,7 @@
 All functions take per-cell positions in pixels, (T, H_c, W_c, 2), with a
 binary visibility array of matching leading shape.  Operating on the coarse
 grid (one sample per stride cell) avoids counting the duplicated values of
-the dense pixel field.
+the dense pixel field.  Each metric reduces over all frames at once.
 """
 
 from __future__ import annotations
@@ -20,13 +20,24 @@ def flow_from_positions(positions: np.ndarray, visibility: np.ndarray):
     visibility = np.asarray(visibility).astype(bool)
     if positions.shape[0] < 2:
         raise ValueError("flow needs at least 2 frames")
-    flow = positions[1:] - positions[:-1]
-    valid = visibility[1:] & visibility[:-1]
-    return flow, valid
+    return positions[1:] - positions[:-1], visibility[1:] & visibility[:-1]
 
 
-# (later, earlier) cells of each horizontal, then each vertical neighbor pair
-_NEIGHBOR_SLICES = ((np.s_[:, 1:], np.s_[:, :-1]), (np.s_[1:, :], np.s_[:-1, :]))
+def _flow_components(positions: np.ndarray, visibility: np.ndarray):
+    """`flow_from_positions` with the flow as contiguous (2, T-1, H_c, W_c) u and v;
+    a non-finite one where not valid is zeroed, so masking by a product ignores it."""
+    flow, valid = flow_from_positions(positions, visibility)
+    uv = np.ascontiguousarray(np.moveaxis(flow, -1, 0))
+    if not np.isfinite(uv).all():
+        uv[:, ~valid] = 0.0
+    return uv, valid
+
+
+def _frame_means(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Per-frame means of (..., T-1, H, W) values, zero off the mask, over its cells; 0 if none."""
+    counts = mask.sum(axis=(1, 2))
+    sums = values.sum(axis=(-2, -1))
+    return np.divide(sums, counts, out=np.zeros(sums.shape), where=counts > 0)
 
 
 def flow_tv(positions: np.ndarray, visibility: np.ndarray, stride: float) -> float:
@@ -35,29 +46,18 @@ def flow_tv(positions: np.ndarray, visibility: np.ndarray, stride: float) -> flo
     Per frame, horizontal and vertical forward differences (divided by the
     grid spacing in pixels) of both flow components average over their valid
     neighbor pairs and add; frames without a valid pair contribute zero to
-    the time average.
+    the time average, a left-to-right sum.  All frame pairs reduce at once.
     """
-    flow, valid = flow_from_positions(positions, visibility)
-    u, v = flow[..., 0], flow[..., 1]
-    t_minus_1 = flow.shape[0]
-    if flow.shape[1] < 2 and flow.shape[2] < 2:
+    uv, valid = _flow_components(positions, visibility)
+    if valid.shape[1] < 2 and valid.shape[2] < 2:
         raise ValueError("flow_tv needs a grid of at least 2 cells in one direction")
-    total = 0.0
-    any_pair = False
-    for t in range(t_minus_1):
-        val, u_t, v_t = valid[t], u[t], v[t]
-        frame = 0.0
-        for head, tail in _NEIGHBOR_SLICES:
-            pair = val[head] & val[tail]
-            if pair.any():
-                any_pair = True
-                d_u = (u_t[head] - u_t[tail]) / stride
-                d_v = (v_t[head] - v_t[tail]) / stride
-                frame += (np.abs(d_u[pair]).sum() + np.abs(d_v[pair]).sum()) / pair.sum()
-        total += frame
-    if not any_pair:
+    # (later, earlier) cells of each horizontal, then each vertical neighbor pair
+    pairs = [(valid[head] & valid[tail], uv[head] - uv[tail]) for head, tail in
+             ((np.s_[..., 1:], np.s_[..., :-1]), (np.s_[..., 1:, :], np.s_[..., :-1, :]))]
+    if not any(pair.any() for pair, _ in pairs):
         raise ValueError("flow_tv: no valid neighbor pair at any frame")
-    return total / t_minus_1
+    frame = sum(_frame_means(np.abs(d / stride) * pair, pair).sum(axis=0) for pair, d in pairs)
+    return np.cumsum(frame)[-1] / len(frame)
 
 
 def div_curl_energy(positions: np.ndarray, visibility: np.ndarray, stride: float,
@@ -67,32 +67,20 @@ def div_curl_energy(positions: np.ndarray, visibility: np.ndarray, stride: float
     Forward differences already carry a 1/stride; the divergence and curl
     then divide by stride again (set single_spacing=True for the variant
     without the second division).  A cell is valid when it and both forward
-    neighbors are visible.
+    neighbors are visible; the time average is as in `flow_tv`.
     """
-    flow, valid = flow_from_positions(positions, visibility)
-    if flow.shape[1] < 2 or flow.shape[2] < 2:
+    uv, valid = _flow_components(positions, visibility)
+    if valid.shape[1] < 2 or valid.shape[2] < 2:
         raise ValueError("div_curl_energy needs a grid of at least 2x2 cells")
-    u, v = flow[..., 0], flow[..., 1]
-    t_minus_1 = flow.shape[0]
-    extra = 1.0 if single_spacing else 1.0 / stride
-    total = 0.0
-    any_cell = False
-    for t in range(t_minus_1):
-        val = valid[t]
-        cell = val[:-1, :-1] & val[:-1, 1:] & val[1:, :-1]
-        if not cell.any():
-            continue
-        any_cell = True
-        dx_u = (u[t, :-1, 1:] - u[t, :-1, :-1]) / stride
-        dx_v = (v[t, :-1, 1:] - v[t, :-1, :-1]) / stride
-        dy_u = (u[t, 1:, :-1] - u[t, :-1, :-1]) / stride
-        dy_v = (v[t, 1:, :-1] - v[t, :-1, :-1]) / stride
-        div = (dx_u + dy_v) * extra
-        curl = (dx_v - dy_u) * extra
-        total += (div[cell] ** 2 + curl[cell] ** 2).mean()
-    if not any_cell:
+    cell = valid[:, :-1, :-1] & valid[:, :-1, 1:] & valid[:, 1:, :-1]
+    if not cell.any():
         raise ValueError("div_curl_energy: no valid cell at any frame")
-    return total / t_minus_1
+    extra = 1.0 if single_spacing else 1.0 / stride
+    dx_u, dx_v = (uv[..., :-1, 1:] - uv[..., :-1, :-1]) / stride
+    dy_u, dy_v = (uv[..., 1:, :-1] - uv[..., :-1, :-1]) / stride
+    div = (dx_u + dy_v) * extra
+    curl = (dx_v - dy_u) * extra
+    return np.cumsum(_frame_means((div ** 2 + curl ** 2) * cell, cell))[-1] / len(cell)
 
 
 def vepe(pred: np.ndarray, target: np.ndarray, visibility: np.ndarray) -> float:
@@ -104,8 +92,8 @@ def vepe(pred: np.ndarray, target: np.ndarray, visibility: np.ndarray) -> float:
         raise ValueError(f"vepe: shape mismatch {pred.shape} vs {target.shape} vs {vis.shape}")
     if not vis.any():
         raise ValueError("vepe: no visible points")
-    err = np.linalg.norm(pred - target, axis=-1)
-    return float(err[vis].mean())
+    d = pred - target  # the (x, y) norm from one array per axis: no length-2 reductions
+    return float(np.sqrt(d[..., 0] ** 2 + d[..., 1] ** 2)[vis].mean())
 
 
 def explained_variance(values: np.ndarray, visibility: np.ndarray) -> np.ndarray:

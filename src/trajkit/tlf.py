@@ -152,30 +152,41 @@ def convert(tlf: TlfFile, convention: int) -> TlfFile:
     if convention == tlf.convention:
         return TlfFile(tlf.coords.copy(), tlf.visibility.copy(), tlf.height,
                        tlf.width, tlf.stride, tlf.convention)
-    norm = _to_normalized(tlf)
+    norm = to_normalized(tlf)
     if convention == CONV_NORMALIZED:
         out = norm
     elif convention == CONV_PIXEL:
         out = denormalize_coords(norm, tlf.height, tlf.width)
     else:
-        out = norm - _cell_anchor_rows(tlf.height, tlf.width, tlf.stride)[None]
+        out = offset_coords(tlf, norm)
     return TlfFile(out, tlf.visibility.copy(), tlf.height, tlf.width, tlf.stride,
                    convention)
 
 
-def _to_normalized(tlf: TlfFile) -> np.ndarray:
+def to_normalized(tlf: TlfFile) -> np.ndarray:
+    """(T, N, 2) float64 normalized coordinates, whatever the stored convention."""
+    if tlf.convention == CONV_PIXEL:
+        return normalize_coords(tlf.coords, tlf.height, tlf.width)
     coords = tlf.coords.astype(np.float64)
     if tlf.convention == CONV_NORMALIZED:
         return coords
-    if tlf.convention == CONV_PIXEL:
-        return normalize_coords(coords, tlf.height, tlf.width)
     return coords + _cell_anchor_rows(tlf.height, tlf.width, tlf.stride)[None]
 
 
+def offset_coords(tlf: TlfFile, norm: np.ndarray) -> np.ndarray:
+    """`convert`'s float32 offset payload of `tlf`, from its normalized
+    coordinates `norm`; an offset record's own payload."""
+    if tlf.convention == CONV_OFFSET:
+        return tlf.coords
+    with np.errstate(over="ignore"):  # as in TlfFile: beyond float32's range is inf
+        return (norm - _cell_anchor_rows(tlf.height, tlf.width, tlf.stride)).astype(np.float32)
+
+
 def to_tracks(tlf: TlfFile) -> SparseTracks:
-    """Back to pixel-coordinate tracks regardless of stored convention."""
-    norm = _to_normalized(tlf)
-    px = denormalize_coords(norm, tlf.height, tlf.width)
+    """Back to pixel-coordinate tracks regardless of stored convention; a
+    pixel record's coordinates are widened as stored, without a round trip."""
+    px = (tlf.coords if tlf.convention == CONV_PIXEL
+          else denormalize_coords(to_normalized(tlf), tlf.height, tlf.width))
     return SparseTracks(px, tlf.visibility.copy(), tlf.stride, tlf.height, tlf.width)
 
 

@@ -94,19 +94,23 @@ class OffsetField:
 
 
 def normalize_coords(coords_px: np.ndarray, height: int, width: int) -> np.ndarray:
-    """Pixel (x, y) -> normalized [-1, 1] with pixel-center convention."""
-    coords_px = np.asarray(coords_px, dtype=np.float64)
-    out = np.empty_like(coords_px)
-    out[..., 0] = 2.0 * (coords_px[..., 0] + 0.5) / width - 1.0
-    out[..., 1] = 2.0 * (coords_px[..., 1] + 0.5) / height - 1.0
+    """Pixel (x, y) -> normalized [-1, 1] with pixel-center convention:
+    2*(x + 1/2)/W - 1 per axis, in place on one float64 copy."""
+    out = np.add(coords_px, 0.5, dtype=np.float64)
+    out *= 2.0
+    out[..., 0] /= width
+    out[..., 1] /= height
+    out -= 1.0
     return out
 
 
 def denormalize_coords(coords_norm: np.ndarray, height: int, width: int) -> np.ndarray:
-    coords_norm = np.asarray(coords_norm, dtype=np.float64)
-    out = np.empty_like(coords_norm)
-    out[..., 0] = (coords_norm[..., 0] + 1.0) * width / 2.0 - 0.5
-    out[..., 1] = (coords_norm[..., 1] + 1.0) * height / 2.0 - 0.5
+    """The inverse, (c + 1)*W/2 - 1/2 per axis, in place on one float64 copy."""
+    out = np.add(coords_norm, 1.0, dtype=np.float64)
+    out[..., 0] *= width
+    out[..., 1] *= height
+    out /= 2.0
+    out -= 0.5
     return out
 
 

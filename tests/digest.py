@@ -13,7 +13,10 @@ alters floats names the parts that moved.  The parts:
 - Euler-10 and dopri5 `sample_future` of one history;
 - the value and gradient bytes of `kl_loss`, and of `recon_loss`,
   `temporal_loss` and `spatial_loss` at a bool, a uint8 and a float 0/1 mask;
-- `trajkit gradcheck`'s stdout.
+- `trajkit gradcheck`'s stdout;
+- `analyze`: the `eval` flowtv, divcurle and vepe values, the `camcap`
+  stats and the `analyze-variance` values of two fixed `synth` scenes, a
+  fully visible rotation and a zoom that leaves the frame (partly hidden).
 
 It takes about 1.5 s on a 2-CPU desk.
 """
@@ -36,6 +39,12 @@ from trajkit import cli, flowgen, gradcore as gc, lossbank as lb, scenes  # noqa
 from trajkit.models import init_vae_params  # noqa: E402
 from trajkit.trajfield import OffsetField  # noqa: E402
 
+# synth arguments of the analyze part's scenes: all visible, then partly hidden
+ANALYZE_SCENES = {
+    "rotation": ["--kind", "rotation", "--omega", "0.004"],
+    "zoom": ["--kind", "zoom", "--zoom-rate", "0.02"],
+}
+ANALYZE_GEOM = ["--frames", "16", "--height", "32", "--width", "48", "--stride", "4"]
 MASK_DTYPES = {"bool": bool, "uint8": np.uint8, "float": np.float64}
 SEGMENT_LOSSES = {"recon_loss": lb.recon_loss, "temporal_loss": lb.temporal_loss,
                   "spatial_loss": lb.spatial_loss}
@@ -72,6 +81,22 @@ def _sha(*items) -> str:
 def _value_and_grad(fn, *args):
     value, grads = gc.grad(fn, list(args))
     return float(value), grads
+
+
+def _analyze(tmp: Path) -> list:
+    """The CSV text of the diagnostics of every ANALYZE_SCENES scene."""
+    out = []
+    for name, synth in ANALYZE_SCENES.items():
+        d = tmp / name
+        src, inv, where = str(d / "src.tlf"), str(d / "inv.tlf"), ["--out", str(d)]
+        for argv in (["synth", src, *synth, *ANALYZE_GEOM], ["rasterize", src, inv],
+                     ["eval", src, "--metric", "flowtv"], ["eval", src, "--metric", "divcurle"],
+                     ["eval", inv, "--metric", "vepe", "--ref", src], ["camcap", src],
+                     ["analyze-variance", src]):
+            if cli.dispatch([*argv, *where]) != 0:
+                raise RuntimeError(f"digest: {argv[0]} failed on the {name} scene")
+        out += [(d / f).read_text() for f in ("metrics.csv", "camcap.csv", "variance.csv")]
+    return out
 
 
 def parts() -> dict:
@@ -112,6 +137,9 @@ def parts() -> dict:
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(stdout):
         code = cli.dispatch(["gradcheck", "--out", tmp])
     out["gradcheck"] = _sha(code, stdout.getvalue())
+
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        out["analyze"] = _sha(_analyze(Path(tmp)))
     return out
 
 

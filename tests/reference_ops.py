@@ -8,6 +8,13 @@ The ops are built on the package's own `tensor._make`, `_unbroadcast` and
 `_linear`, as a primitive of the package is; tests/test_gradcore.py gives
 each its own finite-difference and constant-operand checks, and compares
 each fused primitive with its chain, forward bytes and adjoint bytes.
+
+The numpy references at the end hold the arithmetic that a faster form in
+the package must match to the bit: `normalize_coords` and
+`denormalize_coords` are the per-axis expressions that trajfield's functions
+of those names compute in place (tests/test_trajfield.py compares them), and
+`vepe` is the metric's `np.linalg.norm` form (tests/test_metrics.py compares
+them).
 """
 
 import numpy as np
@@ -116,3 +123,25 @@ def shift_l1_chain(x, hop, axis, target, weight) -> Tensor:
     diff = gc.add(x[lead + (slice(hop, None),)], gc.mul(x[lead + (slice(None, -hop),)], -1.0))
     l1 = tsum(absolute(gc.add(diff, -target)), 4)
     return tsum(gc.reshape(gc.mul(l1, weight), (weight.shape[0], -1)), 1)
+
+
+def normalize_coords(coords_px, height: int, width: int) -> np.ndarray:
+    coords_px = np.asarray(coords_px, dtype=np.float64)
+    out = np.empty_like(coords_px)
+    out[..., 0] = 2.0 * (coords_px[..., 0] + 0.5) / width - 1.0
+    out[..., 1] = 2.0 * (coords_px[..., 1] + 0.5) / height - 1.0
+    return out
+
+
+def denormalize_coords(coords_norm, height: int, width: int) -> np.ndarray:
+    coords_norm = np.asarray(coords_norm, dtype=np.float64)
+    out = np.empty_like(coords_norm)
+    out[..., 0] = (coords_norm[..., 0] + 1.0) * width / 2.0 - 0.5
+    out[..., 1] = (coords_norm[..., 1] + 1.0) * height / 2.0 - 0.5
+    return out
+
+
+def vepe(pred, target, visibility) -> float:
+    vis = np.asarray(visibility).astype(bool)
+    err = np.linalg.norm(np.asarray(pred, dtype=np.float64) - target, axis=-1)
+    return float(err[vis].mean())

@@ -13,13 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_ops
 import trajkit
 from trajkit import cli, flowgen, gradcore as gc, plotting, tlf
 from trajkit.cli import dispatch, load_bundle, save_bundle
 from trajkit.config import ConfigError, RunConfig
 from trajkit.models import FlowConfig, VaeConfig, init_vae_params, init_velocity_params
 from trajkit.motionlab import MotionSpec, generate
-from trajkit.trajfield import rasterize, to_absolute
+from trajkit.trajfield import cell_centers, rasterize, to_absolute
 
 
 def run(*argv):
@@ -82,6 +83,37 @@ class TestTlfFormat:
             (record.height, record.width, record.stride, record.convention)
         assert not np.shares_memory(same.coords, record.coords)
         assert not np.shares_memory(same.visibility, record.visibility)
+
+    def test_pixel_tracks_are_the_stored_coordinates_widened(self):
+        # a 40 x 48 frame: normalizing and back is not exact in float64
+        record = tlf.from_tracks(generate(MotionSpec("rotation", frames=6, angular_rate=0.1,
+                                                     height=40, width=48)))
+        tracks = tlf.to_tracks(record)
+        assert tracks.coords.tobytes() == record.coords.astype(np.float64).tobytes()
+        assert not np.shares_memory(tracks.visibility, record.visibility)
+
+    @pytest.mark.parametrize("convention", [tlf.CONV_NORMALIZED, tlf.CONV_OFFSET])
+    def test_normalized_and_offset_tracks_denormalize_per_axis(self, convention):
+        record = tlf.convert(tlf.from_tracks(generate(MotionSpec("zoom", frames=6,
+                                                                 zoom_rate=0.05))), convention)
+        norm = record.coords.astype(np.float64)
+        if convention == tlf.CONV_OFFSET:
+            centers = cell_centers(record.height, record.width, record.stride).reshape(-1, 2)
+            norm = norm + reference_ops.normalize_coords(centers, record.height, record.width)
+        want = reference_ops.denormalize_coords(norm, record.height, record.width)
+        assert tlf.to_tracks(record).coords.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("convention", sorted(tlf.CONVENTIONS))
+    def test_offset_coords_are_the_converted_payload(self, convention):
+        # the offset record holds sub-ulp residuals, which a trip through
+        # normalized coordinates would round away
+        record = tlf.from_tracks(generate(MotionSpec("shear", frames=5, shear_rate=0.01)))
+        record = tlf.convert(record, convention)
+        if convention == tlf.CONV_OFFSET:
+            record.coords[0, :3, 0] = (1e-17, -3e-20, 0.0)
+        want = tlf.convert(record, tlf.CONV_OFFSET).coords
+        got = tlf.offset_coords(record, tlf.to_normalized(record))
+        assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
 
     def test_convert_to_an_unknown_convention_is_a_tlf_error(self):
         record = tlf.from_tracks(generate(MotionSpec("static", frames=2)))

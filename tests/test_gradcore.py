@@ -54,8 +54,10 @@ def _public(module) -> set:
             and not name.startswith("_")}
 
 
-# the ops of reference_ops, each checked as a primitive is, under `ref.<name>`
-REFERENCE_OPS = {name for name in _public(ref) if not name.endswith("_chain")}
+# the ops of reference_ops, each checked as a primitive is, under `ref.<name>`:
+# its references that return a Tensor (the others are plain numpy), but the chains
+REFERENCE_OPS = {name for name in _public(ref) if not name.endswith("_chain")
+                 and inspect.signature(getattr(ref, name)).return_annotation is Tensor}
 
 
 def _transposed(y):

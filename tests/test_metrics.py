@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import reference_ops as ref
 from trajkit.metrics import div_curl_energy, explained_variance, flow_from_positions, flow_tv, vepe
 
 
@@ -39,6 +40,7 @@ def flow_tv_brute(positions, vis, s):
 def div_curl_brute(positions, vis, s):
     t_n, h, w, _ = positions.shape
     total = 0.0
+    any_cell = False
     for t in range(1, t_n):
         vals = []
         for i in range(h - 1):
@@ -57,7 +59,10 @@ def div_curl_brute(positions, vis, s):
                 curl = (dx_v - dy_u) / s
                 vals.append(div ** 2 + curl ** 2)
         if vals:
+            any_cell = True
             total += sum(vals) / len(vals)
+    if not any_cell:
+        raise ValueError("no valid cell")
     return total / (t_n - 1)
 
 
@@ -87,6 +92,16 @@ def explained_brute(values, vis):
     between = ((mus - mus.mean()) ** 2).mean()
     within = np.mean(sig2s)
     return 100.0 * between / (between + within)
+
+
+def _hidden_frames_case(seed, h, w):
+    """33 frames of random positions on an h x w grid, about a quarter of the
+    points hidden, and frames 9-11 and 20 hidden whole between visible ones."""
+    rng = np.random.default_rng(seed)
+    p = rng.normal(size=(33, h, w, 2)) * 10
+    vis = (rng.random((33, h, w)) > 0.25).astype(np.uint8)
+    vis[[9, 10, 11, 20]] = 0
+    return p, vis
 
 
 def _grid_positions(h=4, w=4, s=32.0):
@@ -149,6 +164,12 @@ class TestFlowTV:
             return
         assert got == pytest.approx(flow_tv_brute(p, vis, 32.0), abs=1e-9)
 
+    @pytest.mark.parametrize("grid", [(5, 6), (1, 9), (9, 1)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_brute_force_over_hidden_frames(self, seed, grid):
+        p, vis = _hidden_frames_case(seed, *grid)
+        assert flow_tv(p, vis, 4.0) == pytest.approx(flow_tv_brute(p, vis, 4.0), rel=1e-12)
+
     def test_constant_displacement_invariance(self):
         rng = np.random.default_rng(99)
         p = rng.normal(size=(4, 4, 4, 2)) * 5
@@ -181,8 +202,17 @@ class TestDivCurlEnergy:
         try:
             got = div_curl_energy(p, vis, 32.0)
         except ValueError:
+            with pytest.raises(ValueError):
+                div_curl_brute(p, vis, 32.0)
             return
         assert got == pytest.approx(div_curl_brute(p, vis, 32.0), abs=1e-9)
+
+    @pytest.mark.parametrize("grid", [(5, 6), (2, 2)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_brute_force_over_hidden_frames(self, seed, grid):
+        p, vis = _hidden_frames_case(seed + 10, *grid)
+        assert div_curl_energy(p, vis, 4.0) == pytest.approx(div_curl_brute(p, vis, 4.0),
+                                                             rel=1e-12)
 
     def test_single_spacing_variant_scales(self):
         rng = np.random.default_rng(7)
@@ -193,7 +223,27 @@ class TestDivCurlEnergy:
         assert single == pytest.approx(double * 32.0 ** 2, rel=1e-12)
 
 
+@pytest.mark.parametrize("metric", [flow_tv, div_curl_energy])
+def test_a_non_finite_hidden_position_changes_nothing(metric):
+    p, vis = _hidden_frames_case(30, 5, 6)
+    hidden = p.copy()
+    hidden[vis == 0] = np.nan
+    hidden[0][vis[0] == 0] = np.inf
+    with np.errstate(invalid="ignore"):  # the flow of a hidden inf or NaN may be inf - inf
+        assert metric(hidden, vis, 4.0) == metric(p, vis, 4.0)
+
+
 class TestVepe:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_the_norm_of_the_last_axis(self, seed):
+        rng = np.random.default_rng(seed + 500)
+        shape = tuple(rng.integers(1, 20, size=3))
+        a = rng.normal(size=(*shape, 2)) * 10.0 ** (seed - 3)
+        b = a + rng.normal(size=a.shape) * 10.0 ** -seed
+        vis = (rng.random(shape) > 0.3).astype(np.uint8)
+        vis[0, 0, 0] = 1
+        assert vepe(a, b, vis) == ref.vepe(a, b, vis)
+
     def test_exact_zero(self):
         p = np.zeros((3, 2, 2, 2))
         assert vepe(p, p.copy(), np.ones((3, 2, 2))) == 0.0

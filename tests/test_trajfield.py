@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_ops as ref
 from trajkit import flowgen, motionlab, tlf, trajfield
 from trajkit.trajfield import (
     SparseTracks,
@@ -143,6 +144,23 @@ class TestSplitWindows:
         pairs = flowgen.SegmentDataset(field.offsets[None], field.mask[None]).split(3)
         assert np.array_equal(np.concatenate([pairs.past[0], pairs.future[0]]), coords)
         assert np.array_equal(np.concatenate([pairs.past_masks[0], pairs.future_masks[0]]), mask)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
+@pytest.mark.parametrize("seed", range(4))
+def test_normalize_and_denormalize_keep_the_per_axis_bytes(seed, dtype):
+    rng = np.random.default_rng(seed)
+    height, width = (int(v) for v in rng.integers(1, 300, size=2))
+    if dtype is np.int64:
+        coords = rng.integers(-500, 500, size=(3, 11, 2))
+    else:
+        coords = (rng.normal(size=(3, 11, 2)) * (1e-20, 1.0, 100.0, 1e30)[seed]).astype(dtype)
+    for ours, theirs in ((normalize_coords, ref.normalize_coords),
+                         (denormalize_coords, ref.denormalize_coords)):
+        got, want = ours(coords, height, width), theirs(coords, height, width)
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+        assert not np.shares_memory(got, coords)
 
 
 def test_normalize_round_trip():
