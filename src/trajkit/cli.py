@@ -15,6 +15,7 @@ import functools
 import hashlib
 import json
 import os
+import re
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -419,6 +420,10 @@ def build_parser() -> argparse.ArgumentParser:
                        "(default: config out, then $TRAJLOOM_OUT, then ./runs)")
 
     p = sub.add_parser("synth", help="generate an analytic scene as a TLF file")
+    # argparse's own negative-number pattern (Python 3.11) has no exponent, so it
+    # reads "--vy -1e-05" as an option without its value; any "-<digit>" and
+    # "-.<digit>" is a value here, and `type=float` then checks its spelling
+    p._negative_number_matcher = re.compile(r"-\.?\d")
     p.add_argument("output")
     p.add_argument("--kind", default="translation",
                    choices=motionlab.KINDS)

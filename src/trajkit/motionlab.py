@@ -158,36 +158,43 @@ def estimate_camera(tracks: SparseTracks) -> CameraStats:
     the image center into a radial part (zoom rate: median radial residual
     over radius) and a tangential part (roll rate); shake is the RMS of what
     the median zoom/roll model leaves unexplained.  Stats average over time.
-    Every frame pair is computed at once as a (pairs, tracks) array, with the
-    tracks not visible in both frames masked out (their points moved to the
-    image center); only shake's mean runs per pair, over the visible tracks.
+    Every frame pair is computed at once, with the tracks not visible in both
+    frames masked out (their points moved to the image center); only shake's
+    mean runs per pair, over the visible tracks.
+
+    The arrays are coordinate-first, (2, pairs, tracks): x and y are each a
+    contiguous (pairs, tracks) plane, so every elementwise step runs over
+    whole planes rather than over 2-long rows of (pairs, tracks, 2), which
+    numpy walks one row at a time.  The medians see a (pairs, 2, tracks) view
+    whose last axis is contiguous.  The bytes are those of the (..., 2) form:
+    the norm is sqrt(x*x + y*y), and each dot product starts from +0.0, as
+    np.einsum's accumulator does, so an all-zero product sums to +0.0.
     """
     if tracks.frames < 2:
         raise ValueError("need at least 2 frames")
-    c = _center(tracks.height, tracks.width)
+    c = _center(tracks.height, tracks.width)[:, None, None]
     vis = tracks.visibility.astype(bool)
     both = vis[1:] & vis[:-1]
     few = np.flatnonzero(both.sum(axis=1) < 4)
     if few.size:
         raise ValueError(f"fewer than 4 visible tracks between frames {few[0]} and {few[0] + 1}")
-    p_prev = np.where(both[..., None], tracks.coords[:-1], c)
-    disp = np.where(both[..., None], tracks.coords[1:], c) - p_prev
-    trans = _masked_median(disp.swapaxes(1, 2), both[:, None])
-    resid = disp - trans[:, None]
+    xy = tracks.coords.transpose(2, 0, 1).copy()  # (2, frames, tracks)
+    p_prev = np.where(both, xy[:, :-1], c)
+    disp = np.where(both, xy[:, 1:], c) - p_prev
+    trans = _masked_median(disp.swapaxes(0, 1), both[:, None])  # (pairs, 2)
+    rx, ry = disp - trans.T[..., None]
     rel = p_prev - c
-    radius = np.linalg.norm(rel, axis=-1)
+    radius = np.sqrt(rel[0] * rel[0] + rel[1] * rel[1])
     ok = radius > 1e-9
-    e_r = np.divide(rel, radius[..., None], out=np.zeros_like(rel), where=ok[..., None])
-    e_t = np.stack([-e_r[..., 1], e_r[..., 0]], axis=-1)
-    radial = np.einsum("pnd,pnd->pn", resid, e_r)
-    tangential = np.einsum("pnd,pnd->pn", resid, e_t)
+    ex, ey = np.divide(rel, radius, out=np.zeros_like(rel), where=ok)  # e_r; e_t is (-ey, ex)
     used = both & ok
-    rates = np.stack([radial, tangential], axis=1)  # (pairs, 2, tracks)
-    np.divide(rates, radius[:, None], out=rates, where=used[:, None])
-    zoom, roll = np.where(used.any(axis=1), _masked_median(rates, used[:, None]).T, 0.0)
-    model = (zoom[:, None, None] * radius[..., None] * e_r
-             + roll[:, None, None] * radius[..., None] * e_t)
-    sq = np.sum((resid - model) ** 2, axis=-1)
+    rates = np.stack([0.0 + rx * ex + ry * ey, 0.0 - rx * ey + ry * ex])  # radial, tangential
+    np.divide(rates, radius, out=rates, where=used)
+    medians = _masked_median(rates.swapaxes(0, 1), used[:, None]).T
+    zoom, roll = np.where(used.any(axis=1), medians, 0.0)
+    zr, rr = zoom[:, None] * radius, roll[:, None] * radius
+    lx, ly = rx - (zr * ex - rr * ey), ry - (zr * ey + rr * ex)
+    sq = lx * lx + ly * ly
     shake = [np.sqrt(np.mean(row[m])) for row, m in zip(sq, both)]
     mean = np.column_stack([trans, zoom, roll, shake]).mean(axis=0)
     return CameraStats((float(mean[0]), float(mean[1])), float(mean[2]), float(mean[3]), float(mean[4]))

@@ -169,5 +169,5 @@ def coarse_positions(field: OffsetField) -> tuple[np.ndarray, np.ndarray]:
     """
     height, width = field.mask.shape[1:]
     s, c = field.stride, field.stride // 2
-    sub = to_absolute(field.offsets)[:, c::s, c::s, :]
+    sub = field.offsets[:, c::s, c::s] + anchor_grid(height, width)[c::s, c::s]
     return denormalize_coords(sub, height, width), field.mask[:, c::s, c::s].copy()

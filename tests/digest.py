@@ -15,8 +15,10 @@ alters floats names the parts that moved.  The parts:
   `temporal_loss` and `spatial_loss` at a bool, a uint8 and a float 0/1 mask;
 - `trajkit gradcheck`'s stdout;
 - `analyze`: the `eval` flowtv, divcurle and vepe values, the `camcap`
-  stats and the `analyze-variance` values of two fixed `synth` scenes, a
-  fully visible rotation and a zoom that leaves the frame (partly hidden).
+  stats and the `analyze-variance` values and exit codes of four fixed
+  `synth` scenes: a fully visible rotation, a zoom that leaves the frame
+  (partly hidden), and a static scene and a pure pan, whose camera residuals
+  are exact zeros.
 
 It takes about 1.5 s on a 2-CPU desk.
 """
@@ -39,10 +41,13 @@ from trajkit import cli, flowgen, gradcore as gc, lossbank as lb, scenes  # noqa
 from trajkit.models import init_vae_params  # noqa: E402
 from trajkit.trajfield import OffsetField  # noqa: E402
 
-# synth arguments of the analyze part's scenes: all visible, then partly hidden
+# synth arguments of the analyze part's scenes: all visible, partly hidden, then
+# two whose camera residuals are exact zeros
 ANALYZE_SCENES = {
     "rotation": ["--kind", "rotation", "--omega", "0.004"],
     "zoom": ["--kind", "zoom", "--zoom-rate", "0.02"],
+    "static": ["--kind", "static"],
+    "pan": ["--kind", "translation", "--vx", "0.75"],
 }
 ANALYZE_GEOM = ["--frames", "16", "--height", "32", "--width", "48", "--stride", "4"]
 MASK_DTYPES = {"bool": bool, "uint8": np.uint8, "float": np.float64}
@@ -84,18 +89,22 @@ def _value_and_grad(fn, *args):
 
 
 def _analyze(tmp: Path) -> list:
-    """The CSV text of the diagnostics of every ANALYZE_SCENES scene."""
+    """The CSV text of the diagnostics of every ANALYZE_SCENES scene, and the
+    exit code of its `analyze-variance`, which refuses a scene without motion
+    variance to split (the static scene and the pure pan exit 1, writing no
+    `variance.csv`); every other command must succeed."""
     out = []
     for name, synth in ANALYZE_SCENES.items():
         d = tmp / name
         src, inv, where = str(d / "src.tlf"), str(d / "inv.tlf"), ["--out", str(d)]
         for argv in (["synth", src, *synth, *ANALYZE_GEOM], ["rasterize", src, inv],
                      ["eval", src, "--metric", "flowtv"], ["eval", src, "--metric", "divcurle"],
-                     ["eval", inv, "--metric", "vepe", "--ref", src], ["camcap", src],
-                     ["analyze-variance", src]):
+                     ["eval", inv, "--metric", "vepe", "--ref", src], ["camcap", src]):
             if cli.dispatch([*argv, *where]) != 0:
                 raise RuntimeError(f"digest: {argv[0]} failed on the {name} scene")
-        out += [(d / f).read_text() for f in ("metrics.csv", "camcap.csv", "variance.csv")]
+        out.append(cli.dispatch(["analyze-variance", src, *where]))
+        out += [(d / f).read_text() for f in ("metrics.csv", "camcap.csv", "variance.csv")
+                if (d / f).exists()]
     return out
 
 
@@ -138,7 +147,8 @@ def parts() -> dict:
         code = cli.dispatch(["gradcheck", "--out", tmp])
     out["gradcheck"] = _sha(code, stdout.getvalue())
 
-    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+    with (tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()),
+          contextlib.redirect_stderr(io.StringIO())):
         out["analyze"] = _sha(_analyze(Path(tmp)))
     return out
 

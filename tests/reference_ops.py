@@ -12,14 +12,15 @@ each fused primitive with its chain, forward bytes and adjoint bytes.
 The numpy references at the end hold the arithmetic that a faster form in
 the package must match to the bit: `normalize_coords` and
 `denormalize_coords` are the per-axis expressions that trajfield's functions
-of those names compute in place (tests/test_trajfield.py compares them), and
-`vepe` is the metric's `np.linalg.norm` form (tests/test_metrics.py compares
-them).
+of those names compute in place, `coarse_positions` adds the anchors to the
+whole dense field before it keeps one pixel per cell (tests/test_trajfield.py
+compares all three), and `vepe` is the metric's `np.linalg.norm` form
+(tests/test_metrics.py compares them).
 """
 
 import numpy as np
 
-from trajkit import gradcore as gc
+from trajkit import gradcore as gc, trajfield
 from trajkit.gradcore import tensor
 from trajkit.gradcore.tensor import Tensor, as_tensor
 
@@ -139,6 +140,13 @@ def denormalize_coords(coords_norm, height: int, width: int) -> np.ndarray:
     out[..., 0] = (coords_norm[..., 0] + 1.0) * width / 2.0 - 0.5
     out[..., 1] = (coords_norm[..., 1] + 1.0) * height / 2.0 - 0.5
     return out
+
+
+def coarse_positions(field):
+    height, width = field.mask.shape[1:]
+    s, c = field.stride, field.stride // 2
+    sub = trajfield.to_absolute(field.offsets)[:, c::s, c::s, :]
+    return denormalize_coords(sub, height, width), field.mask[:, c::s, c::s].copy()
 
 
 def vepe(pred, target, visibility) -> float:

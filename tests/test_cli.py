@@ -406,6 +406,19 @@ class TestSynthAndConversions:
         manifest = json.loads((tmp_path / "r" / "manifest.json").read_text())
         assert manifest["command"] == "rasterize"
 
+    @pytest.mark.parametrize("value", ["-1e-05", "-2E+3", "-1.5e-07"])
+    @pytest.mark.parametrize("flag, kind", [("--vx", "translation"), ("--vy", "translation"),
+                                            ("--omega", "rotation"), ("--zoom-rate", "zoom"),
+                                            ("--shear-rate", "shear")])
+    def test_negative_float_with_an_exponent_is_a_value(self, tmp_path, flag, kind, value):
+        """argparse's own negative-number pattern has no exponent, so `--vy -1e-05`
+        used to exit 1 with "expected one argument"."""
+        spaced, joined = tmp_path / "spaced.tlf", tmp_path / "joined.tlf"
+        scene = ("--kind", kind, "--frames", 4, "--out", tmp_path)
+        assert run("synth", spaced, flag, value, *scene) == 0
+        assert run("synth", joined, f"{flag}={value}", *scene) == 0
+        assert spaced.read_bytes() == joined.read_bytes()
+
     @pytest.mark.parametrize("flag, value, field", [("--stride", 0, "stride"),
                                                      ("--height", 0, "height"),
                                                      ("--vx", "nan", "velocity")])

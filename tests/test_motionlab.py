@@ -188,6 +188,27 @@ class TestAllPairsCamera:
         assert got == want
         assert repr(got) == repr(want)  # the sign of a zero too
 
+    @pytest.mark.parametrize("ragged", [False, True], ids=["visible", "ragged"])
+    @pytest.mark.parametrize("kind", motionlab.KINDS)
+    def test_equals_the_per_pair_loop_at_the_benchmark_size(self, kind, ragged):
+        """The geometry of perfbench's analyze scenes: 32 frames of 128x128 at
+        stride 4 (1024 tracks), coordinates rounded to float32 as a TLF holds them."""
+        tracks = generate(MotionSpec(kind, frames=32, height=128, width=128, stride=4,
+                                     velocity=(1.2, -0.1), angular_rate=0.02, zoom_rate=0.01,
+                                     shear_rate=0.01, jitter_amplitude=0.3, jitter_axis="both"))
+        vis = np.ones_like(tracks.visibility)
+        if ragged:
+            vis = tracks.visibility * (np.random.default_rng(1).random(vis.shape) > 0.3)
+        tracks = SparseTracks(tracks.coords.astype(np.float32), vis, 4, 128, 128)
+        got, want = estimate_camera(tracks), _per_pair_camera(tracks)
+        assert repr(got) == repr(want)
+
+    def test_leaves_its_input_unchanged(self):
+        tracks = _ragged_tracks("zoom", 0)
+        coords, vis = tracks.coords.tobytes(), tracks.visibility.tobytes()
+        estimate_camera(tracks)
+        assert tracks.coords.tobytes() == coords and tracks.visibility.tobytes() == vis
+
     def test_no_point_off_the_centre_gives_zero_zoom_and_roll(self):
         rng = np.random.default_rng(0)
         coords = np.empty((3, 16, 2))

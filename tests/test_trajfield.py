@@ -163,6 +163,21 @@ def test_normalize_and_denormalize_keep_the_per_axis_bytes(seed, dtype):
         assert not np.shares_memory(got, coords)
 
 
+@pytest.mark.parametrize("stride, height, width", [(1, 5, 7), (2, 6, 4), (3, 9, 12), (4, 16, 8)])
+@pytest.mark.parametrize("seed", range(3))
+def test_coarse_positions_keep_the_dense_field_bytes(seed, stride, height, width):
+    """The anchors are added to the kept pixels only, with the bytes of adding
+    them to the whole field first."""
+    rng = np.random.default_rng(seed)
+    offsets = rng.normal(size=(3, height, width, 2)) * (1e-20, 1.0, 1e3)[seed]
+    offsets[0, 0, 0] = -anchor_grid(height, width)[0, 0]  # a point on its anchor
+    field = trajfield.OffsetField(offsets, rng.random((3, height, width)) > 0.5, stride)
+    for f in (field, rasterize(_random_tracks(seed, 4, height, width, stride))):
+        (got, got_vis), (want, want_vis) = coarse_positions(f), ref.coarse_positions(f)
+        assert got.tobytes() == want.tobytes() and got.shape == want.shape
+        assert got_vis.tobytes() == want_vis.tobytes() and got_vis.shape == want_vis.shape
+
+
 def test_normalize_round_trip():
     rng = np.random.default_rng(4)
     px = rng.uniform(-3, 40, size=(5, 7, 2))
