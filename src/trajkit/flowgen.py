@@ -169,8 +169,9 @@ _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
 def dopri5_sample(v_fn, z0: np.ndarray, rtol: float = SAMPLER["rtol"],
                   atol: float = SAMPLER["atol"], h_init: float = 0.01) -> np.ndarray:
     """Adaptive Dormand-Prince 4(5) integration from t=0 to t=1."""
-    if rtol <= 0 or atol <= 0:
-        raise ValueError("tolerances must be positive")
+    for name, value in (("rtol", rtol), ("atol", atol), ("h_init", h_init)):
+        if not 0.0 < value < np.inf:  # NaN too: a NaN step never shrinks below DOPRI5_H_MIN
+            raise ValueError(f"dopri5_sample: {name} must be a finite number > 0, got {value!r}")
     y = np.array(z0, dtype=np.float64)
     t = 0.0
     h = min(h_init, 1.0)

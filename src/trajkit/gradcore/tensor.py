@@ -197,12 +197,13 @@ def _linear(x, w, b, axis, wb_grads=None):
 def linear(x, w, b) -> Tensor:
     """x @ w + b over the last axis of N-D x: one tape node (see _linear)."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    if w.data.ndim != 2 or b.shape != w.shape[1:] or x.shape[-1:] != w.shape[:1]:
-        raise ShapeError("linear", x.shape, w.shape, b.shape)
-    axis = x.data.ndim - 1
-    if not _needs_grad((x, w, b)):
-        return Tensor(_linear(x.data, w.data, b.data, axis)[0], _op="linear")
-    out, vjps = _linear(x.data, w.data, b.data, axis, w.requires_grad + b.requires_grad)
+    xd, wd, bd = x.data, w.data, b.data
+    if wd.ndim != 2 or bd.shape != wd.shape[1:] or xd.shape[-1:] != wd.shape[:1]:
+        raise ShapeError("linear", xd.shape, wd.shape, bd.shape)
+    axis = xd.ndim - 1
+    if not (x.requires_grad or w.requires_grad or b.requires_grad):
+        return Tensor(_linear(xd, wd, bd, axis)[0], _op="linear")
+    out, vjps = _linear(xd, wd, bd, axis, w.requires_grad + b.requires_grad)
     return _make(out, (x, w, b), vjps, "linear")
 
 
@@ -217,22 +218,22 @@ def residual_mlp(h, w1, b1, w2, b2, axis=-1) -> Tensor:
     listed twice: its first adjoint passes g on, as add's does, and its
     second is the inner chain's, so backward adds them into h in the chain's
     order."""
-    h, w1, b1, w2, b2 = (as_tensor(t) for t in (h, w1, b1, w2, b2))
-    if (w1.data.ndim != 2 or w2.shape != w1.shape[::-1] or b1.shape != w1.shape[1:]
-            or b2.shape != w2.shape[1:] or not -h.data.ndim <= axis < h.data.ndim
-            or h.shape[axis] != w1.shape[0]):
-        raise ShapeError("residual_mlp", h.shape, w1.shape, b1.shape, w2.shape, b2.shape)
-    axis %= h.data.ndim
-    operands = (h, h, w1, b1, w2, b2)
-    if not _needs_grad(operands):
-        a = _gelu(_linear(h.data, w1.data, b1.data, axis)[0])[0]
-        return Tensor(h.data + _linear(a, w2.data, b2.data, axis)[0], _op="residual_mlp")
-    m, (dx1, dw1, db1) = _linear(h.data, w1.data, b1.data, axis,
-                                 w1.requires_grad + b1.requires_grad)
+    h, w1, b1, w2, b2 = as_tensor(h), as_tensor(w1), as_tensor(b1), as_tensor(w2), as_tensor(b2)
+    hd, w1d, b1d, w2d, b2d = h.data, w1.data, b1.data, w2.data, b2.data
+    s1, s2, nd = w1d.shape, w2d.shape, hd.ndim
+    if (w1d.ndim != 2 or s2 != s1[::-1] or b1d.shape != s1[1:] or b2d.shape != s2[1:]
+            or not -nd <= axis < nd or hd.shape[axis] != s1[0]):
+        raise ShapeError("residual_mlp", hd.shape, s1, b1d.shape, s2, b2d.shape)
+    axis %= nd
+    if not (h.requires_grad or w1.requires_grad or b1.requires_grad
+            or w2.requires_grad or b2.requires_grad):
+        a = _gelu(_linear(hd, w1d, b1d, axis)[0])[0]
+        return Tensor(hd + _linear(a, w2d, b2d, axis)[0], _op="residual_mlp")
+    m, (dx1, dw1, db1) = _linear(hd, w1d, b1d, axis, w1.requires_grad + b1.requires_grad)
     a, local = _gelu_and_derivative(m)
     del m  # no adjoint reads it: freed before the outer linear allocates
-    y, (dx2, dw2, db2) = _linear(a, w2.data, b2.data, axis, w2.requires_grad + b2.requires_grad)
-    y += h.data  # y is the outer linear's fresh output, which no adjoint reads
+    y, (dx2, dw2, db2) = _linear(a, w2d, b2d, axis, w2.requires_grad + b2.requires_grad)
+    y += hd  # y is the outer linear's fresh output, which no adjoint reads
 
     def inner(g):  # the inner linear's output adjoint: dx2's fresh output times local
         dm = dx2(g)
@@ -241,7 +242,7 @@ def residual_mlp(h, w1, b1, w2, b2, axis=-1) -> Tensor:
 
     # read by h's second adjoint, w1's and b1's
     dm = _shared(inner, h.requires_grad + w1.requires_grad + b1.requires_grad)
-    return _make(y, operands,
+    return _make(y, (h, h, w1, b1, w2, b2),
                  (lambda g: g, lambda g: dx1(dm(g)), lambda g: dw1(dm(g)),
                   lambda g: db1(dm(g)), dw2, db2), "residual_mlp")
 

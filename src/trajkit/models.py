@@ -153,7 +153,8 @@ def _linear(params: dict, name: str, x: Tensor) -> Tensor:
 
 def _mlp_params(params: dict, name: str, part: str) -> tuple:
     """w1, b1, w2, b2 of a block's residual MLP `part` ("tok" or "ch")."""
-    return tuple(params[f"{name}.{part}{i}.{p}"] for i in (1, 2) for p in ("w", "b"))
+    stem = f"{name}.{part}"
+    return params[stem + "1.w"], params[stem + "1.b"], params[stem + "2.w"], params[stem + "2.b"]
 
 
 def _block(params: dict, name: str, h: Tensor) -> Tensor:

@@ -141,12 +141,15 @@ def toy_1d_pair(b: float, frames: int):
 
 def _masked_median(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """np.median of each row of x (last axis) over its masked entries, to the
-    bit: the row is sorted with +inf padding and the two middle entries are
-    averaged (for an odd count the middle one with itself), as np.median
-    averages them.  A row with a NaN entry gives NaN; an empty row gives inf."""
+    bit: the row is sorted with +inf padding, and the middle entries are
+    summed from +0.0, as np.median's mean sums them: 0.0 + s[mid] for an odd
+    count, ((0.0 + s[lo]) + s[hi]) / 2 for an even one.  So a -0.0 middle
+    gives +0.0, and an odd count's 1e308 stays finite.  A row with a NaN
+    entry gives NaN; an empty row gives inf."""
     k = mask.sum(axis=-1, keepdims=True)
     s = np.sort(np.where(mask, x, np.inf), axis=-1)
-    med = (np.take_along_axis(s, (k - 1) // 2, -1) + np.take_along_axis(s, k // 2, -1)) / 2
+    lo = 0.0 + np.take_along_axis(s, (k - 1) // 2, -1)
+    med = np.where(k % 2 == 1, lo, (lo + np.take_along_axis(s, k // 2, -1)) / 2)
     return np.where(np.isnan(s[..., -1:]), np.nan, med)[..., 0]
 
 

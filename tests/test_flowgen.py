@@ -262,6 +262,24 @@ class TestDopri5:
         with pytest.raises(FloatingPointError):
             dopri5_sample(stiff, np.ones(1), rtol=1e-6, atol=1e-9)
 
+    @pytest.mark.parametrize("name,value", [("h_init", math.nan), ("h_init", math.inf),
+                                            ("h_init", 0.0), ("h_init", -0.5),
+                                            ("rtol", math.nan), ("atol", math.nan)])
+    def test_bad_step_or_tolerance_raises_before_any_evaluation(self, name, value):
+        """A NaN h_init once kept every step size NaN, so the solver never
+        returned; the field raises after 10,000 calls rather than hang."""
+        calls = []
+
+        def v(z, t):
+            calls.append(t)
+            if len(calls) > 10_000:
+                raise RuntimeError("dopri5_sample did not stop")
+            return -z
+
+        with pytest.raises(ValueError, match=f"^dopri5_sample: {name} must be"):
+            dopri5_sample(v, np.ones(2), **{name: value})
+        assert calls == []
+
 
 class TestKstepRollout:
     def test_constant_field_telescopes(self):

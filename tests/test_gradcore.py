@@ -448,12 +448,27 @@ def test_residual_mlp_writes_into_no_array_another_node_reads(axis):
     assert again[0].tobytes() == g_h.tobytes() and again[1].tobytes() == h0.tobytes()
 
 
-@pytest.mark.parametrize("shapes", [((3, 2), (2,), (2, 3), (3,)),
-                                    ((4, 2), (2,), (2, 3), (3,)), ((4, 2), (3,), (2, 4), (4,)),
-                                    ((4, 2), (2,), (2, 4), (1, 4))])
-def test_residual_mlp_shape_error_names_residual_mlp(shapes):
-    with pytest.raises(gc.ShapeError, match="^residual_mlp: "):
-        gc.residual_mlp(np.ones((5, 4)), *(np.ones(s) for s in shapes))
+def _assert_refused(op, call, monkeypatch):
+    """call() raises a ShapeError naming `op` and hands nothing to the tape."""
+    recorded = []
+    monkeypatch.setattr(tensor, "_make", lambda *args: recorded.append(args[3]))
+    with pytest.raises(gc.ShapeError, match=f"^{op}: "):
+        call()
+    assert recorded == []
+
+
+@pytest.mark.parametrize("h_grad", [False, True])
+@pytest.mark.parametrize("shapes,axis", [
+    (((3, 2), (2,), (2, 3), (3,)), -1), (((4, 2), (2,), (2, 3), (3,)), -1),
+    (((4, 2), (3,), (2, 4), (4,)), -1), (((4, 2), (2,), (2, 4), (1, 4)), -1),
+    (((4,), (), (4,), ()), -1),  # w1 of rank 1, every other shape matching it
+    (((4, 2, 1), (2, 1), (1, 2, 4), (2, 4)), -1),  # w1 of rank 3
+    (((4, 2), (2,), (2, 4, 1), (4, 1)), -1),  # w2 of rank 3
+    (((4, 2), (2,), (2, 4), (4,)), 2), (((4, 2), (2,), (2, 4), (4,)), -3)])
+def test_residual_mlp_shape_error_names_residual_mlp(shapes, axis, h_grad, monkeypatch):
+    h = Tensor(np.ones((5, 4)), requires_grad=h_grad)
+    _assert_refused("residual_mlp", lambda: gc.residual_mlp(h, *(np.ones(s) for s in shapes),
+                                                            axis=axis), monkeypatch)
 
 
 @pytest.mark.parametrize("delta", [1.0, 0.3])
@@ -572,17 +587,20 @@ def test_regroup_shape_error_names_regroup(split, axes, shape):
         gc.regroup(Tensor(np.ones((3, 4))), split, axes, shape)
 
 
+@pytest.mark.parametrize("x_grad", [False, True])
 @pytest.mark.parametrize("w_shape,b_shape", [((4, 2), (2,)), ((3, 2), (3,)), ((3, 2), (1, 2))])
-def test_linear_shape_error_names_linear(w_shape, b_shape):
-    with pytest.raises(gc.ShapeError, match="^linear: "):
-        gc.linear(np.ones((5, 3)), np.ones(w_shape), np.ones(b_shape))
+def test_linear_shape_error_names_linear(w_shape, b_shape, x_grad, monkeypatch):
+    x = Tensor(np.ones((5, 3)), requires_grad=x_grad)
+    _assert_refused("linear", lambda: gc.linear(x, np.ones(w_shape), np.ones(b_shape)),
+                    monkeypatch)
 
 
+@pytest.mark.parametrize("x_grad", [False, True])
 @pytest.mark.parametrize("x_shape", [(2, 3, 4), ()])
-def test_linear_mixes_the_last_axis_only(x_shape):
+def test_linear_mixes_the_last_axis_only(x_shape, x_grad, monkeypatch):
     """A (3, 2) weight takes x's last axis of 3 and no other, and a 0-d x has none."""
-    with pytest.raises(gc.ShapeError, match="^linear: "):
-        gc.linear(np.ones(x_shape), np.ones((3, 2)), np.ones(2))
+    x = Tensor(np.ones(x_shape), requires_grad=x_grad)
+    _assert_refused("linear", lambda: gc.linear(x, np.ones((3, 2)), np.ones(2)), monkeypatch)
 
 
 def test_backward_sets_grad_on_wrt_only():

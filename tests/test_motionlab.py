@@ -278,3 +278,31 @@ def test_generators_deterministic():
     b = generate(spec)
     assert np.array_equal(a.coords, b.coords)
     assert np.array_equal(a.visibility, b.visibility)
+
+
+
+def _median_cases():
+    """Rows with -0.0 and 1e308 middles at odd and even counts, then ragged
+    random rows; padding entries are masked out."""
+    rows = [([-0.0], [1]), ([-0.0, -0.0], [1, 1]), ([-1.0, -0.0, 1.0], [1, 1, 1]),
+            ([-0.0, 5.0, -0.0, -1.0], [1, 0, 1, 1]), ([-0.0, 2.5, -0.0, 1.0], [1, 0, 1, 0]),
+            ([1e308, -1.0, 1e308], [1, 1, 1]), ([1e308, 1e308], [1, 1])]
+    x = np.array([r + [7.0] * (7 - len(r)) for r, _ in rows])
+    mask = np.array([m + [0] * (7 - len(m)) for _, m in rows], dtype=bool)
+    rng = np.random.default_rng(5)
+    values = [0.0, -0.0, 1.0, -1.0, 1e308, -1e308, np.nan, 2.5, 1e-320]
+    mask_rand = rng.random((2000, 7)) < 0.6
+    mask_rand[:, 0] = True  # no empty row: np.median of nothing is NaN, not inf
+    return (np.concatenate([x, rng.choice(values, size=(2000, 7))]),
+            np.concatenate([mask, mask_rand]))
+
+
+def test_masked_median_has_the_bytes_of_np_median():
+    """A -0.0 middle gives +0.0 and an odd count's 1e308 middle stays finite,
+    as in np.median, which sums the middle entries from +0.0."""
+    x, mask = _median_cases()
+    with np.errstate(all="ignore"):
+        got = motionlab._masked_median(x, mask)
+        want = np.array([np.median(row[m]) for row, m in zip(x, mask)])
+    assert got.tobytes() == want.tobytes()
+    assert not np.signbit(got[:5]).any() and got[5] == 1e308
