@@ -230,7 +230,7 @@ def residual_mlp(h, w1, b1, w2, b2, axis=-1) -> Tensor:
         a = _gelu(_linear(hd, w1d, b1d, axis)[0])[0]
         return Tensor(hd + _linear(a, w2d, b2d, axis)[0], _op="residual_mlp")
     m, (dx1, dw1, db1) = _linear(hd, w1d, b1d, axis, w1.requires_grad + b1.requires_grad)
-    a, local = _gelu_and_derivative(m)
+    a, local = _gelu(m, derivative=True)
     del m  # no adjoint reads it: freed before the outer linear allocates
     y, (dx2, dw2, db2) = _linear(a, w2d, b2d, axis, w2.requires_grad + b2.requires_grad)
     y += hd  # y is the outer linear's fresh output, which no adjoint reads
@@ -278,36 +278,64 @@ def softplus(a) -> Tensor:
 _GELU_C = np.sqrt(2.0 / np.pi)
 
 
-def _gelu(x):
-    """gelu's forward on an array: (out, th), th the tanh its adjoint reads."""
-    th = np.multiply(x, x, out=np.empty_like(x))  # x ** 3 goes through libm pow
+# Elements per chunk of the elementwise passes over large arrays (gelu's and
+# Adam's): a chunk's operands, outputs and scratch stay in a 2 MB per-core L2.
+CHUNK = 16384
+
+
+def _gelu_into(x, out, local, th, hx):
+    """gelu's value at array x into `out` and, unless `local` is None, its
+    derivative into `local`, through scratch arrays th and hx (hx unread
+    without `local`) of x's shape.  0.5 * x and 1 + th are computed once,
+    for the value and the derivative both."""
+    np.multiply(x, x, out=th)  # x ** 3 goes through libm pow
     th *= x
     th *= 0.044715
     th += x
     th *= _GELU_C
     np.tanh(th, out=th)
-    out = np.multiply(0.5, x, out=np.empty_like(x))
-    out *= 1.0 + th
-    return out, th
+    if local is None:
+        np.multiply(0.5, x, out=out)
+        th += 1.0
+        out *= th
+        return
+    np.add(th, 1.0, out=local)
+    np.multiply(0.5, x, out=hx)
+    np.multiply(hx, local, out=out)
+    local *= 0.5
+    th *= th
+    np.subtract(1.0, th, out=th)  # sech2
+    hx *= th
+    np.multiply(x, 3 * 0.044715, out=th)
+    th *= x
+    th += 1.0
+    th *= _GELU_C  # d_inner
+    hx *= th
+    local += hx
 
 
-def _gelu_and_derivative(x):
-    """gelu's forward on an array and its derivative there: (out, local), the
-    input adjoint being local * g."""
-    out, th = _gelu(x)
-    t = np.multiply(th, th, out=np.empty_like(x))
-    np.subtract(1.0, t, out=t)  # sech2
-    rhs = np.multiply(0.5, x, out=np.empty_like(x))
-    rhs *= t
-    np.multiply(x, 3 * 0.044715, out=t)
-    t *= x
-    t += 1.0
-    t *= _GELU_C  # d_inner
-    rhs *= t
-    np.add(th, 1.0, out=t)
-    t *= 0.5
-    t += rhs
-    return out, t
+def _gelu(x, derivative=False):
+    """gelu's value at array x and, with `derivative`, its derivative there:
+    (out, local), local None without it; the input adjoint is local * g.
+
+    Both have x's layout.  An array of more than CHUNK elements goes through
+    its memory order chunk by chunk, so each chunk's scratch stays in cache
+    and writes straight into the outputs; one whose elements do not fill its
+    memory in one order is copied C-contiguous first."""
+    if x.size > CHUNK and not np.may_share_memory(x.ravel(order="K"), x):
+        x = np.ascontiguousarray(x)
+    out = np.empty_like(x)
+    local = np.empty_like(x) if derivative else None
+    if x.size <= CHUNK:
+        _gelu_into(x, out, local, np.empty_like(x), np.empty_like(x) if derivative else None)
+        return out, local
+    xf, of = x.ravel(order="K"), out.ravel(order="K")
+    lf = None if local is None else local.ravel(order="K")
+    th, hx = np.empty((2, CHUNK))
+    for i in range(0, x.size, CHUNK):
+        s, n = slice(i, i + CHUNK), min(CHUNK, x.size - i)
+        _gelu_into(xf[s], of[s], None if lf is None else lf[s], th[:n], hx[:n])
+    return out, local
 
 
 def gelu(a) -> Tensor:
@@ -321,7 +349,7 @@ def gelu(a) -> Tensor:
     a = as_tensor(a)
     if not _needs_grad((a,)):
         return Tensor(_gelu(a.data)[0], _op="gelu")
-    out, local = _gelu_and_derivative(a.data)
+    out, local = _gelu(a.data, derivative=True)
     return _make(out, (a,), (lambda g: local * g,), "gelu")
 
 
@@ -353,19 +381,26 @@ def huber(x, target, weight, delta: float) -> Tensor:
     if (x.data.ndim < 2 or x.shape[-1] != 2 or target.shape != x.shape
             or weight.shape != x.shape[:-1]):
         raise ShapeError("huber", x.shape, target.shape, weight.shape)
-    d = x.data - target
+    d = np.negative(target)  # x + -target, the chain's difference down to a NaN's sign
+    np.add(x.data, d, out=d)
     lin = np.abs(d)
     mask = lin <= delta
     quad = d * d
     quad *= 0.5
     lin *= delta
     lin += -0.5 * delta * delta
-    out = _instance_sums(np.where(mask, quad, lin).sum(axis=-1), weight)
+    rho = np.where(mask, quad, lin)
+    # rho is never -0.0, so the planes' sum has the bytes of .sum(axis=-1),
+    # which walks the length-2 axis one row at a time
+    out = _instance_sums(rho[..., 0] + rho[..., 1], weight)
     if not _needs_grad((x,)):
         return Tensor(out, _op="huber")
 
     def vjp(g):
-        g = _spread(weight, g)[..., None]
+        w = _spread(weight, g)
+        g = np.empty(d.shape)
+        g[..., 0] = w
+        g[..., 1] = w
         s = np.where(mask, g, 0.0)
         s *= 0.5
         s *= d

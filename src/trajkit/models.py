@@ -10,6 +10,7 @@ accept the same dicts wrapped into Tensors.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -235,21 +236,28 @@ def reparameterize(mu, logvar, rng: Rng) -> Tensor:
 
 
 def vae_decode(z, params: dict, cfg: VaeConfig, frames: int | None = None) -> Tensor:
-    """Latents (B, T_lat, N, C) -> offset segments (B, frames, H, W, 2)."""
+    """Latents (B, T_lat, N, C) -> offset segments (B, frames, H, W, 2).
+
+    An explicit `frames` is a ShapeError outside 1..T_lat * temporal_ratio,
+    the frames the latents decode to; the default, cfg.frames, cuts at most.
+    At the full length the decoder's output is returned as it is."""
     z = _with_batch("vae_decode", z, LATENT)
     b, t_lat, n, c = z.shape
     if n != cfg.n_tokens or c != cfg.latent_channels:
         raise gc.ShapeError("vae_decode", z.shape, (cfg.n_tokens, cfg.latent_channels))
-    frames = cfg.frames if frames is None else frames
+    d, r = cfg.hidden, cfg.temporal_ratio
+    if frames is None:
+        frames = cfg.frames
+    elif not 1 <= frames <= t_lat * r:
+        raise gc.ShapeError("vae_decode", (frames,), (t_lat * r,))
     tok = _linear(params, "dec.embed", z)
     tok = _block(params, "dec.pre", tok)
-    d, r = cfg.hidden, cfg.temporal_ratio
     tok = _linear(params, "dec.expand", tok)
     tok = gc.regroup(tok, (b, t_lat, n, r, d), (0, 1, 3, 2, 4), (b, t_lat * r, n, d))
     for i in range(cfg.blocks):
         tok = _block(params, f"dec.block{i}", tok)
     out = _unpatchify(_linear(params, "dec.head", tok), cfg)
-    return out[:, :frames]
+    return out if frames == t_lat * r else out[:, :frames]
 
 
 # -- velocity network --------------------------------------------------------
@@ -274,12 +282,18 @@ def history_cue(z_hist, params: dict, k_f: int) -> Tensor:
     return gc.mul(gc.mul(cue, gates), params["vel.fusion.alpha"])
 
 
-def time_features(t, n_features: int) -> np.ndarray:
-    """Sinusoidal embedding of flow time, (B, n_features)."""
-    t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    half = n_features // 2
+@functools.cache
+def _frequencies(half: int) -> np.ndarray:
+    """time_features' frequency table, 2 ** k for k < half; read-only, as every call shares it."""
     freqs = 2.0 ** np.arange(half)
-    ang = 2.0 * np.pi * t[:, None] * freqs[None, :]
+    freqs.flags.writeable = False
+    return freqs
+
+
+def time_features(t: np.ndarray, n_features: int) -> np.ndarray:
+    """Sinusoidal embedding of the (B,) float64 flow times `t`, as
+    velocity_forward converts them: (B, n_features)."""
+    ang = 2.0 * np.pi * t[:, None] * _frequencies(n_features // 2)[None, :]
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
 
 

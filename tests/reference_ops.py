@@ -10,7 +10,9 @@ each its own finite-difference and constant-operand checks, and compares
 each fused primitive with its chain, forward bytes and adjoint bytes.
 
 The numpy references at the end hold the arithmetic that a faster form in
-the package must match to the bit: `normalize_coords` and
+the package must match to the bit: `adam_step` is optim_step's update one
+parameter array at a time, which the package runs over flat chunks,
+`normalize_coords` and
 `denormalize_coords` are the per-axis expressions that trajfield's functions
 of those names compute in place, `coarse_positions` adds the anchors to the
 whole dense field before it keeps one pixel per cell (tests/test_trajfield.py
@@ -21,7 +23,7 @@ compares all three), and `vepe` is the metric's `np.linalg.norm` form
 import numpy as np
 
 from trajkit import gradcore as gc, trajfield
-from trajkit.gradcore import tensor
+from trajkit.gradcore import optim, tensor
 from trajkit.gradcore.tensor import Tensor, as_tensor
 
 
@@ -124,6 +126,28 @@ def shift_l1_chain(x, hop, axis, target, weight) -> Tensor:
     diff = gc.add(x[lead + (slice(hop, None),)], gc.mul(x[lead + (slice(None, -hop),)], -1.0))
     l1 = tsum(absolute(gc.add(diff, -target)), 4)
     return tsum(gc.reshape(gc.mul(l1, weight), (weight.shape[0], -1)), 1)
+
+
+def adam_step(params, grads, m, v, t, lr, clip_norm=None) -> dict:
+    """Step t (from 1) of Adam with optim_step's clip: the new params; the
+    moment dicts m and v, one array per parameter, are updated in place."""
+    if clip_norm is not None:
+        total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+        if total > clip_norm:
+            scale = clip_norm / total
+            grads = {k: g * scale for k, g in grads.items()}
+    bc1 = 1.0 - optim.BETA1 ** t
+    bc2 = 1.0 - optim.BETA2 ** t
+    out = {}
+    for name, p in params.items():
+        g = grads[name]
+        m[name] *= optim.BETA1
+        m[name] += (1.0 - optim.BETA1) * g
+        v[name] *= optim.BETA2
+        v[name] += (1.0 - optim.BETA2) * g * g
+        update = (m[name] / bc1) / (np.sqrt(v[name] / bc2) + optim.EPS)
+        out[name] = p - lr * update
+    return out
 
 
 def normalize_coords(coords_px, height: int, width: int) -> np.ndarray:

@@ -500,6 +500,36 @@ def test_huber_bit_equal_to_the_ten_node_chain(delta):
     assert g_prim.tobytes() == g_chain.tobytes()
 
 
+def test_huber_bit_equal_to_the_chain_at_edges_on_each_plane():
+    """Value and adjoint bytes match the chain with the edge cases on one
+    coordinate plane at a time: d = +-0.0 and |d| exactly delta, a NaN
+    target (its instance's value is NaN) and zero weights."""
+    delta = 0.5
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=(4, 3, 5, 2))
+    target = rng.normal(size=x.shape)
+    for row, plane in ((0, 0), (1, 1)):
+        x[0, row, :4, plane] = [0.0, -0.0, 2 * delta, -2 * delta]
+        target[0, row, :4, plane] = [0.0, 0.0, delta, -delta]
+    target[1, 2, 3, 0] = np.nan
+    target[2, 0, 1, 1] = np.nan
+    weight = rng.uniform(size=x.shape[:-1])
+    weight[0, 2] = 0.0
+    weight[3] = 0.0
+    cot = rng.normal(size=x.shape[0])
+
+    def value_and_adjoint(node):
+        value = node(x, target, weight, delta).data
+        _, (g,) = gc.grad(lambda x_: gc.tsum(gc.mul(node(x_, target, weight, delta), cot)), [x])
+        return value, g
+
+    value, g = value_and_adjoint(gc.huber)
+    value_chain, g_chain = value_and_adjoint(ref.huber_chain)
+    assert np.isnan(value).tolist() == [False, True, True, False]
+    assert value.tobytes() == value_chain.tobytes()
+    assert g.tobytes() == g_chain.tobytes()
+
+
 def test_huber_gradients_on_both_sides_of_delta():
     d = np.array([-2.0, -0.8, -0.2, 0.1, 0.5, 1.7, 0.59, -0.61]).reshape(2, 2, 2)
     target = np.random.default_rng(9).normal(size=d.shape)
@@ -750,17 +780,48 @@ def test_gelu_matches_closed_form_into_the_tails():
     assert gc.grad_check(lambda x_: gc.tsum(gc.gelu(x_)), [x]) < 1e-4
 
 
-def test_gelu_bytes_equal_the_closed_form_expression():
+GELU_EDGES = [0.0, -0.0, -40.0, 40.0, 1e-300, np.inf, -np.inf, np.nan, 1e300, -1e300]
+
+
+def _gelu_grid(size):
+    """`size` points: a grid into both tails with GELU_EDGES at each end."""
+    grid = np.linspace(-12.0, 12.0, size - 2 * len(GELU_EDGES))
+    return np.concatenate([GELU_EDGES, grid, GELU_EDGES[::-1]])
+
+
+def _gelu_layouts():
+    """(name, array) pairs: one chunk and less, then arrays of more than one
+    chunk and not a multiple of it, contiguous and in the layouts gelu meets
+    or could meet: a transposed view of a fresh product, a reversed view, a
+    strided slice and a broadcast."""
+    small = _gelu_grid(4811)
+    n = 2 * tensor.CHUNK + 4811
+    big = _gelu_grid(n)
+    big[tensor.CHUNK - 5:tensor.CHUNK + 5] = GELU_EDGES  # across a chunk boundary
+    moved = _gelu_grid(13 * 17 * 401).reshape(13, 17, 401).swapaxes(1, 2).copy().swapaxes(1, 2)
+    return [("one-chunk", small), ("chunks", big), ("transposed", moved),
+            ("reversed", big[::-1]), ("strided", _gelu_grid(2 * n)[::2]),
+            ("broadcast", np.broadcast_to(small[:, None], (small.size, 15)))]
+
+
+@pytest.mark.parametrize("name,x", _gelu_layouts(), ids=[n for n, _ in _gelu_layouts()])
+def test_gelu_bytes_equal_the_closed_form_expression(name, x):
     """Forward and VJP bytes are those of the plain expressions, in their
-    association order, on a grid into both tails and a generic cotangent."""
-    x = np.concatenate([np.linspace(-12.0, 12.0, 4801), [0.0, -0.0, -40.0, 40.0, 1e-300]])
+    association order, on a grid into both tails with signed zeros,
+    infinities, NaN and overflowing cubes, and a generic cotangent; the
+    constant path gives the taped path's output bytes."""
     cot = np.random.default_rng(11).normal(size=x.shape)
     c = np.sqrt(2.0 / np.pi)
-    th = np.tanh(c * (x + 0.044715 * (x * x * x)))
-    out = 0.5 * x * (1.0 + th)
-    adj = cot * (0.5 * (1.0 + th) + 0.5 * x * (1.0 - th * th) * (c * (1.0 + 3 * 0.044715 * x * x)))
-    assert gc.gelu(x).data.tobytes() == out.tobytes()
-    _, (g,) = gc.grad(lambda x_: gc.tsum(gc.mul(gc.gelu(x_), cot)), [x])
+    with np.errstate(over="ignore", invalid="ignore"):
+        th = np.tanh(c * (x + 0.044715 * (x * x * x)))
+        out = 0.5 * x * (1.0 + th)
+        adj = cot * (0.5 * (1.0 + th)
+                     + 0.5 * x * (1.0 - th * th) * (c * (1.0 + 3 * 0.044715 * x * x)))
+        constant = gc.gelu(x).data
+        taped = gc.gelu(Tensor(x, requires_grad=True)).data
+        _, (g,) = gc.grad(lambda x_: gc.tsum(gc.mul(gc.gelu(x_), cot)), [x])
+    assert constant.shape == taped.shape == x.shape
+    assert constant.tobytes() == taped.tobytes() == out.tobytes()
     assert g.tobytes() == adj.tobytes()
 
 
@@ -834,6 +895,30 @@ class TestOptim:
         for g in grads_seq:
             params = gc.optim_step(params, {"w": np.array([g])}, state)
         assert params["w"][0] == pytest.approx(p_ref, rel=1e-12)
+
+    @pytest.mark.parametrize("clip_norm", [None, 0.5, 1e9])
+    def test_bytes_equal_the_per_array_reference(self, clip_norm):
+        """Params, moments and param types over six steps, on arrays whose
+        sizes put chunk boundaries inside them, with the clip off, active and
+        never reached, and a rate that changes between steps."""
+        c = tensor.CHUNK
+        shapes = {"a": (c - 1,), "alpha": (), "b": (3, 7), "c": (2, c // 2 + 5), "d": (1,)}
+        rng = np.random.default_rng(17)
+        params = {k: rng.normal(size=s) for k, s in shapes.items()}
+        ref_params, m, v = dict(params), {}, {}
+        for k, p in params.items():
+            m[k], v[k] = np.zeros_like(p), np.zeros_like(p)
+        state = gc.optim_init(params, lr=0.01, clip_norm=clip_norm)
+        for t in range(1, 7):
+            state.lr = 0.01 / t
+            grads = {k: rng.normal(size=s) * 10.0 ** rng.integers(-3, 3) for k, s in shapes.items()}
+            params = gc.optim_step(params, grads, state)
+            ref_params = ref.adam_step(ref_params, grads, m, v, t, 0.01 / t, clip_norm)
+            for k in shapes:
+                assert type(params[k]) is type(ref_params[k]), k  # a 0-d param is a numpy scalar
+                assert np.asarray(params[k]).tobytes() == np.asarray(ref_params[k]).tobytes(), k
+                assert state.m[k].tobytes() == m[k].tobytes(), k
+                assert state.v[k].tobytes() == v[k].tobytes(), k
 
     def test_nonfinite_gradient_rejected_without_partial_update(self):
         params = {"a": np.array([1.0]), "b": np.array([2.0])}

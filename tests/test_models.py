@@ -119,6 +119,21 @@ class TestVaeShapes:
         out = vae_decode(mu, vae_params, small_cfg)
         assert out.shape == x.shape
 
+    @pytest.mark.parametrize("frames", [-1, 0, 5, 9])
+    def test_decode_refuses_frames_the_latents_do_not_decode_to(self, small_cfg, vae_params,
+                                                                 frames):
+        """Two latent steps decode to 4 frames; slicing to -1, 0 or 9 of them
+        gave 3, 0 and 4 frames."""
+        with pytest.raises(gc.ShapeError, match=r"^vae_decode: .* \(4,\)$"):
+            vae_decode(np.zeros((1, 2, 4, 4)), vae_params, small_cfg, frames=frames)
+
+    @pytest.mark.parametrize("frames", [1, 3, 4])
+    def test_decode_cuts_to_frames(self, small_cfg, vae_params, frames):
+        z = np.zeros((1, 2, 4, 4))
+        full = vae_decode(z, vae_params, small_cfg, frames=4).data
+        out = vae_decode(z, vae_params, small_cfg, frames=frames)
+        assert out.data.tobytes() == full[:, :frames].tobytes()
+
     def test_zero_latent_finite(self, small_cfg, vae_params):
         out = vae_decode(np.zeros((1, 2, 4, 4)), vae_params, small_cfg)
         assert np.all(np.isfinite(out.data))
