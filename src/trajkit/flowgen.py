@@ -17,6 +17,7 @@ import numpy as np
 from . import gradcore as gc
 from . import lossbank as lb
 from .gradcore import Rng
+from .gradcore.tensor import _floats
 from .models import (
     FlowConfig,
     VaeConfig,
@@ -79,18 +80,23 @@ class LatentStats:
         return cls(flat.mean(axis=0), std)
 
 
-def normalize_latents(z: np.ndarray, stats: LatentStats) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float64)
+def _stats_for(z, stats: LatentStats):
+    """float32 or float64 `z` (another dtype widened to float64) and the
+    statistics' (mean, std) in its dtype."""
+    z = _floats(z)
     if z.shape[-1] != stats.mean.shape[0]:
         raise ValueError(f"channel mismatch: {z.shape[-1]} vs {stats.mean.shape[0]}")
-    return (z - stats.mean) / stats.std
+    return z, stats.mean.astype(z.dtype, copy=False), stats.std.astype(z.dtype, copy=False)
+
+
+def normalize_latents(z: np.ndarray, stats: LatentStats) -> np.ndarray:
+    z, mean, std = _stats_for(z, stats)
+    return (z - mean) / std
 
 
 def denormalize_latents(z: np.ndarray, stats: LatentStats) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape[-1] != stats.mean.shape[0]:
-        raise ValueError(f"channel mismatch: {z.shape[-1]} vs {stats.mean.shape[0]}")
-    return z * stats.std + stats.mean
+    z, mean, std = _stats_for(z, stats)
+    return z * std + mean
 
 
 def sample_time(rng: Rng) -> float:
@@ -120,7 +126,8 @@ def interpolate(z0: np.ndarray, z1: np.ndarray, t, sigma: float, rng: Rng):
 
 def boundary_init(z_hist_last: np.ndarray, cfg: FlowConfig, rng: Rng) -> np.ndarray:
     """Source states (B, future_steps, N, C) of the flow `cfg`: unit Gaussian
-    with the boundary latents (B, N, C) anchored in.
+    with the boundary latents (B, N, C) anchored in, in their dtype (drawn and
+    anchored in float64, rounded once).
 
     first-slice anchors only latent step k=0; all-slices repeats the boundary
     latent across the whole horizon; either adds noise `cfg.sigma0` to it.
@@ -132,26 +139,28 @@ def boundary_init(z_hist_last: np.ndarray, cfg: FlowConfig, rng: Rng) -> np.ndar
         z0[:, 0] = z_last + cfg.sigma0 * rng.draw_normal((b, n, c))
     else:  # all-slices, the one other mode FlowConfig admits
         z0 = z_last[:, None] + cfg.sigma0 * rng.draw_normal((b, cfg.future_steps, n, c))
-    return z0
+    return z0.astype(z_last.dtype, copy=False)
 
 
 # -- ODE samplers ------------------------------------------------------------
 
 
 def euler_sample(v_fn, z0: np.ndarray, steps: int = SAMPLER["steps"]) -> np.ndarray:
-    """Forward Euler from t=0 to t=1 on a uniform grid."""
+    """Forward Euler from t=0 to t=1 on a uniform grid, in the dtype of
+    float32 or float64 `z0` (another dtype widened to float64)."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    z = np.array(z0, dtype=np.float64)
+    z = np.array(_floats(z0))
     dt = 1.0 / steps
     for i in range(steps):
-        z = z + dt * np.asarray(v_fn(z, i * dt))
+        z = z + dt * np.asarray(v_fn(z, i * dt), dtype=z.dtype)
         if not np.all(np.isfinite(z)):
             raise FloatingPointError(f"euler_sample: non-finite state at step {i}")
     return z
 
 
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+# Python floats, so that they keep a float32 state float32
+_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _DP_A = [
     [],
     [1 / 5],
@@ -161,18 +170,18 @@ _DP_A = [
     [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
     [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
 ]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
-                   187 / 2100, 1 / 40])
+_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
 
 
 def dopri5_sample(v_fn, z0: np.ndarray, rtol: float = SAMPLER["rtol"],
                   atol: float = SAMPLER["atol"], h_init: float = 0.01) -> np.ndarray:
-    """Adaptive Dormand-Prince 4(5) integration from t=0 to t=1."""
+    """Adaptive Dormand-Prince 4(5) integration from t=0 to t=1, in the
+    dtype of float32 or float64 `z0` (another dtype widened to float64)."""
     for name, value in (("rtol", rtol), ("atol", atol), ("h_init", h_init)):
         if not 0.0 < value < np.inf:  # NaN too: a NaN step never shrinks below DOPRI5_H_MIN
             raise ValueError(f"dopri5_sample: {name} must be a finite number > 0, got {value!r}")
-    y = np.array(z0, dtype=np.float64)
+    y = np.array(_floats(z0))
     t = 0.0
     h = min(h_init, 1.0)
     while t < 1.0:
@@ -185,7 +194,7 @@ def dopri5_sample(v_fn, z0: np.ndarray, rtol: float = SAMPLER["rtol"],
             for a, k in zip(_DP_A[i], ks):
                 if a != 0.0:
                     yi = yi + h * a * k
-            ks.append(np.asarray(v_fn(yi, t + _DP_C[i] * h)))
+            ks.append(np.asarray(v_fn(yi, t + _DP_C[i] * h), dtype=y.dtype))
         y5 = y + h * sum(b * k for b, k in zip(_DP_B5, ks) if b != 0.0)
         y4 = y + h * sum(b * k for b, k in zip(_DP_B4, ks) if b != 0.0)
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
@@ -565,11 +574,19 @@ def train_visibility_head(latents: np.ndarray, targets: np.ndarray, flow_cfg: Fl
 # -- end-to-end sampling ------------------------------------------------------------
 
 
+def _float32(params: dict) -> dict:
+    """float32 copies of `params`' arrays."""
+    return {k: np.asarray(v, dtype=np.float32) for k, v in params.items()}
+
+
 def sample_future(history: OffsetField, bundle: FlowBundle, sampler: dict | None = None,
                   seed: int = 0, future_frames: int | None = None):
     """History offsets in, generated future offsets and visibility out: the
     one single-instance entry, run as a batch of one.  The condition is
     encoded once and shared by every velocity evaluation of the solve.
+
+    Every forward runs in float32, the precision a checkpoint stores: the
+    bundle's parameters and the history's offsets are narrowed once per call.
 
     The history's frames must give the flow's history_steps latent steps.
     `future_frames` (default: the history's length) must be in
@@ -587,12 +604,13 @@ def sample_future(history: OffsetField, bundle: FlowBundle, sampler: dict | None
                          f"{flow_cfg.future_steps} x temporal_ratio {r}), got {t_f}")
     sampler = {**SAMPLER, **(sampler or {})}
     rng = gc.rng(seed)
-    z_hist = normalize_latents(encode_mean(bundle.vae_params, vae_cfg, history.offsets[None]),
-                               bundle.stats)
+    vae_params = _float32(bundle.vae_params)
+    z_hist = normalize_latents(
+        encode_mean(vae_params, vae_cfg, history.offsets[None].astype(np.float32)), bundle.stats)
     vis_tok = pool_visibility(history.mask[None], vae_cfg, reduce="mean")
     z0 = boundary_init(z_hist[:, -1], flow_cfg, rng)
-    wrapped = wrap_params(bundle.flow_params, requires_grad=False)
-    cond = encode_condition(z_hist, vis_tok, wrapped, flow_cfg)
+    wrapped = wrap_params(_float32(bundle.flow_params), requires_grad=False)
+    cond = encode_condition(z_hist, vis_tok, wrapped, flow_cfg)  # vis_tok in z_hist's dtype
 
     def v_fn(z, t):
         return velocity_forward(z, float(t), cond, wrapped, flow_cfg).data
@@ -605,10 +623,13 @@ def sample_future(history: OffsetField, bundle: FlowBundle, sampler: dict | None
         raise ValueError(f"unknown sampler {sampler['method']!r}")
 
     z1_denorm = denormalize_latents(z1, bundle.stats)
-    wrapped_vae = wrap_params(bundle.vae_params, requires_grad=False)
-    offsets = vae_decode(z1_denorm, wrapped_vae, vae_cfg, frames=t_f).data[0]
+    wrapped_vae = wrap_params(vae_params, requires_grad=False)
+    # as when tlf narrows to float32: an offset beyond its range is inf, which write_tlf refuses
+    with np.errstate(over="ignore"):
+        offsets = vae_decode(z1_denorm, wrapped_vae, vae_cfg, frames=t_f).data[0]
     if bundle.vis_params is not None:
-        _, tok_mask = visibility_predict(z1_denorm, wrap_params(bundle.vis_params, False))
+        _, tok_mask = visibility_predict(z1_denorm,
+                                         wrap_params(_float32(bundle.vis_params), False))
         mask = broadcast_token_mask(tok_mask[0], vae_cfg, t_f)
     else:
         mask = np.ones((t_f, vae_cfg.height, vae_cfg.width), dtype=np.uint8)

@@ -1,19 +1,24 @@
 """Reverse-mode automatic differentiation over dense numpy arrays.
 
-A ``Tensor`` wraps a float64 ndarray.  A primitive with an operand that
-requires a gradient records its operands and a vector-Jacobian closure on the
-implicit tape (the operand links of the output node); ``backward`` replays
-those closures in reverse topological order.  A primitive none of whose
-operands requires a gradient records nothing: it computes its value and
-builds no closure, so a forward pass over constant parameters builds no
-tape.  A ``Tensor`` takes ``[]`` (``getitem``) and ``float()``; every other
-op is a function of this module.
+A ``Tensor`` wraps a float32 or float64 ndarray.  A primitive with an
+operand that requires a gradient records its operands and a vector-Jacobian
+closure on the implicit tape (the operand links of the output node);
+``backward`` replays those closures in reverse topological order.  A
+primitive none of whose operands requires a gradient records nothing: it
+computes its value and builds no closure, so a forward pass over constant
+parameters builds no tape.  A ``Tensor`` takes ``[]`` (``getitem``) and
+``float()``; every other op is a function of this module.
 
-Training math runs in float64 so finite-difference checks stay tight; file
-storage elsewhere in the package downcasts to float32.
+Every primitive computes in its operands' dtype.  Training math runs in
+float64 so finite-difference checks stay tight; file storage elsewhere in the
+package downcasts to float32, and sampling runs in float32, the precision a
+checkpoint stores.  The constants that meet sampling data are Python floats,
+which keep a float32 array float32 (a numpy float64 scalar would widen it).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -40,7 +45,17 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
-_F64 = np.dtype(np.float64)  # numpy's one native float64 dtype object
+_F64, _F32 = np.dtype(np.float64), np.dtype(np.float32)  # numpy's native float dtype objects
+
+
+def _floats(x) -> np.ndarray:
+    """`x` as an ndarray: float32 or float64 data in its dtype (a native
+    ndarray of either as it is), anything else widened to float64."""
+    if type(x) is not np.ndarray or (x.dtype is not _F64 and x.dtype is not _F32):
+        x = np.asarray(x)
+        if x.dtype is not _F32:
+            x = np.asarray(x, dtype=np.float64)
+    return x
 
 
 class Tensor:
@@ -49,9 +64,8 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjps", "_op")
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _vjps=(), _op="leaf"):
-        # np.asarray would return a native float64 ndarray itself, only slower
-        self.data = data if type(data) is np.ndarray and data.dtype is _F64 \
-            else np.asarray(data, dtype=np.float64)
+        kept = type(data) is np.ndarray and (data.dtype is _F64 or data.dtype is _F32)
+        self.data = data if kept else _floats(data)  # the common case without a call
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._parents = _parents
@@ -65,6 +79,10 @@ class Tensor:
     @property
     def size(self):
         return self.data.size
+
+    @property
+    def dtype(self):
+        return self.data.dtype
 
     def __float__(self) -> float:
         return float(self.data)
@@ -275,7 +293,7 @@ def softplus(a) -> Tensor:
     return _make(out, (a,), (lambda g: g * sig,), "softplus")
 
 
-_GELU_C = np.sqrt(2.0 / np.pi)
+_GELU_C = math.sqrt(2.0 / math.pi)
 
 
 # Elements per chunk of the elementwise passes over large arrays (gelu's and
@@ -331,7 +349,7 @@ def _gelu(x, derivative=False):
         return out, local
     xf, of = x.ravel(order="K"), out.ravel(order="K")
     lf = None if local is None else local.ravel(order="K")
-    th, hx = np.empty((2, CHUNK))
+    th, hx = np.empty((2, CHUNK), x.dtype)
     for i in range(0, x.size, CHUNK):
         s, n = slice(i, i + CHUNK), min(CHUNK, x.size - i)
         _gelu_into(xf[s], of[s], None if lf is None else lf[s], th[:n], hx[:n])
@@ -430,7 +448,8 @@ def weighted_sq(x, target, weights) -> Tensor:
     if x.data.ndim != 4 or target.shape != x.shape or weights.shape != x.shape[:3]:
         raise ShapeError("weighted_sq", x.shape, target.shape, weights.shape)
     c = x.shape[3]
-    d = x.data - target
+    d = np.negative(target)  # x + -target, the chain's difference down to a NaN's sign
+    np.add(x.data, d, out=d)
     out = _instance_sums((d * d).sum(axis=3), weights)
     out *= 1.0 / c
     if not _needs_grad((x,)):
@@ -552,7 +571,7 @@ def shift_l1(a, hop, axis, target, weight) -> Tensor:
     d = a.data[hi] - a.data[lo]
     if target.shape != d.shape or weight.shape != d.shape[:-1]:
         raise ShapeError("shift_l1", d.shape, target.shape, weight.shape)
-    d -= target
+    d += -target  # the chain's difference down to a NaN's sign
     mag = np.abs(d)
     out = _instance_sums(mag[..., 0] + mag[..., 1], weight)
     if not _needs_grad((a,)):

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import gradcore as gc
 from .gradcore import Rng, Tensor, as_tensor
+from .gradcore.tensor import _floats
 from .rules import (AT_LEAST_0, AT_LEAST_1, AT_LEAST_2, FINITE_NONNEGATIVE, Checked, FieldError,
                     one_of, ranged)
 
@@ -169,10 +170,10 @@ SEGMENT, LATENT = ("B", "T", "H", "W", 2), ("B", "K", "N", "C")  # offsets and l
 
 def _with_batch(op: str, x, axes: tuple):
     """`x`, which must have the axes `axes`, the first the batch axis: a Tensor
-    as it is, anything else as a float64 array.  Another rank is a ShapeError
-    naming `op`."""
+    as it is, anything else as a float32 or float64 array (another dtype
+    widened to float64).  Another rank is a ShapeError naming `op`."""
     if not isinstance(x, Tensor):
-        x = np.asarray(x, dtype=np.float64)
+        x = _floats(x)
     if len(x.shape) != len(axes):
         raise gc.ShapeError(op, x.shape, axes)
     return x
@@ -274,9 +275,10 @@ def history_cue(z_hist, params: dict, k_f: int) -> Tensor:
     if z_hist.shape[1] < 2:
         raise ValueError("history_cue: need at least 2 history latent steps")
     boundary = _linear(params, "vel.tok", z_hist[:, -1:])   # (B, 1, N, D)
-    hint = gc.add(boundary, gc.mul(_linear(params, "vel.tok", z_hist[:, -2:-1]), -1.0))
+    minus_one = np.array(-1.0, boundary.dtype)  # a Tensor of Python -1.0 would be float64
+    hint = gc.add(boundary, gc.mul(_linear(params, "vel.tok", z_hist[:, -2:-1]), minus_one))
     # the fusion ramp: 0 at the first future step, 1 at the last
-    omega = np.linspace(0.0, 1.0, k_f).reshape(1, k_f, 1, 1)
+    omega = np.linspace(0.0, 1.0, k_f, dtype=boundary.dtype).reshape(1, k_f, 1, 1)
     gates = gc.reshape(gc.sigmoid(params["vel.fusion.gate_raw"]), (1, k_f, 1, 1))
     cue = gc.add(boundary, gc.mul(hint, omega))  # (B, 1, N, D) broadcast over K_f
     return gc.mul(gc.mul(cue, gates), params["vel.fusion.alpha"])
@@ -320,9 +322,11 @@ def encode_condition(z_hist, visibility, params: dict, cfg: FlowConfig) -> Condi
     k_f = cfg.future_steps
     cue = history_cue(z_hist, params, k_f)
     hist_tok = gc.regroup(z_hist, z_hist.shape, (0, 2, 1, 3), (b, 1, n, k_p * c))
-    vis_hist = Tensor(vis.transpose(0, 2, 1).reshape(b, 1, n, k_p))
+    vis_hist = vis.transpose(0, 2, 1).reshape(b, 1, n, k_p)
+    vis_hist = Tensor(vis_hist.astype(z_hist.dtype, copy=False))
     tokens = _linear(params, "vel.cond", gc.concat([hist_tok, vis_hist], axis=3))
-    tokens = gc.add(np.zeros((b, k_f, n, cfg.cond_hidden)), tokens)  # concat needs the full shape
+    # concat needs the full shape
+    tokens = gc.add(np.zeros((b, k_f, n, cfg.cond_hidden), tokens.dtype), tokens)
     return Condition(cue, tokens)
 
 
@@ -343,7 +347,7 @@ def velocity_forward(z_t, t, cond: Condition, params: dict, cfg: FlowConfig) -> 
         raise gc.ShapeError("velocity_forward", t.shape, (b,))
 
     tok = gc.add(_linear(params, "vel.tok", z_t), cond.cue)
-    emb = time_features(t, cfg.time_features)
+    emb = time_features(t, cfg.time_features).astype(z_t.dtype, copy=False)
     emb_t = np.broadcast_to(emb[:, None, None], (b, k_f, n, cfg.time_features))
     h = gc.concat([tok, emb_t, cond.tokens], axis=3)
     h = gc.gelu(_linear(params, "vel.merge", h))
@@ -357,7 +361,7 @@ def velocity_forward(z_t, t, cond: Condition, params: dict, cfg: FlowConfig) -> 
 
 def pool_visibility(mask: np.ndarray, cfg: VaeConfig, reduce: str = "max") -> np.ndarray:
     """Pool dense (B, T, H, W) masks onto the latent token grid of the VAE
-    `cfg`, giving (B, T_lat, N) float64.
+    `cfg`, giving (B, T_lat, N) float64 (float32 for a float32 mask).
 
     reduce="max" is the logical OR (the visibility head's targets);
     reduce="mean" is the visible fraction (condition tokens, loss weights).
@@ -394,7 +398,7 @@ def _temporal_conv(params: dict, name: str, h: Tensor) -> Tensor:
     """Kernel-3 zero-padded 1-D convolution along latent time, as a strided
     affine map over shifted copies."""
     b, k, n, d = h.shape
-    zero = np.zeros((b, 1, n, d))
+    zero = np.zeros((b, 1, n, d), h.dtype)
     prev = gc.concat([zero, h[:, :-1]], axis=1) if k > 1 else zero
     nxt = gc.concat([h[:, 1:], zero], axis=1) if k > 1 else zero
     stacked = gc.concat([prev, h, nxt], axis=3)

@@ -555,10 +555,15 @@ def _weighted_sq_listing_x_twice(x, target, weights):
     return _make(gc.weighted_sq(x.data, target, weights).data, (x, x), (t, t), "weighted_sq")
 
 
-def test_weighted_sq_bit_equal_to_the_seven_node_chain():
+@pytest.mark.parametrize("nan_target", [False, True], ids=["finite", "nan-target"])
+def test_weighted_sq_bit_equal_to_the_seven_node_chain(nan_target):
+    """Value and adjoint bytes match the chain; at a NaN target too, whose
+    adjoint NaN has the sign bit of the chain's x + -target."""
     rng = np.random.default_rng(13)
     x = rng.normal(size=(3, 4, 5, 6))
     targets = rng.normal(size=(2, *x.shape))
+    if nan_target:
+        targets[0, 1, 2, 3, 4] = np.nan
     weights = rng.uniform(0.0, 2.0, size=x.shape[:3])
     weights[0, 0, :2] = 0.0
     cot = rng.normal(size=(2, 3))
@@ -572,6 +577,7 @@ def test_weighted_sq_bit_equal_to_the_seven_node_chain():
         ref.weighted_sq_chain(x, targets[0], weights).data.tobytes()
     _, (g_prim,) = gc.grad(loss(gc.weighted_sq), [x])
     _, (g_chain,) = gc.grad(loss(ref.weighted_sq_chain), [x])
+    assert np.isnan(g_prim).any() == nan_target
     assert g_prim.tobytes() == g_chain.tobytes()
     # the inputs tell the one-contribution form from one that lists x twice
     _, (g_twice,) = gc.grad(loss(_weighted_sq_listing_x_twice), [x])
@@ -701,9 +707,15 @@ def test_shift_diff_bit_equal_to_getitem_mul_add_chain(axis, hop):
     assert gc.shift_l1(x, hop, axis, off, ones).data[0] > 0
 
 
+@pytest.mark.parametrize("nan_target", [False, True], ids=["finite", "nan-target"])
 @pytest.mark.parametrize("axis,hop", [(1, 1), (2, 2), (3, 4)])
-def test_shift_l1_bit_equal_to_masked_l1_chain(axis, hop):
+def test_shift_l1_bit_equal_to_masked_l1_chain(axis, hop, nan_target):
+    """Value and adjoint bytes match the chain; at a NaN target too, whose
+    adjoint NaN has the sign bit of the chain's diff + -target."""
     x, target, weight = _shift_l1_inputs(7, hop, axis)
+    if nan_target:
+        target[(1,) * target.ndim] = np.nan
+        weight[(1,) * weight.ndim] = True
     cot = np.array([0.7, -1.3])
     t1, w1 = _shift_l1_inputs(8, 1, 1)[1:]
 
@@ -712,11 +724,12 @@ def test_shift_l1_bit_equal_to_masked_l1_chain(axis, hop):
                                  gc.add(gc.tsum(gc.mul(node(x_, hop, axis, target, weight), cot)),
                                         gc.tsum(node(x_, 1, 1, t1, w1))))
 
-    assert np.array_equal(gc.shift_l1(x, hop, axis, target, weight).data,
-                          ref.shift_l1_chain(x, hop, axis, target, weight).data)
+    assert gc.shift_l1(x, hop, axis, target, weight).data.tobytes() == \
+        ref.shift_l1_chain(x, hop, axis, target, weight).data.tobytes()
     _, (g_prim,) = gc.grad(loss(gc.shift_l1), [x])
     _, (g_chain,) = gc.grad(loss(ref.shift_l1_chain), [x])
-    assert np.array_equal(g_prim, g_chain)
+    assert np.isnan(g_prim).any() == nan_target
+    assert g_prim.tobytes() == g_chain.tobytes()
 
 
 @pytest.mark.parametrize("requires_grad", [False, True])
