@@ -1,7 +1,8 @@
 """The command-line surface, driven in-process.
 
-synth -> rasterize -> offsets -> eval -> camcap -> plot, all under one
-output directory with manifests recording seed and config hash.
+synth -> offsets --invert (to normalized coordinates) -> offsets and back
+-> eval -> camcap -> plot, all under one output directory with manifests
+recording seed and config hash.
 """
 
 import tempfile
@@ -17,7 +18,7 @@ with tempfile.TemporaryDirectory(prefix="trajkit-demo-") as tmp:
     steps = [
         ["synth", str(scene), "--kind", "translation", "--vx", "2", "--vy", "0.5",
          "--frames", "16", "--height", "64", "--width", "64", "--out", str(root)],
-        ["rasterize", str(scene), str(root / "norm.tlf"), "--out", str(root)],
+        ["offsets", "--invert", str(scene), str(root / "norm.tlf"), "--out", str(root)],
         ["offsets", str(root / "norm.tlf"), str(root / "off.tlf"), "--out", str(root)],
         ["offsets", "--invert", str(root / "off.tlf"), str(root / "back.tlf"),
          "--out", str(root)],

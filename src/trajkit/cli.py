@@ -4,7 +4,7 @@
 commands that take one), makes the output directory, runs the command and
 writes `manifest.json` (argv, seed, config hash, outputs) there.  Exit codes:
 0 success, 2 malformed track file or checkpoint, 3 config validation failure,
-4 numerical abort, 1 other errors.
+4 numerical abort, 1 other errors, each with one `error:` line on stderr.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .models import (FlowConfig, VaeConfig, init_vae_params, init_velocity_param
                      init_visibility_params, latent_steps, pool_visibility)
 from .motionlab import MotionSpec
 from .tlf import TlfError
+from .trajfield import rasterize
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -95,7 +96,7 @@ def cmd_synth(args, cfg, out_dir) -> list:
 
 
 def cmd_offsets(args, cfg, out_dir) -> list:
-    """`offsets`, and `rasterize` (which is `offsets --invert`)."""
+    """A TLF to anchor offsets, or with `--invert` to normalized coordinates."""
     record = tlf.read_tlf(args.input)
     target = tlf.CONV_NORMALIZED if args.invert else tlf.CONV_OFFSET
     out = tlf.convert(record, target)
@@ -289,7 +290,7 @@ def cmd_sample(args, cfg, out_dir) -> list:
         ("flow_cfg.history_steps", bundle.flow_cfg.history_steps,
          f"the {record.frames} frames of {args.history} (temporal_ratio {r}) give",
          latent_steps(record.frames, r))])
-    history = tlf.to_offset_field(record)
+    history = rasterize(tlf.to_tracks(record))
     sampler = cfg.sampler_spec()
     future, _ = flowgen.sample_future(history, bundle, sampler=sampler, seed=args.seed,
                                       future_frames=args.frames)
@@ -442,13 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("rasterize", help="convert a TLF to normalized coordinates "
-                       "(the same as offsets --invert)")
-    p.add_argument("input")
-    p.add_argument("output")
-    add_common(p)
-    p.set_defaults(func=cmd_offsets, invert=True)
-
     p = sub.add_parser("offsets", help="convert to (or from) anchor offsets")
     p.add_argument("input")
     p.add_argument("output")
@@ -544,7 +538,8 @@ def dispatch(argv) -> int:
     try:
         cfg = _load_config(args.config, args.preset) if hasattr(args, "config") else None
         out_dir = _out_dir(args.out, cfg)
-        _write_manifest(out_dir, args, argv, cfg, args.func(args, cfg, out_dir))
+        with np.errstate(all="ignore"):  # each non-finite result meets a check that exits 4
+            _write_manifest(out_dir, args, argv, cfg, args.func(args, cfg, out_dir))
         return EXIT_OK
     except TlfError as exc:
         print(f"error: {exc}", file=sys.stderr)

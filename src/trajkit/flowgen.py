@@ -45,7 +45,6 @@ T_EPS = 1e-5
 
 # sample_future's sampler; a partial spec takes the rest from here
 SAMPLER = {"method": "euler", "steps": 10, "rtol": 1e-5, "atol": 1e-8}
-EVAL_FM_SEED = 1234  # eval_fm_loss's noise and time draws
 DOPRI5_H_MIN = 1e-13  # dopri5_sample gives up below this step size
 
 
@@ -417,13 +416,6 @@ def train_vae(dataset: SegmentDataset, cfg: VaeTrainConfig, seed: int = 0,
                     1.0, (cfg.steps - step) / (VAE_LR_DECAY_SHARE * cfg.steps)))
 
 
-def vae_reconstruct(params: dict, cfg: VaeConfig, segments: np.ndarray) -> np.ndarray:
-    """Posterior-mean reconstruction, numpy in/out."""
-    wrapped = wrap_params(params, requires_grad=False)
-    mu, _ = vae_encode(segments, wrapped, cfg)
-    return vae_decode(mu, wrapped, cfg, frames=segments.shape[1]).data
-
-
 def encode_mean(params: dict, cfg: VaeConfig, segments: np.ndarray) -> np.ndarray:
     wrapped = wrap_params(params, requires_grad=False)
     mu, _ = vae_encode(segments, wrapped, cfg)
@@ -486,22 +478,6 @@ def train_flow(dataset: PairDataset, vae_params: dict, vae_cfg: VaeConfig,
     return FlowBundle(vae_cfg, cfg.flow, vae_params, flow_params, stats), curve
 
 
-def _bundle_inputs(bundle: FlowBundle, dataset: PairDataset, cfg: FlowTrainConfig):
-    """`cfg` with the bundle's flow model, and `_flow_inputs` under the bundle's VAE and
-    latent statistics: a bundle is trained and scored as it samples."""
-    cfg = replace(cfg, flow=bundle.flow_cfg)
-    return cfg, _flow_inputs(dataset, bundle.vae_params, bundle.vae_cfg, cfg, bundle.stats)
-
-
-def eval_fm_loss(bundle: FlowBundle, dataset: PairDataset, cfg: FlowTrainConfig) -> float:
-    """Deterministic held-out flow-matching loss of the bundle's model (fixed noise/time draws)."""
-    rng = gc.rng(EVAL_FM_SEED)
-    cfg, (z_p, z_f, _, vis_tok, weights) = _bundle_inputs(bundle, dataset, cfg)
-    wrapped = wrap_params(bundle.flow_params, requires_grad=False)
-    loss, _ = flow_step_loss(wrapped, z_p, z_f, vis_tok, weights, cfg, rng)
-    return float(loss)
-
-
 # -- on-policy fine-tuning -------------------------------------------------------
 
 
@@ -516,7 +492,9 @@ def finetune_onpolicy(bundle: FlowBundle, dataset: PairDataset, flow_cfg: FlowTr
     check_sub_batch(cfg, flow_cfg)
     rng = gc.rng(seed)
     flow_params = {k: v.copy() for k, v in bundle.flow_params.items()}
-    flow_cfg, (z_p, z_f, _, vis_tok, weights) = _bundle_inputs(bundle, dataset, flow_cfg)
+    flow_cfg = replace(flow_cfg, flow=bundle.flow_cfg)  # trained as the bundle samples
+    z_p, z_f, _, vis_tok, weights = _flow_inputs(dataset, bundle.vae_params, bundle.vae_cfg,
+                                                 flow_cfg, bundle.stats)
     grid = logit_grid(cfg.k_steps, cfg.t_eps)
 
     def step_loss(wrapped, idx):
@@ -604,9 +582,9 @@ def sample_future(history: OffsetField, bundle: FlowBundle, sampler: dict | None
                          f"{flow_cfg.future_steps} x temporal_ratio {r}), got {t_f}")
     sampler = {**SAMPLER, **(sampler or {})}
     rng = gc.rng(seed)
-    vae_params = _float32(bundle.vae_params)
-    z_hist = normalize_latents(
-        encode_mean(vae_params, vae_cfg, history.offsets[None].astype(np.float32)), bundle.stats)
+    vae = wrap_params(_float32(bundle.vae_params), requires_grad=False)
+    mu, _ = vae_encode(history.offsets[None].astype(np.float32), vae, vae_cfg)
+    z_hist = normalize_latents(mu.data, bundle.stats)
     vis_tok = pool_visibility(history.mask[None], vae_cfg, reduce="mean")
     z0 = boundary_init(z_hist[:, -1], flow_cfg, rng)
     wrapped = wrap_params(_float32(bundle.flow_params), requires_grad=False)
@@ -623,10 +601,9 @@ def sample_future(history: OffsetField, bundle: FlowBundle, sampler: dict | None
         raise ValueError(f"unknown sampler {sampler['method']!r}")
 
     z1_denorm = denormalize_latents(z1, bundle.stats)
-    wrapped_vae = wrap_params(vae_params, requires_grad=False)
     # as when tlf narrows to float32: an offset beyond its range is inf, which write_tlf refuses
     with np.errstate(over="ignore"):
-        offsets = vae_decode(z1_denorm, wrapped_vae, vae_cfg, frames=t_f).data[0]
+        offsets = vae_decode(z1_denorm, vae, vae_cfg, frames=t_f).data[0]
     if bundle.vis_params is not None:
         _, tok_mask = visibility_predict(z1_denorm,
                                          wrap_params(_float32(bundle.vis_params), False))

@@ -117,12 +117,18 @@ def _make(data, parents, vjps, op) -> Tensor:
 # -- binary elementwise (broadcasting) ----------------------------------
 
 
-def add(a, b) -> Tensor:
+def _broadcast(op: str, ufunc, a, b):
+    """`a` and `b` as Tensors, and `ufunc` of their arrays under numpy
+    broadcasting; operands that do not broadcast are a ShapeError of `op`."""
     a, b = as_tensor(a), as_tensor(b)
     try:
-        out = a.data + b.data
+        return a, b, ufunc(a.data, b.data)
     except ValueError:
-        raise ShapeError("add", a.shape, b.shape) from None
+        raise ShapeError(op, a.shape, b.shape) from None
+
+
+def add(a, b) -> Tensor:
+    a, b, out = _broadcast("add", np.add, a, b)
     if not _needs_grad((a, b)):
         return Tensor(out, _op="add")
     return _make(out, (a, b), (lambda g: _unbroadcast(g, a.shape),
@@ -130,11 +136,7 @@ def add(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    try:
-        out = a.data * b.data
-    except ValueError:
-        raise ShapeError("mul", a.shape, b.shape) from None
+    a, b, out = _broadcast("mul", np.multiply, a, b)
     if not _needs_grad((a, b)):
         return Tensor(out, _op="mul")
     return _make(out, (a, b), (lambda g: _unbroadcast(g * b.data, a.shape),
@@ -142,11 +144,7 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    try:
-        out = a.data / b.data
-    except ValueError:
-        raise ShapeError("div", a.shape, b.shape) from None
+    a, b, out = _broadcast("div", np.divide, a, b)
     if not _needs_grad((a, b)):
         return Tensor(out, _op="div")
     return _make(out, (a, b), (lambda g: _unbroadcast(g / b.data, a.shape),

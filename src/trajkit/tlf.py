@@ -30,7 +30,6 @@ from .trajfield import (
     coarse_positions,
     denormalize_coords,
     normalize_coords,
-    rasterize,
 )
 
 TLF_MAGIC = b"TRJF"
@@ -188,11 +187,6 @@ def to_tracks(tlf: TlfFile) -> SparseTracks:
     px = (tlf.coords if tlf.convention == CONV_PIXEL
           else denormalize_coords(to_normalized(tlf), tlf.height, tlf.width))
     return SparseTracks(px, tlf.visibility.copy(), tlf.stride, tlf.height, tlf.width)
-
-
-def to_offset_field(tlf: TlfFile) -> OffsetField:
-    """Dense pixel-anchored offset field for model consumption."""
-    return rasterize(to_tracks(tlf))
 
 
 def coarse_pixel_positions(tlf: TlfFile):

@@ -9,7 +9,8 @@ alters floats names the parts that moved.  The parts:
 
 - parameters and loss curves after 6 `train_vae`, 20 `train_flow` and
   6 `finetune_onpolicy` steps on the benchmark's builders
-  (perfbench/workloads.py), then `eval_fm_loss` of the fine-tuned bundle;
+  (perfbench/workloads.py), then `eval_fm_loss` (tests/criteria.py) of the
+  fine-tuned bundle;
 - Euler-10 and dopri5 `sample_future` of one history;
 - the value and gradient bytes of `kl_loss`, and of `recon_loss`,
   `temporal_loss` and `spatial_loss` at a bool, a uint8 and a float 0/1 mask;
@@ -37,6 +38,7 @@ import numpy as np
 sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import workloads as wl  # noqa: E402
+from criteria import eval_fm_loss  # noqa: E402
 from trajkit import cli, flowgen, gradcore as gc, lossbank as lb, scenes  # noqa: E402
 from trajkit.models import init_vae_params  # noqa: E402
 from trajkit.trajfield import OffsetField  # noqa: E402
@@ -97,7 +99,7 @@ def _analyze(tmp: Path) -> list:
     for name, synth in ANALYZE_SCENES.items():
         d = tmp / name
         src, inv, where = str(d / "src.tlf"), str(d / "inv.tlf"), ["--out", str(d)]
-        for argv in (["synth", src, *synth, *ANALYZE_GEOM], ["rasterize", src, inv],
+        for argv in (["synth", src, *synth, *ANALYZE_GEOM], ["offsets", "--invert", src, inv],
                      ["eval", src, "--metric", "flowtv"], ["eval", src, "--metric", "divcurle"],
                      ["eval", inv, "--metric", "vepe", "--ref", src], ["camcap", src]):
             if cli.dispatch([*argv, *where]) != 0:
@@ -123,7 +125,7 @@ def parts() -> dict:
     ft_cfg = flowgen.FinetuneConfig(steps=6, lr=3e-4, sub_batch=4, k_steps=8)
     bundle, curve = flowgen.finetune_onpolicy(bundle, pairs, cfg, ft_cfg, seed=wl.derive(0, 3))
     out["finetune_onpolicy"] = _sha(bundle.flow_params, curve)
-    out["eval_fm_loss"] = _sha(flowgen.eval_fm_loss(bundle, pairs, cfg))
+    out["eval_fm_loss"] = _sha(eval_fm_loss(bundle, pairs, cfg))
 
     history = OffsetField(pairs.past[0], pairs.past_masks[0], wl.GEOM.stride)
     for kind in ("euler10", "dopri5"):

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from criteria import eval_fm_loss, vae_reconstruct
 from reference_ops import matmul, square
 from trajkit import flowgen, gradcore as gc, lossbank as lb, metrics, motionlab, scenes, tlf
 from trajkit.cli import dispatch
@@ -116,7 +117,7 @@ def flow_runs(vae_cfg, vae_runs):
 
 def eval_vepe_px(params, vae_cfg, dataset) -> float:
     from trajkit.trajfield import OffsetField, coarse_positions
-    recon = flowgen.vae_reconstruct(params, vae_cfg, dataset.segments)
+    recon = vae_reconstruct(params, vae_cfg, dataset.segments)
     vals = []
     for i in range(len(dataset)):
         pred = OffsetField(recon[i], dataset.masks[i], GEOM.stride)
@@ -128,7 +129,7 @@ def eval_vepe_px(params, vae_cfg, dataset) -> float:
 
 
 def eval_temporal(params, vae_cfg, dataset) -> float:
-    recon = flowgen.vae_reconstruct(params, vae_cfg, dataset.segments)
+    recon = vae_reconstruct(params, vae_cfg, dataset.segments)
     vals = [float(lb.temporal_loss(dataset.segments[i:i + 1], recon[i:i + 1],
                                    dataset.masks[i:i + 1]))
             for i in range(len(dataset))]
@@ -390,8 +391,8 @@ def test_criterion_07_flow_run(vae_cfg, flow_cfg, flow_runs):
     with report(7, "flow: fm < 0.3x initial, direction within 30 deg, finetune no worse"):
         pairs_eval = scenes.pair_dataset("translation", 8, 301, GEOM)
         train_cfg = flow_runs["train_cfg"]
-        fm_initial = flowgen.eval_fm_loss(flow_runs["init"], pairs_eval, train_cfg)
-        fm_final = flowgen.eval_fm_loss(flow_runs["pretrained"], pairs_eval, train_cfg)
+        fm_initial = eval_fm_loss(flow_runs["init"], pairs_eval, train_cfg)
+        fm_final = eval_fm_loss(flow_runs["pretrained"], pairs_eval, train_cfg)
         RESULTS["criterion_07_fm_initial"] = fm_initial
         RESULTS["criterion_07_fm_final"] = fm_final
         assert fm_final < 0.3 * fm_initial

@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
@@ -58,7 +59,7 @@ class TestTlfFormat:
         tracks = generate(MotionSpec("translation", frames=5, velocity=(2.0, 1.0)))
         field = rasterize(tracks)
         record = tlf.from_offset_field(field)
-        back = tlf.to_offset_field(record)
+        back = rasterize(tlf.to_tracks(record))
         assert np.allclose(back.offsets, field.offsets, atol=1e-6)
 
     def test_convert_round_trip_through_every_convention(self):
@@ -387,7 +388,7 @@ class TestSynthAndConversions:
         run("synth", src, "--kind", "translation", "--vx", 2, "--vy", 1,
             "--frames", 12, "--out", tmp_path)
         norm = tmp_path / "norm.tlf"
-        assert run("rasterize", src, norm, "--out", tmp_path) == 0
+        assert run("offsets", "--invert", src, norm, "--out", tmp_path) == 0
         off = tmp_path / "off.tlf"
         back = tmp_path / "back.tlf"
         assert run("offsets", norm, off, "--out", tmp_path) == 0
@@ -396,15 +397,6 @@ class TestSynthAndConversions:
         b = tlf.read_tlf(back)
         assert a.coords.tobytes() == b.coords.tobytes()
         assert a.visibility.tobytes() == b.visibility.tobytes()
-
-    def test_rasterize_is_offsets_invert(self, tmp_path):
-        src = tmp_path / "in.tlf"
-        run("synth", src, "--kind", "rotation", "--omega", 0.05, "--frames", 6, "--out", tmp_path)
-        assert run("rasterize", src, tmp_path / "r.tlf", "--out", tmp_path / "r") == 0
-        assert run("offsets", "--invert", src, tmp_path / "o.tlf", "--out", tmp_path / "o") == 0
-        assert (tmp_path / "r.tlf").read_bytes() == (tmp_path / "o.tlf").read_bytes()
-        manifest = json.loads((tmp_path / "r" / "manifest.json").read_text())
-        assert manifest["command"] == "rasterize"
 
     @pytest.mark.parametrize("value", ["-1e-05", "-2E+3", "-1.5e-07"])
     @pytest.mark.parametrize("flag, kind", [("--vx", "translation"), ("--vy", "translation"),
@@ -446,7 +438,7 @@ class TestSynthAndConversions:
     def test_malformed_tlf_gives_exit_2(self, tmp_path):
         bad = tmp_path / "bad.tlf"
         bad.write_bytes(b"garbage")
-        assert run("rasterize", bad, tmp_path / "out.tlf") == 2
+        assert run("offsets", "--invert", bad, tmp_path / "out.tlf") == 2
 
     def test_bad_config_gives_exit_3(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -903,6 +895,28 @@ class TestNonFiniteValues:
             assert "at frame 1, track 0;" in lines[0]
         assert not (runs / "future.tlf").exists() and not (runs / "manifest.json").exists()
 
+    @pytest.mark.parametrize("command", ["synth", "train-vae"])
+    def test_a_numeric_abort_prints_one_line_and_no_warning(self, tmp_path, capsys, command):
+        """pytest sends Python warnings to its summary, not to capsys, so they
+        are caught here: a real process prints them above its `error:` line."""
+        if command == "synth":  # (1 + 1e300) ** 3 overflows
+            path = tmp_path / "z.tlf"
+            argv, want = (["synth", path, "--kind", "zoom", "--zoom-rate", "1e300",
+                           "--frames", 4],
+                          f"error: {path}: non-finite coordinate at frame 1, track 0; "
+                          "nothing written")
+        else:
+            cfg = tmp_path / "lr.cfg"
+            cfg.write_text("[vae]\nlr = 1e6\nsteps = 2\n")
+            argv, want = ["train-vae", "--config", cfg], \
+                "error: train_vae: non-finite loss at step 1"
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(*argv, "--out", tmp_path / "out") == 4
+        assert capsys.readouterr().err.splitlines() == [want]
+        assert [f"{w.category.__name__}: {w.message}" for w in caught] == []
+
 
 class TestSampleConfig:
     @pytest.mark.parametrize("body,key", [("steps = 0", "steps"),
@@ -1144,7 +1158,7 @@ class TestPlot:
         svg = (tmp_path / "figs" / "runA_scene_overlay.svg").read_text()
         pts = re.findall(r'<polyline points="([^"]+)"', svg)
         record = tlf.read_tlf(scene)
-        dense = to_absolute(tlf.to_offset_field(record).offsets)
+        dense = to_absolute(rasterize(tlf.to_tracks(record)).offsets)
         positions, _ = tlf.coarse_pixel_positions(record)
         first_track = [tuple(map(float, p.split(","))) for p in pts[0].split()]
         want = positions[:, 0, 0, :]
@@ -1204,7 +1218,7 @@ class TestManifest:
 
     @pytest.mark.parametrize("argv", [
         ["synth", "{d}/new.tlf", "--kind", "zoom", "--zoom-rate", "0.01"],
-        ["rasterize", "{s}", "{d}/r.tlf"],
+        pytest.param(["offsets", "--invert", "{s}", "{d}/r.tlf"], id="offsets-invert"),
         ["offsets", "{s}", "{d}/o.tlf"],
         ["analyze-variance", "{s}"],
         ["eval", "{s}", "--metric", "flowtv"],
@@ -1255,7 +1269,7 @@ class TestManifest:
         cli.build_parser.cache_clear()
         scene = tmp_path / "s.tlf"
         run("synth", scene, "--kind", "translation", "--vx", 1, "--frames", 4, "--out", tmp_path)
-        assert run("rasterize", scene, tmp_path / "n.tlf", "--out", tmp_path) == 0
+        assert run("offsets", "--invert", scene, tmp_path / "n.tlf", "--out", tmp_path) == 0
         assert run("offsets", tmp_path / "n.tlf", tmp_path / "o.tlf", "--out", tmp_path) == 0
         assert tlf.read_tlf(tmp_path / "n.tlf").convention == tlf.CONV_NORMALIZED
         assert tlf.read_tlf(tmp_path / "o.tlf").convention == tlf.CONV_OFFSET
@@ -1291,7 +1305,7 @@ class TestAllocatorPolicy:
         huge.write_text("[vae]\nlr = 1e6\nsteps = 2\n")
         assert run("synth", tmp_path / "s.tlf", "--frames", 4, "--out", tmp_path) == 0
         assert run("synth") == 1
-        assert run("rasterize", garbage, tmp_path / "r.tlf", "--out", tmp_path) == 2
+        assert run("offsets", "--invert", garbage, tmp_path / "r.tlf", "--out", tmp_path) == 2
         assert run("train-vae", "--config", cfg, "--out", tmp_path) == 3
         assert run("train-vae", "--config", huge, "--out", tmp_path) == 4
 
@@ -1322,7 +1336,7 @@ class TestProcess:
                            (1, ["synth", tmp_path / "s.tlf", "--stride", 0]),
                            (1, ["synth", tmp_path / "s.tlf", "--height", 0]),
                            (1, ["synth", tmp_path / "s.tlf", "--vx", "nan"]),
-                           (2, ["rasterize", garbage, tmp_path / "r.tlf"]),
+                           (2, ["offsets", "--invert", garbage, tmp_path / "r.tlf"]),
                            (2, ["train-flow", "--vae", vae]),
                            (3, ["train-vae", "--config", cfg]),
                            (3, ["train-vae", "--config", dup])]:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import desk_flow_config, make_pair_dataset, make_segment_dataset
+from criteria import eval_fm_loss
 from reference_ops import matmul
 from trajkit import flowgen, gradcore as gc, lossbank as lb, models, motionlab, scenes, trajfield
 from trajkit.flowgen import (
@@ -540,14 +541,14 @@ class TestTrainingLoops:
 
     def test_eval_fm_loss_scores_the_bundles_own_model(self, tiny_bundle):
         bundle, pairs, fcfg = tiny_bundle
-        own = flowgen.eval_fm_loss(bundle, pairs, fcfg)
+        own = eval_fm_loss(bundle, pairs, fcfg)
         source = dict(sigma0=0.7, anchor_mode="all-slices")
         for changes in (dict(hidden=8, cond_hidden=4), source):
             other = replace(fcfg, flow=replace(fcfg.flow, **changes))
-            assert flowgen.eval_fm_loss(bundle, pairs, other) == own, changes
+            assert eval_fm_loss(bundle, pairs, other) == own, changes
         # the source settings do move the loss of a model that holds them
         moved = replace(bundle, flow_cfg=replace(bundle.flow_cfg, **source))
-        assert flowgen.eval_fm_loss(moved, pairs, fcfg) != own
+        assert eval_fm_loss(moved, pairs, fcfg) != own
 
     def test_train_flow_bit_reproducible(self, tiny_vae_cfg, tiny_bundle):
         bundle, pairs, fcfg = tiny_bundle

@@ -141,6 +141,28 @@ def test_every_exported_name_is_used_by_the_package():
     assert set(gc.__all__) - used == set()
 
 
+def test_every_public_function_and_class_is_read_by_the_package_or_a_demo():
+    """The check above for every module: each public module-level def or class
+    of src/trajkit is read in src/trajkit or demos/, as a name, an attribute
+    or a from-import; a package `__init__`'s re-exports are not reads."""
+    package = Path(trajkit.__file__).parent
+    defined, used = [], set()
+    for path in [*package.rglob("*.py"), *(Path(__file__).parents[1] / "demos").glob("*.py")]:
+        tree = ast.parse(path.read_text())
+        if path.is_relative_to(package):
+            defined += [(f"{path.stem}.{node.name}", node.name) for node in tree.body
+                        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                        and not node.name.startswith("_")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and path.name != "__init__.py":
+                used.update(alias.name for alias in node.names)
+    assert [where for where, name in defined if name not in used] == []
+
+
 OPTIONS_SET_BY_TESTS_ONLY = {
     # criterion 04 sweeps the moving share and the motion of its variance scenes
     ("mixed_region_tracks", "moving_fraction"), ("mixed_region_tracks", "oscillate"),
