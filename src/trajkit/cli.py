@@ -17,7 +17,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -260,7 +260,7 @@ def cmd_train_flow(args, cfg, out_dir) -> list:
     vis_params, _ = flowgen.train_visibility_head(z_f, targets, train_cfg.flow,
                                                   train_cfg.vis_steps, train_cfg.vis_lr,
                                                   seed=cfg.seed)
-    bundle.vis_params = vis_params
+    bundle = replace(bundle, vis_params=vis_params)
     save_bundle(out_dir / "flow.ckpt", bundle, cfg.seed)
     (out_dir / "flow_loss.csv").write_text(plotting.curve_csv(curve))
     print(f"final fm loss {curve[-1]['fm']!r} (initial {curve[0]['fm']!r})")

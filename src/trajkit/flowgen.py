@@ -11,6 +11,7 @@ dataset).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -338,9 +339,15 @@ def check_sub_batch(cfg: FinetuneConfig, flow_cfg: FlowTrainConfig) -> None:
         raise FieldError("sub_batch", cfg.sub_batch, f"at most the flow batch {flow_cfg.batch}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlowBundle:
-    """Everything needed to sample futures end to end."""
+    """Everything needed to sample futures end to end.
+
+    A bundle is a value: change it with `dataclasses.replace`, which builds a
+    new bundle, and never edit its parameter dicts or arrays in place, since
+    the float32 Tensors sample_future samples with are built from them once
+    per bundle.
+    """
 
     vae_cfg: VaeConfig
     flow_cfg: FlowConfig
@@ -348,6 +355,13 @@ class FlowBundle:
     flow_params: dict
     stats: LatentStats
     vis_params: dict | None = None
+
+    @cached_property
+    def _sampling_params(self) -> tuple:
+        """(vae, flow, vis or None): the parameters as float32 constant Tensors."""
+        return tuple(None if params is None else
+                     wrap_params({k: np.asarray(v, np.float32) for k, v in params.items()}, False)
+                     for params in (self.vae_params, self.flow_params, self.vis_params))
 
 
 # -- the shared training loop ---------------------------------------------------
@@ -552,11 +566,6 @@ def train_visibility_head(latents: np.ndarray, targets: np.ndarray, flow_cfg: Fl
 # -- end-to-end sampling ------------------------------------------------------------
 
 
-def _float32(params: dict) -> dict:
-    """float32 copies of `params`' arrays."""
-    return {k: np.asarray(v, dtype=np.float32) for k, v in params.items()}
-
-
 def sample_future(history: OffsetField, bundle: FlowBundle, sampler: dict | None = None,
                   seed: int = 0, future_frames: int | None = None):
     """History offsets in, generated future offsets and visibility out: the
@@ -564,7 +573,9 @@ def sample_future(history: OffsetField, bundle: FlowBundle, sampler: dict | None
     encoded once and shared by every velocity evaluation of the solve.
 
     Every forward runs in float32, the precision a checkpoint stores: the
-    bundle's parameters and the history's offsets are narrowed once per call.
+    bundle's parameters are narrowed on its first call and kept on it, the
+    history's offsets once per call.  So a bundle is a value: change it with
+    `dataclasses.replace`, not by editing its parameter dicts or arrays.
 
     The history's frames must give the flow's history_steps latent steps.
     `future_frames` (default: the history's length) must be in
@@ -582,12 +593,11 @@ def sample_future(history: OffsetField, bundle: FlowBundle, sampler: dict | None
                          f"{flow_cfg.future_steps} x temporal_ratio {r}), got {t_f}")
     sampler = {**SAMPLER, **(sampler or {})}
     rng = gc.rng(seed)
-    vae = wrap_params(_float32(bundle.vae_params), requires_grad=False)
+    vae, wrapped, vis = bundle._sampling_params
     mu, _ = vae_encode(history.offsets[None].astype(np.float32), vae, vae_cfg)
     z_hist = normalize_latents(mu.data, bundle.stats)
     vis_tok = pool_visibility(history.mask[None], vae_cfg, reduce="mean")
     z0 = boundary_init(z_hist[:, -1], flow_cfg, rng)
-    wrapped = wrap_params(_float32(bundle.flow_params), requires_grad=False)
     cond = encode_condition(z_hist, vis_tok, wrapped, flow_cfg)  # vis_tok in z_hist's dtype
 
     def v_fn(z, t):
@@ -604,9 +614,8 @@ def sample_future(history: OffsetField, bundle: FlowBundle, sampler: dict | None
     # as when tlf narrows to float32: an offset beyond its range is inf, which write_tlf refuses
     with np.errstate(over="ignore"):
         offsets = vae_decode(z1_denorm, vae, vae_cfg, frames=t_f).data[0]
-    if bundle.vis_params is not None:
-        _, tok_mask = visibility_predict(z1_denorm,
-                                         wrap_params(_float32(bundle.vis_params), False))
+    if vis is not None:
+        _, tok_mask = visibility_predict(z1_denorm, vis)
         mask = broadcast_token_mask(tok_mask[0], vae_cfg, t_f)
     else:
         mask = np.ones((t_f, vae_cfg.height, vae_cfg.width), dtype=np.uint8)

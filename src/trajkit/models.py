@@ -277,11 +277,19 @@ def history_cue(z_hist, params: dict, k_f: int) -> Tensor:
     boundary = _linear(params, "vel.tok", z_hist[:, -1:])   # (B, 1, N, D)
     minus_one = np.array(-1.0, boundary.dtype)  # a Tensor of Python -1.0 would be float64
     hint = gc.add(boundary, gc.mul(_linear(params, "vel.tok", z_hist[:, -2:-1]), minus_one))
-    # the fusion ramp: 0 at the first future step, 1 at the last
-    omega = np.linspace(0.0, 1.0, k_f, dtype=boundary.dtype).reshape(1, k_f, 1, 1)
+    omega = _fusion_ramp(k_f, boundary.dtype)
     gates = gc.reshape(gc.sigmoid(params["vel.fusion.gate_raw"]), (1, k_f, 1, 1))
     cue = gc.add(boundary, gc.mul(hint, omega))  # (B, 1, N, D) broadcast over K_f
     return gc.mul(gc.mul(cue, gates), params["vel.fusion.alpha"])
+
+
+@functools.cache
+def _fusion_ramp(k_f: int, dtype) -> np.ndarray:
+    """history_cue's fusion ramp (1, k_f, 1, 1): 0 at the first future step, 1 at
+    the last; read-only, as every call shares it."""
+    omega = np.linspace(0.0, 1.0, k_f, dtype=dtype).reshape(1, k_f, 1, 1)
+    omega.flags.writeable = False
+    return omega
 
 
 @functools.cache

@@ -2,7 +2,7 @@ import gc as gc_module
 import math
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -957,7 +957,8 @@ class TestSamplingPrecision:
         bundle, pairs = vis_bundle
         tensors, states = _tensor_dtypes(monkeypatch), _solver_states(monkeypatch)
         heads = _head_outputs(monkeypatch)
-        sample_future(_history(pairs, 3), bundle, sampler, seed=9)
+        # a copy not sampled yet, so its parameter Tensors are created here too
+        sample_future(_history(pairs, 3), replace(bundle), sampler, seed=9)
         assert [logits.dtype.name for logits, _ in heads] == ["float32"]
         assert set(tensors) == {"float32"} and tensors["float32"] > 100
         assert set(states) == {"float32"} and len(states) > 10
@@ -997,3 +998,56 @@ class TestSamplingPrecision:
             assert 0 < rel < 1e-5
             flips += int(np.sum(heads[-1][1][0] != tok_mask))
         assert flips == 0
+
+
+class TestPreparedBundle:
+    """A bundle narrows and wraps its parameters on its first sample_future
+    call and keeps them; a replaced bundle prepares its own."""
+
+    @staticmethod
+    def _sample(bundle, pairs, sampler):
+        field, mask = sample_future(_history(pairs, 2), bundle, sampler, seed=13)
+        return field.offsets.tobytes(), mask.tobytes()
+
+    @pytest.mark.parametrize("head", ["vis", "no_vis"])
+    def test_parameters_are_wrapped_during_the_first_call_only(self, vis_bundle, tiny_bundle,
+                                                                monkeypatch, head):
+        bundle = replace(vis_bundle[0] if head == "vis" else tiny_bundle[0])
+        calls = []
+
+        def counted(params, requires_grad=True):
+            calls.append(len(params))
+            return wrap_params(params, requires_grad)
+
+        monkeypatch.setattr(flowgen, "wrap_params", counted)
+        self._sample(bundle, vis_bundle[1], {"method": "euler", "steps": 2})
+        assert len(calls) == (3 if head == "vis" else 2)
+        self._sample(bundle, vis_bundle[1], {"method": "euler", "steps": 2})
+        assert len(calls) == (3 if head == "vis" else 2)
+
+    @pytest.mark.parametrize("head", ["vis", "no_vis"])
+    @pytest.mark.parametrize("sampler", DEFAULT_SAMPLERS)
+    def test_first_and_second_calls_give_the_same_bytes(self, vis_bundle, tiny_bundle, head,
+                                                        sampler):
+        bundle = replace(vis_bundle[0] if head == "vis" else tiny_bundle[0])
+        first = self._sample(bundle, vis_bundle[1], sampler)
+        assert self._sample(bundle, vis_bundle[1], sampler) == first
+
+    @pytest.mark.parametrize("changed", ["flow_params", "vis_params"])
+    def test_a_replaced_bundle_samples_as_one_built_fresh(self, vis_bundle, changed):
+        bundle, pairs = vis_bundle
+        sampler = {"method": "euler", "steps": 4}
+        before = self._sample(bundle, pairs, sampler)  # prepares `bundle`
+        init = {"flow_params": models.init_velocity_params,
+                "vis_params": models.init_visibility_params}[changed]
+        params = init(bundle.flow_cfg, gc.rng(11))
+        fresh = flowgen.FlowBundle(**{**{f.name: getattr(bundle, f.name) for f in fields(bundle)},
+                                      changed: params})
+        got = self._sample(replace(bundle, **{changed: params}), pairs, sampler)
+        assert got == self._sample(fresh, pairs, sampler)
+        assert got != before
+
+    def test_fields_cannot_be_assigned(self, tiny_bundle):
+        bundle = tiny_bundle[0]
+        with pytest.raises(FrozenInstanceError):
+            bundle.vis_params = None

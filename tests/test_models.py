@@ -213,6 +213,15 @@ class TestFusion:
         with pytest.raises(ValueError):
             history_cue(np.zeros((1, 1, 4, 4)), params, 2)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k_f", [1, 2, 3, 4])
+    def test_fusion_ramp_is_a_read_only_linspace(self, k_f, dtype):
+        ramp = models._fusion_ramp(k_f, np.dtype(dtype))
+        want = np.linspace(0.0, 1.0, k_f, dtype=dtype).reshape(1, k_f, 1, 1)
+        assert ramp.dtype == want.dtype and ramp.shape == want.shape
+        assert ramp.tobytes() == want.tobytes()
+        assert not ramp.flags.writeable
+
 
 class TestVelocityForward:
     def _condition(self, b=1):
