@@ -308,7 +308,7 @@ def cmd_eval(args, cfg, out_dir) -> list:
     elif args.metric == "divcurle":
         value = metrics.div_curl_energy(positions, vis, record.stride,
                                         single_spacing=args.single_spacing)
-    elif args.metric == "vepe":
+    else:  # vepe
         if not args.ref:
             raise ValueError("vepe needs --ref GT.tlf")
         ref = tlf.read_tlf(args.ref)
@@ -318,8 +318,6 @@ def cmd_eval(args, cfg, out_dir) -> list:
                              f"{shape}, but {args.ref} has {ref_shape}")
         ref_pos, ref_vis = tlf.coarse_pixel_positions(ref)
         value = metrics.vepe(positions, ref_pos, ref_vis & vis)
-    else:
-        raise ValueError(f"unknown metric {args.metric!r}")
     path = out_dir / "metrics.csv"
     rows = plotting.read_metrics_csv(path) if path.exists() else []
     print(plotting.format_float(value))
@@ -472,7 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--history", required=True)
     p.add_argument("--config", default=None)
-    p.add_argument("--preset", default=None, choices=["default", "desk"])
     p.add_argument("--seed", type=_count, default=0)
     p.add_argument("--frames", type=int, default=None)
     p.add_argument("--output", default="future.tlf")
@@ -536,7 +533,8 @@ def dispatch(argv) -> int:
     except SystemExit as exc:  # argparse has printed the help, or the usage and the error
         return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
-        cfg = _load_config(args.config, args.preset) if hasattr(args, "config") else None
+        cfg = (_load_config(args.config, getattr(args, "preset", None))
+               if hasattr(args, "config") else None)
         out_dir = _out_dir(args.out, cfg)
         with np.errstate(all="ignore"):  # each non-finite result meets a check that exits 4
             _write_manifest(out_dir, args, argv, cfg, args.func(args, cfg, out_dir))

@@ -1,8 +1,9 @@
 """Run configuration: sectioned key-value text files with strict validation.
 
-A key sets a field of a module config (`OWNERS`) and takes that field's
-default, or is one of `FREE_KEYS`.  Unknown sections or keys are rejected,
-and every module config, which checks its own ranges, is built once at load.
+A key is the name of the module-config field it sets (`OWNERS`) and takes
+that field's default, or is one of `FREE_KEYS`.  Unknown sections or keys
+are rejected, and every module config, which checks its own ranges, is
+built once at load.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from . import flowgen
 from . import lossbank as lb
 from .flowgen import FinetuneConfig, FlowTrainConfig, VaeTrainConfig
 from .models import FlowConfig, VaeConfig, latent_steps
-from .rules import AT_LEAST_0, AT_LEAST_1, FINITE_NONNEGATIVE, FINITE_POSITIVE, FieldError
+from .rules import AT_LEAST_0, AT_LEAST_1, FINITE_POSITIVE, FieldError
 from .scenes import KIND_MIXES, SceneGeometry
 
 OUT_ENV_VAR = "TRAJLOOM_OUT"
@@ -37,9 +38,6 @@ OWNERS = {
              FlowTrainConfig: ("flow",)},
     "finetune": {FinetuneConfig: ()},
 }
-# the keys named unlike their field
-KEY_OF = {"clip_norm": "grad_clip", "token_floor": "invisible_token_weight",
-          "weights": "hop_weights"}
 
 # keys that no module config owns, with their defaults; the sampler's are
 # the defaults of flowgen's own functions
@@ -58,8 +56,6 @@ RULES = {
     ("sampler", "rtol"): FINITE_POSITIVE,
     ("sampler", "atol"): FINITE_POSITIVE,
     **{(section, "steps"): AT_LEAST_1 for section in ("vae", "flow", "finetune", "sampler")},
-    **{(section, "grad_clip"): ("0 (no clip) or a finite number > 0", FINITE_NONNEGATIVE[1])
-       for section in ("vae", "flow")},
 }
 
 
@@ -68,8 +64,7 @@ def _defaults() -> dict:
     for section, owners in OWNERS.items():
         for cls, derived in owners.items():
             out.setdefault(section, {}).update(
-                {KEY_OF.get(f.name, f.name): f.default for f in fields(cls)
-                 if f.name not in derived})
+                {f.name: f.default for f in fields(cls) if f.name not in derived})
     return out
 
 
@@ -79,7 +74,7 @@ DEFAULTS = _defaults()
 def _parse(section: str, key: str, text: str):
     """`text` as the type of the key's default (a tuple: a space- or comma-separated list)."""
     if key not in DEFAULTS[section]:
-        raise ConfigError(f"unknown key {key!r} in [{section}]")
+        raise ConfigError(f"unknown key {section}.{key}")
     default = DEFAULTS[section][key]
     try:
         if isinstance(default, tuple):
@@ -185,16 +180,13 @@ class RunConfig:
         """`cls` from the keys of [section] named after its fields, plus the
         `derived` fields; a FieldError becomes a ConfigError naming the key."""
         keys = self.values[section]
-        kwargs = {f.name: keys[KEY_OF.get(f.name, f.name)] for f in fields(cls)
-                  if f.name not in derived}
-        if "clip_norm" in kwargs:  # grad_clip 0, and only 0, means no clip
-            kwargs["clip_norm"] = kwargs["clip_norm"] or None
+        kwargs = {f.name: keys[f.name] for f in fields(cls) if f.name not in derived}
         try:
             return cls(**kwargs, **derived)
         except FieldError as exc:
             # history_steps is the one derived field that valid keys can fail
             where = ("data.past" if exc.field == "history_steps"
-                     else f"{section}.{KEY_OF.get(exc.field, exc.field)}")
+                     else f"{section}.{exc.field}")
             raise ConfigError(f"bad value for {where}: {exc}") from exc
 
     def geometry(self) -> SceneGeometry:

@@ -14,7 +14,7 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 @dataclass
 class OptimState:
     lr: float
-    clip_norm: float | None = None  # global-norm clip, applied before moments
+    clip_norm: float = 0.0  # global-norm clip, applied before moments; 0: no clip
     step: int = 0
     # the moments, one flat buffer each (2, total size), parameters in their
     # optim_init order; m and v hold each parameter's view of its row
@@ -23,7 +23,7 @@ class OptimState:
     v: dict = field(default_factory=dict)
 
 
-def optim_init(params: dict, lr: float, clip_norm: float | None = None) -> OptimState:
+def optim_init(params: dict, lr: float, clip_norm: float = 0.0) -> OptimState:
     state = OptimState(lr=lr, clip_norm=clip_norm,
                        moments=np.zeros((2, sum(np.size(p) for p in params.values()))))
     start = 0
@@ -54,7 +54,7 @@ def optim_step(params: dict, grads: dict, state: OptimState) -> dict:
         bad = next(name for name in names if not np.all(np.isfinite(grads[name])))
         raise FloatingPointError(f"optim_step: non-finite gradient for {bad!r}")
 
-    if state.clip_norm is not None:
+    if state.clip_norm:
         total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
         if total > state.clip_norm:
             flat_g *= state.clip_norm / total

@@ -637,9 +637,7 @@ def backward(out: Tensor, wrt) -> list:
     grads = {id(out): np.ones_like(out.data)}
     owned = set()  # ids of the nodes whose accumulator backward allocated
     for node in reversed(order):
-        g = grads.pop(id(node), None)
-        if g is None:
-            continue
+        g = grads.pop(id(node))  # an operand of a node replayed before it
         if id(node) in targets:
             node.grad = g
         for parent, vjp in zip(node._parents, node._vjps):

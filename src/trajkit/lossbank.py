@@ -20,18 +20,21 @@ from .models import LATENT, SEGMENT, VaeConfig, _with_batch, pool_visibility
 from .rules import AT_LEAST_1, FINITE_POSITIVE, Checked, FieldError, each, ranged
 from .trajfield import check_visibility
 
+HUBER_DELTA = 1.0  # recon_loss's Huber transition
+DENOM_CLAMP = 1e-3  # kstep_targets' floor on the time left to each endpoint
+
 
 @dataclass
 class NeighborSpec(Checked):
     """Multi-hop neighborhood for the spatial consistency term."""
 
     hops: tuple = ranged((1, 2, 4), each("integers >= 1", AT_LEAST_1))
-    weights: tuple = ranged((1.0, 0.5, 0.25), each("finite numbers > 0", FINITE_POSITIVE))
+    hop_weights: tuple = ranged((1.0, 0.5, 0.25), each("finite numbers > 0", FINITE_POSITIVE))
 
     def __post_init__(self):
         super().__post_init__()
-        if len(self.hops) != len(self.weights):
-            raise FieldError("hops", self.hops, f"one per weight ({len(self.weights)})")
+        if len(self.hops) != len(self.hop_weights):
+            raise FieldError("hops", self.hops, f"one per weight ({len(self.hop_weights)})")
 
 
 def _pair_arrays(target, recon, mask, op: str):
@@ -50,14 +53,14 @@ def _pair_arrays(target, recon, mask, op: str):
     return recon, target, mask != 0
 
 
-def recon_loss(target, recon, mask, huber_delta: float = 1.0) -> Tensor:
+def recon_loss(target, recon, mask) -> Tensor:
     """Visibility-normalized Huber reconstruction error, per-coordinate and
     summed over the two channels."""
     recon, target, mask = _pair_arrays(target, recon, mask, "recon_loss")
     denom = mask.sum(axis=(1, 2, 3))
     if np.any(denom == 0):
         raise ValueError("recon_loss: a segment has no visible elements")
-    return gc.tmean(gc.huber(recon, target, mask / denom[:, None, None, None], huber_delta))
+    return gc.tmean(gc.huber(recon, target, mask / denom[:, None, None, None], HUBER_DELTA))
 
 
 def _shift_mismatch(recon, target, mask, hop: int, axis: int):
@@ -94,7 +97,7 @@ def spatial_loss(target, recon, mask, spec: NeighborSpec | None = None) -> Tenso
         denoms.append(sum((count for _, count in parts), np.zeros(mask.shape[0])))
         terms.append(gc.div(reduce(gc.add, [part for part, _ in parts]),
                             np.maximum(denoms[-1], 1.0)) if parts else None)
-    alpha = np.array(spec.weights, dtype=np.float64)
+    alpha = np.array(spec.hop_weights, dtype=np.float64)
     valid = np.stack([d > 0 for d in denoms])  # (hops, b)
     norms = (alpha[:, None] * valid).sum(axis=0)
     if np.any(norms == 0):
@@ -144,13 +147,12 @@ def fm_loss(v_pred, u_target, weights) -> Tensor:
     return gc.tmean(gc.weighted_sq(v, u, _with_batch("fm_loss", weights, LATENT[:-1])))
 
 
-def kstep_targets(z_i: np.ndarray, z0: np.ndarray, z1: np.ndarray, t_i: float,
-                  denom_clamp: float = 1e-3):
+def kstep_targets(z_i: np.ndarray, z0: np.ndarray, z1: np.ndarray, t_i: float):
     """Endpoint-consistent velocity targets from a visited state; denominators
     clamp away from zero near t = 0 and t = 1."""
     z_i = np.asarray(z_i, dtype=np.float64)
-    v1 = (np.asarray(z1, dtype=np.float64) - z_i) / max(1.0 - t_i, denom_clamp)
-    v0 = (z_i - np.asarray(z0, dtype=np.float64)) / max(t_i, denom_clamp)
+    v1 = (np.asarray(z1, dtype=np.float64) - z_i) / max(1.0 - t_i, DENOM_CLAMP)
+    v0 = (z_i - np.asarray(z0, dtype=np.float64)) / max(t_i, DENOM_CLAMP)
     return v1, v0
 
 

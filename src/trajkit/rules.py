@@ -30,8 +30,6 @@ U32_COUNT = ("an integer from 1 to 2**32 - 1", lambda v: _is(v, _INTEGER) and 1 
 FINITE_NONNEGATIVE = ("a finite number >= 0", lambda v: _is(v, _REAL) and 0 <= v < math.inf)
 FINITE_POSITIVE = ("a finite number > 0", lambda v: _is(v, _REAL) and 0 < v < math.inf)
 FINITE = ("a finite number", lambda v: _is(v, _REAL) and math.isfinite(v))
-CLIP_NORM = ("None (no clip) or a finite number > 0",
-             lambda v: v is None or FINITE_POSITIVE[1](v))
 
 
 def one_of(choices: tuple) -> tuple:

@@ -128,10 +128,10 @@ def shift_l1_chain(x, hop, axis, target, weight) -> Tensor:
     return tsum(gc.reshape(gc.mul(l1, weight), (weight.shape[0], -1)), 1)
 
 
-def adam_step(params, grads, m, v, t, lr, clip_norm=None) -> dict:
+def adam_step(params, grads, m, v, t, lr, clip_norm=0.0) -> dict:
     """Step t (from 1) of Adam with optim_step's clip: the new params; the
     moment dicts m and v, one array per parameter, are updated in place."""
-    if clip_norm is not None:
+    if clip_norm:  # 0: no clip
         total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
         if total > clip_norm:
             scale = clip_norm / total

@@ -1,6 +1,7 @@
 import inspect
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -18,7 +19,7 @@ import reference_ops
 import trajkit
 from trajkit import cli, flowgen, gradcore as gc, plotting, tlf
 from trajkit.cli import dispatch, load_bundle, save_bundle
-from trajkit.config import ConfigError, RunConfig
+from trajkit.config import DEFAULTS, ConfigError, RunConfig
 from trajkit.models import FlowConfig, VaeConfig, init_vae_params, init_velocity_params
 from trajkit.motionlab import MotionSpec, generate
 from trajkit.trajfield import cell_centers, rasterize, to_absolute
@@ -274,7 +275,36 @@ class TestMalformedTrackValues:
         assert out.err == f"error: {scene}: {DAMAGED_SCENES[damage]}\n" and out.out == ""
 
 
+# every config key; adding, renaming or dropping one is a deliberate edit
+# here and in README's config section
+CONFIG_KEYS = """
+run.out run.seed
+data.frames data.height data.kind data.past data.scenes data.stride data.width
+sampler.atol sampler.method sampler.rtol sampler.steps
+vae.batch vae.beta vae.blocks vae.clip_norm vae.hidden vae.hop_weights vae.hops
+vae.lambda_spatial vae.lambda_temporal vae.latent_channels vae.lr vae.patch vae.steps
+vae.temporal_ratio
+flow.anchor_mode flow.batch flow.blocks flow.clip_norm flow.cond_hidden flow.hidden
+flow.invisible_token_weight flow.lr flow.sigma flow.sigma0 flow.steps flow.time_features
+flow.vis_lr flow.vis_steps
+finetune.gamma finetune.k_steps finetune.lambda_kstep finetune.lr finetune.steps
+finetune.sub_batch finetune.w0 finetune.w1
+""".split()
+
+
 class TestConfig:
+    def test_keys_are_the_schema_and_the_readme_lists_each(self):
+        assert len(CONFIG_KEYS) == 49
+        assert sorted(f"{s}.{k}" for s, keys in DEFAULTS.items() for k in keys) == \
+            sorted(CONFIG_KEYS)
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme[readme.index("Configs are sectioned key-value files"):
+                         readme.index("## File formats")]
+        code = {word for span in re.findall(r"`([^`]*)`", section)
+                for word in re.findall(r"\w+", span)}
+        assert [key for key in CONFIG_KEYS if key.split(".")[1] not in code
+                or f"[{key.split('.')[0]}]" not in section] == []
+
     def test_defaults_match_published_values(self):
         cfg = RunConfig.default()
         assert cfg["vae"]["beta"] == 5e-5
@@ -308,18 +338,18 @@ class TestConfig:
 
     def test_preset_hashes_are_pinned(self):
         assert RunConfig.desk().sha256() == \
-            "ce3e7009cd6c3707b9d3254cb108b7ab2d5bc63edf761227ab72be5a92eea4ed"
+            "2edbca4fc55ed1c996fa9c2b7e52f070f0cfba771bef580cf85f7dfd1b60ca50"
         assert RunConfig.default().sha256() == \
-            "a08d0adb3db8751253fa33a61623456059a7a463ee5d867e0935a19fa57366c0"
+            "c9c8f31943fb3e0af31e8bf24209f90b601f3897f572e80f82a755a7df5407f4"
 
     @pytest.mark.parametrize("section", ["vae", "flow"])
-    def test_grad_clip_zero_is_the_only_no_clip(self, section):
+    def test_clip_norm_zero_is_the_only_no_clip(self, section):
         convert = {"vae": RunConfig.vae_train_config, "flow": RunConfig.flow_train_config}[section]
-        assert convert(RunConfig.loads(f"[{section}]\ngrad_clip = 0\n")).clip_norm is None
-        assert convert(RunConfig.loads(f"[{section}]\ngrad_clip = 0.5\n")).clip_norm == 0.5
+        assert convert(RunConfig.loads(f"[{section}]\nclip_norm = 0\n")).clip_norm == 0
+        assert convert(RunConfig.loads(f"[{section}]\nclip_norm = 0.5\n")).clip_norm == 0.5
         for bad in ("-1", "nan", "inf"):
-            with pytest.raises(ConfigError, match=rf"{section}\.grad_clip: "):
-                RunConfig.loads(f"[{section}]\ngrad_clip = {bad}\n")
+            with pytest.raises(ConfigError, match=rf"{section}\.clip_norm: "):
+                RunConfig.loads(f"[{section}]\nclip_norm = {bad}\n")
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -483,6 +513,9 @@ MALFORMED_CONFIGS = [
     pytest.param("train-vae", b"[DEFAULT]\nsteps = 2\n", "unknown section [DEFAULT]",
                  id="default-section"),
     pytest.param("train-vae", b"[vae]\nlr = 1\xff\n", "utf-8", id="not-utf8"),
+    pytest.param("train-vae", b"[vae]\nsteps = abc\n",
+                 "vae.steps: 'abc' (invalid literal for int() with base 10: 'abc')",
+                 id="not-an-integer"),
     pytest.param("train-vae", b"[vae]\nhops = 0\nhop_weights = 1\n", "vae.hops: ",
                  id="zero-hop"),
     *[pytest.param("train-vae", f"[vae]\nhops = {hops}\nhop_weights = {weights}\n".encode(),
@@ -492,11 +525,16 @@ MALFORMED_CONFIGS = [
         ("vae.patch", 0), ("vae.temporal_ratio", 0), ("data.scenes", 0), ("data.scenes", -1),
         ("data.past", 0), ("data.past", 16), ("data.past", 4), ("data.stride", 3),
         ("vae.batch", 0), ("vae.hidden", 0), ("vae.hops", 0), ("vae.hops", "1 2"),
-        ("vae.lr", -1), ("vae.grad_clip", "nan"), ("vae.grad_clip", -1), ("flow.batch", 0),
+        ("vae.lr", -1), ("vae.clip_norm", "nan"), ("vae.clip_norm", -1), ("flow.batch", 0),
         ("finetune.k_steps", 0), ("finetune.k_steps", 1), ("run.seed", -1),
         ("data.kind", "mixed-regions"), ("finetune.sub_batch", 16)]],
     pytest.param("train-flow", b"[flow]\nbatch = 4\n", "finetune.sub_batch: ",
                  id="flow.batch-below-sub_batch"),
+    # key names that no config has any more
+    *[pytest.param("train-vae", f"[{section}]\n{name} = 1\n".encode(),
+                   f"unknown key {section}.{name}", id=f"old-{section}.{name}")
+      for section, name in [("vae", "grad_clip"), ("flow", "grad_clip"), ("vae", "huber_delta"),
+                            ("finetune", "t_eps"), ("finetune", "denom_clamp")]],
 ]
 
 
@@ -945,9 +983,11 @@ class TestSampleConfig:
 
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [["synth"], ["bogus"], ["eval", "x.tlf", "--metric", "bogus"],
-                                      [], ["gradcheck", "--seeds", "-1"]],
+                                      [], ["gradcheck", "--seeds", "-1"],
+                                      ["sample", "--ckpt", "a.ckpt", "--history", "h.tlf",
+                                       "--preset", "desk"]],
                              ids=["missing-argument", "unknown-command", "bad-choice", "empty",
-                                  "negative-count"])
+                                  "negative-count", "sample-preset"])
     def test_usage_error_exits_1_with_argparse_message(self, capsys, argv):
         assert dispatch(argv) == 1
         err = capsys.readouterr().err
@@ -960,6 +1000,12 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("usage: trajkit") and "argument --seed" in err
         assert not out.exists()
+
+    def test_preset_with_config_exits_3(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[vae]\nsteps = 1\n")
+        assert run("train-vae", "--config", cfg, "--preset", "desk", "--out", tmp_path) == 3
+        assert capsys.readouterr().err == "error: --preset and --config are mutually exclusive\n"
 
     def test_help_exits_0(self, capsys):
         assert dispatch(["--help"]) == 0
@@ -1178,6 +1224,9 @@ class TestPlot:
         assert run("plot", rundir, "--out", tmp_path / "figs") == 0
         text = (tmp_path / "figs" / "metrics_table.csv").read_text()
         assert text.strip() == ",".join(plotting.METRIC_COLUMNS)
+
+    def test_empty_curve_gives_the_step_header(self):
+        assert plotting.curve_csv([]) == "step\n"
 
     def test_a_run_that_is_no_directory_exits_1(self, tmp_path, capsys):
         scene = tmp_path / "scene.tlf"

@@ -355,6 +355,31 @@ def test_grad_check_nonfinite_probe_raises():
         gc.grad_check(lambda x: gc.tsum(gc.exp(x)), [np.array([709.78271])])
 
 
+def _steep(x):
+    """Finite at +-STEP from 0, but (up - dn) overflows: a non-finite difference."""
+    return gc.tsum(gc.mul(gc.mul(x, 1e157), 1.2e156))
+
+
+@pytest.mark.parametrize("call,error,message", [
+    pytest.param(lambda: gc.grad_check(_steep, [np.zeros(1)]), gc.GradCheckError,
+                 "non-finite probe at input 0, coordinate 0", id="grad_check-difference"),
+    pytest.param(lambda: gc.optim_step({"w": np.ones(2)}, {"w": np.ones(3)},
+                                       gc.optim_init({"w": np.ones(2)}, lr=0.1)),
+                 ValueError, "optim_step: grad shape (3,) != param shape (2,) for 'w'",
+                 id="optim_step-grad-shape"),
+    pytest.param(lambda: gc.reshape(np.ones(6), (4,)), gc.ShapeError,
+                 "reshape: incompatible shapes (6,) vs (4,)", id="reshape"),
+    pytest.param(lambda: gc.concat([np.ones((2, 3)), np.ones((2, 4))], axis=0), gc.ShapeError,
+                 "concat: incompatible shapes (2, 3) vs (2, 4)", id="concat"),
+    pytest.param(lambda: gc.backward(Tensor(np.ones(2), requires_grad=True), []), gc.ShapeError,
+                 "backward: incompatible shapes (2,)", id="backward-non-scalar"),
+])
+def test_refusals_name_their_cause(call, error, message):
+    with np.errstate(over="ignore"), pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
+
+
 def test_disconnected_input_gets_zero_gradient():
     _, grads = gc.grad(lambda x, y: gc.tsum(ref.square(x)), [np.ones(3), np.ones(2)])
     assert np.all(grads[1] == 0.0)
@@ -550,6 +575,12 @@ def test_huber_bit_equal_to_the_chain_at_edges_on_each_plane():
     assert np.isnan(value).tolist() == [False, True, True, False]
     assert value.tobytes() == value_chain.tobytes()
     assert g.tobytes() == g_chain.tobytes()
+
+
+def test_huber_linear_branch_beyond_delta():
+    # per coordinate delta * (|d| - delta / 2) = 0.5 * (2 - 0.25); two coordinates
+    out = gc.huber(np.full((1, 1, 2), 2.0), np.zeros((1, 1, 2)), np.ones((1, 1)), 0.5)
+    assert out.data.tolist() == [pytest.approx(2 * 0.5 * (2.0 - 0.25))]
 
 
 def test_huber_gradients_on_both_sides_of_delta():
@@ -931,7 +962,7 @@ class TestOptim:
             params = gc.optim_step(params, {"w": np.array([g])}, state)
         assert params["w"][0] == pytest.approx(p_ref, rel=1e-12)
 
-    @pytest.mark.parametrize("clip_norm", [None, 0.5, 1e9])
+    @pytest.mark.parametrize("clip_norm", [0.0, 0.5, 1e9])
     def test_bytes_equal_the_per_array_reference(self, clip_norm):
         """Params, moments and param types over six steps, on arrays whose
         sizes put chunk boundaries inside them, with the clip off, active and

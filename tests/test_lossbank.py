@@ -30,7 +30,7 @@ class TestReconLoss:
         xh = np.full_like(x, 0.5)
         m = np.ones((1, 2, 3, 3))
         # Two channels, each 0.5^2 / 2 = 0.125, summed -> 0.25.
-        assert float(lb.recon_loss(x, xh, m, huber_delta=1.0)) == pytest.approx(0.25)
+        assert float(lb.recon_loss(x, xh, m)) == pytest.approx(0.25)
 
     def test_invisible_residual_ignored(self):
         x = np.zeros((1, 2, 3, 3, 2))
@@ -49,9 +49,9 @@ class TestReconLoss:
         x = np.zeros((1, 1, 1, 1, 2))
         xh = np.full_like(x, 2.0)
         m = np.ones((1, 1, 1, 1))
-        # per channel: delta*(|r|-delta/2) = 0.5*(2-0.25) = 0.875; two channels.
-        val = float(lb.recon_loss(x, xh, m, huber_delta=0.5))
-        assert val == pytest.approx(2 * 0.5 * (2.0 - 0.25))
+        # per channel: delta*(|r|-delta/2) = 1*(2-0.5) = 1.5; two channels.
+        assert lb.HUBER_DELTA == 1.0
+        assert float(lb.recon_loss(x, xh, m)) == pytest.approx(2 * 1.0 * (2.0 - 0.5))
 
 
 class TestTemporalLoss:
@@ -118,7 +118,7 @@ class TestSpatialLoss:
         m = np.ones((2, 6, 6))
         spec = lb.NeighborSpec()
         got = float(lb.spatial_loss(x[None], xh[None], m[None], spec))
-        want = spatial_brute_force(x, xh, m, spec.hops, spec.weights)
+        want = spatial_brute_force(x, xh, m, spec.hops, spec.hop_weights)
         assert got == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -126,7 +126,7 @@ class TestSpatialLoss:
         target, recon, mask = _pair(seed=seed, vis_p=0.8)
         spec = lb.NeighborSpec()
         got = float(lb.spatial_loss(target, recon, mask, spec))
-        want = spatial_brute_force(target[0], recon[0], mask[0], spec.hops, spec.weights)
+        want = spatial_brute_force(target[0], recon[0], mask[0], spec.hops, spec.hop_weights)
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_small_grid_drops_oversized_hop(self):
@@ -137,7 +137,7 @@ class TestSpatialLoss:
         m = np.ones((2, 2, 2))
         spec = lb.NeighborSpec()
         got = float(lb.spatial_loss(x[None], xh[None], m[None], spec))
-        want = spatial_brute_force(x, xh, m, spec.hops, spec.weights)
+        want = spatial_brute_force(x, xh, m, spec.hops, spec.hop_weights)
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_all_hops_empty_raises(self):
@@ -330,7 +330,8 @@ class TestKstepPieces:
         z0 = np.zeros((1, 1, 1))
         z1 = np.ones((1, 1, 1))
         z_t = np.full((1, 1, 1), 0.002)
-        _, v0 = lb.kstep_targets(z_t, z0, z1, 1e-6, denom_clamp=1e-3)
+        _, v0 = lb.kstep_targets(z_t, z0, z1, 1e-6)
+        assert lb.DENOM_CLAMP == 1e-3
         assert v0[0, 0, 0] == pytest.approx(0.002 / 1e-3)
 
     def test_kstep_loss_zero_on_straight_path(self):
@@ -527,3 +528,33 @@ class TestGradCheck:
                    lambda xh: lb.spatial_loss(x, xh, m, spec),
                    lambda xh: gc.add(*lb.consistency_terms(x, xh, m, spec, 0.7, 1.3)[:2])):
             assert gc.grad_check(fn, [xh0]) < 1e-4
+
+
+@pytest.mark.parametrize("call,error,message", [
+    pytest.param(lambda: lb.temporal_loss(*_pair_of_frames(1)), ValueError,
+                 "temporal_loss: need at least 2 frames", id="temporal-one-frame"),
+    pytest.param(lambda: lb.kl_loss(np.zeros(2), np.zeros(3)), gc.ShapeError,
+                 "kl_loss: incompatible shapes (2,) vs (3,)", id="kl-shapes"),
+    pytest.param(lambda: lb.bce_logits(np.zeros(2), np.zeros(3)), gc.ShapeError,
+                 "bce_logits: incompatible shapes (2,) vs (3,)", id="bce-shapes"),
+    pytest.param(lambda: lb.bce_logits(np.zeros(2), np.array([0.5, 1.5])), ValueError,
+                 "bce_logits: targets must lie in [0, 1]", id="bce-target-range"),
+    pytest.param(lambda: lb.token_weights(np.zeros((1, 8, 32, 32)), VaeConfig(), 0.0), ValueError,
+                 "token_weights: all token weights zero (floor=0 and fully invisible)",
+                 id="token-weights-all-zero"),
+    pytest.param(lambda: lb.endpoint_consistency([np.zeros((1, 1, 1, 1))],
+                                                 [np.zeros((1, 1, 1, 1))] * 2, [0.0, 0.5]),
+                 ValueError,
+                 "endpoint_consistency: states/times shorter than velocities",
+                 id="endpoint-short-states"),
+])
+def test_refusals_name_their_cause(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
+
+
+def _pair_of_frames(frames):
+    """target, recon and mask of one visible segment with `frames` frames."""
+    x = np.zeros((1, frames, 2, 2, 2))
+    return x, x.copy(), np.ones((1, frames, 2, 2))

@@ -322,3 +322,24 @@ class TestExplainedVariance:
     def test_all_invisible_raises(self):
         with pytest.raises(ValueError):
             explained_variance(np.zeros((3, 4))[..., None], np.zeros((3, 4)))
+
+
+@pytest.mark.parametrize("call,message", [
+    pytest.param(lambda: flow_tv(np.zeros((2, 1, 1, 2)), np.ones((2, 1, 1)), 8),
+                 "flow_tv needs a grid of at least 2 cells in one direction", id="flow_tv-grid"),
+    pytest.param(lambda: flow_tv(np.zeros((2, 2, 2, 2)), np.zeros((2, 2, 2)), 8),
+                 "flow_tv: no valid neighbor pair at any frame", id="flow_tv-no-pair"),
+    pytest.param(lambda: div_curl_energy(np.zeros((2, 1, 2, 2)), np.ones((2, 1, 2)), 8),
+                 "div_curl_energy needs a grid of at least 2x2 cells", id="div_curl-grid"),
+    pytest.param(lambda: div_curl_energy(np.zeros((2, 2, 2, 2)), np.zeros((2, 2, 2)), 8),
+                 "div_curl_energy: no valid cell at any frame", id="div_curl-no-cell"),
+    pytest.param(lambda: vepe(np.zeros((2, 2)), np.zeros((3, 2)), np.ones(2)),
+                 "vepe: shape mismatch (2, 2) vs (3, 2) vs (2,)", id="vepe-shapes"),
+    pytest.param(lambda: explained_variance(np.zeros((2, 3)), np.ones((2, 3))),
+                 "explained_variance: values (2, 3) must be (T, N, A) and visibility (2, 3) "
+                 "their (T, N)", id="explained_variance-shapes"),
+])
+def test_refusals_name_their_cause(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError and str(info.value) == message

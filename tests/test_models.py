@@ -505,3 +505,33 @@ def test_constant_parameters_build_no_tape_and_give_the_same_bytes(small_cfg, fl
     for name, out in const.items():
         assert not out.requires_grad and out._parents == () and taped[name].requires_grad, name
         assert out.data.tobytes() == taped[name].data.tobytes(), name
+
+
+def _cue(k_f):
+    """A condition whose only field, the cue, is (1, k_f, 16, 8)."""
+    return SimpleNamespace(cue=np.zeros((1, k_f, 16, 8)))
+
+
+@pytest.mark.parametrize("call,error,message", [
+    pytest.param(lambda: reparameterize(np.zeros(2), np.zeros(3), gc.rng(0)), gc.ShapeError,
+                 "reparameterize: incompatible shapes (2,) vs (3,)", id="reparameterize"),
+    pytest.param(lambda: vae_decode(np.zeros((1, 2, 15, 8)), {}, VaeConfig()), gc.ShapeError,
+                 "vae_decode: incompatible shapes (1, 2, 15, 8) vs (16, 8)", id="vae_decode"),
+    pytest.param(lambda: velocity_forward(np.zeros((1, 2, 15, 8)), 0.5, _cue(2), {},
+                                          FlowConfig()), gc.ShapeError,
+                 "velocity_forward: incompatible shapes (1, 2, 15, 8) vs (16, 8)",
+                 id="velocity_forward-tokens"),
+    pytest.param(lambda: velocity_forward(np.zeros((1, 2, 16, 8)), 0.5, _cue(3), {},
+                                          FlowConfig()), gc.ShapeError,
+                 "velocity_forward: incompatible shapes (1, 2, 16, 8) vs (1, 3, 16, 8)",
+                 id="velocity_forward-cue"),
+    pytest.param(lambda: velocity_forward(np.zeros((1, 2, 16, 8)), np.zeros(3), _cue(2), {},
+                                          FlowConfig()), gc.ShapeError,
+                 "velocity_forward: incompatible shapes (3,) vs (1,)", id="velocity_forward-t"),
+    pytest.param(lambda: pool_visibility(np.ones((1, 8, 32, 32)), VaeConfig(), reduce="sum"),
+                 ValueError, "unknown reduce 'sum'", id="pool_visibility-reduce"),
+])
+def test_refusals_name_their_cause(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message

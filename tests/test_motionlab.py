@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from trajkit import motionlab
+from trajkit import motionlab, scenes
 from trajkit.motionlab import CameraStats, MotionSpec, caption, estimate_camera, generate, toy_1d_pair
 from trajkit.rules import FieldError
 from trajkit.trajfield import SparseTracks
@@ -265,6 +265,15 @@ class TestCaption:
         large = CameraStats((4.0, 0.0), 0.001, 0.0, 0.4)
         assert caption(small, 120, 208) == caption(large, 480, 832)
 
+    @pytest.mark.parametrize("vy,phrase", [(0.15, "camera tilts down, slow"),
+                                           (0.75, "camera tilts down, fast"),
+                                           (-0.75, "camera tilts up, fast")])
+    def test_vertical_pan_reads_as_a_tilt(self, vy, phrase):
+        # 0.15 px/frame is demo 05's slow tilt
+        tracks = generate(MotionSpec("translation", frames=10, height=64, width=64,
+                                     stride=8, velocity=(0.0, vy)))
+        assert caption(estimate_camera(tracks), 64, 64) == phrase
+
     def test_end_to_end_from_generator(self):
         tracks = generate(MotionSpec("translation", frames=8, height=64, width=64,
                                      stride=8, velocity=(3.0, 0.0)))
@@ -306,3 +315,17 @@ def test_masked_median_has_the_bytes_of_np_median():
         want = np.array([np.median(row[m]) for row, m in zip(x, mask)])
     assert got.tobytes() == want.tobytes()
     assert not np.signbit(got[:5]).any() and got[5] == 1e308
+
+
+@pytest.mark.parametrize("call,message", [
+    pytest.param(lambda: MotionSpec("static", frames=4, occlusions=[(0, 2, 0, 0, 40, 8)]),
+                 "occlusion rectangle (0, 2, 0, 0, 40, 8) outside frame", id="occlusion"),
+    pytest.param(lambda: estimate_camera(generate(MotionSpec("static", frames=1))),
+                 "need at least 2 frames", id="estimate_camera-one-frame"),
+    pytest.param(lambda: scenes.scene_specs("bogus", 1, 0, scenes.SceneGeometry()),
+                 f"unknown kind mix 'bogus'; choose from {scenes.KIND_MIXES}", id="kind-mix"),
+])
+def test_refusals_name_their_cause(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError and str(info.value) == message

@@ -189,3 +189,15 @@ def test_masks_stay_binary_through_pipeline():
     tracks = _random_tracks(seed=5)
     off = rasterize(tracks)
     assert set(np.unique(off.mask)) <= {0, 1}
+
+
+@pytest.mark.parametrize("call,message", [
+    pytest.param(lambda: trajfield.check_grid(np.zeros((2, 16, 2)), np.ones((2, 15)), 32, 32, 8),
+                 "visibility shape (2, 15) != (2, 16)", id="check_grid-visibility"),
+    pytest.param(lambda: trajfield.OffsetField(np.zeros((2, 4, 4, 2)), np.ones((2, 4, 5)), 4),
+                 "field arrays inconsistent: (2, 4, 4, 2) vs (2, 4, 5)", id="offset-field"),
+])
+def test_refusals_name_their_cause(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError and str(info.value) == message
