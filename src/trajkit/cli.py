@@ -17,15 +17,14 @@ import json
 import os
 import re
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import flowgen, gradcore as gc, lossbank as lb, metrics, motionlab, plotting, scenes, tlf
 from .config import ConfigError, RunConfig
-from .models import (FlowConfig, VaeConfig, init_vae_params, init_velocity_params,
-                     init_visibility_params, latent_steps, pool_visibility)
+from .models import FlowConfig, VaeConfig, latent_steps, pool_visibility
 from .motionlab import MotionSpec
 from .tlf import TlfError
 from .trajfield import rasterize
@@ -48,21 +47,12 @@ def _write_manifest(out_dir: Path, args, argv: list, cfg: RunConfig | None,
         "command": args.command,
         "argv": argv,
         "seed": getattr(args, "seed", cfg.seed if cfg else None),
-        "config_sha256": cfg.sha256() if cfg else _args_hash(
-            {k: v for k, v in vars(args).items() if k not in ("out", "func")}),
+        "config_sha256": cfg.sha256() if cfg else hashlib.sha256(json.dumps(
+            {k: v for k, v in vars(args).items() if k not in ("out", "func")},
+            sort_keys=True, default=str).encode()).hexdigest(),
         "outputs": sorted(os.path.relpath(out_dir / name, out_dir) for name in outputs),
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
-
-
-def _args_hash(args: dict) -> str:
-    return hashlib.sha256(json.dumps(args, sort_keys=True, default=str).encode()).hexdigest()
-
-
-def _out_dir(arg: str | None, cfg: RunConfig | None) -> Path:
-    path = Path(arg or (cfg or RunConfig.default()).out_dir())
-    path.mkdir(parents=True, exist_ok=True)
-    return path
 
 
 def _load_config(path: str | None, preset: str | None) -> RunConfig:
@@ -134,55 +124,10 @@ def cmd_train_vae(args, cfg, out_dir) -> list:
     dataset = _pairs(cfg).windows()
     train_cfg = cfg.vae_train_config()
     params, curve = flowgen.train_vae(dataset, train_cfg, seed=cfg.seed)
-    blocks = {f"vae/{k}": v for k, v in params.items()}
-    meta = {"vae_cfg": asdict(train_cfg.vae), "seed": cfg.seed}
-    tlf.save_checkpoint(out_dir / "vae.ckpt", blocks, meta)
+    tlf.save_vae(out_dir / "vae.ckpt", params, train_cfg.vae, cfg.seed)
     (out_dir / "vae_loss.csv").write_text(plotting.curve_csv(curve))
     print(f"final loss {curve[-1]['total']!r} (initial {curve[0]['total']!r})")
     return ["vae.ckpt", "vae_loss.csv"]
-
-
-def _check_blocks(path, prefix: str, params: dict, want: dict) -> None:
-    """Raise TlfError unless `params` holds exactly the blocks of `want`, each
-    of its shape; the message names the first block that is missing, extra or
-    misshapen."""
-    for name in sorted(want.keys() | params.keys()):
-        if name not in params:
-            raise TlfError(f"{path}: missing block {prefix}/{name}")
-        if name not in want:
-            raise TlfError(f"{path}: unexpected block {prefix}/{name}")
-        if params[name].shape != want[name].shape:
-            raise TlfError(f"{path}: block {prefix}/{name} has shape {params[name].shape}, "
-                           f"expected {want[name].shape}")
-
-
-def _blocks(blocks: dict, part: str) -> dict:
-    """The `<part>/` blocks of a checkpoint, keyed without the prefix."""
-    return {k[len(part) + 1:]: v for k, v in blocks.items() if k.startswith(f"{part}/")}
-
-
-def _read_part(path, blocks: dict, meta: dict, part: str, cls, init):
-    """(params, config) of a checkpoint part: its `<part>_cfg` metadata as `cls`,
-    which must hold every field (a default would silently describe another model)
-    and no other, and its `<part>/` blocks, exactly those that `init(config, rng)` makes."""
-    key = f"{part}_cfg"
-    value, names = meta.get(key), {f.name for f in fields(cls)}
-    if not isinstance(value, dict) or set(value) != names:
-        got = set(value) if isinstance(value, dict) else set()
-        raise TlfError(f"{path}: {key} metadata does not match {cls.__name__}: "
-                       f"missing {sorted(names - got)}, unknown {sorted(got - names)}")
-    try:
-        cfg = cls(**value)
-    except ValueError as exc:
-        raise TlfError(f"{path}: bad {key} metadata: {exc}") from exc
-    params = _blocks(blocks, part)
-    _check_blocks(path, part, params, init(cfg, gc.rng(0)))
-    return params, cfg
-
-
-def _load_vae(path):
-    """The VAE of a VAE checkpoint or of a bundle."""
-    return _read_part(path, *tlf.load_checkpoint(path), "vae", VaeConfig, init_vae_params)
 
 
 def _check_fits(path, checks) -> None:
@@ -212,76 +157,39 @@ def _config_checks(cfg: RunConfig, vae_cfg: VaeConfig, flow_cfg: FlowConfig | No
     return checks
 
 
-def save_bundle(path, bundle: flowgen.FlowBundle, seed) -> None:
-    blocks = {f"vae/{k}": v for k, v in bundle.vae_params.items()}
-    blocks.update({f"flow/{k}": v for k, v in bundle.flow_params.items()})
-    if bundle.vis_params:
-        blocks.update({f"vis/{k}": v for k, v in bundle.vis_params.items()})
-    blocks["stats/mean"] = bundle.stats.mean
-    blocks["stats/std"] = bundle.stats.std
-    meta = {"vae_cfg": asdict(bundle.vae_cfg), "flow_cfg": asdict(bundle.flow_cfg), "seed": seed}
-    tlf.save_checkpoint(path, blocks, meta)
-
-
-def load_bundle(path) -> flowgen.FlowBundle:
-    blocks, meta = tlf.load_checkpoint(path)
-    for name in blocks:
-        if name.partition("/")[0] not in ("vae", "flow", "vis", "stats"):
-            raise TlfError(f"{path}: unknown block {name!r}")
-    vae_params, vae_cfg = _read_part(path, blocks, meta, "vae", VaeConfig, init_vae_params)
-    flow_params, flow_cfg = _read_part(path, blocks, meta, "flow", FlowConfig,
-                                       init_velocity_params)
-    for name in ("latent_channels", "n_tokens"):
-        if getattr(flow_cfg, name) != getattr(vae_cfg, name):
-            raise TlfError(f"{path}: flow_cfg.{name} {getattr(flow_cfg, name)} differs from "
-                           f"vae_cfg.{name} {getattr(vae_cfg, name)}")
-    vis_params, stats = _blocks(blocks, "vis"), _blocks(blocks, "stats")
-    if vis_params:  # the visibility head is optional
-        _check_blocks(path, "vis", vis_params, init_visibility_params(flow_cfg, gc.rng(0)))
-    channels = np.zeros(vae_cfg.latent_channels)
-    _check_blocks(path, "stats", stats, {"mean": channels, "std": channels})
-    try:
-        stats = flowgen.LatentStats(stats["mean"], stats["std"])
-    except ValueError as exc:
-        raise TlfError(f"{path}: {exc}") from exc
-    return flowgen.FlowBundle(vae_cfg, flow_cfg, vae_params, flow_params, stats,
-                              vis_params or None)
-
-
 def cmd_train_flow(args, cfg, out_dir) -> list:
-    vae_params, vae_cfg = _load_vae(args.vae)
+    vae_params, vae_cfg = tlf.load_vae(args.vae)
     _check_fits(args.vae, _config_checks(cfg, vae_cfg))
     pairs = _pairs(cfg)
     train_cfg = cfg.flow_train_config()
-    bundle, curve = flowgen.train_flow(pairs, vae_params, vae_cfg, train_cfg,
-                                       seed=cfg.seed)
+    bundle, curve = flowgen.train_flow(pairs, vae_params, vae_cfg, train_cfg, seed=cfg.seed)
     z_f = flowgen.encode_mean(vae_params, vae_cfg, pairs.future)
     targets = pool_visibility(pairs.future_masks, vae_cfg)
     vis_params, _ = flowgen.train_visibility_head(z_f, targets, train_cfg.flow,
                                                   train_cfg.vis_steps, train_cfg.vis_lr,
                                                   seed=cfg.seed)
     bundle = replace(bundle, vis_params=vis_params)
-    save_bundle(out_dir / "flow.ckpt", bundle, cfg.seed)
+    tlf.save_bundle(out_dir / "flow.ckpt", bundle, cfg.seed)
     (out_dir / "flow_loss.csv").write_text(plotting.curve_csv(curve))
     print(f"final fm loss {curve[-1]['fm']!r} (initial {curve[0]['fm']!r})")
     return ["flow.ckpt", "flow_loss.csv"]
 
 
 def cmd_finetune(args, cfg, out_dir) -> list:
-    bundle = load_bundle(args.ckpt)
+    bundle = tlf.load_bundle(args.ckpt)
     _check_fits(args.ckpt, _config_checks(cfg, bundle.vae_cfg, bundle.flow_cfg))
     pairs = _pairs(cfg)
     flow_cfg = cfg.flow_train_config()
     tuned, curve = flowgen.finetune_onpolicy(bundle, pairs, flow_cfg,
                                              cfg.finetune_config(), seed=cfg.seed)
-    save_bundle(out_dir / "finetuned.ckpt", tuned, cfg.seed)
+    tlf.save_bundle(out_dir / "finetuned.ckpt", tuned, cfg.seed)
     (out_dir / "finetune_loss.csv").write_text(plotting.curve_csv(curve))
     print(f"final loss {curve[-1]['total']!r}")
     return ["finetuned.ckpt", "finetune_loss.csv"]
 
 
 def cmd_sample(args, cfg, out_dir) -> list:
-    bundle = load_bundle(args.ckpt)
+    bundle = tlf.load_bundle(args.ckpt)
     record = tlf.read_tlf(args.history)
     vae_cfg, r = bundle.vae_cfg, bundle.vae_cfg.temporal_ratio
     _check_fits(args.ckpt, [
@@ -535,7 +443,8 @@ def dispatch(argv) -> int:
     try:
         cfg = (_load_config(args.config, getattr(args, "preset", None))
                if hasattr(args, "config") else None)
-        out_dir = _out_dir(args.out, cfg)
+        out_dir = Path(args.out or (cfg or RunConfig.default()).out_dir())
+        out_dir.mkdir(parents=True, exist_ok=True)
         with np.errstate(all="ignore"):  # each non-finite result meets a check that exits 4
             _write_manifest(out_dir, args, argv, cfg, args.func(args, cfg, out_dir))
         return EXIT_OK

@@ -339,7 +339,7 @@ class FlowBundle:
     A bundle is a value: change it with `dataclasses.replace`, which builds a
     new bundle, and never edit its parameter dicts or arrays in place, since
     the float32 Tensors sample_future samples with are built from them once
-    per bundle.
+    per bundle: without a copy from a loaded bundle's read-only float32 arrays.
     """
 
     vae_cfg: VaeConfig
@@ -498,7 +498,7 @@ def finetune_onpolicy(bundle: FlowBundle, dataset: PairDataset, flow_cfg: FlowTr
     """
     check_sub_batch(cfg, flow_cfg)
     rng = gc.rng(seed)
-    flow_params = {k: v.copy() for k, v in bundle.flow_params.items()}
+    flow_params = {k: np.array(v, np.float64) for k, v in bundle.flow_params.items()}
     flow_cfg = replace(flow_cfg, flow=bundle.flow_cfg)  # trained as the bundle samples
     z_p, z_f, _, vis_tok, weights = _flow_inputs(dataset, bundle.vae_params, bundle.vae_cfg,
                                                  flow_cfg, bundle.stats)
@@ -565,10 +565,10 @@ def sample_future(history: OffsetField, bundle: FlowBundle, sampler: dict | None
     one single-instance entry, run as a batch of one.  The condition is
     encoded once and shared by every velocity evaluation of the solve.
 
-    Every forward runs in float32, the precision a checkpoint stores: the
-    bundle's parameters are narrowed on its first call and kept on it, the
-    history's offsets once per call.  So a bundle is a value: change it with
-    `dataclasses.replace`, not by editing its parameter dicts or arrays.
+    Every forward runs in float32, the precision a checkpoint stores: a
+    trained bundle's parameters are narrowed on its first call and kept on
+    it, the history's offsets once per call.  So a bundle is a value: change
+    it with `dataclasses.replace`, not by editing its parameter dicts or arrays.
 
     The history's frames must give the flow's history_steps latent steps.
     `future_frames` (default: the history's length) must be in

@@ -9,19 +9,26 @@ frame.  `read_tlf` refuses a file whose H_c, W_c are not H/s, W/s or whose
 coordinates are not all finite, hidden points included; `write_tlf` refuses
 to write such coordinates.
 
-Checkpoints store named float32 parameter blocks plus a JSON metadata tail
-that ends the file; `load_checkpoint` refuses a block with a non-finite
-value, a block name given twice, and a tail nested too deep to parse.
-Conversions run in float64 and round once to the float32 payload.
+Checkpoints (TRJP) store named float32 parameter blocks plus a JSON
+metadata tail that ends the file; `load_checkpoint` returns each block as
+the read-only float32 array the file holds, and refuses a non-finite value,
+a block name given twice, and a tail nested too deep to parse.  This module
+also lays out the checkpoint parts (`save_vae`, `load_vae`, `save_bundle`,
+`load_bundle`).  Track conversions run in float64 and round once to float32.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+from dataclasses import asdict, fields
 
 import numpy as np
 
+from . import gradcore as gc
+from .flowgen import FlowBundle, LatentStats
+from .models import (FlowConfig, VaeConfig, init_vae_params, init_velocity_params,
+                     init_visibility_params)
 from .trajfield import (
     OffsetField,
     SparseTracks,
@@ -239,7 +246,7 @@ def save_checkpoint(path, blocks: dict, meta: dict | None = None) -> None:
 
 
 def load_checkpoint(path):
-    """Returns (blocks, meta) with float64 arrays."""
+    """Returns (blocks, meta); each block is a read-only float32 view of the file's bytes."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 12 or raw[:4] != CKPT_MAGIC:
@@ -262,9 +269,8 @@ def load_checkpoint(path):
             shape = struct.unpack_from(f"<{ndim}I", raw, pos) if ndim else ()
             pos += 4 * ndim
             size = int(np.prod(shape)) if shape else 1
-            arr = np.frombuffer(raw, dtype="<f4", count=size, offset=pos).reshape(shape)
+            blocks[name] = np.frombuffer(raw, dtype="<f4", count=size, offset=pos).reshape(shape)
             pos += size * 4
-            blocks[name] = arr.astype(np.float64)
         (meta_len,) = struct.unpack_from("<I", raw, pos)
         pos += 4
         if pos + meta_len != len(raw):
@@ -282,3 +288,85 @@ def load_checkpoint(path):
         if not np.isfinite(arr).all():
             raise TlfError(f"{path}: block {name} has a non-finite value")
     return blocks, meta
+
+
+# -- checkpoint parts: `vae/` (a VAE checkpoint), plus `flow/`, `vis/` and `stats/` (a bundle)
+
+
+def _named(**parts) -> dict:
+    """The blocks of `parts` (part -> {name: array} or None), named `<part>/<name>`."""
+    return {f"{part}/{name}": v for part, params in parts.items()
+            for name, v in (params or {}).items()}
+
+
+def _blocks(blocks: dict, part: str) -> dict:
+    """The `<part>/` blocks of a checkpoint, keyed without the prefix."""
+    return {k[len(part) + 1:]: v for k, v in blocks.items() if k.startswith(f"{part}/")}
+
+
+def _check_blocks(path, blocks: dict, want: dict) -> None:
+    """Raise TlfError unless `blocks` are exactly the blocks of `want`, each of
+    its shape, naming the first block that is missing, unexpected or misshapen."""
+    for name in sorted(want.keys() | blocks.keys()):
+        if name not in want or name not in blocks:
+            raise TlfError(f"{path}: {'unexpected' if name in blocks else 'missing'} block {name}")
+        if blocks[name].shape != want[name].shape:
+            raise TlfError(f"{path}: block {name} has shape {blocks[name].shape}, "
+                           f"expected {want[name].shape}")
+
+
+def _read_cfg(path, meta: dict, part: str, cls):
+    """The `<part>_cfg` metadata as `cls`, which must hold every field (a
+    default would silently describe another model) and no other."""
+    key = f"{part}_cfg"
+    value, names = meta.get(key), {f.name for f in fields(cls)}
+    if not isinstance(value, dict) or set(value) != names:
+        got = set(value) if isinstance(value, dict) else set()
+        raise TlfError(f"{path}: {key} metadata does not match {cls.__name__}: "
+                       f"missing {sorted(names - got)}, unknown {sorted(got - names)}")
+    try:
+        return cls(**value)
+    except ValueError as exc:
+        raise TlfError(f"{path}: bad {key} metadata: {exc}") from exc
+
+
+def save_vae(path, params: dict, cfg: VaeConfig, seed) -> None:
+    save_checkpoint(path, _named(vae=params), {"vae_cfg": asdict(cfg), "seed": seed})
+
+
+def load_vae(path):
+    """(params, VaeConfig) of a VAE checkpoint or of a bundle's VAE."""
+    blocks, meta = load_checkpoint(path)
+    cfg, params = _read_cfg(path, meta, "vae", VaeConfig), _blocks(blocks, "vae")
+    _check_blocks(path, _named(vae=params), _named(vae=init_vae_params(cfg, gc.rng(0))))
+    return params, cfg
+
+
+def save_bundle(path, bundle: FlowBundle, seed) -> None:
+    blocks = _named(vae=bundle.vae_params, flow=bundle.flow_params, vis=bundle.vis_params,
+                    stats={"mean": bundle.stats.mean, "std": bundle.stats.std})
+    save_checkpoint(path, blocks, {"vae_cfg": asdict(bundle.vae_cfg),
+                                   "flow_cfg": asdict(bundle.flow_cfg), "seed": seed})
+
+
+def load_bundle(path) -> FlowBundle:
+    """The bundle of a checkpoint, holding the file's read-only float32 blocks."""
+    blocks, meta = load_checkpoint(path)
+    vae_cfg = _read_cfg(path, meta, "vae", VaeConfig)
+    flow_cfg = _read_cfg(path, meta, "flow", FlowConfig)
+    for name in ("latent_channels", "n_tokens"):
+        if getattr(flow_cfg, name) != getattr(vae_cfg, name):
+            raise TlfError(f"{path}: flow_cfg.{name} {getattr(flow_cfg, name)} differs from "
+                           f"vae_cfg.{name} {getattr(vae_cfg, name)}")
+    vis = _blocks(blocks, "vis")  # the visibility head is optional
+    channels = np.zeros(vae_cfg.latent_channels)
+    _check_blocks(path, blocks, _named(
+        vae=init_vae_params(vae_cfg, gc.rng(0)), flow=init_velocity_params(flow_cfg, gc.rng(0)),
+        vis=init_visibility_params(flow_cfg, gc.rng(0)) if vis else None,
+        stats={"mean": channels, "std": channels}))
+    try:
+        stats = LatentStats(blocks["stats/mean"], blocks["stats/std"])
+    except ValueError as exc:
+        raise TlfError(f"{path}: {exc}") from exc
+    return FlowBundle(vae_cfg, flow_cfg, _blocks(blocks, "vae"), _blocks(blocks, "flow"), stats,
+                      vis or None)

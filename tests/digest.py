@@ -19,9 +19,14 @@ alters floats names the parts that moved.  The parts:
   stats and the `analyze-variance` values and exit codes of four fixed
   `synth` scenes: a fully visible rotation, a zoom that leaves the frame
   (partly hidden), and a static scene and a pure pan, whose camera residuals
-  are exact zeros.
+  are exact zeros;
+- `cli_checkpoints`: the exit codes and the bytes of `vae.ckpt`,
+  `flow.ckpt`, `finetuned.ckpt` and an Euler and a dopri5 `future.tlf`
+  from `train-vae`, `train-flow --vae`, `finetune --ckpt` and `sample`,
+  each through `cli.dispatch`, on tests/test_cli_pipeline.py's
+  `TINY_CONFIG` with every `steps` and `vis_steps` at 3.
 
-It takes about 1.5 s on a 2-CPU desk.
+It takes about 1.7 s on a 2-CPU desk.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -39,6 +45,7 @@ sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import workloads as wl  # noqa: E402
 from criteria import eval_fm_loss  # noqa: E402
+from test_cli_pipeline import TINY_CONFIG  # noqa: E402
 from trajkit import cli, flowgen, gradcore as gc, lossbank as lb, scenes  # noqa: E402
 from trajkit.models import init_vae_params  # noqa: E402
 from trajkit.trajfield import OffsetField  # noqa: E402
@@ -110,6 +117,26 @@ def _analyze(tmp: Path) -> list:
     return out
 
 
+def _checkpoints(tmp: Path) -> list:
+    """The exit code of each command of the checkpoint chain, then the bytes
+    of the checkpoints and futures it writes."""
+    body = re.sub(r"^(steps|vis_steps) = \d+", r"\1 = 3", TINY_CONFIG, flags=re.M)
+    cfg, dopri5, hist = tmp / "tiny.cfg", tmp / "dopri5.cfg", tmp / "hist.tlf"
+    cfg.write_text(body)
+    dopri5.write_text(body + "\n[sampler]\nmethod = dopri5\n")
+    sample = ["sample", "--ckpt", tmp / "ft" / "finetuned.ckpt", "--history", hist,
+              "--seed", "3", "--config"]
+    codes = [cli.dispatch([str(a) for a in argv]) for argv in (
+        ["train-vae", "--config", cfg, "--out", tmp / "vae"],
+        ["train-flow", "--config", cfg, "--vae", tmp / "vae" / "vae.ckpt", "--out", tmp / "flow"],
+        ["finetune", "--config", cfg, "--ckpt", tmp / "flow" / "flow.ckpt", "--out", tmp / "ft"],
+        ["synth", hist, "--kind", "translation", "--vx", "0.5", "--frames", "8", "--out", tmp],
+        [*sample, cfg, "--out", tmp / "euler"], [*sample, dopri5, "--out", tmp / "dopri5"])]
+    files = ("vae/vae.ckpt", "flow/flow.ckpt", "ft/finetuned.ckpt", "euler/future.tlf",
+             "dopri5/future.tlf")
+    return [codes, *((tmp / f).read_bytes().hex() for f in files)]
+
+
 def parts() -> dict:
     """Part name -> the first 16 hex digits of its sha256."""
     out = {}
@@ -152,6 +179,9 @@ def parts() -> dict:
     with (tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()),
           contextlib.redirect_stderr(io.StringIO())):
         out["analyze"] = _sha(_analyze(Path(tmp)))
+    with (tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()),
+          contextlib.redirect_stderr(io.StringIO())):
+        out["cli_checkpoints"] = _sha(_checkpoints(Path(tmp)))
     return out
 
 

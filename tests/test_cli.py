@@ -6,7 +6,7 @@ import struct
 import subprocess
 import sys
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -18,11 +18,13 @@ from hypothesis import strategies as st
 import reference_ops
 import trajkit
 from trajkit import cli, flowgen, gradcore as gc, plotting, tlf
-from trajkit.cli import dispatch, load_bundle, save_bundle
+from trajkit.cli import dispatch
 from trajkit.config import DEFAULTS, ConfigError, RunConfig
-from trajkit.models import FlowConfig, VaeConfig, init_vae_params, init_velocity_params
+from trajkit.models import (FlowConfig, VaeConfig, init_vae_params, init_velocity_params,
+                            init_visibility_params)
 from trajkit.motionlab import MotionSpec, generate
-from trajkit.trajfield import cell_centers, rasterize, to_absolute
+from trajkit.tlf import load_bundle, save_bundle
+from trajkit.trajfield import OffsetField, cell_centers, rasterize, to_absolute
 
 
 def run(*argv):
@@ -1160,6 +1162,57 @@ class TestBundleIO:
         assert loaded.flow_cfg == bundle.flow_cfg
         for k, v in bundle.flow_params.items():
             assert np.allclose(loaded.flow_params[k], v.astype(np.float32), atol=1e-7)
+
+    @staticmethod
+    def _saved(tmp_path, tiny_bundle):
+        """tiny_bundle with a visibility head, and the path it is saved to."""
+        bundle = tiny_bundle[0]
+        bundle = replace(bundle, vis_params=init_visibility_params(bundle.flow_cfg, gc.rng(4)))
+        path = tmp_path / "bundle.ckpt"
+        save_bundle(path, bundle, seed=3)
+        return bundle, path
+
+    def test_loaded_blocks_are_the_files_read_only_float32(self, tmp_path, tiny_bundle):
+        _, path = self._saved(tmp_path, tiny_bundle)
+        loaded = load_bundle(path)
+        vae_params, _ = tlf.load_vae(path)
+        for params in (loaded.vae_params, loaded.flow_params, loaded.vis_params, vae_params):
+            for name, v in params.items():
+                assert v.dtype == np.float32, name
+                with pytest.raises(ValueError, match="read-only"):
+                    v[...] = 0
+
+    @pytest.mark.parametrize("sampler", [{"method": "euler", "steps": 10}, {"method": "dopri5"}],
+                             ids=["euler10", "dopri5"])
+    def test_a_loaded_bundle_samples_the_bytes_of_the_saved_one(self, tmp_path, tiny_bundle,
+                                                                sampler):
+        bundle, path = self._saved(tmp_path, tiny_bundle)
+        pairs = tiny_bundle[1]
+        history = OffsetField(pairs.past[0], pairs.past_masks[0], stride=8)
+        got, want = (flowgen.sample_future(history, b, sampler, seed=13)
+                     for b in (load_bundle(path), bundle))
+        assert got[0].offsets.tobytes() == want[0].offsets.tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+    def test_finetune_of_a_loaded_bundle_equals_it_widened_by_hand(self, tmp_path, tiny_bundle):
+        _, path = self._saved(tmp_path, tiny_bundle)
+        _, pairs, fcfg = tiny_bundle
+        loaded = load_bundle(path)
+        wide = replace(loaded, **{name: {k: v.astype(np.float64)
+                                         for k, v in getattr(loaded, name).items()}
+                                  for name in ("vae_params", "flow_params", "vis_params")})
+        ft_cfg = flowgen.FinetuneConfig(steps=2, k_steps=2, sub_batch=2)
+        got, want = (flowgen.finetune_onpolicy(b, pairs, fcfg, ft_cfg, seed=3)[0].flow_params
+                     for b in (loaded, wide))
+        assert got.keys() == want.keys()
+        for k in got:
+            assert np.asarray(got[k]).dtype == np.float64, k
+            assert np.asarray(got[k]).tobytes() == np.asarray(want[k]).tobytes(), k
+
+    def test_saving_a_loaded_bundle_rewrites_its_file(self, tmp_path, tiny_bundle):
+        _, path = self._saved(tmp_path, tiny_bundle)
+        save_bundle(tmp_path / "again.ckpt", load_bundle(path), seed=3)
+        assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
 
 
 class TestSampleFrames:

@@ -351,7 +351,8 @@ def test_grad_check_negative_control_detects_wrong_adjoint():
 
 def test_grad_check_nonfinite_probe_raises():
     # exp overflows above log(max float) = 709.78271289...; the upper probe crosses it
-    with pytest.raises(gc.GradCheckError):
+    with (pytest.warns(RuntimeWarning, match="overflow encountered in exp"),
+          pytest.raises(gc.GradCheckError)):
         gc.grad_check(lambda x: gc.tsum(gc.exp(x)), [np.array([709.78271])])
 
 
