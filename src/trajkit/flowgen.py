@@ -20,6 +20,7 @@ from . import lossbank as lb
 from .gradcore import Rng
 from .gradcore.tensor import _floats
 from .models import (
+    SEGMENT,
     FlowConfig,
     VaeConfig,
     _with_batch,
@@ -423,10 +424,23 @@ def train_vae(dataset: SegmentDataset, cfg: VaeTrainConfig, seed: int = 0,
                     1.0, (cfg.steps - step) / (VAE_LR_DECAY_SHARE * cfg.steps)))
 
 
+ENCODE_CHUNK = 8  # windows per vae_encode call in encode_mean: the default training batch
+
+
 def encode_mean(params: dict, cfg: VaeConfig, segments: np.ndarray) -> np.ndarray:
+    """The posterior means (B, K, N, C) of offset segments (B, T, H, W, 2).
+
+    The segments are encoded ENCODE_CHUNK windows at a time, so the encoder's
+    activations hold one chunk however many windows a dataset has.  Every
+    encoder op stays inside one window (token mixing within the window,
+    elementwise GELU, row-by-row products), so the means are byte-equal to
+    those of one vae_encode call over all B windows.
+    """
     wrapped = wrap_params(params, requires_grad=False)
-    mu, _ = vae_encode(segments, wrapped, cfg)
-    return mu.data
+    segments = _with_batch("vae_encode", segments, SEGMENT)
+    means = [vae_encode(segments[i:i + ENCODE_CHUNK], wrapped, cfg)[0].data
+             for i in range(0, max(len(segments), 1), ENCODE_CHUNK)]
+    return np.concatenate(means)
 
 
 # -- flow training --------------------------------------------------------------

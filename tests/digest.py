@@ -11,6 +11,9 @@ alters floats names the parts that moved.  The parts:
   6 `finetune_onpolicy` steps on the benchmark's builders
   (perfbench/workloads.py), then `eval_fm_loss` (tests/criteria.py) of the
   fine-tuned bundle;
+- `encode_mean`: the means of 19 future windows from the benchmark's
+  initialised VAE, two full chunks of `flowgen.ENCODE_CHUNK` and a partial
+  one;
 - Euler-10 and dopri5 `sample_future` of one history;
 - the value and gradient bytes of `kl_loss`, and of `recon_loss`,
   `temporal_loss` and `spatial_loss` at a bool, a uint8 and a float 0/1 mask;
@@ -146,6 +149,7 @@ def parts() -> dict:
 
     pairs = scenes.pair_dataset("translation", 24, wl.derive(0, 0), wl.GEOM)
     flow_vae = init_vae_params(wl.VAE_CFG, gc.rng(wl.derive(0, 1)))
+    out["encode_mean"] = _sha(flowgen.encode_mean(flow_vae, wl.VAE_CFG, pairs.future[:19]))
     cfg = wl.flow_train_cfg(20)
     bundle, curve = flowgen.train_flow(pairs, flow_vae, wl.VAE_CFG, cfg, seed=wl.derive(0, 2))
     out["train_flow"] = _sha(bundle.flow_params, bundle.stats.mean, bundle.stats.std, curve)

@@ -14,7 +14,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def test_two_calls_in_one_process_agree():
     first = digest.parts()
-    assert len(first) == 19 and all(len(d) == 16 for d in first.values())
+    assert len(first) == 20 and all(len(d) == 16 for d in first.values())
     assert digest.parts() == first
 
 
@@ -28,4 +28,4 @@ def test_one_and_two_blas_threads_agree():
                                capture_output=True, text=True, timeout=300)
                 for threads in ("1", "2"))
     assert one.returncode == 0 and two.returncode == 0, one.stderr + two.stderr
-    assert len(one.stdout.splitlines()) == 20 and one.stdout == two.stdout
+    assert len(one.stdout.splitlines()) == 21 and one.stdout == two.stdout

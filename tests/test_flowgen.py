@@ -12,7 +12,8 @@ import pytest
 from conftest import desk_flow_config, make_pair_dataset, make_segment_dataset
 from criteria import eval_fm_loss
 from reference_ops import matmul
-from trajkit import flowgen, gradcore as gc, lossbank as lb, models, motionlab, scenes, trajfield
+from trajkit import (flowgen, gradcore as gc, lossbank as lb, models, motionlab, scenes, tlf,
+                     trajfield)
 from trajkit.flowgen import (
     LatentStats,
     boundary_init,
@@ -720,6 +721,57 @@ def test_flow_step_tape_memory_is_pinned(desk_vae_cfg, monkeypatch, loop):
     live = _live_tape_bytes(loop, desk_vae_cfg, monkeypatch)
     assert live <= FLOW_TAPE_BYTES[loop], (
         f"a {loop} step's tape holds {live} bytes, pinned at {FLOW_TAPE_BYTES[loop]}")
+
+
+def _encode_peak_bytes(params, cfg, segments) -> int:
+    """tracemalloc's peak over one encode_mean call, the segments already live."""
+    gc_module.collect()
+    tracemalloc.start()
+    try:
+        flowgen.encode_mean(params, cfg, segments)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_encode_mean_memory_is_one_chunk_whatever_the_dataset_size(desk_vae_cfg):
+    """The dataset encode holds one ENCODE_CHUNK of encoder activations: its
+    peak over 64 windows is within 1.5 times its peak over 8 (about 8 times
+    while one vae_encode call took every window)."""
+    cfg = desk_vae_cfg
+    params = models.init_vae_params(cfg, gc.rng(0))
+    segments = np.random.default_rng(3).normal(size=(64, cfg.frames, cfg.height, cfg.width, 2))
+    small, large = (_encode_peak_bytes(params, cfg, segments[:n]) for n in (8, 64))
+    assert large <= 1.5 * small, (
+        f"encode_mean peaks at {large} bytes over 64 windows and {small} over 8")
+
+
+@pytest.fixture(scope="module")
+def encode_cases(tiny_bundle, tmp_path_factory):
+    """17 distinct windows, and tiny_bundle's VAE as float64 parameters and
+    as the read-only float32 blocks that `tlf.load_vae` returns."""
+    bundle = tiny_bundle[0]
+    path = tmp_path_factory.mktemp("encode") / "vae.ckpt"
+    tlf.save_vae(path, bundle.vae_params, bundle.vae_cfg, seed=0)
+    loaded, _ = tlf.load_vae(path)
+    assert all(v.dtype == np.float32 and not v.flags.writeable for v in loaded.values())
+    segments = make_pair_dataset("smooth", 17, seed=7).future
+    return bundle.vae_cfg, segments, {"float64": bundle.vae_params, "checkpoint": loaded}
+
+
+@pytest.mark.parametrize("precision", ["float64", "checkpoint"])
+@pytest.mark.parametrize("windows", [0, 1, 7, 8, 9, 17])
+def test_encode_mean_is_the_one_call_encode_across_chunk_boundaries(encode_cases, precision,
+                                                                    windows):
+    cfg, segments, params = encode_cases
+    params, segments = params[precision], segments[:windows]
+    mu, _ = models.vae_encode(segments, wrap_params(params, requires_grad=False), cfg)
+    got = flowgen.encode_mean(params, cfg, segments)
+    assert got.dtype == mu.data.dtype == np.float64
+    assert got.shape == mu.data.shape and got.tobytes() == mu.data.tobytes()
+    if windows == 0:
+        assert got.shape == (0, models.latent_steps(segments.shape[1], cfg.temporal_ratio),
+                             cfg.n_tokens, cfg.latent_channels)
 
 
 SAMPLERS = [pytest.param({"method": "euler", "steps": 10}, id="euler10"),
