@@ -34,6 +34,9 @@ EXIT_ERROR = 1
 EXIT_TLF = 2
 EXIT_CONFIG = 3
 EXIT_NUMERIC = 4
+# the exit code of an error, by its first matching class (TlfError and ConfigError are ValueErrors)
+EXIT_CODES = {TlfError: EXIT_TLF, ConfigError: EXIT_CONFIG, FloatingPointError: EXIT_NUMERIC,
+              ValueError: EXIT_ERROR, OSError: EXIT_ERROR}
 
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters
 
@@ -214,8 +217,7 @@ def cmd_eval(args, cfg, out_dir) -> list:
     if args.metric == "flowtv":
         value = metrics.flow_tv(positions, vis, record.stride)
     elif args.metric == "divcurle":
-        value = metrics.div_curl_energy(positions, vis, record.stride,
-                                        single_spacing=args.single_spacing)
+        value = metrics.div_curl_energy(positions, vis, record.stride)
     else:  # vepe
         if not args.ref:
             raise ValueError("vepe needs --ref GT.tlf")
@@ -389,8 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", required=True, choices=["flowtv", "divcurle", "vepe"])
     p.add_argument("--ref", default=None)
     p.add_argument("--method", default="ours")
-    p.add_argument("--single-spacing", action="store_true",
-                   help="divide the finite differences by the grid spacing once, not twice")
     add_common(p)
     p.set_defaults(func=cmd_eval)
 
@@ -448,18 +448,9 @@ def dispatch(argv) -> int:
         with np.errstate(all="ignore"):  # each non-finite result meets a check that exits 4
             _write_manifest(out_dir, args, argv, cfg, args.func(args, cfg, out_dir))
         return EXIT_OK
-    except TlfError as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TLF
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FloatingPointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
 
 
 def main() -> None:

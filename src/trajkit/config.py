@@ -17,9 +17,9 @@ from pathlib import Path
 
 from . import flowgen
 from . import lossbank as lb
-from .flowgen import FinetuneConfig, FlowTrainConfig, VaeTrainConfig
+from .flowgen import FinetuneConfig, FlowTrainConfig, SamplerConfig, VaeTrainConfig
 from .models import FlowConfig, VaeConfig, latent_steps
-from .rules import AT_LEAST_0, AT_LEAST_1, FINITE_POSITIVE, FieldError
+from .rules import AT_LEAST_0, AT_LEAST_1, FieldError, one_of
 from .scenes import KIND_MIXES, SceneGeometry
 
 OUT_ENV_VAR = "TRAJLOOM_OUT"
@@ -37,25 +37,21 @@ OWNERS = {
     "flow": {FlowConfig: ("history_steps", "future_steps", "latent_channels", "n_tokens"),
              FlowTrainConfig: ("flow",)},
     "finetune": {FinetuneConfig: ()},
+    "sampler": {SamplerConfig: ()},
 }
 
-# keys that no module config owns, with their defaults; the sampler's are
-# the defaults of flowgen's own functions
+# keys that no module config owns, with their defaults
 FREE_KEYS = {
     "run": {"seed": 0, "out": None},  # out None: $TRAJLOOM_OUT, then ./runs
     "data": {"kind": "smooth", "scenes": 24},
-    "sampler": flowgen.SAMPLER,
 }
 
 # rules of the config alone (the library also trains 0 steps; a run prints its last loss)
 RULES = {
     ("run", "seed"): AT_LEAST_0,
-    ("data", "kind"): (f"one of {', '.join(KIND_MIXES)}", lambda v: v in KIND_MIXES),
+    ("data", "kind"): one_of(KIND_MIXES),
     ("data", "scenes"): AT_LEAST_1,
-    ("sampler", "method"): ("one of euler, dopri5", lambda v: v in ("euler", "dopri5")),
-    ("sampler", "rtol"): FINITE_POSITIVE,
-    ("sampler", "atol"): FINITE_POSITIVE,
-    **{(section, "steps"): AT_LEAST_1 for section in ("vae", "flow", "finetune", "sampler")},
+    **{(section, "steps"): AT_LEAST_1 for section in ("vae", "flow", "finetune")},
 }
 
 
@@ -98,7 +94,7 @@ class RunConfig:
                 error = FieldError(key, self.values[section][key], expected)
                 raise ConfigError(f"bad value for {section}.{key}: {error}")
         # build each module config once, so that its checks run now
-        self.geometry(), self.vae_train_config()
+        self.geometry(), self.vae_train_config(), self._build("sampler", SamplerConfig)
         flow, finetune = self.flow_train_config(), self.finetune_config()
         try:
             flowgen.check_sub_batch(finetune, flow)

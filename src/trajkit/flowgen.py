@@ -40,13 +40,22 @@ from .models import (
     wrap_params,
 )
 from .rules import (AT_LEAST_0, AT_LEAST_1, AT_LEAST_2, FINITE_NONNEGATIVE, FINITE_POSITIVE,
-                    Checked, FieldError, ranged)
+                    Checked, FieldError, one_of, ranged)
 from .trajfield import OffsetField
 
 T_EPS = 1e-5
 
-# sample_future's sampler; a partial spec takes the rest from here
-SAMPLER = {"method": "euler", "steps": 10, "rtol": 1e-5, "atol": 1e-8}
+
+@dataclass
+class SamplerConfig(Checked):
+    """sample_future's solver: Euler's steps, or dopri5's tolerances."""
+
+    method: str = ranged("euler", one_of(("euler", "dopri5")))
+    steps: int = ranged(10, AT_LEAST_1)
+    rtol: float = ranged(1e-5, FINITE_POSITIVE)
+    atol: float = ranged(1e-8, FINITE_POSITIVE)
+
+
 DOPRI5_H_MIN = 1e-13  # dopri5_sample gives up below this step size
 
 
@@ -126,27 +135,21 @@ def interpolate(z0: np.ndarray, z1: np.ndarray, t, sigma: float, rng: Rng):
 
 
 def boundary_init(z_hist_last: np.ndarray, cfg: FlowConfig, rng: Rng) -> np.ndarray:
-    """Source states (B, future_steps, N, C) of the flow `cfg`: unit Gaussian
-    with the boundary latents (B, N, C) anchored in, in their dtype (drawn and
-    anchored in float64, rounded once).
-
-    first-slice anchors only latent step k=0; all-slices repeats the boundary
-    latent across the whole horizon; either adds noise `cfg.sigma0` to it.
-    """
+    """Source states (B, future_steps, N, C) of the flow `cfg`: unit Gaussian,
+    but for the first future latent step, which is the boundary latents
+    (B, N, C) plus noise `cfg.sigma0`; in their dtype (drawn and anchored in
+    float64, rounded once)."""
     z_last = _with_batch("boundary_init", z_hist_last, ("B", "N", "C"))
     b, n, c = z_last.shape
-    if cfg.anchor_mode == "first-slice":
-        z0 = rng.draw_normal((b, cfg.future_steps, n, c))
-        z0[:, 0] = z_last + cfg.sigma0 * rng.draw_normal((b, n, c))
-    else:  # all-slices, the one other mode FlowConfig admits
-        z0 = z_last[:, None] + cfg.sigma0 * rng.draw_normal((b, cfg.future_steps, n, c))
+    z0 = rng.draw_normal((b, cfg.future_steps, n, c))
+    z0[:, 0] = z_last + cfg.sigma0 * rng.draw_normal((b, n, c))
     return z0.astype(z_last.dtype, copy=False)
 
 
 # -- ODE samplers ------------------------------------------------------------
 
 
-def euler_sample(v_fn, z0: np.ndarray, steps: int = SAMPLER["steps"]) -> np.ndarray:
+def euler_sample(v_fn, z0: np.ndarray, steps: int = SamplerConfig.steps) -> np.ndarray:
     """Forward Euler from t=0 to t=1 on a uniform grid, in the dtype of
     float32 or float64 `z0` (another dtype widened to float64)."""
     if steps < 1:
@@ -175,8 +178,8 @@ _DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
 
 
-def dopri5_sample(v_fn, z0: np.ndarray, rtol: float = SAMPLER["rtol"],
-                  atol: float = SAMPLER["atol"], h_init: float = 0.01) -> np.ndarray:
+def dopri5_sample(v_fn, z0: np.ndarray, rtol: float = SamplerConfig.rtol,
+                  atol: float = SamplerConfig.atol, h_init: float = 0.01) -> np.ndarray:
     """Adaptive Dormand-Prince 4(5) integration from t=0 to t=1, in the
     dtype of float32 or float64 `z0` (another dtype widened to float64)."""
     for name, value in (("rtol", rtol), ("atol", atol), ("h_init", h_init)):
@@ -587,6 +590,7 @@ def sample_future(history: OffsetField, bundle: FlowBundle, sampler: dict | None
     The history's frames must give the flow's history_steps latent steps.
     `future_frames` (default: the history's length) must be in
     1..future_steps * temporal_ratio, the frames the future latents decode to.
+    `sampler` holds SamplerConfig fields, the rest taking their defaults.
     """
     vae_cfg, flow_cfg = bundle.vae_cfg, bundle.flow_cfg
     r, k_p = vae_cfg.temporal_ratio, flow_cfg.history_steps
@@ -598,7 +602,7 @@ def sample_future(history: OffsetField, bundle: FlowBundle, sampler: dict | None
     if not 1 <= t_f <= t_max:
         raise ValueError(f"future frames must be in 1..{t_max} (future_steps "
                          f"{flow_cfg.future_steps} x temporal_ratio {r}), got {t_f}")
-    sampler = {**SAMPLER, **(sampler or {})}
+    sampler = SamplerConfig(**(sampler or {}))
     rng = gc.rng(seed)
     vae, wrapped, vis = bundle._sampling_params
     mu, _ = vae_encode(history.offsets[None].astype(np.float32), vae, vae_cfg)
@@ -610,12 +614,10 @@ def sample_future(history: OffsetField, bundle: FlowBundle, sampler: dict | None
     def v_fn(z, t):
         return velocity_forward(z, float(t), cond, wrapped, flow_cfg).data
 
-    if sampler["method"] == "euler":
-        z1 = euler_sample(v_fn, z0, steps=sampler["steps"])
-    elif sampler["method"] == "dopri5":
-        z1 = dopri5_sample(v_fn, z0, rtol=sampler["rtol"], atol=sampler["atol"])
+    if sampler.method == "euler":
+        z1 = euler_sample(v_fn, z0, steps=sampler.steps)
     else:
-        raise ValueError(f"unknown sampler {sampler['method']!r}")
+        z1 = dopri5_sample(v_fn, z0, rtol=sampler.rtol, atol=sampler.atol)
 
     z1_denorm = denormalize_latents(z1, bundle.stats)
     # as when tlf narrows to float32: an offset beyond its range is inf, which write_tlf refuses

@@ -393,7 +393,7 @@ def huber(x, target, weight, delta: float) -> Tensor:
     before add passes them on.  The node keeps d, the mask |d| <= delta and
     the weight."""
     x = as_tensor(x)
-    target, weight = np.asarray(target, dtype=np.float64), np.asarray(weight, dtype=np.float64)
+    target, weight = np.asarray(target, x.dtype), np.asarray(weight, x.dtype)
     if (x.data.ndim < 2 or x.shape[-1] != 2 or target.shape != x.shape
             or weight.shape != x.shape[:-1]):
         raise ShapeError("huber", x.shape, target.shape, weight.shape)
@@ -414,7 +414,7 @@ def huber(x, target, weight, delta: float) -> Tensor:
 
     def vjp(g):
         w = _spread(weight, g)
-        g = np.empty(d.shape)
+        g = np.empty_like(d)
         g[..., 0] = w
         g[..., 1] = w
         s = np.where(mask, g, 0.0)
@@ -442,7 +442,7 @@ def weighted_sq(x, target, weights) -> Tensor:
     the contributions of x's other consumers as one array, as it does for
     the chain."""
     x = as_tensor(x)
-    target, weights = np.asarray(target, dtype=np.float64), np.asarray(weights, dtype=np.float64)
+    target, weights = np.asarray(target, x.dtype), np.asarray(weights, x.dtype)
     if x.data.ndim != 4 or target.shape != x.shape or weights.shape != x.shape[:3]:
         raise ShapeError("weighted_sq", x.shape, target.shape, weights.shape)
     c = x.shape[3]
@@ -561,7 +561,7 @@ def shift_l1(a, hop, axis, target, weight) -> Tensor:
     if (not _is_int(hop) or not _is_int(axis) or not 1 <= axis < a.data.ndim - 1
             or a.shape[-1] != 2 or not 1 <= hop < a.shape[axis]):
         raise ShapeError("shift_l1", a.shape, (hop, axis))
-    target, weight = np.asarray(target, dtype=np.float64), np.asarray(weight)
+    target, weight, dtype = np.asarray(target, a.dtype), np.asarray(weight), a.dtype
     if weight.dtype != bool:
         raise TypeError(f"shift_l1: weight dtype {weight.dtype}, not bool")
     lead = (slice(None),) * axis
@@ -578,7 +578,7 @@ def shift_l1(a, hop, axis, target, weight) -> Tensor:
 
     def cotangent(g):  # sign(d) * weight * g
         w = _spread(weight, g)
-        dd = sign.astype(np.float64)
+        dd = sign.astype(dtype)
         dd[..., 0] *= w
         dd[..., 1] *= w
         return dd
@@ -649,7 +649,8 @@ def backward(out: Tensor, wrt) -> list:
             if isinstance(contrib, tuple):
                 key, value, ufunc = contrib
                 if pid not in owned:
-                    acc = grads[pid] = np.zeros(parent.shape) if acc is None else np.array(acc)
+                    acc = grads[pid] = (np.zeros(parent.shape, parent.dtype) if acc is None
+                                        else np.array(acc))
                     owned.add(pid)
                 ufunc(acc[key], value, out=acc[key])
             elif acc is None:

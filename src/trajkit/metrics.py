@@ -60,13 +60,12 @@ def flow_tv(positions: np.ndarray, visibility: np.ndarray, stride: float) -> flo
     return np.cumsum(frame)[-1] / len(frame)
 
 
-def div_curl_energy(positions: np.ndarray, visibility: np.ndarray, stride: float,
-                    single_spacing: bool = False) -> float:
+def div_curl_energy(positions: np.ndarray, visibility: np.ndarray, stride: float) -> float:
     """Time-averaged mean squared divergence plus curl of the flow.
 
     Forward differences already carry a 1/stride; the divergence and curl
-    then divide by stride again (set single_spacing=True for the variant
-    without the second division).  A cell is valid when it and both forward
+    then divide by stride again (the variant without the second division is
+    this value times stride ** 2).  A cell is valid when it and both forward
     neighbors are visible; the time average is as in `flow_tv`.
     """
     uv, valid = _flow_components(positions, visibility)
@@ -75,7 +74,7 @@ def div_curl_energy(positions: np.ndarray, visibility: np.ndarray, stride: float
     cell = valid[:, :-1, :-1] & valid[:, :-1, 1:] & valid[:, 1:, :-1]
     if not cell.any():
         raise ValueError("div_curl_energy: no valid cell at any frame")
-    extra = 1.0 if single_spacing else 1.0 / stride
+    extra = 1.0 / stride
     dx_u, dx_v = (uv[..., :-1, 1:] - uv[..., :-1, :-1]) / stride
     dy_u, dy_v = (uv[..., 1:, :-1] - uv[..., :-1, :-1]) / stride
     div = (dx_u + dy_v) * extra

@@ -20,10 +20,7 @@ from . import gradcore as gc
 from .gradcore import Rng, Tensor, as_tensor
 from .gradcore.tensor import _floats
 from .rules import (AT_LEAST_0, AT_LEAST_1, AT_LEAST_2, FINITE_NONNEGATIVE, Checked, FieldError,
-                    one_of, ranged)
-
-
-ANCHOR_MODES = ("first-slice", "all-slices")  # of FlowConfig.anchor_mode
+                    ranged)
 
 
 def latent_steps(frames: int, ratio: int) -> int:
@@ -77,10 +74,8 @@ class FlowConfig(Checked):
     future_steps: int = ranged(2, AT_LEAST_1)  # latent steps generated
     latent_channels: int = ranged(8, AT_LEAST_1)
     n_tokens: int = ranged(16, AT_LEAST_1)
-    # the source state boundary_init draws: noise on the boundary latent, and
-    # whether it anchors the first future latent step or all of them
+    # noise on the boundary latent of the source state boundary_init draws
     sigma0: float = ranged(0.1, FINITE_NONNEGATIVE)
-    anchor_mode: str = ranged("first-slice", one_of(ANCHOR_MODES))
 
 
 # -- parameter initialization ---------------------------------------------
@@ -236,20 +231,18 @@ def reparameterize(mu, logvar, rng: Rng) -> Tensor:
     return gc.add(mu, gc.mul(gc.exp(gc.mul(logvar, 0.5)), eps))
 
 
-def vae_decode(z, params: dict, cfg: VaeConfig, frames: int | None = None) -> Tensor:
+def vae_decode(z, params: dict, cfg: VaeConfig, frames: int) -> Tensor:
     """Latents (B, T_lat, N, C) -> offset segments (B, frames, H, W, 2).
 
-    An explicit `frames` is a ShapeError outside 1..T_lat * temporal_ratio,
-    the frames the latents decode to; the default, cfg.frames, cuts at most.
-    At the full length the decoder's output is returned as it is."""
+    `frames` is a ShapeError outside 1..T_lat * temporal_ratio, the frames
+    the latents decode to.  At the full length the decoder's output is
+    returned as it is."""
     z = _with_batch("vae_decode", z, LATENT)
     b, t_lat, n, c = z.shape
     if n != cfg.n_tokens or c != cfg.latent_channels:
         raise gc.ShapeError("vae_decode", z.shape, (cfg.n_tokens, cfg.latent_channels))
     d, r = cfg.hidden, cfg.temporal_ratio
-    if frames is None:
-        frames = cfg.frames
-    elif not 1 <= frames <= t_lat * r:
+    if not 1 <= frames <= t_lat * r:
         raise gc.ShapeError("vae_decode", (frames,), (t_lat * r,))
     tok = _linear(params, "dec.embed", z)
     tok = _block(params, "dec.pre", tok)

@@ -222,7 +222,7 @@ def test_criterion_01_gradient_suite():
 
             def enc_dec(inp):
                 mu, logvar = vae_encode(inp, vae_params, tiny_vae)
-                out = vae_decode(mu, vae_params, tiny_vae)
+                out = vae_decode(mu, vae_params, tiny_vae, frames=tiny_vae.frames)
                 return gc.add(gc.tsum(square(out)), gc.tsum(square(logvar)))
 
             worst = max(worst, gc.grad_check(enc_dec, [seg]))

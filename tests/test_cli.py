@@ -286,7 +286,7 @@ sampler.atol sampler.method sampler.rtol sampler.steps
 vae.batch vae.beta vae.blocks vae.clip_norm vae.hidden vae.hop_weights vae.hops
 vae.lambda_spatial vae.lambda_temporal vae.latent_channels vae.lr vae.patch vae.steps
 vae.temporal_ratio
-flow.anchor_mode flow.batch flow.blocks flow.clip_norm flow.cond_hidden flow.hidden
+flow.batch flow.blocks flow.clip_norm flow.cond_hidden flow.hidden
 flow.invisible_token_weight flow.lr flow.sigma flow.sigma0 flow.steps flow.time_features
 flow.vis_lr flow.vis_steps
 finetune.gamma finetune.k_steps finetune.lambda_kstep finetune.lr finetune.steps
@@ -296,7 +296,7 @@ finetune.sub_batch finetune.w0 finetune.w1
 
 class TestConfig:
     def test_keys_are_the_schema_and_the_readme_lists_each(self):
-        assert len(CONFIG_KEYS) == 49
+        assert len(CONFIG_KEYS) == 48
         assert sorted(f"{s}.{k}" for s, keys in DEFAULTS.items() for k in keys) == \
             sorted(CONFIG_KEYS)
         readme = (Path(__file__).parents[1] / "README.md").read_text()
@@ -334,15 +334,15 @@ class TestConfig:
         spec = cfg.sampler_spec()
         euler, dopri5 = (inspect.signature(f).parameters for f in (
             flowgen.euler_sample, flowgen.dopri5_sample))
-        assert spec == flowgen.SAMPLER and spec["method"] == "euler"
+        assert flowgen.SamplerConfig(**spec) == flowgen.SamplerConfig() and spec["method"] == "euler"
         assert spec["steps"] == euler["steps"].default
         assert (spec["rtol"], spec["atol"]) == (dopri5["rtol"].default, dopri5["atol"].default)
 
     def test_preset_hashes_are_pinned(self):
         assert RunConfig.desk().sha256() == \
-            "2edbca4fc55ed1c996fa9c2b7e52f070f0cfba771bef580cf85f7dfd1b60ca50"
+            "a505191ccdc052c71f2a3b871a5022555cad8d57b7c85cb931840b91dddd2f0d"
         assert RunConfig.default().sha256() == \
-            "c9c8f31943fb3e0af31e8bf24209f90b601f3897f572e80f82a755a7df5407f4"
+            "b90a4af55aa06d75b042289f549681cf39eb608690db9c34665fc7a6fa2bc428"
 
     @pytest.mark.parametrize("section", ["vae", "flow"])
     def test_clip_norm_zero_is_the_only_no_clip(self, section):
@@ -374,7 +374,6 @@ class TestConfig:
             RunConfig.loads(f"[{section}]\nsteps = {steps}\n")
 
     @pytest.mark.parametrize("section,key,good,bad", [
-        ("flow", "anchor_mode", "all-slices", "bogus"),
         ("sampler", "method", "dopri5", "rk4"),
         ("data", "kind", "jitter", "bogus"),
     ])
@@ -537,6 +536,15 @@ MALFORMED_CONFIGS = [
                    f"unknown key {section}.{name}", id=f"old-{section}.{name}")
       for section, name in [("vae", "grad_clip"), ("flow", "grad_clip"), ("vae", "huber_delta"),
                             ("finetune", "t_eps"), ("finetune", "denom_clamp")]],
+    pytest.param("train-flow", b"[flow]\nanchor_mode = first-slice\n",
+                 "unknown key flow.anchor_mode", id="old-flow.anchor_mode"),
+    # the sampler's own module config checks its keys, in the words of the config's rules
+    *[pytest.param("train-vae", f"[sampler]\n{key} = {value}\n".encode(),
+                   f"bad value for sampler.{key}: {key} must be {words}, got {got}",
+                   id=f"sampler.{key}={value}")
+      for key, value, words, got in [("method", "rk4", "one of euler, dopri5", "'rk4'"),
+                                     ("steps", 0, "an integer >= 1", 0),
+                                     ("rtol", 0, "a finite number > 0", 0.0)]],
 ]
 
 
@@ -635,7 +643,6 @@ def _flow_cfg_value(key, value):
 BAD_META = [pytest.param(corrupt, field, id=name) for corrupt, field, name in [
     (_flow_cfg_of(latent_channels=4), "latent_channels", "latent_channels"),
     (_flow_cfg_of(n_tokens=8), "n_tokens", "n_tokens"),
-    (_flow_cfg_value("anchor_mode", "bogus"), "anchor_mode", "anchor_mode"),
     *[(_flow_cfg_value("sigma0", v), "sigma0", f"sigma0={v!r}")
       for v in (-0.1, float("nan"), float("inf"), "0.1", True)]]]
 
@@ -695,10 +702,9 @@ class TestMalformedBundle:
         assert str(path) in capsys.readouterr().err
 
     def test_bundle_of_the_old_layout_gives_exit_2(self, tmp_path, capsys):
-        # sigma0 and anchor_mode were top-level keys before FlowConfig held them
+        # sigma0 was a top-level key before FlowConfig held it
         blocks, meta = _bundle_parts()
-        for key in ("sigma0", "anchor_mode"):
-            meta[key] = meta["flow_cfg"].pop(key)
+        meta["sigma0"] = meta["flow_cfg"].pop("sigma0")
         path = tmp_path / "old.ckpt"
         tlf.save_checkpoint(path, blocks, meta)
         assert run("sample", "--ckpt", path, "--history", tmp_path / "absent.tlf",
@@ -706,6 +712,19 @@ class TestMalformedBundle:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(path) in err and "flow_cfg" in err and "sigma0" in err
+
+    def test_bundle_that_names_an_anchor_mode_gives_exit_2(self, tmp_path, capsys):
+        # every bundle written while FlowConfig had an anchor_mode holds one
+        blocks, meta = _bundle_parts()
+        meta["flow_cfg"]["anchor_mode"] = "first-slice"
+        path = tmp_path / "old.ckpt"
+        tlf.save_checkpoint(path, blocks, meta)
+        assert run("sample", "--ckpt", path, "--history", tmp_path / "absent.tlf",
+                   "--out", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
+        assert ("flow_cfg metadata does not match FlowConfig: missing [], "
+                "unknown ['anchor_mode']") in err
 
     @pytest.mark.parametrize("patch", [8.0, "8", True, None])
     def test_train_flow_rejects_a_patch_that_is_no_integer(self, tmp_path, capsys, patch):
@@ -1012,7 +1031,18 @@ class TestUsageErrors:
     def test_help_exits_0(self, capsys):
         assert dispatch(["--help"]) == 0
         assert dispatch(["eval", "--help"]) == 0
-        assert "--single-spacing" in capsys.readouterr().out
+        assert "--metric" in capsys.readouterr().out
+
+    def test_eval_single_spacing_is_a_usage_error(self, tmp_path, capsys):
+        scene = tmp_path / "s.tlf"
+        run("synth", scene, "--kind", "rotation", "--omega", 0.05, "--frames", 6, "--out", tmp_path)
+        capsys.readouterr()
+        assert run("eval", scene, "--metric", "divcurle", "--single-spacing",
+                   "--out", tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: trajkit")
+        assert err.endswith("error: unrecognized arguments: --single-spacing\n")
+        assert not (tmp_path / "o").exists()
 
 
 class TestZeroFrameRecord:
@@ -1348,11 +1378,11 @@ class TestManifest:
         run("synth", ref, "--kind", "static", "--frames", 6, "--out", tmp_path)
         base = ["eval", scene, "--metric", "divcurle"]
         hashes = []
-        for i, extra in enumerate([[], ["--single-spacing"], ["--ref", ref], ["--method", "b"]]):
+        for i, extra in enumerate([[], ["--ref", ref], ["--method", "b"]]):
             assert run(*base, *extra, "--out", tmp_path / f"o{i}") == 0
             hashes.append(json.loads((tmp_path / f"o{i}" / "manifest.json").read_text())
                           ["config_sha256"])
-        assert len(set(hashes)) == 4
+        assert len(set(hashes)) == 3
         # --out is not part of the hash
         assert run(*base, "--out", tmp_path / "again") == 0
         again = json.loads((tmp_path / "again" / "manifest.json").read_text())

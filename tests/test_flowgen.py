@@ -39,7 +39,8 @@ class TestModuleConfigChecks:
             (VaeConfig, "patch", "8"), (VaeConfig, "patch", 8.0),
             (FlowConfig, "history_steps", 1), (FlowConfig, "time_features", 5),
             (FlowConfig, "sigma0", True), (FlowConfig, "sigma0", "0.1"),
-            (FlowConfig, "anchor_mode", "bogus"),
+            (flowgen.SamplerConfig, "method", "rk4"), (flowgen.SamplerConfig, "steps", 0),
+            (flowgen.SamplerConfig, "atol", float("inf")),
             (lb.NeighborSpec, "hops", (1, 2)), (lb.NeighborSpec, "hops", (0, 1, 2)),
             (lb.NeighborSpec, "hop_weights", (1.0, float("nan"), 1.0)),
             (lb.NeighborSpec, "hops", 64), (lb.NeighborSpec, "hops", (True, 2, 4)),
@@ -163,17 +164,6 @@ class TestBoundaryInit:
         draws = np.stack([boundary_init(z_last, cfg, rng)[:, 1:] for _ in range(5_000)])
         assert abs(draws.var() - 1.0) < 0.05
         assert abs(draws.mean()) < 0.05
-
-    def test_all_slices_mode_repeats_anchor(self):
-        z_last = np.arange(6.0).reshape(1, 3, 2)
-        cfg = FlowConfig(future_steps=4, sigma0=0.0, anchor_mode="all-slices")
-        z0 = boundary_init(z_last, cfg, gc.rng(3))
-        for k in range(4):
-            assert np.array_equal(z0[:, k], z_last)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(FieldError, match="^anchor_mode must be one of"):
-            boundary_init(np.zeros((1, 2, 2)), FlowConfig(anchor_mode="middle"), gc.rng(0))
 
 
 class TestLatentStats:
@@ -528,14 +518,13 @@ class TestTrainingLoops:
         assert np.array_equal(z_f, normalize_latents(raw_f, bundle.stats))
 
     def test_finetune_takes_model_settings_from_the_bundle(self, tiny_bundle):
-        # A fine-tune config that disagrees on architecture, sigma0 and
-        # anchor_mode must not change what is trained: the bundle samples with
-        # its own settings, so it must be fine-tuned under them too.
+        # A fine-tune config that disagrees on architecture and sigma0 must
+        # not change what is trained: the bundle samples with its own
+        # settings, so it must be fine-tuned under them too.
         bundle, pairs, fcfg = tiny_bundle
         ft_cfg = flowgen.FinetuneConfig(steps=3, lr=1e-3, k_steps=2, sub_batch=2)
-        other = replace(fcfg, flow=replace(fcfg.flow, hidden=8, cond_hidden=4, sigma0=0.7,
-                                           anchor_mode="all-slices"))
-        assert bundle.flow_cfg == fcfg.flow and bundle.flow_cfg.anchor_mode == "first-slice"
+        other = replace(fcfg, flow=replace(fcfg.flow, hidden=8, cond_hidden=4, sigma0=0.7))
+        assert bundle.flow_cfg == fcfg.flow and bundle.flow_cfg.sigma0 != 0.7
         want, curve_want = flowgen.finetune_onpolicy(bundle, pairs, fcfg, ft_cfg, seed=9)
         got, curve_got = flowgen.finetune_onpolicy(bundle, pairs, other, ft_cfg, seed=9)
         assert curve_got == curve_want
@@ -546,7 +535,7 @@ class TestTrainingLoops:
     def test_eval_fm_loss_scores_the_bundles_own_model(self, tiny_bundle):
         bundle, pairs, fcfg = tiny_bundle
         own = eval_fm_loss(bundle, pairs, fcfg)
-        source = dict(sigma0=0.7, anchor_mode="all-slices")
+        source = dict(sigma0=0.7)
         for changes in (dict(hidden=8, cond_hidden=4), source):
             other = replace(fcfg, flow=replace(fcfg.flow, **changes))
             assert eval_fm_loss(bundle, pairs, other) == own, changes
@@ -981,7 +970,7 @@ def _sample_float64(history, bundle, sampler, seed):
     history's float64 offsets, the reference its float32 forward is held to:
     (offsets, visibility token mask)."""
     vae_cfg, flow_cfg = bundle.vae_cfg, bundle.flow_cfg
-    sampler = {**flowgen.SAMPLER, **sampler}
+    sampler = flowgen.SamplerConfig(**sampler)
     z_hist = normalize_latents(flowgen.encode_mean(bundle.vae_params, vae_cfg,
                                                    history.offsets[None]), bundle.stats)
     vis_tok = models.pool_visibility(history.mask[None], vae_cfg, reduce="mean")
@@ -992,10 +981,10 @@ def _sample_float64(history, bundle, sampler, seed):
     def v_fn(z, t):
         return models.velocity_forward(z, float(t), cond, params, flow_cfg).data
 
-    if sampler["method"] == "euler":
-        z1 = euler_sample(v_fn, z0, steps=sampler["steps"])
+    if sampler.method == "euler":
+        z1 = euler_sample(v_fn, z0, steps=sampler.steps)
     else:
-        z1 = dopri5_sample(v_fn, z0, rtol=sampler["rtol"], atol=sampler["atol"])
+        z1 = dopri5_sample(v_fn, z0, rtol=sampler.rtol, atol=sampler.atol)
     z1 = denormalize_latents(z1, bundle.stats)
     offsets = models.vae_decode(z1, wrap_params(bundle.vae_params, False), vae_cfg,
                                 frames=history.frames).data[0]
@@ -1127,7 +1116,11 @@ def _zero_then_inf(z, t):
                  "flow config expects 2/2 latent steps, dataset yields 1/2",
                  id="flow-inputs-latent-steps"),
     pytest.param(lambda b, p: sample_future(_history(p, 0), b, sampler={"method": "rk4"}),
-                 ValueError, "unknown sampler 'rk4'", id="unknown-sampler"),
+                 FieldError, "method must be one of euler, dopri5, got 'rk4'",
+                 id="unknown-sampler"),
+    pytest.param(lambda b, p: sample_future(_history(p, 0), b, sampler={"step": 20}),
+                 TypeError, "SamplerConfig.__init__() got an unexpected keyword argument 'step'",
+                 id="misspelt-sampler-key"),
 ])
 def test_refusals_name_their_cause(tiny_bundle, call, error, message):
     bundle, pairs, _ = tiny_bundle

@@ -836,6 +836,20 @@ def test_shift_l1_rejects_bad_operands(bad):
         gc.shift_l1(**args)
 
 
+@pytest.mark.parametrize("name", ["huber", "weighted_sq", "shift_l1"])
+def test_loss_nodes_compute_in_the_dtype_of_their_operand(name):
+    """A float32 operand with a float64 target and weight gives a float32
+    value and a float32 adjoint through backward."""
+    rng = np.random.default_rng(14)
+    x = Tensor(rng.normal(size=(3, 4, 2, 2)).astype(np.float32), requires_grad=True)
+    target, weight = rng.normal(size=(3, 4, 2, 2)), rng.random((3, 4, 2))
+    out = {"huber": lambda: gc.huber(x, target, weight, 0.7),
+           "weighted_sq": lambda: gc.weighted_sq(x, target, weight),
+           "shift_l1": lambda: gc.shift_l1(x, 1, 1, target[:, 1:], weight[:, 1:] > 0.5)}[name]()
+    (g,) = gc.backward(gc.tsum(out), [x])
+    assert (out.dtype, g.dtype) == (np.float32, np.float32)
+
+
 def test_gelu_matches_closed_form_into_the_tails():
     x = np.linspace(-8.0, 8.0, 4001)
     c = np.sqrt(2.0 / np.pi)

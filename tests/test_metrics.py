@@ -214,14 +214,6 @@ class TestDivCurlEnergy:
         assert div_curl_energy(p, vis, 4.0) == pytest.approx(div_curl_brute(p, vis, 4.0),
                                                              rel=1e-12)
 
-    def test_single_spacing_variant_scales(self):
-        rng = np.random.default_rng(7)
-        p = rng.normal(size=(3, 4, 4, 2)) * 5
-        vis = np.ones((3, 4, 4))
-        double = div_curl_energy(p, vis, 32.0)
-        single = div_curl_energy(p, vis, 32.0, single_spacing=True)
-        assert single == pytest.approx(double * 32.0 ** 2, rel=1e-12)
-
 
 @pytest.mark.parametrize("metric", [flow_tv, div_curl_energy])
 def test_a_non_finite_hidden_position_changes_nothing(metric):

@@ -62,7 +62,7 @@ UNBATCHED = {
     **{f"{name}[{field}]": lambda n, fn=fn, args=args: fn(*args)
        for name, fn in PAIR_LOSSES.items() for field, args in UNBATCHED_PAIRS.items()},
     "vae_encode[x]": lambda n: vae_encode(np.zeros((4, 16, 16, 2)), n.vae, n.vae_cfg),
-    "vae_decode[z]": lambda n: vae_decode(LAT[0], n.vae, n.vae_cfg),
+    "vae_decode[z]": lambda n: vae_decode(LAT[0], n.vae, n.vae_cfg, frames=n.vae_cfg.frames),
     "velocity_forward[z_t]": lambda n: velocity_forward(
         LAT[0], 0.3, encode_condition(HIST, VIS, n.vel, n.flow_cfg),
         n.vel, n.flow_cfg),
@@ -116,7 +116,7 @@ class TestVaeShapes:
     def test_decode_round_trip_shape(self, small_cfg, vae_params):
         x = gc.rng(4).draw_normal((1, 4, 16, 16, 2))
         mu, _ = vae_encode(x, vae_params, small_cfg)
-        out = vae_decode(mu, vae_params, small_cfg)
+        out = vae_decode(mu, vae_params, small_cfg, frames=small_cfg.frames)
         assert out.shape == x.shape
 
     @pytest.mark.parametrize("frames", [-1, 0, 5, 9])
@@ -135,7 +135,7 @@ class TestVaeShapes:
         assert out.data.tobytes() == full[:, :frames].tobytes()
 
     def test_zero_latent_finite(self, small_cfg, vae_params):
-        out = vae_decode(np.zeros((1, 2, 4, 4)), vae_params, small_cfg)
+        out = vae_decode(np.zeros((1, 2, 4, 4)), vae_params, small_cfg, frames=small_cfg.frames)
         assert np.all(np.isfinite(out.data))
 
     def test_padding_handles_ragged_frames(self, vae_params):
@@ -145,7 +145,7 @@ class TestVaeShapes:
         x = gc.rng(6).draw_normal((1, 3, 16, 16, 2))
         mu, _ = vae_encode(x, params, cfg)
         assert mu.shape == (1, 2, 4, 4)  # ceil(6/4) latent steps
-        out = vae_decode(mu, params, cfg)
+        out = vae_decode(mu, params, cfg, frames=3)
         assert out.shape == (1, 3, 16, 16, 2)
 
     def test_wrong_frame_size_rejected(self, small_cfg, vae_params):
@@ -386,7 +386,7 @@ class TestVaeGradients:
     def test_encode_decode_grad_wrt_input(self, small_cfg, vae_params):
         def f(x):
             mu, logvar = vae_encode(x, vae_params, small_cfg)
-            out = vae_decode(mu, vae_params, small_cfg)
+            out = vae_decode(mu, vae_params, small_cfg, frames=small_cfg.frames)
             return gc.add(gc.tsum(square(out)), gc.tsum(square(logvar)))
 
         x0 = gc.rng(24).draw_normal((1, 4, 16, 16, 2)) * 0.3
@@ -402,7 +402,7 @@ class TestVaeGradients:
             for name, t in zip(names, subset):
                 params[name] = t
             mu, _ = vae_encode(x, params, small_cfg)
-            return gc.tsum(square(vae_decode(mu, params, small_cfg)))
+            return gc.tsum(square(vae_decode(mu, params, small_cfg, frames=small_cfg.frames)))
 
         assert gc.grad_check(f, [base[n] for n in names]) < 1e-4
 
@@ -436,7 +436,7 @@ def _vae_loss(draw, vae_cfg, flow_cfg):
 
     def loss(params):
         mu, logvar = vae_encode(x, params, vae_cfg)
-        out = vae_decode(mu, params, vae_cfg)
+        out = vae_decode(mu, params, vae_cfg, frames=vae_cfg.frames)
         return gc.add(gc.tsum(square(out)), gc.tsum(square(logvar)))
     return init_vae_params(vae_cfg, gc.rng(30)), loss
 
@@ -487,7 +487,7 @@ def _network_outputs(cfg, flow_cfg, requires_grad: bool) -> dict:
     mu, logvar = vae_encode(x, vae, cfg)
     cond = encode_condition(z_hist, vis, vel, flow_cfg)
     return {"vae_encode.mu": mu, "vae_encode.logvar": logvar,
-            "vae_decode": vae_decode(mu, vae, cfg),
+            "vae_decode": vae_decode(mu, vae, cfg, frames=cfg.frames),
             "encode_condition.cue": cond.cue, "encode_condition.tokens": cond.tokens,
             "velocity_forward": velocity_forward(z_t, np.array([0.3, 0.8]), cond, vel, flow_cfg),
             "visibility_logits": models.visibility_logits(z_t, head)}
@@ -515,7 +515,7 @@ def _cue(k_f):
 @pytest.mark.parametrize("call,error,message", [
     pytest.param(lambda: reparameterize(np.zeros(2), np.zeros(3), gc.rng(0)), gc.ShapeError,
                  "reparameterize: incompatible shapes (2,) vs (3,)", id="reparameterize"),
-    pytest.param(lambda: vae_decode(np.zeros((1, 2, 15, 8)), {}, VaeConfig()), gc.ShapeError,
+    pytest.param(lambda: vae_decode(np.zeros((1, 2, 15, 8)), {}, VaeConfig(), frames=8), gc.ShapeError,
                  "vae_decode: incompatible shapes (1, 2, 15, 8) vs (16, 8)", id="vae_decode"),
     pytest.param(lambda: velocity_forward(np.zeros((1, 2, 15, 8)), 0.5, _cue(2), {},
                                           FlowConfig()), gc.ShapeError,
